@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -164,120 +164,51 @@ def validate_schedule(problem: TransferProblem, schedule: Schedule) -> list[str]
     return violations
 
 
-@dataclass(frozen=True)
-class Arc:
-    tail: int
-    head: int
-    capacity: int
-    slot: int | None = None  # set on source->slot and slot->peer arcs
-    peer: int | None = None  # set on slot->peer and peer->sink arcs
+def build_flow_network(problem: TransferProblem, T: int) -> csr_matrix:
+    """Capacity matrix of the flow network, restricted to slots 1..T, whose
+    max flow equals F(T).
 
-
-@dataclass(frozen=True)
-class FlowNetwork:
-    """Source / slot-nodes / peer-nodes / sink graph whose max flow equals F(T).
-
-    Node ids: source = 0, slot s = s for s in 1..T, the j-th candidate peer =
-    T + 1 + j, sink = T + len(peers) + 1.
-    """
-
-    T: int
-    peers: tuple[int, ...]
-    arcs: tuple[Arc, ...]
-
-    @property
-    def source(self) -> int:
-        return 0
-
-    @property
-    def sink(self) -> int:
-        return self.T + len(self.peers) + 1
-
-    @property
-    def num_nodes(self) -> int:
-        return self.T + len(self.peers) + 2
-
-    def peer_node(self, j: int) -> int:
-        return self.T + 1 + j
-
-
-@dataclass(frozen=True)
-class FlowResult:
-    value: int
-    arc_flows: tuple[int, ...]  # aligned with network.arcs
-
-
-def build_flow_network(problem: TransferProblem, T: int) -> FlowNetwork:
-    """Build the flow network restricted to slots 1..T.
-
-    Arcs: source->slot (capacity owner_rate) where the owner is online;
-    slot->peer (capacity peer_rate) where the remote peer is online; peer->sink
-    (capacity per_peer_cap).  For restores the peer nodes are the storage set.
+    Nodes: source = 0, slot s = s, the j-th candidate peer = T + 1 + j, sink
+    last.  Arcs: source->slot (capacity owner_rate) where the owner is online;
+    slot->peer (capacity peer_rate) where the remote peer is online too;
+    peer->sink (capacity per_peer_cap).  For restores the peer nodes are the
+    storage set.
     """
     if not 1 <= T <= problem.matrix.num_slots:
         raise ValueError(f"T must be in [1, {problem.matrix.num_slots}]")
     bits = problem.matrix.bits
-    peers = problem.candidates
-    peer_pos = {i: j for j, i in enumerate(peers)}
-
-    arcs: list[Arc] = []
-    for s in range(1, T + 1):
-        if bits[problem.owner, s - 1]:
-            arcs.append(Arc(0, s, problem.owner_rate, slot=s))
-    for i in peers:
-        node = T + 1 + peer_pos[i]
-        for s in range(1, T + 1):
-            if bits[problem.owner, s - 1] and bits[i, s - 1]:
-                arcs.append(Arc(s, node, problem.peer_rate, slot=s, peer=i))
-    sink = T + len(peers) + 1
-    for i in peers:
-        arcs.append(Arc(T + 1 + peer_pos[i], sink, problem.per_peer_cap, peer=i))
-    return FlowNetwork(T=T, peers=peers, arcs=tuple(arcs))
+    candidates = list(problem.candidates)
+    n = len(candidates)
+    owner_row = bits[problem.owner, :T]
+    slots = np.flatnonzero(owner_row) + 1
+    peer_pos, slot_col = np.nonzero(bits[candidates, :T] & owner_row)
+    rows = np.concatenate([np.zeros(len(slots), dtype=np.intp), slot_col + 1, np.arange(T + 1, T + 1 + n)])
+    cols = np.concatenate([slots, peer_pos + T + 1, np.full(n, T + n + 1)])
+    caps = np.repeat(
+        np.array([problem.owner_rate, problem.peer_rate, problem.per_peer_cap], dtype=np.int32),
+        [len(slots), len(peer_pos), n],
+    )
+    return csr_matrix((caps, (rows, cols)), shape=(T + n + 2, T + n + 2))
 
 
-def max_flow(network: FlowNetwork) -> FlowResult:
-    """Maximum s-t flow value plus an integral per-arc flow assignment.
+def max_flow(graph: csr_matrix) -> tuple[int, csr_matrix]:
+    """Maximum source->sink flow value plus an integral flow matrix, whose
+    (u, v) entry is the flow on arc u->v (negated on the reverse entry).
 
-    Backed by a blocking-flow (Dinic) solver, O(V^2 E) worst case; instances
-    here are small bipartite graphs, far from that bound.
+    Backed by scipy's blocking-flow (Dinic) solver, O(V^2 E) worst case;
+    instances here are small bipartite graphs, far from that bound.
     """
-    if not any(arc.tail == network.source for arc in network.arcs):
-        return FlowResult(0, tuple(0 for _ in network.arcs))
-    rows = np.fromiter((a.tail for a in network.arcs), dtype=np.int32)
-    cols = np.fromiter((a.head for a in network.arcs), dtype=np.int32)
-    caps = np.fromiter((a.capacity for a in network.arcs), dtype=np.int32)
-    graph = csr_matrix((caps, (rows, cols)), shape=(network.num_nodes, network.num_nodes))
-    result = maximum_flow(graph, network.source, network.sink)
-    flow = result.flow.tocoo()
-    positive = {(u, v): f for u, v, f in zip(flow.row, flow.col, flow.data) if f > 0}
-    arc_flows = tuple(int(positive.get((a.tail, a.head), 0)) for a in network.arcs)
-    return FlowResult(int(result.flow_value), arc_flows)
+    result = maximum_flow(graph, 0, graph.shape[0] - 1)
+    return int(result.flow_value), result.flow
 
 
 def max_fragments(problem: TransferProblem, T: int) -> tuple[int, Schedule]:
     """F(T): the most fragments transferable within slots 1..T, with a witness schedule."""
-    network = build_flow_network(problem, T)
-    result = max_flow(network)
-    entries: list[tuple[int, int]] = []
-    for arc, f in zip(network.arcs, result.arc_flows):
-        if arc.peer is not None and arc.slot is not None and f > 0:
-            entries.extend([(arc.peer, arc.slot)] * f)
-    return result.value, Schedule(entries)
-
-
-def _capacity_lower_bound(problem: TransferProblem) -> int | None:
-    """Smallest T that could possibly carry x fragments: the slot where the
-    ceil(x / owner_rate)-th owner-online slot occurs.  None if the horizon has
-    too few owner-online slots."""
-    needed = math.ceil(problem.x / problem.owner_rate)
-    row = problem.matrix.bits[problem.owner]
-    count = 0
-    for col, bit in enumerate(row):
-        if bit:
-            count += 1
-            if count == needed:
-                return col + 1
-    return None
+    value, flow = max_flow(build_flow_network(problem, T))
+    block = flow[1:T + 1, T + 1:-1].tocoo()  # slot x candidate; flows are >= 0 here
+    peers = np.repeat(np.array(problem.candidates, dtype=np.intp)[block.col], block.data)
+    slots = np.repeat(block.row + 1, block.data)
+    return value, Schedule(zip(peers, slots))
 
 
 def optimal_completion(problem: TransferProblem) -> ScheduleOutcome:
@@ -285,7 +216,7 @@ def optimal_completion(problem: TransferProblem) -> ScheduleOutcome:
     then binary searching the bracket.  Infeasibility (F(horizon) < x) is a
     first-class outcome carrying F(horizon), not an exception."""
     horizon = problem.matrix.num_slots
-    lower = _capacity_lower_bound(problem)
+    lower = ideal_baseline(problem.matrix.bits[problem.owner], problem.x, problem.owner_rate)
     if lower is None:
         value, _ = max_fragments(problem, horizon)
         return ScheduleOutcome(False, None, 0, value)
@@ -322,31 +253,27 @@ def random_schedule(problem: TransferProblem, seed=None) -> ScheduleOutcome:
     set for restores); stop exactly when x fragments are placed."""
     rng = np.random.default_rng(seed)
     bits = problem.matrix.bits
-    usage = {i: 0 for i in problem.candidates}
+    candidates = problem.candidates
+    online = bits[list(candidates)].astype(bool)
+    usage = np.zeros(len(candidates), dtype=np.intp)
     entries: list[tuple[int, int]] = []
     placed = 0
-    for s in range(1, problem.matrix.num_slots + 1):
+    for col in np.flatnonzero(bits[problem.owner]):
         if placed == problem.x:
             break
-        if not bits[problem.owner, s - 1]:
-            continue
-        slot_used: dict[int, int] = {}
+        slot_used = np.zeros(len(candidates), dtype=np.intp)
         for _ in range(problem.owner_rate):
             if placed == problem.x:
                 break
-            eligible = [
-                i
-                for i in problem.candidates
-                if bits[i, s - 1]
-                and usage[i] < problem.per_peer_cap
-                and slot_used.get(i, 0) < problem.peer_rate
-            ]
-            if not eligible:
+            eligible = np.flatnonzero(
+                online[:, col] & (usage < problem.per_peer_cap) & (slot_used < problem.peer_rate)
+            )
+            if not len(eligible):
                 break
-            pick = eligible[int(rng.integers(len(eligible)))]
-            entries.append((pick, s))
-            usage[pick] += 1
-            slot_used[pick] = slot_used.get(pick, 0) + 1
+            j = eligible[int(rng.integers(len(eligible)))]
+            entries.append((candidates[j], col + 1))
+            usage[j] += 1
+            slot_used[j] += 1
             placed += 1
     schedule = Schedule(entries)
     if placed < problem.x:

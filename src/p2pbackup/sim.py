@@ -284,7 +284,7 @@ def allocate_slot_transfers(transfers, up_budget, down_budget) -> np.ndarray:
     return alloc
 
 
-@dataclass
+@dataclass(eq=False)
 class _Transfer:
     serial: int
     kind: str  # restore | backup | maintenance | repair_in | repair_out
@@ -496,11 +496,6 @@ class Simulation:
     def _pick(self, candidates: list[int]) -> int:
         return candidates[int(self.rng.integers(len(candidates)))]
 
-    def _live_fragments(self, owner: _Peer) -> dict[int, int]:
-        """Own fragments on alive holders (alive = not currently absent-crashed;
-        merely offline holders keep their fragments)."""
-        return dict(owner.placements)
-
     def _reachable(self, owner: _Peer) -> set[int]:
         reach = set(owner.downloaded)
         reach.update(owner.placements.keys())
@@ -613,15 +608,14 @@ class Simulation:
             crash_time = owner.episode.crash_slot * self.slot
             if now - crash_time < timeout:
                 continue
-            live = self._live_fragments(owner)
             if owner.repair_stage is None:
-                if len(live) < self.k:
+                if len(owner.placements) < self.k:
                     if len(self._reachable(owner)) < self.k:
                         self._mark_lost(owner)
                     continue
                 try:
                     ettr = estimate_ttr(
-                        self.o, owner.downlink, self._profiles(live.values()), self.k,
+                        self.o, owner.downlink, self._profiles(owner.placements.values()), self.k,
                         self.thresholds.parallel,
                     )
                 except InsufficientHoldersError:
@@ -630,7 +624,9 @@ class Simulation:
                 if math.isinf(ettr):
                     risk = 1.0
                 else:
-                    risk = data_loss_probability(len(live), self.k, t_days, self.thresholds.mean_lifetime_days)
+                    risk = data_loss_probability(
+                        len(owner.placements), self.k, t_days, self.thresholds.mean_lifetime_days
+                    )
                 if risk > self.config.loss_cap:
                     owner.repair_stage = "down"
             if owner.repair_stage == "down":
@@ -662,15 +658,14 @@ class Simulation:
             self._new_transfer("repair_in", owner.placements[frag], SERVER, owner.idx, frag)
 
     def _drive_repair_injection(self, owner: _Peer, slot_idx: int) -> None:
-        live = self._live_fragments(owner)
         try:
             ettr = estimate_ttr(
-                self.o, owner.downlink, self._profiles(live.values()), self.k,
+                self.o, owner.downlink, self._profiles(owner.placements.values()), self.k,
                 self.thresholds.parallel,
             )
             t_days = self.config.w_days + ettr / SECONDS_PER_DAY
             if math.isfinite(ettr) and data_loss_probability(
-                len(live), self.k, t_days, self.thresholds.mean_lifetime_days
+                len(owner.placements), self.k, t_days, self.thresholds.mean_lifetime_days
             ) <= self.config.loss_cap:
                 owner.repair_stage = "done"
                 self._drop_transfers(lambda t: not (t.kind == "repair_out" and t.owner == owner.idx))
@@ -734,11 +729,10 @@ class Simulation:
         if len(self._reachable(owner)) < self.k:
             self._mark_lost(owner)
             return
-        live = self._live_fragments(owner)
         if owner.restore_start_slot == slot_idx and math.isnan(owner.ettr) and owner.crash_count == 1:
             try:
                 owner.ettr = estimate_ttr(
-                    self.o, owner.downlink, self._profiles(live.values()), self.k,
+                    self.o, owner.downlink, self._profiles(owner.placements.values()), self.k,
                     self.thresholds.parallel,
                 )
             except InsufficientHoldersError:
@@ -748,7 +742,7 @@ class Simulation:
         if have >= self.k:
             return
         l = self.thresholds.parallel or default_parallel(
-            owner.downlink, [self.peers[h].uplink for h in live.values()] or [owner.downlink], self.k
+            owner.downlink, [self.peers[h].uplink for h in owner.placements.values()] or [owner.downlink], self.k
         )
         active_online = sum(
             1
@@ -758,12 +752,12 @@ class Simulation:
         )
         candidates = sorted(
             frag
-            for frag, holder in live.items()
+            for frag, holder in owner.placements.items()
             if frag not in owner.downloaded and frag not in in_flight and self._online(holder, slot_idx)
         )
         while active_online < l and candidates and have < self.k:
             frag = candidates.pop(int(self.rng.integers(len(candidates))))
-            self._new_transfer("restore", live[frag], owner.idx, owner.idx, frag)
+            self._new_transfer("restore", owner.placements[frag], owner.idx, owner.idx, frag)
             in_flight.add(frag)
             active_online += 1
             have += 1
@@ -771,7 +765,7 @@ class Simulation:
         buffered = self.buffered.get(owner.idx, set())
         if buffered and have < self.k:
             peer_obtainable = {
-                frag for frag in live
+                frag for frag in owner.placements
                 if frag not in owner.downloaded and frag not in in_flight
             }
             spare = sorted(buffered - owner.downloaded - in_flight)

@@ -44,6 +44,70 @@ def matching_min_completion(bits, owner, candidates, x, num_slots):
     return None
 
 
+def brute_max_fragments(bits, owner, candidates, T, owner_rate, peer_rate, cap):
+    """Most fragments movable in slots 1..T under any owner rate, per-slot
+    peer rate and per-peer cap.
+
+    Exhaustive: in each owner-online slot try every split of at most
+    owner_rate fragments among the online candidates, at most peer_rate to
+    each and never past a peer's remaining cap; memoized on (slot, remaining
+    cap per candidate).
+    """
+    cands = tuple(candidates)
+
+    def splits(s, j, budget, remaining):
+        """(fragments sent, remaining caps after) for each split of the
+        budget among candidates j.. in slot s."""
+        if j == len(cands):
+            yield 0, remaining
+            return
+        top = min(peer_rate, remaining[j], budget) if bits[cands[j]][s - 1] else 0
+        for k in range(top + 1):
+            rest = remaining[:j] + (remaining[j] - k,) + remaining[j + 1:]
+            for sent, after in splits(s, j + 1, budget - k, rest):
+                yield sent + k, after
+
+    @lru_cache(maxsize=None)
+    def best(s, remaining):
+        if s > T:
+            return 0
+        if not bits[owner][s - 1]:
+            return best(s + 1, remaining)
+        return max(sent + best(s + 1, after) for sent, after in splits(s, 0, owner_rate, remaining))
+
+    result = best(1, (cap,) * len(cands))
+    best.cache_clear()
+    return result
+
+
+def loop_random_schedule(bits, owner, candidates, x, owner_rate, peer_rate, cap, rng):
+    """The randomized policy as a plain slot loop; returns its sorted entries.
+
+    In each owner-online slot, up to owner_rate times, pick with
+    rng.integers among the candidates, in the given order, that are online,
+    under cap overall and under peer_rate in this slot; stop at x fragments.
+    """
+    usage = dict.fromkeys(candidates, 0)
+    entries = []
+    for s in range(1, len(bits[owner]) + 1):
+        if len(entries) == x:
+            break
+        if not bits[owner][s - 1]:
+            continue
+        slot_used = dict.fromkeys(candidates, 0)
+        for _ in range(owner_rate):
+            if len(entries) == x:
+                break
+            eligible = [i for i in candidates if bits[i][s - 1] and usage[i] < cap and slot_used[i] < peer_rate]
+            if not eligible:
+                break
+            pick = eligible[int(rng.integers(len(eligible)))]
+            entries.append((pick, s))
+            usage[pick] += 1
+            slot_used[pick] += 1
+    return sorted(entries)
+
+
 def binomial_tail_ge(n, k, p: Fraction) -> Fraction:
     """P[Bin(n, p) >= k] in exact rational arithmetic."""
     q = 1 - p

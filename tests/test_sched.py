@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 from p2pbackup import sched
 from p2pbackup.sched import BACKUP, RESTORE, Schedule, TransferProblem
 from conftest import make_matrix
-from oracles import matching_max_fragments, matching_min_completion
+from oracles import brute_max_fragments, loop_random_schedule, matching_max_fragments, matching_min_completion
 
 
 # The worked instance: owner row 0 online t1-t3 and t6-t8; p1 online t1,t2;
@@ -111,15 +111,30 @@ def test_completion_time_quoted_schedules():
 # ----------------------------------------------------------- the flow network
 
 def test_network_layout_first_three_slots(fig_problem):
-    net = sched.build_flow_network(fig_problem, T=3)
-    assert net.peers == (1, 2, 3)
-    source_slots = {a.slot for a in net.arcs if a.tail == net.source}
-    assert source_slots == {1, 2, 3}
-    slot_peer = {(a.slot, a.peer) for a in net.arcs if a.tail != net.source and a.head != net.sink}
+    graph = sched.build_flow_network(fig_problem, T=3)
+    # nodes: source 0, slots 1-3, candidates p1-p3 at 4-6, sink 7
+    assert graph.shape == (8, 8) and graph.dtype == np.int32
+    coo = graph.tocoo()
+    arcs = {(int(u), int(v)) for u, v in zip(coo.row, coo.col)}
+    assert len(arcs) == coo.nnz
+    assert {v for u, v in arcs if u == 0} == {1, 2, 3}
+    assert all(4 <= v <= 6 for u, v in arcs if 1 <= u <= 3)
+    slot_peer = {(u, fig_problem.candidates[v - 4]) for u, v in arcs if 1 <= u <= 3}
     assert slot_peer == {(1, 1), (1, 2), (2, 1), (3, 3)}
-    sink_arcs = [a for a in net.arcs if a.head == net.sink]
-    assert sorted(a.peer for a in sink_arcs) == [1, 2, 3]
-    assert all(a.capacity == 1 for a in net.arcs)
+    assert sorted(u for u, v in arcs if v == 7) == [4, 5, 6]
+    assert coo.nnz == 3 + 4 + 3
+    assert set(coo.data.tolist()) == {1}
+
+
+def test_network_capacities_by_arc_class(fig_matrix):
+    p = TransferProblem(matrix=fig_matrix, owner=0, direction=RESTORE, x=2,
+                        owner_rate=3, peer_rate=2, per_peer_cap=4, storage_set={1, 3})
+    graph = sched.build_flow_network(p, T=3).toarray()
+    # nodes: source 0, slots 1-3, p1 at 4, p3 at 5, sink 6
+    assert graph[0, 1:4].tolist() == [3, 3, 3]
+    assert graph[1:4, 4:6].tolist() == [[2, 0], [2, 0], [0, 2]]
+    assert graph[4:6, 6].tolist() == [4, 4]
+    assert np.count_nonzero(graph) == 3 + 3 + 2
 
 
 def test_network_rejects_bad_horizon(fig_problem):
@@ -130,45 +145,50 @@ def test_network_rejects_bad_horizon(fig_problem):
 
 
 def test_max_flow_on_worked_instance(fig_problem):
-    assert sched.max_flow(sched.build_flow_network(fig_problem, T=3)).value == 3
+    value, _ = sched.max_flow(sched.build_flow_network(fig_problem, T=3))
+    assert value == 3
 
 
 def test_max_flow_no_source_arcs():
     m = make_matrix(["0000", "1111"])
     p = TransferProblem(matrix=m, owner=0, direction=BACKUP, x=1)
-    net = sched.build_flow_network(p, T=4)
-    result = sched.max_flow(net)
-    assert result.value == 0
-    assert result.arc_flows == tuple(0 for _ in net.arcs)
+    graph = sched.build_flow_network(p, T=4)
+    assert graph[0].nnz == 0
+    value, flow = sched.max_flow(graph)
+    assert value == 0
+    assert flow.count_nonzero() == 0
 
 
 def test_max_flow_single_augmenting_path():
     m = make_matrix(["1", "1"])
     p = TransferProblem(matrix=m, owner=0, direction=BACKUP, x=1)
-    assert sched.max_flow(sched.build_flow_network(p, T=1)).value == 1
+    value, _ = sched.max_flow(sched.build_flow_network(p, T=1))
+    assert value == 1
 
 
 def test_max_flow_complete_bipartite_matches_exhaustive():
     m = make_matrix(["111", "111", "111", "111"])
     p = TransferProblem(matrix=m, owner=0, direction=BACKUP, x=3)
-    value = sched.max_flow(sched.build_flow_network(p, T=3)).value
+    value, _ = sched.max_flow(sched.build_flow_network(p, T=3))
     assert value == 3
     assert value == matching_max_fragments(m.bits, 0, p.candidates, 3)
 
 
 def test_flow_conservation_and_integrality(fig_problem):
-    net = sched.build_flow_network(fig_problem, T=8)
-    result = sched.max_flow(net)
-    inflow = {}
-    outflow = {}
-    for arc, f in zip(net.arcs, result.arc_flows):
-        assert 0 <= f <= arc.capacity
-        outflow[arc.tail] = outflow.get(arc.tail, 0) + f
-        inflow[arc.head] = inflow.get(arc.head, 0) + f
-    for node in range(1, net.sink):
-        assert inflow.get(node, 0) == outflow.get(node, 0)
-    assert outflow.get(net.source, 0) == result.value
-    assert inflow.get(net.sink, 0) == result.value
+    graph = sched.build_flow_network(fig_problem, T=8)
+    value, flow = sched.max_flow(graph)
+    capacity = graph.toarray()
+    f = flow.toarray()
+    assert np.issubdtype(f.dtype, np.integer)
+    assert np.array_equal(f, -f.T)  # reverse entries mirror the arc flows
+    arc = capacity > 0
+    assert np.all(f[~arc & ~arc.T] == 0)  # no flow off the arcs
+    forward = np.where(arc, f, 0)
+    assert np.all((0 <= forward) & (forward <= capacity))
+    inflow, outflow = forward.sum(axis=0), forward.sum(axis=1)
+    sink = graph.shape[0] - 1
+    assert np.array_equal(inflow[1:sink], outflow[1:sink])
+    assert outflow[0] == value == inflow[sink]
 
 
 # --------------------------------------------------------------- max_fragments
@@ -336,6 +356,49 @@ def test_flow_value_matches_matching_oracle(instance):
         value, schedule = sched.max_fragments(p, T)
         assert value == matching_max_fragments(bits.tolist(), 0, p.candidates, T)
         assert sched.validate_schedule(p, schedule) == []
+
+
+@st.composite
+def rated_problems(draw):
+    """Backups and restores over small_instances with rates and cap in {1, 2}."""
+    bits, x = draw(small_instances)
+    m = sched.AvailabilityMatrix(bits=bits)
+    restore = draw(st.booleans())
+    return TransferProblem(
+        matrix=m, owner=0, direction=RESTORE if restore else BACKUP, x=x,
+        owner_rate=draw(st.integers(1, 2)), peer_rate=draw(st.integers(1, 2)),
+        per_peer_cap=draw(st.integers(1, 2)),
+        storage_set=draw(st.sets(st.integers(1, m.num_peers - 1), min_size=1)) if restore else None,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(rated_problems())
+def test_flow_value_matches_brute_force_with_rates_and_caps(p):
+    bits = p.matrix.bits.tolist()
+    for T in range(1, p.matrix.num_slots + 1):
+        value, schedule = sched.max_fragments(p, T)
+        assert value == brute_max_fragments(
+            bits, 0, p.candidates, T, p.owner_rate, p.peer_rate, p.per_peer_cap)
+        assert len(schedule) == value
+        assert sched.completion_time(schedule) <= T
+        assert sched.validate_schedule(p, schedule) == []
+        # validate_schedule has no clause for the per-slot peer rate
+        assert all(schedule.entries.count(e) <= p.peer_rate for e in schedule.entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rated_problems(), st.integers(0, 2**31 - 1))
+def test_random_schedule_matches_loop_reference(p, seed):
+    out = sched.random_schedule(p, seed=seed)
+    entries = loop_random_schedule(
+        p.matrix.bits.tolist(), 0, p.candidates, p.x, p.owner_rate, p.peer_rate, p.per_peer_cap,
+        np.random.default_rng(seed),
+    )
+    if out.feasible:
+        assert out.schedule.entries == tuple(entries)
+    else:
+        assert out.fragments == len(entries) < p.x
 
 
 @settings(max_examples=200, deadline=None)

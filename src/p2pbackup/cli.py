@@ -362,13 +362,7 @@ def cmd_simulate(args) -> int:
         summaries.append(report.summary_row(result))
     merged = _average_summaries(summaries)
     merged["runs"] = args.runs
-    with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(merged.keys())
-        writer.writerow([
-            ("" if isinstance(v, float) and math.isnan(v) else repr(v) if isinstance(v, float) else v)
-            for v in merged.values()
-        ])
+    report.write_summary_row(merged, out / "summary.csv")
     _write_manifest(out, {
         "subcommand": "simulate",
         "seed": config.seed,

@@ -183,6 +183,15 @@ def data_loss_probability(n: int, k: int, t_elapsed: float, mean_lifetime: float
     return float(binom.sf(n - k, n, q))
 
 
+def loss_risk(n: int, k: int, ettr_seconds: float, thresholds: AdaptiveThresholds) -> float:
+    """Probability of losing data over w + eTTR with n holders; 1.0 when eTTR
+    is infinite, since such an object cannot be restored in any window."""
+    if math.isinf(ettr_seconds):
+        return 1.0
+    t_days = thresholds.w_days + ettr_seconds / SECONDS_PER_DAY
+    return data_loss_probability(n, k, t_days, thresholds.mean_lifetime_days)
+
+
 def backup_complete(o: float, d0: float, min_ttr_seconds: float, holders, k: int,
                     thresholds: AdaptiveThresholds) -> bool:
     """Adaptive stopping decision: True once the placed fragments are restorable
@@ -201,5 +210,4 @@ def backup_complete(o: float, d0: float, min_ttr_seconds: float, holders, k: int
     cap = max(thresholds.ttr_floor_days * SECONDS_PER_DAY, thresholds.ttr_factor * min_ttr_seconds)
     if not ettr <= cap:
         return False
-    t_days = thresholds.w_days + ettr / SECONDS_PER_DAY
-    return data_loss_probability(n, k, t_days, thresholds.mean_lifetime_days) <= thresholds.loss_cap
+    return loss_risk(n, k, ettr, thresholds) <= thresholds.loss_cap

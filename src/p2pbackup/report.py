@@ -304,7 +304,11 @@ def summary_row(report: SimReport) -> dict:
 
 
 def write_summary_csv(report: SimReport, path) -> None:
-    row = summary_row(report)
+    write_summary_row(summary_row(report), path)
+
+
+def write_summary_row(row: dict, path) -> None:
+    """Write one row of summary_row's fields, such as an average over runs."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(row.keys())

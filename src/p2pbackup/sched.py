@@ -143,9 +143,11 @@ def validate_schedule(problem: TransferProblem, schedule: Schedule) -> list[str]
     violations = []
     per_slot: dict[int, int] = {}
     per_peer: dict[int, int] = {}
+    per_pair: dict[tuple[int, int], int] = {}
     for peer, slot in schedule:
         per_slot[slot] = per_slot.get(slot, 0) + 1
         per_peer[peer] = per_peer.get(peer, 0) + 1
+        per_pair[peer, slot] = per_pair.get((peer, slot), 0) + 1
         if peer == problem.owner:
             violations.append(f"entry ({peer}, {slot}): transfer targets the owner")
             continue
@@ -158,6 +160,9 @@ def validate_schedule(problem: TransferProblem, schedule: Schedule) -> list[str]
     for slot, count in sorted(per_slot.items()):
         if count > problem.owner_rate:
             violations.append(f"slot {slot}: {count} transfers exceed the owner rate {problem.owner_rate}")
+    for (peer, slot), count in sorted(per_pair.items()):
+        if count > problem.peer_rate:
+            violations.append(f"entry ({peer}, {slot}): {count} transfers exceed the peer rate {problem.peer_rate}")
     for peer, count in sorted(per_peer.items()):
         if count > problem.per_peer_cap:
             violations.append(f"peer {peer}: {count} fragments exceed the per-peer cap {problem.per_peer_cap}")

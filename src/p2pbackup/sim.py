@@ -27,12 +27,11 @@ import numpy as np
 from .redundancy import (
     SECONDS_PER_DAY,
     AdaptiveThresholds,
-    InsufficientHoldersError,
     backup_complete,
-    data_loss_probability,
     default_parallel,
     estimate_ttr,
     fixed_redundancy_n,
+    loss_risk,
 )
 from .trace import AvailabilityMatrix
 
@@ -49,6 +48,8 @@ DELAYED_ASSISTED = "delayed_assisted"
 
 FIXED = "fixed"
 ADAPTIVE = "adaptive"
+
+UPLOADS = ("backup", "maintenance", "repair_out")  # transfers that place a fragment on a peer
 
 _EPS = 1e-3  # bytes; transfer demands are in the 1e8 range
 
@@ -103,13 +104,6 @@ class SimConfig:
     @property
     def k(self) -> int:
         return self.object_size // self.fragment_size
-
-    @property
-    def crash_mean_seconds(self) -> float:
-        days = self.mean_lifetime_days
-        if days == 0 or math.isinf(days):
-            return math.inf
-        return days * SECONDS_PER_DAY
 
     def thresholds(self) -> AdaptiveThresholds:
         lifetime = self.mean_lifetime_days
@@ -410,11 +404,8 @@ class Simulation:
             )
             for i in range(self.P)
         ]
-        mean_seconds = config.crash_mean_seconds
-        if math.isfinite(mean_seconds):
-            draws = self.rng.exponential(mean_seconds, self.P)
-            for peer, t in zip(self.peers, draws):
-                peer.next_crash = float(t)
+        for peer in self.peers:
+            peer.next_crash = sample_lifetime(config.mean_lifetime_days, self.rng)
 
         self.transfers: list[_Transfer] = []
         self._serial = 0
@@ -444,6 +435,21 @@ class Simulation:
     def _profiles(self, holder_idxs) -> list[tuple[float, float]]:
         return [(self.peers[h].avail, self.peers[h].uplink) for h in holder_idxs]
 
+    def _ettr(self, owner: _Peer) -> float:
+        """eTTR of the owner's current placements; nan below k holders."""
+        holders = owner.placements.values()
+        if len(holders) < self.k:
+            return math.nan
+        return estimate_ttr(self.o, owner.downlink, self._profiles(holders), self.k, self.thresholds.parallel)
+
+    def _at_risk(self, owner: _Peer) -> bool:
+        """True while the owner's placements fail the loss cap over w + eTTR
+        (always, below k holders)."""
+        ettr = self._ettr(owner)
+        if math.isnan(ettr):
+            return True
+        return loss_risk(len(owner.placements), self.k, ettr, self.thresholds) > self.thresholds.loss_cap
+
     def _needs_fragments(self, owner: _Peer) -> bool:
         # crash detection is immediate and global, so the owner's view of its
         # placements is exact
@@ -454,38 +460,33 @@ class Simulation:
             self.o, owner.downlink, owner.min_ttr, self._profiles(holders), self.k, self.thresholds
         )
 
-    def _new_transfer(self, kind, src, dst, owner, frag) -> _Transfer:
+    def _new_transfer(self, kind, src, dst, owner, frag) -> None:
         self._serial += 1
-        t = _Transfer(self._serial, kind, src, dst, owner, frag)
-        self.transfers.append(t)
-        return t
+        self.transfers.append(_Transfer(self._serial, kind, src, dst, owner, frag))
 
-    def _drop_transfers(self, keep) -> None:
-        self.transfers = [t for t in self.transfers if keep(t)]
+    def _owned(self, owner: int, *kinds: str) -> list[_Transfer]:
+        return [t for t in self.transfers if t.owner == owner and t.kind in kinds]
 
-    def _incoming(self) -> dict[int, int]:
-        """Reserved incoming fragment slots per destination peer."""
-        counts: dict[int, int] = {}
+    def _cancel(self, owner: int, *kinds: str) -> None:
+        self.transfers = [t for t in self.transfers if not (t.owner == owner and t.kind in kinds)]
+
+    def _reservations(self) -> tuple[dict[int, int], set[tuple[int, int]]]:
+        """Incoming fragment slots reserved per destination peer, and the
+        (owner, destination) pairs with an upload in flight."""
+        incoming: dict[int, int] = {}
+        receiving: set[tuple[int, int]] = set()
         for t in self.transfers:
-            if t.kind in ("backup", "maintenance", "repair_out") and t.dst != SERVER:
-                counts[t.dst] = counts.get(t.dst, 0) + 1
-        return counts
-
-    def _receiving_pairs(self) -> set[tuple[int, int]]:
-        return {
-            (t.owner, t.dst)
-            for t in self.transfers
-            if t.kind in ("backup", "maintenance", "repair_out")
-        }
+            if t.kind in UPLOADS:
+                incoming[t.dst] = incoming.get(t.dst, 0) + 1
+                receiving.add((t.owner, t.dst))
+        return incoming, receiving
 
     def _eligible_targets(self, owner_idx: int, col: int, incoming, receiving) -> list[int]:
         out = []
         for i in range(self.P):
-            if i == owner_idx:
+            if i == owner_idx or not self._online(i, col):
                 continue
             peer = self.peers[i]
-            if peer.absent_until is not None or not self._online(i, col):
-                continue
             if owner_idx in peer.stored or (owner_idx, i) in receiving:
                 continue
             if len(peer.stored) + incoming.get(i, 0) >= self.capacity_slots:
@@ -493,14 +494,32 @@ class Simulation:
             out.append(i)
         return out
 
-    def _pick(self, candidates: list[int]) -> int:
-        return candidates[int(self.rng.integers(len(candidates)))]
+    def _open_uploads(self, owner: _Peer, kind: str, src: int, col: int, incoming, receiving, count: int) -> None:
+        """Open up to count uploads of new fragments from src, each to a peer
+        drawn uniformly from the eligible targets, and reserve their slots."""
+        for _ in range(count):
+            targets = self._eligible_targets(owner.idx, col, incoming, receiving)
+            if not targets:
+                break
+            dst = targets[int(self.rng.integers(len(targets)))]
+            self._new_transfer(kind, src, dst, owner.idx, owner.next_frag)
+            owner.next_frag += 1
+            incoming[dst] = incoming.get(dst, 0) + 1
+            receiving.add((owner.idx, dst))
 
-    def _reachable(self, owner: _Peer) -> set[int]:
-        reach = set(owner.downloaded)
-        reach.update(owner.placements.keys())
-        reach.update(self.buffered.get(owner.idx, ()))
-        return reach
+    def _lost_if_unreachable(self, owner: _Peer) -> bool:
+        """Mark the owner lost when fewer than k of its fragments are
+        reachable (downloaded, placed on peers or buffered); True if so."""
+        reach = set().union(owner.downloaded, owner.placements, self.buffered.get(owner.idx, ()))
+        if len(reach) < self.k:
+            self._mark_lost(owner)
+            return True
+        return False
+
+    def _begin_restore(self, owner: _Peer, slot_idx: int) -> None:
+        owner.restore_start_slot = slot_idx
+        if owner.episode is not None and owner.episode.response_slot is None:
+            owner.episode.response_slot = slot_idx
 
     # -- crash handling --------------------------------------------------
 
@@ -521,7 +540,7 @@ class Simulation:
         peer.stored = {}
 
         # every in-flight transfer touching this peer dies with it
-        self._drop_transfers(lambda t: t.src != idx and t.dst != idx)
+        self.transfers = [t for t in self.transfers if idx not in (t.src, t.dst)]
 
         had_data = peer.phase in (BACKING_UP, COMPLETE, RESTORING)
         was_restoring = peer.phase == RESTORING
@@ -542,26 +561,18 @@ class Simulation:
                     unavoidable=now < peer.min_ttb,
                 )
                 self.crashes.append(peer.episode)
-            if len(self._reachable(peer)) < self.k:
-                self._mark_lost(peer)
-            else:
+            if not self._lost_if_unreachable(peer):
                 peer.phase = RESTORING
 
         # lifetime is memoryless: restart at crash (immediate) or at return
-        mean_seconds = config.crash_mean_seconds
-        if math.isfinite(mean_seconds):
-            base = now if peer.absent_until is None else peer.absent_until
-            peer.next_crash = base + float(self.rng.exponential(mean_seconds))
-        else:
-            peer.next_crash = math.inf
+        base = now if peer.absent_until is None else peer.absent_until
+        peer.next_crash = base + sample_lifetime(config.mean_lifetime_days, self.rng)
 
         if peer.phase == RESTORING and peer.absent_until is None:
-            peer.restore_start_slot = slot_idx
-            if peer.episode is not None and peer.episode.response_slot is None:
-                peer.episode.response_slot = slot_idx
+            self._begin_restore(peer, slot_idx)
 
     def _mark_lost(self, owner: _Peer) -> None:
-        for frag, holder in list(owner.placements.items()):
+        for holder in owner.placements.values():
             self.peers[holder].stored.pop(owner.idx, None)
         owner.placements = {}
         owner.downloaded = set()
@@ -571,7 +582,7 @@ class Simulation:
         if owner.episode is not None:
             owner.episode.outcome = "lost"
             owner.episode = None
-        self._drop_transfers(lambda t: t.owner != owner.idx)
+        self.transfers = [t for t in self.transfers if t.owner != owner.idx]
 
     # -- per-slot steps --------------------------------------------------
 
@@ -586,13 +597,9 @@ class Simulation:
             if peer.absent_until is not None and peer.absent_until <= now:
                 peer.absent_until = None
                 if peer.phase == RESTORING:
-                    peer.restore_start_slot = slot_idx
-                    if peer.episode is not None and peer.episode.response_slot is None:
-                        peer.episode.response_slot = slot_idx
+                    self._begin_restore(peer, slot_idx)
                     # injection was for the absence; the owner takes over now
-                    self._drop_transfers(
-                        lambda t: not (t.kind == "repair_out" and t.owner == peer.idx)
-                    )
+                    self._cancel(peer.idx, "repair_out")
                     if peer.repair_stage == "inject":
                         peer.repair_stage = "done"
 
@@ -610,24 +617,9 @@ class Simulation:
                 continue
             if owner.repair_stage is None:
                 if len(owner.placements) < self.k:
-                    if len(self._reachable(owner)) < self.k:
-                        self._mark_lost(owner)
+                    self._lost_if_unreachable(owner)
                     continue
-                try:
-                    ettr = estimate_ttr(
-                        self.o, owner.downlink, self._profiles(owner.placements.values()), self.k,
-                        self.thresholds.parallel,
-                    )
-                except InsufficientHoldersError:
-                    continue
-                t_days = self.config.w_days + ettr / SECONDS_PER_DAY
-                if math.isinf(ettr):
-                    risk = 1.0
-                else:
-                    risk = data_loss_probability(
-                        len(owner.placements), self.k, t_days, self.thresholds.mean_lifetime_days
-                    )
-                if risk > self.config.loss_cap:
+                if self._at_risk(owner):
                     owner.repair_stage = "down"
             if owner.repair_stage == "down":
                 self._drive_repair_download(owner, slot_idx)
@@ -636,57 +628,29 @@ class Simulation:
 
     def _drive_repair_download(self, owner: _Peer, slot_idx: int) -> None:
         buffered = self.buffered.setdefault(owner.idx, set())
-        in_flight = {t.frag for t in self.transfers if t.kind == "repair_in" and t.owner == owner.idx}
+        in_flight = {t.frag for t in self._owned(owner.idx, "repair_in")}
         needed = self.k - len(buffered) - len(in_flight)
         if needed <= 0:
             if len(buffered) >= self.k:
                 owner.repair_stage = "inject"
             return
-        candidates = sorted(
-            frag
-            for frag, holder in owner.placements.items()
-            if frag not in buffered and frag not in in_flight
-        )
+        candidates = sorted(owner.placements.keys() - buffered - in_flight)
         if len(buffered) + len(in_flight) + len(candidates) < self.k:
-            if len(self._reachable(owner)) < self.k:
-                self._mark_lost(owner)
+            self._lost_if_unreachable(owner)
             return
-        for _ in range(needed):
-            if not candidates:
-                break
+        for _ in range(min(needed, len(candidates))):
             frag = candidates.pop(int(self.rng.integers(len(candidates))))
             self._new_transfer("repair_in", owner.placements[frag], SERVER, owner.idx, frag)
 
     def _drive_repair_injection(self, owner: _Peer, slot_idx: int) -> None:
-        try:
-            ettr = estimate_ttr(
-                self.o, owner.downlink, self._profiles(owner.placements.values()), self.k,
-                self.thresholds.parallel,
-            )
-            t_days = self.config.w_days + ettr / SECONDS_PER_DAY
-            if math.isfinite(ettr) and data_loss_probability(
-                len(owner.placements), self.k, t_days, self.thresholds.mean_lifetime_days
-            ) <= self.config.loss_cap:
-                owner.repair_stage = "done"
-                self._drop_transfers(lambda t: not (t.kind == "repair_out" and t.owner == owner.idx))
-                return
-        except InsufficientHoldersError:
-            pass
-        active = sum(1 for t in self.transfers if t.kind == "repair_out" and t.owner == owner.idx)
-        incoming = self._incoming()
-        receiving = self._receiving_pairs()
-        col = slot_idx
-        while active < self.config.backup_parallelism:
-            targets = self._eligible_targets(owner.idx, col, incoming, receiving)
-            if not targets:
-                break
-            dst = self._pick(targets)
-            frag = owner.next_frag
-            owner.next_frag += 1
-            self._new_transfer("repair_out", SERVER, dst, owner.idx, frag)
-            incoming[dst] = incoming.get(dst, 0) + 1
-            receiving.add((owner.idx, dst))
-            active += 1
+        if not self._at_risk(owner):
+            owner.repair_stage = "done"
+            self._cancel(owner.idx, "repair_out")
+            return
+        active = len(self._owned(owner.idx, "repair_out"))
+        incoming, receiving = self._reservations()
+        self._open_uploads(owner, "repair_out", SERVER, slot_idx, incoming, receiving,
+                           self.config.backup_parallelism - active)
 
     def maintenance_step(self, owner: _Peer, slot_idx: int, incoming, receiving) -> None:
         """Keep upload tasks open while the policy wants more fragments placed.
@@ -697,59 +661,30 @@ class Simulation:
         """
         if not self._needs_fragments(owner):
             return
-        active = sum(
-            1
-            for t in self.transfers
-            if t.src == owner.idx
-            and t.kind in ("backup", "maintenance")
-            and self._online(t.dst, slot_idx)
-        )
+        uploads = self._owned(owner.idx, "backup", "maintenance")
+        active = sum(1 for t in uploads if self._online(t.dst, slot_idx))
         kind = "backup" if owner.phase == BACKING_UP else "maintenance"
         if self.config.redundancy_policy == FIXED:
-            in_flight = sum(
-                1 for t in self.transfers if t.src == owner.idx and t.kind in ("backup", "maintenance")
-            )
-            budget = self.fixed_n - len(owner.placements) - in_flight
+            budget = self.fixed_n - len(owner.placements) - len(uploads)
         else:
             budget = self.config.backup_parallelism
-        while active < self.config.backup_parallelism and budget > 0:
-            targets = self._eligible_targets(owner.idx, slot_idx, incoming, receiving)
-            if not targets:
-                break
-            dst = self._pick(targets)
-            frag = owner.next_frag
-            owner.next_frag += 1
-            self._new_transfer(kind, owner.idx, dst, owner.idx, frag)
-            incoming[dst] = incoming.get(dst, 0) + 1
-            receiving.add((owner.idx, dst))
-            active += 1
-            budget -= 1
+        self._open_uploads(owner, kind, owner.idx, slot_idx, incoming, receiving,
+                           min(self.config.backup_parallelism - active, budget))
 
     def _restore_step(self, owner: _Peer, slot_idx: int) -> None:
-        if len(self._reachable(owner)) < self.k:
-            self._mark_lost(owner)
+        if self._lost_if_unreachable(owner):
             return
         if owner.restore_start_slot == slot_idx and math.isnan(owner.ettr) and owner.crash_count == 1:
-            try:
-                owner.ettr = estimate_ttr(
-                    self.o, owner.downlink, self._profiles(owner.placements.values()), self.k,
-                    self.thresholds.parallel,
-                )
-            except InsufficientHoldersError:
-                owner.ettr = math.nan
-        in_flight = {t.frag for t in self.transfers if t.kind == "restore" and t.owner == owner.idx}
+            owner.ettr = self._ettr(owner)
+        restores = self._owned(owner.idx, "restore")
+        in_flight = {t.frag for t in restores}
         have = len(owner.downloaded) + len(in_flight)
         if have >= self.k:
             return
         l = self.thresholds.parallel or default_parallel(
             owner.downlink, [self.peers[h].uplink for h in owner.placements.values()] or [owner.downlink], self.k
         )
-        active_online = sum(
-            1
-            for t in self.transfers
-            if t.kind == "restore" and t.owner == owner.idx
-            and (t.src == SERVER or self._online(t.src, slot_idx))
-        )
+        active_online = sum(1 for t in restores if t.src == SERVER or self._online(t.src, slot_idx))
         candidates = sorted(
             frag
             for frag, holder in owner.placements.items()
@@ -764,10 +699,7 @@ class Simulation:
         # fall back to the server buffer when peers cannot supply k fragments
         buffered = self.buffered.get(owner.idx, set())
         if buffered and have < self.k:
-            peer_obtainable = {
-                frag for frag in owner.placements
-                if frag not in owner.downloaded and frag not in in_flight
-            }
+            peer_obtainable = owner.placements.keys() - owner.downloaded - in_flight
             spare = sorted(buffered - owner.downloaded - in_flight)
             while have + len(peer_obtainable) < self.k and spare:
                 frag = spare.pop(0)
@@ -776,8 +708,7 @@ class Simulation:
                 have += 1
 
     def _step_tasks(self, slot_idx: int) -> None:
-        incoming = self._incoming()
-        receiving = self._receiving_pairs()
+        incoming, receiving = self._reservations()
         for owner in self.peers:
             if owner.absent_until is not None:
                 continue
@@ -821,9 +752,7 @@ class Simulation:
                 if math.isnan(owner.ttb):
                     owner.ttb = (slot_idx + 1) * self.slot
                     owner.redundancy = len(owner.placements) / self.k
-            self._drop_transfers(
-                lambda t: not (t.src == owner.idx and t.kind in ("backup", "maintenance"))
-            )
+            self._cancel(owner.idx, "backup", "maintenance")
 
     def _step_completions(self, slot_idx: int) -> None:
         finished = [t for t in self.transfers if t.done >= self.f - _EPS]
@@ -833,14 +762,13 @@ class Simulation:
                 continue  # cancelled by an earlier completion this slot
             self.transfers.remove(t)
             owner = self.peers[t.owner]
-            if t.kind in ("backup", "maintenance"):
+            if t.kind in UPLOADS:
                 self.peers[t.dst].stored[t.owner] = t.frag
                 owner.placements[t.frag] = t.dst
-                self._record_backup_progress(owner, slot_idx)
-            elif t.kind == "repair_out":
-                self.peers[t.dst].stored[t.owner] = t.frag
-                owner.placements[t.frag] = t.dst
-                self.out_bytes[slot_idx] += self.f
+                if t.kind == "repair_out":
+                    self.out_bytes[slot_idx] += self.f
+                else:
+                    self._record_backup_progress(owner, slot_idx)
             elif t.kind == "repair_in":
                 self.buffered.setdefault(t.owner, set()).add(t.frag)
                 self.in_bytes[slot_idx] += self.f
@@ -864,7 +792,7 @@ class Simulation:
         owner.restore_start_slot = None
         owner.repair_stage = None
         self.buffered.pop(owner.idx, None)
-        self._drop_transfers(lambda t: not (t.kind == "restore" and t.owner == owner.idx))
+        self._cancel(owner.idx, "restore")
 
     # -- run -------------------------------------------------------------
 

@@ -58,9 +58,6 @@ class AvailabilityMatrix:
     def num_slots(self) -> int:
         return self.bits.shape[1]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.bits[i]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AvailabilityMatrix):
             return NotImplemented

@@ -207,6 +207,32 @@ def test_loss_rejects_bad_arguments():
             red.data_loss_probability(*args)
 
 
+# -------------------------------------------------------------------- loss_risk
+
+def test_loss_risk_is_one_for_infinite_ettr():
+    for th in (red.AdaptiveThresholds(), red.AdaptiveThresholds(w_days=0.0, mean_lifetime_days=math.inf)):
+        assert red.loss_risk(10, 8, math.inf, th) == 1.0
+        assert red.loss_risk(200, 8, math.inf, th) == 1.0
+
+
+@pytest.mark.parametrize("n, k, ettr, w_days, lifetime", [
+    (8, 8, 0.0, 0.0, 90.0),
+    (12, 8, 1.5 * 86400, 3.0, 20.0),
+    (30, 8, 5 * 3600.0, 14.0, 20.0),
+    (100, 64, 86400.0, 14.0, 90.0),
+    (222, 64, 1.5 * 86400, 14.0, 90.0),
+])
+def test_loss_risk_is_loss_over_w_plus_ettr(n, k, ettr, w_days, lifetime):
+    th = red.AdaptiveThresholds(w_days=w_days, mean_lifetime_days=lifetime)
+    risk = red.loss_risk(n, k, ettr, th)
+    assert risk == red.data_loss_probability(n, k, w_days + ettr / 86400, lifetime)
+    # loss means at least n - k + 1 of n holders crash, each with probability q;
+    # binom.sf stays within 1e-12 relative of exact rationals at these tails
+    q = -math.expm1(-(w_days + ettr / 86400) / lifetime)
+    exact = binomial_tail_ge(n, n - k + 1, Fraction(q))
+    assert risk == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+
 # -------------------------------------------------------------- backup_complete
 
 GOOD_HOLDER = (0.9, 1e6)

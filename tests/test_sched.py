@@ -86,6 +86,16 @@ def test_validate_flags_owner_rate(fig_problem):
     assert any("owner rate" in v for v in violations)
 
 
+def test_validate_flags_peer_rate(fig_matrix):
+    p = TransferProblem(matrix=fig_matrix, owner=0, direction=BACKUP, x=2,
+                        owner_rate=2, peer_rate=1, per_peer_cap=2)
+    violations = sched.validate_schedule(p, Schedule([(1, 1), (1, 1)]))
+    assert violations == ["entry (1, 1): 2 transfers exceed the peer rate 1"]
+    relaxed = TransferProblem(matrix=fig_matrix, owner=0, direction=BACKUP, x=2,
+                              owner_rate=2, peer_rate=2, per_peer_cap=2)
+    assert sched.validate_schedule(relaxed, Schedule([(1, 1), (1, 1)])) == []
+
+
 def test_validate_flags_non_storage_peer(fig_matrix):
     p = TransferProblem(matrix=fig_matrix, owner=0, direction=RESTORE, x=1, storage_set={1})
     violations = sched.validate_schedule(p, Schedule([(2, 1)]))

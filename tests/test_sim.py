@@ -67,7 +67,6 @@ def test_config_defaults_follow_reference_deployment():
     assert config.k == 64  # 10 GiB in 160 MiB fragments
     assert config.mean_lifetime_days == 90.0
     assert config.redundancy_policy == "adaptive"
-    assert config.crash_mean_seconds == 90.0 * 86400.0
 
 
 def test_config_validation():

@@ -36,8 +36,9 @@ def _write_manifest(out: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _load_matrix(args) -> tuple[trace.AvailabilityMatrix, dict]:
-    """Resolve the trace source shared by several subcommands."""
+def _load_matrix(args, seed: int) -> tuple[trace.AvailabilityMatrix, dict]:
+    """Resolve the trace source shared by several subcommands; a synthesized
+    trace is drawn from seed."""
     if getattr(args, "matrix", None):
         matrix = trace.read_matrix_file(args.matrix)
         source = {"matrix": str(args.matrix)}
@@ -52,7 +53,7 @@ def _load_matrix(args) -> tuple[trace.AvailabilityMatrix, dict]:
             args.synth_peers,
             args.synth_slots,
             availability=(args.avail_low, args.avail_high),
-            seed=args.seed,
+            seed=seed,
         )
         source = {
             "synth_peers": args.synth_peers,
@@ -81,7 +82,7 @@ def cmd_trace_stats(args) -> int:
     out = _out_dir(args)
     if not args.matrix and not args.events:
         raise SystemExit("trace-stats: provide --matrix or --events")
-    matrix, source = _load_matrix(args)
+    matrix, source = _load_matrix(args, args.seed)
     kept = None
     if args.min_uptime is not None:
         matrix, kept = trace.filter_min_uptime(matrix, args.min_uptime)
@@ -146,7 +147,7 @@ def _parse_list(text: str, cast) -> list:
 
 def cmd_sched_compare(args) -> int:
     out = _out_dir(args)
-    matrix, source = _load_matrix(args)
+    matrix, source = _load_matrix(args, args.seed)
     xs = _parse_list(args.x, int)
     ratios = _parse_list(args.ratios, float)
     if any(r <= 1 for r in ratios):
@@ -349,9 +350,10 @@ def cmd_simulate(args) -> int:
             mapping[name] = value
     if args.audit:
         mapping["audit"] = True
-    mapping["seed"] = args.seed if args.seed is not None else int(mapping.get("seed", 0))
+    if args.seed is not None:
+        mapping["seed"] = args.seed
     config = sim.SimConfig.from_mapping(mapping)
-    matrix, source = _load_matrix(args)
+    matrix, source = _load_matrix(args, config.seed)
     if args.runs < 1:
         raise SystemExit("simulate: --runs must be >= 1")
     summaries = []

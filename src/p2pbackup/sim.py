@@ -312,6 +312,7 @@ class _Peer:
     ettr: float = math.nan
     redundancy: float = math.nan
     episode: "CrashRecord | None" = None
+    stop_memo: tuple[frozenset, bool] | None = None  # (holder set, needs fragments)
 
 
 @dataclass
@@ -406,6 +407,9 @@ class Simulation:
         ]
         for peer in self.peers:
             peer.next_crash = sample_lifetime(config.mean_lifetime_days, self.rng)
+        # per-peer byte budgets of one slot; allocate_slot_transfers copies them
+        self.up_budget = np.array([p.uplink * self.slot for p in self.peers])
+        self.down_budget = np.array([p.downlink * self.slot for p in self.peers])
 
         self.transfers: list[_Transfer] = []
         self._serial = 0
@@ -451,14 +455,27 @@ class Simulation:
         return loss_risk(len(owner.placements), self.k, ettr, self.thresholds) > self.thresholds.loss_cap
 
     def _needs_fragments(self, owner: _Peer) -> bool:
-        # crash detection is immediate and global, so the owner's view of its
-        # placements is exact
-        holders = owner.placements.values()
+        """True while the owner's policy wants more fragments placed.
+
+        Crash detection is immediate and global, so the owner's view of its
+        placements is exact.  The adaptive stopping rule is re-evaluated only
+        when the owner's holder set differs from the one it last decided on.
+        That is exact: its other inputs (o, the owner's downlink and minTTR, k,
+        the thresholds) and every holder's (availability, uplink) profile are
+        fixed for the run, and backup_complete reads the holders only as a
+        multiset (a count, a sort, a median), which for distinct holders is
+        the set.
+        """
         if self.config.redundancy_policy == FIXED:
-            return len(holders) < self.fixed_n
-        return not backup_complete(
-            self.o, owner.downlink, owner.min_ttr, self._profiles(holders), self.k, self.thresholds
-        )
+            return len(owner.placements) < self.fixed_n
+        holders = frozenset(owner.placements.values())
+        if owner.stop_memo is None or owner.stop_memo[0] != holders:
+            complete = backup_complete(
+                self.o, owner.downlink, owner.min_ttr, self._profiles(owner.placements.values()),
+                self.k, self.thresholds,
+            )
+            owner.stop_memo = (holders, not complete)
+        return owner.stop_memo[1]
 
     def _new_transfer(self, kind, src, dst, owner, frag) -> None:
         self._serial += 1
@@ -730,9 +747,7 @@ class Simulation:
             if self.audit is not None:
                 self.audit["slot_transfers"].append([])
             return
-        up = np.array([p.uplink * self.slot for p in self.peers])
-        down = np.array([p.downlink * self.slot for p in self.peers])
-        grants = allocate_slot_transfers(specs, up, down)
+        grants = allocate_slot_transfers(specs, self.up_budget, self.down_budget)
         for t, g in zip(eligible, grants):
             t.done += float(g)
         if self.audit is not None:

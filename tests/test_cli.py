@@ -291,6 +291,18 @@ def test_simulate_seed_falls_back_to_config_file(tmp_path, flat_cdf_file):
     assert read_manifest(out)["seed"] == 41
 
 
+def test_simulate_without_seed_reproduces_synthesized_trace(tmp_path, flat_cdf_file):
+    _, config_path = write_sim_inputs(tmp_path, flat_cdf_file)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        rc = cli.main(["simulate", "--synth-peers", "12", "--synth-slots", "48",
+                       "--config", str(config_path), "--out-dir", str(out)])
+        assert rc == 0
+        assert read_manifest(out)["seed"] == 0
+    for name in ["run-0/peers.csv", "run-0/crashes.csv", "run-0/server.csv", "summary.csv"]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_simulate_rejects_zero_runs(tmp_path, flat_cdf_file):
     matrix_path, config_path = write_sim_inputs(tmp_path, flat_cdf_file)
     with pytest.raises(SystemExit):

@@ -393,7 +393,7 @@ def test_flow_value_matches_brute_force_with_rates_and_caps(p):
         assert len(schedule) == value
         assert sched.completion_time(schedule) <= T
         assert sched.validate_schedule(p, schedule) == []
-        # validate_schedule has no clause for the per-slot peer rate
+        # the per-slot peer rate, checked on the oracle side, independent of validate_schedule
         assert all(schedule.entries.count(e) <= p.peer_rate for e in schedule.entries)
 
 

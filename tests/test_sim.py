@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from p2pbackup import sim as psim
 from p2pbackup import trace
+from p2pbackup.redundancy import backup_complete
 from p2pbackup.sim import SERVER, SimConfig, Simulation, allocate_slot_transfers
 from conftest import make_matrix
 
@@ -542,6 +543,71 @@ def test_adaptive_no_churn_stops_at_k(flat_cdf_file):
     report = psim.run(config, always_on(8, 12))
     for r in report.peers:
         assert r.redundancy == 1.0
+
+
+class UncachedCheckSimulation(Simulation):
+    """Checks every stopping decision against a fresh backup_complete on the
+    current holder profiles, and records decisions that turn from complete
+    back to incomplete because holders were lost."""
+
+    def __init__(self, config, matrix):
+        super().__init__(config, matrix)
+        self.calls = 0
+        self.last: dict[int, tuple[frozenset, bool]] = {}
+        self.reopened = 0
+
+    def _needs_fragments(self, owner):
+        needs = super()._needs_fragments(owner)
+        holders = frozenset(owner.placements.values())
+        fresh = not backup_complete(
+            self.o, owner.downlink, owner.min_ttr, self._profiles(owner.placements.values()),
+            self.k, self.thresholds,
+        )
+        assert needs == fresh
+        self.calls += 1
+        before = self.last.get(owner.idx)
+        if before is not None and not before[1] and needs and holders < before[0]:
+            self.reopened += 1
+        self.last[owner.idx] = (holders, needs)
+        return needs
+
+
+@pytest.mark.parametrize("parallel_downloads", [0, 2])
+def test_cached_stopping_rule_matches_uncached(spread_cdf_file, monkeypatch, parallel_downloads):
+    evaluations = []
+
+    def counted(*args):
+        evaluations.append(args)
+        return backup_complete(*args)
+
+    monkeypatch.setattr(psim, "backup_complete", counted)
+    config = cfg(
+        spread_cdf_file,
+        redundancy_policy="adaptive",
+        mean_lifetime_days=10.0,
+        w_days=2.0,
+        parallel_downloads=parallel_downloads,
+        seed=4,
+    )
+    simulation = UncachedCheckSimulation(config, trace.synth_trace(16, 24 * 7, availability=(0.5, 0.9), seed=3))
+    report = simulation.run()
+    assert report.crashes
+    assert 0 < len(evaluations) < simulation.calls  # the cache is hit
+    assert simulation.reopened >= 1
+
+
+def test_stopping_rule_follows_a_holder_swap(flat_cdf_file):
+    # Swapping a holder for a nearly always offline one keeps the holder count
+    # but pushes eTTR past the one-day cap, so the decision must be redone.
+    s = prepared_sim(flat_cdf_file, redundancy_policy="adaptive")
+    s.peers[5].avail = 0.001
+    place(s, 0, [1, 2, 3, 4])
+    owner = s.peers[0]
+    assert not s._needs_fragments(owner)
+    owner.placements[3] = 5
+    assert s._needs_fragments(owner)
+    owner.placements[3] = 4
+    assert not s._needs_fragments(owner)
 
 
 # ------------------------------------------------------------ assisted repair

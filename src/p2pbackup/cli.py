@@ -317,25 +317,15 @@ _SIM_FLAGS = [
 
 def _average_summaries(rows: list[dict]) -> dict:
     """Mean of numeric fields across runs; NaN entries are skipped, text
-    fields keep the first run's value."""
+    fields keep the first run's value.  Rows are read_summary_csv output, so
+    every cell is an int, a float (NaN for an empty cell) or text."""
     merged: dict = {}
-    for key in rows[0]:
-        values = []
-        numeric = True
-        for row in rows:
-            v = row[key]
-            if isinstance(v, (int, float)) and not isinstance(v, bool):
-                if not (isinstance(v, float) and math.isnan(v)):
-                    values.append(float(v))
-            elif v == "":
-                continue
-            else:
-                numeric = False
-                break
-        if numeric:
-            merged[key] = float(np.mean(values)) if values else math.nan
-        else:
-            merged[key] = rows[0][key]
+    for key, first in rows[0].items():
+        if isinstance(first, str):
+            merged[key] = first
+            continue
+        values = [float(row[key]) for row in rows if not math.isnan(row[key])]
+        merged[key] = float(np.mean(values)) if values else math.nan
     return merged
 
 
@@ -348,8 +338,6 @@ def cmd_simulate(args) -> int:
         value = getattr(args, name)
         if value is not None:
             mapping[name] = value
-    if args.audit:
-        mapping["audit"] = True
     if args.seed is not None:
         mapping["seed"] = args.seed
     config = sim.SimConfig.from_mapping(mapping)
@@ -361,7 +349,7 @@ def cmd_simulate(args) -> int:
         run_config = replace(config, seed=config.seed + i)
         result = sim.run(run_config, matrix)
         report.write_report_csvs(result, out / f"run-{i}")
-        summaries.append(report.summary_row(result))
+        summaries.append(report.read_summary_csv(out / f"run-{i}" / "summary.csv"))
     merged = _average_summaries(summaries)
     merged["runs"] = args.runs
     report.write_summary_row(merged, out / "summary.csv")
@@ -435,8 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file; flags override")
     p.add_argument("--runs", type=int, default=1,
                    help="average this many runs over seeds seed..seed+N-1")
-    p.add_argument("--audit", action="store_true",
-                   help="record per-slot allocation detail (slower)")
     for flag, name, cast in _SIM_FLAGS:
         p.add_argument(flag, dest=name, type=cast, default=None)
     p.set_defaults(func=cmd_simulate)

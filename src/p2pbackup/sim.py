@@ -49,7 +49,7 @@ DELAYED_ASSISTED = "delayed_assisted"
 FIXED = "fixed"
 ADAPTIVE = "adaptive"
 
-UPLOADS = ("backup", "maintenance", "repair_out")  # transfers that place a fragment on a peer
+UPLOADS = ("backup", "repair_out")  # transfers that place a fragment on a peer
 
 _EPS = 1e-3  # bytes; transfer demands are in the 1e8 range
 
@@ -79,7 +79,6 @@ class SimConfig:
     bandwidth_sigma: float = 1.852
     backup_parallelism: int = 4
     seed: int = 0
-    audit: bool = False
 
     def __post_init__(self):
         if self.object_size <= 0 or self.fragment_size <= 0:
@@ -132,10 +131,6 @@ class SimConfig:
                     value = int(float(value))
                 elif kind == "float":
                     value = float(value)
-                elif kind == "bool":
-                    if value.lower() not in ("true", "false", "1", "0", "yes", "no"):
-                        raise ValueError(f"bad boolean for {key!r}: {value!r}")
-                    value = value.lower() in ("true", "1", "yes")
             kwargs[key] = value
         return cls(**kwargs)
 
@@ -281,7 +276,7 @@ def allocate_slot_transfers(transfers, up_budget, down_budget) -> np.ndarray:
 @dataclass(eq=False)
 class _Transfer:
     serial: int
-    kind: str  # restore | backup | maintenance | repair_in | repair_out
+    kind: str  # restore | backup (initial or maintenance) | repair_in | repair_out
     src: int
     dst: int
     owner: int
@@ -352,7 +347,6 @@ class SimReport:
     server_inbound: np.ndarray
     server_buffered: np.ndarray
     avg_redundancy: float
-    audit: dict | None = None
 
 
 def _ideal_seconds(row, bytes_needed: float, rate: float, slot_seconds: float) -> float:
@@ -418,13 +412,6 @@ class Simulation:
         self.out_bytes = np.zeros(self.T)
         self.in_bytes = np.zeros(self.T)
         self.buf_bytes = np.zeros(self.T)
-        self.audit = None
-        if config.audit:
-            self.audit = {
-                "sent": np.zeros((self.P, self.T)),
-                "received": np.zeros((self.P, self.T)),
-                "slot_transfers": [],  # per slot: list of (kind, src, dst, demand, granted)
-            }
 
     # -- helpers ---------------------------------------------------------
 
@@ -481,11 +468,11 @@ class Simulation:
         self._serial += 1
         self.transfers.append(_Transfer(self._serial, kind, src, dst, owner, frag))
 
-    def _owned(self, owner: int, *kinds: str) -> list[_Transfer]:
-        return [t for t in self.transfers if t.owner == owner and t.kind in kinds]
+    def _owned(self, owner: int, kind: str) -> list[_Transfer]:
+        return [t for t in self.transfers if t.owner == owner and t.kind == kind]
 
-    def _cancel(self, owner: int, *kinds: str) -> None:
-        self.transfers = [t for t in self.transfers if not (t.owner == owner and t.kind in kinds)]
+    def _cancel(self, owner: int, kind: str) -> None:
+        self.transfers = [t for t in self.transfers if not (t.owner == owner and t.kind == kind)]
 
     def _reservations(self) -> tuple[dict[int, int], set[tuple[int, int]]]:
         """Incoming fragment slots reserved per destination peer, and the
@@ -678,14 +665,13 @@ class Simulation:
         """
         if not self._needs_fragments(owner):
             return
-        uploads = self._owned(owner.idx, "backup", "maintenance")
+        uploads = self._owned(owner.idx, "backup")
         active = sum(1 for t in uploads if self._online(t.dst, slot_idx))
-        kind = "backup" if owner.phase == BACKING_UP else "maintenance"
         if self.config.redundancy_policy == FIXED:
             budget = self.fixed_n - len(owner.placements) - len(uploads)
         else:
             budget = self.config.backup_parallelism
-        self._open_uploads(owner, kind, owner.idx, slot_idx, incoming, receiving,
+        self._open_uploads(owner, "backup", owner.idx, slot_idx, incoming, receiving,
                            min(self.config.backup_parallelism - active, budget))
 
     def _restore_step(self, owner: _Peer, slot_idx: int) -> None:
@@ -744,21 +730,10 @@ class Simulation:
                 eligible.append(t)
                 specs.append((t.src, t.dst, self.f - t.done, t.kind == "restore"))
         if not specs:
-            if self.audit is not None:
-                self.audit["slot_transfers"].append([])
             return
         grants = allocate_slot_transfers(specs, self.up_budget, self.down_budget)
         for t, g in zip(eligible, grants):
             t.done += float(g)
-        if self.audit is not None:
-            for t, g in zip(eligible, grants):
-                if t.src != SERVER:
-                    self.audit["sent"][t.src, slot_idx] += g
-                if t.dst != SERVER:
-                    self.audit["received"][t.dst, slot_idx] += g
-            self.audit["slot_transfers"].append(
-                [(t.kind, t.src, t.dst, s[2], float(g)) for t, g, s in zip(eligible, grants, specs)]
-            )
 
     def _record_backup_progress(self, owner: _Peer, slot_idx: int) -> None:
         if not self._needs_fragments(owner):
@@ -767,11 +742,10 @@ class Simulation:
                 if math.isnan(owner.ttb):
                     owner.ttb = (slot_idx + 1) * self.slot
                     owner.redundancy = len(owner.placements) / self.k
-            self._cancel(owner.idx, "backup", "maintenance")
+            self._cancel(owner.idx, "backup")
 
     def _step_completions(self, slot_idx: int) -> None:
         finished = [t for t in self.transfers if t.done >= self.f - _EPS]
-        finished.sort(key=lambda t: t.serial)
         for t in finished:
             if t not in self.transfers:
                 continue  # cancelled by an earlier completion this slot
@@ -850,7 +824,6 @@ class Simulation:
             server_inbound=self.in_bytes,
             server_buffered=self.buf_bytes,
             avg_redundancy=float(np.mean(done)) if done else math.nan,
-            audit=self.audit,
         )
 
 

@@ -1,6 +1,9 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from p2pbackup import sim
 from p2pbackup.sched import BACKUP, TransferProblem
 from p2pbackup.trace import AvailabilityMatrix
 
@@ -9,6 +12,35 @@ def make_matrix(rows, slot_seconds=3600.0, peer_ids=None):
     """Build an availability matrix from '0'/'1' strings, one row per peer."""
     bits = np.array([[int(c) for c in row] for row in rows], dtype=np.uint8)
     return AvailabilityMatrix(bits=bits, slot_seconds=slot_seconds, peer_ids=peer_ids)
+
+
+@contextmanager
+def recorded_allocations():
+    """Record every allocate_slot_transfers call the simulator makes while
+    the context is open, as (specs, grants) pairs: specs are the
+    (src, dst, demand, is_restore) rows passed in, grants the bytes returned.
+    The simulator makes one call per slot that has traffic."""
+    calls = []
+    allocate = sim.allocate_slot_transfers
+
+    def recording(transfers, up_budget, down_budget):
+        grants = allocate(transfers, up_budget, down_budget)
+        calls.append((list(transfers), grants.copy()))
+        return grants
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "allocate_slot_transfers", recording)
+        yield calls
+
+
+def link_loads(specs, grants, num_peers):
+    """Bytes each peer sent and received in one recorded call; server
+    (negative) endpoints are skipped."""
+    src = np.array([s[0] for s in specs], dtype=int)
+    dst = np.array([s[1] for s in specs], dtype=int)
+    sent = np.bincount(src[src >= 0], weights=grants[src >= 0], minlength=num_peers)
+    received = np.bincount(dst[dst >= 0], weights=grants[dst >= 0], minlength=num_peers)
+    return sent, received
 
 
 # Worked example used throughout: the owner p0 backs up to three peers whose

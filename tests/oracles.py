@@ -120,3 +120,55 @@ def minimal_redundancy(k, a: Fraction, target: Fraction, ceiling=100000):
         if binomial_tail_ge(n, k, a) >= target:
             return n
     raise AssertionError("ceiling reached")
+
+
+def maxmin_violations(transfers, grants, up, down, eps):
+    """Check a two-class strict-priority fluid allocation against the max-min
+    fairness certificate (Bertsekas & Gallager, Data Networks, §6.5.2).
+
+    transfers are (src, dst, demand, is_restore) rows; a negative endpoint
+    (the server) is unconstrained.  Restores share the per-peer byte budgets
+    up/down; every other transfer shares only what the restores left.
+    Within a class the allocation is max-min fair iff it is feasible and
+    every transfer is fully served (within eps) or crosses a bottleneck: an
+    endpoint whose budget is saturated and through which no transfer of the
+    class gets more.  One freeze round can strand up to eps per transfer, so
+    an endpoint is saturated when its leftover is at most eps times the
+    number of the class's transfers through it.  Returns one line per
+    violation.
+    """
+    out = []
+    residual = {"up": [float(b) for b in up], "down": [float(b) for b in down]}
+    for restore in (True, False):
+        label = "restore" if restore else "other"
+        members = [i for i, t in enumerate(transfers) if bool(t[3]) == restore]
+        through = {}  # (side, peer) -> indices of the class's transfers using it
+        for i in members:
+            src, dst = transfers[i][0], transfers[i][1]
+            if src >= 0:
+                through.setdefault(("up", src), []).append(i)
+            if dst >= 0:
+                through.setdefault(("down", dst), []).append(i)
+        load = {end: sum(float(grants[i]) for i in idxs) for end, idxs in through.items()}
+        for i in members:
+            if not -eps <= grants[i] <= transfers[i][2] + eps:
+                out.append(f"{label} transfer {i}: grant {grants[i]} outside [0, {transfers[i][2]}]")
+        for (side, peer), total in load.items():
+            if total > residual[side][peer] + eps:
+                out.append(f"{label}: {side}link of peer {peer} carries {total} > {residual[side][peer]}")
+
+        def bottleneck(end, i):
+            idxs = through[end]
+            saturated = residual[end[0]][end[1]] - load[end] <= eps * len(idxs)
+            return saturated and all(grants[j] <= grants[i] + eps for j in idxs)
+
+        for i in members:
+            src, dst, demand, _ = transfers[i]
+            if grants[i] >= demand - eps:
+                continue
+            ends = [end for end in (("up", src), ("down", dst)) if end[1] >= 0]
+            if not any(bottleneck(end, i) for end in ends):
+                out.append(f"{label} transfer {i}: unserved ({grants[i]} of {demand}) with no bottleneck")
+        for (side, peer), total in load.items():
+            residual[side][peer] = max(residual[side][peer] - total, 0.0)
+    return out

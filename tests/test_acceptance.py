@@ -15,6 +15,7 @@ import pytest
 
 from p2pbackup import redundancy, report, sched, sim, trace
 
+from conftest import link_loads, recorded_allocations
 from oracles import (binomial_tail_ge, matching_max_fragments, matching_min_completion,
                      minimal_redundancy)
 
@@ -206,6 +207,7 @@ class DeskRun:
     seed: int
     sim: sim.Simulation
     report: sim.SimReport
+    allocations: list  # recorded (specs, grants) per slot with traffic
 
 
 def _desk_config(policy: str, seed: int, cdf_path: str) -> sim.SimConfig:
@@ -215,7 +217,7 @@ def _desk_config(policy: str, seed: int, cdf_path: str) -> sim.SimConfig:
         fixed_target=0.99, loss_cap=1e-4, w_days=14.0,
         response="immediate",
         bandwidth_source="file", bandwidth_file=cdf_path,
-        audit=True, seed=seed,
+        seed=seed,
     ))
 
 
@@ -226,7 +228,9 @@ def desk_runs(spread_cdf_file):
         matrix = trace.synth_trace(100, 672, availability=(0.3, 0.7), seed=1000 + seed)
         for policy in ("fixed", "adaptive"):
             simulation = sim.Simulation(_desk_config(policy, seed, spread_cdf_file), matrix)
-            runs.append(DeskRun(policy, seed, simulation, simulation.run()))
+            with recorded_allocations() as calls:
+                result = simulation.run()
+            runs.append(DeskRun(policy, seed, simulation, result, calls))
     return runs
 
 
@@ -268,34 +272,29 @@ def test_criterion_6_policy_comparison(verdict, desk_runs):
 
 
 def _audit_violations(run: DeskRun) -> list[str]:
-    """Byte-level invariants of one audited run."""
+    """Byte-level invariants of one run's recorded allocation calls."""
     out = []
     s = run.sim
-    audit = s.audit
     slot = s.config.slot_seconds
     up = np.array([p.uplink * slot for p in s.peers])
     down = np.array([p.downlink * slot for p in s.peers])
-    if np.any(audit["sent"] > up[:, None] * (1 + 1e-9) + 1e-6):
-        out.append("uplink budget exceeded")
-    if np.any(audit["received"] > down[:, None] * (1 + 1e-9) + 1e-6):
-        out.append("downlink budget exceeded")
-    for t, rows in enumerate(audit["slot_transfers"]):
-        sent_col = sum(g for _, src, _, _, g in rows if src != sim.SERVER)
-        recv_col = sum(g for _, _, dst, _, g in rows if dst != sim.SERVER)
-        if abs(sent_col - audit["sent"][:, t].sum()) > 1e-3:
-            out.append(f"slot {t}: sent ledger out of balance")
-        if abs(recv_col - audit["received"][:, t].sum()) > 1e-3:
-            out.append(f"slot {t}: received ledger out of balance")
-        restores = [r for r in rows if r[0] == "restore"]
-        if restores and len(restores) < len(rows):
+    total_sent = total_received = 0.0
+    for call, (specs, grants) in enumerate(run.allocations):
+        sent, received = link_loads(specs, grants, s.P)
+        if np.any(sent > up * (1 + 1e-9) + 1e-6):
+            out.append(f"call {call}: uplink budget exceeded")
+        if np.any(received > down * (1 + 1e-9) + 1e-6):
+            out.append(f"call {call}: downlink budget exceeded")
+        total_sent += sent.sum()
+        total_received += received.sum()
+        restore = np.array([spec[3] for spec in specs])
+        if restore.any() and not restore.all():
             replay = sim.allocate_slot_transfers(
-                [(src, dst, demand, True) for _, src, dst, demand, _ in restores],
-                up.copy(), down.copy())
-            recorded = np.array([g for _, _, _, _, g in restores])
-            if not np.allclose(replay, recorded, rtol=1e-9, atol=1e-3):
-                out.append(f"slot {t}: restore grants depend on competing traffic")
+                [spec for spec in specs if spec[3]], up.copy(), down.copy())
+            if not np.allclose(replay, grants[restore], rtol=1e-9, atol=1e-3):
+                out.append(f"call {call}: restore grants depend on competing traffic")
     # conservation over the whole run: immediate response means no server legs
-    if abs(audit["sent"].sum() - audit["received"].sum()) > 1e-3:
+    if abs(total_sent - total_received) > 1e-3:
         out.append("total sent != total received")
     return out
 
@@ -335,7 +334,7 @@ def test_criterion_7_run_invariants(verdict, desk_runs, spread_cdf_file, tmp_pat
             failures.append(f"rerun: {name} not byte-identical")
     verdict(7, not failures,
             failures[0] + f" (+{len(failures) - 1} more)" if failures
-            else f"{len(desk_runs)} audited runs clean, rerun byte-identical")
+            else f"{len(desk_runs)} recorded runs clean, rerun byte-identical")
 
 
 def test_criterion_8_restore_estimator_band(verdict, desk_runs):

@@ -318,6 +318,18 @@ def test_simulate_bad_config_path_is_an_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_rejects_audit_flag_and_key(tmp_path, capsys):
+    # allocation detail is observed by the tests, not recorded by the simulator
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["simulate", "--audit", "--out-dir", str(tmp_path / "o")])
+    assert excinfo.value.code == 2
+    config = tmp_path / "audit.cfg"
+    config.write_text("audit = true\n")
+    rc = cli.main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert "unknown config key 'audit'" in capsys.readouterr().err
+
+
 # -- parser-level behaviour ----------------------------------------------
 
 def test_unknown_subcommand_exits_with_usage_error():

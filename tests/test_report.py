@@ -35,7 +35,6 @@ def report_of(peers, crashes=(), num_slots=4, outbound=None, inbound=None, buffe
         server_inbound=zeros if inbound is None else np.asarray(inbound, dtype=float),
         server_buffered=zeros if buffered is None else np.asarray(buffered, dtype=float),
         avg_redundancy=math.nan,
-        audit=None,
     )
 
 

@@ -10,7 +10,8 @@ from p2pbackup import sim as psim
 from p2pbackup import trace
 from p2pbackup.redundancy import backup_complete
 from p2pbackup.sim import SERVER, SimConfig, Simulation, allocate_slot_transfers
-from conftest import make_matrix
+from conftest import link_loads, make_matrix, recorded_allocations
+from oracles import maxmin_violations
 
 KB100 = 100_000.0  # flat-CDF uplink, bytes/s
 SLOT = 3600.0
@@ -42,14 +43,12 @@ def test_config_from_mapping_coerces_strings():
             "object_size": "2048",
             "fragment_size": "1024",
             "slot_seconds": "60",
-            "audit": "true",
             "redundancy_policy": "fixed",
         }
     )
     assert config.object_size == 2048
     assert config.fragment_size == 1024
     assert config.slot_seconds == 60.0
-    assert config.audit is True
     assert config.redundancy_policy == "fixed"
 
 
@@ -258,6 +257,23 @@ def test_allocate_restores_see_no_competition(transfers, up, down):
     assert np.allclose(mixed, alone, atol=1e-6)
 
 
+endpoints = st.sampled_from([SERVER, 0, 1, 2, 3])
+amounts = st.floats(0.0, 100.0)  # the 0.0 bound gives zero demands and budgets often
+
+
+@given(
+    transfers=st.lists(st.tuples(endpoints, endpoints, amounts, st.booleans()), max_size=10),
+    up=st.lists(amounts, min_size=4, max_size=4),
+    down=st.lists(amounts, min_size=4, max_size=4),
+)
+@settings(max_examples=300)
+def test_allocate_is_maxmin_fair(transfers, up, down):
+    up = np.array(up)
+    down = np.array(down)
+    grants = allocate_slot_transfers(transfers, up, down)
+    assert maxmin_violations(transfers, grants, up, down, psim._EPS) == []
+
+
 # ------------------------------------------------------- closed-form backups
 
 def always_on(num_peers, num_slots):
@@ -422,30 +438,43 @@ def test_delayed_response_schedules_return(flat_cdf_file):
 
 # ------------------------------------------------- end-to-end crash dynamics
 
+class SerialOrderSimulation(Simulation):
+    """Asserts before every completion step that the transfer list is in
+    strictly increasing serial order, so completions apply in the order the
+    transfers were opened."""
+
+    def _step_completions(self, slot_idx):
+        serials = [t.serial for t in self.transfers]
+        assert all(a < b for a, b in zip(serials, serials[1:])), f"slot {slot_idx}: out of serial order"
+        super()._step_completions(slot_idx)
+
+
 @pytest.fixture(scope="module")
 def churn_report(flat_cdf_file):
+    """(simulation, report, recorded allocation calls) of one churned run."""
     config = cfg(
         flat_cdf_file,
         mean_lifetime_days=4.0,
         redundancy_policy="fixed",
         fixed_target=0.99,
-        audit=True,
         seed=12,
     )
     matrix = trace.synth_trace(24, 24 * 14, availability=(0.5, 0.9), seed=7)
-    simulation = Simulation(config, matrix)
-    return simulation, simulation.run()
+    simulation = SerialOrderSimulation(config, matrix)
+    with recorded_allocations() as calls:
+        report = simulation.run()
+    return simulation, report, calls
 
 
 def test_churn_produces_both_outcomes(churn_report):
-    _, report = churn_report
+    _, report, _ = churn_report
     outcomes = {c.outcome for c in report.crashes}
     assert "restored" in outcomes
     assert len(report.crashes) >= 10
 
 
 def test_churn_ttb_and_ttr_bounds(churn_report):
-    _, report = churn_report
+    _, report, _ = churn_report
     finished = [r for r in report.peers if not math.isnan(r.ttb)]
     assert finished
     for r in finished:
@@ -457,7 +486,7 @@ def test_churn_ttb_and_ttr_bounds(churn_report):
 
 
 def test_churn_episode_consistency(churn_report):
-    _, report = churn_report
+    _, report, _ = churn_report
     for c in report.crashes:
         assert c.outcome in ("restored", "lost", "pending")
         if c.response_slot is not None:
@@ -467,7 +496,7 @@ def test_churn_episode_consistency(churn_report):
 
 
 def test_churn_storage_maps_stay_mirrored(churn_report):
-    simulation, _ = churn_report
+    simulation, _, _ = churn_report
     for owner in simulation.peers:
         holders = list(owner.placements.values())
         assert len(holders) == len(set(holders))  # distinct holders per fragment
@@ -479,21 +508,32 @@ def test_churn_storage_maps_stay_mirrored(churn_report):
 
 
 def test_churn_audit_respects_link_budgets(churn_report):
-    simulation, report = churn_report
-    sent = report.audit["sent"]
-    received = report.audit["received"]
+    simulation, _, calls = churn_report
     up = np.array([p.uplink * SLOT for p in simulation.peers])
     down = np.array([p.downlink * SLOT for p in simulation.peers])
-    assert np.all(sent <= up[:, None] + 1e-6)
-    assert np.all(received <= down[:, None] + 1e-6)
+    assert 0 < len(calls) <= simulation.T
+    total_sent = total_received = 0.0
+    for specs, grants in calls:
+        sent, received = link_loads(specs, grants, simulation.P)
+        assert np.all(sent <= up + 1e-6)
+        assert np.all(received <= down + 1e-6)
+        total_sent += sent.sum()
+        total_received += received.sum()
     # no server legs in immediate mode: every byte sent is a byte received
-    assert sent.sum() == pytest.approx(received.sum(), rel=1e-12)
-    granted = sum(g for slot in report.audit["slot_transfers"] for (_, _, _, _, g) in slot)
-    assert granted == pytest.approx(sent.sum(), rel=1e-12)
+    assert total_sent == pytest.approx(total_received, rel=1e-12)
+
+
+def test_churn_allocations_are_maxmin_fair(churn_report):
+    simulation, _, calls = churn_report
+    up = [p.uplink * SLOT for p in simulation.peers]
+    down = [p.downlink * SLOT for p in simulation.peers]
+    assert any(spec[3] for specs, _ in calls for spec in specs)  # restores compete too
+    for slot, (specs, grants) in enumerate(calls):
+        assert maxmin_violations(specs, grants, up, down, psim._EPS) == [], f"call {slot}"
 
 
 def test_churn_quota_never_exceeded(churn_report):
-    simulation, _ = churn_report
+    simulation, _, _ = churn_report
     cap = simulation.config.storage_quota // simulation.f
     for peer in simulation.peers:
         assert len(peer.stored) <= cap

@@ -405,8 +405,21 @@ class Simulation:
         self.up_budget = np.array([p.uplink * self.slot for p in self.peers])
         self.down_budget = np.array([p.downlink * self.slot for p in self.peers])
 
-        self.transfers: list[_Transfer] = []
+        # in-flight transfers by serial (dict order is serial order), and the
+        # same transfers indexed per owner
+        self.transfers: dict[int, _Transfer] = {}
+        self.by_owner: list[dict[int, _Transfer]] = [{} for _ in range(self.P)]
         self._serial = 0
+        # vectors over peers, written wherever the peer fields they mirror are
+        self.cols = np.ascontiguousarray(self.bits.T)  # cols[col] = bits[:, col]
+        self.absent = np.zeros(self.P, dtype=bool)  # absent_until is not None
+        self.restoring = np.zeros(self.P, dtype=bool)  # phase == RESTORING
+        self.holds = np.zeros((self.P, self.P), dtype=bool)  # [owner, holder]: owner in holder.stored
+        self.stored_count = np.zeros(self.P, dtype=int)  # len(peer.stored)
+        # uploads in flight: count per destination, and [owner, dst] (a pair
+        # never has two, since a pick excludes the pairs in flight)
+        self.incoming = np.zeros(self.P, dtype=int)
+        self.receiving = np.zeros((self.P, self.P), dtype=bool)
         self.buffered: dict[int, set[int]] = {}  # owner -> buffered fragment ids on the server
         self.crashes: list[CrashRecord] = []
         self.out_bytes = np.zeros(self.T)
@@ -415,13 +428,26 @@ class Simulation:
 
     # -- helpers ---------------------------------------------------------
 
-    def _online(self, idx: int, col: int) -> bool:
-        peer = self.peers[idx]
-        if peer.absent_until is not None:
-            return False
-        if peer.phase == RESTORING:
-            return True  # victims remain online for the duration of restore
-        return bool(self.bits[idx, col])
+    def _online(self, col: int) -> np.ndarray:
+        """Per-peer online flags in slot col: present, and either restoring
+        (victims remain online for the duration of restore) or up in the
+        trace."""
+        return ~self.absent & (self.restoring | self.cols[col])
+
+    def _set_phase(self, peer: _Peer, phase: str) -> None:
+        peer.phase = phase
+        self.restoring[peer.idx] = phase == RESTORING
+
+    def _set_absent(self, peer: _Peer, until: float | None) -> None:
+        peer.absent_until = until
+        self.absent[peer.idx] = until is not None
+
+    def _place(self, owner_idx: int, frag: int, holder_idx: int) -> None:
+        holder = self.peers[holder_idx]
+        holder.stored[owner_idx] = frag
+        self.peers[owner_idx].placements[frag] = holder_idx
+        self.holds[owner_idx, holder_idx] = True
+        self.stored_count[holder_idx] = len(holder.stored)
 
     def _profiles(self, holder_idxs) -> list[tuple[float, float]]:
         return [(self.peers[h].avail, self.peers[h].uplink) for h in holder_idxs]
@@ -466,50 +492,57 @@ class Simulation:
 
     def _new_transfer(self, kind, src, dst, owner, frag) -> None:
         self._serial += 1
-        self.transfers.append(_Transfer(self._serial, kind, src, dst, owner, frag))
+        t = _Transfer(self._serial, kind, src, dst, owner, frag)
+        self.transfers[t.serial] = t
+        self.by_owner[owner][t.serial] = t
+        if kind in UPLOADS:
+            self.incoming[dst] += 1
+            self.receiving[owner, dst] = True
+
+    def _drop(self, t: _Transfer) -> None:
+        del self.transfers[t.serial]
+        del self.by_owner[t.owner][t.serial]
+        if t.kind in UPLOADS:
+            self.incoming[t.dst] -= 1
+            self.receiving[t.owner, t.dst] = False
 
     def _owned(self, owner: int, kind: str) -> list[_Transfer]:
-        return [t for t in self.transfers if t.owner == owner and t.kind == kind]
+        return [t for t in self.by_owner[owner].values() if t.kind == kind]
 
     def _cancel(self, owner: int, kind: str) -> None:
-        self.transfers = [t for t in self.transfers if not (t.owner == owner and t.kind == kind)]
+        for t in self._owned(owner, kind):
+            self._drop(t)
 
-    def _reservations(self) -> tuple[dict[int, int], set[tuple[int, int]]]:
-        """Incoming fragment slots reserved per destination peer, and the
-        (owner, destination) pairs with an upload in flight."""
-        incoming: dict[int, int] = {}
-        receiving: set[tuple[int, int]] = set()
-        for t in self.transfers:
-            if t.kind in UPLOADS:
-                incoming[t.dst] = incoming.get(t.dst, 0) + 1
-                receiving.add((t.owner, t.dst))
-        return incoming, receiving
+    def _reservations(self) -> tuple[np.ndarray, np.ndarray]:
+        """Snapshot of the uploads in flight: incoming fragment slots reserved
+        per destination peer, and receiving[owner, dst].  Cancelling an
+        upload does not free its reservation until the next snapshot."""
+        return self.incoming.copy(), self.receiving.copy()
 
-    def _eligible_targets(self, owner_idx: int, col: int, incoming, receiving) -> list[int]:
-        out = []
-        for i in range(self.P):
-            if i == owner_idx or not self._online(i, col):
-                continue
-            peer = self.peers[i]
-            if owner_idx in peer.stored or (owner_idx, i) in receiving:
-                continue
-            if len(peer.stored) + incoming.get(i, 0) >= self.capacity_slots:
-                continue
-            out.append(i)
-        return out
+    def _eligible_targets(self, owner_idx: int, col: int, incoming, receiving) -> np.ndarray:
+        """Online peers, other than the owner, that hold none of its fragments,
+        receive none from it and have a free quota slot; in index order."""
+        ok = self._online(col) & ~self.holds[owner_idx] & ~receiving[owner_idx]
+        ok &= self.stored_count + incoming < self.capacity_slots
+        ok[owner_idx] = False
+        return np.flatnonzero(ok)
 
     def _open_uploads(self, owner: _Peer, kind: str, src: int, col: int, incoming, receiving, count: int) -> None:
         """Open up to count uploads of new fragments from src, each to a peer
         drawn uniformly from the eligible targets, and reserve their slots."""
+        if count <= 0:
+            return
+        # reserving dst makes only dst ineligible, so each later draw is from
+        # the same list less the peers already drawn
+        targets = self._eligible_targets(owner.idx, col, incoming, receiving).tolist()
         for _ in range(count):
-            targets = self._eligible_targets(owner.idx, col, incoming, receiving)
             if not targets:
                 break
-            dst = targets[int(self.rng.integers(len(targets)))]
+            dst = targets.pop(int(self.rng.integers(len(targets))))
             self._new_transfer(kind, src, dst, owner.idx, owner.next_frag)
             owner.next_frag += 1
-            incoming[dst] = incoming.get(dst, 0) + 1
-            receiving.add((owner.idx, dst))
+            incoming[dst] += 1
+            receiving[owner.idx, dst] = True
 
     def _lost_if_unreachable(self, owner: _Peer) -> bool:
         """Mark the owner lost when fewer than k of its fragments are
@@ -536,15 +569,18 @@ class Simulation:
         config = self.config
 
         if config.response != IMMEDIATE:
-            peer.absent_until = now + float(self.rng.exponential(config.delay_mean_days * SECONDS_PER_DAY))
+            self._set_absent(peer, now + float(self.rng.exponential(config.delay_mean_days * SECONDS_PER_DAY)))
         # fragments this peer stored for others are destroyed; detection is
         # immediate and global, so owners see the drop at once
         for owner_idx, frag in peer.stored.items():
             self.peers[owner_idx].placements.pop(frag, None)
         peer.stored = {}
+        self.holds[:, idx] = False
+        self.stored_count[idx] = 0
 
         # every in-flight transfer touching this peer dies with it
-        self.transfers = [t for t in self.transfers if idx not in (t.src, t.dst)]
+        for t in [t for t in self.transfers.values() if idx in (t.src, t.dst)]:
+            self._drop(t)
 
         had_data = peer.phase in (BACKING_UP, COMPLETE, RESTORING)
         was_restoring = peer.phase == RESTORING
@@ -566,7 +602,7 @@ class Simulation:
                 )
                 self.crashes.append(peer.episode)
             if not self._lost_if_unreachable(peer):
-                peer.phase = RESTORING
+                self._set_phase(peer, RESTORING)
 
         # lifetime is memoryless: restart at crash (immediate) or at return
         base = now if peer.absent_until is None else peer.absent_until
@@ -576,17 +612,21 @@ class Simulation:
             self._begin_restore(peer, slot_idx)
 
     def _mark_lost(self, owner: _Peer) -> None:
-        for holder in owner.placements.values():
-            self.peers[holder].stored.pop(owner.idx, None)
+        for holder_idx in owner.placements.values():
+            holder = self.peers[holder_idx]
+            holder.stored.pop(owner.idx, None)
+            self.stored_count[holder_idx] = len(holder.stored)
         owner.placements = {}
+        self.holds[owner.idx] = False
         owner.downloaded = set()
         owner.repair_stage = None
         self.buffered.pop(owner.idx, None)
-        owner.phase = LOST
+        self._set_phase(owner, LOST)
         if owner.episode is not None:
             owner.episode.outcome = "lost"
             owner.episode = None
-        self.transfers = [t for t in self.transfers if t.owner != owner.idx]
+        for t in list(self.by_owner[owner.idx].values()):
+            self._drop(t)
 
     # -- per-slot steps --------------------------------------------------
 
@@ -597,9 +637,10 @@ class Simulation:
                 self.on_crash(idx, now, slot_idx)
 
     def _step_returns(self, slot_idx: int, now: float) -> None:
-        for peer in self.peers:
-            if peer.absent_until is not None and peer.absent_until <= now:
-                peer.absent_until = None
+        for idx in np.flatnonzero(self.absent):
+            peer = self.peers[idx]
+            if peer.absent_until <= now:
+                self._set_absent(peer, None)
                 if peer.phase == RESTORING:
                     self._begin_restore(peer, slot_idx)
                     # injection was for the absence; the owner takes over now
@@ -613,8 +654,9 @@ class Simulation:
         if self.config.response != DELAYED_ASSISTED:
             return
         timeout = self.config.repair_timeout_days * SECONDS_PER_DAY
-        for owner in self.peers:
-            if owner.phase != RESTORING or owner.absent_until is None or owner.episode is None:
+        for idx in np.flatnonzero(self.absent & self.restoring):
+            owner = self.peers[idx]
+            if owner.episode is None:
                 continue
             crash_time = owner.episode.crash_slot * self.slot
             if now - crash_time < timeout:
@@ -666,7 +708,8 @@ class Simulation:
         if not self._needs_fragments(owner):
             return
         uploads = self._owned(owner.idx, "backup")
-        active = sum(1 for t in uploads if self._online(t.dst, slot_idx))
+        online = self._online(slot_idx)
+        active = sum(1 for t in uploads if online[t.dst])
         if self.config.redundancy_policy == FIXED:
             budget = self.fixed_n - len(owner.placements) - len(uploads)
         else:
@@ -687,11 +730,12 @@ class Simulation:
         l = self.thresholds.parallel or default_parallel(
             owner.downlink, [self.peers[h].uplink for h in owner.placements.values()] or [owner.downlink], self.k
         )
-        active_online = sum(1 for t in restores if t.src == SERVER or self._online(t.src, slot_idx))
+        online = self._online(slot_idx)
+        active_online = sum(1 for t in restores if t.src == SERVER or online[t.src])
         candidates = sorted(
             frag
             for frag, holder in owner.placements.items()
-            if frag not in owner.downloaded and frag not in in_flight and self._online(holder, slot_idx)
+            if frag not in owner.downloaded and frag not in in_flight and online[holder]
         )
         while active_online < l and candidates and have < self.k:
             frag = candidates.pop(int(self.rng.integers(len(candidates))))
@@ -721,11 +765,12 @@ class Simulation:
                 self.maintenance_step(owner, slot_idx, incoming, receiving)
 
     def _step_allocate(self, slot_idx: int) -> None:
+        online = self._online(slot_idx).tolist()
         eligible = []
         specs = []
-        for t in self.transfers:
-            src_ok = t.src == SERVER or self._online(t.src, slot_idx)
-            dst_ok = t.dst == SERVER or self._online(t.dst, slot_idx)
+        for t in self.transfers.values():
+            src_ok = t.src == SERVER or online[t.src]
+            dst_ok = t.dst == SERVER or online[t.dst]
             if src_ok and dst_ok and t.done < self.f - _EPS:
                 eligible.append(t)
                 specs.append((t.src, t.dst, self.f - t.done, t.kind == "restore"))
@@ -738,22 +783,21 @@ class Simulation:
     def _record_backup_progress(self, owner: _Peer, slot_idx: int) -> None:
         if not self._needs_fragments(owner):
             if owner.phase == BACKING_UP:
-                owner.phase = COMPLETE
+                self._set_phase(owner, COMPLETE)
                 if math.isnan(owner.ttb):
                     owner.ttb = (slot_idx + 1) * self.slot
                     owner.redundancy = len(owner.placements) / self.k
             self._cancel(owner.idx, "backup")
 
     def _step_completions(self, slot_idx: int) -> None:
-        finished = [t for t in self.transfers if t.done >= self.f - _EPS]
+        finished = [t for t in self.transfers.values() if t.done >= self.f - _EPS]
         for t in finished:
-            if t not in self.transfers:
+            if t.serial not in self.transfers:
                 continue  # cancelled by an earlier completion this slot
-            self.transfers.remove(t)
+            self._drop(t)
             owner = self.peers[t.owner]
             if t.kind in UPLOADS:
-                self.peers[t.dst].stored[t.owner] = t.frag
-                owner.placements[t.frag] = t.dst
+                self._place(t.owner, t.frag, t.dst)
                 if t.kind == "repair_out":
                     self.out_bytes[slot_idx] += self.f
                 else:
@@ -776,7 +820,7 @@ class Simulation:
             owner.episode = None
         if math.isnan(owner.ttr) and owner.crash_count == 1 and owner.restore_start_slot is not None:
             owner.ttr = (slot_idx - owner.restore_start_slot + 1) * self.slot
-        owner.phase = COMPLETE if not math.isnan(owner.ttb) else BACKING_UP
+        self._set_phase(owner, COMPLETE if not math.isnan(owner.ttb) else BACKING_UP)
         owner.downloaded = set()
         owner.restore_start_slot = None
         owner.repair_stage = None

@@ -365,10 +365,9 @@ def place(simulation, owner_idx, holders):
     """Hand-place one fragment per holder for owner_idx and mark it complete."""
     owner = simulation.peers[owner_idx]
     for frag, holder in enumerate(holders):
-        owner.placements[frag] = holder
-        simulation.peers[holder].stored[owner_idx] = frag
+        simulation._place(owner_idx, frag, holder)
     owner.next_frag = len(holders)
-    owner.phase = psim.COMPLETE
+    simulation._set_phase(owner, psim.COMPLETE)
     owner.ttb = simulation.slot
 
 
@@ -411,6 +410,21 @@ def test_owner_crash_below_k_reachable_is_lost(flat_cdf_file):
     assert s.crashes[-1].outcome == "lost"
 
 
+def test_crash_and_loss_keep_indexes(flat_cdf_file):
+    s = prepared_sim(flat_cdf_file, response="delayed")
+    place(s, 0, [1, 2, 3, 4])
+    place(s, 5, [0, 1, 2, 3])
+    assert s.holds[0, [1, 2, 3, 4]].all() and s.stored_count.tolist() == [1, 2, 2, 2, 1, 0]
+    s.on_crash(1, now=0.0, slot_idx=0)  # holder of both owners, gone for a while
+    assert index_violations(s, 0) == []
+    assert not s.holds[:, 1].any() and s.absent[1]
+    s.on_crash(2, now=0.0, slot_idx=0)
+    s.on_crash(0, now=3600.0, slot_idx=1)  # 2 of k=4 left: lost, releasing its holders
+    assert s.peers[0].phase == psim.LOST
+    assert index_violations(s, 1) == []
+    assert not s.holds[0].any() and s.stored_count.tolist() == [0, 0, 0, 1, 0, 0]
+
+
 def test_unavoidable_flag_set_before_min_ttb(flat_cdf_file):
     s = prepared_sim(flat_cdf_file)
     # crash at t=0 with nothing placed: even the ideal schedule had no time
@@ -433,7 +447,7 @@ def test_delayed_response_schedules_return(flat_cdf_file):
     owner = s.peers[0]
     assert owner.absent_until is not None and owner.absent_until > 0.0
     assert s.crashes[-1].response_slot is None
-    assert not s._online(0, 0)
+    assert not s._online(0)[0]
 
 
 # ------------------------------------------------- end-to-end crash dynamics
@@ -444,14 +458,59 @@ class SerialOrderSimulation(Simulation):
     transfers were opened."""
 
     def _step_completions(self, slot_idx):
-        serials = [t.serial for t in self.transfers]
+        serials = [t.serial for t in self.transfers.values()]
         assert all(a < b for a, b in zip(serials, serials[1:])), f"slot {slot_idx}: out of serial order"
         super()._step_completions(slot_idx)
 
 
+class ProgressCheckSimulation(SerialOrderSimulation):
+    """Also snapshots every transfer's done bytes around each allocation step
+    and checks them against the recorded allocation call: each transfer must
+    gain exactly its own grant (nothing, if it was not in the call), and no
+    transfer may pass the fragment size."""
+
+    def __init__(self, config, matrix, calls):
+        super().__init__(config, matrix)
+        self.calls = calls
+        self.checked = 0
+        self.progress_errors = []
+
+    def _step_allocate(self, slot_idx):
+        before = {serial: t.done for serial, t in self.transfers.items()}
+        made = len(self.calls)
+        super()._step_allocate(slot_idx)
+        grants = {}
+        if len(self.calls) > made:
+            specs, granted = self.calls[-1]
+            # the call's rows are a subsequence of the transfers in serial order
+            pending = iter(self.transfers.values())
+            for spec, grant in zip(specs, granted):
+                for t in pending:
+                    if (t.src, t.dst, self.f - before[t.serial], t.kind == "restore") == spec:
+                        grants[t.serial] = float(grant)
+                        break
+                else:
+                    self.progress_errors.append(f"slot {slot_idx}: no transfer for row {spec}")
+            self.checked += 1
+        for serial, t in self.transfers.items():
+            if t.done != before[serial] + grants.get(serial, 0.0):
+                self.progress_errors.append(f"slot {slot_idx}: transfer {serial} gained "
+                                            f"{t.done - before[serial]}, granted {grants.get(serial, 0.0)}")
+            if t.done > self.f + psim._EPS:
+                self.progress_errors.append(f"slot {slot_idx}: transfer {serial} done {t.done} > f")
+
+
+def churned_run(config, matrix):
+    """(simulation, report, recorded allocation calls) of one checked run."""
+    with recorded_allocations() as calls:
+        simulation = ProgressCheckSimulation(config, matrix, calls)
+        report = simulation.run()
+    return simulation, report, calls
+
+
 @pytest.fixture(scope="module")
 def churn_report(flat_cdf_file):
-    """(simulation, report, recorded allocation calls) of one churned run."""
+    """A churned run on the flat bandwidth table: no downlink ever binds."""
     config = cfg(
         flat_cdf_file,
         mean_lifetime_days=4.0,
@@ -459,11 +518,26 @@ def churn_report(flat_cdf_file):
         fixed_target=0.99,
         seed=12,
     )
-    matrix = trace.synth_trace(24, 24 * 14, availability=(0.5, 0.9), seed=7)
-    simulation = SerialOrderSimulation(config, matrix)
-    with recorded_allocations() as calls:
-        report = simulation.run()
-    return simulation, report, calls
+    return churned_run(config, trace.synth_trace(24, 24 * 14, availability=(0.5, 0.9), seed=7))
+
+
+@pytest.fixture(scope="module")
+def binding_churn_report(spread_cdf_file):
+    """A churned run whose downlinks bind: uplinks spread 30-250 kB/s,
+    fragments of a full slot-load, and every restore fetches all k fragments
+    at once, so a slow owner's downlink is the bottleneck of its restore."""
+    config = cfg(
+        spread_cdf_file,
+        object_size=4 * int(UP_SLOT),
+        fragment_size=int(UP_SLOT),
+        storage_quota=40 * int(UP_SLOT),
+        mean_lifetime_days=2.0,
+        redundancy_policy="fixed",
+        fixed_target=0.99,
+        parallel_downloads=4,
+        seed=12,
+    )
+    return churned_run(config, trace.synth_trace(24, 24 * 14, availability=(0.5, 0.9), seed=7))
 
 
 def test_churn_produces_both_outcomes(churn_report):
@@ -507,10 +581,15 @@ def test_churn_storage_maps_stay_mirrored(churn_report):
             assert simulation.peers[owner_idx].placements.get(frag) == holder.idx
 
 
-def test_churn_audit_respects_link_budgets(churn_report):
-    simulation, _, calls = churn_report
+def link_budgets(simulation):
+    """Per-peer (uplink, downlink) bytes of one slot, from the peers' rates."""
     up = np.array([p.uplink * SLOT for p in simulation.peers])
     down = np.array([p.downlink * SLOT for p in simulation.peers])
+    return up, down
+
+
+def assert_within_link_budgets(simulation, calls):
+    up, down = link_budgets(simulation)
     assert 0 < len(calls) <= simulation.T
     total_sent = total_received = 0.0
     for specs, grants in calls:
@@ -523,13 +602,48 @@ def test_churn_audit_respects_link_budgets(churn_report):
     assert total_sent == pytest.approx(total_received, rel=1e-12)
 
 
-def test_churn_allocations_are_maxmin_fair(churn_report):
-    simulation, _, calls = churn_report
-    up = [p.uplink * SLOT for p in simulation.peers]
-    down = [p.downlink * SLOT for p in simulation.peers]
+def assert_maxmin_fair(simulation, calls):
+    up, down = link_budgets(simulation)
     assert any(spec[3] for specs, _ in calls for spec in specs)  # restores compete too
     for slot, (specs, grants) in enumerate(calls):
         assert maxmin_violations(specs, grants, up, down, psim._EPS) == [], f"call {slot}"
+
+
+def test_churn_audit_respects_link_budgets(churn_report):
+    simulation, _, calls = churn_report
+    assert_within_link_budgets(simulation, calls)
+
+
+def test_churn_allocations_are_maxmin_fair(churn_report):
+    simulation, _, calls = churn_report
+    assert_maxmin_fair(simulation, calls)
+
+
+def test_binding_churn_saturates_downlinks(binding_churn_report):
+    simulation, report, calls = binding_churn_report
+    _, down = link_budgets(simulation)
+    saturated = sum(
+        bool(np.any(link_loads(specs, grants, simulation.P)[1] >= down - 1.0)) for specs, grants in calls
+    )
+    assert saturated >= 20
+    assert {c.outcome for c in report.crashes} >= {"restored", "lost"}
+
+
+def test_binding_churn_respects_link_budgets(binding_churn_report):
+    simulation, _, calls = binding_churn_report
+    assert_within_link_budgets(simulation, calls)
+
+
+def test_binding_churn_allocations_are_maxmin_fair(binding_churn_report):
+    simulation, _, calls = binding_churn_report
+    assert_maxmin_fair(simulation, calls)
+
+
+@pytest.mark.parametrize("run", ["churn_report", "binding_churn_report"])
+def test_churn_grants_match_transfer_progress(request, run):
+    simulation, _, calls = request.getfixturevalue(run)
+    assert simulation.checked == len(calls) > 0
+    assert simulation.progress_errors == []
 
 
 def test_churn_quota_never_exceeded(churn_report):
@@ -557,6 +671,139 @@ def test_different_seed_changes_the_run(flat_cdf_file):
     a = psim.run(cfg(flat_cdf_file, mean_lifetime_days=5.0, seed=21), matrix)
     b = psim.run(cfg(flat_cdf_file, mean_lifetime_days=5.0, seed=22), matrix)
     assert a.crashes != b.crashes
+
+
+# ------------------------------------------------------------ index oracle
+
+def index_violations(simulation, col):
+    """Where the simulator's indexes differ from the peer and transfer state
+    they mirror, each rebuilt here from that state alone."""
+    s = simulation
+    found = []
+    holds = np.zeros((s.P, s.P), dtype=bool)
+    for holder in s.peers:
+        for owner_idx, frag in holder.stored.items():
+            holds[owner_idx, holder.idx] = True
+            if s.peers[owner_idx].placements.get(frag) != holder.idx:
+                found.append(f"peer {holder.idx} stores fragment {frag} of {owner_idx}, not placed there")
+        if s.stored_count[holder.idx] != len(holder.stored):
+            found.append(f"stored_count[{holder.idx}] = {s.stored_count[holder.idx]} != {len(holder.stored)}")
+    for owner in s.peers:
+        for frag, holder_idx in owner.placements.items():
+            if s.peers[holder_idx].stored.get(owner.idx) != frag:
+                found.append(f"fragment {frag} of {owner.idx} placed on {holder_idx}, not stored there")
+    if not np.array_equal(s.holds, holds):
+        found.append(f"holds differs at {np.argwhere(s.holds != holds).tolist()}")
+    indexed = {}
+    for owner_idx, owned in enumerate(s.by_owner):
+        for serial, t in owned.items():
+            if t.owner != owner_idx or t.serial != serial or serial in indexed:
+                found.append(f"transfer {t.serial} of {t.owner} misfiled under owner {owner_idx}")
+            indexed[serial] = t
+    if indexed.keys() != s.transfers.keys() or any(indexed[k] is not t for k, t in s.transfers.items()):
+        found.append(f"per-owner index holds {sorted(indexed)}, transfer dict {sorted(s.transfers)}")
+    incoming = [0] * s.P
+    receiving = set()
+    for t in s.transfers.values():
+        if t.kind in psim.UPLOADS:
+            incoming[t.dst] += 1
+            receiving.add((t.owner, t.dst))
+    if s.incoming.tolist() != incoming or set(zip(*np.nonzero(s.receiving))) != receiving:
+        found.append("upload reservations differ from the uploads in flight")
+    absent = [p.absent_until is not None for p in s.peers]
+    restoring = [p.phase == psim.RESTORING for p in s.peers]
+    if s.absent.tolist() != absent or s.restoring.tolist() != restoring:
+        found.append("absent or restoring flags differ from the peers' fields")
+    online = [p.absent_until is None and (p.phase == psim.RESTORING or bool(s.bits[p.idx, col])) for p in s.peers]
+    if s._online(col).tolist() != online:
+        found.append(f"online flags {s._online(col).tolist()} != {online}")
+    return found
+
+
+class IndexCheckSimulation(Simulation):
+    """Checks every index against index_violations after each per-slot phase,
+    and each target list against a plain loop over the peers."""
+
+    def _check(self, phase, slot_idx):
+        found = index_violations(self, slot_idx)
+        assert not found, f"slot {slot_idx}, after {phase}: {found[:3]}"
+
+    def _eligible_targets(self, owner_idx, col, incoming, receiving):
+        targets = super()._eligible_targets(owner_idx, col, incoming, receiving)
+        expect = [
+            i for i, peer in enumerate(self.peers)
+            if i != owner_idx
+            and peer.absent_until is None
+            and (peer.phase == psim.RESTORING or self.bits[i, col])
+            and owner_idx not in peer.stored
+            and not receiving[owner_idx, i]
+            and len(peer.stored) + incoming[i] < self.capacity_slots
+        ]
+        assert targets.tolist() == expect
+        return targets
+
+    def _step_crashes(self, slot_idx, now):
+        super()._step_crashes(slot_idx, now)
+        self._check("crashes", slot_idx)
+
+    def _step_returns(self, slot_idx, now):
+        super()._step_returns(slot_idx, now)
+        self._check("returns", slot_idx)
+
+    def assisted_repair_check(self, slot_idx, now):
+        super().assisted_repair_check(slot_idx, now)
+        self._check("repair", slot_idx)
+
+    def _step_tasks(self, slot_idx):
+        super()._step_tasks(slot_idx)
+        self._check("tasks", slot_idx)
+
+    def _step_allocate(self, slot_idx):
+        super()._step_allocate(slot_idx)
+        self._check("allocate", slot_idx)
+
+    def _step_completions(self, slot_idx):
+        super()._step_completions(slot_idx)
+        self._check("completions", slot_idx)
+
+
+def index_checked_run(cdf_file, peers, slots, quota, seed, **overrides):
+    config = cfg(
+        cdf_file,
+        storage_quota=quota * int(UP_SLOT) // 4,  # quota in fragments
+        delay_mean_days=1.0,
+        repair_timeout_days=0.25,
+        loss_cap=1e-6,
+        seed=seed,
+        **overrides,
+    )
+    matrix = trace.synth_trace(peers, slots, availability=(0.4, 0.9), seed=seed)
+    return IndexCheckSimulation(config, matrix).run()
+
+
+@given(
+    peers=st.integers(8, 30),
+    slots=st.integers(24, 72),
+    quota=st.integers(1, 3),
+    policy=st.sampled_from(["fixed", "adaptive"]),
+    response=st.sampled_from(["immediate", "delayed", "delayed_assisted"]),
+    lifetime=st.sampled_from([0.0, 0.5, 2.0]),
+    spread=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_indexes_mirror_state_every_phase(flat_cdf_file, spread_cdf_file, peers, slots, quota, policy,
+                                          response, lifetime, spread, seed):
+    index_checked_run(spread_cdf_file if spread else flat_cdf_file, peers, slots, quota, seed,
+                      redundancy_policy=policy, response=response, mean_lifetime_days=lifetime)
+
+
+@pytest.mark.parametrize("policy", ["fixed", "adaptive"])
+def test_indexes_mirror_state_through_loss_and_server_repair(spread_cdf_file, policy):
+    report = index_checked_run(spread_cdf_file, 30, 96, 3, 9, redundancy_policy=policy,
+                               response="delayed_assisted", mean_lifetime_days=2.0)
+    assert "lost" in {c.outcome for c in report.crashes}
+    assert report.server_inbound.sum() > 0 and report.server_outbound.sum() > 0
 
 
 # --------------------------------------------------------------- adaptive policy

@@ -344,10 +344,19 @@ def cmd_simulate(args) -> int:
     matrix, source = _load_matrix(args, config.seed)
     if args.runs < 1:
         raise SystemExit("simulate: --runs must be >= 1")
+    # an owner needs fixed n (or at least k) holders, all distinct other peers
+    max_holders = matrix.num_peers - 1
     summaries = []
     for i in range(args.runs):
         run_config = replace(config, seed=config.seed + i)
-        result = sim.run(run_config, matrix)
+        simulation = sim.Simulation(run_config, matrix)
+        if i == 0:  # fixed n depends on the trace, not on the seed
+            name, need = ("k", config.k) if simulation.fixed_n is None else ("fixed n", simulation.fixed_n)
+            target_reachable = need <= max_holders
+            if not target_reachable:
+                print(f"warning: {name} = {need} needs more holders than the "
+                      f"{max_holders} other peers", file=sys.stderr)
+        result = simulation.run()
         report.write_report_csvs(result, out / f"run-{i}")
         summaries.append(report.read_summary_csv(out / f"run-{i}" / "summary.csv"))
     merged = _average_summaries(summaries)
@@ -359,6 +368,8 @@ def cmd_simulate(args) -> int:
         "runs": args.runs,
         "source": source,
         "config": config.to_mapping(),
+        "max_holders": max_holders,
+        "target_reachable": target_reachable,
     })
     print(f"{args.runs} run(s) complete; averaged summary at {out / 'summary.csv'}")
     return 0

@@ -210,44 +210,56 @@ def _waterfill(src, dst, demand, res_up, res_down) -> np.ndarray:
     src/dst are peer indices (SERVER = unconstrained endpoint); res_up and
     res_down are residual per-peer byte budgets, mutated in place so a later
     class sees only leftovers.
+
+    Each round grants one equal increment, the smallest fair share or
+    remaining demand, to every active transfer; a transfer leaves when its
+    demand is met, or when a round finds its share at most _EPS (an
+    exhausted endpoint), which grants nothing.  SERVER is endpoint P with an
+    infinite budget.  The active set is kept compacted and its per-endpoint
+    counts current.  Every active transfer has been granted the same
+    increments, so a running total is each leaving transfer's grant.  The
+    floats are pinned by progressive_filling_reference in tests/oracles.py.
     """
-    n = len(demand)
-    alloc = np.zeros(n)
-    if n == 0:
-        return alloc
-    src = np.asarray(src)
-    dst = np.asarray(dst)
-    remaining = np.asarray(demand, dtype=float).copy()
     num_peers = len(res_up)
-    active = remaining > _EPS
-    # endpoints with an exhausted budget freeze their transfers up front
-    while np.any(active):
-        s, d = src[active], dst[active]
-        up_count = np.bincount(s[s >= 0], minlength=num_peers)
-        down_count = np.bincount(d[d >= 0], minlength=num_peers)
-        share = np.full(n, np.inf)
-        has_src = active & (src >= 0)
-        has_dst = active & (dst >= 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            share[has_src] = res_up[src[has_src]] / up_count[src[has_src]]
-            share[has_dst] = np.minimum(
-                share[has_dst], res_down[dst[has_dst]] / down_count[dst[has_dst]]
-            )
-        step = np.minimum(share, remaining)
-        lam = step[active].min()
-        if lam <= _EPS:
-            # an endpoint is exhausted; freeze its transfers and retry
-            starved = active & (step <= _EPS)
-            active &= ~starved
-            continue
-        grant = np.where(active, lam, 0.0)
-        alloc += grant
-        remaining -= grant
-        np.subtract.at(res_up, src[active & (src >= 0)], lam)
-        np.subtract.at(res_down, dst[active & (dst >= 0)], lam)
-        np.maximum(res_up, 0.0, out=res_up)
-        np.maximum(res_down, 0.0, out=res_down)
-        active &= remaining > _EPS
+    rem = np.asarray(demand, dtype=float)
+    alloc = np.zeros(len(rem))
+    idx = np.flatnonzero(rem > _EPS)
+    if idx.size == 0:
+        return alloc
+    rem = rem[idx]
+    s = np.asarray(src)[idx]
+    d = np.asarray(dst)[idx]
+    s[s == SERVER] = num_peers
+    d[d == SERVER] = num_peers
+    up = np.append(res_up, np.inf)
+    down = np.append(res_down, np.inf)
+    up_count = np.bincount(s, minlength=num_peers + 1)
+    down_count = np.bincount(d, minlength=num_peers + 1)
+    total = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while idx.size:
+            step = np.minimum(np.minimum((up / up_count)[s], (down / down_count)[d]), rem)
+            lam = step.min()
+            if lam <= _EPS:
+                # an endpoint is exhausted; freeze its transfers and retry
+                keep = step > _EPS
+            else:
+                total += lam
+                rem -= lam
+                # one subtraction per transfer: c·lam would round differently
+                np.subtract.at(up, s, lam)
+                np.subtract.at(down, d, lam)
+                np.maximum(up, 0.0, out=up)
+                np.maximum(down, 0.0, out=down)
+                keep = rem > _EPS
+            if not keep.all():
+                gone = ~keep
+                alloc[idx[gone]] = total
+                up_count -= np.bincount(s[gone], minlength=num_peers + 1)
+                down_count -= np.bincount(d[gone], minlength=num_peers + 1)
+                idx, s, d, rem = idx[keep], s[keep], d[keep], rem[keep]
+    res_up[:] = up[:num_peers]
+    res_down[:] = down[:num_peers]
     return alloc
 
 
@@ -256,8 +268,9 @@ def allocate_slot_transfers(transfers, up_budget, down_budget) -> np.ndarray:
 
     transfers: sequence of (src, dst, demand_bytes, is_restore) with peer
     indices or SERVER.  Pass 1 serves restore transfers max-min fairly; pass 2
-    serves everything else from the residual budgets, so no backup or
-    maintenance byte moves over a link whose restore demand is unmet.
+    serves everything else (backups, including maintenance uploads, and
+    repair legs) from the residual budgets, so no byte of it moves over a
+    link whose restore demand is unmet.
     Returns per-transfer byte grants.
     """
     res_up = np.asarray(up_budget, dtype=float).copy()

@@ -9,6 +9,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+import numpy as np
+
 
 def matching_max_fragments(bits, owner, candidates, T):
     """Most fragments movable in slots 1..T with unit rates and per-peer cap 1.
@@ -172,3 +174,55 @@ def maxmin_violations(transfers, grants, up, down, eps):
         for (side, peer), total in load.items():
             residual[side][peer] = max(residual[side][peer] - total, 0.0)
     return out
+
+
+def progressive_filling_reference(src, dst, demand, res_up, res_down, eps):
+    """Progressive filling for one priority class, as a plain loop over
+    boolean masks of the whole transfer list with fresh endpoint counts
+    every round.
+
+    Same contract as the simulator's allocator: src/dst are peer indices or
+    -1 for the server, which has no budget; res_up/res_down are per-peer
+    byte budgets, mutated in place; the per-transfer grants are returned.
+    A round grants every active transfer the smallest fair share or
+    remaining demand, or, when that is at most eps, freezes the transfers
+    whose share is at most eps.  Budgets shrink by one subtraction per
+    transfer and are clipped at zero.  These floats are the ones the
+    simulator must reproduce bit for bit.
+    """
+    n = len(demand)
+    alloc = np.zeros(n)
+    if n == 0:
+        return alloc
+    src = np.asarray(src)
+    dst = np.asarray(dst)
+    remaining = np.asarray(demand, dtype=float).copy()
+    num_peers = len(res_up)
+    active = remaining > eps
+    while np.any(active):
+        s, d = src[active], dst[active]
+        up_count = np.bincount(s[s >= 0], minlength=num_peers)
+        down_count = np.bincount(d[d >= 0], minlength=num_peers)
+        share = np.full(n, np.inf)
+        has_src = active & (src >= 0)
+        has_dst = active & (dst >= 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            share[has_src] = res_up[src[has_src]] / up_count[src[has_src]]
+            share[has_dst] = np.minimum(
+                share[has_dst], res_down[dst[has_dst]] / down_count[dst[has_dst]]
+            )
+        step = np.minimum(share, remaining)
+        lam = step[active].min()
+        if lam <= eps:
+            starved = active & (step <= eps)
+            active &= ~starved
+            continue
+        grant = np.where(active, lam, 0.0)
+        alloc += grant
+        remaining -= grant
+        np.subtract.at(res_up, src[active & (src >= 0)], lam)
+        np.subtract.at(res_down, dst[active & (dst >= 0)], lam)
+        np.maximum(res_up, 0.0, out=res_up)
+        np.maximum(res_down, 0.0, out=res_down)
+        active &= remaining > eps
+    return alloc

@@ -245,6 +245,27 @@ def test_simulate_single_run_outputs(tmp_path, flat_cdf_file, capsys):
     assert "1 run(s) complete" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("object_size, reachable", [(2048, True), (8192, False)])
+def test_simulate_flags_unreachable_holder_target(tmp_path, flat_cdf_file, capsys, object_size, reachable):
+    # k = 2 fits on the 5 other peers; k = 8 cannot
+    matrix_path, config_path = write_sim_inputs(tmp_path, flat_cdf_file, object_size=object_size)
+    out = tmp_path / "o"
+    rc = cli.main(["simulate", "--matrix", str(matrix_path),
+                   "--config", str(config_path), "--out-dir", str(out)])
+    assert rc == 0
+    err = capsys.readouterr().err
+    if reachable:
+        assert err == ""
+    else:
+        assert err.startswith("warning: fixed n = ")
+        assert err.rstrip().endswith("needs more holders than the 5 other peers")
+        assert len(err.splitlines()) == 1
+    manifest = read_manifest(out)
+    assert manifest["max_holders"] == 5
+    assert manifest["target_reachable"] is reachable
+    assert (out / "run-0" / "summary.csv").exists()
+
+
 def test_simulate_same_seed_byte_identical(tmp_path, flat_cdf_file):
     matrix_path, config_path = write_sim_inputs(tmp_path, flat_cdf_file)
     outs = [tmp_path / "a", tmp_path / "b"]

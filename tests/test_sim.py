@@ -11,7 +11,7 @@ from p2pbackup import trace
 from p2pbackup.redundancy import backup_complete
 from p2pbackup.sim import SERVER, SimConfig, Simulation, allocate_slot_transfers
 from conftest import link_loads, make_matrix, recorded_allocations
-from oracles import maxmin_violations
+from oracles import maxmin_violations, progressive_filling_reference
 
 KB100 = 100_000.0  # flat-CDF uplink, bytes/s
 SLOT = 3600.0
@@ -272,6 +272,39 @@ def test_allocate_is_maxmin_fair(transfers, up, down):
     down = np.array(down)
     grants = allocate_slot_transfers(transfers, up, down)
     assert maxmin_violations(transfers, grants, up, down, psim._EPS) == []
+
+
+tie_amounts = st.integers(0, 8).map(float)  # equal shares and demands tie often
+fine_amounts = st.one_of(amounts, st.sampled_from([psim._EPS / 2, psim._EPS]))  # at and under _EPS
+
+
+@given(data=st.data(), amount=st.sampled_from([tie_amounts, fine_amounts]))
+@settings(max_examples=300)
+def test_waterfill_matches_reference_bit_for_bit(data, amount):
+    rows = data.draw(st.lists(st.tuples(endpoints, endpoints, amount), max_size=16))
+    up = np.array(data.draw(st.lists(amount, min_size=4, max_size=4)))
+    down = np.array(data.draw(st.lists(amount, min_size=4, max_size=4)))
+    src = np.array([r[0] for r in rows], dtype=int)
+    dst = np.array([r[1] for r in rows], dtype=int)
+    demand = np.array([r[2] for r in rows], dtype=float)
+    ref_up, ref_down = up.copy(), down.copy()
+    expect = progressive_filling_reference(src, dst, demand, ref_up, ref_down, psim._EPS)
+    grants = psim._waterfill(src, dst, demand, up, down)
+    assert np.array_equal(grants, expect)
+    assert np.array_equal(up, ref_up)
+    assert np.array_equal(down, ref_down)
+
+
+def test_waterfill_clips_a_rounded_budget_to_zero():
+    # 5 - 5/3 - 5/3 - 5/3 rounds to -4.4e-16; the budget must read 0.0
+    up = np.array([5.0, BIG, BIG, BIG])
+    down = np.full(4, BIG)
+    src, dst, demand = np.array([0, 0, 0]), np.array([1, 2, 3]), np.full(3, 10.0)
+    ref_up, ref_down = up.copy(), down.copy()
+    expect = progressive_filling_reference(src, dst, demand, ref_up, ref_down, psim._EPS)
+    assert np.array_equal(psim._waterfill(src, dst, demand, up, down), expect)
+    assert up[0] == ref_up[0] == 0.0
+    assert np.array_equal(down, ref_down)
 
 
 # ------------------------------------------------------- closed-form backups
@@ -639,6 +672,25 @@ def test_binding_churn_allocations_are_maxmin_fair(binding_churn_report):
     assert_maxmin_fair(simulation, calls)
 
 
+def reference_allocation(specs, up, down):
+    """allocate_slot_transfers' two passes, each filled by the reference."""
+    src, dst, demand, restore = (np.array(column) for column in zip(*specs))
+    res_up, res_down = up.copy(), down.copy()
+    grants = np.zeros(len(specs))
+    for mask in (restore, ~restore):
+        grants[mask] = progressive_filling_reference(src[mask], dst[mask], demand[mask], res_up, res_down,
+                                                     psim._EPS)
+    return grants
+
+
+@pytest.mark.parametrize("run", ["churn_report", "binding_churn_report"])
+def test_churn_grants_match_reference_bit_for_bit(request, run):
+    simulation, _, calls = request.getfixturevalue(run)
+    for slot, (specs, grants) in enumerate(calls):
+        expect = reference_allocation(specs, simulation.up_budget, simulation.down_budget)
+        assert np.array_equal(grants, expect), f"call {slot}"
+
+
 @pytest.mark.parametrize("run", ["churn_report", "binding_churn_report"])
 def test_churn_grants_match_transfer_progress(request, run):
     simulation, _, calls = request.getfixturevalue(run)
@@ -677,9 +729,22 @@ def test_different_seed_changes_the_run(flat_cdf_file):
 
 def index_violations(simulation, col):
     """Where the simulator's indexes differ from the peer and transfer state
-    they mirror, each rebuilt here from that state alone."""
+    they mirror, each rebuilt here from that state alone, and where that
+    state breaks an invariant of the model: a holder over its quota, a
+    fragment on its own owner, two fragments of one owner on one holder, or
+    server traffic that is not whole fragments."""
     s = simulation
     found = []
+    for peer in s.peers:
+        if len(peer.stored) > s.capacity_slots:
+            found.append(f"peer {peer.idx} stores {len(peer.stored)} > quota {s.capacity_slots}")
+        if peer.idx in peer.stored:
+            found.append(f"peer {peer.idx} stores its own fragment")
+        if len(set(peer.placements.values())) != len(peer.placements):
+            found.append(f"peer {peer.idx} has two fragments on one holder: {peer.placements}")
+    for name, series in (("out_bytes", s.out_bytes), ("in_bytes", s.in_bytes)):
+        if np.any(series % s.f):
+            found.append(f"server {name} not whole fragments: {series[series % s.f != 0]}")
     holds = np.zeros((s.P, s.P), dtype=bool)
     for holder in s.peers:
         for owner_idx, frag in holder.stored.items():
@@ -778,7 +843,13 @@ def index_checked_run(cdf_file, peers, slots, quota, seed, **overrides):
         **overrides,
     )
     matrix = trace.synth_trace(peers, slots, availability=(0.4, 0.9), seed=seed)
-    return IndexCheckSimulation(config, matrix).run()
+    report = IndexCheckSimulation(config, matrix).run()
+    for r in report.peers:
+        if math.isfinite(r.ttb) and math.isfinite(r.min_ttb):
+            assert r.ttb >= r.min_ttb, f"peer {r.peer}: ttb {r.ttb} < min {r.min_ttb}"
+        if math.isfinite(r.ttr) and math.isfinite(r.min_ttr):
+            assert r.ttr >= r.min_ttr, f"peer {r.peer}: ttr {r.ttr} < min {r.min_ttr}"
+    return report
 
 
 @given(

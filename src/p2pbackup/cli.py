@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -290,29 +290,9 @@ def cmd_plan(args) -> int:
 
 # -- simulate ------------------------------------------------------------
 
-# CLI flag -> SimConfig field; flags override config-file keys
-_SIM_FLAGS = [
-    ("--object-size", "object_size", int),
-    ("--fragment-size", "fragment_size", int),
-    ("--storage-quota", "storage_quota", int),
-    ("--slot-seconds", "slot_seconds", float),
-    ("--mean-lifetime-days", "mean_lifetime_days", float),
-    ("--policy", "redundancy_policy", str),
-    ("--fixed-target", "fixed_target", float),
-    ("--loss-cap", "loss_cap", float),
-    ("--w-days", "w_days", float),
-    ("--parallel-downloads", "parallel_downloads", int),
-    ("--ttr-floor-days", "ttr_floor_days", float),
-    ("--ttr-factor", "ttr_factor", float),
-    ("--response", "response", str),
-    ("--delay-mean-days", "delay_mean_days", float),
-    ("--repair-timeout-days", "repair_timeout_days", float),
-    ("--bandwidth-source", "bandwidth_source", str),
-    ("--bandwidth-file", "bandwidth_file", str),
-    ("--bandwidth-median-kbs", "bandwidth_median_kbs", float),
-    ("--bandwidth-sigma", "bandwidth_sigma", float),
-    ("--backup-parallelism", "backup_parallelism", int),
-]
+# every SimConfig field is a simulate flag, --field-name unless renamed
+# here; flags override config-file keys, and --seed is a common flag
+_SIM_FLAG_NAMES = {"redundancy_policy": "--policy"}
 
 
 def _average_summaries(rows: list[dict]) -> dict:
@@ -334,17 +314,16 @@ def cmd_simulate(args) -> int:
     mapping: dict = {}
     if args.config:
         mapping.update(sim.load_config(args.config))
-    for flag, name, _ in _SIM_FLAGS:
-        value = getattr(args, name)
+    for f in fields(sim.SimConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            mapping[name] = value
-    if args.seed is not None:
-        mapping["seed"] = args.seed
+            mapping[f.name] = value
     config = sim.SimConfig.from_mapping(mapping)
     matrix, source = _load_matrix(args, config.seed)
     if args.runs < 1:
         raise SystemExit("simulate: --runs must be >= 1")
-    # an owner needs fixed n (or at least k) holders, all distinct other peers
+    # an owner needs fixed n (or at least k) holders, all distinct other
+    # peers, and a holder needs room for one fragment
     max_holders = matrix.num_peers - 1
     summaries = []
     for i in range(args.runs):
@@ -352,10 +331,16 @@ def cmd_simulate(args) -> int:
         simulation = sim.Simulation(run_config, matrix)
         if i == 0:  # fixed n depends on the trace, not on the seed
             name, need = ("k", config.k) if simulation.fixed_n is None else ("fixed n", simulation.fixed_n)
-            target_reachable = need <= max_holders
-            if not target_reachable:
-                print(f"warning: {name} = {need} needs more holders than the "
-                      f"{max_holders} other peers", file=sys.stderr)
+            if config.storage_quota < config.fragment_size:
+                problem = (f"storage_quota = {config.storage_quota} is below one "
+                           f"fragment of {config.fragment_size} bytes")
+            elif need > max_holders:
+                problem = f"{name} = {need} needs more holders than the {max_holders} other peers"
+            else:
+                problem = None
+            target_reachable = problem is None
+            if problem:
+                print(f"warning: {problem}", file=sys.stderr)
         result = simulation.run()
         report.write_report_csvs(result, out / f"run-{i}")
         summaries.append(report.read_summary_csv(out / f"run-{i}" / "summary.csv"))
@@ -434,8 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file; flags override")
     p.add_argument("--runs", type=int, default=1,
                    help="average this many runs over seeds seed..seed+N-1")
-    for flag, name, cast in _SIM_FLAGS:
-        p.add_argument(flag, dest=name, type=cast, default=None)
+    for f in fields(sim.SimConfig):
+        if f.name != "seed":
+            flag = _SIM_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+            cast = {"int": int, "float": float}.get(f.type, str)
+            p.add_argument(flag, dest=f.name, type=cast, default=None)
     p.set_defaults(func=cmd_simulate)
     return parser
 

@@ -61,7 +61,6 @@ class SimConfig:
     object_size: int = 10 * 2**30
     storage_quota: int = 50 * 2**30
     fragment_size: int = 160 * 2**20
-    slot_seconds: float = 3600.0
     mean_lifetime_days: float = 90.0
     redundancy_policy: str = ADAPTIVE
     fixed_target: float = 0.99
@@ -85,7 +84,7 @@ class SimConfig:
             raise ValueError("object_size and fragment_size must be positive")
         if self.object_size % self.fragment_size:
             raise ValueError("object_size must be an exact multiple of fragment_size")
-        if self.slot_seconds <= 0 or self.delay_mean_days <= 0 or self.repair_timeout_days <= 0:
+        if self.delay_mean_days <= 0 or self.repair_timeout_days <= 0:
             raise ValueError("durations must be positive")
         if self.mean_lifetime_days < 0:
             raise ValueError("mean_lifetime_days must be non-negative (0 or inf = no crashes)")
@@ -306,7 +305,6 @@ class _Peer:
     min_ttb: float  # ideal seconds, inf if the trace row cannot carry the object
     min_ttr: float
     phase: str = BACKING_UP
-    stored: dict = field(default_factory=dict)  # owner idx -> fragment id
     placements: dict = field(default_factory=dict)  # own fragment id -> holder idx
     next_frag: int = 0
     next_crash: float = math.inf
@@ -386,7 +384,7 @@ class Simulation:
         self.bits = matrix.bits.astype(bool)
         self.P = matrix.num_peers
         self.T = matrix.num_slots
-        self.slot = config.slot_seconds
+        self.slot = matrix.slot_seconds
         self.k = config.k
         self.f = float(config.fragment_size)
         self.o = float(config.object_size)
@@ -427,10 +425,11 @@ class Simulation:
         self.cols = np.ascontiguousarray(self.bits.T)  # cols[col] = bits[:, col]
         self.absent = np.zeros(self.P, dtype=bool)  # absent_until is not None
         self.restoring = np.zeros(self.P, dtype=bool)  # phase == RESTORING
-        self.holds = np.zeros((self.P, self.P), dtype=bool)  # [owner, holder]: owner in holder.stored
-        self.stored_count = np.zeros(self.P, dtype=int)  # len(peer.stored)
+        self.holds = np.zeros((self.P, self.P), dtype=bool)  # [owner, holder]: holder in owner.placements
+        self.stored_count = np.zeros(self.P, dtype=int)  # fragments each peer stores for others
         # uploads in flight: count per destination, and [owner, dst] (a pair
-        # never has two, since a pick excludes the pairs in flight)
+        # never has two, since a pick excludes the pairs in flight); they
+        # reserve the destination's quota slot and pair until they end
         self.incoming = np.zeros(self.P, dtype=int)
         self.receiving = np.zeros((self.P, self.P), dtype=bool)
         self.buffered: dict[int, set[int]] = {}  # owner -> buffered fragment ids on the server
@@ -456,11 +455,9 @@ class Simulation:
         self.absent[peer.idx] = until is not None
 
     def _place(self, owner_idx: int, frag: int, holder_idx: int) -> None:
-        holder = self.peers[holder_idx]
-        holder.stored[owner_idx] = frag
         self.peers[owner_idx].placements[frag] = holder_idx
         self.holds[owner_idx, holder_idx] = True
-        self.stored_count[holder_idx] = len(holder.stored)
+        self.stored_count[holder_idx] += 1
 
     def _profiles(self, holder_idxs) -> list[tuple[float, float]]:
         return [(self.peers[h].avail, self.peers[h].uplink) for h in holder_idxs]
@@ -526,36 +523,28 @@ class Simulation:
         for t in self._owned(owner, kind):
             self._drop(t)
 
-    def _reservations(self) -> tuple[np.ndarray, np.ndarray]:
-        """Snapshot of the uploads in flight: incoming fragment slots reserved
-        per destination peer, and receiving[owner, dst].  Cancelling an
-        upload does not free its reservation until the next snapshot."""
-        return self.incoming.copy(), self.receiving.copy()
-
-    def _eligible_targets(self, owner_idx: int, col: int, incoming, receiving) -> np.ndarray:
+    def _eligible_targets(self, owner_idx: int, col: int) -> np.ndarray:
         """Online peers, other than the owner, that hold none of its fragments,
         receive none from it and have a free quota slot; in index order."""
-        ok = self._online(col) & ~self.holds[owner_idx] & ~receiving[owner_idx]
-        ok &= self.stored_count + incoming < self.capacity_slots
+        ok = self._online(col) & ~self.holds[owner_idx] & ~self.receiving[owner_idx]
+        ok &= self.stored_count + self.incoming < self.capacity_slots
         ok[owner_idx] = False
         return np.flatnonzero(ok)
 
-    def _open_uploads(self, owner: _Peer, kind: str, src: int, col: int, incoming, receiving, count: int) -> None:
+    def _open_uploads(self, owner: _Peer, kind: str, src: int, col: int, count: int) -> None:
         """Open up to count uploads of new fragments from src, each to a peer
-        drawn uniformly from the eligible targets, and reserve their slots."""
+        drawn uniformly from the eligible targets."""
         if count <= 0:
             return
         # reserving dst makes only dst ineligible, so each later draw is from
         # the same list less the peers already drawn
-        targets = self._eligible_targets(owner.idx, col, incoming, receiving).tolist()
+        targets = self._eligible_targets(owner.idx, col).tolist()
         for _ in range(count):
             if not targets:
                 break
             dst = targets.pop(int(self.rng.integers(len(targets))))
             self._new_transfer(kind, src, dst, owner.idx, owner.next_frag)
             owner.next_frag += 1
-            incoming[dst] += 1
-            receiving[owner.idx, dst] = True
 
     def _lost_if_unreachable(self, owner: _Peer) -> bool:
         """Mark the owner lost when fewer than k of its fragments are
@@ -585,9 +574,9 @@ class Simulation:
             self._set_absent(peer, now + float(self.rng.exponential(config.delay_mean_days * SECONDS_PER_DAY)))
         # fragments this peer stored for others are destroyed; detection is
         # immediate and global, so owners see the drop at once
-        for owner_idx, frag in peer.stored.items():
-            self.peers[owner_idx].placements.pop(frag, None)
-        peer.stored = {}
+        for owner_idx in np.flatnonzero(self.holds[:, idx]):
+            owner = self.peers[owner_idx]
+            owner.placements = {f: h for f, h in owner.placements.items() if h != idx}
         self.holds[:, idx] = False
         self.stored_count[idx] = 0
 
@@ -625,10 +614,7 @@ class Simulation:
             self._begin_restore(peer, slot_idx)
 
     def _mark_lost(self, owner: _Peer) -> None:
-        for holder_idx in owner.placements.values():
-            holder = self.peers[holder_idx]
-            holder.stored.pop(owner.idx, None)
-            self.stored_count[holder_idx] = len(holder.stored)
+        self.stored_count[self.holds[owner.idx]] -= 1
         owner.placements = {}
         self.holds[owner.idx] = False
         owner.downloaded = set()
@@ -707,11 +693,9 @@ class Simulation:
             self._cancel(owner.idx, "repair_out")
             return
         active = len(self._owned(owner.idx, "repair_out"))
-        incoming, receiving = self._reservations()
-        self._open_uploads(owner, "repair_out", SERVER, slot_idx, incoming, receiving,
-                           self.config.backup_parallelism - active)
+        self._open_uploads(owner, "repair_out", SERVER, slot_idx, self.config.backup_parallelism - active)
 
-    def maintenance_step(self, owner: _Peer, slot_idx: int, incoming, receiving) -> None:
+    def maintenance_step(self, owner: _Peer, slot_idx: int) -> None:
         """Keep upload tasks open while the policy wants more fragments placed.
 
         Serves both the initial backup (phase backing_up) and maintenance after
@@ -727,7 +711,7 @@ class Simulation:
             budget = self.fixed_n - len(owner.placements) - len(uploads)
         else:
             budget = self.config.backup_parallelism
-        self._open_uploads(owner, "backup", owner.idx, slot_idx, incoming, receiving,
+        self._open_uploads(owner, "backup", owner.idx, slot_idx,
                            min(self.config.backup_parallelism - active, budget))
 
     def _restore_step(self, owner: _Peer, slot_idx: int) -> None:
@@ -768,14 +752,13 @@ class Simulation:
                 have += 1
 
     def _step_tasks(self, slot_idx: int) -> None:
-        incoming, receiving = self._reservations()
         for owner in self.peers:
             if owner.absent_until is not None:
                 continue
             if owner.phase == RESTORING:
                 self._restore_step(owner, slot_idx)
             elif owner.phase in (BACKING_UP, COMPLETE) and self.bits[owner.idx, slot_idx]:
-                self.maintenance_step(owner, slot_idx, incoming, receiving)
+                self.maintenance_step(owner, slot_idx)
 
     def _step_allocate(self, slot_idx: int) -> None:
         online = self._online(slot_idx).tolist()

@@ -275,7 +275,7 @@ def _audit_violations(run: DeskRun) -> list[str]:
     """Byte-level invariants of one run's recorded allocation calls."""
     out = []
     s = run.sim
-    slot = s.config.slot_seconds
+    slot = s.slot
     up = np.array([p.uplink * slot for p in s.peers])
     down = np.array([p.downlink * slot for p in s.peers])
     total_sent = total_received = 0.0
@@ -301,15 +301,19 @@ def _audit_violations(run: DeskRun) -> list[str]:
 
 def _placement_violations(run: DeskRun) -> list[str]:
     out = []
-    for peer in run.sim.peers:
+    s = run.sim
+    stored = np.zeros(s.P, dtype=int)
+    for peer in s.peers:
         holders = list(peer.placements.values())
         if len(set(holders)) != len(holders):
             out.append(f"peer {peer.idx}: duplicate holder")
         if peer.idx in holders:
             out.append(f"peer {peer.idx}: stores its own fragment")
-        for frag, holder in peer.placements.items():
-            if run.sim.peers[holder].stored.get(peer.idx) != frag:
-                out.append(f"peer {peer.idx}: placement map out of sync")
+        if np.flatnonzero(s.holds[peer.idx]).tolist() != sorted(holders):
+            out.append(f"peer {peer.idx}: placement map out of sync")
+        stored[holders] += 1
+    if not np.array_equal(s.stored_count, stored):
+        out.append("stored fragment counts out of sync with the placements")
     return out
 
 

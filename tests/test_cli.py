@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line front end via main(argv)."""
 
+import argparse
 import csv
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
 from p2pbackup import cli, trace
+from p2pbackup.sim import SimConfig
 
 from conftest import make_matrix
 
@@ -245,24 +248,31 @@ def test_simulate_single_run_outputs(tmp_path, flat_cdf_file, capsys):
     assert "1 run(s) complete" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("object_size, reachable", [(2048, True), (8192, False)])
-def test_simulate_flags_unreachable_holder_target(tmp_path, flat_cdf_file, capsys, object_size, reachable):
+@pytest.mark.parametrize("overrides, warning", [
+    pytest.param({"object_size": 2048}, None, id="2048-True"),
     # k = 2 fits on the 5 other peers; k = 8 cannot
-    matrix_path, config_path = write_sim_inputs(tmp_path, flat_cdf_file, object_size=object_size)
+    pytest.param({"object_size": 8192}, ("fixed n = ", "needs more holders than the 5 other peers"),
+                 id="8192-False"),
+    # no peer can hold a fragment of 1024 bytes
+    pytest.param({"storage_quota": 512}, ("storage_quota = 512", "is below one fragment of 1024 bytes"),
+                 id="quota-512-False"),
+])
+def test_simulate_flags_unreachable_holder_target(tmp_path, flat_cdf_file, capsys, overrides, warning):
+    matrix_path, config_path = write_sim_inputs(tmp_path, flat_cdf_file, **overrides)
     out = tmp_path / "o"
     rc = cli.main(["simulate", "--matrix", str(matrix_path),
                    "--config", str(config_path), "--out-dir", str(out)])
     assert rc == 0
     err = capsys.readouterr().err
-    if reachable:
+    if warning is None:
         assert err == ""
     else:
-        assert err.startswith("warning: fixed n = ")
-        assert err.rstrip().endswith("needs more holders than the 5 other peers")
+        assert err.startswith("warning: " + warning[0])
+        assert err.rstrip().endswith(warning[1])
         assert len(err.splitlines()) == 1
     manifest = read_manifest(out)
     assert manifest["max_holders"] == 5
-    assert manifest["target_reachable"] is reachable
+    assert manifest["target_reachable"] is (warning is None)
     assert (out / "run-0" / "summary.csv").exists()
 
 
@@ -349,6 +359,35 @@ def test_simulate_rejects_audit_flag_and_key(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     assert "unknown config key 'audit'" in capsys.readouterr().err
+
+
+def test_simulate_takes_the_slot_length_from_the_trace(tmp_path, flat_cdf_file, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["simulate", "--slot-seconds", "1800", "--out-dir", str(tmp_path / "o")])
+    assert excinfo.value.code == 2
+    matrix_path, config_path = write_sim_inputs(tmp_path, flat_cdf_file, slot_seconds=1800)
+    rc = cli.main(["simulate", "--matrix", str(matrix_path),
+                   "--config", str(config_path), "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert "unknown config key 'slot_seconds'" in capsys.readouterr().err
+
+
+def simulate_flags():
+    """Option string -> dest of every simulate flag."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag: action.dest for action in commands.choices["simulate"]._actions
+            for flag in action.option_strings}
+
+
+def test_simulate_has_one_flag_per_config_field():
+    flags = simulate_flags()
+    common = {"-h", "--help", "--seed", "--out-dir", "--config", "--runs",
+              "--matrix", "--synth-peers", "--synth-slots", "--avail-low", "--avail-high"}
+    expect = {"--" + f.name.replace("_", "-"): f.name for f in fields(SimConfig) if f.name != "seed"}
+    expect["--policy"] = expect.pop("--redundancy-policy")
+    assert {flag: dest for flag, dest in flags.items() if flag not in common} == expect
+    assert flags["--seed"] == "seed"
 
 
 # -- parser-level behaviour ----------------------------------------------

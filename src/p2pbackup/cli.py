@@ -163,8 +163,6 @@ def cmd_sched_compare(args) -> int:
                 rows.append({
                     "x": x, "ratio": ratio, "candidates": candidates_n,
                     "trials": args.trials, "trials_used": 0,
-                    "mean_optimal": "", "mean_random": "", "mean_baseline": "",
-                    "mean_optimal_norm": "", "mean_random_norm": "",
                     "note": "skipped: more peers needed than the trace has",
                 })
                 continue
@@ -203,17 +201,13 @@ def cmd_sched_compare(args) -> int:
                     "mean_random_norm": repr(float(np.mean(np.array(rand_acc) / np.array(base_acc)))),
                 })
             else:
-                row.update({
-                    "mean_optimal": "", "mean_random": "", "mean_baseline": "",
-                    "mean_optimal_norm": "", "mean_random_norm": "",
-                    "note": "no feasible trials",
-                })
+                row["note"] = "no feasible trials"
             rows.append(row)
     fieldnames = ["x", "ratio", "candidates", "trials", "trials_used",
                   "mean_optimal", "mean_random", "mean_baseline",
                   "mean_optimal_norm", "mean_random_norm", "note"]
     with open(out / "sched-compare.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
         writer.writeheader()
         writer.writerows(rows)
     _write_manifest(out, {

@@ -337,7 +337,7 @@ def read_summary_csv(path) -> dict:
     return {key: _parse_cell(value) for key, value in rows[0].items()}
 
 
-def write_report_csvs(report: SimReport, out_dir, prefix: str = "") -> list:
+def write_report_csvs(report: SimReport, out_dir) -> list:
     """Write the full CSV contract into out_dir; returns the paths written."""
     from pathlib import Path
 
@@ -350,7 +350,7 @@ def write_report_csvs(report: SimReport, out_dir, prefix: str = "") -> list:
         ("server.csv", write_server_csv),
         ("summary.csv", write_summary_csv),
     ):
-        path = out / (prefix + name)
+        path = out / name
         writer(report, path)
         paths.append(path)
     return paths

@@ -98,6 +98,13 @@ class SimConfig:
             raise ValueError("bandwidth_source=file requires bandwidth_file")
         if self.backup_parallelism < 1:
             raise ValueError("backup_parallelism must be at least 1")
+        if self.storage_quota < 0:
+            raise ValueError("storage_quota must be non-negative")
+        # negated so that a nan fails too
+        if not self.bandwidth_median_kbs > 0:
+            raise ValueError("bandwidth_median_kbs must be positive")
+        if not self.bandwidth_sigma >= 0:
+            raise ValueError("bandwidth_sigma must be non-negative")
 
     @property
     def k(self) -> int:
@@ -311,7 +318,6 @@ class _Peer:
     absent_until: float | None = None
     crash_count: int = 0
     downloaded: set = field(default_factory=set)
-    restore_start_slot: int | None = None
     repair_stage: str | None = None
     ttb: float = math.nan
     ttr: float = math.nan
@@ -380,7 +386,6 @@ class Simulation:
         if matrix.num_peers < 2:
             raise ValueError("need at least 2 peers")
         self.config = config
-        self.matrix = matrix
         self.bits = matrix.bits.astype(bool)
         self.P = matrix.num_peers
         self.T = matrix.num_slots
@@ -555,11 +560,6 @@ class Simulation:
             return True
         return False
 
-    def _begin_restore(self, owner: _Peer, slot_idx: int) -> None:
-        owner.restore_start_slot = slot_idx
-        if owner.episode is not None and owner.episode.response_slot is None:
-            owner.episode.response_slot = slot_idx
-
     # -- crash handling --------------------------------------------------
 
     def on_crash(self, idx: int, now: float, slot_idx: int) -> None:
@@ -585,15 +585,13 @@ class Simulation:
             self._drop(t)
 
         had_data = peer.phase in (BACKING_UP, COMPLETE, RESTORING)
-        was_restoring = peer.phase == RESTORING
         if had_data:
             peer.downloaded = set()
-            peer.restore_start_slot = None
             peer.repair_stage = None
-            if was_restoring and peer.episode is not None:
+            if peer.phase == RESTORING:
                 # a re-crash during recovery extends the open episode
                 peer.episode.response_slot = None
-            if not was_restoring:
+            else:
                 peer.episode = CrashRecord(
                     peer=idx,
                     crash_slot=slot_idx,
@@ -611,7 +609,7 @@ class Simulation:
         peer.next_crash = base + sample_lifetime(config.mean_lifetime_days, self.rng)
 
         if peer.phase == RESTORING and peer.absent_until is None:
-            self._begin_restore(peer, slot_idx)
+            peer.episode.response_slot = slot_idx
 
     def _mark_lost(self, owner: _Peer) -> None:
         self.stored_count[self.holds[owner.idx]] -= 1
@@ -621,9 +619,8 @@ class Simulation:
         owner.repair_stage = None
         self.buffered.pop(owner.idx, None)
         self._set_phase(owner, LOST)
-        if owner.episode is not None:
-            owner.episode.outcome = "lost"
-            owner.episode = None
+        owner.episode.outcome = "lost"
+        owner.episode = None
         for t in list(self.by_owner[owner.idx].values()):
             self._drop(t)
 
@@ -641,11 +638,9 @@ class Simulation:
             if peer.absent_until <= now:
                 self._set_absent(peer, None)
                 if peer.phase == RESTORING:
-                    self._begin_restore(peer, slot_idx)
+                    peer.episode.response_slot = slot_idx
                     # injection was for the absence; the owner takes over now
                     self._cancel(peer.idx, "repair_out")
-                    if peer.repair_stage == "inject":
-                        peer.repair_stage = "done"
 
     def assisted_repair_check(self, slot_idx: int, now: float) -> None:
         """Trigger and drive server-side repair for absent owners past the
@@ -655,8 +650,6 @@ class Simulation:
         timeout = self.config.repair_timeout_days * SECONDS_PER_DAY
         for idx in np.flatnonzero(self.absent & self.restoring):
             owner = self.peers[idx]
-            if owner.episode is None:
-                continue
             crash_time = owner.episode.crash_slot * self.slot
             if now - crash_time < timeout:
                 continue
@@ -667,11 +660,11 @@ class Simulation:
                 if self._at_risk(owner):
                     owner.repair_stage = "down"
             if owner.repair_stage == "down":
-                self._drive_repair_download(owner, slot_idx)
+                self._drive_repair_download(owner)
             if owner.repair_stage == "inject":
                 self._drive_repair_injection(owner, slot_idx)
 
-    def _drive_repair_download(self, owner: _Peer, slot_idx: int) -> None:
+    def _drive_repair_download(self, owner: _Peer) -> None:
         buffered = self.buffered.setdefault(owner.idx, set())
         in_flight = {t.frag for t in self._owned(owner.idx, "repair_in")}
         needed = self.k - len(buffered) - len(in_flight)
@@ -717,7 +710,7 @@ class Simulation:
     def _restore_step(self, owner: _Peer, slot_idx: int) -> None:
         if self._lost_if_unreachable(owner):
             return
-        if owner.restore_start_slot == slot_idx and math.isnan(owner.ettr) and owner.crash_count == 1:
+        if owner.episode.response_slot == slot_idx and owner.crash_count == 1:
             owner.ettr = self._ettr(owner)
         restores = self._owned(owner.idx, "restore")
         in_flight = {t.frag for t in restores}
@@ -760,33 +753,28 @@ class Simulation:
             elif owner.phase in (BACKING_UP, COMPLETE) and self.bits[owner.idx, slot_idx]:
                 self.maintenance_step(owner, slot_idx)
 
-    def _step_allocate(self, slot_idx: int) -> None:
+    def _step_allocate(self, slot_idx: int) -> list[_Transfer]:
+        """Grant this slot's bytes; return the transfers it finished, in serial order."""
         online = self._online(slot_idx).tolist()
-        eligible = []
-        specs = []
-        for t in self.transfers.values():
-            src_ok = t.src == SERVER or online[t.src]
-            dst_ok = t.dst == SERVER or online[t.dst]
-            if src_ok and dst_ok and t.done < self.f - _EPS:
-                eligible.append(t)
-                specs.append((t.src, t.dst, self.f - t.done, t.kind == "restore"))
-        if not specs:
-            return
+        eligible = [t for t in self.transfers.values()
+                    if (t.src == SERVER or online[t.src]) and (t.dst == SERVER or online[t.dst])]
+        if not eligible:
+            return []
+        specs = [(t.src, t.dst, self.f - t.done, t.kind == "restore") for t in eligible]
         grants = allocate_slot_transfers(specs, self.up_budget, self.down_budget)
         for t, g in zip(eligible, grants):
             t.done += float(g)
+        return [t for t in eligible if t.done >= self.f - _EPS]
 
     def _record_backup_progress(self, owner: _Peer, slot_idx: int) -> None:
         if not self._needs_fragments(owner):
             if owner.phase == BACKING_UP:
                 self._set_phase(owner, COMPLETE)
-                if math.isnan(owner.ttb):
-                    owner.ttb = (slot_idx + 1) * self.slot
-                    owner.redundancy = len(owner.placements) / self.k
+                owner.ttb = (slot_idx + 1) * self.slot
+                owner.redundancy = len(owner.placements) / self.k
             self._cancel(owner.idx, "backup")
 
-    def _step_completions(self, slot_idx: int) -> None:
-        finished = [t for t in self.transfers.values() if t.done >= self.f - _EPS]
+    def _step_completions(self, slot_idx: int, finished: list[_Transfer]) -> None:
         for t in finished:
             if t.serial not in self.transfers:
                 continue  # cancelled by an earlier completion this slot
@@ -801,24 +789,20 @@ class Simulation:
             elif t.kind == "repair_in":
                 self.buffered.setdefault(t.owner, set()).add(t.frag)
                 self.in_bytes[slot_idx] += self.f
-                if len(self.buffered[t.owner]) >= self.k and owner.repair_stage == "down":
-                    owner.repair_stage = "inject"
             elif t.kind == "restore":
                 if t.src == SERVER:
                     self.out_bytes[slot_idx] += self.f
                 owner.downloaded.add(t.frag)
-                if len(owner.downloaded) >= self.k and owner.phase == RESTORING:
+                if len(owner.downloaded) >= self.k:
                     self._finish_restore(owner, slot_idx)
 
     def _finish_restore(self, owner: _Peer, slot_idx: int) -> None:
-        if owner.episode is not None:
-            owner.episode.outcome = "restored"
-            owner.episode = None
-        if math.isnan(owner.ttr) and owner.crash_count == 1 and owner.restore_start_slot is not None:
-            owner.ttr = (slot_idx - owner.restore_start_slot + 1) * self.slot
+        if owner.crash_count == 1:
+            owner.ttr = (slot_idx - owner.episode.response_slot + 1) * self.slot
+        owner.episode.outcome = "restored"
+        owner.episode = None
         self._set_phase(owner, COMPLETE if not math.isnan(owner.ttb) else BACKING_UP)
         owner.downloaded = set()
-        owner.restore_start_slot = None
         owner.repair_stage = None
         self.buffered.pop(owner.idx, None)
         self._cancel(owner.idx, "restore")
@@ -832,8 +816,7 @@ class Simulation:
             self._step_returns(slot_idx, now)
             self.assisted_repair_check(slot_idx, now)
             self._step_tasks(slot_idx)
-            self._step_allocate(slot_idx)
-            self._step_completions(slot_idx)
+            self._step_completions(slot_idx, self._step_allocate(slot_idx))
             self.buf_bytes[slot_idx] = sum(len(v) for v in self.buffered.values()) * self.f
 
         records = [

@@ -222,9 +222,10 @@ def synth_trace(
 
     Each peer draws a target availability a_i: uniformly from a (low, high)
     pair, or directly from a length-num_peers array.  Slot t is online with
-    probability a_i scaled by a sinusoidal profile with a 24-slot period
-    (peak at slot 14 of each day) and a weekend multiplier applied to days 5
-    and 6 of each 7-day week, clamped to [0, 1].  Deterministic under seed.
+    probability a_i scaled by a sinusoidal profile with a 24-hour period
+    (peak at hour 14 of each day) and a weekend multiplier applied to days 5
+    and 6 of each 7-day week, clamped to [0, 1].  Hours and days are counted
+    from slot 0 in slots of slot_seconds.  Deterministic under seed.
     """
     if num_peers <= 0 or num_slots <= 0:
         raise ValueError("num_peers and num_slots must be positive")
@@ -248,9 +249,9 @@ def synth_trace(
         raise ValueError("availability must be a (low, high) pair or a length-num_peers array")
 
     slots = np.arange(num_slots)
-    hour = slots % 24
+    hour = (slots * slot_seconds / 3600.0) % 24
     profile = 1.0 + diurnal_amplitude * np.cos(2 * np.pi * (hour - 14) / 24)
-    day = (slots // 24) % 7
+    day = (slots * slot_seconds // 86400) % 7
     profile = np.where(day >= 5, profile * weekend_factor, profile)
 
     p_online = np.clip(a_i[:, None] * profile[None, :], 0.0, 1.0)

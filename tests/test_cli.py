@@ -342,6 +342,14 @@ def test_simulate_rejects_zero_runs(tmp_path, flat_cdf_file):
                   "--out-dir", str(tmp_path / "o")])
 
 
+def test_simulate_rejects_a_negative_storage_quota(tmp_path, flat_cdf_file, capsys):
+    matrix_path, config_path = write_sim_inputs(tmp_path, flat_cdf_file)
+    rc = cli.main(["simulate", "--matrix", str(matrix_path), "--config", str(config_path),
+                   "--storage-quota", "-5", "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: storage_quota must be non-negative"]
+
+
 def test_simulate_bad_config_path_is_an_error(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", str(tmp_path / "absent.cfg"),
                    "--out-dir", str(tmp_path / "o")])

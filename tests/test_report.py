@@ -291,11 +291,11 @@ def test_round_trip_preserves_aggregates(tmp_path, small_run):
     assert rep.normalized_ratios(rebuilt) == rep.normalized_ratios(small_run)
 
 
-def test_write_report_csvs_prefix(tmp_path, small_run):
-    paths = rep.write_report_csvs(small_run, tmp_path, prefix="fixed-")
-    assert sorted(p.name for p in paths) == [
-        "fixed-crashes.csv", "fixed-peers.csv", "fixed-server.csv", "fixed-summary.csv"
-    ]
+def test_write_report_csvs_names(tmp_path, small_run):
+    paths = rep.write_report_csvs(small_run, tmp_path / "run")
+    names = ["peers.csv", "crashes.csv", "server.csv", "summary.csv"]
+    assert paths == [tmp_path / "run" / name for name in names]
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(names)
 
 
 def test_summary_round_trip(tmp_path, small_run):

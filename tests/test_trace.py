@@ -190,6 +190,14 @@ def test_synth_weekend_factor_lowers_weekend_uptime():
     assert weekend < weekday - 0.1
 
 
+def test_synth_day_follows_the_slot_length():
+    # 48 half-hour slots a day: days 5 and 6 are slots 240-335, not 120-167
+    m = trace.synth_trace(4, 336, availability=(0.9, 0.9), weekend_factor=0.0, slot_seconds=1800, seed=3)
+    assert not m.bits[:, 240:].any()
+    assert m.bits[:, :240].mean() > 0.8
+    assert m.bits[:, 120:168].mean() > 0.8
+
+
 def test_synth_pair_means_range_even_when_peers_is_two():
     # A length-2 availability is always read as a (low, high) range.
     m = trace.synth_trace(2, 50, availability=[1.0, 1.0], seed=0)

@@ -37,10 +37,8 @@ from .trace import AvailabilityMatrix
 
 SERVER = -1  # pseudo peer index for the cloud server
 
-BACKING_UP = "backing_up"
-COMPLETE = "complete"
-RESTORING = "restoring"
-LOST = "lost"
+# peer phase codes, held in Simulation.phase
+BACKING_UP, COMPLETE, RESTORING, LOST = range(4)
 
 IMMEDIATE = "immediate"
 DELAYED = "delayed"
@@ -52,6 +50,7 @@ ADAPTIVE = "adaptive"
 UPLOADS = ("backup", "repair_out")  # transfers that place a fragment on a peer
 
 _EPS = 1e-3  # bytes; transfer demands are in the 1e8 range
+_MAY_BE_INF = ("mean_lifetime_days", "ttr_floor_days")  # SimConfig fields where inf means "never"
 
 
 @dataclass(frozen=True)
@@ -80,6 +79,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and (math.isnan(value) or math.isinf(value) and f.name not in _MAY_BE_INF):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.object_size <= 0 or self.fragment_size <= 0:
             raise ValueError("object_size and fragment_size must be positive")
         if self.object_size % self.fragment_size:
@@ -131,12 +134,10 @@ class SimConfig:
         for key, value in dict(mapping).items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            if isinstance(value, str):
-                kind = known[key]
-                if kind == "int":
-                    value = int(float(value))
-                elif kind == "float":
-                    value = float(value)
+            if isinstance(value, str) and known[key] in ("int", "float"):
+                value = float(value)
+                if known[key] == "int" and math.isfinite(value):
+                    value = int(value)  # __post_init__ names a non-finite one
             kwargs[key] = value
         return cls(**kwargs)
 
@@ -172,7 +173,7 @@ def sample_lifetime(mean_days: float, rng) -> float:
 
 def read_bandwidth_cdf(path) -> tuple[np.ndarray, np.ndarray]:
     """Read `quantile,uplink_bytes_per_sec` CSV rows; quantiles must be
-    strictly increasing within [0, 1]."""
+    strictly increasing within [0, 1], and uplinks finite and non-negative."""
     quantiles, values = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -184,6 +185,8 @@ def read_bandwidth_cdf(path) -> tuple[np.ndarray, np.ndarray]:
                 q, v = float(q_text), float(v_text)
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: bad CDF row {text!r}") from None
+            if not (math.isfinite(q) and math.isfinite(v) and v >= 0):
+                raise ValueError(f"{path}: line {lineno}: CDF row {text!r} needs a finite quantile and uplink >= 0")
             quantiles.append(q)
             values.append(v)
     if not quantiles:
@@ -311,11 +314,8 @@ class _Peer:
     avail: float  # long-run trace availability, used in holder profiles
     min_ttb: float  # ideal seconds, inf if the trace row cannot carry the object
     min_ttr: float
-    phase: str = BACKING_UP
     placements: dict = field(default_factory=dict)  # own fragment id -> holder idx
     next_frag: int = 0
-    next_crash: float = math.inf
-    absent_until: float | None = None
     crash_count: int = 0
     downloaded: set = field(default_factory=set)
     repair_stage: str | None = None
@@ -324,7 +324,7 @@ class _Peer:
     ettr: float = math.nan
     redundancy: float = math.nan
     episode: "CrashRecord | None" = None
-    stop_memo: tuple[frozenset, bool] | None = None  # (holder set, needs fragments)
+    needs: bool | None = None  # adaptive stopping decision; None once placements change
 
 
 @dataclass
@@ -415,8 +415,7 @@ class Simulation:
             )
             for i in range(self.P)
         ]
-        for peer in self.peers:
-            peer.next_crash = sample_lifetime(config.mean_lifetime_days, self.rng)
+        self.next_crash = np.array([sample_lifetime(config.mean_lifetime_days, self.rng) for _ in range(self.P)])
         # per-peer byte budgets of one slot; allocate_slot_transfers copies them
         self.up_budget = np.array([p.uplink * self.slot for p in self.peers])
         self.down_budget = np.array([p.downlink * self.slot for p in self.peers])
@@ -426,10 +425,10 @@ class Simulation:
         self.transfers: dict[int, _Transfer] = {}
         self.by_owner: list[dict[int, _Transfer]] = [{} for _ in range(self.P)]
         self._serial = 0
-        # vectors over peers, written wherever the peer fields they mirror are
+        # vectors over peers; phase, back_at and next_crash are the only copy
         self.cols = np.ascontiguousarray(self.bits.T)  # cols[col] = bits[:, col]
-        self.absent = np.zeros(self.P, dtype=bool)  # absent_until is not None
-        self.restoring = np.zeros(self.P, dtype=bool)  # phase == RESTORING
+        self.phase = np.full(self.P, BACKING_UP, dtype=np.int8)
+        self.back_at = np.full(self.P, math.inf)  # return time of an absent peer, inf while present
         self.holds = np.zeros((self.P, self.P), dtype=bool)  # [owner, holder]: holder in owner.placements
         self.stored_count = np.zeros(self.P, dtype=int)  # fragments each peer stores for others
         # uploads in flight: count per destination, and [owner, dst] (a pair
@@ -449,18 +448,12 @@ class Simulation:
         """Per-peer online flags in slot col: present, and either restoring
         (victims remain online for the duration of restore) or up in the
         trace."""
-        return ~self.absent & (self.restoring | self.cols[col])
-
-    def _set_phase(self, peer: _Peer, phase: str) -> None:
-        peer.phase = phase
-        self.restoring[peer.idx] = phase == RESTORING
-
-    def _set_absent(self, peer: _Peer, until: float | None) -> None:
-        peer.absent_until = until
-        self.absent[peer.idx] = until is not None
+        return (self.back_at == math.inf) & ((self.phase == RESTORING) | self.cols[col])
 
     def _place(self, owner_idx: int, frag: int, holder_idx: int) -> None:
-        self.peers[owner_idx].placements[frag] = holder_idx
+        owner = self.peers[owner_idx]
+        owner.placements[frag] = holder_idx
+        owner.needs = None
         self.holds[owner_idx, holder_idx] = True
         self.stored_count[holder_idx] += 1
 
@@ -486,24 +479,19 @@ class Simulation:
         """True while the owner's policy wants more fragments placed.
 
         Crash detection is immediate and global, so the owner's view of its
-        placements is exact.  The adaptive stopping rule is re-evaluated only
-        when the owner's holder set differs from the one it last decided on.
-        That is exact: its other inputs (o, the owner's downlink and minTTR, k,
-        the thresholds) and every holder's (availability, uplink) profile are
-        fixed for the run, and backup_complete reads the holders only as a
-        multiset (a count, a sort, a median), which for distinct holders is
-        the set.
+        placements is exact.  The adaptive decision is kept in owner.needs
+        until _place, on_crash or _mark_lost changes the placements.  That is
+        exact: its other inputs (o, the owner's downlink and minTTR, k, the
+        thresholds, each holder's availability and uplink) are run constants.
         """
         if self.config.redundancy_policy == FIXED:
             return len(owner.placements) < self.fixed_n
-        holders = frozenset(owner.placements.values())
-        if owner.stop_memo is None or owner.stop_memo[0] != holders:
-            complete = backup_complete(
+        if owner.needs is None:
+            owner.needs = not backup_complete(
                 self.o, owner.downlink, owner.min_ttr, self._profiles(owner.placements.values()),
                 self.k, self.thresholds,
             )
-            owner.stop_memo = (holders, not complete)
-        return owner.stop_memo[1]
+        return owner.needs
 
     def _new_transfer(self, kind, src, dst, owner, frag) -> None:
         self._serial += 1
@@ -570,13 +558,16 @@ class Simulation:
         peer.crash_count += 1
         config = self.config
 
+        back = now  # when the peer is back; its lifetime restarts there
         if config.response != IMMEDIATE:
-            self._set_absent(peer, now + float(self.rng.exponential(config.delay_mean_days * SECONDS_PER_DAY)))
+            delay = float(self.rng.exponential(config.delay_mean_days * SECONDS_PER_DAY))
+            back = self.back_at[idx] = min(now + delay, np.finfo(float).max)  # inf would read as present
         # fragments this peer stored for others are destroyed; detection is
         # immediate and global, so owners see the drop at once
         for owner_idx in np.flatnonzero(self.holds[:, idx]):
             owner = self.peers[owner_idx]
             owner.placements = {f: h for f, h in owner.placements.items() if h != idx}
+            owner.needs = None
         self.holds[:, idx] = False
         self.stored_count[idx] = 0
 
@@ -584,11 +575,11 @@ class Simulation:
         for t in [t for t in self.transfers.values() if idx in (t.src, t.dst)]:
             self._drop(t)
 
-        had_data = peer.phase in (BACKING_UP, COMPLETE, RESTORING)
-        if had_data:
+        phase = int(self.phase[idx])
+        if phase != LOST:
             peer.downloaded = set()
             peer.repair_stage = None
-            if peer.phase == RESTORING:
+            if phase == RESTORING:
                 # a re-crash during recovery extends the open episode
                 peer.episode.response_slot = None
             else:
@@ -597,18 +588,17 @@ class Simulation:
                     crash_slot=slot_idx,
                     response_slot=None,
                     outcome="pending",
-                    unfinished=peer.phase != COMPLETE,
+                    unfinished=phase != COMPLETE,
                     unavoidable=now < peer.min_ttb,
                 )
                 self.crashes.append(peer.episode)
             if not self._lost_if_unreachable(peer):
-                self._set_phase(peer, RESTORING)
+                self.phase[idx] = RESTORING
 
         # lifetime is memoryless: restart at crash (immediate) or at return
-        base = now if peer.absent_until is None else peer.absent_until
-        peer.next_crash = base + sample_lifetime(config.mean_lifetime_days, self.rng)
+        self.next_crash[idx] = back + sample_lifetime(config.mean_lifetime_days, self.rng)
 
-        if peer.phase == RESTORING and peer.absent_until is None:
+        if self.phase[idx] == RESTORING and self.back_at[idx] == math.inf:
             peer.episode.response_slot = slot_idx
 
     def _mark_lost(self, owner: _Peer) -> None:
@@ -617,8 +607,9 @@ class Simulation:
         self.holds[owner.idx] = False
         owner.downloaded = set()
         owner.repair_stage = None
+        owner.needs = None
         self.buffered.pop(owner.idx, None)
-        self._set_phase(owner, LOST)
+        self.phase[owner.idx] = LOST
         owner.episode.outcome = "lost"
         owner.episode = None
         for t in list(self.by_owner[owner.idx].values()):
@@ -627,20 +618,17 @@ class Simulation:
     # -- per-slot steps --------------------------------------------------
 
     def _step_crashes(self, slot_idx: int, now: float) -> None:
-        slot_end = now + self.slot
-        for idx in range(self.P):
-            if self.peers[idx].next_crash < slot_end and self.peers[idx].absent_until is None:
-                self.on_crash(idx, now, slot_idx)
+        # one mask suffices: on_crash(i) writes only peer i's crash and return times
+        for idx in np.flatnonzero((self.next_crash < now + self.slot) & (self.back_at == math.inf)).tolist():
+            self.on_crash(idx, now, slot_idx)
 
     def _step_returns(self, slot_idx: int, now: float) -> None:
-        for idx in np.flatnonzero(self.absent):
-            peer = self.peers[idx]
-            if peer.absent_until <= now:
-                self._set_absent(peer, None)
-                if peer.phase == RESTORING:
-                    peer.episode.response_slot = slot_idx
-                    # injection was for the absence; the owner takes over now
-                    self._cancel(peer.idx, "repair_out")
+        for idx in np.flatnonzero(self.back_at <= now).tolist():
+            self.back_at[idx] = math.inf
+            if self.phase[idx] == RESTORING:
+                self.peers[idx].episode.response_slot = slot_idx
+                # injection was for the absence; the owner takes over now
+                self._cancel(idx, "repair_out")
 
     def assisted_repair_check(self, slot_idx: int, now: float) -> None:
         """Trigger and drive server-side repair for absent owners past the
@@ -648,7 +636,7 @@ class Simulation:
         if self.config.response != DELAYED_ASSISTED:
             return
         timeout = self.config.repair_timeout_days * SECONDS_PER_DAY
-        for idx in np.flatnonzero(self.absent & self.restoring):
+        for idx in np.flatnonzero((self.back_at != math.inf) & (self.phase == RESTORING)):
             owner = self.peers[idx]
             crash_time = owner.episode.crash_slot * self.slot
             if now - crash_time < timeout:
@@ -698,12 +686,14 @@ class Simulation:
         if not self._needs_fragments(owner):
             return
         uploads = self._owned(owner.idx, "backup")
-        online = self._online(slot_idx)
-        active = sum(1 for t in uploads if online[t.dst])
         if self.config.redundancy_policy == FIXED:
             budget = self.fixed_n - len(owner.placements) - len(uploads)
+            if budget <= 0:
+                return  # _open_uploads would draw nothing
         else:
             budget = self.config.backup_parallelism
+        online = self._online(slot_idx)
+        active = sum(1 for t in uploads if online[t.dst])
         self._open_uploads(owner, "backup", owner.idx, slot_idx,
                            min(self.config.backup_parallelism - active, budget))
 
@@ -745,13 +735,13 @@ class Simulation:
                 have += 1
 
     def _step_tasks(self, slot_idx: int) -> None:
-        for owner in self.peers:
-            if owner.absent_until is not None:
-                continue
-            if owner.phase == RESTORING:
-                self._restore_step(owner, slot_idx)
-            elif owner.phase in (BACKING_UP, COMPLETE) and self.bits[owner.idx, slot_idx]:
-                self.maintenance_step(owner, slot_idx)
+        # a peer's step changes no other peer's phase or absence
+        phase, in_trace = self.phase.tolist(), self.cols[slot_idx].tolist()
+        for idx in np.flatnonzero(self.back_at == math.inf).tolist():
+            if phase[idx] == RESTORING:
+                self._restore_step(self.peers[idx], slot_idx)
+            elif phase[idx] != LOST and in_trace[idx]:
+                self.maintenance_step(self.peers[idx], slot_idx)
 
     def _step_allocate(self, slot_idx: int) -> list[_Transfer]:
         """Grant this slot's bytes; return the transfers it finished, in serial order."""
@@ -768,8 +758,8 @@ class Simulation:
 
     def _record_backup_progress(self, owner: _Peer, slot_idx: int) -> None:
         if not self._needs_fragments(owner):
-            if owner.phase == BACKING_UP:
-                self._set_phase(owner, COMPLETE)
+            if self.phase[owner.idx] == BACKING_UP:
+                self.phase[owner.idx] = COMPLETE
                 owner.ttb = (slot_idx + 1) * self.slot
                 owner.redundancy = len(owner.placements) / self.k
             self._cancel(owner.idx, "backup")
@@ -801,7 +791,7 @@ class Simulation:
             owner.ttr = (slot_idx - owner.episode.response_slot + 1) * self.slot
         owner.episode.outcome = "restored"
         owner.episode = None
-        self._set_phase(owner, COMPLETE if not math.isnan(owner.ttb) else BACKING_UP)
+        self.phase[owner.idx] = COMPLETE if not math.isnan(owner.ttb) else BACKING_UP
         owner.downloaded = set()
         owner.repair_stage = None
         self.buffered.pop(owner.idx, None)

@@ -99,6 +99,8 @@ def parse_events(lines) -> tuple[list[AvailabilityEvent], list[str]]:
             timestamp = float(ts_text)
         except ValueError:
             raise TraceFormatError(f"line {lineno}: bad timestamp {ts_text!r}") from None
+        if not math.isfinite(timestamp):
+            raise TraceFormatError(f"line {lineno}: non-finite timestamp {ts_text}")
         if timestamp < 0:
             raise TraceFormatError(f"line {lineno}: negative timestamp {ts_text}")
         raw.append(AvailabilityEvent(peer_id, timestamp, kind))

@@ -99,6 +99,15 @@ def test_trace_stats_from_event_file(tmp_path):
     assert [float(r["availability"]) for r in rows] == [0.5, 1.0]
 
 
+@pytest.mark.parametrize("stamp", ["nan", "inf"])
+def test_trace_stats_rejects_a_non_finite_timestamp(tmp_path, capsys, stamp):
+    src = tmp_path / "events.csv"
+    src.write_text(f"p1,0,login\np1,{stamp},logoff\n")
+    rc = cli.main(["trace-stats", "--events", str(src), "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: line 2: non-finite timestamp {stamp}")
+
+
 def test_trace_stats_requires_a_source(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["trace-stats", "--out-dir", str(tmp_path / "o")])
@@ -274,6 +283,14 @@ def test_simulate_flags_unreachable_holder_target(tmp_path, flat_cdf_file, capsy
     assert manifest["max_holders"] == 5
     assert manifest["target_reachable"] is (warning is None)
     assert (out / "run-0" / "summary.csv").exists()
+
+
+def test_simulate_rejects_a_non_finite_integer_config_value(tmp_path, flat_cdf_file, capsys):
+    matrix_path, config_path = write_sim_inputs(tmp_path, flat_cdf_file, storage_quota="inf")
+    rc = cli.main(["simulate", "--matrix", str(matrix_path),
+                   "--config", str(config_path), "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: storage_quota must be finite, got inf")
 
 
 def test_simulate_same_seed_byte_identical(tmp_path, flat_cdf_file):

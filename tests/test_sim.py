@@ -1,6 +1,6 @@
 import math
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -82,8 +82,23 @@ def test_config_validation():
                        ("bandwidth_sigma", -1.0), ("bandwidth_sigma", math.nan)):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SimConfig(**{field: bad})
-    # the bounds themselves are allowed: no quota, and one bandwidth for all
+    # a nan passes any bound check, so each float field rejects it by name,
+    # and inf too, except where it means "never"
+    for f in fields(SimConfig):
+        if f.type == "float":
+            with pytest.raises(ValueError, match=f"^{f.name} must be finite, got nan"):
+                SimConfig(**{f.name: math.nan})
+    for field in ("w_days", "ttr_factor", "delay_mean_days", "repair_timeout_days", "storage_quota"):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got inf"):
+            SimConfig(**{field: math.inf})
+    for text in ("inf", "nan", "-inf"):
+        with pytest.raises(ValueError, match="^storage_quota must be finite"):
+            SimConfig.from_mapping({"storage_quota": text})
+    # the bounds themselves are allowed: no quota, one bandwidth for all, no
+    # crashes and no TTR rule
     assert SimConfig(storage_quota=0, bandwidth_sigma=0.0).storage_quota == 0
+    never = SimConfig.from_mapping({"mean_lifetime_days": "inf", "ttr_floor_days": "inf"})
+    assert never.mean_lifetime_days == never.ttr_floor_days == math.inf
 
 
 def test_load_config_file(tmp_path):
@@ -164,6 +179,15 @@ def test_bandwidth_cdf_rejects_bad_tables(tmp_path):
     bad_row.write_text("0.5;100\n")
     with pytest.raises(ValueError):
         psim.read_bandwidth_cdf(bad_row)
+    # a nan would slip past the order check and reach the byte budgets, and a
+    # negative uplink would be clamped silently
+    for row in ("nan,100", "0.75,nan", "0.75,inf", "inf,100", "0.75,-5"):
+        path = tmp_path / "e.csv"
+        path.write_text(f"0.5,100\n{row}\n")
+        with pytest.raises(ValueError, match=f"e.csv: line 2: CDF row '{row}'"):
+            psim.read_bandwidth_cdf(path)
+    path.write_text("0,0\n1,100\n")  # a zero uplink stays legal
+    assert psim.read_bandwidth_cdf(path)[1].tolist() == [0.0, 100.0]
 
 
 def test_bandwidth_cdf_allows_header_and_comments(tmp_path):
@@ -417,7 +441,7 @@ def place(simulation, owner_idx, holders):
     for frag, holder in enumerate(holders):
         simulation._place(owner_idx, frag, holder)
     owner.next_frag = len(holders)
-    simulation._set_phase(owner, psim.COMPLETE)
+    simulation.phase[owner_idx] = psim.COMPLETE
     owner.ttb = simulation.slot
 
 
@@ -432,15 +456,14 @@ def test_holder_crash_erases_stored_fragments(flat_cdf_file):
     record = s.crashes[-1]
     assert record.peer == 1 and record.outcome == "lost"
     assert record.unfinished and record.unavoidable
-    assert s.peers[1].phase == psim.LOST
+    assert s.phase[1] == psim.LOST
 
 
 def test_owner_crash_with_enough_holders_restores(flat_cdf_file):
     s = prepared_sim(flat_cdf_file)
     place(s, 0, [1, 2, 3, 4])
     s.on_crash(0, now=7200.0, slot_idx=2)
-    owner = s.peers[0]
-    assert owner.phase == psim.RESTORING
+    assert s.phase[0] == psim.RESTORING
     record = s.crashes[-1]
     assert not record.unfinished
     assert record.response_slot == 2
@@ -453,9 +476,8 @@ def test_owner_crash_below_k_reachable_is_lost(flat_cdf_file):
     for holder in (1, 2):
         s.on_crash(holder, now=0.0, slot_idx=0)
     s.on_crash(0, now=3600.0, slot_idx=1)
-    owner = s.peers[0]
-    assert owner.phase == psim.LOST
-    assert owner.placements == {}
+    assert s.phase[0] == psim.LOST
+    assert s.peers[0].placements == {}
     assert s.crashes[-1].outcome == "lost"
 
 
@@ -466,10 +488,10 @@ def test_crash_and_loss_keep_indexes(flat_cdf_file):
     assert s.holds[0, [1, 2, 3, 4]].all() and s.stored_count.tolist() == [1, 2, 2, 2, 1, 0]
     s.on_crash(1, now=0.0, slot_idx=0)  # holder of both owners, gone for a while
     assert index_violations(s, 0) == []
-    assert not s.holds[:, 1].any() and s.absent[1]
+    assert not s.holds[:, 1].any() and s.back_at[1] < math.inf
     s.on_crash(2, now=0.0, slot_idx=0)
     s.on_crash(0, now=3600.0, slot_idx=1)  # 2 of k=4 left: lost, releasing its holders
-    assert s.peers[0].phase == psim.LOST
+    assert s.phase[0] == psim.LOST
     assert index_violations(s, 1) == []
     assert not s.holds[0].any() and s.stored_count.tolist() == [0, 0, 0, 1, 0, 0]
 
@@ -484,19 +506,27 @@ def test_unavoidable_flag_set_before_min_ttb(flat_cdf_file):
 
 def test_crash_redraws_lifetime(flat_cdf_file):
     s = prepared_sim(flat_cdf_file, mean_lifetime_days=5.0)
-    before = s.peers[3].next_crash
+    before = s.next_crash[3]
     s.on_crash(3, now=before, slot_idx=0)
-    assert s.peers[3].next_crash > before
+    assert s.next_crash[3] > before
 
 
 def test_delayed_response_schedules_return(flat_cdf_file):
     s = prepared_sim(flat_cdf_file, response="delayed", delay_mean_days=3.0)
     place(s, 0, [1, 2, 3, 4])
     s.on_crash(0, now=0.0, slot_idx=0)
-    owner = s.peers[0]
-    assert owner.absent_until is not None and owner.absent_until > 0.0
+    assert 0.0 < s.back_at[0] < math.inf
     assert s.crashes[-1].response_slot is None
     assert not s._online(0)[0]
+
+
+def test_a_return_past_the_largest_float_stays_absent(flat_cdf_file):
+    # the delay draw overflows to inf, which back_at would read as present
+    s = prepared_sim(flat_cdf_file, response="delayed", delay_mean_days=1e306)
+    place(s, 0, [1, 2, 3, 4])
+    s.on_crash(0, now=0.0, slot_idx=0)
+    assert s.back_at[0] < math.inf and not s._online(0)[0]
+    assert s.crashes[-1].response_slot is None
 
 
 # ------------------------------------------------- end-to-end crash dynamics
@@ -805,18 +835,13 @@ def index_violations(simulation, col):
     if s.incoming.tolist() != incoming or set(zip(*np.nonzero(s.receiving))) != receiving:
         found.append("upload reservations differ from the uploads in flight")
     for t in s.transfers.values():
-        owner = s.peers[t.owner]
-        present, restoring = owner.absent_until is None, owner.phase == psim.RESTORING
+        present, restoring = s.back_at[t.owner] == math.inf, s.phase[t.owner] == psim.RESTORING
         if (t.kind == "backup" and restoring or t.kind == "repair_out" and present
                 or t.kind == "restore" and not (present and restoring)):
             where = "present" if present else "absent"
-            found.append(f"{where} {owner.phase} owner {t.owner} has {t.kind} transfer {t.serial} in flight")
+            found.append(f"{where} phase {s.phase[t.owner]} owner {t.owner} has {t.kind} transfer {t.serial} in flight")
     found += episode_violations(s)
-    absent = [p.absent_until is not None for p in s.peers]
-    restoring = [p.phase == psim.RESTORING for p in s.peers]
-    if s.absent.tolist() != absent or s.restoring.tolist() != restoring:
-        found.append("absent or restoring flags differ from the peers' fields")
-    online = [p.absent_until is None and (p.phase == psim.RESTORING or bool(s.bits[p.idx, col])) for p in s.peers]
+    online = [s.back_at[i] == math.inf and (s.phase[i] == psim.RESTORING or bool(s.bits[i, col])) for i in range(s.P)]
     if s._online(col).tolist() != online:
         found.append(f"online flags {s._online(col).tolist()} != {online}")
     return found
@@ -830,16 +855,17 @@ def episode_violations(simulation):
     pending records of the run are exactly the open episodes."""
     found = []
     for p in simulation.peers:
-        restoring, episode = p.phase == psim.RESTORING, p.episode
+        phase, back_at, episode = simulation.phase[p.idx], simulation.back_at[p.idx], p.episode
+        restoring = phase == psim.RESTORING
         if restoring != (episode is not None):
-            found.append(f"{p.phase} peer {p.idx} has episode {episode}")
+            found.append(f"phase {phase} peer {p.idx} has episode {episode}")
         elif episode is not None:
             if episode.outcome != "pending" or episode.peer != p.idx:
                 found.append(f"peer {p.idx} has open episode {episode}")
-            if (episode.response_slot is None) != (p.absent_until is not None):
-                found.append(f"peer {p.idx} absent until {p.absent_until} has response slot {episode.response_slot}")
+            if (episode.response_slot is None) != (back_at != math.inf):
+                found.append(f"peer {p.idx} back at {back_at} has response slot {episode.response_slot}")
         if not restoring and (p.downloaded or p.repair_stage is not None):
-            found.append(f"{p.phase} peer {p.idx} has downloaded {sorted(p.downloaded)}, stage {p.repair_stage}")
+            found.append(f"phase {phase} peer {p.idx} has downloaded {sorted(p.downloaded)}, stage {p.repair_stage}")
     pending = [id(c) for c in simulation.crashes if c.outcome == "pending"]
     if sorted(pending) != sorted(id(p.episode) for p in simulation.peers if p.episode is not None):
         found.append("pending crash records differ from the open episodes")
@@ -864,18 +890,29 @@ class IndexCheckSimulation(Simulation):
 
     The simulator reads its upload reservations live.  That is exact only if
     no upload ends while the task step opens new ones, so within that step
-    incoming must never decrease and receiving never lose a True.  Also
-    notes each slot in which an owner returns with a repair upload in
+    incoming must never decrease and receiving never lose a True.  A kept
+    stopping decision must have been made on the owner's current holders.
+    Also notes each slot in which an owner returns with a repair upload in
     flight, the case the return step must cancel."""
 
     def __init__(self, config, matrix):
         super().__init__(config, matrix)
         self.reserved = None  # last seen (incoming, receiving) in the task step
+        self.decided = {}  # owner -> the holders its last fresh stopping decision read
         self.returns_mid_repair = []
 
     def _check(self, phase, slot_idx):
         found = index_violations(self, slot_idx)
+        found += [f"peer {p.idx} keeps a stopping decision made on holders {self.decided[p.idx]}"
+                  for p in self.peers if p.needs is not None and self.decided[p.idx] != sorted(p.placements.values())]
         assert not found, f"slot {slot_idx}, after {phase}: {found[:3]}"
+
+    def _needs_fragments(self, owner):
+        fresh = owner.needs is None
+        needs = super()._needs_fragments(owner)
+        if fresh:
+            self.decided[owner.idx] = sorted(owner.placements.values())
+        return needs
 
     def _check_reservations_kept(self, slot_idx):
         incoming, receiving = self.reserved
@@ -891,10 +928,10 @@ class IndexCheckSimulation(Simulation):
         incoming, receiving = uploads_in_flight(self)
         holders = set(self.peers[owner_idx].placements.values())
         expect = [
-            i for i, peer in enumerate(self.peers)
+            i for i in range(self.P)
             if i != owner_idx
-            and peer.absent_until is None
-            and (peer.phase == psim.RESTORING or self.bits[i, col])
+            and self.back_at[i] == math.inf
+            and (self.phase[i] == psim.RESTORING or self.bits[i, col])
             and i not in holders
             and (owner_idx, i) not in receiving
             and stored[i] + incoming[i] < self.capacity_slots
@@ -907,9 +944,9 @@ class IndexCheckSimulation(Simulation):
         self._check("crashes", slot_idx)
 
     def _step_returns(self, slot_idx, now):
-        for peer in self.peers:
-            if peer.absent_until is not None and peer.absent_until <= now and any(
-                t.owner == peer.idx and t.kind == "repair_out" for t in self.transfers.values()
+        for i in range(self.P):
+            if self.back_at[i] <= now and any(
+                t.owner == i and t.kind == "repair_out" for t in self.transfers.values()
             ):
                 self.returns_mid_repair.append(slot_idx)
         super()._step_returns(slot_idx, now)
@@ -1093,14 +1130,19 @@ def test_cached_stopping_rule_matches_uncached(spread_cdf_file, monkeypatch, par
 def test_stopping_rule_follows_a_holder_swap(flat_cdf_file):
     # Swapping a holder for a nearly always offline one keeps the holder count
     # but pushes eTTR past the one-day cap, so the decision must be redone.
+    # Each swap is a holder crash followed by a placement, as in a run.
     s = prepared_sim(flat_cdf_file, redundancy_policy="adaptive")
     s.peers[5].avail = 0.001
     place(s, 0, [1, 2, 3, 4])
     owner = s.peers[0]
     assert not s._needs_fragments(owner)
-    owner.placements[3] = 5
+    s.on_crash(4, now=0.0, slot_idx=0)
+    assert s._needs_fragments(owner)  # three holders, below k
+    s._place(0, 3, 5)
     assert s._needs_fragments(owner)
-    owner.placements[3] = 4
+    s.on_crash(5, now=0.0, slot_idx=0)
+    assert s._needs_fragments(owner)
+    s._place(0, 3, 4)
     assert not s._needs_fragments(owner)
 
 
@@ -1136,7 +1178,7 @@ class StaleBufferSimulation(Simulation):
 
     def _step_completions(self, slot_idx, finished):
         super()._step_completions(slot_idx, finished)
-        self.stale += [(slot_idx, o) for o in self.buffered if self.peers[o].phase != psim.RESTORING]
+        self.stale += [(slot_idx, o) for o in self.buffered if self.phase[o] != psim.RESTORING]
 
 
 @pytest.mark.xfail(strict=True, reason="_finish_restore cancels only restore transfers, so repair_in downloads "

@@ -43,7 +43,7 @@ def test_parse_leading_logoff_synthesizes_epoch_login():
 
 @pytest.mark.parametrize(
     "line",
-    ["p1,0", "p1,0,login,extra", "p1,zero,login", "p1,-5,login", "p1,0,reboot"],
+    ["p1,0", "p1,0,login,extra", "p1,zero,login", "p1,-5,login", "p1,0,reboot", "p1,nan,login", "p1,inf,login"],
 )
 def test_parse_rejects_malformed_lines(line):
     with pytest.raises(trace.TraceFormatError, match="line 1"):

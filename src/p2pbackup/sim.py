@@ -47,7 +47,10 @@ DELAYED_ASSISTED = "delayed_assisted"
 FIXED = "fixed"
 ADAPTIVE = "adaptive"
 
-UPLOADS = ("backup", "repair_out")  # transfers that place a fragment on a peer
+# transfer kind codes; a dropped row is DEAD until the slot's compaction
+RESTORE, BACKUP, REPAIR_IN, REPAIR_OUT, DEAD = 0, 1, 2, 3, -1
+UPLOADS = (BACKUP, REPAIR_OUT)  # transfers that place a fragment on a peer
+KIND, SRC, DST, OWNER, FRAG, SERIAL = range(6)  # integer columns of Simulation.table
 
 _EPS = 1e-3  # bytes; transfer demands are in the 1e8 range
 _MAY_BE_INF = ("mean_lifetime_days", "ttr_floor_days")  # SimConfig fields where inf means "never"
@@ -223,11 +226,13 @@ def _waterfill(src, dst, demand, res_up, res_down) -> np.ndarray:
     Each round grants one equal increment, the smallest fair share or
     remaining demand, to every active transfer; a transfer leaves when its
     demand is met, or when a round finds its share at most _EPS (an
-    exhausted endpoint), which grants nothing.  SERVER is endpoint P with an
-    infinite budget.  The active set is kept compacted and its per-endpoint
-    counts current.  Every active transfer has been granted the same
-    increments, so a running total is each leaving transfer's grant.  The
-    floats are pinned by progressive_filling_reference in tests/oracles.py.
+    exhausted endpoint), which grants nothing.  The uplinks and downlinks
+    are one array of endpoints, each side with SERVER as an extra endpoint
+    of infinite budget, so a round takes each numpy step once for both
+    sides.  The active set is kept compacted and its per-endpoint counts
+    current.  Every active transfer has been granted the same increments, so
+    a running total is each leaving transfer's grant.  The floats are pinned
+    by progressive_filling_reference in tests/oracles.py.
     """
     num_peers = len(res_up)
     rem = np.asarray(demand, dtype=float)
@@ -240,14 +245,14 @@ def _waterfill(src, dst, demand, res_up, res_down) -> np.ndarray:
     d = np.asarray(dst)[idx]
     s[s == SERVER] = num_peers
     d[d == SERVER] = num_peers
-    up = np.append(res_up, np.inf)
-    down = np.append(res_down, np.inf)
-    up_count = np.bincount(s, minlength=num_peers + 1)
-    down_count = np.bincount(d, minlength=num_peers + 1)
+    ends = np.concatenate((s, d + num_peers + 1))  # every uplink endpoint, then every downlink one
+    budget = np.concatenate((res_up, [np.inf], res_down, [np.inf]))
+    count = np.bincount(ends, minlength=budget.size)
     total = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         while idx.size:
-            step = np.minimum(np.minimum((up / up_count)[s], (down / down_count)[d]), rem)
+            share = (budget / count)[ends]
+            step = np.minimum(np.minimum(share[:idx.size], share[idx.size:]), rem)
             lam = step.min()
             if lam <= _EPS:
                 # an endpoint is exhausted; freeze its transfers and retry
@@ -256,54 +261,36 @@ def _waterfill(src, dst, demand, res_up, res_down) -> np.ndarray:
                 total += lam
                 rem -= lam
                 # one subtraction per transfer: c·lam would round differently
-                np.subtract.at(up, s, lam)
-                np.subtract.at(down, d, lam)
-                np.maximum(up, 0.0, out=up)
-                np.maximum(down, 0.0, out=down)
+                np.subtract.at(budget, ends, lam)
+                np.maximum(budget, 0.0, out=budget)
                 keep = rem > _EPS
             if not keep.all():
-                gone = ~keep
-                alloc[idx[gone]] = total
-                up_count -= np.bincount(s[gone], minlength=num_peers + 1)
-                down_count -= np.bincount(d[gone], minlength=num_peers + 1)
-                idx, s, d, rem = idx[keep], s[keep], d[keep], rem[keep]
-    res_up[:] = up[:num_peers]
-    res_down[:] = down[:num_peers]
+                alloc[idx[~keep]] = total
+                both = np.concatenate((keep, keep))
+                count -= np.bincount(ends[~both], minlength=budget.size)
+                idx, rem, ends = idx[keep], rem[keep], ends[both]
+    res_up[:] = budget[:num_peers]
+    res_down[:] = budget[num_peers + 1:-1]
     return alloc
 
 
-def allocate_slot_transfers(transfers, up_budget, down_budget) -> np.ndarray:
+def allocate_slot_transfers(src, dst, demand, restore, up_budget, down_budget) -> np.ndarray:
     """Two-pass fluid allocation for one slot.
 
-    transfers: sequence of (src, dst, demand_bytes, is_restore) with peer
-    indices or SERVER.  Pass 1 serves restore transfers max-min fairly; pass 2
-    serves everything else (backups, including maintenance uploads, and
-    repair legs) from the residual budgets, so no byte of it moves over a
-    link whose restore demand is unmet.
-    Returns per-transfer byte grants.
+    The transfers are numpy columns, one entry each: int src and dst (peer
+    indices or SERVER), float demand in bytes and bool restore.  Pass 1
+    serves restore transfers max-min fairly; pass 2 serves everything else
+    (backups, including maintenance uploads, and repair legs) from the
+    residual budgets, so no byte of it moves over a link whose restore demand
+    is unmet.  Returns per-transfer byte grants.
     """
     res_up = np.asarray(up_budget, dtype=float).copy()
     res_down = np.asarray(down_budget, dtype=float).copy()
-    src = np.asarray([t[0] for t in transfers], dtype=int)
-    dst = np.asarray([t[1] for t in transfers], dtype=int)
-    demand = np.asarray([t[2] for t in transfers], dtype=float)
-    restore = np.asarray([bool(t[3]) for t in transfers], dtype=bool)
-    alloc = np.zeros(len(transfers))
+    alloc = np.zeros(len(src))
     for mask in (restore, ~restore):
         if np.any(mask):
             alloc[mask] = _waterfill(src[mask], dst[mask], demand[mask], res_up, res_down)
     return alloc
-
-
-@dataclass(eq=False)
-class _Transfer:
-    serial: int
-    kind: str  # restore | backup (initial or maintenance) | repair_in | repair_out
-    src: int
-    dst: int
-    owner: int
-    frag: int
-    done: float = 0.0
 
 
 @dataclass
@@ -324,7 +311,9 @@ class _Peer:
     ettr: float = math.nan
     redundancy: float = math.nan
     episode: "CrashRecord | None" = None
-    needs: bool | None = None  # adaptive stopping decision; None once placements change
+    needs: bool | None = None  # adaptive stopping decision, kept until _forget
+    at_risk: bool | None = None  # repair-risk decision, kept until _forget
+    parallel: int | None = None  # restore download parallelism l, kept until _forget
 
 
 @dataclass
@@ -420,10 +409,11 @@ class Simulation:
         self.up_budget = np.array([p.uplink * self.slot for p in self.peers])
         self.down_budget = np.array([p.downlink * self.slot for p in self.peers])
 
-        # in-flight transfers by serial (dict order is serial order), and the
-        # same transfers indexed per owner
-        self.transfers: dict[int, _Transfer] = {}
-        self.by_owner: list[dict[int, _Transfer]] = [{} for _ in range(self.P)]
+        # in-flight transfers, one row each in serial order: the KIND .. SERIAL
+        # columns of table[:, :used] and the bytes done[:used]; both grow by doubling
+        self.table = np.zeros((6, 16), dtype=np.int64)
+        self.done = np.zeros(16)
+        self.used = 0
         self._serial = 0
         # vectors over peers; phase, back_at and next_crash are the only copy
         self.cols = np.ascontiguousarray(self.bits.T)  # cols[col] = bits[:, col]
@@ -450,10 +440,15 @@ class Simulation:
         trace."""
         return (self.back_at == math.inf) & ((self.phase == RESTORING) | self.cols[col])
 
+    @staticmethod
+    def _forget(owner: _Peer) -> None:
+        """Clear the decisions kept on the owner's placements, which changed."""
+        owner.needs = owner.at_risk = owner.parallel = None
+
     def _place(self, owner_idx: int, frag: int, holder_idx: int) -> None:
         owner = self.peers[owner_idx]
         owner.placements[frag] = holder_idx
-        owner.needs = None
+        self._forget(owner)
         self.holds[owner_idx, holder_idx] = True
         self.stored_count[holder_idx] += 1
 
@@ -469,11 +464,13 @@ class Simulation:
 
     def _at_risk(self, owner: _Peer) -> bool:
         """True while the owner's placements fail the loss cap over w + eTTR
-        (always, below k holders)."""
-        ettr = self._ettr(owner)
-        if math.isnan(ettr):
-            return True
-        return loss_risk(len(owner.placements), self.k, ettr, self.thresholds) > self.thresholds.loss_cap
+        (always, below k holders); kept in owner.at_risk, exact as in
+        _needs_fragments."""
+        if owner.at_risk is None:
+            ettr = self._ettr(owner)
+            owner.at_risk = math.isnan(ettr) or bool(
+                loss_risk(len(owner.placements), self.k, ettr, self.thresholds) > self.thresholds.loss_cap)
+        return owner.at_risk
 
     def _needs_fragments(self, owner: _Peer) -> bool:
         """True while the owner's policy wants more fragments placed.
@@ -494,37 +491,42 @@ class Simulation:
         return owner.needs
 
     def _new_transfer(self, kind, src, dst, owner, frag) -> None:
+        if self.used == self.done.size:
+            self.table = np.concatenate((self.table, np.zeros_like(self.table)), axis=1)
+            self.done = np.concatenate((self.done, np.zeros_like(self.done)))
         self._serial += 1
-        t = _Transfer(self._serial, kind, src, dst, owner, frag)
-        self.transfers[t.serial] = t
-        self.by_owner[owner][t.serial] = t
+        self.table[:, self.used] = (kind, src, dst, owner, frag, self._serial)
+        self.done[self.used] = 0.0
+        self.used += 1
         if kind in UPLOADS:
             self.incoming[dst] += 1
             self.receiving[owner, dst] = True
 
-    def _drop(self, t: _Transfer) -> None:
-        del self.transfers[t.serial]
-        del self.by_owner[t.owner][t.serial]
-        if t.kind in UPLOADS:
-            self.incoming[t.dst] -= 1
-            self.receiving[t.owner, t.dst] = False
+    def _drop(self, rows) -> None:
+        """Mark the rows dead, releasing what their uploads reserved."""
+        for row in rows:
+            kind, _, dst, owner = self.table[:4, row].tolist()
+            self.table[KIND, row] = DEAD
+            if kind in UPLOADS:
+                self.incoming[dst] -= 1
+                self.receiving[owner, dst] = False
 
-    def _owned(self, owner: int, kind: str) -> list[_Transfer]:
-        return [t for t in self.by_owner[owner].values() if t.kind == kind]
+    def _owned(self, owner: int, kind: int) -> np.ndarray:
+        """Rows of the owner's live transfers of this kind, in serial order."""
+        return ((self.table[OWNER, :self.used] == owner) & (self.table[KIND, :self.used] == kind)).nonzero()[0]
 
-    def _cancel(self, owner: int, kind: str) -> None:
-        for t in self._owned(owner, kind):
-            self._drop(t)
+    def _cancel(self, owner: int, kind: int) -> None:
+        self._drop(self._owned(owner, kind))
 
     def _eligible_targets(self, owner_idx: int, col: int) -> np.ndarray:
         """Online peers, other than the owner, that hold none of its fragments,
         receive none from it and have a free quota slot; in index order."""
-        ok = self._online(col) & ~self.holds[owner_idx] & ~self.receiving[owner_idx]
+        ok = self._online(col) & ~(self.holds[owner_idx] | self.receiving[owner_idx])
         ok &= self.stored_count + self.incoming < self.capacity_slots
         ok[owner_idx] = False
-        return np.flatnonzero(ok)
+        return ok.nonzero()[0]
 
-    def _open_uploads(self, owner: _Peer, kind: str, src: int, col: int, count: int) -> None:
+    def _open_uploads(self, owner: _Peer, kind: int, src: int, col: int, count: int) -> None:
         """Open up to count uploads of new fragments from src, each to a peer
         drawn uniformly from the eligible targets."""
         if count <= 0:
@@ -567,13 +569,12 @@ class Simulation:
         for owner_idx in np.flatnonzero(self.holds[:, idx]):
             owner = self.peers[owner_idx]
             owner.placements = {f: h for f, h in owner.placements.items() if h != idx}
-            owner.needs = None
+            self._forget(owner)
         self.holds[:, idx] = False
         self.stored_count[idx] = 0
 
         # every in-flight transfer touching this peer dies with it
-        for t in [t for t in self.transfers.values() if idx in (t.src, t.dst)]:
-            self._drop(t)
+        self._drop(np.flatnonzero((self.table[SRC, :self.used] == idx) | (self.table[DST, :self.used] == idx)))
 
         phase = int(self.phase[idx])
         if phase != LOST:
@@ -607,13 +608,12 @@ class Simulation:
         self.holds[owner.idx] = False
         owner.downloaded = set()
         owner.repair_stage = None
-        owner.needs = None
+        self._forget(owner)
         self.buffered.pop(owner.idx, None)
         self.phase[owner.idx] = LOST
         owner.episode.outcome = "lost"
         owner.episode = None
-        for t in list(self.by_owner[owner.idx].values()):
-            self._drop(t)
+        self._drop(np.flatnonzero(self.table[OWNER, :self.used] == owner.idx))
 
     # -- per-slot steps --------------------------------------------------
 
@@ -628,7 +628,7 @@ class Simulation:
             if self.phase[idx] == RESTORING:
                 self.peers[idx].episode.response_slot = slot_idx
                 # injection was for the absence; the owner takes over now
-                self._cancel(idx, "repair_out")
+                self._cancel(idx, REPAIR_OUT)
 
     def assisted_repair_check(self, slot_idx: int, now: float) -> None:
         """Trigger and drive server-side repair for absent owners past the
@@ -654,7 +654,7 @@ class Simulation:
 
     def _drive_repair_download(self, owner: _Peer) -> None:
         buffered = self.buffered.setdefault(owner.idx, set())
-        in_flight = {t.frag for t in self._owned(owner.idx, "repair_in")}
+        in_flight = set(self.table[FRAG, self._owned(owner.idx, REPAIR_IN)].tolist())
         needed = self.k - len(buffered) - len(in_flight)
         if needed <= 0:
             if len(buffered) >= self.k:
@@ -666,15 +666,15 @@ class Simulation:
             return
         for _ in range(min(needed, len(candidates))):
             frag = candidates.pop(int(self.rng.integers(len(candidates))))
-            self._new_transfer("repair_in", owner.placements[frag], SERVER, owner.idx, frag)
+            self._new_transfer(REPAIR_IN, owner.placements[frag], SERVER, owner.idx, frag)
 
     def _drive_repair_injection(self, owner: _Peer, slot_idx: int) -> None:
         if not self._at_risk(owner):
             owner.repair_stage = "done"
-            self._cancel(owner.idx, "repair_out")
+            self._cancel(owner.idx, REPAIR_OUT)
             return
-        active = len(self._owned(owner.idx, "repair_out"))
-        self._open_uploads(owner, "repair_out", SERVER, slot_idx, self.config.backup_parallelism - active)
+        active = self._owned(owner.idx, REPAIR_OUT).size
+        self._open_uploads(owner, REPAIR_OUT, SERVER, slot_idx, self.config.backup_parallelism - active)
 
     def maintenance_step(self, owner: _Peer, slot_idx: int) -> None:
         """Keep upload tasks open while the policy wants more fragments placed.
@@ -685,16 +685,15 @@ class Simulation:
         """
         if not self._needs_fragments(owner):
             return
-        uploads = self._owned(owner.idx, "backup")
+        uploads = self._owned(owner.idx, BACKUP)
         if self.config.redundancy_policy == FIXED:
-            budget = self.fixed_n - len(owner.placements) - len(uploads)
+            budget = self.fixed_n - len(owner.placements) - uploads.size
             if budget <= 0:
                 return  # _open_uploads would draw nothing
         else:
             budget = self.config.backup_parallelism
-        online = self._online(slot_idx)
-        active = sum(1 for t in uploads if online[t.dst])
-        self._open_uploads(owner, "backup", owner.idx, slot_idx,
+        active = int(np.count_nonzero(self._online(slot_idx)[self.table[DST, uploads]]))
+        self._open_uploads(owner, BACKUP, owner.idx, slot_idx,
                            min(self.config.backup_parallelism - active, budget))
 
     def _restore_step(self, owner: _Peer, slot_idx: int) -> None:
@@ -702,24 +701,25 @@ class Simulation:
             return
         if owner.episode.response_slot == slot_idx and owner.crash_count == 1:
             owner.ettr = self._ettr(owner)
-        restores = self._owned(owner.idx, "restore")
-        in_flight = {t.frag for t in restores}
+        restores = self._owned(owner.idx, RESTORE)
+        in_flight = set(self.table[FRAG, restores].tolist())
         have = len(owner.downloaded) + len(in_flight)
         if have >= self.k:
             return
-        l = self.thresholds.parallel or default_parallel(
-            owner.downlink, [self.peers[h].uplink for h in owner.placements.values()] or [owner.downlink], self.k
-        )
-        online = self._online(slot_idx)
-        active_online = sum(1 for t in restores if t.src == SERVER or online[t.src])
+        if owner.parallel is None:  # kept, exact as in _needs_fragments
+            owner.parallel = self.thresholds.parallel or default_parallel(
+                owner.downlink, [self.peers[h].uplink for h in owner.placements.values()] or [owner.downlink], self.k
+            )
+        online = np.append(self._online(slot_idx), True).tolist()  # SERVER = -1 reads the appended True
+        active_online = sum(online[src] for src in self.table[SRC, restores].tolist())
         candidates = sorted(
             frag
             for frag, holder in owner.placements.items()
             if frag not in owner.downloaded and frag not in in_flight and online[holder]
         )
-        while active_online < l and candidates and have < self.k:
+        while active_online < owner.parallel and candidates and have < self.k:
             frag = candidates.pop(int(self.rng.integers(len(candidates))))
-            self._new_transfer("restore", owner.placements[frag], owner.idx, owner.idx, frag)
+            self._new_transfer(RESTORE, owner.placements[frag], owner.idx, owner.idx, frag)
             in_flight.add(frag)
             active_online += 1
             have += 1
@@ -730,31 +730,43 @@ class Simulation:
             spare = sorted(buffered - owner.downloaded - in_flight)
             while have + len(peer_obtainable) < self.k and spare:
                 frag = spare.pop(0)
-                self._new_transfer("restore", SERVER, owner.idx, owner.idx, frag)
+                self._new_transfer(RESTORE, SERVER, owner.idx, owner.idx, frag)
                 in_flight.add(frag)
                 have += 1
 
     def _step_tasks(self, slot_idx: int) -> None:
-        # a peer's step changes no other peer's phase or absence
-        phase, in_trace = self.phase.tolist(), self.cols[slot_idx].tolist()
-        for idx in np.flatnonzero(self.back_at == math.inf).tolist():
-            if phase[idx] == RESTORING:
+        """Step each present restoring owner and each present owner in the
+        trace that may open an upload, in index order.  The counts are taken
+        once: one owner's step changes no other owner's phase, placements or
+        transfers, and backups to targets present and in the trace, which
+        stay online through the step, bound an owner's active uploads below."""
+        kind, _, dst, owner = self.table[:4, :self.used]
+        backup = kind == BACKUP
+        steady = (self.back_at == math.inf) & self.cols[slot_idx]
+        opens = steady & ((self.phase == BACKING_UP) | (self.phase == COMPLETE))
+        opens &= np.bincount(owner[backup], weights=steady[dst[backup]], minlength=self.P) < self.config.backup_parallelism
+        if self.config.redundancy_policy == FIXED:
+            opens &= np.count_nonzero(self.holds, axis=1) + np.bincount(owner[backup], minlength=self.P) < self.fixed_n
+        else:
+            opens &= np.array([p.needs is not False for p in self.peers])
+        restoring = (self.back_at == math.inf) & (self.phase == RESTORING)
+        for idx in np.flatnonzero(restoring | opens).tolist():
+            if restoring[idx]:
                 self._restore_step(self.peers[idx], slot_idx)
-            elif phase[idx] != LOST and in_trace[idx]:
+            else:
                 self.maintenance_step(self.peers[idx], slot_idx)
 
-    def _step_allocate(self, slot_idx: int) -> list[_Transfer]:
-        """Grant this slot's bytes; return the transfers it finished, in serial order."""
-        online = self._online(slot_idx).tolist()
-        eligible = [t for t in self.transfers.values()
-                    if (t.src == SERVER or online[t.src]) and (t.dst == SERVER or online[t.dst])]
-        if not eligible:
-            return []
-        specs = [(t.src, t.dst, self.f - t.done, t.kind == "restore") for t in eligible]
-        grants = allocate_slot_transfers(specs, self.up_budget, self.down_budget)
-        for t, g in zip(eligible, grants):
-            t.done += float(g)
-        return [t for t in eligible if t.done >= self.f - _EPS]
+    def _step_allocate(self, slot_idx: int) -> np.ndarray:
+        """Grant this slot's bytes; return the rows it finished, in serial order."""
+        kind, src, dst = self.table[:3, :self.used]
+        online = np.append(self._online(slot_idx), True)  # SERVER = -1 reads the appended True
+        rows = np.flatnonzero((kind != DEAD) & online[src] & online[dst])
+        if rows.size == 0:
+            return rows
+        grants = allocate_slot_transfers(src[rows], dst[rows], self.f - self.done[rows], kind[rows] == RESTORE,
+                                         self.up_budget, self.down_budget)
+        self.done[rows] += grants
+        return rows[self.done[rows] >= self.f - _EPS]
 
     def _record_backup_progress(self, owner: _Peer, slot_idx: int) -> None:
         if not self._needs_fragments(owner):
@@ -762,29 +774,34 @@ class Simulation:
                 self.phase[owner.idx] = COMPLETE
                 owner.ttb = (slot_idx + 1) * self.slot
                 owner.redundancy = len(owner.placements) / self.k
-            self._cancel(owner.idx, "backup")
+            self._cancel(owner.idx, BACKUP)
 
-    def _step_completions(self, slot_idx: int, finished: list[_Transfer]) -> None:
-        for t in finished:
-            if t.serial not in self.transfers:
+    def _step_completions(self, slot_idx: int, finished: np.ndarray) -> None:
+        """Apply the finished rows in serial order, then compact the table."""
+        for row in finished.tolist():
+            kind, src, dst, owner_idx, frag, _ = self.table[:, row].tolist()
+            if kind == DEAD:
                 continue  # cancelled by an earlier completion this slot
-            self._drop(t)
-            owner = self.peers[t.owner]
-            if t.kind in UPLOADS:
-                self._place(t.owner, t.frag, t.dst)
-                if t.kind == "repair_out":
+            self._drop([row])
+            owner = self.peers[owner_idx]
+            if kind in UPLOADS:
+                self._place(owner_idx, frag, dst)
+                if kind == REPAIR_OUT:
                     self.out_bytes[slot_idx] += self.f
                 else:
                     self._record_backup_progress(owner, slot_idx)
-            elif t.kind == "repair_in":
-                self.buffered.setdefault(t.owner, set()).add(t.frag)
+            elif kind == REPAIR_IN:
+                self.buffered.setdefault(owner_idx, set()).add(frag)
                 self.in_bytes[slot_idx] += self.f
-            elif t.kind == "restore":
-                if t.src == SERVER:
+            elif kind == RESTORE:
+                if src == SERVER:
                     self.out_bytes[slot_idx] += self.f
-                owner.downloaded.add(t.frag)
+                owner.downloaded.add(frag)
                 if len(owner.downloaded) >= self.k:
                     self._finish_restore(owner, slot_idx)
+        live = np.flatnonzero(self.table[KIND, :self.used] != DEAD)  # a stable compaction keeps serial order
+        self.table[:, :live.size], self.done[:live.size] = self.table[:, live], self.done[live]
+        self.used = live.size
 
     def _finish_restore(self, owner: _Peer, slot_idx: int) -> None:
         if owner.crash_count == 1:
@@ -795,7 +812,7 @@ class Simulation:
         owner.downloaded = set()
         owner.repair_stage = None
         self.buffered.pop(owner.idx, None)
-        self._cancel(owner.idx, "restore")
+        self._cancel(owner.idx, RESTORE)
 
     # -- run -------------------------------------------------------------
 

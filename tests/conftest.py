@@ -14,18 +14,29 @@ def make_matrix(rows, slot_seconds=3600.0, peer_ids=None):
     return AvailabilityMatrix(bits=bits, slot_seconds=slot_seconds, peer_ids=peer_ids)
 
 
+def allocate_rows(rows, up_budget, down_budget):
+    """sim.allocate_slot_transfers on (src, dst, demand, is_restore) rows,
+    split into its columns."""
+    src, dst, demand, restore = zip(*rows) if rows else ((),) * 4
+    return sim.allocate_slot_transfers(np.array(src, dtype=int), np.array(dst, dtype=int), np.array(demand, dtype=float),
+                                       np.array(restore, dtype=bool), up_budget, down_budget)
+
+
 @contextmanager
 def recorded_allocations():
     """Record every allocate_slot_transfers call the simulator makes while
     the context is open, as (specs, grants) pairs: specs are the
-    (src, dst, demand, is_restore) rows passed in, grants the bytes returned.
-    The simulator makes one call per slot that has traffic."""
+    (src, dst, demand, is_restore) rows passed in, built from the columns,
+    grants the bytes returned.  The simulator makes one call per slot that
+    has traffic."""
     calls = []
     allocate = sim.allocate_slot_transfers
 
-    def recording(transfers, up_budget, down_budget):
-        grants = allocate(transfers, up_budget, down_budget)
-        calls.append((list(transfers), grants.copy()))
+    def recording(src, dst, demand, restore, up_budget, down_budget):
+        grants = allocate(src, dst, demand, restore, up_budget, down_budget)
+        rows = zip(np.asarray(src).tolist(), np.asarray(dst).tolist(), np.asarray(demand).tolist(),
+                   np.asarray(restore).tolist())
+        calls.append((list(rows), grants.copy()))
         return grants
 
     with pytest.MonkeyPatch.context() as mp:

@@ -15,7 +15,7 @@ import pytest
 
 from p2pbackup import redundancy, report, sched, sim, trace
 
-from conftest import link_loads, recorded_allocations
+from conftest import allocate_rows, link_loads, recorded_allocations
 from oracles import (binomial_tail_ge, matching_max_fragments, matching_min_completion,
                      minimal_redundancy)
 
@@ -289,8 +289,7 @@ def _audit_violations(run: DeskRun) -> list[str]:
         total_received += received.sum()
         restore = np.array([spec[3] for spec in specs])
         if restore.any() and not restore.all():
-            replay = sim.allocate_slot_transfers(
-                [spec for spec in specs if spec[3]], up.copy(), down.copy())
+            replay = allocate_rows([spec for spec in specs if spec[3]], up.copy(), down.copy())
             if not np.allclose(replay, grants[restore], rtol=1e-9, atol=1e-3):
                 out.append(f"call {call}: restore grants depend on competing traffic")
     # conservation over the whole run: immediate response means no server legs

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import tempfile
+from collections import namedtuple
 from dataclasses import fields, replace
 
 import numpy as np
@@ -11,8 +13,8 @@ from p2pbackup import report as rep
 from p2pbackup import sim as psim
 from p2pbackup import trace
 from p2pbackup.redundancy import backup_complete
-from p2pbackup.sim import SERVER, SimConfig, Simulation, allocate_slot_transfers
-from conftest import link_loads, make_matrix, recorded_allocations
+from p2pbackup.sim import SERVER, SimConfig, Simulation
+from conftest import allocate_rows, link_loads, make_matrix, recorded_allocations
 from oracles import maxmin_violations, progressive_filling_reference
 
 KB100 = 100_000.0  # flat-CDF uplink, bytes/s
@@ -205,45 +207,45 @@ BIG = 1e18
 def test_allocate_shares_a_common_uplink_evenly():
     up = np.array([10.0, BIG, BIG])
     down = np.array([BIG, BIG, BIG])
-    grants = allocate_slot_transfers([(0, 1, 10.0, False), (0, 2, 10.0, False)], up, down)
+    grants = allocate_rows([(0, 1, 10.0, False), (0, 2, 10.0, False)], up, down)
     assert grants.tolist() == [5.0, 5.0]
 
 
 def test_allocate_restores_preempt_backups():
     up = np.array([10.0, BIG, BIG])
     down = np.array([BIG, BIG, BIG])
-    grants = allocate_slot_transfers([(0, 1, 10.0, False), (0, 2, 10.0, True)], up, down)
+    grants = allocate_rows([(0, 1, 10.0, False), (0, 2, 10.0, True)], up, down)
     assert grants.tolist() == [0.0, 10.0]
 
 
 def test_allocate_progressive_filling_past_a_slow_receiver():
     up = np.array([10.0, BIG, BIG])
     down = np.array([BIG, 4.0, 100.0])
-    grants = allocate_slot_transfers([(0, 1, 10.0, False), (0, 2, 10.0, False)], up, down)
+    grants = allocate_rows([(0, 1, 10.0, False), (0, 2, 10.0, False)], up, down)
     assert grants.tolist() == [4.0, 6.0]
 
 
 def test_allocate_server_endpoint_is_unconstrained():
     up = np.array([10.0, 10.0])
     down = np.array([30.0, 30.0])
-    grants = allocate_slot_transfers(
+    grants = allocate_rows(
         [(SERVER, 0, 50.0, True), (1, 0, 50.0, False)], up, down
     )
     # server leg fills the receiver; the peer-to-peer leg finds no residual downlink
     assert grants.tolist() == [30.0, 0.0]
-    grants = allocate_slot_transfers([(SERVER, 0, 20.0, True), (1, 0, 50.0, False)], up, down)
+    grants = allocate_rows([(SERVER, 0, 20.0, True), (1, 0, 50.0, False)], up, down)
     assert grants.tolist() == [20.0, 10.0]
 
 
 def test_allocate_caps_at_demand():
     up = np.array([100.0, BIG])
     down = np.array([BIG, BIG])
-    grants = allocate_slot_transfers([(0, 1, 7.0, False)], up, down)
+    grants = allocate_rows([(0, 1, 7.0, False)], up, down)
     assert grants.tolist() == [7.0]
 
 
 def test_allocate_empty_is_empty():
-    assert allocate_slot_transfers([], np.array([1.0]), np.array([1.0])).size == 0
+    assert allocate_rows([], np.array([1.0]), np.array([1.0])).size == 0
 
 
 transfer_lists = st.lists(
@@ -262,7 +264,7 @@ transfer_lists = st.lists(
 def test_allocate_never_violates_budgets(transfers, up, down):
     up = np.array(up)
     down = np.array(down)
-    grants = allocate_slot_transfers(transfers, up, down)
+    grants = allocate_rows(transfers, up, down)
     assert np.all(grants >= 0.0)
     for g, (_, _, demand, _) in zip(grants, transfers):
         assert g <= demand + 1e-9
@@ -282,9 +284,9 @@ def test_allocate_never_violates_budgets(transfers, up, down):
 def test_allocate_restores_see_no_competition(transfers, up, down):
     up = np.array(up)
     down = np.array(down)
-    grants = allocate_slot_transfers(transfers, up, down)
+    grants = allocate_rows(transfers, up, down)
     only_restores = [t for t in transfers if t[3]]
-    alone = allocate_slot_transfers(only_restores, up.copy(), down.copy())
+    alone = allocate_rows(only_restores, up.copy(), down.copy())
     mixed = [g for g, t in zip(grants, transfers) if t[3]]
     assert np.allclose(mixed, alone, atol=1e-6)
 
@@ -302,7 +304,7 @@ amounts = st.floats(0.0, 100.0)  # the 0.0 bound gives zero demands and budgets 
 def test_allocate_is_maxmin_fair(transfers, up, down):
     up = np.array(up)
     down = np.array(down)
-    grants = allocate_slot_transfers(transfers, up, down)
+    grants = allocate_rows(transfers, up, down)
     assert maxmin_violations(transfers, grants, up, down, psim._EPS) == []
 
 
@@ -531,13 +533,26 @@ def test_a_return_past_the_largest_float_stays_absent(flat_cdf_file):
 
 # ------------------------------------------------- end-to-end crash dynamics
 
+Transfer = namedtuple("Transfer", "row kind src dst owner frag serial done")
+KIND_NAMES = {psim.RESTORE: "restore", psim.BACKUP: "backup", psim.REPAIR_IN: "repair_in",
+              psim.REPAIR_OUT: "repair_out"}
+
+
+def live_transfers(simulation):
+    """The in-flight transfers, one per live row of the simulator's transfer
+    table, in row order."""
+    s = simulation
+    return [Transfer(row, *s.table[:, row].tolist(), float(s.done[row]))
+            for row in range(s.used) if s.table[psim.KIND, row] != psim.DEAD]
+
+
 class SerialOrderSimulation(Simulation):
-    """Asserts before every completion step that the transfer list is in
-    strictly increasing serial order, so completions apply in the order the
-    transfers were opened."""
+    """Asserts before every completion step that the table's rows are in
+    strictly increasing serial order, so allocation rows and completions
+    follow the order the transfers were opened."""
 
     def _step_completions(self, slot_idx, finished):
-        serials = [t.serial for t in self.transfers.values()]
+        serials = self.table[psim.SERIAL, :self.used].tolist()
         assert all(a < b for a, b in zip(serials, serials[1:])), f"slot {slot_idx}: out of serial order"
         super()._step_completions(slot_idx, finished)
 
@@ -555,28 +570,31 @@ class ProgressCheckSimulation(SerialOrderSimulation):
         self.progress_errors = []
 
     def _step_allocate(self, slot_idx):
-        before = {serial: t.done for serial, t in self.transfers.items()}
+        before = {t.serial: t.done for t in live_transfers(self)}
         made = len(self.calls)
         finished = super()._step_allocate(slot_idx)
+        transfers = live_transfers(self)
         grants = {}
         if len(self.calls) > made:
             specs, granted = self.calls[-1]
             # the call's rows are a subsequence of the transfers in serial order
-            pending = iter(self.transfers.values())
+            pending = iter(transfers)
             for spec, grant in zip(specs, granted):
                 for t in pending:
-                    if (t.src, t.dst, self.f - before[t.serial], t.kind == "restore") == spec:
+                    if (t.src, t.dst, self.f - before[t.serial], t.kind == psim.RESTORE) == spec:
                         grants[t.serial] = float(grant)
                         break
                 else:
                     self.progress_errors.append(f"slot {slot_idx}: no transfer for row {spec}")
             self.checked += 1
-        for serial, t in self.transfers.items():
-            if t.done != before[serial] + grants.get(serial, 0.0):
-                self.progress_errors.append(f"slot {slot_idx}: transfer {serial} gained "
-                                            f"{t.done - before[serial]}, granted {grants.get(serial, 0.0)}")
+        if sorted(before) != [t.serial for t in transfers]:
+            self.progress_errors.append(f"slot {slot_idx}: the allocation added or dropped transfers")
+        for t in transfers:
+            if t.done != before[t.serial] + grants.get(t.serial, 0.0):
+                self.progress_errors.append(f"slot {slot_idx}: transfer {t.serial} gained "
+                                            f"{t.done - before[t.serial]}, granted {grants.get(t.serial, 0.0)}")
             if t.done > self.f + psim._EPS:
-                self.progress_errors.append(f"slot {slot_idx}: transfer {serial} done {t.done} > f")
+                self.progress_errors.append(f"slot {slot_idx}: transfer {t.serial} done {t.done} > f")
         return finished
 
 
@@ -793,13 +811,14 @@ def test_different_seed_changes_the_run(flat_cdf_file):
 
 def index_violations(simulation, col):
     """Where the simulator's indexes differ from the peer and transfer state
-    they mirror, each rebuilt here from the placements and the transfers
-    alone, and where that state breaks an invariant of the model: a holder
-    over its quota, a fragment on its own owner, two fragments of one owner
-    on one holder, server traffic that is not whole fragments, a transfer
-    its owner's state rules out (a backup while restoring, a repair upload
-    while present, a restore unless present and restoring), or a crash
-    episode out of step with its owner (see episode_violations)."""
+    they mirror, each rebuilt here from the placements and the live rows of
+    the transfer table alone, and where that state breaks an invariant of
+    the model: table rows out of serial order, a holder over its quota, a
+    fragment on its own owner, two fragments of one owner on one holder,
+    server traffic that is not whole fragments, a transfer its owner's state
+    rules out (a backup while restoring, a repair upload while present, a
+    restore unless present and restoring), or a crash episode out of step
+    with its owner (see episode_violations)."""
     s = simulation
     found = []
     owners, holders = [], []
@@ -823,23 +842,22 @@ def index_violations(simulation, col):
         found.append(f"holds differs at {np.argwhere(s.holds != holds).tolist()}")
     if not np.array_equal(s.stored_count, stored):
         found.append(f"stored_count {s.stored_count.tolist()} != {stored.tolist()}")
-    indexed = {}
-    for owner_idx, owned in enumerate(s.by_owner):
-        for serial, t in owned.items():
-            if t.owner != owner_idx or t.serial != serial or serial in indexed:
-                found.append(f"transfer {t.serial} of {t.owner} misfiled under owner {owner_idx}")
-            indexed[serial] = t
-    if indexed.keys() != s.transfers.keys() or any(indexed[k] is not t for k, t in s.transfers.items()):
-        found.append(f"per-owner index holds {sorted(indexed)}, transfer dict {sorted(s.transfers)}")
+    serials = s.table[psim.SERIAL, :s.used].tolist()
+    if any(a >= b for a, b in zip(serials, serials[1:])):
+        found.append(f"table rows out of serial order: {serials}")
+    transfers = live_transfers(s)
+    if any(t.kind not in KIND_NAMES for t in transfers):
+        found.append(f"unknown transfer kinds {sorted({t.kind for t in transfers} - KIND_NAMES.keys())}")
     incoming, receiving = uploads_in_flight(s)
     if s.incoming.tolist() != incoming or set(zip(*np.nonzero(s.receiving))) != receiving:
         found.append("upload reservations differ from the uploads in flight")
-    for t in s.transfers.values():
+    for t in transfers:
         present, restoring = s.back_at[t.owner] == math.inf, s.phase[t.owner] == psim.RESTORING
-        if (t.kind == "backup" and restoring or t.kind == "repair_out" and present
-                or t.kind == "restore" and not (present and restoring)):
+        if (t.kind == psim.BACKUP and restoring or t.kind == psim.REPAIR_OUT and present
+                or t.kind == psim.RESTORE and not (present and restoring)):
             where = "present" if present else "absent"
-            found.append(f"{where} phase {s.phase[t.owner]} owner {t.owner} has {t.kind} transfer {t.serial} in flight")
+            found.append(f"{where} phase {s.phase[t.owner]} owner {t.owner} has {KIND_NAMES[t.kind]} "
+                         f"transfer {t.serial} in flight")
     found += episode_violations(s)
     online = [s.back_at[i] == math.inf and (s.phase[i] == psim.RESTORING or bool(s.bits[i, col])) for i in range(s.P)]
     if s._online(col).tolist() != online:
@@ -874,10 +892,10 @@ def episode_violations(simulation):
 
 def uploads_in_flight(simulation):
     """Uploads in flight per destination, and the (owner, dst) pairs they
-    join, from the transfers alone."""
+    join, from the live rows of the transfer table alone."""
     incoming = [0] * simulation.P
     receiving = set()
-    for t in simulation.transfers.values():
+    for t in live_transfers(simulation):
         if t.kind in psim.UPLOADS:
             incoming[t.dst] += 1
             receiving.add((t.owner, t.dst))
@@ -886,33 +904,52 @@ def uploads_in_flight(simulation):
 
 class IndexCheckSimulation(Simulation):
     """Checks every index against index_violations after each per-slot phase,
-    and each target list against a plain loop over the peers.
+    each target list against a plain loop over the peers, and each per-owner
+    row lookup against a plain loop over the table.
 
     The simulator reads its upload reservations live.  That is exact only if
     no upload ends while the task step opens new ones, so within that step
     incoming must never decrease and receiving never lose a True.  A kept
-    stopping decision must have been made on the owner's current holders.
-    Also notes each slot in which an owner returns with a repair upload in
-    flight, the case the return step must cancel."""
+    decision (stopping, repair risk, restore parallelism) must have been made
+    on the owner's current holders.  The task step must visit exactly the
+    owners its screen admits, recomputed here with plain loops, and every
+    owner it skips must have been unable to open an upload.  Also notes each
+    slot in which an owner returns with a repair upload in flight, the case
+    the return step must cancel."""
+
+    MEMOS = ("needs", "at_risk", "parallel")
 
     def __init__(self, config, matrix):
         super().__init__(config, matrix)
         self.reserved = None  # last seen (incoming, receiving) in the task step
-        self.decided = {}  # owner -> the holders its last fresh stopping decision read
+        self.decided = {}  # (memo, owner) -> the holders its last fresh decision read
+        self.stepped = None  # owners the task step visits, in order
         self.returns_mid_repair = []
 
     def _check(self, phase, slot_idx):
         found = index_violations(self, slot_idx)
-        found += [f"peer {p.idx} keeps a stopping decision made on holders {self.decided[p.idx]}"
-                  for p in self.peers if p.needs is not None and self.decided[p.idx] != sorted(p.placements.values())]
+        found += [f"peer {p.idx} keeps a {memo} decision made on holders {self.decided[memo, p.idx]}"
+                  for memo in self.MEMOS for p in self.peers
+                  if getattr(p, memo) is not None and self.decided[memo, p.idx] != sorted(p.placements.values())]
         assert not found, f"slot {slot_idx}, after {phase}: {found[:3]}"
 
-    def _needs_fragments(self, owner):
-        fresh = owner.needs is None
-        needs = super()._needs_fragments(owner)
+    def _decide(self, memo, decide, owner):
+        fresh = getattr(owner, memo) is None
+        value = decide(owner)
         if fresh:
-            self.decided[owner.idx] = sorted(owner.placements.values())
-        return needs
+            self.decided[memo, owner.idx] = sorted(owner.placements.values())
+        return value
+
+    def _needs_fragments(self, owner):
+        return self._decide("needs", super()._needs_fragments, owner)
+
+    def _at_risk(self, owner):
+        return self._decide("at_risk", super()._at_risk, owner)
+
+    def _owned(self, owner, kind):
+        rows = super()._owned(owner, kind)
+        assert rows.tolist() == [t.row for t in live_transfers(self) if t.owner == owner and t.kind == kind]
+        return rows
 
     def _check_reservations_kept(self, slot_idx):
         incoming, receiving = self.reserved
@@ -945,9 +982,7 @@ class IndexCheckSimulation(Simulation):
 
     def _step_returns(self, slot_idx, now):
         for i in range(self.P):
-            if self.back_at[i] <= now and any(
-                t.owner == i and t.kind == "repair_out" for t in self.transfers.values()
-            ):
+            if self.back_at[i] <= now and any(t.owner == i and t.kind == psim.REPAIR_OUT for t in live_transfers(self)):
                 self.returns_mid_repair.append(slot_idx)
         super()._step_returns(slot_idx, now)
         self._check("returns", slot_idx)
@@ -956,19 +991,71 @@ class IndexCheckSimulation(Simulation):
         super().assisted_repair_check(slot_idx, now)
         self._check("repair", slot_idx)
 
+    def _backups(self, owner_idx, online):
+        """The owner's backups in flight, and how many of them go to online
+        targets, counted over the table's live rows."""
+        dsts = [t.dst for t in live_transfers(self) if t.owner == owner_idx and t.kind == psim.BACKUP]
+        return len(dsts), sum(1 for d in dsts if online[d])
+
+    def _has_room(self, owner, in_flight):
+        if self.config.redundancy_policy == "fixed":
+            return len(owner.placements) + in_flight < self.fixed_n
+        return owner.needs is not False  # a kept decision is checked against its holders in _check
+
+    def _screened(self, slot_idx):
+        """The owners the task step visits, in index order: each present
+        restoring owner, and each present owner in the trace, backing up or
+        complete, whose policy has room and that has fewer than
+        backup_parallelism backups to targets present and in the trace."""
+        steady = [self.back_at[i] == math.inf and bool(self.bits[i, slot_idx]) for i in range(self.P)]
+        visit = []
+        for p in self.peers:
+            if self.back_at[p.idx] == math.inf and self.phase[p.idx] == psim.RESTORING:
+                visit.append(p.idx)
+            elif steady[p.idx] and self.phase[p.idx] in (psim.BACKING_UP, psim.COMPLETE):
+                in_flight, active = self._backups(p.idx, steady)
+                if self._has_room(p, in_flight) and active < self.config.backup_parallelism:
+                    visit.append(p.idx)
+        return visit
+
+    def maintenance_step(self, owner, slot_idx):
+        self.stepped.append(owner.idx)
+        super().maintenance_step(owner, slot_idx)
+
+    def _restore_step(self, owner, slot_idx):
+        self.stepped.append(owner.idx)
+        fresh = owner.parallel is None
+        super()._restore_step(owner, slot_idx)
+        if fresh:  # the step derives l after its loss check, its last placement change
+            self.decided["parallel", owner.idx] = sorted(owner.placements.values())
+
     def _step_tasks(self, slot_idx):
         self.reserved = self.incoming.copy(), self.receiving.copy()
+        expect, self.stepped = self._screened(slot_idx), []
         super()._step_tasks(slot_idx)
+        assert self.stepped == expect, f"slot {slot_idx}: the task step visited {self.stepped}, not {expect}"
+        # a skipped owner's placements and transfers are as they were, and
+        # the online set only shrinks in the step, so one that cannot open an
+        # upload now could not at its turn
+        online = [self.back_at[i] == math.inf and (self.phase[i] == psim.RESTORING or bool(self.bits[i, slot_idx]))
+                  for i in range(self.P)]
+        for p in self.peers:
+            if p.idx not in self.stepped and online[p.idx] and self.phase[p.idx] in (psim.BACKING_UP, psim.COMPLETE):
+                in_flight, active = self._backups(p.idx, online)
+                assert not (self._has_room(p, in_flight) and active < self.config.backup_parallelism), \
+                    f"slot {slot_idx}: the task step skipped peer {p.idx}, which could open an upload"
+        self.stepped = None
         self._check_reservations_kept(slot_idx)
         self.reserved = None
         self._check("tasks", slot_idx)
 
     def _step_allocate(self, slot_idx):
-        # a finished transfer never outlives its slot, so the transfers the
+        # a finished transfer never outlives its slot, so the rows the
         # allocation returns are all that are finished after it
-        assert all(t.done < self.f - psim._EPS for t in self.transfers.values()), f"slot {slot_idx}"
+        assert all(t.done < self.f - psim._EPS for t in live_transfers(self)), f"slot {slot_idx}"
         finished = super()._step_allocate(slot_idx)
-        assert finished == [t for t in self.transfers.values() if t.done >= self.f - psim._EPS], f"slot {slot_idx}"
+        assert finished.tolist() == [t.row for t in live_transfers(self) if t.done >= self.f - psim._EPS], \
+            f"slot {slot_idx}"
         self._check("allocate", slot_idx)
         return finished
 
@@ -1038,6 +1125,29 @@ def test_indexes_mirror_state_through_loss_and_server_repair(spread_cdf_file, po
                                   response="delayed_assisted", mean_lifetime_days=2.0)
     assert "lost" in {c.outcome for c in report.crashes}
     assert report.server_inbound.sum() > 0 and report.server_outbound.sum() > 0
+
+
+def test_allocation_stream_is_pinned(spread_cdf_file, monkeypatch):
+    # The report goldens guard the order of the allocation rows only through
+    # its effect on the grants' floats; this hashes every call of one run with
+    # lost episodes and server traffic: its rows in order, budgets and grants.
+    digest = hashlib.sha256()
+    allocate = psim.allocate_slot_transfers
+
+    def hashed(src, dst, demand, restore, up_budget, down_budget):
+        grants = allocate(src, dst, demand, restore, up_budget, down_budget)
+        for column, dtype in ((src, np.int64), (dst, np.int64), (demand, float), (restore, bool),
+                              (up_budget, float), (down_budget, float), (grants, float)):
+            digest.update(np.asarray(column, dtype=dtype).tobytes())
+        return grants
+
+    monkeypatch.setattr(psim, "allocate_slot_transfers", hashed)
+    config = cfg(spread_cdf_file, storage_quota=3 * int(UP_SLOT) // 4, delay_mean_days=1.0, repair_timeout_days=0.25,
+                 loss_cap=1e-6, seed=9, response="delayed_assisted", mean_lifetime_days=2.0)
+    report = Simulation(config, trace.synth_trace(30, 96, availability=(0.4, 0.9), seed=9)).run()
+    assert report.server_inbound.sum() > 0 and report.server_outbound.sum() > 0
+    assert "lost" in {c.outcome for c in report.crashes}
+    assert digest.hexdigest() == "8e2fd385da37eb761b2d12a78d607d393ebb000fe8afef669b27c9008b498474"
 
 
 @pytest.mark.parametrize("policy", ["fixed", "adaptive"])

@@ -224,20 +224,27 @@ def cmd_sched_compare(args) -> int:
 
 # -- plan ----------------------------------------------------------------
 
+def _field(row: dict, name: str, cast):
+    """row[name] as an int or float; the ValueError names a missing or malformed field."""
+    value = row.get(name)
+    if value is None or value == "":
+        raise ValueError(f"missing {name}")
+    try:
+        return cast(value)
+    except ValueError:
+        raise ValueError(f"{name} must be {'an integer' if cast is int else 'a number'}, got {value!r}") from None
+
+
 def _plan_n(row: dict) -> dict:
-    k = int(row["k"])
-    a = float(row["a"])
-    target = float(row["target"])
+    k, a, target = _field(row, "k", int), _field(row, "a", float), _field(row, "target", float)
     n = redundancy.fixed_redundancy_n(k, a, target)
     return {"mode": "n", "k": k, "a": a, "target": target,
             "n": n, "probability": ""}
 
 
 def _plan_loss(row: dict) -> dict:
-    n = int(row["n"])
-    k = int(row["k"])
-    t_days = float(row["t_days"])
-    lifetime = float(row["mean_lifetime_days"])
+    n, k = _field(row, "n", int), _field(row, "k", int)
+    t_days, lifetime = _field(row, "t_days", float), _field(row, "mean_lifetime_days", float)
     p = redundancy.data_loss_probability(n, k, t_days, lifetime)
     return {"mode": "loss", "n": n, "k": k, "t_days": t_days,
             "mean_lifetime_days": lifetime, "probability": repr(p)}
@@ -248,9 +255,15 @@ def cmd_plan(args) -> int:
     results = []
     if args.batch:
         with open(args.batch, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                mode = row.get("mode", "").strip() or ("loss" if row.get("t_days") else "n")
-                results.append(_plan_loss(row) if mode == "loss" else _plan_n(row))
+            reader = csv.DictReader(fh)  # a short row reads None for each field it lacks
+            for row in reader:
+                mode = (row.get("mode") or "").strip() or ("loss" if row.get("t_days") else "n")
+                try:
+                    if mode not in ("n", "loss"):
+                        raise ValueError(f"mode must be n or loss, got {mode!r}")
+                    results.append(_plan_loss(row) if mode == "loss" else _plan_n(row))
+                except ValueError as exc:
+                    raise ValueError(f"{args.batch}: line {reader.line_num}: {exc}") from None
     elif args.loss:
         if args.n is None or args.k is None or args.t_days is None:
             raise SystemExit("plan --loss requires --n, --k and --t-days")
@@ -290,9 +303,9 @@ _SIM_FLAG_NAMES = {"redundancy_policy": "--policy"}
 
 
 def _average_summaries(rows: list[dict]) -> dict:
-    """Mean of numeric fields across runs; NaN entries are skipped, text
-    fields keep the first run's value.  Rows are read_summary_csv output, so
-    every cell is an int, a float (NaN for an empty cell) or text."""
+    """Mean of numeric fields across runs, skipping NaN entries; text fields
+    keep the first run's value.  Rows are summary_row output: every cell is a
+    number (NaN when undefined) or text, such as the adaptive policy's fixed_n."""
     merged: dict = {}
     for key, first in rows[0].items():
         if isinstance(first, str):
@@ -337,7 +350,7 @@ def cmd_simulate(args) -> int:
                 print(f"warning: {problem}", file=sys.stderr)
         result = simulation.run()
         report.write_report_csvs(result, out / f"run-{i}")
-        summaries.append(report.read_summary_csv(out / f"run-{i}" / "summary.csv"))
+        summaries.append(report.summary_row(result))
     merged = _average_summaries(summaries)
     merged["runs"] = args.runs
     report.write_summary_row(merged, out / "summary.csv")

@@ -295,21 +295,14 @@ def allocate_slot_transfers(src, dst, demand, restore, up_budget, down_budget) -
 
 @dataclass
 class _Peer:
+    """An owner's bookkeeping; its run constants and report fields are vectors of Simulation."""
+
     idx: int
-    uplink: float
-    downlink: float
-    avail: float  # long-run trace availability, used in holder profiles
-    min_ttb: float  # ideal seconds, inf if the trace row cannot carry the object
-    min_ttr: float
     placements: dict = field(default_factory=dict)  # own fragment id -> holder idx
     next_frag: int = 0
     crash_count: int = 0
     downloaded: set = field(default_factory=set)
     repair_stage: str | None = None
-    ttb: float = math.nan
-    ttr: float = math.nan
-    ettr: float = math.nan
-    redundancy: float = math.nan
     episode: "CrashRecord | None" = None
     needs: bool | None = None  # adaptive stopping decision, kept until _forget
     at_risk: bool | None = None  # repair-risk decision, kept until _forget
@@ -355,17 +348,16 @@ class SimReport:
     avg_redundancy: float
 
 
-def _ideal_seconds(row, bytes_needed: float, rate: float, slot_seconds: float) -> float:
-    """Elapsed seconds from slot 0 until the row has accumulated
-    bytes_needed / rate of online time; inf if the horizon is too short."""
-    need = bytes_needed / rate
-    acc = 0.0
-    for col, bit in enumerate(row):
-        if bit:
-            if acc + slot_seconds >= need:
-                return col * slot_seconds + (need - acc)
-            acc += slot_seconds
-    return math.inf
+def _ideal_elapsed(bits, need, slot_seconds: float) -> np.ndarray:
+    """Per row of bits, elapsed seconds from slot 0 until the row has been
+    online for need[row] seconds, inf if the horizon is too short; the online
+    time before each column is summed in column order, as a slot loop would."""
+    before = np.zeros((len(bits), bits.shape[1] + 1))
+    np.cumsum(np.where(bits, slot_seconds, 0.0), axis=1, out=before[:, 1:])
+    # a False column past the horizon stands for "never" and keeps argmax defined
+    reached = np.pad(bits & (before[:, :-1] + slot_seconds >= need[:, None]), ((0, 0), (0, 1)))
+    rows, col = np.arange(len(bits)), reached.argmax(axis=1)
+    return np.where(reached[rows, col], col * slot_seconds + (need - before[rows, col]), math.inf)
 
 
 class Simulation:
@@ -386,28 +378,23 @@ class Simulation:
         self.thresholds = config.thresholds()
         self.rng = np.random.default_rng(config.seed)
 
-        row_avail = self.bits.mean(axis=1)
-        self.measured_availability = float(row_avail.mean())
+        # run constants over peers: long-run trace availability, link rates in bytes/s,
+        # ideal backup and restore seconds (minTTB is inf if the row cannot carry the object)
+        self.avail = self.bits.mean(axis=1)
+        self.measured_availability = float(self.avail.mean())
         self.fixed_n = None
         if config.redundancy_policy == FIXED:
             self.fixed_n = fixed_redundancy_n(self.k, max(self.measured_availability, 1e-9), config.fixed_target)
-
-        uplink, downlink = sample_bandwidth(config, self.P, self.rng)
-        self.peers = [
-            _Peer(
-                idx=i,
-                uplink=float(uplink[i]),
-                downlink=float(downlink[i]),
-                avail=float(row_avail[i]),
-                min_ttb=_ideal_seconds(self.bits[i], self.o, float(uplink[i]), self.slot),
-                min_ttr=self.o / float(downlink[i]),
-            )
-            for i in range(self.P)
-        ]
+        self.uplink, self.downlink = sample_bandwidth(config, self.P, self.rng)
+        self.min_ttb = _ideal_elapsed(self.bits, self.o / self.uplink, self.slot)
+        self.min_ttr = self.o / self.downlink
+        self.peers = [_Peer(i) for i in range(self.P)]
         self.next_crash = np.array([sample_lifetime(config.mean_lifetime_days, self.rng) for _ in range(self.P)])
         # per-peer byte budgets of one slot; allocate_slot_transfers copies them
-        self.up_budget = np.array([p.uplink * self.slot for p in self.peers])
-        self.down_budget = np.array([p.downlink * self.slot for p in self.peers])
+        self.up_budget = self.uplink * self.slot
+        self.down_budget = self.downlink * self.slot
+        # report fields, each written once in place; the math.nan object until then
+        self.ttb, self.ttr, self.ettr, self.redundancy = ([math.nan] * self.P for _ in range(4))
 
         # in-flight transfers, one row each in serial order: the KIND .. SERIAL
         # columns of table[:, :used] and the bytes done[:used]; both grow by doubling
@@ -453,14 +440,16 @@ class Simulation:
         self.stored_count[holder_idx] += 1
 
     def _profiles(self, holder_idxs) -> list[tuple[float, float]]:
-        return [(self.peers[h].avail, self.peers[h].uplink) for h in holder_idxs]
+        # .item gives Python floats, from which redundancy builds its arrays faster than from numpy scalars
+        return [(self.avail.item(h), self.uplink.item(h)) for h in holder_idxs]
 
     def _ettr(self, owner: _Peer) -> float:
         """eTTR of the owner's current placements; nan below k holders."""
         holders = owner.placements.values()
         if len(holders) < self.k:
             return math.nan
-        return estimate_ttr(self.o, owner.downlink, self._profiles(holders), self.k, self.thresholds.parallel)
+        return estimate_ttr(self.o, float(self.downlink[owner.idx]), self._profiles(holders), self.k,
+                            self.thresholds.parallel)
 
     def _at_risk(self, owner: _Peer) -> bool:
         """True while the owner's placements fail the loss cap over w + eTTR
@@ -485,8 +474,8 @@ class Simulation:
             return len(owner.placements) < self.fixed_n
         if owner.needs is None:
             owner.needs = not backup_complete(
-                self.o, owner.downlink, owner.min_ttr, self._profiles(owner.placements.values()),
-                self.k, self.thresholds,
+                self.o, float(self.downlink[owner.idx]), float(self.min_ttr[owner.idx]),
+                self._profiles(owner.placements.values()), self.k, self.thresholds,
             )
         return owner.needs
 
@@ -590,7 +579,7 @@ class Simulation:
                     response_slot=None,
                     outcome="pending",
                     unfinished=phase != COMPLETE,
-                    unavoidable=now < peer.min_ttb,
+                    unavoidable=bool(now < self.min_ttb[idx]),
                 )
                 self.crashes.append(peer.episode)
             if not self._lost_if_unreachable(peer):
@@ -700,16 +689,15 @@ class Simulation:
         if self._lost_if_unreachable(owner):
             return
         if owner.episode.response_slot == slot_idx and owner.crash_count == 1:
-            owner.ettr = self._ettr(owner)
+            self.ettr[owner.idx] = self._ettr(owner)
         restores = self._owned(owner.idx, RESTORE)
         in_flight = set(self.table[FRAG, restores].tolist())
         have = len(owner.downloaded) + len(in_flight)
         if have >= self.k:
             return
         if owner.parallel is None:  # kept, exact as in _needs_fragments
-            owner.parallel = self.thresholds.parallel or default_parallel(
-                owner.downlink, [self.peers[h].uplink for h in owner.placements.values()] or [owner.downlink], self.k
-            )
+            owner.parallel = self.thresholds.parallel or default_parallel(  # 1 with no holders
+                self.downlink[owner.idx], self.uplink[list(owner.placements.values())], self.k)
         online = np.append(self._online(slot_idx), True).tolist()  # SERVER = -1 reads the appended True
         active_online = sum(online[src] for src in self.table[SRC, restores].tolist())
         candidates = sorted(
@@ -772,8 +760,8 @@ class Simulation:
         if not self._needs_fragments(owner):
             if self.phase[owner.idx] == BACKING_UP:
                 self.phase[owner.idx] = COMPLETE
-                owner.ttb = (slot_idx + 1) * self.slot
-                owner.redundancy = len(owner.placements) / self.k
+                self.ttb[owner.idx] = (slot_idx + 1) * self.slot
+                self.redundancy[owner.idx] = len(owner.placements) / self.k
             self._cancel(owner.idx, BACKUP)
 
     def _step_completions(self, slot_idx: int, finished: np.ndarray) -> None:
@@ -805,10 +793,10 @@ class Simulation:
 
     def _finish_restore(self, owner: _Peer, slot_idx: int) -> None:
         if owner.crash_count == 1:
-            owner.ttr = (slot_idx - owner.episode.response_slot + 1) * self.slot
+            self.ttr[owner.idx] = (slot_idx - owner.episode.response_slot + 1) * self.slot
         owner.episode.outcome = "restored"
         owner.episode = None
-        self.phase[owner.idx] = COMPLETE if not math.isnan(owner.ttb) else BACKING_UP
+        self.phase[owner.idx] = COMPLETE if not math.isnan(self.ttb[owner.idx]) else BACKING_UP
         owner.downloaded = set()
         owner.repair_stage = None
         self.buffered.pop(owner.idx, None)
@@ -826,21 +814,11 @@ class Simulation:
             self._step_completions(slot_idx, self._step_allocate(slot_idx))
             self.buf_bytes[slot_idx] = sum(len(v) for v in self.buffered.values()) * self.f
 
-        records = [
-            PeerRecord(
-                peer=p.idx,
-                uplink=p.uplink,
-                availability=p.avail,
-                ttb=p.ttb,
-                min_ttb=p.min_ttb,
-                ttr=p.ttr,
-                min_ttr=p.min_ttr,
-                ettr=p.ettr,
-                redundancy=p.redundancy,
-            )
-            for p in self.peers
-        ]
-        done = [r.redundancy for r in records if not math.isnan(r.redundancy)]
+        # Python floats throughout: the report writes each with repr
+        records = [PeerRecord(*row) for row in zip(
+            range(self.P), self.uplink.tolist(), self.avail.tolist(), self.ttb, self.min_ttb.tolist(),
+            self.ttr, self.min_ttr.tolist(), self.ettr, self.redundancy)]
+        done = [r for r in self.redundancy if not math.isnan(r)]
         return SimReport(
             config=self.config,
             num_peers=self.P,

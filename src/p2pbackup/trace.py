@@ -24,6 +24,11 @@ class TraceFormatError(ValueError):
     """Raised for malformed event or matrix files; message carries the line number."""
 
 
+def _check_slot_seconds(slot_seconds) -> None:
+    if not 0 < slot_seconds < math.inf:  # negated so that a nan fails too
+        raise ValueError(f"slot_seconds must be positive and finite, got {slot_seconds}")
+
+
 @dataclass(frozen=True)
 class AvailabilityEvent:
     peer_id: str
@@ -43,8 +48,7 @@ class AvailabilityMatrix:
         bits = np.asarray(self.bits, dtype=np.uint8)
         if bits.ndim != 2:
             raise ValueError(f"bits must be 2-D, got shape {bits.shape}")
-        if self.slot_seconds <= 0:
-            raise ValueError("slot_seconds must be positive")
+        _check_slot_seconds(self.slot_seconds)
         if self.peer_ids is not None and len(self.peer_ids) != bits.shape[0]:
             raise ValueError("peer_ids length does not match row count")
         bits.setflags(write=False)
@@ -154,8 +158,7 @@ def slotize(events, slot_seconds: float = DEFAULT_SLOT_SECONDS, num_slots: int |
     smallest whole number of slots covering the last event; sessions still open
     at the horizon run to its end.
     """
-    if slot_seconds <= 0:
-        raise ValueError("slot_seconds must be positive")
+    _check_slot_seconds(slot_seconds)
     if num_slots is None:
         if not events:
             raise ValueError("cannot infer num_slots from an empty event list")
@@ -235,6 +238,7 @@ def synth_trace(
         raise ValueError("diurnal_amplitude must be in [0, 1]")
     if not 0 <= weekend_factor <= 1:
         raise ValueError("weekend_factor must be in [0, 1]")
+    _check_slot_seconds(slot_seconds)
     rng = np.random.default_rng(seed)
 
     target = np.asarray(availability, dtype=float)
@@ -290,7 +294,11 @@ def read_matrix_file(path) -> AvailabilityMatrix:
         if not m:
             raise TraceFormatError(f"line 1: bad matrix header {header!r}")
         peers, slots = int(m.group(1)), int(m.group(2))
-        slot_seconds = float(m.group(3))
+        try:
+            slot_seconds = float(m.group(3))
+            _check_slot_seconds(slot_seconds)
+        except ValueError:
+            raise TraceFormatError(f"line 1: slot_seconds must be a positive finite number, got {m.group(3)}") from None
         bits = np.zeros((peers, slots), dtype=np.uint8)
         for i in range(peers):
             line = fh.readline().rstrip("\n")

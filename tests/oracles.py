@@ -110,6 +110,19 @@ def loop_random_schedule(bits, owner, candidates, x, owner_rate, peer_rate, cap,
     return sorted(entries)
 
 
+def loop_ideal_seconds(row, need, slot_seconds):
+    """Elapsed seconds from slot 0 until the row has been online for need
+    seconds, walking the slots one at a time; inf if the horizon is too
+    short."""
+    acc = 0.0
+    for col, bit in enumerate(row):
+        if bit:
+            if acc + slot_seconds >= need:
+                return col * slot_seconds + (need - acc)
+            acc += slot_seconds
+    return float("inf")
+
+
 def binomial_tail_ge(n, k, p: Fraction) -> Fraction:
     """P[Bin(n, p) >= k] in exact rational arithmetic."""
     q = 1 - p

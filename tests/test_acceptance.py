@@ -276,8 +276,7 @@ def _audit_violations(run: DeskRun) -> list[str]:
     out = []
     s = run.sim
     slot = s.slot
-    up = np.array([p.uplink * slot for p in s.peers])
-    down = np.array([p.downlink * slot for p in s.peers])
+    up, down = s.uplink * slot, s.downlink * slot
     total_sent = total_received = 0.0
     for call, (specs, grants) in enumerate(run.allocations):
         sent, received = link_loads(specs, grants, s.P)

@@ -6,9 +6,10 @@ import json
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from p2pbackup import cli, trace
+from p2pbackup import cli, report, trace
 from p2pbackup.sim import SimConfig
 
 from conftest import make_matrix
@@ -120,6 +121,25 @@ def test_trace_stats_missing_file_is_an_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("slot_seconds", ["nan", "inf", "0"])
+def test_trace_synth_rejects_a_bad_slot_length(tmp_path, capsys, slot_seconds):
+    out = tmp_path / "o"
+    rc = cli.main(["trace-synth", "--peers", "3", "--slots", "4", "--slot-seconds", slot_seconds,
+                   "--out-dir", str(out)])
+    assert rc == 1
+    assert "slot_seconds must be positive and finite" in capsys.readouterr().err
+    assert not (out / "trace.txt").exists()
+
+
+def test_simulate_rejects_an_infinite_slot_length(tmp_path, capsys):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("peers=2 slots=2 slot_seconds=1e999\n11\n01\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--matrix", str(matrix), "--out-dir", str(out)]) == 1
+    assert "line 1: slot_seconds must be a positive finite number, got 1e999" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
 # -- plan ----------------------------------------------------------------
 
 def test_plan_redundancy_query(tmp_path, capsys):
@@ -170,6 +190,24 @@ def test_plan_batch_mixes_modes(tmp_path, capsys):
     assert int(rows[0]["n"]) >= 4
     assert read_manifest(out)["queries"] == 2
     assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+
+FULL_HEADER = "mode,k,a,target,n,t_days,mean_lifetime_days"
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([FULL_HEADER, "n,4,0.5,0.9,,,", "n,4"], "line 3: missing a"),
+    (["mode,k,a", "n,4,0.5"], "line 2: missing target"),
+    ([FULL_HEADER, "n,4,0.5,0.9,,,", "n,eight,0.5,0.9,,,"], "line 3: k must be an integer, got 'eight'"),
+    ([FULL_HEADER, "loss,1,,,2,ninety,90"], "line 2: t_days must be a number, got 'ninety'"),
+    ([FULL_HEADER, "n,4,0.5,0.9,,,", "fixed,4,0.5,0.9,,,"], "line 3: mode must be n or loss, got 'fixed'"),
+    ([FULL_HEADER, "n,4,1.5,0.9,,,"], "line 2: a must be in (0, 1]"),
+])
+def test_plan_batch_names_the_line_and_field_of_a_bad_row(tmp_path, capsys, lines, message):
+    batch = tmp_path / "batch.csv"
+    batch.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli.main(["plan", "--batch", str(batch), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {batch}: {message}\n"
 
 
 def test_plan_requires_complete_query(tmp_path):
@@ -306,16 +344,26 @@ def test_simulate_same_seed_byte_identical(tmp_path, flat_cdf_file):
 
 def test_simulate_multi_run_averages(tmp_path, flat_cdf_file):
     matrix_path, config_path = write_sim_inputs(tmp_path, flat_cdf_file)
-    out = tmp_path / "o"
-    rc = cli.main(["simulate", "--matrix", str(matrix_path),
-                   "--config", str(config_path), "--runs", "2",
-                   "--seed", "0", "--out-dir", str(out)])
-    assert rc == 0
-    assert (out / "run-0" / "summary.csv").exists()
-    assert (out / "run-1" / "summary.csv").exists()
-    with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
-        summary = next(csv.DictReader(fh))
-    assert summary["runs"] == "2"
+    for policy in ("fixed", "adaptive"):
+        out = tmp_path / policy
+        rc = cli.main(["simulate", "--matrix", str(matrix_path),
+                       "--config", str(config_path), "--runs", "2", "--policy", policy,
+                       "--seed", "0", "--out-dir", str(out)])
+        assert rc == 0
+        with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+            summary = next(csv.DictReader(fh))
+        assert summary["runs"] == "2"
+        # the average, made in memory, agrees with one made from the per-run files
+        runs = [report.read_summary_csv(out / f"run-{i}" / "summary.csv") for i in range(2)]
+        averaged = report.read_summary_csv(out / "summary.csv")
+        assert averaged.pop("runs") == 2 and averaged.keys() == runs[0].keys()
+        for key, value in averaged.items():
+            cells = [run[key] for run in runs]
+            if isinstance(cells[0], str):
+                assert value == cells[0], key
+            else:
+                numbers = [float(c) for c in cells if not math.isnan(c)]
+                assert value == np.mean(numbers) if numbers else math.isnan(value), key
 
 
 def test_simulate_flags_override_config_file(tmp_path, flat_cdf_file):

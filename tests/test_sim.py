@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from p2pbackup import report as rep
@@ -15,7 +15,7 @@ from p2pbackup import trace
 from p2pbackup.redundancy import backup_complete
 from p2pbackup.sim import SERVER, SimConfig, Simulation
 from conftest import allocate_rows, link_loads, make_matrix, recorded_allocations
-from oracles import maxmin_violations, progressive_filling_reference
+from oracles import loop_ideal_seconds, maxmin_violations, progressive_filling_reference
 
 KB100 = 100_000.0  # flat-CDF uplink, bytes/s
 SLOT = 3600.0
@@ -412,6 +412,42 @@ def test_unfinishable_backup_reports_nan(flat_cdf_file):
         assert math.isinf(r.min_ttb)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    peers=st.integers(1, 29),
+    slots=st.integers(0, 699),
+    online=st.floats(0.0, 1.0),
+    slot=st.one_of(st.sampled_from([0.001, 0.1, 1 / 3, 1800.0, 3600.0]), st.floats(1e-3, 3600.0)),
+    object_size=st.integers(1, 10 * 2**30),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(peers=4, slots=6, online=0.5, slot=0.1, object_size=10 * 2**30, seed=0)  # no row carries the object
+@example(peers=29, slots=699, online=0.3, slot=1 / 3, object_size=2**20, seed=1)
+def test_min_ttb_matches_the_slot_loop(peers, slots, online, slot, object_size, seed):
+    # bit for bit: minTTB reaches the report, so a rounding difference moves it
+    rng = np.random.default_rng(seed)
+    bits = rng.random((peers, slots)) < online
+    need = object_size / np.maximum(rng.lognormal(math.log(77.0), 1.852, peers) * 1000.0, 1e-6)
+    expect = [loop_ideal_seconds(row, n, slot) for row, n in zip(bits.tolist(), need.tolist())]
+    assert psim._ideal_elapsed(bits, need, slot).tolist() == expect
+
+
+def test_min_ttb_ends_in_the_slot_that_completes_the_object():
+    bits = np.array([[1, 1, 0, 1], [0, 1, 1, 0]], dtype=bool)
+    assert psim._ideal_elapsed(bits, np.full(2, 2 * SLOT), SLOT).tolist() == [2 * SLOT, 3 * SLOT]
+
+
+def test_peer_records_hold_python_floats(flat_cdf_file):
+    # the report writes floats with repr, which numpy 2 prints as np.float64(...)
+    config = cfg(flat_cdf_file, mean_lifetime_days=5.0, bandwidth_source="lognormal", seed=21)
+    report = psim.run(config, trace.synth_trace(15, 120, availability=(0.4, 0.8), seed=3))
+    assert any(math.isfinite(r.ettr) for r in report.peers)
+    for r in report.peers:
+        assert type(r.peer) is int
+        assert all(type(getattr(r, f.name)) is float for f in fields(r) if f.name != "peer"), r
+    assert report.crashes and all(type(c.unavoidable) is bool for c in report.crashes)
+
+
 def test_immediate_mode_never_touches_the_server(flat_cdf_file):
     config = cfg(flat_cdf_file, mean_lifetime_days=2.0, seed=3)
     report = psim.run(config, always_on(10, 100))
@@ -444,7 +480,7 @@ def place(simulation, owner_idx, holders):
         simulation._place(owner_idx, frag, holder)
     owner.next_frag = len(holders)
     simulation.phase[owner_idx] = psim.COMPLETE
-    owner.ttb = simulation.slot
+    simulation.ttb[owner_idx] = simulation.slot
 
 
 def test_holder_crash_erases_stored_fragments(flat_cdf_file):
@@ -684,9 +720,7 @@ def test_churn_storage_maps_stay_mirrored(churn_report):
 
 def link_budgets(simulation):
     """Per-peer (uplink, downlink) bytes of one slot, from the peers' rates."""
-    up = np.array([p.uplink * SLOT for p in simulation.peers])
-    down = np.array([p.downlink * SLOT for p in simulation.peers])
-    return up, down
+    return simulation.uplink * SLOT, simulation.downlink * SLOT
 
 
 def assert_call_within_link_budgets(simulation, specs, grants, rel=0.0):
@@ -913,14 +947,18 @@ class IndexCheckSimulation(Simulation):
     decision (stopping, repair risk, restore parallelism) must have been made
     on the owner's current holders.  The task step must visit exactly the
     owners its screen admits, recomputed here with plain loops, and every
-    owner it skips must have been unable to open an upload.  Also notes each
-    slot in which an owner returns with a repair upload in flight, the case
-    the return step must cancel."""
+    owner it skips must have been unable to open an upload.  Each report
+    field is a Python float and is written at most once: once it is no
+    longer the math.nan object, it keeps its object.  redundancy is set
+    exactly when ttb is.  Also notes each slot in which an owner returns
+    with a repair upload in flight, the case the return step must cancel."""
 
     MEMOS = ("needs", "at_risk", "parallel")
+    REPORT_FIELDS = ("ttb", "ttr", "ettr", "redundancy")
 
     def __init__(self, config, matrix):
         super().__init__(config, matrix)
+        self.written = {name: list(getattr(self, name)) for name in self.REPORT_FIELDS}  # as of the last check
         self.reserved = None  # last seen (incoming, receiving) in the task step
         self.decided = {}  # (memo, owner) -> the holders its last fresh decision read
         self.stepped = None  # owners the task step visits, in order
@@ -931,6 +969,15 @@ class IndexCheckSimulation(Simulation):
         found += [f"peer {p.idx} keeps a {memo} decision made on holders {self.decided[memo, p.idx]}"
                   for memo in self.MEMOS for p in self.peers
                   if getattr(p, memo) is not None and self.decided[memo, p.idx] != sorted(p.placements.values())]
+        for name in self.REPORT_FIELDS:
+            values, before = getattr(self, name), self.written[name]
+            found += [f"peer {i} {name} {values[i]!r} is not a float" for i in range(self.P)
+                      if type(values[i]) is not float]
+            found += [f"peer {i} {name} {before[i]} written again as {values[i]}" for i in range(self.P)
+                      if before[i] is not math.nan and values[i] is not before[i]]
+            self.written[name] = list(values)
+        found += [f"peer {i} has ttb {self.ttb[i]} and redundancy {self.redundancy[i]}" for i in range(self.P)
+                  if math.isnan(self.ttb[i]) != math.isnan(self.redundancy[i])]
         assert not found, f"slot {slot_idx}, after {phase}: {found[:3]}"
 
     def _decide(self, memo, decide, owner):
@@ -1200,10 +1247,10 @@ class UncachedCheckSimulation(Simulation):
     def _needs_fragments(self, owner):
         needs = super()._needs_fragments(owner)
         holders = frozenset(owner.placements.values())
-        fresh = not backup_complete(
-            self.o, owner.downlink, owner.min_ttr, self._profiles(owner.placements.values()),
-            self.k, self.thresholds,
-        )
+        i = owner.idx
+        profiles = [(float(self.avail[h]), float(self.uplink[h])) for h in owner.placements.values()]
+        fresh = not backup_complete(self.o, float(self.downlink[i]), self.o / float(self.downlink[i]), profiles,
+                                    self.k, self.thresholds)
         assert needs == fresh
         self.calls += 1
         before = self.last.get(owner.idx)
@@ -1242,7 +1289,7 @@ def test_stopping_rule_follows_a_holder_swap(flat_cdf_file):
     # but pushes eTTR past the one-day cap, so the decision must be redone.
     # Each swap is a holder crash followed by a placement, as in a run.
     s = prepared_sim(flat_cdf_file, redundancy_policy="adaptive")
-    s.peers[5].avail = 0.001
+    s.avail[5] = 0.001
     place(s, 0, [1, 2, 3, 4])
     owner = s.peers[0]
     assert not s._needs_fragments(owner)

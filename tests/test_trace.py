@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -106,6 +108,17 @@ def test_slotize_rejects_bad_arguments():
         trace.slotize(events, slot_seconds=0)
     with pytest.raises(ValueError):
         trace.slotize([])
+
+
+@pytest.mark.parametrize("slot_seconds", [math.inf, math.nan, -3600.0])
+def test_slot_length_must_be_positive_and_finite(slot_seconds):
+    events, _ = trace.parse_events(session("p1", 0, 3600))
+    with pytest.raises(ValueError, match="slot_seconds must be positive and finite"):
+        trace.slotize(events, slot_seconds=slot_seconds)
+    with pytest.raises(ValueError, match="slot_seconds must be positive and finite"):
+        trace.AvailabilityMatrix(bits=np.ones((1, 2), dtype=np.uint8), slot_seconds=slot_seconds)
+    with pytest.raises(ValueError, match="slot_seconds must be positive and finite"):
+        trace.synth_trace(2, 4, slot_seconds=slot_seconds, seed=0)
 
 
 # ----------------------------------------------------------- filter_min_uptime
@@ -236,6 +249,14 @@ def test_read_matrix_rejects_corrupt_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a header\n10\n")
     with pytest.raises(trace.TraceFormatError):
+        trace.read_matrix_file(path)
+
+
+@pytest.mark.parametrize("text", ["1e999", "0", "1..2"])
+def test_read_matrix_rejects_a_bad_slot_length_on_line_1(tmp_path, text):
+    path = tmp_path / "m.txt"
+    path.write_text(f"peers=1 slots=2 slot_seconds={text}\n10\n")
+    with pytest.raises(trace.TraceFormatError, match=f"line 1: slot_seconds must be .* got {text}"):
         trace.read_matrix_file(path)
 
 

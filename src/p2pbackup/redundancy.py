@@ -71,13 +71,13 @@ class AdaptiveThresholds:
     def __post_init__(self):
         if not 0 < self.loss_cap <= 1:
             raise ValueError("loss_cap must be in (0, 1]")
-        if self.w_days < 0:
+        if not self.w_days >= 0:  # negated, here and below, so that a nan fails too
             raise ValueError("w_days must be non-negative")
         if self.parallel is not None and self.parallel < 1:
             raise ValueError("parallel must be at least 1")
-        if self.mean_lifetime_days <= 0:
+        if not self.mean_lifetime_days > 0:
             raise ValueError("mean_lifetime_days must be positive")
-        if self.ttr_floor_days < 0 or self.ttr_factor < 0:
+        if not (self.ttr_floor_days >= 0 and self.ttr_factor >= 0):
             raise ValueError("TTR rule parameters must be non-negative")
 
 
@@ -152,7 +152,7 @@ def estimate_ttr(o: float, d0: float, holders, k: int, parallel: int | None = No
     currently-offline holders count.  Returns inf when the k-th best expected
     rate is zero.
     """
-    if o <= 0 or d0 <= 0:
+    if not (o > 0 and d0 > 0):  # negated so that a nan fails too
         raise ValueError("o and d0 must be positive")
     avail, uplink = _holder_arrays(holders)
     if len(avail) < k:
@@ -175,9 +175,9 @@ def data_loss_probability(n: int, k: int, t_elapsed: float, mean_lifetime: float
     """
     if k < 1 or n < k:
         raise ValueError("need n >= k >= 1")
-    if t_elapsed < 0:
+    if not t_elapsed >= 0:  # negated so that a nan fails too
         raise ValueError("t_elapsed must be non-negative")
-    if mean_lifetime <= 0:
+    if not mean_lifetime > 0:
         raise ValueError("mean_lifetime must be positive")
     q = -math.expm1(-t_elapsed / mean_lifetime)
     return float(binom.sf(n - k, n, q))

@@ -20,7 +20,7 @@ matrix, seed) triple fully determines the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,6 +51,7 @@ ADAPTIVE = "adaptive"
 RESTORE, BACKUP, REPAIR_IN, REPAIR_OUT, DEAD = 0, 1, 2, 3, -1
 UPLOADS = (BACKUP, REPAIR_OUT)  # transfers that place a fragment on a peer
 KIND, SRC, DST, OWNER, FRAG, SERIAL = range(6)  # integer columns of Simulation.table
+EMPTY, IN_FLIGHT = -1, -2  # cells of Simulation.placed that hold no fragment id
 
 _EPS = 1e-3  # bytes; transfer demands are in the 1e8 range
 _MAY_BE_INF = ("mean_lifetime_days", "ttr_floor_days")  # SimConfig fields where inf means "never"
@@ -294,22 +295,6 @@ def allocate_slot_transfers(src, dst, demand, restore, up_budget, down_budget) -
 
 
 @dataclass
-class _Peer:
-    """An owner's bookkeeping; its run constants and report fields are vectors of Simulation."""
-
-    idx: int
-    placements: dict = field(default_factory=dict)  # own fragment id -> holder idx
-    next_frag: int = 0
-    crash_count: int = 0
-    downloaded: set = field(default_factory=set)
-    repair_stage: str | None = None
-    episode: "CrashRecord | None" = None
-    needs: bool | None = None  # adaptive stopping decision, kept until _forget
-    at_risk: bool | None = None  # repair-risk decision, kept until _forget
-    parallel: int | None = None  # restore download parallelism l, kept until _forget
-
-
-@dataclass
 class CrashRecord:
     peer: int
     crash_slot: int
@@ -364,8 +349,8 @@ class Simulation:
     """One deterministic run over (config, matrix)."""
 
     def __init__(self, config: SimConfig, matrix: AvailabilityMatrix):
-        if matrix.num_peers < 2:
-            raise ValueError("need at least 2 peers")
+        if matrix.num_peers < 2 or matrix.num_slots < 1:
+            raise ValueError(f"need at least 2 peers and 1 slot, got {matrix.num_peers} x {matrix.num_slots}")
         self.config = config
         self.bits = matrix.bits.astype(bool)
         self.P = matrix.num_peers
@@ -388,7 +373,6 @@ class Simulation:
         self.uplink, self.downlink = sample_bandwidth(config, self.P, self.rng)
         self.min_ttb = _ideal_elapsed(self.bits, self.o / self.uplink, self.slot)
         self.min_ttr = self.o / self.downlink
-        self.peers = [_Peer(i) for i in range(self.P)]
         self.next_crash = np.array([sample_lifetime(config.mean_lifetime_days, self.rng) for _ in range(self.P)])
         # per-peer byte budgets of one slot; allocate_slot_transfers copies them
         self.up_budget = self.uplink * self.slot
@@ -406,13 +390,21 @@ class Simulation:
         self.cols = np.ascontiguousarray(self.bits.T)  # cols[col] = bits[:, col]
         self.phase = np.full(self.P, BACKING_UP, dtype=np.int8)
         self.back_at = np.full(self.P, math.inf)  # return time of an absent peer, inf while present
-        self.holds = np.zeros((self.P, self.P), dtype=bool)  # [owner, holder]: holder in owner.placements
+        # placed[owner, peer]: the id of the fragment peer holds for owner, IN_FLIGHT while an
+        # upload from owner to peer is open (reserving the pair and a quota slot of peer), or EMPTY
+        self.placed = np.full((self.P, self.P), EMPTY, dtype=np.int32)
+        self.placed_count = np.zeros(self.P, dtype=int)  # fragments placed per owner
         self.stored_count = np.zeros(self.P, dtype=int)  # fragments each peer stores for others
-        # uploads in flight: count per destination, and [owner, dst] (a pair
-        # never has two, since a pick excludes the pairs in flight); they
-        # reserve the destination's quota slot and pair until they end
-        self.incoming = np.zeros(self.P, dtype=int)
-        self.receiving = np.zeros((self.P, self.P), dtype=bool)
+        self.incoming = np.zeros(self.P, dtype=int)  # uploads in flight per destination
+        self.next_frag = np.zeros(self.P, dtype=int)  # id of each owner's next new fragment
+        self.crash_count = np.zeros(self.P, dtype=int)
+        # decisions kept on each owner's placements until _forget: stopping
+        # and repair risk (-1 undecided), restore parallelism l (0 undecided)
+        self.needs, self.at_risk = np.full((2, self.P), -1, dtype=np.int8)
+        self.parallel = np.zeros(self.P, dtype=int)
+        self.episode: list[CrashRecord | None] = [None] * self.P  # open crash episode of a restoring peer
+        self.downloaded: list[set[int]] = [set() for _ in range(self.P)]  # fragments restored so far
+        self.repair_stage: list[str | None] = [None] * self.P
         self.buffered: dict[int, set[int]] = {}  # owner -> buffered fragment ids on the server
         self.crashes: list[CrashRecord] = []
         self.out_bytes = np.zeros(self.T)
@@ -427,57 +419,64 @@ class Simulation:
         trace."""
         return (self.back_at == math.inf) & ((self.phase == RESTORING) | self.cols[col])
 
-    @staticmethod
-    def _forget(owner: _Peer) -> None:
-        """Clear the decisions kept on the owner's placements, which changed."""
-        owner.needs = owner.at_risk = owner.parallel = None
+    def _forget(self, owners) -> None:
+        """Clear the decisions kept on the placements of owners (an index or a mask), which changed."""
+        self.needs[owners] = self.at_risk[owners] = -1
+        self.parallel[owners] = 0
 
-    def _place(self, owner_idx: int, frag: int, holder_idx: int) -> None:
-        owner = self.peers[owner_idx]
-        owner.placements[frag] = holder_idx
+    def _place(self, owner: int, frag: int, holder: int) -> None:
+        self.placed[owner, holder] = frag
+        self.placed_count[owner] += 1
+        self.stored_count[holder] += 1
         self._forget(owner)
-        self.holds[owner_idx, holder_idx] = True
-        self.stored_count[holder_idx] += 1
 
-    def _profiles(self, holder_idxs) -> list[tuple[float, float]]:
-        # .item gives Python floats, from which redundancy builds its arrays faster than from numpy scalars
-        return [(self.avail.item(h), self.uplink.item(h)) for h in holder_idxs]
+    def _placements(self, owner: int) -> dict[int, int]:
+        """The owner's {fragment id: holder}, in holder order."""
+        row = self.placed[owner]
+        holders = np.flatnonzero(row >= 0)
+        return dict(zip(row[holders].tolist(), holders.tolist()))
 
-    def _ettr(self, owner: _Peer) -> float:
+    def _profiles(self, owner: int) -> list[tuple[float, float]]:
+        # .tolist gives Python floats, from which redundancy builds its arrays faster than from numpy scalars
+        held = self.placed[owner] >= 0
+        return list(zip(self.avail[held].tolist(), self.uplink[held].tolist()))
+
+    def _ettr(self, owner: int) -> float:
         """eTTR of the owner's current placements; nan below k holders."""
-        holders = owner.placements.values()
-        if len(holders) < self.k:
+        if self.placed_count.item(owner) < self.k:
             return math.nan
-        return estimate_ttr(self.o, float(self.downlink[owner.idx]), self._profiles(holders), self.k,
+        return estimate_ttr(self.o, self.downlink.item(owner), self._profiles(owner), self.k,
                             self.thresholds.parallel)
 
-    def _at_risk(self, owner: _Peer) -> bool:
+    def _at_risk(self, owner: int) -> bool:
         """True while the owner's placements fail the loss cap over w + eTTR
-        (always, below k holders); kept in owner.at_risk, exact as in
+        (always, below k holders); kept in at_risk, exact as in
         _needs_fragments."""
-        if owner.at_risk is None:
+        at_risk = self.at_risk.item(owner)
+        if at_risk < 0:
             ettr = self._ettr(owner)
-            owner.at_risk = math.isnan(ettr) or bool(
-                loss_risk(len(owner.placements), self.k, ettr, self.thresholds) > self.thresholds.loss_cap)
-        return owner.at_risk
+            at_risk = self.at_risk[owner] = math.isnan(ettr) or bool(
+                loss_risk(self.placed_count.item(owner), self.k, ettr, self.thresholds) > self.thresholds.loss_cap)
+        return bool(at_risk)
 
-    def _needs_fragments(self, owner: _Peer) -> bool:
+    def _needs_fragments(self, owner: int) -> bool:
         """True while the owner's policy wants more fragments placed.
 
         Crash detection is immediate and global, so the owner's view of its
-        placements is exact.  The adaptive decision is kept in owner.needs
-        until _place, on_crash or _mark_lost changes the placements.  That is
+        placements is exact.  The adaptive decision is kept in needs until
+        _place, on_crash or _mark_lost changes the placements.  That is
         exact: its other inputs (o, the owner's downlink and minTTR, k, the
         thresholds, each holder's availability and uplink) are run constants.
         """
         if self.config.redundancy_policy == FIXED:
-            return len(owner.placements) < self.fixed_n
-        if owner.needs is None:
-            owner.needs = not backup_complete(
-                self.o, float(self.downlink[owner.idx]), float(self.min_ttr[owner.idx]),
-                self._profiles(owner.placements.values()), self.k, self.thresholds,
+            return self.placed_count.item(owner) < self.fixed_n
+        needs = self.needs.item(owner)
+        if needs < 0:
+            needs = self.needs[owner] = not backup_complete(
+                self.o, float(self.downlink[owner]), float(self.min_ttr[owner]),
+                self._profiles(owner), self.k, self.thresholds,
             )
-        return owner.needs
+        return bool(needs)
 
     def _new_transfer(self, kind, src, dst, owner, frag) -> None:
         if self.used == self.done.size:
@@ -489,7 +488,7 @@ class Simulation:
         self.used += 1
         if kind in UPLOADS:
             self.incoming[dst] += 1
-            self.receiving[owner, dst] = True
+            self.placed[owner, dst] = IN_FLIGHT
 
     def _drop(self, rows) -> None:
         """Mark the rows dead, releasing what their uploads reserved."""
@@ -498,7 +497,7 @@ class Simulation:
             self.table[KIND, row] = DEAD
             if kind in UPLOADS:
                 self.incoming[dst] -= 1
-                self.receiving[owner, dst] = False
+                self.placed[owner, dst] = EMPTY
 
     def _owned(self, owner: int, kind: int) -> np.ndarray:
         """Rows of the owner's live transfers of this kind, in serial order."""
@@ -507,33 +506,34 @@ class Simulation:
     def _cancel(self, owner: int, kind: int) -> None:
         self._drop(self._owned(owner, kind))
 
-    def _eligible_targets(self, owner_idx: int, col: int) -> np.ndarray:
+    def _eligible_targets(self, owner: int, col: int) -> np.ndarray:
         """Online peers, other than the owner, that hold none of its fragments,
         receive none from it and have a free quota slot; in index order."""
-        ok = self._online(col) & ~(self.holds[owner_idx] | self.receiving[owner_idx])
+        ok = self._online(col) & (self.placed[owner] == EMPTY)
         ok &= self.stored_count + self.incoming < self.capacity_slots
-        ok[owner_idx] = False
+        ok[owner] = False
         return ok.nonzero()[0]
 
-    def _open_uploads(self, owner: _Peer, kind: int, src: int, col: int, count: int) -> None:
+    def _open_uploads(self, owner: int, kind: int, src: int, col: int, count: int) -> None:
         """Open up to count uploads of new fragments from src, each to a peer
         drawn uniformly from the eligible targets."""
         if count <= 0:
             return
         # reserving dst makes only dst ineligible, so each later draw is from
         # the same list less the peers already drawn
-        targets = self._eligible_targets(owner.idx, col).tolist()
+        targets = self._eligible_targets(owner, col).tolist()
         for _ in range(count):
             if not targets:
                 break
             dst = targets.pop(int(self.rng.integers(len(targets))))
-            self._new_transfer(kind, src, dst, owner.idx, owner.next_frag)
-            owner.next_frag += 1
+            self._new_transfer(kind, src, dst, owner, self.next_frag.item(owner))
+            self.next_frag[owner] += 1
 
-    def _lost_if_unreachable(self, owner: _Peer) -> bool:
+    def _lost_if_unreachable(self, owner: int) -> bool:
         """Mark the owner lost when fewer than k of its fragments are
         reachable (downloaded, placed on peers or buffered); True if so."""
-        reach = set().union(owner.downloaded, owner.placements, self.buffered.get(owner.idx, ()))
+        row = self.placed[owner]
+        reach = set().union(self.downloaded[owner], row[row >= 0].tolist(), self.buffered.get(owner, ()))
         if len(reach) < self.k:
             self._mark_lost(owner)
             return True
@@ -545,8 +545,7 @@ class Simulation:
         """Wipe the peer, notify owners whose fragments it stored, open or
         extend its crash episode, and schedule its return per the response
         mode."""
-        peer = self.peers[idx]
-        peer.crash_count += 1
+        self.crash_count[idx] += 1
         config = self.config
 
         back = now  # when the peer is back; its lifetime restarts there
@@ -555,11 +554,10 @@ class Simulation:
             back = self.back_at[idx] = min(now + delay, np.finfo(float).max)  # inf would read as present
         # fragments this peer stored for others are destroyed; detection is
         # immediate and global, so owners see the drop at once
-        for owner_idx in np.flatnonzero(self.holds[:, idx]):
-            owner = self.peers[owner_idx]
-            owner.placements = {f: h for f, h in owner.placements.items() if h != idx}
-            self._forget(owner)
-        self.holds[:, idx] = False
+        owners = self.placed[:, idx] >= 0
+        self._forget(owners)
+        self.placed_count[owners] -= 1
+        self.placed[owners, idx] = EMPTY
         self.stored_count[idx] = 0
 
         # every in-flight transfer touching this peer dies with it
@@ -567,13 +565,13 @@ class Simulation:
 
         phase = int(self.phase[idx])
         if phase != LOST:
-            peer.downloaded = set()
-            peer.repair_stage = None
+            self.downloaded[idx] = set()
+            self.repair_stage[idx] = None
             if phase == RESTORING:
                 # a re-crash during recovery extends the open episode
-                peer.episode.response_slot = None
+                self.episode[idx].response_slot = None
             else:
-                peer.episode = CrashRecord(
+                self.episode[idx] = CrashRecord(
                     peer=idx,
                     crash_slot=slot_idx,
                     response_slot=None,
@@ -581,28 +579,29 @@ class Simulation:
                     unfinished=phase != COMPLETE,
                     unavoidable=bool(now < self.min_ttb[idx]),
                 )
-                self.crashes.append(peer.episode)
-            if not self._lost_if_unreachable(peer):
+                self.crashes.append(self.episode[idx])
+            if not self._lost_if_unreachable(idx):
                 self.phase[idx] = RESTORING
 
         # lifetime is memoryless: restart at crash (immediate) or at return
         self.next_crash[idx] = back + sample_lifetime(config.mean_lifetime_days, self.rng)
 
         if self.phase[idx] == RESTORING and self.back_at[idx] == math.inf:
-            peer.episode.response_slot = slot_idx
+            self.episode[idx].response_slot = slot_idx
 
-    def _mark_lost(self, owner: _Peer) -> None:
-        self.stored_count[self.holds[owner.idx]] -= 1
-        owner.placements = {}
-        self.holds[owner.idx] = False
-        owner.downloaded = set()
-        owner.repair_stage = None
+    def _mark_lost(self, owner: int) -> None:
+        held = self.placed[owner] >= 0
+        self.stored_count[held] -= 1
+        self.placed[owner, held] = EMPTY
+        self.placed_count[owner] = 0
+        self.downloaded[owner] = set()
+        self.repair_stage[owner] = None
         self._forget(owner)
-        self.buffered.pop(owner.idx, None)
-        self.phase[owner.idx] = LOST
-        owner.episode.outcome = "lost"
-        owner.episode = None
-        self._drop(np.flatnonzero(self.table[OWNER, :self.used] == owner.idx))
+        self.buffered.pop(owner, None)
+        self.phase[owner] = LOST
+        self.episode[owner].outcome = "lost"
+        self.episode[owner] = None
+        self._drop(np.flatnonzero(self.table[OWNER, :self.used] == owner))
 
     # -- per-slot steps --------------------------------------------------
 
@@ -615,7 +614,7 @@ class Simulation:
         for idx in np.flatnonzero(self.back_at <= now).tolist():
             self.back_at[idx] = math.inf
             if self.phase[idx] == RESTORING:
-                self.peers[idx].episode.response_slot = slot_idx
+                self.episode[idx].response_slot = slot_idx
                 # injection was for the absence; the owner takes over now
                 self._cancel(idx, REPAIR_OUT)
 
@@ -625,47 +624,47 @@ class Simulation:
         if self.config.response != DELAYED_ASSISTED:
             return
         timeout = self.config.repair_timeout_days * SECONDS_PER_DAY
-        for idx in np.flatnonzero((self.back_at != math.inf) & (self.phase == RESTORING)):
-            owner = self.peers[idx]
-            crash_time = owner.episode.crash_slot * self.slot
+        for idx in np.flatnonzero((self.back_at != math.inf) & (self.phase == RESTORING)).tolist():
+            crash_time = self.episode[idx].crash_slot * self.slot
             if now - crash_time < timeout:
                 continue
-            if owner.repair_stage is None:
-                if len(owner.placements) < self.k:
-                    self._lost_if_unreachable(owner)
+            if self.repair_stage[idx] is None:
+                if self.placed_count[idx] < self.k:
+                    self._lost_if_unreachable(idx)
                     continue
-                if self._at_risk(owner):
-                    owner.repair_stage = "down"
-            if owner.repair_stage == "down":
-                self._drive_repair_download(owner)
-            if owner.repair_stage == "inject":
-                self._drive_repair_injection(owner, slot_idx)
+                if self._at_risk(idx):
+                    self.repair_stage[idx] = "down"
+            if self.repair_stage[idx] == "down":
+                self._drive_repair_download(idx)
+            if self.repair_stage[idx] == "inject":
+                self._drive_repair_injection(idx, slot_idx)
 
-    def _drive_repair_download(self, owner: _Peer) -> None:
-        buffered = self.buffered.setdefault(owner.idx, set())
-        in_flight = set(self.table[FRAG, self._owned(owner.idx, REPAIR_IN)].tolist())
+    def _drive_repair_download(self, owner: int) -> None:
+        buffered = self.buffered.setdefault(owner, set())
+        in_flight = set(self.table[FRAG, self._owned(owner, REPAIR_IN)].tolist())
         needed = self.k - len(buffered) - len(in_flight)
         if needed <= 0:
             if len(buffered) >= self.k:
-                owner.repair_stage = "inject"
+                self.repair_stage[owner] = "inject"
             return
-        candidates = sorted(owner.placements.keys() - buffered - in_flight)
+        placements = self._placements(owner)
+        candidates = sorted(placements.keys() - buffered - in_flight)
         if len(buffered) + len(in_flight) + len(candidates) < self.k:
             self._lost_if_unreachable(owner)
             return
         for _ in range(min(needed, len(candidates))):
             frag = candidates.pop(int(self.rng.integers(len(candidates))))
-            self._new_transfer(REPAIR_IN, owner.placements[frag], SERVER, owner.idx, frag)
+            self._new_transfer(REPAIR_IN, placements[frag], SERVER, owner, frag)
 
-    def _drive_repair_injection(self, owner: _Peer, slot_idx: int) -> None:
+    def _drive_repair_injection(self, owner: int, slot_idx: int) -> None:
         if not self._at_risk(owner):
-            owner.repair_stage = "done"
-            self._cancel(owner.idx, REPAIR_OUT)
+            self.repair_stage[owner] = "done"
+            self._cancel(owner, REPAIR_OUT)
             return
-        active = self._owned(owner.idx, REPAIR_OUT).size
+        active = self._owned(owner, REPAIR_OUT).size
         self._open_uploads(owner, REPAIR_OUT, SERVER, slot_idx, self.config.backup_parallelism - active)
 
-    def maintenance_step(self, owner: _Peer, slot_idx: int) -> None:
+    def maintenance_step(self, owner: int, slot_idx: int) -> None:
         """Keep upload tasks open while the policy wants more fragments placed.
 
         Serves both the initial backup (phase backing_up) and maintenance after
@@ -674,51 +673,53 @@ class Simulation:
         """
         if not self._needs_fragments(owner):
             return
-        uploads = self._owned(owner.idx, BACKUP)
+        uploads = self._owned(owner, BACKUP)
         if self.config.redundancy_policy == FIXED:
-            budget = self.fixed_n - len(owner.placements) - uploads.size
+            budget = self.fixed_n - self.placed_count.item(owner) - uploads.size
             if budget <= 0:
                 return  # _open_uploads would draw nothing
         else:
             budget = self.config.backup_parallelism
         active = int(np.count_nonzero(self._online(slot_idx)[self.table[DST, uploads]]))
-        self._open_uploads(owner, BACKUP, owner.idx, slot_idx,
+        self._open_uploads(owner, BACKUP, owner, slot_idx,
                            min(self.config.backup_parallelism - active, budget))
 
-    def _restore_step(self, owner: _Peer, slot_idx: int) -> None:
+    def _restore_step(self, owner: int, slot_idx: int) -> None:
         if self._lost_if_unreachable(owner):
             return
-        if owner.episode.response_slot == slot_idx and owner.crash_count == 1:
-            self.ettr[owner.idx] = self._ettr(owner)
-        restores = self._owned(owner.idx, RESTORE)
+        if self.episode[owner].response_slot == slot_idx and self.crash_count[owner] == 1:
+            self.ettr[owner] = self._ettr(owner)
+        restores = self._owned(owner, RESTORE)
         in_flight = set(self.table[FRAG, restores].tolist())
-        have = len(owner.downloaded) + len(in_flight)
+        downloaded = self.downloaded[owner]
+        have = len(downloaded) + len(in_flight)
         if have >= self.k:
             return
-        if owner.parallel is None:  # kept, exact as in _needs_fragments
-            owner.parallel = self.thresholds.parallel or default_parallel(  # 1 with no holders
-                self.downlink[owner.idx], self.uplink[list(owner.placements.values())], self.k)
+        if self.parallel[owner] == 0:  # kept, exact as in _needs_fragments
+            self.parallel[owner] = self.thresholds.parallel or default_parallel(  # 1 with no holders
+                self.downlink[owner], self.uplink[self.placed[owner] >= 0], self.k)
         online = np.append(self._online(slot_idx), True).tolist()  # SERVER = -1 reads the appended True
         active_online = sum(online[src] for src in self.table[SRC, restores].tolist())
+        placements = self._placements(owner)
         candidates = sorted(
             frag
-            for frag, holder in owner.placements.items()
-            if frag not in owner.downloaded and frag not in in_flight and online[holder]
+            for frag, holder in placements.items()
+            if frag not in downloaded and frag not in in_flight and online[holder]
         )
-        while active_online < owner.parallel and candidates and have < self.k:
+        while active_online < self.parallel[owner] and candidates and have < self.k:
             frag = candidates.pop(int(self.rng.integers(len(candidates))))
-            self._new_transfer(RESTORE, owner.placements[frag], owner.idx, owner.idx, frag)
+            self._new_transfer(RESTORE, placements[frag], owner, owner, frag)
             in_flight.add(frag)
             active_online += 1
             have += 1
         # fall back to the server buffer when peers cannot supply k fragments
-        buffered = self.buffered.get(owner.idx, set())
+        buffered = self.buffered.get(owner, set())
         if buffered and have < self.k:
-            peer_obtainable = owner.placements.keys() - owner.downloaded - in_flight
-            spare = sorted(buffered - owner.downloaded - in_flight)
+            peer_obtainable = placements.keys() - downloaded - in_flight
+            spare = sorted(buffered - downloaded - in_flight)
             while have + len(peer_obtainable) < self.k and spare:
                 frag = spare.pop(0)
-                self._new_transfer(RESTORE, SERVER, owner.idx, owner.idx, frag)
+                self._new_transfer(RESTORE, SERVER, owner, owner, frag)
                 in_flight.add(frag)
                 have += 1
 
@@ -734,15 +735,15 @@ class Simulation:
         opens = steady & ((self.phase == BACKING_UP) | (self.phase == COMPLETE))
         opens &= np.bincount(owner[backup], weights=steady[dst[backup]], minlength=self.P) < self.config.backup_parallelism
         if self.config.redundancy_policy == FIXED:
-            opens &= np.count_nonzero(self.holds, axis=1) + np.bincount(owner[backup], minlength=self.P) < self.fixed_n
+            opens &= self.placed_count + np.bincount(owner[backup], minlength=self.P) < self.fixed_n
         else:
-            opens &= np.array([p.needs is not False for p in self.peers])
+            opens &= self.needs != 0
         restoring = (self.back_at == math.inf) & (self.phase == RESTORING)
         for idx in np.flatnonzero(restoring | opens).tolist():
             if restoring[idx]:
-                self._restore_step(self.peers[idx], slot_idx)
+                self._restore_step(idx, slot_idx)
             else:
-                self.maintenance_step(self.peers[idx], slot_idx)
+                self.maintenance_step(idx, slot_idx)
 
     def _step_allocate(self, slot_idx: int) -> np.ndarray:
         """Grant this slot's bytes; return the rows it finished, in serial order."""
@@ -756,51 +757,50 @@ class Simulation:
         self.done[rows] += grants
         return rows[self.done[rows] >= self.f - _EPS]
 
-    def _record_backup_progress(self, owner: _Peer, slot_idx: int) -> None:
+    def _record_backup_progress(self, owner: int, slot_idx: int) -> None:
         if not self._needs_fragments(owner):
-            if self.phase[owner.idx] == BACKING_UP:
-                self.phase[owner.idx] = COMPLETE
-                self.ttb[owner.idx] = (slot_idx + 1) * self.slot
-                self.redundancy[owner.idx] = len(owner.placements) / self.k
-            self._cancel(owner.idx, BACKUP)
+            if self.phase[owner] == BACKING_UP:
+                self.phase[owner] = COMPLETE
+                self.ttb[owner] = (slot_idx + 1) * self.slot
+                self.redundancy[owner] = self.placed_count.item(owner) / self.k
+            self._cancel(owner, BACKUP)
 
     def _step_completions(self, slot_idx: int, finished: np.ndarray) -> None:
         """Apply the finished rows in serial order, then compact the table."""
         for row in finished.tolist():
-            kind, src, dst, owner_idx, frag, _ = self.table[:, row].tolist()
+            kind, src, dst, owner, frag, _ = self.table[:, row].tolist()
             if kind == DEAD:
                 continue  # cancelled by an earlier completion this slot
             self._drop([row])
-            owner = self.peers[owner_idx]
             if kind in UPLOADS:
-                self._place(owner_idx, frag, dst)
+                self._place(owner, frag, dst)
                 if kind == REPAIR_OUT:
                     self.out_bytes[slot_idx] += self.f
                 else:
                     self._record_backup_progress(owner, slot_idx)
             elif kind == REPAIR_IN:
-                self.buffered.setdefault(owner_idx, set()).add(frag)
+                self.buffered.setdefault(owner, set()).add(frag)
                 self.in_bytes[slot_idx] += self.f
             elif kind == RESTORE:
                 if src == SERVER:
                     self.out_bytes[slot_idx] += self.f
-                owner.downloaded.add(frag)
-                if len(owner.downloaded) >= self.k:
+                self.downloaded[owner].add(frag)
+                if len(self.downloaded[owner]) >= self.k:
                     self._finish_restore(owner, slot_idx)
         live = np.flatnonzero(self.table[KIND, :self.used] != DEAD)  # a stable compaction keeps serial order
         self.table[:, :live.size], self.done[:live.size] = self.table[:, live], self.done[live]
         self.used = live.size
 
-    def _finish_restore(self, owner: _Peer, slot_idx: int) -> None:
-        if owner.crash_count == 1:
-            self.ttr[owner.idx] = (slot_idx - owner.episode.response_slot + 1) * self.slot
-        owner.episode.outcome = "restored"
-        owner.episode = None
-        self.phase[owner.idx] = COMPLETE if not math.isnan(self.ttb[owner.idx]) else BACKING_UP
-        owner.downloaded = set()
-        owner.repair_stage = None
-        self.buffered.pop(owner.idx, None)
-        self._cancel(owner.idx, RESTORE)
+    def _finish_restore(self, owner: int, slot_idx: int) -> None:
+        if self.crash_count[owner] == 1:
+            self.ttr[owner] = (slot_idx - self.episode[owner].response_slot + 1) * self.slot
+        self.episode[owner].outcome = "restored"
+        self.episode[owner] = None
+        self.phase[owner] = COMPLETE if not math.isnan(self.ttb[owner]) else BACKING_UP
+        self.downloaded[owner] = set()
+        self.repair_stage[owner] = None
+        self.buffered.pop(owner, None)
+        self._cancel(owner, RESTORE)
 
     # -- run -------------------------------------------------------------
 

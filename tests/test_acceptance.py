@@ -301,14 +301,15 @@ def _placement_violations(run: DeskRun) -> list[str]:
     out = []
     s = run.sim
     stored = np.zeros(s.P, dtype=int)
-    for peer in s.peers:
-        holders = list(peer.placements.values())
-        if len(set(holders)) != len(holders):
-            out.append(f"peer {peer.idx}: duplicate holder")
-        if peer.idx in holders:
-            out.append(f"peer {peer.idx}: stores its own fragment")
-        if np.flatnonzero(s.holds[peer.idx]).tolist() != sorted(holders):
-            out.append(f"peer {peer.idx}: placement map out of sync")
+    for owner, row in enumerate(s.placed.tolist()):
+        holders = [holder for holder, cell in enumerate(row) if cell >= 0]
+        frags = [row[holder] for holder in holders]
+        if len(set(frags)) != len(frags):
+            out.append(f"peer {owner}: one fragment on two holders")
+        if row[owner] != sim.EMPTY:
+            out.append(f"peer {owner}: stores its own fragment or uploads to itself")
+        if s.placed_count[owner] != len(holders):
+            out.append(f"peer {owner}: placement count out of sync")
         stored[holders] += 1
     if not np.array_equal(s.stored_count, stored):
         out.append("stored fragment counts out of sync with the placements")

@@ -202,12 +202,25 @@ FULL_HEADER = "mode,k,a,target,n,t_days,mean_lifetime_days"
     ([FULL_HEADER, "loss,1,,,2,ninety,90"], "line 2: t_days must be a number, got 'ninety'"),
     ([FULL_HEADER, "n,4,0.5,0.9,,,", "fixed,4,0.5,0.9,,,"], "line 3: mode must be n or loss, got 'fixed'"),
     ([FULL_HEADER, "n,4,1.5,0.9,,,"], "line 2: a must be in (0, 1]"),
+    ([FULL_HEADER, "n,4,0.5,0.9,,,", "loss,2,,,4,nan,90"], "line 3: t_elapsed must be non-negative"),
+    ([FULL_HEADER, "loss,2,,,4,1,nan"], "line 2: mean_lifetime must be positive"),
 ])
 def test_plan_batch_names_the_line_and_field_of_a_bad_row(tmp_path, capsys, lines, message):
     batch = tmp_path / "batch.csv"
     batch.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert cli.main(["plan", "--batch", str(batch), "--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {batch}: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--t-days", "--lifetime"])
+def test_plan_loss_rejects_nan(tmp_path, capsys, flag):
+    values = {"--t-days": "1", "--lifetime": "90", flag: "nan"}
+    out = tmp_path / "o"
+    rc = cli.main(["plan", "--loss", "--n", "4", "--k", "2", *(a for pair in values.items() for a in pair),
+                   "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "plan.csv").exists()
 
 
 def test_plan_requires_complete_query(tmp_path):
@@ -413,6 +426,16 @@ def test_simulate_rejects_a_negative_storage_quota(tmp_path, flat_cdf_file, caps
                    "--storage-quota", "-5", "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == ["error: storage_quota must be non-negative"]
+
+
+def test_simulate_rejects_a_matrix_without_slots(tmp_path, flat_cdf_file, capsys):
+    matrix_path, config_path = write_sim_inputs(tmp_path, flat_cdf_file)
+    trace.write_matrix_file(make_matrix([""] * 3), matrix_path)
+    out = tmp_path / "o"
+    rc = cli.main(["simulate", "--matrix", str(matrix_path), "--config", str(config_path), "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: need at least 2 peers and 1 slot, got 3 x 0"]
+    assert not (out / "summary.csv").exists()
 
 
 def test_simulate_bad_config_path_is_an_error(tmp_path, capsys):

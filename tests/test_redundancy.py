@@ -309,3 +309,26 @@ def test_thresholds_validation():
         red.AdaptiveThresholds(parallel=0)
     with pytest.raises(ValueError):
         red.AdaptiveThresholds(mean_lifetime_days=0.0)
+
+
+@pytest.mark.parametrize("call, args", [
+    (red.data_loss_probability, (4, 2, math.nan, 90.0)),
+    (red.data_loss_probability, (4, 2, 1.0, math.nan)),
+    (red.estimate_ttr, (math.nan, 1e6, [GOOD_HOLDER] * 4, 4)),
+    (red.estimate_ttr, (1e6, math.nan, [GOOD_HOLDER] * 4, 4, 2)),
+])
+def test_nan_inputs_are_rejected(call, args):
+    with pytest.raises(ValueError):
+        call(*args)
+
+
+@pytest.mark.parametrize("name", ["w_days", "mean_lifetime_days", "ttr_floor_days", "ttr_factor"])
+def test_thresholds_reject_nan_and_keep_inf(name):
+    with pytest.raises(ValueError, match="(?i)" + name.split("_")[0]):
+        red.AdaptiveThresholds(**{name: math.nan})
+    red.AdaptiveThresholds(**{name: math.inf})
+
+
+def test_infinite_windows_and_lifetimes_stay_valid():
+    assert red.data_loss_probability(4, 2, math.inf, 90.0) == 1.0
+    assert red.data_loss_probability(4, 2, 1.0, math.inf) == 0.0

@@ -475,10 +475,9 @@ def prepared_sim(flat_cdf_file, num_peers=6, num_slots=48, **overrides):
 
 def place(simulation, owner_idx, holders):
     """Hand-place one fragment per holder for owner_idx and mark it complete."""
-    owner = simulation.peers[owner_idx]
     for frag, holder in enumerate(holders):
         simulation._place(owner_idx, frag, holder)
-    owner.next_frag = len(holders)
+    simulation.next_frag[owner_idx] = len(holders)
     simulation.phase[owner_idx] = psim.COMPLETE
     simulation.ttb[owner_idx] = simulation.slot
 
@@ -487,9 +486,9 @@ def test_holder_crash_erases_stored_fragments(flat_cdf_file):
     s = prepared_sim(flat_cdf_file)
     place(s, 0, [1, 2, 3, 4])
     s.on_crash(1, now=0.0, slot_idx=0)
-    assert not s.holds[:, 1].any() and s.stored_count[1] == 0
-    assert 1 not in s.peers[0].placements.values()
-    assert len(s.peers[0].placements) == 3
+    assert not (s.placed[:, 1] >= 0).any() and s.stored_count[1] == 0
+    assert placements_of(s, 0) == {1: 2, 2: 3, 3: 4}
+    assert s.placed_count[0] == 3
     # the holder's own object had zero fragments placed: gone with the crash
     record = s.crashes[-1]
     assert record.peer == 1 and record.outcome == "lost"
@@ -515,7 +514,7 @@ def test_owner_crash_below_k_reachable_is_lost(flat_cdf_file):
         s.on_crash(holder, now=0.0, slot_idx=0)
     s.on_crash(0, now=3600.0, slot_idx=1)
     assert s.phase[0] == psim.LOST
-    assert s.peers[0].placements == {}
+    assert placements_of(s, 0) == {} and s.placed_count[0] == 0
     assert s.crashes[-1].outcome == "lost"
 
 
@@ -523,15 +522,17 @@ def test_crash_and_loss_keep_indexes(flat_cdf_file):
     s = prepared_sim(flat_cdf_file, response="delayed")
     place(s, 0, [1, 2, 3, 4])
     place(s, 5, [0, 1, 2, 3])
-    assert s.holds[0, [1, 2, 3, 4]].all() and s.stored_count.tolist() == [1, 2, 2, 2, 1, 0]
+    assert s.placed[0].tolist() == [psim.EMPTY, 0, 1, 2, 3, psim.EMPTY]
+    assert s.stored_count.tolist() == [1, 2, 2, 2, 1, 0] and s.placed_count.tolist() == [4, 0, 0, 0, 0, 4]
     s.on_crash(1, now=0.0, slot_idx=0)  # holder of both owners, gone for a while
     assert index_violations(s, 0) == []
-    assert not s.holds[:, 1].any() and s.back_at[1] < math.inf
+    assert not (s.placed[:, 1] >= 0).any() and s.back_at[1] < math.inf
     s.on_crash(2, now=0.0, slot_idx=0)
     s.on_crash(0, now=3600.0, slot_idx=1)  # 2 of k=4 left: lost, releasing its holders
     assert s.phase[0] == psim.LOST
     assert index_violations(s, 1) == []
-    assert not s.holds[0].any() and s.stored_count.tolist() == [0, 0, 0, 1, 0, 0]
+    assert (s.placed[0] == psim.EMPTY).all() and s.stored_count.tolist() == [0, 0, 0, 1, 0, 0]
+    assert s.placed_count.tolist() == [0, 0, 0, 0, 0, 1]
 
 
 def test_unavoidable_flag_set_before_min_ttb(flat_cdf_file):
@@ -703,18 +704,26 @@ def test_churn_episode_consistency(churn_report):
             assert c.unfinished
 
 
+def placements_of(simulation, owner):
+    """The owner's {fragment id: holder}, read cell by cell from the
+    placement matrix."""
+    row = simulation.placed[owner].tolist()
+    return {frag: holder for holder, frag in enumerate(row) if frag >= 0}
+
+
 def stored_counts(simulation):
     """Fragments each peer stores for others, counted from the placements."""
-    holders = [h for owner in simulation.peers for h in owner.placements.values()]
+    holders = [h for owner in range(simulation.P) for h in placements_of(simulation, owner).values()]
     return np.bincount(np.asarray(holders, dtype=int), minlength=simulation.P)
 
 
 def test_churn_storage_maps_stay_mirrored(churn_report):
     simulation, _, _ = churn_report
-    for owner in simulation.peers:
-        holders = list(owner.placements.values())
-        assert len(holders) == len(set(holders))  # distinct holders per fragment
-        assert np.flatnonzero(simulation.holds[owner.idx]).tolist() == sorted(holders)
+    for owner in range(simulation.P):
+        placements = placements_of(simulation, owner)
+        assert len(placements) == np.count_nonzero(simulation.placed[owner] >= 0)  # distinct fragment ids
+        assert simulation.placed_count[owner] == len(placements)
+        assert simulation.placed[owner, owner] == psim.EMPTY
     assert simulation.stored_count.tolist() == stored_counts(simulation).tolist()
 
 
@@ -845,46 +854,52 @@ def test_different_seed_changes_the_run(flat_cdf_file):
 
 def index_violations(simulation, col):
     """Where the simulator's indexes differ from the peer and transfer state
-    they mirror, each rebuilt here from the placements and the live rows of
-    the transfer table alone, and where that state breaks an invariant of
-    the model: table rows out of serial order, a holder over its quota, a
-    fragment on its own owner, two fragments of one owner on one holder,
-    server traffic that is not whole fragments, a transfer its owner's state
-    rules out (a backup while restoring, a repair upload while present, a
-    restore unless present and restoring), or a crash episode out of step
-    with its owner (see episode_violations)."""
+    they mirror, each rebuilt here with plain loops over the cells of the
+    placement matrix and the live rows of the transfer table, and where that
+    state breaks an invariant of the model: table rows out of serial order,
+    a holder over its quota, a cell on the diagonal that is not EMPTY, a
+    fragment id placed twice or not yet issued, server traffic that is not
+    whole fragments, a transfer its owner's state rules out (a backup while
+    restoring, a repair upload while present, a restore unless present and
+    restoring), or a crash episode out of step with its owner (see
+    episode_violations)."""
     s = simulation
     found = []
-    owners, holders = [], []
-    for owner in s.peers:
-        placed = list(owner.placements.values())
-        if len(set(placed)) != len(placed):
-            found.append(f"peer {owner.idx} has two fragments on one holder: {owner.placements}")
-        if owner.idx in placed:
-            found.append(f"peer {owner.idx} stores its own fragment")
-        owners += [owner.idx] * len(placed)
-        holders += placed
-    holds = np.zeros((s.P, s.P), dtype=bool)
-    holds[owners, holders] = True
-    stored = np.bincount(np.asarray(holders, dtype=int), minlength=s.P)
-    for holder in np.flatnonzero(stored > s.capacity_slots):
-        found.append(f"peer {holder} stores {stored[holder]} > quota {s.capacity_slots}")
+    stored = [0] * s.P
+    in_flight = []
+    for owner, row in enumerate(s.placed.tolist()):
+        frags = []
+        for holder, cell in enumerate(row):
+            if cell == psim.IN_FLIGHT:
+                in_flight.append((owner, holder))
+            elif cell != psim.EMPTY:
+                frags.append(cell)
+                stored[holder] += 1
+        if row[owner] != psim.EMPTY:
+            found.append(f"peer {owner} has cell {row[owner]} on itself")
+        if len(set(frags)) != len(frags) or not all(0 <= frag < s.next_frag[owner] for frag in frags):
+            found.append(f"peer {owner} has fragment ids {frags}, next {s.next_frag[owner]}")
+        if s.placed_count[owner] != len(frags):
+            found.append(f"placed_count of peer {owner} is {s.placed_count[owner]}, its row holds {len(frags)}")
+    for holder in range(s.P):
+        if stored[holder] > s.capacity_slots:
+            found.append(f"peer {holder} stores {stored[holder]} > quota {s.capacity_slots}")
     for name, series in (("out_bytes", s.out_bytes), ("in_bytes", s.in_bytes)):
         if np.any(series % s.f):
             found.append(f"server {name} not whole fragments: {series[series % s.f != 0]}")
-    if not np.array_equal(s.holds, holds):
-        found.append(f"holds differs at {np.argwhere(s.holds != holds).tolist()}")
-    if not np.array_equal(s.stored_count, stored):
-        found.append(f"stored_count {s.stored_count.tolist()} != {stored.tolist()}")
+    if s.stored_count.tolist() != stored:
+        found.append(f"stored_count {s.stored_count.tolist()} != {stored}")
     serials = s.table[psim.SERIAL, :s.used].tolist()
     if any(a >= b for a, b in zip(serials, serials[1:])):
         found.append(f"table rows out of serial order: {serials}")
     transfers = live_transfers(s)
     if any(t.kind not in KIND_NAMES for t in transfers):
         found.append(f"unknown transfer kinds {sorted({t.kind for t in transfers} - KIND_NAMES.keys())}")
-    incoming, receiving = uploads_in_flight(s)
-    if s.incoming.tolist() != incoming or set(zip(*np.nonzero(s.receiving))) != receiving:
-        found.append("upload reservations differ from the uploads in flight")
+    incoming, uploads = uploads_in_flight(s)
+    if s.incoming.tolist() != incoming:
+        found.append(f"incoming {s.incoming.tolist()} != {incoming}")
+    if in_flight != sorted(uploads):
+        found.append(f"IN_FLIGHT cells {in_flight} are not the uploads in flight {sorted(uploads)}")
     for t in transfers:
         present, restoring = s.back_at[t.owner] == math.inf, s.phase[t.owner] == psim.RESTORING
         if (t.kind == psim.BACKUP and restoring or t.kind == psim.REPAIR_OUT and present
@@ -905,35 +920,36 @@ def episode_violations(simulation):
     owner, and has no response slot exactly while the owner is absent.  Only
     a restoring owner has downloaded fragments or a repair stage, and the
     pending records of the run are exactly the open episodes."""
+    s = simulation
     found = []
-    for p in simulation.peers:
-        phase, back_at, episode = simulation.phase[p.idx], simulation.back_at[p.idx], p.episode
+    for i in range(s.P):
+        phase, back_at, episode = s.phase[i], s.back_at[i], s.episode[i]
         restoring = phase == psim.RESTORING
         if restoring != (episode is not None):
-            found.append(f"phase {phase} peer {p.idx} has episode {episode}")
+            found.append(f"phase {phase} peer {i} has episode {episode}")
         elif episode is not None:
-            if episode.outcome != "pending" or episode.peer != p.idx:
-                found.append(f"peer {p.idx} has open episode {episode}")
+            if episode.outcome != "pending" or episode.peer != i:
+                found.append(f"peer {i} has open episode {episode}")
             if (episode.response_slot is None) != (back_at != math.inf):
-                found.append(f"peer {p.idx} back at {back_at} has response slot {episode.response_slot}")
-        if not restoring and (p.downloaded or p.repair_stage is not None):
-            found.append(f"phase {phase} peer {p.idx} has downloaded {sorted(p.downloaded)}, stage {p.repair_stage}")
-    pending = [id(c) for c in simulation.crashes if c.outcome == "pending"]
-    if sorted(pending) != sorted(id(p.episode) for p in simulation.peers if p.episode is not None):
+                found.append(f"peer {i} back at {back_at} has response slot {episode.response_slot}")
+        if not restoring and (s.downloaded[i] or s.repair_stage[i] is not None):
+            found.append(f"phase {phase} peer {i} has downloaded {sorted(s.downloaded[i])}, stage {s.repair_stage[i]}")
+    pending = [id(c) for c in s.crashes if c.outcome == "pending"]
+    if sorted(pending) != sorted(id(e) for e in s.episode if e is not None):
         found.append("pending crash records differ from the open episodes")
     return found
 
 
 def uploads_in_flight(simulation):
-    """Uploads in flight per destination, and the (owner, dst) pairs they
-    join, from the live rows of the transfer table alone."""
+    """Uploads in flight per destination, and the (owner, dst) pair of each,
+    from the live rows of the transfer table alone."""
     incoming = [0] * simulation.P
-    receiving = set()
+    pairs = []
     for t in live_transfers(simulation):
         if t.kind in psim.UPLOADS:
             incoming[t.dst] += 1
-            receiving.add((t.owner, t.dst))
-    return incoming, receiving
+            pairs.append((t.owner, t.dst))
+    return incoming, pairs
 
 
 class IndexCheckSimulation(Simulation):
@@ -943,7 +959,7 @@ class IndexCheckSimulation(Simulation):
 
     The simulator reads its upload reservations live.  That is exact only if
     no upload ends while the task step opens new ones, so within that step
-    incoming must never decrease and receiving never lose a True.  A kept
+    incoming must never decrease and no IN_FLIGHT cell may change.  A kept
     decision (stopping, repair risk, restore parallelism) must have been made
     on the owner's current holders.  The task step must visit exactly the
     owners its screen admits, recomputed here with plain loops, and every
@@ -953,22 +969,25 @@ class IndexCheckSimulation(Simulation):
     exactly when ttb is.  Also notes each slot in which an owner returns
     with a repair upload in flight, the case the return step must cancel."""
 
-    MEMOS = ("needs", "at_risk", "parallel")
+    UNDECIDED = {"needs": -1, "at_risk": -1, "parallel": 0}  # each kept decision's value until it is made
     REPORT_FIELDS = ("ttb", "ttr", "ettr", "redundancy")
 
     def __init__(self, config, matrix):
         super().__init__(config, matrix)
         self.written = {name: list(getattr(self, name)) for name in self.REPORT_FIELDS}  # as of the last check
-        self.reserved = None  # last seen (incoming, receiving) in the task step
+        self.reserved = None  # last seen (incoming, IN_FLIGHT cells) in the task step
         self.decided = {}  # (memo, owner) -> the holders its last fresh decision read
         self.stepped = None  # owners the task step visits, in order
         self.returns_mid_repair = []
 
+    def _holders(self, owner):
+        return list(placements_of(self, owner).values())
+
     def _check(self, phase, slot_idx):
         found = index_violations(self, slot_idx)
-        found += [f"peer {p.idx} keeps a {memo} decision made on holders {self.decided[memo, p.idx]}"
-                  for memo in self.MEMOS for p in self.peers
-                  if getattr(p, memo) is not None and self.decided[memo, p.idx] != sorted(p.placements.values())]
+        found += [f"peer {i} keeps a {memo} decision made on holders {self.decided[memo, i]}"
+                  for memo, undecided in self.UNDECIDED.items() for i in range(self.P)
+                  if getattr(self, memo)[i] != undecided and self.decided[memo, i] != self._holders(i)]
         for name in self.REPORT_FIELDS:
             values, before = getattr(self, name), self.written[name]
             found += [f"peer {i} {name} {values[i]!r} is not a float" for i in range(self.P)
@@ -981,10 +1000,10 @@ class IndexCheckSimulation(Simulation):
         assert not found, f"slot {slot_idx}, after {phase}: {found[:3]}"
 
     def _decide(self, memo, decide, owner):
-        fresh = getattr(owner, memo) is None
+        fresh = getattr(self, memo)[owner] == self.UNDECIDED[memo]
         value = decide(owner)
         if fresh:
-            self.decided[memo, owner.idx] = sorted(owner.placements.values())
+            self.decided[memo, owner] = self._holders(owner)
         return value
 
     def _needs_fragments(self, owner):
@@ -999,25 +1018,26 @@ class IndexCheckSimulation(Simulation):
         return rows
 
     def _check_reservations_kept(self, slot_idx):
-        incoming, receiving = self.reserved
+        incoming, in_flight = self.reserved
         assert np.all(self.incoming >= incoming), f"slot {slot_idx}: incoming decreased in the task step"
-        assert not np.any(receiving & ~self.receiving), f"slot {slot_idx}: receiving lost a pair in the task step"
-        self.reserved = self.incoming.copy(), self.receiving.copy()
+        assert np.all(self.placed[in_flight] == psim.IN_FLIGHT), \
+            f"slot {slot_idx}: an IN_FLIGHT cell changed in the task step"
+        self.reserved = self.incoming.copy(), self.placed == psim.IN_FLIGHT
 
     def _eligible_targets(self, owner_idx, col):
         if self.reserved is not None:
             self._check_reservations_kept(col)
         targets = super()._eligible_targets(owner_idx, col)
         stored = stored_counts(self)
-        incoming, receiving = uploads_in_flight(self)
-        holders = set(self.peers[owner_idx].placements.values())
+        incoming, uploads = uploads_in_flight(self)
+        holders = set(self._holders(owner_idx))
         expect = [
             i for i in range(self.P)
             if i != owner_idx
             and self.back_at[i] == math.inf
             and (self.phase[i] == psim.RESTORING or self.bits[i, col])
             and i not in holders
-            and (owner_idx, i) not in receiving
+            and (owner_idx, i) not in uploads
             and stored[i] + incoming[i] < self.capacity_slots
         ]
         assert targets.tolist() == expect
@@ -1046,8 +1066,8 @@ class IndexCheckSimulation(Simulation):
 
     def _has_room(self, owner, in_flight):
         if self.config.redundancy_policy == "fixed":
-            return len(owner.placements) + in_flight < self.fixed_n
-        return owner.needs is not False  # a kept decision is checked against its holders in _check
+            return len(self._holders(owner)) + in_flight < self.fixed_n
+        return self.needs[owner] != 0  # a kept decision is checked against its holders in _check
 
     def _screened(self, slot_idx):
         """The owners the task step visits, in index order: each present
@@ -1056,28 +1076,28 @@ class IndexCheckSimulation(Simulation):
         backup_parallelism backups to targets present and in the trace."""
         steady = [self.back_at[i] == math.inf and bool(self.bits[i, slot_idx]) for i in range(self.P)]
         visit = []
-        for p in self.peers:
-            if self.back_at[p.idx] == math.inf and self.phase[p.idx] == psim.RESTORING:
-                visit.append(p.idx)
-            elif steady[p.idx] and self.phase[p.idx] in (psim.BACKING_UP, psim.COMPLETE):
-                in_flight, active = self._backups(p.idx, steady)
-                if self._has_room(p, in_flight) and active < self.config.backup_parallelism:
-                    visit.append(p.idx)
+        for i in range(self.P):
+            if self.back_at[i] == math.inf and self.phase[i] == psim.RESTORING:
+                visit.append(i)
+            elif steady[i] and self.phase[i] in (psim.BACKING_UP, psim.COMPLETE):
+                in_flight, active = self._backups(i, steady)
+                if self._has_room(i, in_flight) and active < self.config.backup_parallelism:
+                    visit.append(i)
         return visit
 
     def maintenance_step(self, owner, slot_idx):
-        self.stepped.append(owner.idx)
+        self.stepped.append(owner)
         super().maintenance_step(owner, slot_idx)
 
     def _restore_step(self, owner, slot_idx):
-        self.stepped.append(owner.idx)
-        fresh = owner.parallel is None
+        self.stepped.append(owner)
+        fresh = self.parallel[owner] == self.UNDECIDED["parallel"]
         super()._restore_step(owner, slot_idx)
         if fresh:  # the step derives l after its loss check, its last placement change
-            self.decided["parallel", owner.idx] = sorted(owner.placements.values())
+            self.decided["parallel", owner] = self._holders(owner)
 
     def _step_tasks(self, slot_idx):
-        self.reserved = self.incoming.copy(), self.receiving.copy()
+        self.reserved = self.incoming.copy(), self.placed == psim.IN_FLIGHT
         expect, self.stepped = self._screened(slot_idx), []
         super()._step_tasks(slot_idx)
         assert self.stepped == expect, f"slot {slot_idx}: the task step visited {self.stepped}, not {expect}"
@@ -1086,11 +1106,11 @@ class IndexCheckSimulation(Simulation):
         # upload now could not at its turn
         online = [self.back_at[i] == math.inf and (self.phase[i] == psim.RESTORING or bool(self.bits[i, slot_idx]))
                   for i in range(self.P)]
-        for p in self.peers:
-            if p.idx not in self.stepped and online[p.idx] and self.phase[p.idx] in (psim.BACKING_UP, psim.COMPLETE):
-                in_flight, active = self._backups(p.idx, online)
-                assert not (self._has_room(p, in_flight) and active < self.config.backup_parallelism), \
-                    f"slot {slot_idx}: the task step skipped peer {p.idx}, which could open an upload"
+        for i in range(self.P):
+            if i not in self.stepped and online[i] and self.phase[i] in (psim.BACKING_UP, psim.COMPLETE):
+                in_flight, active = self._backups(i, online)
+                assert not (self._has_room(i, in_flight) and active < self.config.backup_parallelism), \
+                    f"slot {slot_idx}: the task step skipped peer {i}, which could open an upload"
         self.stepped = None
         self._check_reservations_kept(slot_idx)
         self.reserved = None
@@ -1244,19 +1264,18 @@ class UncachedCheckSimulation(Simulation):
         self.last: dict[int, tuple[frozenset, bool]] = {}
         self.reopened = 0
 
-    def _needs_fragments(self, owner):
-        needs = super()._needs_fragments(owner)
-        holders = frozenset(owner.placements.values())
-        i = owner.idx
-        profiles = [(float(self.avail[h]), float(self.uplink[h])) for h in owner.placements.values()]
+    def _needs_fragments(self, i):
+        needs = super()._needs_fragments(i)
+        holders = frozenset(placements_of(self, i).values())
+        profiles = [(float(self.avail[h]), float(self.uplink[h])) for h in holders]
         fresh = not backup_complete(self.o, float(self.downlink[i]), self.o / float(self.downlink[i]), profiles,
                                     self.k, self.thresholds)
         assert needs == fresh
         self.calls += 1
-        before = self.last.get(owner.idx)
+        before = self.last.get(i)
         if before is not None and not before[1] and needs and holders < before[0]:
             self.reopened += 1
-        self.last[owner.idx] = (holders, needs)
+        self.last[i] = (holders, needs)
         return needs
 
 
@@ -1291,16 +1310,15 @@ def test_stopping_rule_follows_a_holder_swap(flat_cdf_file):
     s = prepared_sim(flat_cdf_file, redundancy_policy="adaptive")
     s.avail[5] = 0.001
     place(s, 0, [1, 2, 3, 4])
-    owner = s.peers[0]
-    assert not s._needs_fragments(owner)
+    assert not s._needs_fragments(0)
     s.on_crash(4, now=0.0, slot_idx=0)
-    assert s._needs_fragments(owner)  # three holders, below k
+    assert s._needs_fragments(0)  # three holders, below k
     s._place(0, 3, 5)
-    assert s._needs_fragments(owner)
+    assert s._needs_fragments(0)
     s.on_crash(5, now=0.0, slot_idx=0)
-    assert s._needs_fragments(owner)
+    assert s._needs_fragments(0)
     s._place(0, 3, 4)
-    assert not s._needs_fragments(owner)
+    assert not s._needs_fragments(0)
 
 
 # ------------------------------------------------------------ assisted repair

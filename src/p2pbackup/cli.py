@@ -87,12 +87,8 @@ def cmd_trace_stats(args) -> int:
     if args.min_uptime is not None:
         matrix, kept = trace.filter_min_uptime(matrix, args.min_uptime)
     stats = trace.availability_stats(matrix)
-    with open(out / "trace-stats.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["peer_id", "availability"])
-        ids = matrix.peer_ids if matrix.peer_ids is not None else range(matrix.num_peers)
-        for pid, a in zip(ids, stats.per_peer):
-            writer.writerow([pid, repr(float(a))])
+    ids = matrix.peer_ids if matrix.peer_ids is not None else range(matrix.num_peers)
+    report.write_csv(out / "trace-stats.csv", ["peer_id", "availability"], zip(ids, stats.per_peer.tolist()))
     _write_manifest(out, {
         "subcommand": "trace-stats",
         "seed": args.seed,
@@ -194,11 +190,11 @@ def cmd_sched_compare(args) -> int:
             if used:
                 mo, mr, mb = np.mean(opt_acc), np.mean(rand_acc), np.mean(base_acc)
                 row.update({
-                    "mean_optimal": repr(float(mo)),
-                    "mean_random": repr(float(mr)),
-                    "mean_baseline": repr(float(mb)),
-                    "mean_optimal_norm": repr(float(np.mean(np.array(opt_acc) / np.array(base_acc)))),
-                    "mean_random_norm": repr(float(np.mean(np.array(rand_acc) / np.array(base_acc)))),
+                    "mean_optimal": float(mo),
+                    "mean_random": float(mr),
+                    "mean_baseline": float(mb),
+                    "mean_optimal_norm": float(np.mean(np.array(opt_acc) / np.array(base_acc))),
+                    "mean_random_norm": float(np.mean(np.array(rand_acc) / np.array(base_acc))),
                 })
             else:
                 row["note"] = "no feasible trials"
@@ -206,10 +202,7 @@ def cmd_sched_compare(args) -> int:
     fieldnames = ["x", "ratio", "candidates", "trials", "trials_used",
                   "mean_optimal", "mean_random", "mean_baseline",
                   "mean_optimal_norm", "mean_random_norm", "note"]
-    with open(out / "sched-compare.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
-        writer.writeheader()
-        writer.writerows(rows)
+    report.write_csv(out / "sched-compare.csv", fieldnames, ([row.get(name) for name in fieldnames] for row in rows))
     _write_manifest(out, {
         "subcommand": "sched-compare",
         "seed": args.seed,
@@ -238,8 +231,7 @@ def _field(row: dict, name: str, cast):
 def _plan_n(row: dict) -> dict:
     k, a, target = _field(row, "k", int), _field(row, "a", float), _field(row, "target", float)
     n = redundancy.fixed_redundancy_n(k, a, target)
-    return {"mode": "n", "k": k, "a": a, "target": target,
-            "n": n, "probability": ""}
+    return {"mode": "n", "k": k, "a": a, "target": target, "n": n}
 
 
 def _plan_loss(row: dict) -> dict:
@@ -247,7 +239,7 @@ def _plan_loss(row: dict) -> dict:
     t_days, lifetime = _field(row, "t_days", float), _field(row, "mean_lifetime_days", float)
     p = redundancy.data_loss_probability(n, k, t_days, lifetime)
     return {"mode": "loss", "n": n, "k": k, "t_days": t_days,
-            "mean_lifetime_days": lifetime, "probability": repr(p)}
+            "mean_lifetime_days": lifetime, "probability": p}
 
 
 def cmd_plan(args) -> int:
@@ -276,10 +268,7 @@ def cmd_plan(args) -> int:
             raise SystemExit("plan requires --k, --a and --target (or --loss / --batch)")
         results.append(_plan_n({"k": args.k, "a": args.a, "target": args.target}))
     fieldnames = ["mode", "k", "a", "target", "n", "t_days", "mean_lifetime_days", "probability"]
-    with open(out / "plan.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
-        writer.writeheader()
-        writer.writerows(results)
+    report.write_csv(out / "plan.csv", fieldnames, ([res.get(name) for name in fieldnames] for res in results))
     for res in results:
         if res["mode"] == "n":
             print(f"k={res['k']} a={res['a']} target={res['target']} -> n={res['n']}")

@@ -179,6 +179,8 @@ def data_loss_probability(n: int, k: int, t_elapsed: float, mean_lifetime: float
         raise ValueError("t_elapsed must be non-negative")
     if not mean_lifetime > 0:
         raise ValueError("mean_lifetime must be positive")
+    if math.isinf(t_elapsed) and math.isinf(mean_lifetime):
+        raise ValueError("t_elapsed and mean_lifetime cannot both be infinite")
     q = -math.expm1(-t_elapsed / mean_lifetime)
     return float(binom.sf(n - k, n, q))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -179,31 +179,30 @@ SERVER_FIELDS = ("slot", "outbound_bytes", "buffered_bytes")
 
 
 def _cell(value) -> str:
-    if value is None:
+    if value is None or isinstance(value, float) and math.isnan(value):
         return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        if math.isinf(value):
-            return "inf"
-        return repr(value)
-    return str(value)
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return repr(value) if isinstance(value, float) else str(value)  # repr(inf) is "inf"
 
 
 def _parse_float(text: str) -> float:
     return math.nan if text == "" else float(text)
 
 
-def write_peers_csv(report: SimReport, path) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write the header, then each row with every cell through _cell: a float
+    as its repr (inf as inf, -inf as -inf), NaN and None as an empty cell, a
+    bool as 1 or 0.  Pass Python floats: the repr of a numpy scalar names its
+    type."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(PEERS_FIELDS)
-        for p in report.peers:
-            writer.writerow([
-                p.peer, _cell(p.uplink), _cell(p.availability), _cell(p.ttb),
-                _cell(p.min_ttb), _cell(p.ttr), _cell(p.min_ttr), _cell(p.ettr),
-                _cell(p.redundancy),
-            ])
+        writer.writerow(header)
+        writer.writerows([_cell(value) for value in row] for row in rows)
+
+
+def write_peers_csv(report: SimReport, path) -> None:
+    write_csv(path, PEERS_FIELDS, map(astuple, report.peers))  # PeerRecord fields are in column order
 
 
 def read_peers_csv(path) -> list[PeerRecord]:
@@ -225,15 +224,7 @@ def read_peers_csv(path) -> list[PeerRecord]:
 
 
 def write_crashes_csv(report: SimReport, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CRASHES_FIELDS)
-        for c in report.crashes:
-            writer.writerow([
-                c.peer, c.crash_slot,
-                "" if c.response_slot is None else c.response_slot,
-                c.outcome, int(c.unfinished), int(c.unavoidable),
-            ])
+    write_csv(path, CRASHES_FIELDS, map(astuple, report.crashes))  # CrashRecord fields are in column order
 
 
 def read_crashes_csv(path) -> list[CrashRecord]:
@@ -253,11 +244,8 @@ def read_crashes_csv(path) -> list[CrashRecord]:
 
 def write_server_csv(report: SimReport, path) -> None:
     traffic = server_traffic(report)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SERVER_FIELDS)
-        for slot in range(len(traffic.outbound)):
-            writer.writerow([slot, _cell(float(traffic.outbound[slot])), _cell(float(traffic.buffered[slot]))])
+    write_csv(path, SERVER_FIELDS, zip(range(len(traffic.outbound)), traffic.outbound.tolist(),
+                                       traffic.buffered.tolist()))
 
 
 def read_server_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -309,10 +297,7 @@ def write_summary_csv(report: SimReport, path) -> None:
 
 def write_summary_row(row: dict, path) -> None:
     """Write one row of summary_row's fields, such as an average over runs."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(row.keys())
-        writer.writerow([_cell(v) if isinstance(v, float) else v for v in row.values()])
+    write_csv(path, row.keys(), [row.values()])
 
 
 def _parse_cell(text: str):

@@ -367,9 +367,11 @@ class Simulation:
         # ideal backup and restore seconds (minTTB is inf if the row cannot carry the object)
         self.avail = self.bits.mean(axis=1)
         self.measured_availability = float(self.avail.mean())
-        self.fixed_n = None
+        # most holders an owner places or uploads to: fixed n, or every other peer
+        self.fixed_n, self.holder_cap = None, self.P - 1
         if config.redundancy_policy == FIXED:
-            self.fixed_n = fixed_redundancy_n(self.k, max(self.measured_availability, 1e-9), config.fixed_target)
+            self.fixed_n = self.holder_cap = fixed_redundancy_n(self.k, max(self.measured_availability, 1e-9),
+                                                                config.fixed_target)
         self.uplink, self.downlink = sample_bandwidth(config, self.P, self.rng)
         self.min_ttb = _ideal_elapsed(self.bits, self.o / self.uplink, self.slot)
         self.min_ttr = self.o / self.downlink
@@ -394,8 +396,8 @@ class Simulation:
         # upload from owner to peer is open (reserving the pair and a quota slot of peer), or EMPTY
         self.placed = np.full((self.P, self.P), EMPTY, dtype=np.int32)
         self.placed_count = np.zeros(self.P, dtype=int)  # fragments placed per owner
-        self.stored_count = np.zeros(self.P, dtype=int)  # fragments each peer stores for others
-        self.incoming = np.zeros(self.P, dtype=int)  # uploads in flight per destination
+        # cells of each column that are not EMPTY: what the peer stores and receives, against its quota
+        self.occupied = np.zeros(self.P, dtype=int)
         self.next_frag = np.zeros(self.P, dtype=int)  # id of each owner's next new fragment
         self.crash_count = np.zeros(self.P, dtype=int)
         # decisions kept on each owner's placements until _forget: stopping
@@ -427,7 +429,7 @@ class Simulation:
     def _place(self, owner: int, frag: int, holder: int) -> None:
         self.placed[owner, holder] = frag
         self.placed_count[owner] += 1
-        self.stored_count[holder] += 1
+        self.occupied[holder] += 1
         self._forget(owner)
 
     def _placements(self, owner: int) -> dict[int, int]:
@@ -487,7 +489,7 @@ class Simulation:
         self.done[self.used] = 0.0
         self.used += 1
         if kind in UPLOADS:
-            self.incoming[dst] += 1
+            self.occupied[dst] += 1
             self.placed[owner, dst] = IN_FLIGHT
 
     def _drop(self, rows) -> None:
@@ -496,7 +498,7 @@ class Simulation:
             kind, _, dst, owner = self.table[:4, row].tolist()
             self.table[KIND, row] = DEAD
             if kind in UPLOADS:
-                self.incoming[dst] -= 1
+                self.occupied[dst] -= 1
                 self.placed[owner, dst] = EMPTY
 
     def _owned(self, owner: int, kind: int) -> np.ndarray:
@@ -510,9 +512,14 @@ class Simulation:
         """Online peers, other than the owner, that hold none of its fragments,
         receive none from it and have a free quota slot; in index order."""
         ok = self._online(col) & (self.placed[owner] == EMPTY)
-        ok &= self.stored_count + self.incoming < self.capacity_slots
+        ok &= self.occupied < self.capacity_slots
         ok[owner] = False
         return ok.nonzero()[0]
+
+    def _draw(self, items: list, count: int) -> list:
+        """Up to count items drawn uniformly without replacement, in draw order;
+        the drawn items leave the list."""
+        return [items.pop(int(self.rng.integers(len(items)))) for _ in range(min(count, len(items)))]
 
     def _open_uploads(self, owner: int, kind: int, src: int, col: int, count: int) -> None:
         """Open up to count uploads of new fragments from src, each to a peer
@@ -521,11 +528,7 @@ class Simulation:
             return
         # reserving dst makes only dst ineligible, so each later draw is from
         # the same list less the peers already drawn
-        targets = self._eligible_targets(owner, col).tolist()
-        for _ in range(count):
-            if not targets:
-                break
-            dst = targets.pop(int(self.rng.integers(len(targets))))
+        for dst in self._draw(self._eligible_targets(owner, col).tolist(), count):
             self._new_transfer(kind, src, dst, owner, self.next_frag.item(owner))
             self.next_frag[owner] += 1
 
@@ -558,10 +561,10 @@ class Simulation:
         self._forget(owners)
         self.placed_count[owners] -= 1
         self.placed[owners, idx] = EMPTY
-        self.stored_count[idx] = 0
 
         # every in-flight transfer touching this peer dies with it
         self._drop(np.flatnonzero((self.table[SRC, :self.used] == idx) | (self.table[DST, :self.used] == idx)))
+        self.occupied[idx] = 0  # after _drop, which releases the uploads to idx
 
         phase = int(self.phase[idx])
         if phase != LOST:
@@ -591,7 +594,7 @@ class Simulation:
 
     def _mark_lost(self, owner: int) -> None:
         held = self.placed[owner] >= 0
-        self.stored_count[held] -= 1
+        self.occupied[held] -= 1
         self.placed[owner, held] = EMPTY
         self.placed_count[owner] = 0
         self.downloaded[owner] = set()
@@ -647,13 +650,11 @@ class Simulation:
             if len(buffered) >= self.k:
                 self.repair_stage[owner] = "inject"
             return
-        placements = self._placements(owner)
-        candidates = sorted(placements.keys() - buffered - in_flight)
-        if len(buffered) + len(in_flight) + len(candidates) < self.k:
-            self._lost_if_unreachable(owner)
+        # an absent owner has downloaded nothing, and its fragments in flight are placed
+        if self._lost_if_unreachable(owner):
             return
-        for _ in range(min(needed, len(candidates))):
-            frag = candidates.pop(int(self.rng.integers(len(candidates))))
+        placements = self._placements(owner)
+        for frag in self._draw(sorted(placements.keys() - buffered - in_flight), needed):
             self._new_transfer(REPAIR_IN, placements[frag], SERVER, owner, frag)
 
     def _drive_repair_injection(self, owner: int, slot_idx: int) -> None:
@@ -674,15 +675,12 @@ class Simulation:
         if not self._needs_fragments(owner):
             return
         uploads = self._owned(owner, BACKUP)
-        if self.config.redundancy_policy == FIXED:
-            budget = self.fixed_n - self.placed_count.item(owner) - uploads.size
-            if budget <= 0:
-                return  # _open_uploads would draw nothing
-        else:
-            budget = self.config.backup_parallelism
         active = int(np.count_nonzero(self._online(slot_idx)[self.table[DST, uploads]]))
+        # a present owner has no repair upload in flight, so under the adaptive
+        # cap at least as many cells of its row are EMPTY as it has targets
         self._open_uploads(owner, BACKUP, owner, slot_idx,
-                           min(self.config.backup_parallelism - active, budget))
+                           min(self.config.backup_parallelism - active,
+                               self.holder_cap - self.placed_count.item(owner) - uploads.size))
 
     def _restore_step(self, owner: int, slot_idx: int) -> None:
         if self._lost_if_unreachable(owner):
@@ -701,27 +699,16 @@ class Simulation:
         online = np.append(self._online(slot_idx), True).tolist()  # SERVER = -1 reads the appended True
         active_online = sum(online[src] for src in self.table[SRC, restores].tolist())
         placements = self._placements(owner)
-        candidates = sorted(
-            frag
-            for frag, holder in placements.items()
-            if frag not in downloaded and frag not in in_flight and online[holder]
-        )
-        while active_online < self.parallel[owner] and candidates and have < self.k:
-            frag = candidates.pop(int(self.rng.integers(len(candidates))))
+        candidates = sorted(frag for frag, holder in placements.items()
+                            if frag not in downloaded and frag not in in_flight and online[holder])
+        for frag in self._draw(candidates, min(self.parallel.item(owner) - active_online, self.k - have)):
             self._new_transfer(RESTORE, placements[frag], owner, owner, frag)
             in_flight.add(frag)
-            active_online += 1
             have += 1
-        # fall back to the server buffer when peers cannot supply k fragments
-        buffered = self.buffered.get(owner, set())
-        if buffered and have < self.k:
-            peer_obtainable = placements.keys() - downloaded - in_flight
-            spare = sorted(buffered - downloaded - in_flight)
-            while have + len(peer_obtainable) < self.k and spare:
-                frag = spare.pop(0)
-                self._new_transfer(RESTORE, SERVER, owner, owner, frag)
-                in_flight.add(frag)
-                have += 1
+        # fall back to the server buffer, lowest ids first, when peers cannot supply k fragments
+        short = self.k - have - len(placements.keys() - downloaded - in_flight)
+        for frag in sorted(self.buffered.get(owner, set()) - downloaded - in_flight)[:max(short, 0)]:
+            self._new_transfer(RESTORE, SERVER, owner, owner, frag)
 
     def _step_tasks(self, slot_idx: int) -> None:
         """Step each present restoring owner and each present owner in the
@@ -734,10 +721,7 @@ class Simulation:
         steady = (self.back_at == math.inf) & self.cols[slot_idx]
         opens = steady & ((self.phase == BACKING_UP) | (self.phase == COMPLETE))
         opens &= np.bincount(owner[backup], weights=steady[dst[backup]], minlength=self.P) < self.config.backup_parallelism
-        if self.config.redundancy_policy == FIXED:
-            opens &= self.placed_count + np.bincount(owner[backup], minlength=self.P) < self.fixed_n
-        else:
-            opens &= self.needs != 0
+        opens &= (self.needs != 0) & (self.placed_count + np.bincount(owner[backup], minlength=self.P) < self.holder_cap)
         restoring = (self.back_at == math.inf) & (self.phase == RESTORING)
         for idx in np.flatnonzero(restoring | opens).tolist():
             if restoring[idx]:

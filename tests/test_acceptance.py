@@ -300,7 +300,7 @@ def _audit_violations(run: DeskRun) -> list[str]:
 def _placement_violations(run: DeskRun) -> list[str]:
     out = []
     s = run.sim
-    stored = np.zeros(s.P, dtype=int)
+    occupied = np.zeros(s.P, dtype=int)  # fragments stored plus uploads in flight, per peer
     for owner, row in enumerate(s.placed.tolist()):
         holders = [holder for holder, cell in enumerate(row) if cell >= 0]
         frags = [row[holder] for holder in holders]
@@ -310,9 +310,13 @@ def _placement_violations(run: DeskRun) -> list[str]:
             out.append(f"peer {owner}: stores its own fragment or uploads to itself")
         if s.placed_count[owner] != len(holders):
             out.append(f"peer {owner}: placement count out of sync")
-        stored[holders] += 1
-    if not np.array_equal(s.stored_count, stored):
-        out.append("stored fragment counts out of sync with the placements")
+        occupied[holders] += 1
+    for row in range(s.used):
+        kind, _, dst = s.table[:3, row].tolist()
+        if kind in sim.UPLOADS:
+            occupied[dst] += 1
+    if not np.array_equal(s.occupied, occupied):
+        out.append("occupied counts out of sync with the placements and uploads")
     return out
 
 

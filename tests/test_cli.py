@@ -204,6 +204,8 @@ FULL_HEADER = "mode,k,a,target,n,t_days,mean_lifetime_days"
     ([FULL_HEADER, "n,4,1.5,0.9,,,"], "line 2: a must be in (0, 1]"),
     ([FULL_HEADER, "n,4,0.5,0.9,,,", "loss,2,,,4,nan,90"], "line 3: t_elapsed must be non-negative"),
     ([FULL_HEADER, "loss,2,,,4,1,nan"], "line 2: mean_lifetime must be positive"),
+    ([FULL_HEADER, "n,4,0.5,0.9,,,", "loss,2,,,4,inf,inf"],
+     "line 3: t_elapsed and mean_lifetime cannot both be infinite"),
 ])
 def test_plan_batch_names_the_line_and_field_of_a_bad_row(tmp_path, capsys, lines, message):
     batch = tmp_path / "batch.csv"
@@ -220,6 +222,15 @@ def test_plan_loss_rejects_nan(tmp_path, capsys, flag):
                    "--out-dir", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "plan.csv").exists()
+
+
+def test_plan_loss_rejects_an_infinite_window_over_an_infinite_lifetime(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = cli.main(["plan", "--loss", "--n", "4", "--k", "2", "--t-days", "inf", "--lifetime", "inf",
+                   "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: t_elapsed and mean_lifetime cannot both be infinite\n"
     assert not (out / "plan.csv").exists()
 
 

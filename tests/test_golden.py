@@ -2,10 +2,12 @@
 
 The sched-compare CSV holds the mean O(x) and the mean randomized
 completion per grid point, so its hash pins both the optimal search and the
-order in which random_schedule draws from the shared generator.  The
-simulate hashes pin the whole CSV report contract of both redundancy
-policies under every response mode, including crash losses and assisted
-repair traffic; the plan hash pins a batch of redundancy queries.
+order in which random_schedule draws from the shared generator; a second
+grid with a skipped point pins the empty cells, and a trace-stats hash the
+per-peer availability file.  The simulate hashes pin the whole CSV report
+contract of both redundancy policies under every response mode, including
+crash losses and assisted repair traffic; the plan hash pins a batch of
+redundancy queries.
 Regenerate the hashes only with a change that alters behaviour on purpose,
 and say so where the change is recorded.
 """
@@ -23,6 +25,8 @@ from p2pbackup import cli
 RECORDED_WITH = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
 TRACE_SHA256 = "5ee8220c284676d850d6c5cd8ee347380fcdcea26385fadb8a3d18cae0116061"
 SCHED_COMPARE_SHA256 = "37b02a0170dfc182e776b79b5f20217822dc77223bb26830bcd6ec932cb01838"
+SCHED_COMPARE_SKIP_SHA256 = "3826a0e619ef0efc0eb2d1cee037cbf5d7f127e1dc2c98c15b63429c04ce4e8b"
+TRACE_STATS_SHA256 = "920356b86cb63d799693c294d4a775d7a568b0fb0df0997147869fedb61b7870"
 
 
 def _sha256(path):
@@ -38,6 +42,13 @@ def test_sched_compare_golden(tmp_path):
     assert cli.main(["sched-compare", "--matrix", str(tmp_path / "trace.txt"), "--x", "8,16",
                      "--trials", "30", "--seed", "3", "--out-dir", str(tmp_path)]) == 0
     assert _sha256(tmp_path / "sched-compare.csv") == SCHED_COMPARE_SHA256, where
+    # 30 fragments at ratio 1.5 need 45 candidates, more than the 39 other peers
+    assert cli.main(["sched-compare", "--matrix", str(tmp_path / "trace.txt"), "--x", "8,30", "--ratios", "1.1,1.5",
+                     "--trials", "10", "--seed", "3", "--out-dir", str(tmp_path / "skip")]) == 0
+    assert "skipped" in (tmp_path / "skip" / "sched-compare.csv").read_text()
+    assert _sha256(tmp_path / "skip" / "sched-compare.csv") == SCHED_COMPARE_SKIP_SHA256, where
+    assert cli.main(["trace-stats", "--matrix", str(tmp_path / "trace.txt"), "--out-dir", str(tmp_path / "stats")]) == 0
+    assert _sha256(tmp_path / "stats" / "trace-stats.csv") == TRACE_STATS_SHA256, where
 
 
 SIM_COMMON = [

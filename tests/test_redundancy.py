@@ -316,6 +316,7 @@ def test_thresholds_validation():
     (red.data_loss_probability, (4, 2, 1.0, math.nan)),
     (red.estimate_ttr, (math.nan, 1e6, [GOOD_HOLDER] * 4, 4)),
     (red.estimate_ttr, (1e6, math.nan, [GOOD_HOLDER] * 4, 4, 2)),
+    (red.data_loss_probability, (4, 2, math.inf, math.inf)),  # inf / inf would make a nan
 ])
 def test_nan_inputs_are_rejected(call, args):
     with pytest.raises(ValueError):

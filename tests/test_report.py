@@ -313,6 +313,13 @@ def test_summary_round_trip(tmp_path, small_run):
             assert back[key] == value
 
 
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "cells.csv"
+    rep.write_csv(path, ["a", "b", "c", "d", "e", "f", "g"],
+                  [[None, True, False, math.nan, math.inf, 7, 0.1], ["x", 1, 0, -math.inf, 2.5, "", 1e-300]])
+    assert path.read_bytes() == b"a,b,c,d,e,f,g\r\n,1,0,,inf,7,0.1\r\nx,1,0,-inf,2.5,,1e-300\r\n"
+
+
 def test_nan_and_inf_cells_survive_round_trip(tmp_path):
     peers = [peer_row(0, ttb=3600.0, min_ttb=math.inf), peer_row(1)]
     report = report_of(peers)

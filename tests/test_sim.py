@@ -486,7 +486,7 @@ def test_holder_crash_erases_stored_fragments(flat_cdf_file):
     s = prepared_sim(flat_cdf_file)
     place(s, 0, [1, 2, 3, 4])
     s.on_crash(1, now=0.0, slot_idx=0)
-    assert not (s.placed[:, 1] >= 0).any() and s.stored_count[1] == 0
+    assert not (s.placed[:, 1] >= 0).any() and s.occupied[1] == 0
     assert placements_of(s, 0) == {1: 2, 2: 3, 3: 4}
     assert s.placed_count[0] == 3
     # the holder's own object had zero fragments placed: gone with the crash
@@ -523,7 +523,7 @@ def test_crash_and_loss_keep_indexes(flat_cdf_file):
     place(s, 0, [1, 2, 3, 4])
     place(s, 5, [0, 1, 2, 3])
     assert s.placed[0].tolist() == [psim.EMPTY, 0, 1, 2, 3, psim.EMPTY]
-    assert s.stored_count.tolist() == [1, 2, 2, 2, 1, 0] and s.placed_count.tolist() == [4, 0, 0, 0, 0, 4]
+    assert s.occupied.tolist() == [1, 2, 2, 2, 1, 0] and s.placed_count.tolist() == [4, 0, 0, 0, 0, 4]
     s.on_crash(1, now=0.0, slot_idx=0)  # holder of both owners, gone for a while
     assert index_violations(s, 0) == []
     assert not (s.placed[:, 1] >= 0).any() and s.back_at[1] < math.inf
@@ -531,7 +531,7 @@ def test_crash_and_loss_keep_indexes(flat_cdf_file):
     s.on_crash(0, now=3600.0, slot_idx=1)  # 2 of k=4 left: lost, releasing its holders
     assert s.phase[0] == psim.LOST
     assert index_violations(s, 1) == []
-    assert (s.placed[0] == psim.EMPTY).all() and s.stored_count.tolist() == [0, 0, 0, 1, 0, 0]
+    assert (s.placed[0] == psim.EMPTY).all() and s.occupied.tolist() == [0, 0, 0, 1, 0, 0]
     assert s.placed_count.tolist() == [0, 0, 0, 0, 0, 1]
 
 
@@ -717,6 +717,12 @@ def stored_counts(simulation):
     return np.bincount(np.asarray(holders, dtype=int), minlength=simulation.P)
 
 
+def occupied_counts(simulation):
+    """Fragments each peer stores for others plus uploads in flight to it,
+    counted from the placements and the transfer table."""
+    return (stored_counts(simulation) + uploads_in_flight(simulation)[0]).tolist()
+
+
 def test_churn_storage_maps_stay_mirrored(churn_report):
     simulation, _, _ = churn_report
     for owner in range(simulation.P):
@@ -724,7 +730,7 @@ def test_churn_storage_maps_stay_mirrored(churn_report):
         assert len(placements) == np.count_nonzero(simulation.placed[owner] >= 0)  # distinct fragment ids
         assert simulation.placed_count[owner] == len(placements)
         assert simulation.placed[owner, owner] == psim.EMPTY
-    assert simulation.stored_count.tolist() == stored_counts(simulation).tolist()
+    assert simulation.occupied.tolist() == occupied_counts(simulation)
 
 
 def link_budgets(simulation):
@@ -826,8 +832,8 @@ def test_churn_grants_match_transfer_progress(request, run):
 def test_churn_quota_never_exceeded(churn_report):
     simulation, _, _ = churn_report
     cap = simulation.config.storage_quota // simulation.f
-    assert np.all(stored_counts(simulation) <= cap)
-    assert np.array_equal(simulation.stored_count, stored_counts(simulation))
+    assert np.all(np.array(occupied_counts(simulation)) <= cap)
+    assert simulation.occupied.tolist() == occupied_counts(simulation)
 
 
 def test_same_seed_reproduces_the_run(flat_cdf_file):
@@ -857,12 +863,12 @@ def index_violations(simulation, col):
     they mirror, each rebuilt here with plain loops over the cells of the
     placement matrix and the live rows of the transfer table, and where that
     state breaks an invariant of the model: table rows out of serial order,
-    a holder over its quota, a cell on the diagonal that is not EMPTY, a
-    fragment id placed twice or not yet issued, server traffic that is not
-    whole fragments, a transfer its owner's state rules out (a backup while
-    restoring, a repair upload while present, a restore unless present and
-    restoring), or a crash episode out of step with its owner (see
-    episode_violations)."""
+    a peer whose stored and incoming fragments exceed its quota, a cell on
+    the diagonal that is not EMPTY, a fragment id placed twice or not yet
+    issued, server traffic that is not whole fragments, a transfer its
+    owner's state rules out (a backup while restoring, a repair upload while
+    present, a restore unless present and restoring), or a crash episode out
+    of step with its owner (see episode_violations)."""
     s = simulation
     found = []
     stored = [0] * s.P
@@ -881,23 +887,23 @@ def index_violations(simulation, col):
             found.append(f"peer {owner} has fragment ids {frags}, next {s.next_frag[owner]}")
         if s.placed_count[owner] != len(frags):
             found.append(f"placed_count of peer {owner} is {s.placed_count[owner]}, its row holds {len(frags)}")
+    incoming, uploads = uploads_in_flight(s)
+    occupied = [stored[i] + incoming[i] for i in range(s.P)]
     for holder in range(s.P):
-        if stored[holder] > s.capacity_slots:
-            found.append(f"peer {holder} stores {stored[holder]} > quota {s.capacity_slots}")
+        if occupied[holder] > s.capacity_slots:
+            found.append(f"peer {holder} stores {stored[holder]} and receives {incoming[holder]} "
+                         f"> quota {s.capacity_slots}")
+    if s.occupied.tolist() != occupied:
+        found.append(f"occupied {s.occupied.tolist()} != stored {stored} + incoming {incoming}")
     for name, series in (("out_bytes", s.out_bytes), ("in_bytes", s.in_bytes)):
         if np.any(series % s.f):
             found.append(f"server {name} not whole fragments: {series[series % s.f != 0]}")
-    if s.stored_count.tolist() != stored:
-        found.append(f"stored_count {s.stored_count.tolist()} != {stored}")
     serials = s.table[psim.SERIAL, :s.used].tolist()
     if any(a >= b for a, b in zip(serials, serials[1:])):
         found.append(f"table rows out of serial order: {serials}")
     transfers = live_transfers(s)
     if any(t.kind not in KIND_NAMES for t in transfers):
         found.append(f"unknown transfer kinds {sorted({t.kind for t in transfers} - KIND_NAMES.keys())}")
-    incoming, uploads = uploads_in_flight(s)
-    if s.incoming.tolist() != incoming:
-        found.append(f"incoming {s.incoming.tolist()} != {incoming}")
     if in_flight != sorted(uploads):
         found.append(f"IN_FLIGHT cells {in_flight} are not the uploads in flight {sorted(uploads)}")
     for t in transfers:
@@ -918,8 +924,9 @@ def episode_violations(simulation):
     """Where a crash episode and its owner disagree.  An owner is restoring
     exactly while it has an open episode; that episode is pending, names its
     owner, and has no response slot exactly while the owner is absent.  Only
-    a restoring owner has downloaded fragments or a repair stage, and the
-    pending records of the run are exactly the open episodes."""
+    a restoring owner has downloaded fragments or a repair stage, an absent
+    one has downloaded nothing, and the pending records of the run are
+    exactly the open episodes."""
     s = simulation
     found = []
     for i in range(s.P):
@@ -934,6 +941,8 @@ def episode_violations(simulation):
                 found.append(f"peer {i} back at {back_at} has response slot {episode.response_slot}")
         if not restoring and (s.downloaded[i] or s.repair_stage[i] is not None):
             found.append(f"phase {phase} peer {i} has downloaded {sorted(s.downloaded[i])}, stage {s.repair_stage[i]}")
+        if back_at != math.inf and s.downloaded[i]:
+            found.append(f"absent peer {i} has downloaded {sorted(s.downloaded[i])}")
     pending = [id(c) for c in s.crashes if c.outcome == "pending"]
     if sorted(pending) != sorted(id(e) for e in s.episode if e is not None):
         found.append("pending crash records differ from the open episodes")
@@ -959,15 +968,16 @@ class IndexCheckSimulation(Simulation):
 
     The simulator reads its upload reservations live.  That is exact only if
     no upload ends while the task step opens new ones, so within that step
-    incoming must never decrease and no IN_FLIGHT cell may change.  A kept
-    decision (stopping, repair risk, restore parallelism) must have been made
-    on the owner's current holders.  The task step must visit exactly the
-    owners its screen admits, recomputed here with plain loops, and every
-    owner it skips must have been unable to open an upload.  Each report
-    field is a Python float and is written at most once: once it is no
-    longer the math.nan object, it keeps its object.  redundancy is set
-    exactly when ttb is.  Also notes each slot in which an owner returns
-    with a repair upload in flight, the case the return step must cancel."""
+    no IN_FLIGHT cell may change.  A kept decision (stopping, repair risk,
+    restore parallelism) must have been made on the owner's current holders.
+    The task step must visit exactly the owners its screen admits,
+    recomputed here with plain loops, and every owner it skips must have
+    been unable to open an upload.  Each report field is a Python float and
+    is written at most once: once it is no longer the math.nan object, it
+    keeps its object.  redundancy is set exactly when ttb is.  Also notes
+    each slot in which an owner returns with a repair upload in flight, the
+    case the return step must cancel, and each slot in which only the holder
+    cap keeps an adaptive owner out of the task step."""
 
     UNDECIDED = {"needs": -1, "at_risk": -1, "parallel": 0}  # each kept decision's value until it is made
     REPORT_FIELDS = ("ttb", "ttr", "ettr", "redundancy")
@@ -975,10 +985,11 @@ class IndexCheckSimulation(Simulation):
     def __init__(self, config, matrix):
         super().__init__(config, matrix)
         self.written = {name: list(getattr(self, name)) for name in self.REPORT_FIELDS}  # as of the last check
-        self.reserved = None  # last seen (incoming, IN_FLIGHT cells) in the task step
+        self.reserved = None  # IN_FLIGHT cells last seen in the task step
         self.decided = {}  # (memo, owner) -> the holders its last fresh decision read
         self.stepped = None  # owners the task step visits, in order
         self.returns_mid_repair = []
+        self.capped = []
 
     def _holders(self, owner):
         return list(placements_of(self, owner).values())
@@ -1018,11 +1029,9 @@ class IndexCheckSimulation(Simulation):
         return rows
 
     def _check_reservations_kept(self, slot_idx):
-        incoming, in_flight = self.reserved
-        assert np.all(self.incoming >= incoming), f"slot {slot_idx}: incoming decreased in the task step"
-        assert np.all(self.placed[in_flight] == psim.IN_FLIGHT), \
+        assert np.all(self.placed[self.reserved] == psim.IN_FLIGHT), \
             f"slot {slot_idx}: an IN_FLIGHT cell changed in the task step"
-        self.reserved = self.incoming.copy(), self.placed == psim.IN_FLIGHT
+        self.reserved = self.placed == psim.IN_FLIGHT
 
     def _eligible_targets(self, owner_idx, col):
         if self.reserved is not None:
@@ -1065,9 +1074,12 @@ class IndexCheckSimulation(Simulation):
         return len(dsts), sum(1 for d in dsts if online[d])
 
     def _has_room(self, owner, in_flight):
-        if self.config.redundancy_policy == "fixed":
-            return len(self._holders(owner)) + in_flight < self.fixed_n
-        return self.needs[owner] != 0  # a kept decision is checked against its holders in _check
+        """Whether the owner's policy lets it open an upload: fewer than fixed n
+        (or every other peer) holders and uploads, and no kept decision that it
+        needs no more (the fixed policy makes none)."""
+        cap = self.fixed_n if self.config.redundancy_policy == "fixed" else self.P - 1
+        # a kept decision is checked against its holders in _check
+        return self.needs[owner] != 0 and len(self._holders(owner)) + in_flight < cap
 
     def _screened(self, slot_idx):
         """The owners the task step visits, in index order: each present
@@ -1081,8 +1093,11 @@ class IndexCheckSimulation(Simulation):
                 visit.append(i)
             elif steady[i] and self.phase[i] in (psim.BACKING_UP, psim.COMPLETE):
                 in_flight, active = self._backups(i, steady)
-                if self._has_room(i, in_flight) and active < self.config.backup_parallelism:
-                    visit.append(i)
+                if active < self.config.backup_parallelism:
+                    if self._has_room(i, in_flight):
+                        visit.append(i)
+                    elif self.config.redundancy_policy == "adaptive" and self.needs[i] != 0:
+                        self.capped.append(slot_idx)
         return visit
 
     def maintenance_step(self, owner, slot_idx):
@@ -1097,7 +1112,7 @@ class IndexCheckSimulation(Simulation):
             self.decided["parallel", owner] = self._holders(owner)
 
     def _step_tasks(self, slot_idx):
-        self.reserved = self.incoming.copy(), self.placed == psim.IN_FLIGHT
+        self.reserved = self.placed == psim.IN_FLIGHT
         expect, self.stepped = self._screened(slot_idx), []
         super()._step_tasks(slot_idx)
         assert self.stepped == expect, f"slot {slot_idx}: the task step visited {self.stepped}, not {expect}"
@@ -1225,6 +1240,14 @@ def test_indexes_mirror_state_through_a_return_mid_repair(flat_cdf_file, policy)
                                       response="delayed_assisted", mean_lifetime_days=2.0,
                                       bandwidth_source="lognormal")
     assert simulation.returns_mid_repair
+
+
+def test_indexes_mirror_state_when_adaptive_owners_reach_every_peer(flat_cdf_file):
+    # among 5 peers and with holders that crash within days, an adaptive owner
+    # wants more holders than the 4 other peers
+    simulation, _ = index_checked_run(flat_cdf_file, 5, 96, 40, 3, redundancy_policy="adaptive",
+                                      mean_lifetime_days=2.0)
+    assert simulation.capped
 
 
 # --------------------------------------------------------------- adaptive policy

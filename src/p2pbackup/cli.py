@@ -1,10 +1,11 @@
 """Command-line front end for trace analysis, scheduling comparisons,
 redundancy planning, and full simulation runs.
 
-Every subcommand takes --seed (default 0) and --out-dir, writes its outputs
-plus a run-manifest.json echoing the resolved configuration, and exits 0
-only when all outputs were written.  Outputs are deterministic functions of
-the manifest.
+Every subcommand takes --seed (default 0) and --out-dir.  Its cmd_*
+function writes its outputs into the out dir and returns its own manifest
+fields; once they are written, main adds a run-manifest.json that echoes the
+subcommand, the seed and those fields, and exits 0.  Outputs are
+deterministic functions of the manifest.
 """
 
 from __future__ import annotations
@@ -22,17 +23,9 @@ import numpy as np
 from . import __version__, redundancy, report, sched, sim, trace
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_manifest(out: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["version"] = __version__
     with open(out / "run-manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({**payload, "version": __version__}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -78,36 +71,30 @@ def _add_matrix_flags(parser, synth_default_peers=100, synth_default_slots=672):
 
 # -- trace-stats ---------------------------------------------------------
 
-def cmd_trace_stats(args) -> int:
-    out = _out_dir(args)
+def cmd_trace_stats(args, out: Path) -> dict:
     if not args.matrix and not args.events:
         raise SystemExit("trace-stats: provide --matrix or --events")
     matrix, source = _load_matrix(args, args.seed)
-    kept = None
-    if args.min_uptime is not None:
-        matrix, kept = trace.filter_min_uptime(matrix, args.min_uptime)
-    stats = trace.availability_stats(matrix)
     ids = matrix.peer_ids if matrix.peer_ids is not None else range(matrix.num_peers)
+    if args.min_uptime is not None:  # the kept rows' peer ids, or their indices in the unfiltered matrix
+        matrix, ids = trace.filter_min_uptime(matrix, args.min_uptime)
+    stats = trace.availability_stats(matrix)
     report.write_csv(out / "trace-stats.csv", ["peer_id", "availability"], zip(ids, stats.per_peer.tolist()))
-    _write_manifest(out, {
-        "subcommand": "trace-stats",
-        "seed": args.seed,
+    print(f"{matrix.num_peers} peers, {matrix.num_slots} slots, "
+          f"system availability {stats.system:.4f}"
+          + (f" ({len(ids)} kept by uptime filter)" if args.min_uptime is not None else ""))
+    return {
         "source": source,
         "min_uptime": args.min_uptime,
         "peers": matrix.num_peers,
         "slots": matrix.num_slots,
         "system_availability": stats.system,
-    })
-    print(f"{matrix.num_peers} peers, {matrix.num_slots} slots, "
-          f"system availability {stats.system:.4f}"
-          + (f" ({len(kept)} kept by uptime filter)" if kept is not None else ""))
-    return 0
+    }
 
 
 # -- trace-synth ---------------------------------------------------------
 
-def cmd_trace_synth(args) -> int:
-    out = _out_dir(args)
+def cmd_trace_synth(args, out: Path) -> dict:
     matrix = trace.synth_trace(
         args.peers,
         args.slots,
@@ -119,9 +106,8 @@ def cmd_trace_synth(args) -> int:
     )
     path = out / args.name
     trace.write_matrix_file(matrix, path)
-    _write_manifest(out, {
-        "subcommand": "trace-synth",
-        "seed": args.seed,
+    print(f"wrote {path} ({args.peers} peers x {args.slots} slots)")
+    return {
         "peers": args.peers,
         "slots": args.slots,
         "avail_low": args.avail_low,
@@ -130,9 +116,7 @@ def cmd_trace_synth(args) -> int:
         "weekend": args.weekend,
         "slot_seconds": args.slot_seconds,
         "output": str(path),
-    })
-    print(f"wrote {path} ({args.peers} peers x {args.slots} slots)")
-    return 0
+    }
 
 
 # -- sched-compare -------------------------------------------------------
@@ -141,8 +125,7 @@ def _parse_list(text: str, cast) -> list:
     return [cast(tok) for tok in text.split(",") if tok.strip()]
 
 
-def cmd_sched_compare(args) -> int:
-    out = _out_dir(args)
+def cmd_sched_compare(args, out: Path) -> dict:
     matrix, source = _load_matrix(args, args.seed)
     xs = _parse_list(args.x, int)
     ratios = _parse_list(args.ratios, float)
@@ -203,16 +186,8 @@ def cmd_sched_compare(args) -> int:
                   "mean_optimal", "mean_random", "mean_baseline",
                   "mean_optimal_norm", "mean_random_norm", "note"]
     report.write_csv(out / "sched-compare.csv", fieldnames, ([row.get(name) for name in fieldnames] for row in rows))
-    _write_manifest(out, {
-        "subcommand": "sched-compare",
-        "seed": args.seed,
-        "source": source,
-        "x": xs,
-        "ratios": ratios,
-        "trials": args.trials,
-    })
     print(f"wrote {out / 'sched-compare.csv'} ({len(rows)} grid points)")
-    return 0
+    return {"source": source, "x": xs, "ratios": ratios, "trials": args.trials}
 
 
 # -- plan ----------------------------------------------------------------
@@ -242,8 +217,7 @@ def _plan_loss(row: dict) -> dict:
             "mean_lifetime_days": lifetime, "probability": p}
 
 
-def cmd_plan(args) -> int:
-    out = _out_dir(args)
+def cmd_plan(args, out: Path) -> dict:
     results = []
     if args.batch:
         with open(args.batch, newline="", encoding="utf-8") as fh:
@@ -275,13 +249,7 @@ def cmd_plan(args) -> int:
         else:
             print(f"n={res['n']} k={res['k']} t_days={res['t_days']} "
                   f"lifetime={res['mean_lifetime_days']} -> p={res['probability']}")
-    _write_manifest(out, {
-        "subcommand": "plan",
-        "seed": args.seed,
-        "batch": str(args.batch) if args.batch else None,
-        "queries": len(results),
-    })
-    return 0
+    return {"batch": str(args.batch) if args.batch else None, "queries": len(results)}
 
 
 # -- simulate ------------------------------------------------------------
@@ -305,8 +273,7 @@ def _average_summaries(rows: list[dict]) -> dict:
     return merged
 
 
-def cmd_simulate(args) -> int:
-    out = _out_dir(args)
+def cmd_simulate(args, out: Path) -> dict:
     mapping: dict = {}
     if args.config:
         mapping.update(sim.load_config(args.config))
@@ -343,17 +310,15 @@ def cmd_simulate(args) -> int:
     merged = _average_summaries(summaries)
     merged["runs"] = args.runs
     report.write_summary_row(merged, out / "summary.csv")
-    _write_manifest(out, {
-        "subcommand": "simulate",
-        "seed": config.seed,
+    print(f"{args.runs} run(s) complete; averaged summary at {out / 'summary.csv'}")
+    return {
+        "seed": config.seed,  # the resolved seed: a config file can set it
         "runs": args.runs,
         "source": source,
         "config": config.to_mapping(),
         "max_holders": max_holders,
         "target_reachable": target_reachable,
-    })
-    print(f"{args.runs} run(s) complete; averaged summary at {out / 'summary.csv'}")
-    return 0
+    }
 
 
 # -- parser --------------------------------------------------------------
@@ -430,7 +395,10 @@ def main(argv=None) -> int:
     if args.seed is None and args.command != "simulate":
         args.seed = 0
     try:
-        return args.func(args)
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        _write_manifest(out, {"subcommand": args.command, "seed": args.seed, **args.func(args, out)})
+        return 0
     except SystemExit:
         raise
     except (OSError, ValueError, redundancy.SearchCeilingError) as exc:

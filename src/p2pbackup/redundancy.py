@@ -77,6 +77,8 @@ class AdaptiveThresholds:
             raise ValueError("parallel must be at least 1")
         if not self.mean_lifetime_days > 0:
             raise ValueError("mean_lifetime_days must be positive")
+        if math.isinf(self.w_days) and math.isinf(self.mean_lifetime_days):  # the loss rule's q would be inf / inf
+            raise ValueError("w_days and mean_lifetime_days cannot both be infinite")
         if not (self.ttr_floor_days >= 0 and self.ttr_factor >= 0):
             raise ValueError("TTR rule parameters must be non-negative")
 

@@ -186,10 +186,6 @@ def _cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)  # repr(inf) is "inf"
 
 
-def _parse_float(text: str) -> float:
-    return math.nan if text == "" else float(text)
-
-
 def write_csv(path, header, rows) -> None:
     """Write the header, then each row with every cell through _cell: a float
     as its repr (inf as inf, -inf as -inf), NaN and None as an empty cell, a
@@ -205,22 +201,29 @@ def write_peers_csv(report: SimReport, path) -> None:
     write_csv(path, PEERS_FIELDS, map(astuple, report.peers))  # PeerRecord fields are in column order
 
 
-def read_peers_csv(path) -> list[PeerRecord]:
-    out = []
+def _float(text: str) -> float:
+    return math.nan if text == "" else float(text)  # math.nan itself, so that records compare equal
+
+
+def _optional_int(text: str) -> int | None:
+    return None if text == "" else int(text)
+
+
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"a flag cell must be 0 or 1, got {text!r}")
+    return text == "1"
+
+
+def _read_csv(path, header, parsers) -> list[list]:
+    """The read side of write_csv: the rows of the named columns, each cell
+    parsed by its column's parser, which inverts _cell for that column."""
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out.append(PeerRecord(
-                peer=int(row["peer_id"]),
-                uplink=_parse_float(row["uplink"]),
-                availability=_parse_float(row["availability"]),
-                ttb=_parse_float(row["ttb"]),
-                min_ttb=_parse_float(row["min_ttb"]),
-                ttr=_parse_float(row["ttr"]),
-                min_ttr=_parse_float(row["min_ttr"]),
-                ettr=_parse_float(row["ettr"]),
-                redundancy=_parse_float(row["redundancy_at_completion"]),
-            ))
-    return out
+        return [[parse(row[name]) for name, parse in zip(header, parsers)] for row in csv.DictReader(fh)]
+
+
+def read_peers_csv(path) -> list[PeerRecord]:
+    return [PeerRecord(*row) for row in _read_csv(path, PEERS_FIELDS, (int,) + (_float,) * 8)]
 
 
 def write_crashes_csv(report: SimReport, path) -> None:
@@ -228,18 +231,8 @@ def write_crashes_csv(report: SimReport, path) -> None:
 
 
 def read_crashes_csv(path) -> list[CrashRecord]:
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out.append(CrashRecord(
-                peer=int(row["peer_id"]),
-                crash_slot=int(row["crash_slot"]),
-                response_slot=None if row["response_slot"] == "" else int(row["response_slot"]),
-                outcome=row["outcome"],
-                unfinished=bool(int(row["unfinished"])),
-                unavoidable=bool(int(row["unavoidable"])),
-            ))
-    return out
+    parsers = (int, int, _optional_int, str, _flag, _flag)
+    return [CrashRecord(*row) for row in _read_csv(path, CRASHES_FIELDS, parsers)]
 
 
 def write_server_csv(report: SimReport, path) -> None:
@@ -249,15 +242,10 @@ def write_server_csv(report: SimReport, path) -> None:
 
 
 def read_server_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    slots, out, buf = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            slots.append(int(row["slot"]))
-            out.append(_parse_float(row["outbound_bytes"]))
-            buf.append(_parse_float(row["buffered_bytes"]))
-    if slots != list(range(len(slots))):
+    rows = _read_csv(path, SERVER_FIELDS, (int, _float, _float))
+    if [slot for slot, _, _ in rows] != list(range(len(rows))):
         raise ValueError(f"{path}: slot column must run 0..T-1")
-    return np.asarray(out), np.asarray(buf)
+    return np.asarray([out for _, out, _ in rows]), np.asarray([buf for _, _, buf in rows])
 
 
 def summary_row(report: SimReport) -> dict:

@@ -9,7 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from p2pbackup import cli, report, trace
+from p2pbackup import __version__, cli, report, trace
 from p2pbackup.sim import SimConfig
 
 from conftest import make_matrix
@@ -86,6 +86,18 @@ def test_trace_stats_min_uptime_filters_rows(tmp_path, capsys):
     rows = read_csv(out / "trace-stats.csv")
     assert len(rows) == 1 and float(rows[0]["availability"]) == 1.0
     assert "1 kept by uptime filter" in capsys.readouterr().out
+
+
+def test_trace_stats_min_uptime_names_the_kept_rows_by_their_index(tmp_path):
+    # the 40 x 168 seed-7 trace of the golden tests; peer 6 is below 0.3
+    assert cli.main(["trace-synth", "--peers", "40", "--slots", "168", "--seed", "7", "--out-dir", str(tmp_path)]) == 0
+    src = str(tmp_path / "trace.txt")
+    assert cli.main(["trace-stats", "--matrix", src, "--out-dir", str(tmp_path / "all")]) == 0
+    assert cli.main(["trace-stats", "--matrix", src, "--min-uptime", "0.3", "--out-dir", str(tmp_path / "kept")]) == 0
+    every = read_csv(tmp_path / "all" / "trace-stats.csv")
+    kept = read_csv(tmp_path / "kept" / "trace-stats.csv")
+    assert kept == [row for row in every if float(row["availability"]) >= 0.3]
+    assert "6" not in [row["peer_id"] for row in kept]
 
 
 def test_trace_stats_from_event_file(tmp_path):
@@ -516,3 +528,40 @@ def test_unknown_flag_exits_with_usage_error():
         cli.main(["plan", "--k", "4", "--a", "0.5", "--target", "0.9",
                   "--bogus-flag"])
     assert excinfo.value.code == 2
+
+
+# -- run manifest --------------------------------------------------------
+
+# per subcommand: flags of a run that succeeds, the manifest keys of its own,
+# and flags of a run that exits 1; {m}, {c} and {d} name the simulate inputs'
+# matrix and config files and the test's directory
+MANIFEST_CASES = {
+    "trace-synth": (["--peers", "3", "--slots", "4"],
+                    {"peers", "slots", "avail_low", "avail_high", "diurnal", "weekend", "slot_seconds", "output"},
+                    ["--peers", "3", "--slots", "4", "--slot-seconds", "0"]),
+    "trace-stats": (["--matrix", "{m}"], {"source", "min_uptime", "peers", "slots", "system_availability"},
+                    ["--matrix", "{d}/absent.txt"]),
+    "sched-compare": (["--matrix", "{m}", "--x", "2", "--ratios", "1.5", "--trials", "2"],
+                      {"source", "x", "ratios", "trials"}, ["--matrix", "{d}/absent.txt"]),
+    "plan": (["--k", "2", "--a", "0.5", "--target", "0.9"], {"batch", "queries"},
+             ["--loss", "--n", "4", "--k", "2", "--t-days", "inf", "--lifetime", "inf"]),
+    "simulate": (["--matrix", "{m}", "--config", "{c}"],
+                 {"runs", "source", "config", "max_holders", "target_reachable"}, ["--config", "{d}/absent.cfg"]),
+}
+
+
+@pytest.mark.parametrize("command", MANIFEST_CASES)
+def test_main_writes_the_manifest_of_a_command_that_succeeds(tmp_path, flat_cdf_file, command):
+    matrix_path, config_path = write_sim_inputs(tmp_path, flat_cdf_file)
+    succeeds, own_keys, fails = MANIFEST_CASES[command]
+
+    def run(flags, out):
+        flags = [flag.format(m=matrix_path, c=config_path, d=tmp_path) for flag in flags]
+        return cli.main([command, *flags, "--seed", "4", "--out-dir", str(out)])
+
+    assert run(succeeds, tmp_path / "ok") == 0
+    manifest = read_manifest(tmp_path / "ok")
+    assert set(manifest) == {"subcommand", "seed", "version"} | own_keys
+    assert (manifest["subcommand"], manifest["seed"], manifest["version"]) == (command, 4, __version__)
+    assert run(fails, tmp_path / "failed") == 1
+    assert not (tmp_path / "failed" / "run-manifest.json").exists()

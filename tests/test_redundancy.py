@@ -330,6 +330,11 @@ def test_thresholds_reject_nan_and_keep_inf(name):
     red.AdaptiveThresholds(**{name: math.inf})
 
 
+def test_thresholds_reject_an_infinite_window_over_an_infinite_lifetime():
+    with pytest.raises(ValueError, match="w_days and mean_lifetime_days cannot both be infinite"):
+        red.AdaptiveThresholds(w_days=math.inf, mean_lifetime_days=math.inf)
+
+
 def test_infinite_windows_and_lifetimes_stay_valid():
     assert red.data_loss_probability(4, 2, math.inf, 90.0) == 1.0
     assert red.data_loss_probability(4, 2, 1.0, math.inf) == 0.0

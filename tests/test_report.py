@@ -251,6 +251,22 @@ def test_crashes_csv_round_trip(tmp_path, small_run):
     )
 
 
+def test_crashes_csv_round_trip_keeps_cell_types(tmp_path):
+    crashes = [
+        CrashRecord(peer=3, crash_slot=5, response_slot=None, outcome="pending", unfinished=True, unavoidable=False),
+        CrashRecord(peer=1, crash_slot=2, response_slot=4, outcome="lost", unfinished=False, unavoidable=True),
+    ]
+    path = tmp_path / "crashes.csv"
+    rep.write_crashes_csv(report_of([peer_row(0)], crashes), path)
+    back = rep.read_crashes_csv(path)
+    assert back == crashes
+    assert back[0].response_slot is None and type(back[1].response_slot) is int
+    assert all(type(c.unfinished) is bool and type(c.unavoidable) is bool for c in back)
+    path.write_text(",".join(rep.CRASHES_FIELDS) + "\n3,5,,pending,2,0\n")
+    with pytest.raises(ValueError, match="must be 0 or 1, got '2'"):
+        rep.read_crashes_csv(path)
+
+
 def test_server_csv_round_trip(tmp_path):
     report = report_of(
         [peer_row(0)],

@@ -5,15 +5,18 @@ fixed policy solves a binomial availability target for a system-wide n.  The
 adaptive policy instead stops uploading once two per-peer estimates pass: the
 estimated time to restore (eTTR) and the probability of losing data while the
 owner is away (exponential peer lifetimes, at least n - k + 1 holder crashes).
+Both binomial tails are one private helper, _binom_sf, which evaluates the
+regularized incomplete beta function directly (scipy.special.betainc).
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
+from scipy.special import betainc
 
 SECONDS_PER_DAY = 86400.0
 
@@ -89,11 +92,22 @@ def _holder_arrays(holders) -> tuple[np.ndarray, np.ndarray]:
         return np.empty(0), np.empty(0)
     avail = np.asarray([p[0] for p in pairs], dtype=float)
     uplink = np.asarray([p[1] for p in pairs], dtype=float)
-    if avail.min() < 0 or avail.max() > 1:
+    if not (avail.min() >= 0 and avail.max() <= 1):  # negated so that a nan fails too
         raise ValueError("holder availabilities must be in [0, 1]")
-    if uplink.min() <= 0:
+    if not uplink.min() > 0:
         raise ValueError("holder uplinks must be positive")
     return avail, uplink
+
+
+def _binom_sf(j: int, n: int, p: float) -> float:
+    """P[X > j] for X ~ Binomial(n, p): 1.0 below j = 0, 0.0 from j = n, and
+    betainc(j + 1, n - j, p) between: bit for bit scipy's binom.sf, at a
+    small fraction of its per-call cost."""
+    if j < 0:
+        return 1.0
+    if j >= n:
+        return 0.0
+    return float(betainc(j + 1, n - j, p))
 
 
 def fixed_redundancy_n(k: int, a: float, target: float, ceiling: int = 100_000, atol: float = 1e-12) -> int:
@@ -101,9 +115,10 @@ def fixed_redundancy_n(k: int, a: float, target: float, ceiling: int = 100_000, 
 
     Finds the smallest n with P[X >= k] >= target for X ~ Binomial(n, a): the
     probability that at least k of n fragments sit on currently-online peers.
-    The tail is the regularized incomplete beta function, stable far beyond
-    n = 10^4; atol guards the comparison against its last-digit noise.  The
-    tail is nondecreasing in n, so the search doubles n and then bisects.
+    The tail is _binom_sf(k - 1, n, a), a regularized incomplete beta
+    function, stable far beyond n = 10^4; atol guards the comparison against
+    its last-digit noise.  The tail is nondecreasing in n, so the search
+    doubles n and then bisects.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -115,7 +130,7 @@ def fixed_redundancy_n(k: int, a: float, target: float, ceiling: int = 100_000, 
         raise SearchCeilingError(f"ceiling {ceiling} is below k={k}")
 
     def passes(n: int) -> bool:
-        return float(binom.sf(k - 1, n, a)) >= target - atol
+        return _binom_sf(k - 1, n, a) >= target - atol
 
     if passes(k):
         return k
@@ -137,12 +152,17 @@ def fixed_redundancy_n(k: int, a: float, target: float, ceiling: int = 100_000, 
 
 def default_parallel(d0: float, holder_uplinks, k: int) -> int:
     """Download parallelism that roughly saturates the owner downlink:
-    min(k, max(1, floor(d0 / median holder uplink)))."""
-    uplinks = np.asarray(list(holder_uplinks), dtype=float)
-    if uplinks.size == 0:
+    min(k, max(1, floor(d0 / median holder uplink))).
+
+    holder_uplinks is a sequence or array of bytes/s.  The median is exact:
+    the middle uplink, or (a + b) / 2 of the middle two, as np.median
+    computes it."""
+    uplinks = np.asarray(holder_uplinks, dtype=float).tolist()
+    if not uplinks:
         return 1
-    median = float(np.median(uplinks))
-    return min(k, max(1, int(d0 // median)))
+    if not all(u > 0 for u in uplinks):  # so that a nan fails too, before the sort
+        raise ValueError("holder uplinks must be positive")
+    return min(k, max(1, int(d0 // statistics.median(uplinks))))
 
 
 def estimate_ttr(o: float, d0: float, holders, k: int, parallel: int | None = None) -> float:
@@ -173,7 +193,8 @@ def data_loss_probability(n: int, k: int, t_elapsed: float, mean_lifetime: float
     Each holder's remaining lifetime is exponential with the given mean, so a
     holder crashes within t with probability q = 1 - exp(-t / mean); data is
     lost when at least n - k + 1 of n crash.  t_elapsed and mean_lifetime must
-    share a unit.  Stable for any n used here (incomplete-beta evaluation).
+    share a unit.  The tail is _binom_sf(n - k, n, q), stable for any n used
+    here (incomplete-beta evaluation).
     """
     if k < 1 or n < k:
         raise ValueError("need n >= k >= 1")
@@ -184,7 +205,7 @@ def data_loss_probability(n: int, k: int, t_elapsed: float, mean_lifetime: float
     if math.isinf(t_elapsed) and math.isinf(mean_lifetime):
         raise ValueError("t_elapsed and mean_lifetime cannot both be infinite")
     q = -math.expm1(-t_elapsed / mean_lifetime)
-    return float(binom.sf(n - k, n, q))
+    return _binom_sf(n - k, n, q)
 
 
 def loss_risk(n: int, k: int, ettr_seconds: float, thresholds: AdaptiveThresholds) -> float:

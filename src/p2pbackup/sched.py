@@ -230,7 +230,7 @@ def optimal_completion(problem: TransferProblem) -> ScheduleOutcome:
     below = lower - 1
     T = lower
     while True:
-        value, _ = max_fragments(problem, T)
+        value, schedule = max_fragments(problem, T)
         if value >= problem.x:
             break
         if T == horizon:
@@ -238,17 +238,19 @@ def optimal_completion(problem: TransferProblem) -> ScheduleOutcome:
         below = T
         T = min(2 * T, horizon)
 
+    # hi always holds a passing T, and (value, schedule) is its probe's answer,
+    # so the search ends on the answer without solving it again.
     lo, hi = below + 1, T
     while lo < hi:
         mid = (lo + hi) // 2
-        value, _ = max_fragments(problem, mid)
-        if value >= problem.x:
+        probe = max_fragments(problem, mid)
+        if probe[0] >= problem.x:
             hi = mid
+            value, schedule = probe
         else:
             lo = mid + 1
 
-    value, schedule = max_fragments(problem, lo)
-    return ScheduleOutcome(True, schedule, lo, value)
+    return ScheduleOutcome(True, schedule, hi, value)
 
 
 def random_schedule(problem: TransferProblem, seed=None) -> ScheduleOutcome:

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from p2pbackup import redundancy as red
 from oracles import binomial_tail_ge, minimal_redundancy
@@ -138,6 +143,16 @@ def test_ettr_derived_parallelism_saturates_downlink():
     # estimate_ttr with parallel=None applies the same rule
     holders = [(1.0, 20.0)] * 4
     assert red.estimate_ttr(100.0, 100.0, holders, k=4) == pytest.approx(100.0 / (4 * 20.0))
+
+
+def test_default_parallel_takes_numpy_median():
+    rng = np.random.default_rng(17)
+    for size in list(range(1, 41)) * 25:  # odd and even counts
+        uplinks = rng.lognormal(np.log(77e3), 1.0, size)
+        d0 = float(rng.lognormal(np.log(1e6), 1.0))
+        expected = min(64, max(1, int(d0 // float(np.median(uplinks)))))
+        assert red.default_parallel(d0, uplinks, 64) == expected
+        assert red.default_parallel(d0, uplinks.tolist(), 64) == expected
 
 
 @given(
@@ -317,9 +332,15 @@ def test_thresholds_validation():
     (red.estimate_ttr, (math.nan, 1e6, [GOOD_HOLDER] * 4, 4)),
     (red.estimate_ttr, (1e6, math.nan, [GOOD_HOLDER] * 4, 4, 2)),
     (red.data_loss_probability, (4, 2, math.inf, math.inf)),  # inf / inf would make a nan
+    (red.estimate_ttr, (1e9, 1e6, [(math.nan, 1e6)] * 3 + [GOOD_HOLDER], 2)),
+    (red.estimate_ttr, (1e9, 1e6, [(0.5, math.nan)] + [GOOD_HOLDER] * 3, 2)),
+    (red.default_parallel, (1e6, [1e5, math.nan, 2e5], 4)),
+    (red.default_parallel, (1e6, [math.nan, 1e5], 4)),
+    (red.default_parallel, (1e6, [0.0], 4)),
+    (red.default_parallel, (1e6, [-1e5, 2e5, 3e5], 4)),
 ])
 def test_nan_inputs_are_rejected(call, args):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be|cannot both be"):
         call(*args)
 
 
@@ -338,3 +359,23 @@ def test_thresholds_reject_an_infinite_window_over_an_infinite_lifetime():
 def test_infinite_windows_and_lifetimes_stay_valid():
     assert red.data_loss_probability(4, 2, math.inf, 90.0) == 1.0
     assert red.data_loss_probability(4, 2, 1.0, math.inf) == 0.0
+
+
+# ------------------------------------------------------------------- _binom_sf
+
+def test_binom_sf_is_scipy_binom_sf_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for i in range(3000):
+        n = int(rng.integers(1, 10 ** int(rng.integers(1, 6)) + 1))
+        j = int(rng.integers(-2, n + 3))
+        p = (0.0, 1.0, float(rng.random()))[min(i % 5, 2)]
+        assert red._binom_sf(j, n, p) == float(binom.sf(j, n, p)), (j, n, p)
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    src = Path(red.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = "import sys, p2pbackup, p2pbackup.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=120, check=True)
+    assert result.stdout.strip() == "False"

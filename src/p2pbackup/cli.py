@@ -126,11 +126,15 @@ def _parse_list(text: str, cast) -> list:
 
 
 def cmd_sched_compare(args, out: Path) -> dict:
-    matrix, source = _load_matrix(args, args.seed)
     xs = _parse_list(args.x, int)
     ratios = _parse_list(args.ratios, float)
-    if any(r <= 1 for r in ratios):
-        raise SystemExit("sched-compare: ratios must be > 1")
+    if any(x < 1 for x in xs):
+        raise SystemExit("sched-compare: --x must list fragment counts >= 1")
+    if not all(r > 1 and math.isfinite(r * max(xs, default=1)) for r in ratios):
+        raise SystemExit("sched-compare: --ratios must be > 1, with every ratio * x finite")
+    if args.trials < 1:
+        raise SystemExit("sched-compare: --trials must be >= 1")
+    matrix, source = _load_matrix(args, args.seed)
     rng = np.random.default_rng(args.seed)
     bits = matrix.bits
     P, T = matrix.num_peers, matrix.num_slots

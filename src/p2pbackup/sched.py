@@ -77,7 +77,7 @@ class TransferProblem:
         """Remote peers this problem may transfer with, in index order."""
         if self.direction == RESTORE:
             return tuple(sorted(self.storage_set))
-        return tuple(i for i in range(self.matrix.num_peers) if i != self.owner)
+        return (*range(self.owner), *range(self.owner + 1, self.matrix.num_peers))
 
 
 @dataclass(frozen=True)
@@ -182,18 +182,22 @@ def build_flow_network(problem: TransferProblem, T: int) -> csr_matrix:
     if not 1 <= T <= problem.matrix.num_slots:
         raise ValueError(f"T must be in [1, {problem.matrix.num_slots}]")
     bits = problem.matrix.bits
-    candidates = list(problem.candidates)
+    candidates = np.array(problem.candidates, dtype=np.intp)
     n = len(candidates)
     owner_row = bits[problem.owner, :T]
     slots = np.flatnonzero(owner_row) + 1
-    peer_pos, slot_col = np.nonzero(bits[candidates, :T] & owner_row)
-    rows = np.concatenate([np.zeros(len(slots), dtype=np.intp), slot_col + 1, np.arange(T + 1, T + 1 + n)])
-    cols = np.concatenate([slots, peer_pos + T + 1, np.full(n, T + n + 1)])
+    # slot-major, so the arcs come out in row order with sorted columns
+    arcs = (bits[candidates, :T] & owner_row).T.astype(bool, order="C").ravel().nonzero()[0]
+    indptr = np.empty(T + n + 3, dtype=np.int32)
+    indptr[0] = 0
+    indptr[1:T + 2] = len(slots) + np.searchsorted(arcs, n * np.arange(T + 1))
+    indptr[T + 2:] = indptr[T + 1] + np.minimum(np.arange(1, n + 2), n)  # one arc per peer, none out of the sink
+    indices = np.concatenate([slots, arcs % n + (T + 1), np.full(n, T + n + 1)]).astype(np.int32)
     caps = np.repeat(
         np.array([problem.owner_rate, problem.peer_rate, problem.per_peer_cap], dtype=np.int32),
-        [len(slots), len(peer_pos), n],
+        [len(slots), len(arcs), n],
     )
-    return csr_matrix((caps, (rows, cols)), shape=(T + n + 2, T + n + 2))
+    return csr_matrix((caps, indices, indptr), shape=(T + n + 2, T + n + 2))
 
 
 def max_flow(graph: csr_matrix) -> tuple[int, csr_matrix]:
@@ -207,30 +211,40 @@ def max_flow(graph: csr_matrix) -> tuple[int, csr_matrix]:
     return int(result.flow_value), result.flow
 
 
+def _witness(problem: TransferProblem, T: int, flow: csr_matrix) -> Schedule:
+    """The schedule a max flow of the slots 1..T network carries: each
+    slot->peer arc repeated by its flow.  In the slot rows, columns above T
+    are the forward arcs; column 0 is the reverse of the source arc."""
+    lo, hi = flow.indptr[1], flow.indptr[T + 1]
+    pos = lo + np.flatnonzero((flow.indices[lo:hi] > T) & (flow.data[lo:hi] > 0))
+    amounts = flow.data[pos]
+    slots = np.searchsorted(flow.indptr, pos, side="right") - 1  # the row holding each arc
+    peers = np.array(problem.candidates, dtype=np.intp)[flow.indices[pos] - (T + 1)]
+    return Schedule(zip(np.repeat(peers, amounts).tolist(), np.repeat(slots, amounts).tolist()))
+
+
 def max_fragments(problem: TransferProblem, T: int) -> tuple[int, Schedule]:
     """F(T): the most fragments transferable within slots 1..T, with a witness schedule."""
     value, flow = max_flow(build_flow_network(problem, T))
-    block = flow[1:T + 1, T + 1:-1].tocoo()  # slot x candidate; flows are >= 0 here
-    peers = np.repeat(np.array(problem.candidates, dtype=np.intp)[block.col], block.data)
-    slots = np.repeat(block.row + 1, block.data)
-    return value, Schedule(zip(peers, slots))
+    return value, _witness(problem, T, flow)
 
 
 def optimal_completion(problem: TransferProblem) -> ScheduleOutcome:
     """O(x) = min{t : F(t) >= x}, by doubling T from a capacity lower bound and
     then binary searching the bracket.  Infeasibility (F(horizon) < x) is a
-    first-class outcome carrying F(horizon), not an exception."""
+    first-class outcome carrying F(horizon), not an exception.  Probes solve
+    for the flow only; the witness is read once, off the answer's flow."""
     horizon = problem.matrix.num_slots
     lower = ideal_baseline(problem.matrix.bits[problem.owner], problem.x, problem.owner_rate)
     if lower is None:
-        value, _ = max_fragments(problem, horizon)
+        value, _ = max_flow(build_flow_network(problem, horizon))
         return ScheduleOutcome(False, None, 0, value)
 
     # Doubling: F(t) < x for all t < lower by the owner-capacity bound.
     below = lower - 1
     T = lower
     while True:
-        value, schedule = max_fragments(problem, T)
+        value, flow = max_flow(build_flow_network(problem, T))
         if value >= problem.x:
             break
         if T == horizon:
@@ -238,19 +252,19 @@ def optimal_completion(problem: TransferProblem) -> ScheduleOutcome:
         below = T
         T = min(2 * T, horizon)
 
-    # hi always holds a passing T, and (value, schedule) is its probe's answer,
+    # hi always holds a passing T, and (value, flow) is its probe's answer,
     # so the search ends on the answer without solving it again.
     lo, hi = below + 1, T
     while lo < hi:
         mid = (lo + hi) // 2
-        probe = max_fragments(problem, mid)
+        probe = max_flow(build_flow_network(problem, mid))
         if probe[0] >= problem.x:
             hi = mid
-            value, schedule = probe
+            value, flow = probe
         else:
             lo = mid + 1
 
-    return ScheduleOutcome(True, schedule, hi, value)
+    return ScheduleOutcome(True, _witness(problem, hi, flow), hi, value)
 
 
 def random_schedule(problem: TransferProblem, seed=None) -> ScheduleOutcome:
@@ -261,31 +275,38 @@ def random_schedule(problem: TransferProblem, seed=None) -> ScheduleOutcome:
     rng = np.random.default_rng(seed)
     bits = problem.matrix.bits
     candidates = problem.candidates
-    online = bits[list(candidates)].astype(bool)
-    usage = np.zeros(len(candidates), dtype=np.intp)
+    cols = np.flatnonzero(bits[problem.owner])
+    # one row per owner-online slot, one column per candidate
+    online = bits.T[cols][:, list(candidates)].astype(bool)
+    x, owner_rate, peer_rate, cap = problem.x, problem.owner_rate, problem.peer_rate, problem.per_peer_cap
+    excluding = peer_rate < owner_rate  # else no slot can draw one peer peer_rate times
+    usage = [0] * len(candidates)
+    under_cap = np.ones(len(candidates), dtype=bool)
     entries: list[tuple[int, int]] = []
-    placed = 0
-    for col in np.flatnonzero(bits[problem.owner]):
-        if placed == problem.x:
+    for slot, row in zip((cols + 1).tolist(), online):
+        if len(entries) == x:
             break
-        slot_used = np.zeros(len(candidates), dtype=np.intp)
-        for _ in range(problem.owner_rate):
-            if placed == problem.x:
+        eligible_now = row & under_cap
+        slot_used: dict[int, int] = {}
+        for _ in range(owner_rate):
+            if len(entries) == x:
                 break
-            eligible = np.flatnonzero(
-                online[:, col] & (usage < problem.per_peer_cap) & (slot_used < problem.peer_rate)
-            )
+            eligible = eligible_now.nonzero()[0]
             if not len(eligible):
                 break
-            j = eligible[int(rng.integers(len(eligible)))]
-            entries.append((candidates[j], col + 1))
+            j = eligible.item(rng.integers(len(eligible)))
+            entries.append((candidates[j], slot))
             usage[j] += 1
-            slot_used[j] += 1
-            placed += 1
-    schedule = Schedule(entries)
-    if placed < problem.x:
-        return ScheduleOutcome(False, None, 0, placed)
-    return ScheduleOutcome(True, schedule, completion_time(schedule), placed)
+            if usage[j] == cap:
+                under_cap[j] = eligible_now[j] = False
+            if excluding:
+                slot_used[j] = slot_used.get(j, 0) + 1
+                if slot_used[j] == peer_rate:
+                    eligible_now[j] = False
+    if len(entries) < x:
+        return ScheduleOutcome(False, None, 0, len(entries))
+    # slots are drawn in order, so the last entry drawn completes the schedule
+    return ScheduleOutcome(True, Schedule(entries), entries[-1][1], x)
 
 
 def ideal_baseline(owner_row, amount_fragments: int, rate_per_slot: int, start_slot: int = 1) -> int | None:

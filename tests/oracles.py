@@ -10,6 +10,7 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 
 def matching_max_fragments(bits, owner, candidates, T):
@@ -80,6 +81,36 @@ def brute_max_fragments(bits, owner, candidates, T, owner_rate, peer_rate, cap):
     result = best(1, (cap,) * len(cands))
     best.cache_clear()
     return result
+
+
+def coo_flow_network(problem, T):
+    """The F(T) flow network as a coordinate list handed to scipy's COO->CSR
+    conversion: source 0, slots 1..T, the j-th candidate at T + 1 + j, sink
+    last; source->slot arcs at owner_rate where the owner is online,
+    slot->peer arcs at peer_rate where the peer is online too, peer->sink
+    arcs at per_peer_cap."""
+    bits = problem.matrix.bits
+    candidates = list(problem.candidates)
+    n = len(candidates)
+    owner_row = bits[problem.owner, :T]
+    slots = np.flatnonzero(owner_row) + 1
+    peer_pos, slot_col = np.nonzero(bits[candidates, :T] & owner_row)
+    rows = np.concatenate([np.zeros(len(slots), dtype=np.intp), slot_col + 1, np.arange(T + 1, T + 1 + n)])
+    cols = np.concatenate([slots, peer_pos + T + 1, np.full(n, T + n + 1)])
+    caps = np.repeat(
+        np.array([problem.owner_rate, problem.peer_rate, problem.per_peer_cap], dtype=np.int32),
+        [len(slots), len(peer_pos), n],
+    )
+    return csr_matrix((caps, (rows, cols)), shape=(T + n + 2, T + n + 2))
+
+
+def slice_witness(problem, T, flow):
+    """Sorted (peer, slot) entries of the slot x candidate block of a flow
+    matrix over the coo_flow_network node layout, each repeated by its flow."""
+    block = flow[1:T + 1, T + 1:-1].tocoo()  # flows are >= 0 in this block
+    peers = np.repeat(np.array(problem.candidates, dtype=np.intp)[block.col], block.data)
+    slots = np.repeat(block.row + 1, block.data)
+    return sorted(zip(peers.tolist(), slots.tolist()))
 
 
 def loop_random_schedule(bits, owner, candidates, x, owner_rate, peer_rate, cap, rng):

@@ -285,6 +285,19 @@ def test_sched_compare_rejects_ratio_at_most_one(tmp_path):
                   "--out-dir", str(tmp_path / "o")])
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--ratios", "inf"), ("--ratios", "nan"), ("--ratios", "1.5,-inf"), ("--ratios", "1e308"),
+    ("--trials", "0"), ("--trials", "-3"), ("--x", "0"), ("--x", "4,-2"),
+])
+def test_sched_compare_rejects_a_bad_grid_before_it_runs(tmp_path, flag, value):
+    grid = {"--x": "2", "--ratios": "1.5", "--trials": "2", flag: value}
+    with pytest.raises(SystemExit, match=f"sched-compare: {flag} must") as excinfo:
+        cli.main(["sched-compare", "--synth-peers", "6", "--synth-slots", "20",
+                  *(item for pair in grid.items() for item in pair), "--out-dir", str(tmp_path / "o")])
+    assert excinfo.value.code != 0
+    assert not (tmp_path / "o" / "sched-compare.csv").exists()
+
+
 # -- simulate ------------------------------------------------------------
 
 SIM_MATRIX_ROWS = ["1" * 16] * 6

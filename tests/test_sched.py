@@ -1,13 +1,19 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from p2pbackup import sched
+from p2pbackup import sched, trace
 from p2pbackup.sched import BACKUP, RESTORE, Schedule, TransferProblem
 from conftest import make_matrix
-from oracles import brute_max_fragments, loop_random_schedule, matching_max_fragments, matching_min_completion
+from oracles import (
+    brute_max_fragments, coo_flow_network, loop_random_schedule, matching_max_fragments, matching_min_completion,
+    slice_witness,
+)
 
 
 # The worked instance: owner row 0 online t1-t3 and t6-t8; p1 online t1,t2;
@@ -398,6 +404,20 @@ def test_flow_value_matches_brute_force_with_rates_and_caps(p):
 
 
 @settings(max_examples=200, deadline=None)
+@given(rated_problems())
+def test_network_and_witness_match_coo_and_slice_oracles(p):
+    for T in range(1, p.matrix.num_slots + 1):
+        graph, expected = sched.build_flow_network(p, T), coo_flow_network(p, T)
+        assert graph.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(graph, name), getattr(expected, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert graph.has_canonical_format  # maximum_flow has nothing to sort or sum
+        _, flow = sched.max_flow(expected)
+        assert sched.max_fragments(p, T)[1].entries == tuple(slice_witness(p, T, flow))
+
+
+@settings(max_examples=200, deadline=None)
 @given(rated_problems(), st.integers(0, 2**31 - 1))
 def test_random_schedule_matches_loop_reference(p, seed):
     out = sched.random_schedule(p, seed=seed)
@@ -439,6 +459,74 @@ def test_random_schedule_always_valid(instance, seed):
         assert out.completion >= opt.completion
     else:
         assert out.fragments < x
+
+
+def _cut_problems(matrix, rng, count, xs, ratios, restore_every, restore_rates):
+    """count problems cut from one trace the way sched-mixed cuts them: an
+    owner, a sorted random pick of ratio * x other peers and a start in the
+    first half; every restore_every-th is a restore from about half as many
+    holders with restore_rates (owner_rate, peer_rate, per_peer_cap)."""
+    P, T = matrix.bits.shape
+    pairs = [(x, r) for x in xs for r in ratios]
+    problems = []
+    for i in range(count):
+        x, ratio = pairs[i % len(pairs)]
+        restore = i % restore_every == restore_every - 1
+        owner = int(rng.integers(P))
+        others = np.array([p for p in range(P) if p != owner])
+        size = math.ceil(ratio * x / 2) if restore else int(round(ratio * x))
+        picked = sorted(others[rng.choice(len(others), size=size, replace=False)].tolist())
+        start = int(rng.integers(1, T // 2))
+        sub = trace.AvailabilityMatrix(bits=matrix.bits[[owner] + picked, start - 1:],
+                                       slot_seconds=matrix.slot_seconds)
+        if restore:
+            owner_rate, peer_rate, cap = restore_rates
+            problems.append(TransferProblem(matrix=sub, owner=0, direction=RESTORE, x=x, owner_rate=owner_rate,
+                                            peer_rate=peer_rate, per_peer_cap=cap,
+                                            storage_set=frozenset(range(1, size + 1))))
+        else:
+            problems.append(TransferProblem(matrix=sub, owner=0, direction=BACKUP, x=x))
+    return problems
+
+
+# sha256 of (feasible, completion, fragments, entries) of both schedulers over
+# the 48 problems below, recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
+SCHEDULES_SHA256 = "26b0115fe09e6c6bfe57a7626b998d37ba142ca17ced80ff9d5d9e4c31d302a7"
+
+
+def test_schedules_are_pinned():
+    """Witness schedules and random draws, entry for entry, on problems
+    shaped like the sched-mixed benchmark's: backups, and restores with
+    owner_rate 2 and per_peer_cap 2, from one 200 x 336 trace."""
+    matrix = trace.synth_trace(200, 336, availability=(0.2, 0.9), diurnal_amplitude=0.3,
+                               weekend_factor=0.8, seed=18)
+    problems = _cut_problems(matrix, np.random.default_rng(18), 48, (40, 60, 80), (1.1, 1.5, 2.0), 4, (2, 1, 2))
+    digest = hashlib.sha256()
+    for i, p in enumerate(problems):
+        for out in (sched.optimal_completion(p), sched.random_schedule(p, seed=[18, i])):
+            entries = out.schedule.entries if out.feasible else None
+            digest.update(repr((out.feasible, out.completion, out.fragments, entries)).encode())
+    assert digest.hexdigest() == SCHEDULES_SHA256
+
+
+@pytest.mark.parametrize("restore_rates", [(2, 1, 2), (2, 2, 3)], ids=["peer-rate-1", "peer-rate-2"])
+def test_random_schedule_matches_loop_reference_over_long_horizons(restore_rates):
+    """40 problems from a 60 x 168 trace, x up to 48 and restores at
+    owner_rate 2 over about x / 2 holders, so the per-peer cap and the
+    per-slot peer rate bind over many slots."""
+    matrix = trace.synth_trace(60, 168, availability=(0.2, 0.9), seed=41)
+    problems = _cut_problems(matrix, np.random.default_rng(41), 40, (16, 32, 48), (1.0, 1.2), 2, restore_rates)
+    bound = 0
+    for i, p in enumerate(problems):
+        out = sched.random_schedule(p, seed=[41, i])
+        entries = loop_random_schedule(p.matrix.bits.tolist(), 0, p.candidates, p.x, p.owner_rate, p.peer_rate,
+                                       p.per_peer_cap, np.random.default_rng([41, i]))
+        if out.feasible:
+            assert out.schedule.entries == tuple(entries)
+        else:
+            assert out.fragments == len(entries) < p.x
+        bound += len(entries) > len(p.candidates)
+    assert bound  # some schedules use a holder more than once
 
 
 def test_fragment_count_monotone_in_horizon(fig_problem):

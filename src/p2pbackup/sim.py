@@ -227,13 +227,35 @@ def _waterfill(src, dst, demand, res_up, res_down) -> np.ndarray:
     Each round grants one equal increment, the smallest fair share or
     remaining demand, to every active transfer; a transfer leaves when its
     demand is met, or when a round finds its share at most _EPS (an
-    exhausted endpoint), which grants nothing.  The uplinks and downlinks
-    are one array of endpoints, each side with SERVER as an extra endpoint
-    of infinite budget, so a round takes each numpy step once for both
-    sides.  The active set is kept compacted and its per-endpoint counts
-    current.  Every active transfer has been granted the same increments, so
-    a running total is each leaving transfer's grant.  The floats are pinned
-    by progressive_filling_reference in tests/oracles.py.
+    exhausted endpoint), which grants nothing.  Every active transfer has
+    been granted the same increments, so a running total is each leaving
+    transfer's grant.  The uplinks and downlinks are one array of endpoints,
+    each side with SERVER as an extra endpoint of infinite budget, and a
+    round works on that array rather than on per-transfer gathers.  The
+    floats are pinned by progressive_filling_reference in tests/oracles.py,
+    and stay exact because:
+
+    1. The active transfers are sorted once, stably, by remaining demand.
+       fl(x - lam) is monotone in x, so the subtraction and the compactions
+       keep that order: the smallest demand is rem[0], and the demands that
+       run out in a round are a prefix.
+    2. lam = min(min over endpoints of budget / count, rem[0]), with count
+       the active transfers at each endpoint, is the float that the min over
+       transfers of min(share_src, share_dst, rem) gives: a min is exact.
+    3. A grant round subtracts lam once per transfer end (count * lam would
+       round differently) and clips at zero; the order of the ends does not
+       matter, since every subtraction is of the same lam.  It gathers no
+       per-transfer share, and checks only rem[0] for an exit.
+    4. An active transfer has rem > _EPS, so a round with lam <= _EPS
+       freezes exactly the transfers with an endpoint whose share is at most
+       _EPS: one compare over the endpoints and one gather over the ends.
+    5. An endpoint that no active transfer uses has count 0; a zero budget
+       there would give a share of 0/0 = NaN, which must not win the argmin.
+       Such endpoints are parked at an infinite budget, the real one kept
+       aside for the write-back: the unused ones at the start and the ones a
+       freeze empties.  Only a demand exit can empty an endpoint at a zero
+       budget unparked, and a round that then finds a NaN share takes the
+       min that ignores NaN.
     """
     num_peers = len(res_up)
     rem = np.asarray(demand, dtype=float)
@@ -241,37 +263,51 @@ def _waterfill(src, dst, demand, res_up, res_down) -> np.ndarray:
     idx = np.flatnonzero(rem > _EPS)
     if idx.size == 0:
         return alloc
+    idx = idx[np.argsort(rem[idx], kind="stable")]
     rem = rem[idx]
     s = np.asarray(src)[idx]
     d = np.asarray(dst)[idx]
     s[s == SERVER] = num_peers
     d[d == SERVER] = num_peers
     ends = np.concatenate((s, d + num_peers + 1))  # every uplink endpoint, then every downlink one
-    budget = np.concatenate((res_up, [np.inf], res_down, [np.inf]))
-    count = np.bincount(ends, minlength=budget.size)
+    kept = np.concatenate((res_up, [np.inf], res_down, [np.inf]))  # holds a parked endpoint's budget
+    count = np.bincount(ends, minlength=kept.size)
+    budget = np.where(count > 0, kept, np.inf)
     total = 0.0
+    n = idx.size
     with np.errstate(divide="ignore", invalid="ignore"):
-        while idx.size:
-            share = (budget / count)[ends]
-            step = np.minimum(np.minimum(share[:idx.size], share[idx.size:]), rem)
-            lam = step.min()
+        while n:
+            share = budget / count
+            lam = share[share.argmin()]
+            if lam != lam:  # a 0/0 share (see 5)
+                lam = np.fmin.reduce(share)
+            if rem[0] < lam:
+                lam = rem[0]
             if lam <= _EPS:
-                # an endpoint is exhausted; freeze its transfers and retry
-                keep = step > _EPS
+                # an endpoint is exhausted; freeze its transfers, park it and retry
+                low = share <= _EPS
+                hit = low[ends]
+                frozen = hit[:n] | hit[n:]
+                alloc[idx[frozen]] = total
+                keep = ~frozen
+                idx, rem, ends = idx[keep], rem[keep], ends[np.concatenate((keep, keep))]
+                np.copyto(kept, budget, where=low)
+                budget[low] = np.inf
             else:
                 total += lam
                 rem -= lam
-                # one subtraction per transfer: c·lam would round differently
                 np.subtract.at(budget, ends, lam)
                 np.maximum(budget, 0.0, out=budget)
-                keep = rem > _EPS
-            if not keep.all():
-                alloc[idx[~keep]] = total
-                both = np.concatenate((keep, keep))
-                count -= np.bincount(ends[~both], minlength=budget.size)
-                idx, rem, ends = idx[keep], rem[keep], ends[both]
-    res_up[:] = budget[:num_peers]
-    res_down[:] = budget[num_peers + 1:-1]
+                if rem[0] > _EPS:
+                    continue
+                j = n - np.count_nonzero(rem > _EPS)  # the met demands: a prefix (see 1)
+                alloc[idx[:j]] = total
+                idx, rem, ends = idx[j:], rem[j:], np.concatenate((ends[j:n], ends[n + j:]))
+            n = idx.size
+            count = np.bincount(ends, minlength=kept.size)
+    np.copyto(kept, budget, where=budget < np.inf)
+    res_up[:] = kept[:num_peers]
+    res_down[:] = kept[num_peers + 1:-1]
     return alloc
 
 

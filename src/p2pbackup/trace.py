@@ -45,9 +45,15 @@ class AvailabilityMatrix:
     peer_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
+        given = np.asarray(self.bits)
+        bits = given.astype(np.uint8, copy=False)
         if bits.ndim != 2:
             raise ValueError(f"bits must be 2-D, got shape {bits.shape}")
+        # the cast wraps -1 to 255 and truncates 0.5 to 0, so only a uint8
+        # or bool input can skip comparing it with the cast
+        exact = given.dtype in (np.uint8, np.bool_) or np.array_equal(bits, given)
+        if not exact or (bits.size and bits.max() > 1):
+            raise ValueError("bits must hold only 0 and 1")
         _check_slot_seconds(self.slot_seconds)
         if self.peer_ids is not None and len(self.peer_ids) != bits.shape[0]:
             raise ValueError("peer_ids length does not match row count")

@@ -220,7 +220,7 @@ def maxmin_violations(transfers, grants, up, down, eps):
     return out
 
 
-def progressive_filling_reference(src, dst, demand, res_up, res_down, eps):
+def progressive_filling_reference(src, dst, demand, res_up, res_down, eps, rounds=None):
     """Progressive filling for one priority class, as a plain loop over
     boolean masks of the whole transfer list with fresh endpoint counts
     every round.
@@ -232,7 +232,9 @@ def progressive_filling_reference(src, dst, demand, res_up, res_down, eps):
     remaining demand, or, when that is at most eps, freezes the transfers
     whose share is at most eps.  Budgets shrink by one subtraction per
     transfer and are clipped at zero.  These floats are the ones the
-    simulator must reproduce bit for bit.
+    simulator must reproduce bit for bit.  A Counter passed as rounds
+    tallies the rounds by kind: "freeze", "grant", and "exit" for a grant
+    round in which some transfer's demand runs out.
     """
     n = len(demand)
     alloc = np.zeros(n)
@@ -260,6 +262,8 @@ def progressive_filling_reference(src, dst, demand, res_up, res_down, eps):
         if lam <= eps:
             starved = active & (step <= eps)
             active &= ~starved
+            if rounds is not None:
+                rounds["freeze"] += 1
             continue
         grant = np.where(active, lam, 0.0)
         alloc += grant
@@ -268,5 +272,7 @@ def progressive_filling_reference(src, dst, demand, res_up, res_down, eps):
         np.subtract.at(res_down, dst[active & (dst >= 0)], lam)
         np.maximum(res_up, 0.0, out=res_up)
         np.maximum(res_down, 0.0, out=res_down)
+        if rounds is not None:
+            rounds["exit" if np.any(active & (remaining <= eps)) else "grant"] += 1
         active &= remaining > eps
     return alloc

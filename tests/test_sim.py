@@ -329,6 +329,43 @@ def test_waterfill_matches_reference_bit_for_bit(data, amount):
     assert np.array_equal(down, ref_down)
 
 
+@given(peers=st.integers(1, 40), n=st.integers(0, 300), mix=st.sampled_from([0.0, 0.2, 0.6]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_waterfill_matches_reference_at_scale(peers, n, mix, seed):
+    # enough transfers per endpoint for freezes, demand exits and compactions to interleave
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, psim._EPS / 2, psim._EPS, 3e7, 2.5e8])  # zeros, at and under _EPS, ties
+
+    def amounts(size):  # log-uniform in 1e6..1e9; a fraction mix of them special
+        return np.where(rng.random(size) < mix, rng.choice(special, size), 10 ** rng.uniform(6, 9, size))
+
+    src, dst = rng.integers(SERVER, peers, (2, n))  # SERVER at either end, server-to-server rows too
+    demand, up, down = amounts(n), amounts(peers), amounts(peers)
+    ref_up, ref_down = up.copy(), down.copy()
+    expect = progressive_filling_reference(src, dst, demand, ref_up, ref_down, psim._EPS)
+    grants = psim._waterfill(src, dst, demand, up, down)
+    assert np.array_equal(grants, expect)
+    assert np.array_equal(up, ref_up)
+    assert np.array_equal(down, ref_down)
+
+
+@pytest.mark.parametrize("up, down, rows", [
+    # uplink 0 and downlink 2 hold zero budgets that no transfer uses: 0/0 shares
+    ([0.0, BIG, BIG], [BIG, BIG, 0.0], [(1, 0, 1e8), (2, 1, 5e7), (SERVER, 0, 2e8)]),
+    # transfer 0's demand runs out with uplink 0's budget, leaving a 0/0 share
+    ([5e7, BIG], [BIG, BIG], [(0, 1, 5e7), (1, 0, 1e8), (SERVER, 1, 3e8)]),
+])
+def test_waterfill_ignores_endpoints_nothing_uses(up, down, rows):
+    up, down = np.array(up), np.array(down)
+    src, dst, demand = (np.array(column) for column in zip(*rows))
+    ref_up, ref_down = up.copy(), down.copy()
+    expect = progressive_filling_reference(src, dst, demand, ref_up, ref_down, psim._EPS)
+    assert np.array_equal(psim._waterfill(src, dst, demand, up, down), expect)
+    assert np.array_equal(up, ref_up)
+    assert np.array_equal(down, ref_down)
+
+
 def test_waterfill_clips_a_rounded_budget_to_zero():
     # 5 - 5/3 - 5/3 - 5/3 rounds to -4.4e-16; the budget must read 0.0
     up = np.array([5.0, BIG, BIG, BIG])
@@ -675,6 +712,36 @@ def binding_churn_report(spread_cdf_file):
     return churned_run(config, trace.synth_trace(24, 24 * 14, availability=(0.5, 0.9), seed=7))
 
 
+@pytest.fixture(scope="module")
+def lognormal_churn_report():
+    """A churned run shaped like the sim-fixed-assisted benchmark workload:
+    lognormal bandwidth, k = 8, a 40-fragment quota, the fixed policy and
+    delayed_assisted repair.  Heterogeneous budgets saturate at many
+    distinct points, so the allocator sees long mixes of freezes and
+    demand exits."""
+    frag = 160 << 20
+    config = SimConfig(
+        object_size=8 * frag,
+        fragment_size=frag,
+        storage_quota=40 * frag,
+        mean_lifetime_days=5.0,
+        redundancy_policy="fixed",
+        response="delayed_assisted",
+        repair_timeout_days=1.0,
+        bandwidth_source="lognormal",
+        seed=1,
+    )
+    matrix = trace.synth_trace(36, 168, availability=(0.3, 0.7), diurnal_amplitude=0.5, weekend_factor=0.8, seed=1)
+    return churned_run(config, matrix)
+
+
+def test_lognormal_churn_loses_episodes_and_uses_the_server(lognormal_churn_report):
+    _, report, _ = lognormal_churn_report
+    assert "lost" in {c.outcome for c in report.crashes}
+    assert report.server_outbound.sum() > 0
+    assert report.server_inbound.sum() > 0
+
+
 def test_churn_produces_both_outcomes(churn_report):
     _, report, _ = churn_report
     outcomes = {c.outcome for c in report.crashes}
@@ -814,7 +881,7 @@ def reference_allocation(specs, up, down):
     return grants
 
 
-@pytest.mark.parametrize("run", ["churn_report", "binding_churn_report"])
+@pytest.mark.parametrize("run", ["churn_report", "binding_churn_report", "lognormal_churn_report"])
 def test_churn_grants_match_reference_bit_for_bit(request, run):
     simulation, _, calls = request.getfixturevalue(run)
     for slot, (specs, grants) in enumerate(calls):
@@ -822,7 +889,7 @@ def test_churn_grants_match_reference_bit_for_bit(request, run):
         assert np.array_equal(grants, expect), f"call {slot}"
 
 
-@pytest.mark.parametrize("run", ["churn_report", "binding_churn_report"])
+@pytest.mark.parametrize("run", ["churn_report", "binding_churn_report", "lognormal_churn_report"])
 def test_churn_grants_match_transfer_progress(request, run):
     simulation, _, calls = request.getfixturevalue(run)
     assert simulation.checked == len(calls) > 0

@@ -121,6 +121,22 @@ def test_slot_length_must_be_positive_and_finite(slot_seconds):
         trace.synth_trace(2, 4, slot_seconds=slot_seconds, seed=0)
 
 
+@pytest.mark.parametrize("bits", [
+    [[1, 1], [2, 2], [0, 0]],  # sched's flow network read the 2s as offline, its checks as online
+    [[1, -1]],  # a cast to uint8 wraps -1 to 255
+    [[0.5, 1.0]],  # and truncates 0.5 to 0
+    np.array([[0, 2]], dtype=np.uint8),
+])
+def test_matrix_cells_must_be_0_or_1(bits):
+    with pytest.raises(ValueError, match="bits must hold only 0 and 1"):
+        trace.AvailabilityMatrix(bits=bits)
+
+
+def test_matrix_takes_bool_and_int_cells():
+    assert trace.AvailabilityMatrix(bits=np.array([[True, False]])).bits.tolist() == [[1, 0]]
+    assert trace.AvailabilityMatrix(bits=[[0, 1]]).bits.dtype == np.uint8
+
+
 # ----------------------------------------------------------- filter_min_uptime
 
 def test_filter_keeps_exact_threshold():

@@ -37,7 +37,7 @@ from .trace import AvailabilityMatrix
 
 SERVER = -1  # pseudo peer index for the cloud server
 
-# peer phase codes, held in Simulation.phase
+# peer phase codes, held in Simulation.phase; the two that open uploads come first
 BACKING_UP, COMPLETE, RESTORING, LOST = range(4)
 
 IMMEDIATE = "immediate"
@@ -139,9 +139,14 @@ class SimConfig:
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
             if isinstance(value, str) and known[key] in ("int", "float"):
-                value = float(value)
-                if known[key] == "int" and math.isfinite(value):
-                    value = int(value)  # __post_init__ names a non-finite one
+                text, value = value, float(value)
+                if known[key] == "int" and math.isfinite(value):  # __post_init__ names a non-finite one
+                    if not value.is_integer():
+                        raise ValueError(f"{key} must be an integer, got {text!r}")
+                    try:
+                        value = int(text)  # keeps every digit of a long one
+                    except ValueError:
+                        value = int(value)  # an integral float spelling, such as 1e10
             kwargs[key] = value
         return cls(**kwargs)
 
@@ -516,17 +521,19 @@ class Simulation:
             )
         return bool(needs)
 
-    def _new_transfer(self, kind, src, dst, owner, frag) -> None:
-        if self.used == self.done.size:
+    def _grow(self, n: int) -> None:
+        """Double the table until it has room for n more rows."""
+        while self.used + n > self.done.size:
             self.table = np.concatenate((self.table, np.zeros_like(self.table)), axis=1)
             self.done = np.concatenate((self.done, np.zeros_like(self.done)))
+
+    def _new_transfer(self, kind, src, dst, owner, frag) -> None:
+        """Append one download row (restore or repair_in); uploads open in _open_uploads."""
+        self._grow(1)
         self._serial += 1
         self.table[:, self.used] = (kind, src, dst, owner, frag, self._serial)
         self.done[self.used] = 0.0
         self.used += 1
-        if kind in UPLOADS:
-            self.occupied[dst] += 1
-            self.placed[owner, dst] = IN_FLIGHT
 
     def _drop(self, rows) -> None:
         """Mark the rows dead, releasing what their uploads reserved."""
@@ -544,29 +551,58 @@ class Simulation:
     def _cancel(self, owner: int, kind: int) -> None:
         self._drop(self._owned(owner, kind))
 
-    def _eligible_targets(self, owner: int, col: int) -> np.ndarray:
-        """Online peers, other than the owner, that hold none of its fragments,
-        receive none from it and have a free quota slot; in index order."""
-        ok = self._online(col) & (self.placed[owner] == EMPTY)
-        ok &= self.occupied < self.capacity_slots
-        ok[owner] = False
-        return ok.nonzero()[0]
+    def _eligible(self, owners: np.ndarray, online: np.ndarray) -> np.ndarray:
+        """One bool row per owner: the online peers, other than the owner,
+        that hold none of its fragments, receive none from it and have a free
+        quota slot."""
+        ok = (self.placed[owners] == EMPTY) & (online & (self.occupied < self.capacity_slots))
+        ok[np.arange(owners.size), owners] = False
+        return ok
 
     def _draw(self, items: list, count: int) -> list:
         """Up to count items drawn uniformly without replacement, in draw order;
         the drawn items leave the list."""
         return [items.pop(int(self.rng.integers(len(items)))) for _ in range(min(count, len(items)))]
 
-    def _open_uploads(self, owner: int, kind: int, src: int, col: int, count: int) -> None:
-        """Open up to count uploads of new fragments from src, each to a peer
-        drawn uniformly from the eligible targets."""
-        if count <= 0:
+    def _open_uploads(self, kind: int, owners: np.ndarray, counts: np.ndarray, online: np.ndarray) -> None:
+        """For each owner in turn, open up to its count uploads of new
+        fragments, each to a peer drawn uniformly from the peers eligible at
+        its turn; the rows go to the table in one write.  The owner sends a
+        backup, the server a repair_out.
+
+        The owners interact only through the quota: a reservation makes only
+        its own owner's cell IN_FLIGHT, and the online flags change only when
+        an owner is lost, which no upload does.  So a row of one eligibility
+        matrix, taken before the first draw, is its owner's eligible targets
+        at its turn, once each peer whose quota a draw fills is cleared from
+        the rows of the owners after it.  Within a row, reserving dst makes
+        only dst ineligible, so each later draw is from the same list less
+        the peers already drawn."""
+        ok = self._eligible(owners, online)
+        turns, dsts, frags = [], [], []
+        for i, (owner, count) in enumerate(zip(owners.tolist(), counts.tolist())):
+            drawn = self._draw(ok[i].nonzero()[0].tolist(), count)
+            first = self.next_frag.item(owner)
+            self.next_frag[owner] = first + len(drawn)
+            for dst in drawn:
+                self.occupied[dst] += 1
+                if self.occupied.item(dst) == self.capacity_slots:
+                    ok[i + 1:, dst] = False
+            turns += [i] * len(drawn)
+            dsts += drawn
+            frags += range(first, first + len(drawn))
+        n = len(dsts)
+        if n == 0:
             return
-        # reserving dst makes only dst ineligible, so each later draw is from
-        # the same list less the peers already drawn
-        for dst in self._draw(self._eligible_targets(owner, col).tolist(), count):
-            self._new_transfer(kind, src, dst, owner, self.next_frag.item(owner))
-            self.next_frag[owner] += 1
+        self._grow(n)
+        new = slice(self.used, self.used + n)
+        by = owners[turns]
+        src = by if kind == BACKUP else np.full(n, SERVER)
+        self.table[:, new] = (np.full(n, kind), src, dsts, by, frags, np.arange(self._serial + 1, self._serial + n + 1))
+        self.done[new] = 0.0
+        self.used += n
+        self._serial += n
+        self.placed[by, dsts] = IN_FLIGHT
 
     def _lost_if_unreachable(self, owner: int) -> bool:
         """Mark the owner lost when fewer than k of its fragments are
@@ -699,24 +735,34 @@ class Simulation:
             self._cancel(owner, REPAIR_OUT)
             return
         active = self._owned(owner, REPAIR_OUT).size
-        self._open_uploads(owner, REPAIR_OUT, SERVER, slot_idx, self.config.backup_parallelism - active)
+        self._open_uploads(REPAIR_OUT, np.array([owner]), np.array([self.config.backup_parallelism - active]),
+                           self._online(slot_idx))
 
-    def maintenance_step(self, owner: int, slot_idx: int) -> None:
-        """Keep upload tasks open while the policy wants more fragments placed.
+    def maintenance_step(self, owners: np.ndarray, slot_idx: int) -> None:
+        """Keep upload tasks open while the policy wants more fragments placed,
+        for a batch of owners in index order.
 
         Serves both the initial backup (phase backing_up) and maintenance after
         losses (phase complete); stalled uploads to currently-offline targets
-        do not count against the parallelism budget.
+        do not count against the parallelism budget.  An owner's counts read
+        only its own placements and backups, which the owners before it in the
+        batch leave as they were.
         """
-        if not self._needs_fragments(owner):
-            return
-        uploads = self._owned(owner, BACKUP)
-        active = int(np.count_nonzero(self._online(slot_idx)[self.table[DST, uploads]]))
+        needs = [self._needs_fragments(owner) for owner in owners.tolist()]
+        if not all(needs):
+            owners = owners[needs]
+            if owners.size == 0:
+                return
+        kind, _, dst, owner = self.table[:4, :self.used]
+        backup = kind == BACKUP
+        backups = owner[backup]
+        online = self._online(slot_idx)
+        uploads = np.bincount(backups, minlength=self.P)[owners]
+        active = np.bincount(backups[online[dst[backup]]], minlength=self.P)[owners]
         # a present owner has no repair upload in flight, so under the adaptive
         # cap at least as many cells of its row are EMPTY as it has targets
-        self._open_uploads(owner, BACKUP, owner, slot_idx,
-                           min(self.config.backup_parallelism - active,
-                               self.holder_cap - self.placed_count.item(owner) - uploads.size))
+        self._open_uploads(BACKUP, owners, np.minimum(self.config.backup_parallelism - active,
+                                                     self.holder_cap - self.placed_count[owners] - uploads), online)
 
     def _restore_step(self, owner: int, slot_idx: int) -> None:
         if self._lost_if_unreachable(owner):
@@ -748,22 +794,31 @@ class Simulation:
 
     def _step_tasks(self, slot_idx: int) -> None:
         """Step each present restoring owner and each present owner in the
-        trace that may open an upload, in index order.  The counts are taken
-        once: one owner's step changes no other owner's phase, placements or
-        transfers, and backups to targets present and in the trace, which
-        stay online through the step, bound an owner's active uploads below."""
+        trace that may open an upload, in index order; the uploading owners
+        between two restoring ones are one maintenance_step batch.  The
+        counts are taken once: one owner's step changes no other owner's
+        phase, placements or transfers, and backups to targets present and in
+        the trace, which stay online through the step, bound an owner's
+        active uploads below."""
         kind, _, dst, owner = self.table[:4, :self.used]
         backup = kind == BACKUP
-        steady = (self.back_at == math.inf) & self.cols[slot_idx]
-        opens = steady & ((self.phase == BACKING_UP) | (self.phase == COMPLETE))
-        opens &= np.bincount(owner[backup], weights=steady[dst[backup]], minlength=self.P) < self.config.backup_parallelism
-        opens &= (self.needs != 0) & (self.placed_count + np.bincount(owner[backup], minlength=self.P) < self.holder_cap)
-        restoring = (self.back_at == math.inf) & (self.phase == RESTORING)
-        for idx in np.flatnonzero(restoring | opens).tolist():
-            if restoring[idx]:
-                self._restore_step(idx, slot_idx)
-            else:
-                self.maintenance_step(idx, slot_idx)
+        backups = owner[backup]
+        present = self.back_at == math.inf
+        steady = present & self.cols[slot_idx]
+        opens = steady & (self.phase <= COMPLETE) & (self.needs != 0)
+        opens &= np.bincount(backups, weights=steady[dst[backup]], minlength=self.P) < self.config.backup_parallelism
+        opens &= self.placed_count + np.bincount(backups, minlength=self.P) < self.holder_cap
+        restoring = present & (self.phase == RESTORING)
+        steps = np.flatnonzero(restoring | opens)
+        # a restore step may mark its owner lost, which changes the online
+        # flags and frees quota, so a maintenance batch runs between two of them
+        first = 0
+        for at in np.flatnonzero(restoring[steps]).tolist() + [steps.size]:
+            if at > first:
+                self.maintenance_step(steps[first:at], slot_idx)
+            if at < steps.size:
+                self._restore_step(steps.item(at), slot_idx)
+            first = at + 1
 
     def _step_allocate(self, slot_idx: int) -> np.ndarray:
         """Grant this slot's bytes; return the rows it finished, in serial order."""

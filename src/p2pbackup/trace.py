@@ -46,7 +46,7 @@ class AvailabilityMatrix:
 
     def __post_init__(self):
         given = np.asarray(self.bits)
-        bits = given.astype(np.uint8, copy=False)
+        bits = given.astype(np.uint8)  # a copy, so the caller's array is neither frozen nor aliased
         if bits.ndim != 2:
             raise ValueError(f"bits must be 2-D, got shape {bits.shape}")
         # the cast wraps -1 to 255 and truncates 0.5 to 0, so only a uint8

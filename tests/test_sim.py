@@ -14,6 +14,7 @@ from p2pbackup import sim as psim
 from p2pbackup import trace
 from p2pbackup.redundancy import backup_complete
 from p2pbackup.sim import SERVER, SimConfig, Simulation
+import differential
 from conftest import allocate_rows, link_loads, make_matrix, recorded_allocations
 from oracles import loop_ideal_seconds, maxmin_violations, progressive_filling_reference
 
@@ -54,6 +55,15 @@ def test_config_from_mapping_coerces_strings():
     assert config.mean_lifetime_days == 60.0
     assert isinstance(config.mean_lifetime_days, float)
     assert config.redundancy_policy == "fixed"
+
+
+def test_config_from_mapping_rejects_non_integral_ints():
+    for key, text in (("backup_parallelism", "2.5"), ("seed", "7.9"), ("storage_quota", "1e-3")):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got '{text}'"):
+            SimConfig.from_mapping({key: text})
+    # integral spellings are taken, and a long one keeps every digit
+    config = SimConfig.from_mapping({"storage_quota": "1e10", "backup_parallelism": "3.0", "seed": "9007199254740993"})
+    assert (config.storage_quota, config.backup_parallelism, config.seed) == (10**10, 3, 2**53 + 1)
 
 
 def test_config_from_mapping_rejects_unknown_key():
@@ -1035,16 +1045,22 @@ class IndexCheckSimulation(Simulation):
 
     The simulator reads its upload reservations live.  That is exact only if
     no upload ends while the task step opens new ones, so within that step
-    no IN_FLIGHT cell may change.  A kept decision (stopping, repair risk,
-    restore parallelism) must have been made on the owner's current holders.
-    The task step must visit exactly the owners its screen admits,
-    recomputed here with plain loops, and every owner it skips must have
-    been unable to open an upload.  Each report field is a Python float and
-    is written at most once: once it is no longer the math.nan object, it
-    keeps its object.  redundancy is set exactly when ttb is.  Also notes
-    each slot in which an owner returns with a repair upload in flight, the
-    case the return step must cancel, and each slot in which only the holder
-    cap keeps an adaptive owner out of the task step."""
+    no IN_FLIGHT cell may change.  Uploads open in batches of owners that
+    write the table once, at the batch's end; each owner's targets at its
+    turn are checked against the plain loop over the table plus the draws of
+    the owners before it in the batch.  A kept decision (stopping, repair
+    risk, restore parallelism) must have been made on the owner's current
+    holders.  The task step must visit exactly the owners its screen admits,
+    recomputed here with plain loops, with no two maintenance batches in a
+    row, and every owner it skips must have been unable to open an upload.
+    Each report field is a Python float and is written at most once: once it
+    is no longer the math.nan object, it keeps its object.  redundancy is set
+    exactly when ttb is.  Also notes each slot in which an owner returns with
+    a repair upload in flight, the case the return step must cancel; each
+    slot in which only the holder cap keeps an adaptive owner out of the task
+    step; each slot in which a draw fills a peer's quota that a later owner
+    of the same batch would otherwise have drawn from; and each slot in which
+    a restore step marks its owner lost with a maintenance batch after it."""
 
     UNDECIDED = {"needs": -1, "at_risk": -1, "parallel": 0}  # each kept decision's value until it is made
     REPORT_FIELDS = ("ttb", "ttr", "ettr", "redundancy")
@@ -1054,9 +1070,13 @@ class IndexCheckSimulation(Simulation):
         self.written = {name: list(getattr(self, name)) for name in self.REPORT_FIELDS}  # as of the last check
         self.reserved = None  # IN_FLIGHT cells last seen in the task step
         self.decided = {}  # (memo, owner) -> the holders its last fresh decision read
-        self.stepped = None  # owners the task step visits, in order
+        self.steps = None  # the task step's visits, in order: ("batch" | "restore" | "lost", owners)
+        self.slot_idx = None  # the slot being run
+        self.turns = self.pending = None  # an upload batch's owners left to draw, and (owner, dst) of its draws
         self.returns_mid_repair = []
         self.capped = []
+        self.filled_mid_batch = []
+        self.lost_before_batch = []
 
     def _holders(self, owner):
         return list(placements_of(self, owner).values())
@@ -1100,26 +1120,55 @@ class IndexCheckSimulation(Simulation):
             f"slot {slot_idx}: an IN_FLIGHT cell changed in the task step"
         self.reserved = self.placed == psim.IN_FLIGHT
 
-    def _eligible_targets(self, owner_idx, col):
-        if self.reserved is not None:
-            self._check_reservations_kept(col)
-        targets = super()._eligible_targets(owner_idx, col)
+    def _targets(self, owner_idx, col):
+        """The owner's eligible targets in slot col from a plain loop over the
+        peers, counting the batch's draws so far as uploads in flight; and
+        whether those draws fill the quota of a peer it would otherwise get."""
         stored = stored_counts(self)
         incoming, uploads = uploads_in_flight(self)
+        before = list(incoming)
+        for owner, dst in self.pending:
+            incoming[dst] += 1
+            uploads.append((owner, dst))
         holders = set(self._holders(owner_idx))
-        expect = [
+        free = [
             i for i in range(self.P)
             if i != owner_idx
             and self.back_at[i] == math.inf
             and (self.phase[i] == psim.RESTORING or self.bits[i, col])
             and i not in holders
             and (owner_idx, i) not in uploads
-            and stored[i] + incoming[i] < self.capacity_slots
+            and stored[i] + before[i] < self.capacity_slots
         ]
-        assert targets.tolist() == expect
-        return targets
+        expect = [i for i in free if stored[i] + incoming[i] < self.capacity_slots]
+        return expect, expect != free
+
+    def _eligible(self, owners, online):
+        self.turns = iter(owners.tolist())
+        return super()._eligible(owners, online)
+
+    def _open_uploads(self, kind, owners, counts, online):
+        self.pending = []
+        super()._open_uploads(kind, owners, counts, online)
+        assert next(self.turns, None) is None, f"slot {self.slot_idx}: an owner of the batch had no turn"
+        self.turns = self.pending = None
+
+    def _draw(self, items, count):
+        if self.pending is None:  # a restore or repair download pick
+            return super()._draw(items, count)
+        owner = next(self.turns)
+        if self.reserved is not None:
+            self._check_reservations_kept(self.slot_idx)
+        expect, filled = self._targets(owner, self.slot_idx)
+        assert items == expect, f"slot {self.slot_idx}: owner {owner} draws from {items}, not {expect}"
+        if filled:
+            self.filled_mid_batch.append(self.slot_idx)
+        drawn = super()._draw(items, count)
+        self.pending += [(owner, dst) for dst in drawn]
+        return drawn
 
     def _step_crashes(self, slot_idx, now):
+        self.slot_idx = slot_idx
         super()._step_crashes(slot_idx, now)
         self._check("crashes", slot_idx)
 
@@ -1167,33 +1216,39 @@ class IndexCheckSimulation(Simulation):
                         self.capped.append(slot_idx)
         return visit
 
-    def maintenance_step(self, owner, slot_idx):
-        self.stepped.append(owner)
-        super().maintenance_step(owner, slot_idx)
+    def maintenance_step(self, owners, slot_idx):
+        self.steps.append(("batch", owners.tolist()))
+        super().maintenance_step(owners, slot_idx)
 
     def _restore_step(self, owner, slot_idx):
-        self.stepped.append(owner)
         fresh = self.parallel[owner] == self.UNDECIDED["parallel"]
         super()._restore_step(owner, slot_idx)
+        self.steps.append(("lost" if self.phase[owner] == psim.LOST else "restore", [owner]))
         if fresh:  # the step derives l after its loss check, its last placement change
             self.decided["parallel", owner] = self._holders(owner)
 
     def _step_tasks(self, slot_idx):
         self.reserved = self.placed == psim.IN_FLIGHT
-        expect, self.stepped = self._screened(slot_idx), []
+        expect, self.steps = self._screened(slot_idx), []
         super()._step_tasks(slot_idx)
-        assert self.stepped == expect, f"slot {slot_idx}: the task step visited {self.stepped}, not {expect}"
+        stepped = [owner for _, owners in self.steps for owner in owners]
+        assert stepped == expect, f"slot {slot_idx}: the task step visited {stepped}, not {expect}"
+        kinds = [kind for kind, _ in self.steps]
+        assert all(a != "batch" or b != "batch" for a, b in zip(kinds, kinds[1:])), \
+            f"slot {slot_idx}: two maintenance batches in a row"
+        if "lost" in kinds and "batch" in kinds[kinds.index("lost"):]:
+            self.lost_before_batch.append(slot_idx)
         # a skipped owner's placements and transfers are as they were, and
         # the online set only shrinks in the step, so one that cannot open an
         # upload now could not at its turn
         online = [self.back_at[i] == math.inf and (self.phase[i] == psim.RESTORING or bool(self.bits[i, slot_idx]))
                   for i in range(self.P)]
         for i in range(self.P):
-            if i not in self.stepped and online[i] and self.phase[i] in (psim.BACKING_UP, psim.COMPLETE):
+            if i not in stepped and online[i] and self.phase[i] in (psim.BACKING_UP, psim.COMPLETE):
                 in_flight, active = self._backups(i, online)
                 assert not (self._has_room(i, in_flight) and active < self.config.backup_parallelism), \
                     f"slot {slot_idx}: the task step skipped peer {i}, which could open an upload"
-        self.stepped = None
+        self.steps = None
         self._check_reservations_kept(slot_idx)
         self.reserved = None
         self._check("tasks", slot_idx)
@@ -1315,6 +1370,24 @@ def test_indexes_mirror_state_when_adaptive_owners_reach_every_peer(flat_cdf_fil
     simulation, _ = index_checked_run(flat_cdf_file, 5, 96, 40, 3, redundancy_policy="adaptive",
                                       mean_lifetime_days=2.0)
     assert simulation.capped
+
+
+def test_index_check_sees_both_couplings_of_a_task_step(spread_cdf_file):
+    # the owners of one upload batch meet at the quota, and a restore step
+    # that marks its owner lost changes the online flags and the quota seen
+    # by the batch after it; this run exercises both under the index checks
+    simulation, _ = index_checked_run(spread_cdf_file, 30, 96, 3, 9, redundancy_policy="fixed",
+                                      response="delayed_assisted", mean_lifetime_days=2.0)
+    assert simulation.filled_mid_batch
+    assert simulation.lost_before_batch
+
+
+def test_differential_corpus_at_30_peers():
+    # the 30-peer runs of tests/differential.py at the 3-day lifetime; the
+    # whole corpus is checked with `python tests/differential.py --check`
+    names = [name for name in differential.corpus() if name.startswith("30p-") and name.endswith("-life3")]
+    assert len(names) == 12
+    assert differential.moved(names) == []
 
 
 # --------------------------------------------------------------- adaptive policy

@@ -137,6 +137,22 @@ def test_matrix_takes_bool_and_int_cells():
     assert trace.AvailabilityMatrix(bits=[[0, 1]]).bits.dtype == np.uint8
 
 
+def test_matrix_leaves_callers_array_writable():
+    bits = np.zeros((2, 3), np.uint8)
+    m = trace.AvailabilityMatrix(bits=bits)
+    bits[0, 0] = 1
+    assert m.bits.tolist() == [[0, 0, 0], [0, 0, 0]]
+    with pytest.raises(ValueError, match="read-only"):
+        m.bits[0, 0] = 1
+
+
+def test_matrix_does_not_alias_a_view():
+    base = np.zeros((2, 5), np.uint8)
+    m = trace.AvailabilityMatrix(bits=base[:, :3])
+    base[1, 1] = 7
+    assert m.bits.tolist() == [[0, 0, 0], [0, 0, 0]]
+
+
 # ----------------------------------------------------------- filter_min_uptime
 
 def test_filter_keeps_exact_threshold():

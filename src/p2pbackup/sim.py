@@ -39,6 +39,7 @@ SERVER = -1  # pseudo peer index for the cloud server
 
 # peer phase codes, held in Simulation.phase; the two that open uploads come first
 BACKING_UP, COMPLETE, RESTORING, LOST = range(4)
+NO_REPAIR, REPAIR_DOWN, REPAIR_INJECT, REPAIR_DONE = range(4)  # server repair stages, held in Simulation.repair_stage
 
 IMMEDIATE = "immediate"
 DELAYED = "delayed"
@@ -446,9 +447,8 @@ class Simulation:
         self.needs, self.at_risk = np.full((2, self.P), -1, dtype=np.int8)
         self.parallel = np.zeros(self.P, dtype=int)
         self.episode: list[CrashRecord | None] = [None] * self.P  # open crash episode of a restoring peer
-        self.downloaded: list[set[int]] = [set() for _ in range(self.P)]  # fragments restored so far
-        self.repair_stage: list[str | None] = [None] * self.P
-        self.buffered: dict[int, set[int]] = {}  # owner -> buffered fragment ids on the server
+        self.downloaded, self.buffered = np.zeros((2, self.P, 16), dtype=bool)  # owner x fragment id flags
+        self.repair_stage = np.full(self.P, NO_REPAIR, dtype=np.int8)
         self.crashes: list[CrashRecord] = []
         self.out_bytes = np.zeros(self.T)
         self.in_bytes = np.zeros(self.T)
@@ -472,12 +472,6 @@ class Simulation:
         self.placed_count[owner] += 1
         self.occupied[holder] += 1
         self._forget(owner)
-
-    def _placements(self, owner: int) -> dict[int, int]:
-        """The owner's {fragment id: holder}, in holder order."""
-        row = self.placed[owner]
-        holders = np.flatnonzero(row >= 0)
-        return dict(zip(row[holders].tolist(), holders.tolist()))
 
     def _profiles(self, owner: int) -> list[tuple[float, float]]:
         # .tolist gives Python floats, from which redundancy builds its arrays faster than from numpy scalars
@@ -603,13 +597,29 @@ class Simulation:
         self.used += n
         self._serial += n
         self.placed[by, dsts] = IN_FLIGHT
+        while max(frags) >= self.downloaded.shape[1]:  # widen the fragment-id flags by doubling
+            self.downloaded, self.buffered = (np.concatenate((m, np.zeros_like(m)), axis=1)
+                                              for m in (self.downloaded, self.buffered))
+
+    def _open_downloads(self, kind: int, owner: int, skip: np.ndarray, count: int, online=True) -> list[int]:
+        """Open up to count downloads (restore or repair_in) of the owner's placed fragments, drawn uniformly
+        in increasing id order from the ids that skip leaves False and online holders hold; return the ids drawn."""
+        row = self.placed[owner]
+        held = (row >= 0) & online
+        holder = np.full(skip.size, EMPTY)
+        holder[row[held]] = np.flatnonzero(held)
+        drawn = self._draw(np.flatnonzero((holder >= 0) & ~skip).tolist(), count)
+        for frag in drawn:
+            self._new_transfer(kind, holder.item(frag), owner if kind == RESTORE else SERVER, owner, frag)
+        return drawn
 
     def _lost_if_unreachable(self, owner: int) -> bool:
         """Mark the owner lost when fewer than k of its fragments are
         reachable (downloaded, placed on peers or buffered); True if so."""
         row = self.placed[owner]
-        reach = set().union(self.downloaded[owner], row[row >= 0].tolist(), self.buffered.get(owner, ()))
-        if len(reach) < self.k:
+        reach = self.downloaded[owner] | self.buffered[owner]
+        reach[row[row >= 0]] = True
+        if np.count_nonzero(reach) < self.k:
             self._mark_lost(owner)
             return True
         return False
@@ -640,8 +650,8 @@ class Simulation:
 
         phase = int(self.phase[idx])
         if phase != LOST:
-            self.downloaded[idx] = set()
-            self.repair_stage[idx] = None
+            self.downloaded[idx] = False
+            self.repair_stage[idx] = NO_REPAIR
             if phase == RESTORING:
                 # a re-crash during recovery extends the open episode
                 self.episode[idx].response_slot = None
@@ -669,14 +679,17 @@ class Simulation:
         self.occupied[held] -= 1
         self.placed[owner, held] = EMPTY
         self.placed_count[owner] = 0
-        self.downloaded[owner] = set()
-        self.repair_stage[owner] = None
         self._forget(owner)
-        self.buffered.pop(owner, None)
-        self.phase[owner] = LOST
-        self.episode[owner].outcome = "lost"
-        self.episode[owner] = None
+        self._close_episode(owner, "lost", LOST)
         self._drop(np.flatnonzero(self.table[OWNER, :self.used] == owner))
+
+    def _close_episode(self, owner: int, outcome: str, phase: int) -> None:
+        """End the owner's open crash episode with outcome, and its restore and server repair state with it."""
+        self.episode[owner].outcome = outcome
+        self.episode[owner] = None
+        self.phase[owner] = phase
+        self.downloaded[owner] = self.buffered[owner] = False
+        self.repair_stage[owner] = NO_REPAIR
 
     # -- per-slot steps --------------------------------------------------
 
@@ -703,35 +716,35 @@ class Simulation:
             crash_time = self.episode[idx].crash_slot * self.slot
             if now - crash_time < timeout:
                 continue
-            if self.repair_stage[idx] is None:
+            if self.repair_stage[idx] == NO_REPAIR:
                 if self.placed_count[idx] < self.k:
                     self._lost_if_unreachable(idx)
                     continue
                 if self._at_risk(idx):
-                    self.repair_stage[idx] = "down"
-            if self.repair_stage[idx] == "down":
+                    self.repair_stage[idx] = REPAIR_DOWN
+            if self.repair_stage[idx] == REPAIR_DOWN:
                 self._drive_repair_download(idx)
-            if self.repair_stage[idx] == "inject":
+            if self.repair_stage[idx] == REPAIR_INJECT:
                 self._drive_repair_injection(idx, slot_idx)
 
     def _drive_repair_download(self, owner: int) -> None:
-        buffered = self.buffered.setdefault(owner, set())
-        in_flight = set(self.table[FRAG, self._owned(owner, REPAIR_IN)].tolist())
-        needed = self.k - len(buffered) - len(in_flight)
+        rows = self._owned(owner, REPAIR_IN)
+        buffered = np.count_nonzero(self.buffered[owner])
+        needed = self.k - buffered - rows.size
         if needed <= 0:
-            if len(buffered) >= self.k:
-                self.repair_stage[owner] = "inject"
+            if buffered >= self.k:
+                self.repair_stage[owner] = REPAIR_INJECT
             return
         # an absent owner has downloaded nothing, and its fragments in flight are placed
         if self._lost_if_unreachable(owner):
             return
-        placements = self._placements(owner)
-        for frag in self._draw(sorted(placements.keys() - buffered - in_flight), needed):
-            self._new_transfer(REPAIR_IN, placements[frag], SERVER, owner, frag)
+        skip = self.buffered[owner].copy()
+        skip[self.table[FRAG, rows]] = True
+        self._open_downloads(REPAIR_IN, owner, skip, needed)
 
     def _drive_repair_injection(self, owner: int, slot_idx: int) -> None:
         if not self._at_risk(owner):
-            self.repair_stage[owner] = "done"
+            self.repair_stage[owner] = REPAIR_DONE
             self._cancel(owner, REPAIR_OUT)
             return
         active = self._owned(owner, REPAIR_OUT).size
@@ -765,31 +778,28 @@ class Simulation:
                                                      self.holder_cap - self.placed_count[owners] - uploads), online)
 
     def _restore_step(self, owner: int, slot_idx: int) -> None:
-        if self._lost_if_unreachable(owner):
+        restores = self._owned(owner, RESTORE)
+        busy = self.downloaded[owner].copy()  # downloaded or in flight; a restore never fetches a downloaded id
+        busy[self.table[FRAG, restores]] = True
+        have = np.count_nonzero(busy)
+        # busy fragments are reachable, so k of them rule out a loss
+        if have < self.k and self._lost_if_unreachable(owner):
             return
         if self.episode[owner].response_slot == slot_idx and self.crash_count[owner] == 1:
             self.ettr[owner] = self._ettr(owner)
-        restores = self._owned(owner, RESTORE)
-        in_flight = set(self.table[FRAG, restores].tolist())
-        downloaded = self.downloaded[owner]
-        have = len(downloaded) + len(in_flight)
         if have >= self.k:
             return
         if self.parallel[owner] == 0:  # kept, exact as in _needs_fragments
             self.parallel[owner] = self.thresholds.parallel or default_parallel(  # 1 with no holders
                 self.downlink[owner], self.uplink[self.placed[owner] >= 0], self.k)
-        online = np.append(self._online(slot_idx), True).tolist()  # SERVER = -1 reads the appended True
-        active_online = sum(online[src] for src in self.table[SRC, restores].tolist())
-        placements = self._placements(owner)
-        candidates = sorted(frag for frag, holder in placements.items()
-                            if frag not in downloaded and frag not in in_flight and online[holder])
-        for frag in self._draw(candidates, min(self.parallel.item(owner) - active_online, self.k - have)):
-            self._new_transfer(RESTORE, placements[frag], owner, owner, frag)
-            in_flight.add(frag)
-            have += 1
+        online = np.append(self._online(slot_idx), True)  # SERVER = -1 reads the appended True
+        # each draw moves one placed id from free to busy, so the shortfall is the same after the draws
+        row = self.placed[owner]
+        short = self.k - have - np.count_nonzero(~busy[row[row >= 0]])
+        count = min(self.parallel.item(owner) - np.count_nonzero(online[self.table[SRC, restores]]), self.k - have)
+        busy[self._open_downloads(RESTORE, owner, busy, count, online[:-1])] = True
         # fall back to the server buffer, lowest ids first, when peers cannot supply k fragments
-        short = self.k - have - len(placements.keys() - downloaded - in_flight)
-        for frag in sorted(self.buffered.get(owner, set()) - downloaded - in_flight)[:max(short, 0)]:
+        for frag in np.flatnonzero(self.buffered[owner] & ~busy)[:max(short, 0)].tolist():
             self._new_transfer(RESTORE, SERVER, owner, owner, frag)
 
     def _step_tasks(self, slot_idx: int) -> None:
@@ -854,13 +864,13 @@ class Simulation:
                 else:
                     self._record_backup_progress(owner, slot_idx)
             elif kind == REPAIR_IN:
-                self.buffered.setdefault(owner, set()).add(frag)
+                self.buffered[owner, frag] = True
                 self.in_bytes[slot_idx] += self.f
             elif kind == RESTORE:
                 if src == SERVER:
                     self.out_bytes[slot_idx] += self.f
-                self.downloaded[owner].add(frag)
-                if len(self.downloaded[owner]) >= self.k:
+                self.downloaded[owner, frag] = True
+                if np.count_nonzero(self.downloaded[owner]) >= self.k:
                     self._finish_restore(owner, slot_idx)
         live = np.flatnonzero(self.table[KIND, :self.used] != DEAD)  # a stable compaction keeps serial order
         self.table[:, :live.size], self.done[:live.size] = self.table[:, live], self.done[live]
@@ -869,12 +879,7 @@ class Simulation:
     def _finish_restore(self, owner: int, slot_idx: int) -> None:
         if self.crash_count[owner] == 1:
             self.ttr[owner] = (slot_idx - self.episode[owner].response_slot + 1) * self.slot
-        self.episode[owner].outcome = "restored"
-        self.episode[owner] = None
-        self.phase[owner] = COMPLETE if not math.isnan(self.ttb[owner]) else BACKING_UP
-        self.downloaded[owner] = set()
-        self.repair_stage[owner] = None
-        self.buffered.pop(owner, None)
+        self._close_episode(owner, "restored", COMPLETE if not math.isnan(self.ttb[owner]) else BACKING_UP)
         self._cancel(owner, RESTORE)
 
     # -- run -------------------------------------------------------------
@@ -887,7 +892,7 @@ class Simulation:
             self.assisted_repair_check(slot_idx, now)
             self._step_tasks(slot_idx)
             self._step_completions(slot_idx, self._step_allocate(slot_idx))
-            self.buf_bytes[slot_idx] = sum(len(v) for v in self.buffered.values()) * self.f
+            self.buf_bytes[slot_idx] = np.count_nonzero(self.buffered) * self.f
 
         # Python floats throughout: the report writes each with repr
         records = [PeerRecord(*row) for row in zip(

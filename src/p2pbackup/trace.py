@@ -213,7 +213,7 @@ def filter_min_uptime(matrix: AvailabilityMatrix, min_fraction: float = DEFAULT_
         kept_ids = [int(i) for i in keep]
         new_ids = None
     filtered = AvailabilityMatrix(
-        bits=matrix.bits[keep].copy(),
+        bits=matrix.bits[keep],
         slot_seconds=matrix.slot_seconds,
         peer_ids=new_ids,
     )

@@ -1001,11 +1001,18 @@ def episode_violations(simulation):
     """Where a crash episode and its owner disagree.  An owner is restoring
     exactly while it has an open episode; that episode is pending, names its
     owner, and has no response slot exactly while the owner is absent.  Only
-    a restoring owner has downloaded fragments or a repair stage, an absent
-    one has downloaded nothing, and the pending records of the run are
-    exactly the open episodes."""
+    a restoring owner has downloaded fragments or a repair stage other than
+    NO_REPAIR, an absent one has downloaded nothing, and the pending records
+    of the run are exactly the open episodes.  The downloaded and buffered
+    flags are two bool matrices of one shape whose fragment-id axis covers
+    every id issued, and no flag sits at an id its owner has not issued."""
     s = simulation
     found = []
+    downloaded, buffered = s.downloaded.tolist(), s.buffered.tolist()
+    if s.downloaded.dtype != bool or s.buffered.dtype != bool or s.downloaded.shape != s.buffered.shape:
+        found.append(f"flags {s.downloaded.dtype} {s.downloaded.shape} and {s.buffered.dtype} {s.buffered.shape}")
+    if len(downloaded[0]) < max(s.next_frag):
+        found.append(f"flags {len(downloaded[0])} ids wide, next ids up to {max(s.next_frag)}")
     for i in range(s.P):
         phase, back_at, episode = s.phase[i], s.back_at[i], s.episode[i]
         restoring = phase == psim.RESTORING
@@ -1016,10 +1023,15 @@ def episode_violations(simulation):
                 found.append(f"peer {i} has open episode {episode}")
             if (episode.response_slot is None) != (back_at != math.inf):
                 found.append(f"peer {i} back at {back_at} has response slot {episode.response_slot}")
-        if not restoring and (s.downloaded[i] or s.repair_stage[i] is not None):
-            found.append(f"phase {phase} peer {i} has downloaded {sorted(s.downloaded[i])}, stage {s.repair_stage[i]}")
-        if back_at != math.inf and s.downloaded[i]:
-            found.append(f"absent peer {i} has downloaded {sorted(s.downloaded[i])}")
+        got = [frag for frag, flag in enumerate(downloaded[i]) if flag]
+        if not restoring and (got or s.repair_stage[i] != psim.NO_REPAIR):
+            found.append(f"phase {phase} peer {i} has downloaded {got}, stage {s.repair_stage[i]}")
+        if back_at != math.inf and got:
+            found.append(f"absent peer {i} has downloaded {got}")
+        for name, flags in (("downloaded", downloaded[i]), ("buffered", buffered[i])):
+            if any(flags[s.next_frag[i]:]):
+                found.append(f"peer {i} has {name} ids {[j for j, flag in enumerate(flags) if flag]}, "
+                             f"next {s.next_frag[i]}")
     pending = [id(c) for c in s.crashes if c.outcome == "pending"]
     if sorted(pending) != sorted(id(e) for e in s.episode if e is not None):
         found.append("pending crash records differ from the open episodes")
@@ -1059,8 +1071,12 @@ class IndexCheckSimulation(Simulation):
     a repair upload in flight, the case the return step must cancel; each
     slot in which only the holder cap keeps an adaptive owner out of the task
     step; each slot in which a draw fills a peer's quota that a later owner
-    of the same batch would otherwise have drawn from; and each slot in which
-    a restore step marks its owner lost with a maintenance batch after it."""
+    of the same batch would otherwise have drawn from; each slot in which
+    a restore step marks its owner lost with a maintenance batch after it;
+    and each slot whose completions leave a downloaded or buffered flag at a
+    fragment id at or past the flags' initial width.  After the run, each
+    slot's buffered bytes must be the buffered flags counted at the end of
+    its completion step, times f."""
 
     UNDECIDED = {"needs": -1, "at_risk": -1, "parallel": 0}  # each kept decision's value until it is made
     REPORT_FIELDS = ("ttb", "ttr", "ettr", "redundancy")
@@ -1077,6 +1093,9 @@ class IndexCheckSimulation(Simulation):
         self.capped = []
         self.filled_mid_batch = []
         self.lost_before_batch = []
+        self.initial_width = self.downloaded.shape[1]
+        self.widened = []
+        self.buffered_counts = []  # buffered flags at the end of each slot's completion step
 
     def _holders(self, owner):
         return list(placements_of(self, owner).values())
@@ -1266,6 +1285,16 @@ class IndexCheckSimulation(Simulation):
     def _step_completions(self, slot_idx, finished):
         super()._step_completions(slot_idx, finished)
         self._check("completions", slot_idx)
+        downloaded, buffered = self.downloaded.tolist(), self.buffered.tolist()
+        if any(any(row[self.initial_width:]) for row in downloaded + buffered):
+            self.widened.append(slot_idx)
+        self.buffered_counts.append(sum(row.count(True) for row in buffered))
+
+    def run(self):
+        report = super().run()
+        expect = [count * self.f for count in self.buffered_counts]
+        assert self.buf_bytes.tolist() == expect, f"buffered bytes {self.buf_bytes.tolist()} != {expect}"
+        return report
 
 
 def report_csv_bytes(report):
@@ -1329,6 +1358,15 @@ def test_indexes_mirror_state_through_loss_and_server_repair(spread_cdf_file, po
                                   response="delayed_assisted", mean_lifetime_days=2.0)
     assert "lost" in {c.outcome for c in report.crashes}
     assert report.server_inbound.sum() > 0 and report.server_outbound.sum() > 0
+
+
+def test_index_check_sees_flags_past_the_initial_width(flat_cdf_file):
+    # crashes push fragment ids past the downloaded and buffered flags'
+    # initial width, so restores and repair downloads set flags in the columns
+    # that widening added
+    simulation, _ = index_checked_run(flat_cdf_file, 20, 96, 3, 4, response="delayed_assisted",
+                                      mean_lifetime_days=1.0)
+    assert simulation.widened
 
 
 def test_allocation_stream_is_pinned(spread_cdf_file, monkeypatch):
@@ -1516,7 +1554,8 @@ class StaleBufferSimulation(Simulation):
 
     def _step_completions(self, slot_idx, finished):
         super()._step_completions(slot_idx, finished)
-        self.stale += [(slot_idx, o) for o in self.buffered if self.phase[o] != psim.RESTORING]
+        stale = self.buffered.any(axis=1) & (self.phase != psim.RESTORING)
+        self.stale += [(slot_idx, o) for o in np.flatnonzero(stale).tolist()]
 
 
 @pytest.mark.xfail(strict=True, reason="_finish_restore cancels only restore transfers, so repair_in downloads "

@@ -9,12 +9,18 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
 LOGIN = "login"
 LOGOFF = "logoff"
+_KINDS = (LOGIN, LOGOFF)
+_KIND_CODE = {LOGIN: 0, LOGOFF: 1}
 
 DEFAULT_SLOT_SECONDS = 3600.0
 DEFAULT_MIN_UPTIME = 4.0 / 24.0
@@ -29,8 +35,7 @@ def _check_slot_seconds(slot_seconds) -> None:
         raise ValueError(f"slot_seconds must be positive and finite, got {slot_seconds}")
 
 
-@dataclass(frozen=True)
-class AvailabilityEvent:
+class AvailabilityEvent(NamedTuple):
     peer_id: str
     timestamp: float
     kind: str  # LOGIN or LOGOFF
@@ -85,6 +90,64 @@ class PeerAvailabilityStats:
     system: float  # a, the mean of per-peer values
 
 
+def _check_record(lineno: int, text: str) -> None:
+    """Raise the TraceFormatError of one stripped, non-comment record, if it has one."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise TraceFormatError(f"line {lineno}: expected 3 comma-separated fields, got {len(parts)}")
+    peer_id, ts_text, kind = (p.strip() for p in parts)
+    if not peer_id:
+        raise TraceFormatError(f"line {lineno}: empty peer id")
+    if kind not in (LOGIN, LOGOFF):
+        raise TraceFormatError(f"line {lineno}: kind must be login or logoff, got {kind!r}")
+    try:
+        timestamp = float(ts_text)
+    except ValueError:
+        raise TraceFormatError(f"line {lineno}: bad timestamp {ts_text!r}") from None
+    if not math.isfinite(timestamp):
+        raise TraceFormatError(f"line {lineno}: non-finite timestamp {ts_text}")
+    if timestamp < 0:
+        raise TraceFormatError(f"line {lineno}: negative timestamp {ts_text}")
+
+
+def _split_records(records):
+    """(sorted distinct peer ids, peer codes, timestamps, kind codes) of the
+    records, or None if any record fails _check_record."""
+    if any(text.count(",") != 2 for text in records):
+        return None
+    fields = list(map(str.strip, ",".join(records).split(",")))
+    peers, stamps, kinds = fields[0::3], fields[1::3], fields[2::3]
+    del fields
+    if "" in peers or kinds.count(LOGIN) + kinds.count(LOGOFF) != len(kinds):
+        return None
+    try:
+        timestamps = np.fromiter(map(float, stamps), float, len(stamps))
+    except ValueError:
+        return None
+    if not ((timestamps >= 0) & (timestamps < math.inf)).all():
+        return None
+    return (*_peer_codes(peers), timestamps, _kind_codes(kinds))
+
+
+def _kind_codes(kinds) -> np.ndarray:
+    """0 for LOGIN, 1 for LOGOFF, 2 for anything else."""
+    return np.fromiter(map(_KIND_CODE.get, kinds, repeat(2)), np.int8, len(kinds))
+
+
+def _peer_codes(peers) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct peer ids, and each peer's index among them."""
+    peer_ids = tuple(sorted(set(peers)))
+    index = {pid: i for i, pid in enumerate(peer_ids)}
+    return peer_ids, np.fromiter(map(index.__getitem__, peers), np.intp, len(peers))
+
+
+def _group_heads(code: np.ndarray) -> np.ndarray:
+    """For codes sorted into runs: True where a run starts, plus a True past the end."""
+    head = np.ones(len(code) + 1, dtype=bool)
+    head[1:-1] = code[1:] != code[:-1]
+    return head
+
+
 def parse_events(lines) -> tuple[list[AvailabilityEvent], list[str]]:
     """Parse text records into a sorted, alternation-repaired event list.
 
@@ -92,49 +155,58 @@ def parse_events(lines) -> tuple[list[AvailabilityEvent], list[str]]:
     lines starting with ``#`` are skipped.  Events are sorted by (timestamp,
     peer_id).  Consecutive same-kind events for a peer are dropped (first wins).
     A logoff with no preceding login gets a synthesized login at the epoch and
-    a warning.  Returns (events, warnings).
+    a warning.  Returns (events, warnings).  A malformed record raises
+    TraceFormatError naming the first bad line.
     """
-    raw: list[AvailabilityEvent] = []
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise TraceFormatError(f"line {lineno}: expected 3 comma-separated fields, got {len(parts)}")
-        peer_id, ts_text, kind = (p.strip() for p in parts)
-        if kind not in (LOGIN, LOGOFF):
-            raise TraceFormatError(f"line {lineno}: kind must be login or logoff, got {kind!r}")
-        try:
-            timestamp = float(ts_text)
-        except ValueError:
-            raise TraceFormatError(f"line {lineno}: bad timestamp {ts_text!r}") from None
-        if not math.isfinite(timestamp):
-            raise TraceFormatError(f"line {lineno}: non-finite timestamp {ts_text}")
-        if timestamp < 0:
-            raise TraceFormatError(f"line {lineno}: negative timestamp {ts_text}")
-        raw.append(AvailabilityEvent(peer_id, timestamp, kind))
+    records, linenos = [], array("q")
+    for lineno, text in enumerate(map(str.strip, lines), start=1):
+        if text and not text.startswith("#"):
+            records.append(text)
+            linenos.append(lineno)
+    if not records:
+        return [], []
+    split = _split_records(records)
+    if split is None:
+        for lineno, text in zip(linenos, records):
+            _check_record(lineno, text)
+    del records, linenos
+    uniq, code, ts, kind = split
+    del split
 
-    raw.sort(key=lambda e: (e.timestamp, e.peer_id))
+    # (timestamp, peer_id) order, ties in input order
+    order = np.lexsort((code, ts))
+    code, ts, kind = code[order], ts[order], kind[order]
 
-    events: list[AvailabilityEvent] = []
-    warnings: list[str] = []
-    last_kind: dict[str, str] = {}
-    for ev in raw:
-        prev = last_kind.get(ev.peer_id)
-        if prev is None and ev.kind == LOGOFF:
-            warnings.append(
-                f"peer {ev.peer_id}: logoff at {ev.timestamp:g} before any login; assuming login at epoch"
-            )
-            events.append(AvailabilityEvent(ev.peer_id, 0.0, LOGIN))
-            last_kind[ev.peer_id] = LOGIN
-            prev = LOGIN
-        if ev.kind == prev:
-            continue  # duplicate same-kind event, first wins
-        events.append(ev)
-        last_kind[ev.peer_id] = ev.kind
+    # Per peer, in that order: drop an event of the same kind as the peer's
+    # previous one (the kept events alternate, so that is the last kept
+    # kind), and precede a first event that is a logoff by an epoch login.
+    by_peer = np.argsort(code, kind="stable")
+    head = _group_heads(code[by_peer])[:-1]
+    peer_kind = kind[by_peer]
+    keep = np.empty(len(by_peer), dtype=bool)
+    keep[by_peer] = head | (peer_kind != np.roll(peer_kind, 1))
+    orphans = np.sort(by_peer[head & (peer_kind == 1)])
+    epoch_logins = code[orphans]
+    warnings = [
+        f"peer {uniq[c]}: logoff at {t:g} before any login; assuming login at epoch"
+        for c, t in zip(epoch_logins.tolist(), ts[orphans].tolist())
+    ]
 
-    events.sort(key=lambda e: (e.timestamp, e.peer_id))
+    code, ts, kind = code[keep], ts[keep], kind[keep]
+    if len(epoch_logins):
+        # the epoch logins go ahead of any kept event with their (0.0, peer) key
+        code = np.concatenate((epoch_logins, code))
+        ts = np.concatenate((np.zeros(len(epoch_logins)), ts))
+        kind = np.concatenate((np.zeros(len(epoch_logins), dtype=np.int8), kind))
+        order = np.lexsort((code, ts))
+        code, ts, kind = code[order], ts[order], kind[order]
+    # tuple.__new__ is what AvailabilityEvent._make calls, less a Python frame per event
+    make = partial(tuple.__new__, AvailabilityEvent)
+    events = list(map(make, zip(
+        map(uniq.__getitem__, code.tolist()),
+        ts.tolist(),
+        map(_KINDS.__getitem__, kind.tolist()),
+    )))
     return events, warnings
 
 
@@ -143,54 +215,62 @@ def read_event_file(path) -> tuple[list[AvailabilityEvent], list[str]]:
         return parse_events(fh)
 
 
-def _sessions(events) -> dict[str, list[tuple[float, float | None]]]:
-    """Group alternating events into per-peer [login, logoff) intervals; None = still open."""
-    out: dict[str, list[tuple[float, float | None]]] = {}
-    for ev in events:
-        spans = out.setdefault(ev.peer_id, [])
-        if ev.kind == LOGIN:
-            spans.append((ev.timestamp, None))
-        else:
-            start, _ = spans[-1]
-            spans[-1] = (start, ev.timestamp)
-    return out
-
-
 def slotize(events, slot_seconds: float = DEFAULT_SLOT_SECONDS, num_slots: int | None = None) -> AvailabilityMatrix:
     """Discretize alternating events into an availability matrix.
 
     A peer counts as online in a slot iff it is online for at least half the
     slot.  Rows are ordered by sorted peer id.  The horizon defaults to the
     smallest whole number of slots covering the last event; sessions still open
-    at the horizon run to its end.
+    at the horizon run to its end.  Each peer's events, in list order, must
+    alternate login and logoff from a login at non-negative, non-decreasing
+    times, as parse_events output does; otherwise ValueError names the peer.
     """
     _check_slot_seconds(slot_seconds)
+    peers, stamps, kinds = zip(*events) if events else ((), (), ())
     if num_slots is None:
         if not events:
             raise ValueError("cannot infer num_slots from an empty event list")
-        horizon = max(ev.timestamp for ev in events)
+        horizon = max(stamps)
         num_slots = max(1, math.ceil(horizon / slot_seconds))
     if num_slots <= 0:
         raise ValueError("num_slots must be positive")
 
     horizon = num_slots * slot_seconds
-    peer_ids = tuple(sorted({ev.peer_id for ev in events}))
-    index = {pid: i for i, pid in enumerate(peer_ids)}
-    coverage = np.zeros((len(peer_ids), num_slots), dtype=float)
+    peer_ids, code = _peer_codes(peers)
+    # each peer's events together, in list order
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    ts = np.array(stamps, dtype=float)[order]
+    kind = _kind_codes(kinds)[order]
+    head = _group_heads(code)
+    bad = ~(ts >= 0) | (head[:-1] & (kind != 0))
+    bad[1:] |= ~head[1:-1] & ((kind[1:] + kind[:-1] != 1) | ~(ts[1:] >= ts[:-1]))
+    if bad.any():
+        raise ValueError(
+            f"peer {peer_ids[code[bad.argmax()]]!r}: events must alternate login and logoff from a login, "
+            "at non-negative, non-decreasing times"
+        )
 
-    for pid, spans in _sessions(events).items():
-        i = index[pid]
-        for start, end in spans:
-            stop = horizon if end is None else min(end, horizon)
-            if stop <= start:
-                continue
-            first = int(start // slot_seconds)
-            last = min(num_slots - 1, int(math.ceil(stop / slot_seconds)) - 1)
-            for t in range(first, last + 1):
-                lo = max(start, t * slot_seconds)
-                hi = min(stop, (t + 1) * slot_seconds)
-                if hi > lo:
-                    coverage[i, t] += hi - lo
+    # Sessions are [login, next logoff) or [login, horizon), cut at the horizon.
+    login = np.flatnonzero(kind == 0)
+    end = np.append(ts, horizon)[login + 1]
+    stop = np.where(head[login + 1], horizon, np.minimum(end, horizon))
+    start = ts[login]
+    live = stop > start
+    row, start, stop = code[login][live], start[live], stop[live]
+
+    # one cell per (session, overlapped slot), sessions in list order
+    first = np.floor_divide(start, slot_seconds).astype(np.intp)
+    last = np.minimum(np.ceil(stop / slot_seconds).astype(np.intp) - 1, num_slots - 1)
+    width = np.maximum(last - first + 1, 0)
+    session = np.repeat(np.arange(len(width)), width)
+    t = np.arange(len(session)) - np.repeat(np.cumsum(width) - width - first, width)
+    lo = np.maximum(start[session], t * slot_seconds)
+    hi = np.minimum(stop[session], (t + 1) * slot_seconds)
+    coverage = np.zeros((len(peer_ids), num_slots))
+    # add.at sums each cell in the order given, which keeps the float sums
+    # those of a per-session loop
+    np.add.at(coverage, (row[session], t), np.where(hi > lo, hi - lo, 0.0))
 
     bits = (coverage >= slot_seconds / 2).astype(np.uint8)
     return AvailabilityMatrix(bits=bits, slot_seconds=slot_seconds, peer_ids=peer_ids)
@@ -289,8 +369,9 @@ def write_matrix_file(matrix: AvailabilityMatrix, path) -> None:
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"peers={matrix.num_peers} slots={matrix.num_slots} slot_seconds={matrix.slot_seconds:g}\n")
-        for i in range(matrix.num_peers):
-            fh.write("".join("1" if b else "0" for b in matrix.bits[i]) + "\n")
+        rows = np.full((matrix.num_peers, matrix.num_slots + 1), ord("\n"), dtype=np.uint8)
+        rows[:, :-1] = matrix.bits + ord("0")
+        fh.write(rows.tobytes().decode("ascii"))
 
 
 def read_matrix_file(path) -> AvailabilityMatrix:

@@ -5,6 +5,7 @@ arithmetic, direct summation.  Nothing imports from p2pbackup, so agreement
 between the two is evidence, not tautology.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -276,3 +277,84 @@ def progressive_filling_reference(src, dst, demand, res_up, res_down, eps, round
             rounds["exit" if np.any(active & (remaining <= eps)) else "grant"] += 1
         active &= remaining > eps
     return alloc
+
+
+class LoopFormatError(ValueError):
+    """What loop_parse_events raises for a malformed record."""
+
+
+def loop_parse_events(lines):
+    """parse_events as one pass per record: returns ((peer_id, timestamp,
+    kind) tuples, warnings), or raises LoopFormatError with the library's
+    message for the first malformed line."""
+    raw = []
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = text.split(",")
+        if len(parts) != 3:
+            raise LoopFormatError(f"line {lineno}: expected 3 comma-separated fields, got {len(parts)}")
+        peer_id, ts_text, kind = (p.strip() for p in parts)
+        if not peer_id:
+            raise LoopFormatError(f"line {lineno}: empty peer id")
+        if kind not in ("login", "logoff"):
+            raise LoopFormatError(f"line {lineno}: kind must be login or logoff, got {kind!r}")
+        try:
+            timestamp = float(ts_text)
+        except ValueError:
+            raise LoopFormatError(f"line {lineno}: bad timestamp {ts_text!r}") from None
+        if not math.isfinite(timestamp):
+            raise LoopFormatError(f"line {lineno}: non-finite timestamp {ts_text}")
+        if timestamp < 0:
+            raise LoopFormatError(f"line {lineno}: negative timestamp {ts_text}")
+        raw.append((peer_id, timestamp, kind))
+
+    raw.sort(key=lambda e: (e[1], e[0]))
+
+    events, warnings = [], []
+    last_kind = {}
+    for peer_id, timestamp, kind in raw:
+        prev = last_kind.get(peer_id)
+        if prev is None and kind == "logoff":
+            warnings.append(f"peer {peer_id}: logoff at {timestamp:g} before any login; assuming login at epoch")
+            events.append((peer_id, 0.0, "login"))
+            last_kind[peer_id] = prev = "login"
+        if kind == prev:
+            continue  # duplicate same-kind event, first wins
+        events.append((peer_id, timestamp, kind))
+        last_kind[peer_id] = kind
+
+    events.sort(key=lambda e: (e[1], e[0]))
+    return events, warnings
+
+
+def loop_slotize(events, slot_seconds, num_slots=None):
+    """slotize by walking each peer's sessions slot by slot; events must
+    alternate per peer.  Returns (bits, sorted peer ids)."""
+    if num_slots is None:
+        num_slots = max(1, math.ceil(max(e[1] for e in events) / slot_seconds))
+    horizon = num_slots * slot_seconds
+    peer_ids = tuple(sorted({e[0] for e in events}))
+    index = {pid: i for i, pid in enumerate(peer_ids)}
+    spans = {}
+    for peer_id, timestamp, kind in events:
+        if kind == "login":
+            spans.setdefault(peer_id, []).append([timestamp, None])
+        else:
+            spans[peer_id][-1][1] = timestamp
+    coverage = np.zeros((len(peer_ids), num_slots), dtype=float)
+    for peer_id, sessions in spans.items():
+        i = index[peer_id]
+        for start, end in sessions:
+            stop = horizon if end is None else min(end, horizon)
+            if stop <= start:
+                continue
+            first = int(start // slot_seconds)
+            last = min(num_slots - 1, int(math.ceil(stop / slot_seconds)) - 1)
+            for t in range(first, last + 1):
+                lo = max(start, t * slot_seconds)
+                hi = min(stop, (t + 1) * slot_seconds)
+                if hi > lo:
+                    coverage[i, t] += hi - lo
+    return (coverage >= slot_seconds / 2).astype(np.uint8), peer_ids

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from p2pbackup import trace
 from conftest import make_matrix
+from oracles import LoopFormatError, loop_parse_events, loop_slotize
 
 
 # ---------------------------------------------------------------- parse_events
@@ -50,6 +51,71 @@ def test_parse_leading_logoff_synthesizes_epoch_login():
 def test_parse_rejects_malformed_lines(line):
     with pytest.raises(trace.TraceFormatError, match="line 1"):
         trace.parse_events([line])
+
+
+@pytest.mark.parametrize("lines, lineno", [(["p1,0,login", ",5,login"], 2), ([" ,9,logoff"], 1)])
+def test_parse_rejects_an_empty_peer_id(lines, lineno):
+    with pytest.raises(trace.TraceFormatError, match=f"^line {lineno}: empty peer id$"):
+        trace.parse_events(lines)
+
+
+def test_event_is_an_immutable_named_tuple():
+    ev = trace.AvailabilityEvent("p1", 5.0, trace.LOGIN)
+    assert repr(ev) == "AvailabilityEvent(peer_id='p1', timestamp=5.0, kind='login')"
+    assert ev == ("p1", 5.0, "login")
+    assert hash(ev) == hash(trace.AvailabilityEvent("p1", 5.0, "login"))
+    with pytest.raises(AttributeError):
+        ev.timestamp = 6.0
+
+
+# Random logs for the loop oracles: a few peers, so that ids, timestamps and
+# kinds collide; timestamp texts float() reads in unusual ways; whitespace
+# around fields; comments and blanks; and malformed lines of every kind.
+PEERS = st.sampled_from(["a", "b", "c", "peer10", "peer9", "B", "a b"])
+PADDING = st.sampled_from(["", "", " ", "\t"])
+TIMESTAMPS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.sampled_from(["-0", "-0.0", "0.0", "1_0", "1e1", "+5", "5.", ".5", "007"]),
+    st.floats(0, 1e5).map(repr),
+)
+RECORDS = st.builds(
+    lambda p, t, k, w: f"{w[0]}{p}{w[1]},{w[2]}{t}{w[3]},{w[4]}{k}{w[5]}",
+    PEERS, TIMESTAMPS, st.sampled_from([trace.LOGIN, trace.LOGOFF]), st.lists(PADDING, min_size=6, max_size=6),
+)
+SKIPPED = st.sampled_from(["", "   ", "# peer_id,timestamp_seconds,kind", "  #a,1,login", "#"])
+MALFORMED = st.sampled_from([
+    "a,1", "a,1,login,x", "a", "a,1,login,",  # field count
+    ",5,login", " ,9,logoff",  # empty peer id
+    "a,1,reboot", "a,1,LOGIN", "a,1,",  # kind
+    "a,zero,login", "a,,logoff", "a,1..2,login", "a,0x10,login",  # timestamp text
+    "a,nan,login", "a,inf,logoff", "a,-inf,login", "a,1e999,login",  # non-finite
+    "a,-5,login", "a,-0.5,logoff", "a,-1e-300,login",  # negative
+])
+
+
+@st.composite
+def event_logs(draw):
+    lines = draw(st.lists(st.one_of(RECORDS, RECORDS, SKIPPED), max_size=30))
+    for bad in draw(st.lists(MALFORMED, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return lines
+
+
+@settings(max_examples=150)
+@given(lines=event_logs())
+def test_parse_matches_the_loop_oracle(lines):
+    try:
+        expected, expected_warnings = loop_parse_events(lines)
+    except LoopFormatError as err:
+        with pytest.raises(trace.TraceFormatError) as got:
+            trace.parse_events(iter(lines))
+        assert str(got.value) == str(err)
+        return
+    events, warnings = trace.parse_events(iter(lines))
+    assert warnings == expected_warnings
+    assert all(type(ev) is trace.AvailabilityEvent and type(ev.timestamp) is float for ev in events)
+    # hex() tells -0.0 from 0.0
+    assert [(p, t.hex(), k) for p, t, k in events] == [(p, t.hex(), k) for p, t, k in expected]
 
 
 # --------------------------------------------------------------------- slotize
@@ -100,6 +166,38 @@ def test_slotize_fragmented_uptime_accumulates_within_slot():
     lines = session("p1", 0, 1000) + session("p1", 2000, 3000)
     events, _ = trace.parse_events(lines)
     assert trace.slotize(events, slot_seconds=3600).bits.tolist() == [[1]]
+
+
+@pytest.mark.parametrize("slot_seconds", [3600.0, 1800.0, 7.3, 0.1])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_slotize_matches_the_loop_oracle(slot_seconds, data):
+    # session ends on and near slot boundaries, within about 40 slots
+    stamp = st.one_of(st.integers(0, 40).map(lambda k: k * slot_seconds), st.floats(0, 40 * slot_seconds))
+    record = st.builds(lambda p, t, k: f"{p},{t!r},{k}", PEERS, stamp, st.sampled_from([trace.LOGIN, trace.LOGOFF]))
+    events, _ = trace.parse_events(data.draw(st.lists(record, min_size=1, max_size=30)))
+    for num_slots in (None, data.draw(st.integers(1, 45))):
+        bits, peer_ids = loop_slotize(events, slot_seconds, num_slots)
+        m = trace.slotize(events, slot_seconds, num_slots)
+        assert m.peer_ids == peer_ids
+        assert m.bits.tolist() == bits.tolist()
+        # so does any interleaving that keeps each peer's events in order
+        grouped = sorted(events, key=lambda ev: ev.peer_id)
+        assert trace.slotize(grouped, slot_seconds, num_slots) == m
+
+
+@pytest.mark.parametrize("events", [
+    [("p1", 0, "login"), ("p1", 100, "login"), ("p1", 200, "logoff")],  # the first session never closes
+    [("p1", 0, "login"), ("p1", 200, "logoff"), ("p1", 5000, "logoff")],  # a second logoff
+    [("p1", 5000, "login"), ("p1", 100, "logoff")],  # the logoff comes earlier
+    [("p1", 100, "logoff"), ("p1", 200, "login")],  # a leading logoff
+    [("p1", -7200, "login"), ("p1", 1800, "logoff")],  # a negative time
+    [("p1", 0, "login"), ("p1", 1800, "reboot")],  # neither kind
+])
+def test_slotize_rejects_events_that_do_not_alternate(events):
+    events = [trace.AvailabilityEvent("a", 0.0, "login")] + [trace.AvailabilityEvent(*ev) for ev in events]
+    with pytest.raises(ValueError, match="^peer 'p1': events must alternate"):
+        trace.slotize(events, slot_seconds=3600, num_slots=3)
 
 
 def test_slotize_rejects_bad_arguments():

@@ -15,6 +15,7 @@ to matrix column s - 1.  Peers are matrix row indices.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -52,6 +53,11 @@ class TransferProblem:
     storage_set: frozenset[int] | None = None
 
     def __post_init__(self):
+        for name in ("owner", "x", "owner_rate", "peer_rate", "per_peer_cap"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.direction not in (BACKUP, RESTORE):
             raise ValueError(f"direction must be {BACKUP!r} or {RESTORE!r}")
         if self.x < 1:
@@ -279,7 +285,6 @@ def random_schedule(problem: TransferProblem, seed=None) -> ScheduleOutcome:
     # one row per owner-online slot, one column per candidate
     online = bits.T[cols][:, list(candidates)].astype(bool)
     x, owner_rate, peer_rate, cap = problem.x, problem.owner_rate, problem.peer_rate, problem.per_peer_cap
-    excluding = peer_rate < owner_rate  # else no slot can draw one peer peer_rate times
     usage = [0] * len(candidates)
     under_cap = np.ones(len(candidates), dtype=bool)
     entries: list[tuple[int, int]] = []
@@ -299,10 +304,9 @@ def random_schedule(problem: TransferProblem, seed=None) -> ScheduleOutcome:
             usage[j] += 1
             if usage[j] == cap:
                 under_cap[j] = eligible_now[j] = False
-            if excluding:
-                slot_used[j] = slot_used.get(j, 0) + 1
-                if slot_used[j] == peer_rate:
-                    eligible_now[j] = False
+            slot_used[j] = slot_used.get(j, 0) + 1
+            if slot_used[j] == peer_rate:
+                eligible_now[j] = False
     if len(entries) < x:
         return ScheduleOutcome(False, None, 0, len(entries))
     # slots are drawn in order, so the last entry drawn completes the schedule
@@ -323,13 +327,8 @@ def ideal_baseline(owner_row, amount_fragments: int, rate_per_slot: int, start_s
     if amount_fragments <= 0:
         return 0
     needed = math.ceil(amount_fragments / rate_per_slot)
-    count = 0
-    for col in range(start_slot - 1, len(row)):
-        if row[col]:
-            count += 1
-            if count == needed:
-                return col + 2 - start_slot
-    return None
+    online = np.flatnonzero(row[start_slot - 1:])  # the online slots, as offsets from start_slot
+    return int(online[needed - 1]) + 1 if needed <= online.size else None
 
 
 def write_problem_file(problem: TransferProblem, path, matrix_path) -> None:

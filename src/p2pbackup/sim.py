@@ -20,6 +20,7 @@ matrix, seed) triple fully determines the run.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -88,6 +89,10 @@ class SimConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and (math.isnan(value) or math.isinf(value) and f.name not in _MAY_BE_INF):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.type == "int" and not isinstance(value, int):  # a non-finite float failed above
+                if not (isinstance(value, numbers.Real) and value == int(value)):
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+                object.__setattr__(self, f.name, int(value))
         if self.object_size <= 0 or self.fragment_size <= 0:
             raise ValueError("object_size and fragment_size must be positive")
         if self.object_size % self.fragment_size:
@@ -442,10 +447,8 @@ class Simulation:
         self.occupied = np.zeros(self.P, dtype=int)
         self.next_frag = np.zeros(self.P, dtype=int)  # id of each owner's next new fragment
         self.crash_count = np.zeros(self.P, dtype=int)
-        # decisions kept on each owner's placements until _forget: stopping
-        # and repair risk (-1 undecided), restore parallelism l (0 undecided)
+        # decisions kept on each owner's placements until _forget: stopping and repair risk (-1 undecided)
         self.needs, self.at_risk = np.full((2, self.P), -1, dtype=np.int8)
-        self.parallel = np.zeros(self.P, dtype=int)
         self.episode: list[CrashRecord | None] = [None] * self.P  # open crash episode of a restoring peer
         self.downloaded, self.buffered = np.zeros((2, self.P, 16), dtype=bool)  # owner x fragment id flags
         self.repair_stage = np.full(self.P, NO_REPAIR, dtype=np.int8)
@@ -465,12 +468,12 @@ class Simulation:
     def _forget(self, owners) -> None:
         """Clear the decisions kept on the placements of owners (an index or a mask), which changed."""
         self.needs[owners] = self.at_risk[owners] = -1
-        self.parallel[owners] = 0
 
     def _place(self, owner: int, frag: int, holder: int) -> None:
+        """Turn the owner's IN_FLIGHT cell at holder into frag; the quota slot
+        its upload reserved stays taken."""
         self.placed[owner, holder] = frag
         self.placed_count[owner] += 1
-        self.occupied[holder] += 1
         self._forget(owner)
 
     def _profiles(self, owner: int) -> list[tuple[float, float]]:
@@ -515,19 +518,20 @@ class Simulation:
             )
         return bool(needs)
 
-    def _grow(self, n: int) -> None:
-        """Double the table until it has room for n more rows."""
+    def _open(self, kind: int, src, dst, owner, frags) -> None:
+        """Append one row per fragment id in frags, in serial order; src, dst
+        and owner are each one value or one per id.  The table doubles until
+        the rows fit."""
+        n = len(frags)
         while self.used + n > self.done.size:
             self.table = np.concatenate((self.table, np.zeros_like(self.table)), axis=1)
             self.done = np.concatenate((self.done, np.zeros_like(self.done)))
-
-    def _new_transfer(self, kind, src, dst, owner, frag) -> None:
-        """Append one download row (restore or repair_in); uploads open in _open_uploads."""
-        self._grow(1)
-        self._serial += 1
-        self.table[:, self.used] = (kind, src, dst, owner, frag, self._serial)
-        self.done[self.used] = 0.0
-        self.used += 1
+        new = self.table[:, self.used:self.used + n]  # a view; one row write each beats one 2-D write
+        new[KIND], new[SRC], new[DST], new[OWNER], new[FRAG] = kind, src, dst, owner, frags
+        new[SERIAL] = np.arange(self._serial + 1, self._serial + n + 1)
+        self.done[self.used:self.used + n] = 0.0
+        self.used += n
+        self._serial += n
 
     def _drop(self, rows) -> None:
         """Mark the rows dead, releasing what their uploads reserved."""
@@ -585,17 +589,10 @@ class Simulation:
             turns += [i] * len(drawn)
             dsts += drawn
             frags += range(first, first + len(drawn))
-        n = len(dsts)
-        if n == 0:
+        if not dsts:
             return
-        self._grow(n)
-        new = slice(self.used, self.used + n)
         by = owners[turns]
-        src = by if kind == BACKUP else np.full(n, SERVER)
-        self.table[:, new] = (np.full(n, kind), src, dsts, by, frags, np.arange(self._serial + 1, self._serial + n + 1))
-        self.done[new] = 0.0
-        self.used += n
-        self._serial += n
+        self._open(kind, by if kind == BACKUP else SERVER, dsts, by, frags)
         self.placed[by, dsts] = IN_FLIGHT
         while max(frags) >= self.downloaded.shape[1]:  # widen the fragment-id flags by doubling
             self.downloaded, self.buffered = (np.concatenate((m, np.zeros_like(m)), axis=1)
@@ -609,8 +606,7 @@ class Simulation:
         holder = np.full(skip.size, EMPTY)
         holder[row[held]] = np.flatnonzero(held)
         drawn = self._draw(np.flatnonzero((holder >= 0) & ~skip).tolist(), count)
-        for frag in drawn:
-            self._new_transfer(kind, holder.item(frag), owner if kind == RESTORE else SERVER, owner, frag)
+        self._open(kind, holder[drawn], owner if kind == RESTORE else SERVER, owner, drawn)
         return drawn
 
     def _lost_if_unreachable(self, owner: int) -> bool:
@@ -766,16 +762,20 @@ class Simulation:
             owners = owners[needs]
             if owners.size == 0:
                 return
+        online = self._online(slot_idx)
+        # a present owner has no repair upload in flight, so under the adaptive
+        # cap at least as many cells of its row are EMPTY as it has targets
+        self._open_uploads(BACKUP, owners, self._backup_counts(online)[owners], online)
+
+    def _backup_counts(self, online: np.ndarray) -> np.ndarray:
+        """How many new backups each owner may open: backup_parallelism less
+        its backups to online targets, and at most what holder_cap leaves
+        after its placements and backups in flight."""
         kind, _, dst, owner = self.table[:4, :self.used]
         backup = kind == BACKUP
         backups = owner[backup]
-        online = self._online(slot_idx)
-        uploads = np.bincount(backups, minlength=self.P)[owners]
-        active = np.bincount(backups[online[dst[backup]]], minlength=self.P)[owners]
-        # a present owner has no repair upload in flight, so under the adaptive
-        # cap at least as many cells of its row are EMPTY as it has targets
-        self._open_uploads(BACKUP, owners, np.minimum(self.config.backup_parallelism - active,
-                                                     self.holder_cap - self.placed_count[owners] - uploads), online)
+        return np.minimum(self.config.backup_parallelism - np.bincount(backups[online[dst[backup]]], minlength=self.P),
+                          self.holder_cap - self.placed_count - np.bincount(backups, minlength=self.P))
 
     def _restore_step(self, owner: int, slot_idx: int) -> None:
         restores = self._owned(owner, RESTORE)
@@ -789,18 +789,15 @@ class Simulation:
             self.ettr[owner] = self._ettr(owner)
         if have >= self.k:
             return
-        if self.parallel[owner] == 0:  # kept, exact as in _needs_fragments
-            self.parallel[owner] = self.thresholds.parallel or default_parallel(  # 1 with no holders
-                self.downlink[owner], self.uplink[self.placed[owner] >= 0], self.k)
+        row = self.placed[owner]
+        parallel = self.thresholds.parallel or default_parallel(self.downlink[owner], self.uplink[row >= 0], self.k)
         online = np.append(self._online(slot_idx), True)  # SERVER = -1 reads the appended True
         # each draw moves one placed id from free to busy, so the shortfall is the same after the draws
-        row = self.placed[owner]
         short = self.k - have - np.count_nonzero(~busy[row[row >= 0]])
-        count = min(self.parallel.item(owner) - np.count_nonzero(online[self.table[SRC, restores]]), self.k - have)
+        count = min(parallel - np.count_nonzero(online[self.table[SRC, restores]]), self.k - have)
         busy[self._open_downloads(RESTORE, owner, busy, count, online[:-1])] = True
         # fall back to the server buffer, lowest ids first, when peers cannot supply k fragments
-        for frag in np.flatnonzero(self.buffered[owner] & ~busy)[:max(short, 0)].tolist():
-            self._new_transfer(RESTORE, SERVER, owner, owner, frag)
+        self._open(RESTORE, SERVER, owner, owner, np.flatnonzero(self.buffered[owner] & ~busy)[:max(short, 0)])
 
     def _step_tasks(self, slot_idx: int) -> None:
         """Step each present restoring owner and each present owner in the
@@ -810,14 +807,9 @@ class Simulation:
         phase, placements or transfers, and backups to targets present and in
         the trace, which stay online through the step, bound an owner's
         active uploads below."""
-        kind, _, dst, owner = self.table[:4, :self.used]
-        backup = kind == BACKUP
-        backups = owner[backup]
         present = self.back_at == math.inf
         steady = present & self.cols[slot_idx]
-        opens = steady & (self.phase <= COMPLETE) & (self.needs != 0)
-        opens &= np.bincount(backups, weights=steady[dst[backup]], minlength=self.P) < self.config.backup_parallelism
-        opens &= self.placed_count + np.bincount(backups, minlength=self.P) < self.holder_cap
+        opens = steady & (self.phase <= COMPLETE) & (self.needs != 0) & (self._backup_counts(steady) > 0)
         restoring = present & (self.phase == RESTORING)
         steps = np.flatnonzero(restoring | opens)
         # a restore step may mark its owner lost, which changes the online
@@ -856,7 +848,7 @@ class Simulation:
             kind, src, dst, owner, frag, _ = self.table[:, row].tolist()
             if kind == DEAD:
                 continue  # cancelled by an earlier completion this slot
-            self._drop([row])
+            self.table[KIND, row] = DEAD  # an upload's reservation becomes its placement
             if kind in UPLOADS:
                 self._place(owner, frag, dst)
                 if kind == REPAIR_OUT:

@@ -53,6 +53,22 @@ def test_backup_rejects_storage_set(fig_matrix):
         TransferProblem(matrix=fig_matrix, owner=0, direction=BACKUP, x=1, storage_set={1})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("x", 2.5), ("owner_rate", 1.5), ("peer_rate", 1.5), ("per_peer_cap", 1.5), ("owner", 0.5),
+    ("x", math.nan), ("owner_rate", math.inf), ("per_peer_cap", -math.inf), ("x", "3"), ("owner", None),
+])
+def test_problem_rejects_non_integral_counts(fig_matrix, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        TransferProblem(**{"matrix": fig_matrix, "owner": 0, "direction": BACKUP, "x": 1, field: value})
+
+
+def test_problem_stores_integral_counts_as_int(fig_matrix):
+    p = TransferProblem(matrix=fig_matrix, owner=np.int64(0), direction=BACKUP, x=3.0, owner_rate=np.float64(1),
+                        peer_rate=np.int32(1), per_peer_cap=True)
+    assert [type(v) for v in (p.owner, p.x, p.owner_rate, p.peer_rate, p.per_peer_cap)] == [int] * 5
+    assert sched.optimal_completion(p).completion == 3
+
+
 def test_candidates_backup_is_everyone_else(fig_problem):
     assert fig_problem.candidates == (1, 2, 3)
 
@@ -337,6 +353,19 @@ def test_ideal_baseline_counts_online_slots():
 
 def test_ideal_baseline_start_slot_offsets_elapsed_count():
     assert sched.ideal_baseline([1, 0, 1, 1, 0], 2, 1, start_slot=3) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=12), st.integers(0, 14), st.integers(1, 3), st.data())
+def test_ideal_baseline_matches_slot_loop(row, amount, rate, data):
+    start = data.draw(st.integers(1, len(row)))
+    needed, count, expect = math.ceil(amount / rate), 0, None if amount else 0
+    for col in range(start - 1, len(row)):
+        count += row[col]
+        if row[col] and count == needed:
+            expect = col + 2 - start
+            break
+    assert sched.ideal_baseline(np.array(row, dtype=np.uint8), amount, rate, start_slot=start) == expect
 
 
 def test_ideal_baseline_edge_cases():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tempfile
 from collections import namedtuple
 from dataclasses import fields, replace
@@ -64,6 +65,17 @@ def test_config_from_mapping_rejects_non_integral_ints():
     # integral spellings are taken, and a long one keeps every digit
     config = SimConfig.from_mapping({"storage_quota": "1e10", "backup_parallelism": "3.0", "seed": "9007199254740993"})
     assert (config.storage_quota, config.backup_parallelism, config.seed) == (10**10, 3, 2**53 + 1)
+
+
+def test_config_rejects_non_integral_native_ints():
+    for key, value in (("backup_parallelism", 2.5), ("seed", 7.9), ("storage_quota", np.float64(1e-3))):
+        for build in (lambda: SimConfig(**{key: value}), lambda: SimConfig.from_mapping({key: value})):
+            with pytest.raises(ValueError, match=re.escape(f"{key} must be an integer, got {value!r}")):
+                build()
+    # integral values are stored as int, so the manifest writes 10000000000, not 10000000000.0
+    config = SimConfig(storage_quota=1e10, backup_parallelism=np.int64(3), seed=np.float64(9))
+    assert [type(v) for v in (config.storage_quota, config.backup_parallelism, config.seed)] == [int] * 3
+    assert config.to_mapping()["storage_quota"] == 10**10 and config == SimConfig.from_mapping(config.to_mapping())
 
 
 def test_config_from_mapping_rejects_unknown_key():
@@ -520,10 +532,18 @@ def prepared_sim(flat_cdf_file, num_peers=6, num_slots=48, **overrides):
     return Simulation(config, always_on(num_peers, num_slots))
 
 
+def reserve_and_place(simulation, owner_idx, frag, holder):
+    """Place one fragment as a finished upload does: reserve the cell and a
+    quota slot, then turn the reservation into the placement."""
+    simulation.placed[owner_idx, holder] = psim.IN_FLIGHT
+    simulation.occupied[holder] += 1
+    simulation._place(owner_idx, frag, holder)
+
+
 def place(simulation, owner_idx, holders):
     """Hand-place one fragment per holder for owner_idx and mark it complete."""
     for frag, holder in enumerate(holders):
-        simulation._place(owner_idx, frag, holder)
+        reserve_and_place(simulation, owner_idx, frag, holder)
     simulation.next_frag[owner_idx] = len(holders)
     simulation.phase[owner_idx] = psim.COMPLETE
     simulation.ttb[owner_idx] = simulation.slot
@@ -1060,9 +1080,9 @@ class IndexCheckSimulation(Simulation):
     no IN_FLIGHT cell may change.  Uploads open in batches of owners that
     write the table once, at the batch's end; each owner's targets at its
     turn are checked against the plain loop over the table plus the draws of
-    the owners before it in the batch.  A kept decision (stopping, repair
-    risk, restore parallelism) must have been made on the owner's current
-    holders.  The task step must visit exactly the owners its screen admits,
+    the owners before it in the batch.  A kept decision (stopping or repair
+    risk) must have been made on the owner's current holders.  The task step
+    must visit exactly the owners its screen admits,
     recomputed here with plain loops, with no two maintenance batches in a
     row, and every owner it skips must have been unable to open an upload.
     Each report field is a Python float and is written at most once: once it
@@ -1078,7 +1098,7 @@ class IndexCheckSimulation(Simulation):
     slot's buffered bytes must be the buffered flags counted at the end of
     its completion step, times f."""
 
-    UNDECIDED = {"needs": -1, "at_risk": -1, "parallel": 0}  # each kept decision's value until it is made
+    UNDECIDED = {"needs": -1, "at_risk": -1}  # each kept decision's value until it is made
     REPORT_FIELDS = ("ttb", "ttr", "ettr", "redundancy")
 
     def __init__(self, config, matrix):
@@ -1240,11 +1260,8 @@ class IndexCheckSimulation(Simulation):
         super().maintenance_step(owners, slot_idx)
 
     def _restore_step(self, owner, slot_idx):
-        fresh = self.parallel[owner] == self.UNDECIDED["parallel"]
         super()._restore_step(owner, slot_idx)
         self.steps.append(("lost" if self.phase[owner] == psim.LOST else "restore", [owner]))
-        if fresh:  # the step derives l after its loss check, its last placement change
-            self.decided["parallel", owner] = self._holders(owner)
 
     def _step_tasks(self, slot_idx):
         self.reserved = self.placed == psim.IN_FLIGHT
@@ -1514,11 +1531,11 @@ def test_stopping_rule_follows_a_holder_swap(flat_cdf_file):
     assert not s._needs_fragments(0)
     s.on_crash(4, now=0.0, slot_idx=0)
     assert s._needs_fragments(0)  # three holders, below k
-    s._place(0, 3, 5)
+    reserve_and_place(s, 0, 3, 5)
     assert s._needs_fragments(0)
     s.on_crash(5, now=0.0, slot_idx=0)
     assert s._needs_fragments(0)
-    s._place(0, 3, 4)
+    reserve_and_place(s, 0, 3, 4)
     assert not s._needs_fragments(0)
 
 
@@ -1542,6 +1559,23 @@ def test_assisted_repair_moves_fragment_multiples(flat_cdf_file):
     assert report.server_inbound.sum() % f == pytest.approx(0.0, abs=1e-6)
     assert report.server_outbound.sum() % f == pytest.approx(0.0, abs=1e-6)
     assert report.server_buffered.max() <= config.k * f * report.num_peers
+
+
+def test_restore_falls_back_to_the_server_for_the_shortfall_only(flat_cdf_file):
+    # Owner 0 keeps ids 0 and 1 on holders 1 and 2 and has ids 0-3 buffered.
+    # Holder 2 is offline in slot 1, so a restore step fetches id 0 from holder
+    # 1 and, for the k - 2 fragments its placements cannot supply, the lowest
+    # buffered ids it is not fetching: 1 and 2, from the server, in that order.
+    s = Simulation(cfg(flat_cdf_file, parallel_downloads=4), make_matrix(["11", "11", "10", "11", "11", "11"]))
+    place(s, 0, [1, 2, 3, 4, 5])
+    s.buffered[0, :4] = True
+    for idx in (3, 4, 5, 0):
+        s.on_crash(idx, now=SLOT, slot_idx=1)
+    assert s.phase[0] == psim.RESTORING and placements_of(s, 0) == {0: 1, 1: 2}
+    s._restore_step(0, 1)
+    rows = [(t.src, t.frag, t.serial) for t in live_transfers(s) if t.kind == psim.RESTORE and t.owner == t.dst == 0]
+    assert rows == [(1, 0, 1), (SERVER, 1, 2), (SERVER, 2, 3)]
+    assert s.used == 3
 
 
 class StaleBufferSimulation(Simulation):

@@ -7,12 +7,18 @@ estimated time to restore (eTTR) and the probability of losing data while the
 owner is away (exponential peer lifetimes, at least n - k + 1 holder crashes).
 Both binomial tails are one private helper, _binom_sf, which evaluates the
 regularized incomplete beta function directly (scipy.special.betainc).
+
+The eTTR formula and the stopping and risk tests take the holders' order
+statistics: their count n, the k-th best expected rate (kth_best_rate) and
+the download parallelism l, pinned or derived from the median uplink
+(median_parallel).  The simulator reads those from its own arrays;
+backup_complete, estimate_ttr and default_parallel check (availability,
+uplink) pairs and compute the same statistics from them.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,19 +156,40 @@ def fixed_redundancy_n(k: int, a: float, target: float, ceiling: int = 100_000, 
     return hi
 
 
+def kth_best_rate(avail: np.ndarray, uplink: np.ndarray, k: int) -> float:
+    """The k-th best expected upload rate a_i * u_i of n >= k holders, given
+    as availability and uplink arrays, as a Python float."""
+    return np.sort(avail * uplink).item(avail.size - k)
+
+
+def median_parallel(d0: float, uplink: np.ndarray, k: int) -> int:
+    """Derived download parallelism l = min(k, max(1, floor(d0 / median))) of
+    the holder uplink array; 1 with no holders.  The median is exact: the
+    middle uplink, or (a + b) / 2 of the middle two, in Python floats, as
+    statistics.median and np.median compute it."""
+    n = uplink.size
+    if n == 0:
+        return 1
+    ranked, mid = np.sort(uplink), n // 2
+    median = ranked.item(mid) if n % 2 else (ranked.item(mid - 1) + ranked.item(mid)) / 2
+    return min(k, max(1, int(d0 // median)))
+
+
+def rate_ettr(o: float, d0: float, rate: float, parallel: int) -> float:
+    """eTTR in seconds from the k-th best expected rate and l:
+    max(o / d0, o / (l * rate)), and inf when the rate is zero."""
+    if rate <= 0:
+        return math.inf
+    return max(o / d0, o / (parallel * rate))
+
+
 def default_parallel(d0: float, holder_uplinks, k: int) -> int:
     """Download parallelism that roughly saturates the owner downlink:
-    min(k, max(1, floor(d0 / median holder uplink))).
-
-    holder_uplinks is a sequence or array of bytes/s.  The median is exact:
-    the middle uplink, or (a + b) / 2 of the middle two, as np.median
-    computes it."""
-    uplinks = np.asarray(holder_uplinks, dtype=float).tolist()
-    if not uplinks:
-        return 1
-    if not all(u > 0 for u in uplinks):  # so that a nan fails too, before the sort
+    median_parallel over holder_uplinks, a sequence or array of bytes/s."""
+    uplinks = np.asarray(holder_uplinks, dtype=float)
+    if uplinks.size and not uplinks.min() > 0:  # negated so that a nan fails too
         raise ValueError("holder uplinks must be positive")
-    return min(k, max(1, int(d0 // statistics.median(uplinks))))
+    return median_parallel(d0, uplinks, k)
 
 
 def estimate_ttr(o: float, d0: float, holders, k: int, parallel: int | None = None) -> float:
@@ -179,12 +206,8 @@ def estimate_ttr(o: float, d0: float, holders, k: int, parallel: int | None = No
     avail, uplink = _holder_arrays(holders)
     if len(avail) < k:
         raise InsufficientHoldersError(f"{len(avail)} holders < k={k}")
-    rates = np.sort(avail * uplink)[::-1]
-    rate_j = float(rates[k - 1])
-    l = parallel if parallel is not None else default_parallel(d0, uplink, k)
-    if rate_j <= 0:
-        return math.inf
-    return max(o / d0, o / (l * rate_j))
+    l = parallel if parallel is not None else median_parallel(d0, uplink, k)
+    return rate_ettr(o, d0, kth_best_rate(avail, uplink, k), l)
 
 
 def data_loss_probability(n: int, k: int, t_elapsed: float, mean_lifetime: float) -> float:
@@ -217,11 +240,23 @@ def loss_risk(n: int, k: int, ettr_seconds: float, thresholds: AdaptiveThreshold
     return data_loss_probability(n, k, t_days, thresholds.mean_lifetime_days)
 
 
+def within_loss_cap(n: int, k: int, ettr_seconds: float, thresholds: AdaptiveThresholds) -> bool:
+    """The risk test: the loss probability over w + eTTR with n holders is at
+    most loss_cap."""
+    return loss_risk(n, k, ettr_seconds, thresholds) <= thresholds.loss_cap
+
+
+def caps_met(n: int, k: int, ettr_seconds: float, min_ttr_seconds: float, thresholds: AdaptiveThresholds) -> bool:
+    """The stopping test for n >= k holders: eTTR is at most
+    max(ttr_floor, ttr_factor * minTTR), and then within_loss_cap."""
+    cap = max(thresholds.ttr_floor_days * SECONDS_PER_DAY, thresholds.ttr_factor * min_ttr_seconds)
+    return ettr_seconds <= cap and within_loss_cap(n, k, ettr_seconds, thresholds)
+
+
 def backup_complete(o: float, d0: float, min_ttr_seconds: float, holders, k: int,
                     thresholds: AdaptiveThresholds) -> bool:
     """Adaptive stopping decision: True once the placed fragments are restorable
-    (n >= k), eTTR passes max(ttr_floor, ttr_factor * minTTR), and the loss
-    probability over w + eTTR passes loss_cap.
+    (n >= k) and caps_met holds for their eTTR.
 
     Note the coupling when thresholds.parallel is None: the derived l depends
     on the holder uplink median, so adding a fast holder can shrink l and raise
@@ -231,8 +266,4 @@ def backup_complete(o: float, d0: float, min_ttr_seconds: float, holders, k: int
     n = len(holders)
     if n < k:
         return False
-    ettr = estimate_ttr(o, d0, holders, k, thresholds.parallel)
-    cap = max(thresholds.ttr_floor_days * SECONDS_PER_DAY, thresholds.ttr_factor * min_ttr_seconds)
-    if not ettr <= cap:
-        return False
-    return loss_risk(n, k, ettr, thresholds) <= thresholds.loss_cap
+    return caps_met(n, k, estimate_ttr(o, d0, holders, k, thresholds.parallel), min_ttr_seconds, thresholds)

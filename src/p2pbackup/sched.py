@@ -33,6 +33,11 @@ class ProblemFormatError(ValueError):
     """Raised for malformed problem instance files."""
 
 
+def _integral(value) -> bool:
+    """True for a finite real number with no fractional part."""
+    return isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)
+
+
 @dataclass(frozen=True)
 class TransferProblem:
     """One backup or restore task over an availability matrix.
@@ -55,7 +60,7 @@ class TransferProblem:
     def __post_init__(self):
         for name in ("owner", "x", "owner_rate", "peer_rate", "per_peer_cap"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)):
+            if not _integral(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.direction not in (BACKUP, RESTORE):
@@ -69,6 +74,9 @@ class TransferProblem:
         if self.direction == RESTORE:
             if not self.storage_set:
                 raise ValueError("restore problems need a non-empty storage_set")
+            bad = [i for i in self.storage_set if not _integral(i)]
+            if bad:
+                raise ValueError(f"storage_set must hold integers, got {bad[0]!r}")
             storage = frozenset(int(i) for i in self.storage_set)
             if self.owner in storage:
                 raise ValueError("owner cannot be in the storage_set")

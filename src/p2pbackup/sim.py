@@ -28,11 +28,12 @@ import numpy as np
 from .redundancy import (
     SECONDS_PER_DAY,
     AdaptiveThresholds,
-    backup_complete,
-    default_parallel,
-    estimate_ttr,
+    caps_met,
     fixed_redundancy_n,
-    loss_risk,
+    kth_best_rate,
+    median_parallel,
+    rate_ettr,
+    within_loss_cap,
 )
 from .trace import AvailabilityMatrix
 
@@ -476,17 +477,24 @@ class Simulation:
         self.placed_count[owner] += 1
         self._forget(owner)
 
-    def _profiles(self, owner: int) -> list[tuple[float, float]]:
-        # .tolist gives Python floats, from which redundancy builds its arrays faster than from numpy scalars
-        held = self.placed[owner] >= 0
-        return list(zip(self.avail[held].tolist(), self.uplink[held].tolist()))
+    def _parallel(self, owner: int, uplink: np.ndarray) -> int:
+        """The owner's restore parallelism l over holders with these uplinks:
+        pinned, or derived from their median."""
+        return self.thresholds.parallel or median_parallel(self.downlink.item(owner), uplink, self.k)
 
     def _ettr(self, owner: int) -> float:
-        """eTTR of the owner's current placements; nan below k holders."""
+        """eTTR of the owner's current placements; nan below k holders.
+
+        The holders' statistics are read from the placed row and the avail and
+        uplink vectors, with none of estimate_ttr's range checks on each call:
+        avail is a row mean of trace bits, so in [0, 1], and sample_bandwidth
+        clamps every uplink to at least 1e-6, even from a CDF of zeros."""
         if self.placed_count.item(owner) < self.k:
             return math.nan
-        return estimate_ttr(self.o, self.downlink.item(owner), self._profiles(owner), self.k,
-                            self.thresholds.parallel)
+        held = self.placed[owner] >= 0
+        uplink = self.uplink[held]
+        return rate_ettr(self.o, self.downlink.item(owner), kth_best_rate(self.avail[held], uplink, self.k),
+                         self._parallel(owner, uplink))
 
     def _at_risk(self, owner: int) -> bool:
         """True while the owner's placements fail the loss cap over w + eTTR
@@ -495,8 +503,8 @@ class Simulation:
         at_risk = self.at_risk.item(owner)
         if at_risk < 0:
             ettr = self._ettr(owner)
-            at_risk = self.at_risk[owner] = math.isnan(ettr) or bool(
-                loss_risk(self.placed_count.item(owner), self.k, ettr, self.thresholds) > self.thresholds.loss_cap)
+            at_risk = self.at_risk[owner] = math.isnan(ettr) or not within_loss_cap(
+                self.placed_count.item(owner), self.k, ettr, self.thresholds)
         return bool(at_risk)
 
     def _needs_fragments(self, owner: int) -> bool:
@@ -508,14 +516,13 @@ class Simulation:
         exact: its other inputs (o, the owner's downlink and minTTR, k, the
         thresholds, each holder's availability and uplink) are run constants.
         """
+        n = self.placed_count.item(owner)
         if self.config.redundancy_policy == FIXED:
-            return self.placed_count.item(owner) < self.fixed_n
+            return n < self.fixed_n
         needs = self.needs.item(owner)
         if needs < 0:
-            needs = self.needs[owner] = not backup_complete(
-                self.o, float(self.downlink[owner]), float(self.min_ttr[owner]),
-                self._profiles(owner), self.k, self.thresholds,
-            )
+            needs = self.needs[owner] = n < self.k or not caps_met(n, self.k, self._ettr(owner),
+                                                                   self.min_ttr.item(owner), self.thresholds)
         return bool(needs)
 
     def _open(self, kind: int, src, dst, owner, frags) -> None:
@@ -790,7 +797,7 @@ class Simulation:
         if have >= self.k:
             return
         row = self.placed[owner]
-        parallel = self.thresholds.parallel or default_parallel(self.downlink[owner], self.uplink[row >= 0], self.k)
+        parallel = self._parallel(owner, self.uplink[row >= 0])
         online = np.append(self._online(slot_idx), True)  # SERVER = -1 reads the appended True
         # each draw moves one placed id from free to busy, so the shortfall is the same after the draws
         short = self.k - have - np.count_nonzero(~busy[row[row >= 0]])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,22 @@ def test_problem_stores_integral_counts_as_int(fig_matrix):
                         peer_rate=np.int32(1), per_peer_cap=True)
     assert [type(v) for v in (p.owner, p.x, p.owner_rate, p.peer_rate, p.per_peer_cap)] == [int] * 5
     assert sched.optimal_completion(p).completion == 3
+
+
+@pytest.mark.parametrize("ids, bad", [
+    ({1.5, 2.7}, "1.5"), ({1, 2.5}, "2.5"), ({math.nan}, "nan"), ({1, math.inf}, "inf"), ({-math.inf}, "-inf"),
+    ({"1"}, "'1'"), ({None}, "None"),
+])
+def test_problem_rejects_non_integral_storage_ids(fig_matrix, ids, bad):
+    with pytest.raises(ValueError, match=re.escape(f"storage_set must hold integers, got {bad}")):
+        TransferProblem(matrix=fig_matrix, owner=0, direction=RESTORE, x=1, storage_set=ids)
+
+
+def test_problem_stores_integral_storage_ids_as_int(fig_matrix):
+    p = TransferProblem(matrix=fig_matrix, owner=0, direction=RESTORE, x=2,
+                        storage_set={1.0, np.int64(2), np.float64(3)})
+    assert p.storage_set == frozenset({1, 2, 3}) and {type(i) for i in p.storage_set} == {int}
+    assert p.candidates == (1, 2, 3)
 
 
 def test_candidates_backup_is_everyone_else(fig_problem):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from p2pbackup import report as rep
 from p2pbackup import sim as psim
 from p2pbackup import trace
-from p2pbackup.redundancy import backup_complete
+from p2pbackup import redundancy as red
+from p2pbackup.redundancy import backup_complete, default_parallel, estimate_ttr, loss_risk
 from p2pbackup.sim import SERVER, SimConfig, Simulation
 import differential
 from conftest import allocate_rows, link_loads, make_matrix, recorded_allocations
@@ -1503,9 +1504,9 @@ def test_cached_stopping_rule_matches_uncached(spread_cdf_file, monkeypatch, par
 
     def counted(*args):
         evaluations.append(args)
-        return backup_complete(*args)
+        return red.caps_met(*args)
 
-    monkeypatch.setattr(psim, "backup_complete", counted)
+    monkeypatch.setattr(psim, "caps_met", counted)
     config = cfg(
         spread_cdf_file,
         redundancy_policy="adaptive",
@@ -1537,6 +1538,168 @@ def test_stopping_rule_follows_a_holder_swap(flat_cdf_file):
     assert s._needs_fragments(0)
     reserve_and_place(s, 0, 3, 4)
     assert not s._needs_fragments(0)
+
+
+class PublicRuleSimulation(Simulation):
+    """Checks the simulator's stopping rule, eTTR, risk test and restore
+    parallelism, at every evaluation, against backup_complete, estimate_ttr,
+    loss_risk and default_parallel on the owner's (availability, uplink)
+    profiles, bit for bit, and records in seen which cases the run reached."""
+
+    def __init__(self, config, matrix):
+        super().__init__(config, matrix)
+        self.seen = set()
+        self.restoring = False
+
+    def _profiles(self, owner):
+        return [(self.avail.item(h), self.uplink.item(h)) for h in sorted(placements_of(self, owner).values())]
+
+    def _needs_fragments(self, owner):
+        needs = super()._needs_fragments(owner)
+        if self.config.redundancy_policy == psim.ADAPTIVE:
+            assert needs == (not backup_complete(self.o, self.downlink.item(owner), self.min_ttr.item(owner),
+                                                 self._profiles(owner), self.k, self.thresholds))
+        return needs
+
+    def _ettr(self, owner):
+        ettr = super()._ettr(owner)
+        profiles = self._profiles(owner)
+        if len(profiles) < self.k:
+            assert math.isnan(ettr)
+            return ettr
+        expected = estimate_ttr(self.o, self.downlink.item(owner), profiles, self.k, self.thresholds.parallel)
+        assert type(ettr) is float and ettr.hex() == expected.hex()
+        rates, uplinks = [a * u for a, u in profiles], [u for _, u in profiles]
+        self.seen.add(("even" if len(profiles) % 2 == 0 else "odd") + " holders")
+        self.seen.update(case for case, reached in (
+            ("infinite eTTR", math.isinf(ettr)),
+            ("zero-availability holder", min(a for a, _ in profiles) == 0.0),
+            ("tied rates", len(set(rates)) < len(rates)),
+            ("tied uplinks", len(set(uplinks)) < len(uplinks))) if reached)
+        return ettr
+
+    def _at_risk(self, owner):
+        at_risk = super()._at_risk(owner)
+        ettr = self._ettr(owner)
+        assert at_risk == (math.isnan(ettr) or loss_risk(len(self._profiles(owner)), self.k, ettr, self.thresholds)
+                           > self.thresholds.loss_cap)
+        self.seen.add("risk test")
+        return at_risk
+
+    def _parallel(self, owner, uplink):
+        parallel = super()._parallel(owner, uplink)
+        holders = [u for _, u in self._profiles(owner)]
+        assert sorted(uplink.tolist()) == sorted(holders)
+        expected = self.thresholds.parallel or default_parallel(self.downlink.item(owner), holders, self.k)
+        assert type(parallel) is int and parallel == expected
+        self.seen.add(("pinned" if self.thresholds.parallel else "derived") + (" restore" if self.restoring else "")
+                      + " l")
+        return parallel
+
+    def _restore_step(self, owner, slot_idx):
+        self.restoring = True
+        try:
+            super()._restore_step(owner, slot_idx)
+        finally:
+            self.restoring = False
+
+
+def public_rule_run(cdf_file, peers, slots, k, seed, zeroed=0, tie_avail=False, **overrides):
+    """The PublicRuleSimulation of one adaptive run, after setting the
+    availability of zeroed peers to 0 and, with tie_avail, rounding every
+    availability to one decimal; the simulator reads avail at each use."""
+    config = cfg(cdf_file, redundancy_policy="adaptive", object_size=k * (int(UP_SLOT) // 4),
+                 storage_quota=3 * int(UP_SLOT), delay_mean_days=1.0, repair_timeout_days=0.25, seed=seed,
+                 **overrides)
+    simulation = PublicRuleSimulation(config, trace.synth_trace(peers, slots, availability=(0.3, 0.9), seed=seed))
+    if tie_avail:
+        simulation.avail[:] = np.round(simulation.avail, 1)
+    simulation.avail[simulation.P - zeroed:] = 0.0
+    simulation.run()
+    return simulation
+
+
+@pytest.fixture(scope="module")
+def tied_cdf_file(tmp_path_factory):
+    """Two-valued bandwidth table: nearly every uplink is 50 or 100 kB/s."""
+    path = tmp_path_factory.mktemp("bw") / "tied.csv"
+    path.write_text("0.0,50000\n0.5,50000\n0.5001,100000\n1.0,100000\n")
+    return str(path)
+
+
+@given(
+    peers=st.integers(4, 10),
+    slots=st.integers(24, 72),
+    k=st.integers(1, 4),
+    cdf=st.sampled_from(["flat", "tied", "spread"]),
+    zeroed=st.integers(0, 3),
+    tie_avail=st.booleans(),
+    parallel=st.sampled_from([0, 1, 3]),
+    loss_cap=st.sampled_from([1.0]) | st.floats(1e-8, 0.5),
+    ttr_floor_days=st.sampled_from([0.0, math.inf]) | st.floats(0.0, 0.1),
+    ttr_factor=st.floats(0.5, 4.0),
+    w_days=st.floats(0.0, 3.0),
+    lifetime=st.sampled_from([0.0, 1.0, 5.0]),
+    response=st.sampled_from(["immediate", "delayed", "delayed_assisted"]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_simulator_rule_is_the_public_rule(flat_cdf_file, tied_cdf_file, spread_cdf_file, peers, slots, k, cdf,
+                                           zeroed, tie_avail, parallel, loss_cap, ttr_floor_days, ttr_factor,
+                                           w_days, lifetime, response, seed):
+    cdf_file = {"flat": flat_cdf_file, "tied": tied_cdf_file, "spread": spread_cdf_file}[cdf]
+    public_rule_run(cdf_file, peers, slots, k, seed, zeroed, tie_avail, parallel_downloads=parallel,
+                    loss_cap=loss_cap, ttr_floor_days=ttr_floor_days, ttr_factor=ttr_factor, w_days=w_days,
+                    mean_lifetime_days=lifetime, response=response)
+
+
+def test_public_rule_check_reaches_every_case(flat_cdf_file, tied_cdf_file, spread_cdf_file):
+    seen = set()
+    for cdf_file, k, zeroed, tie_avail, overrides in (
+            (spread_cdf_file, 3, 0, False, dict(mean_lifetime_days=2.0)),
+            (spread_cdf_file, 2, 0, False, dict(mean_lifetime_days=2.0, response="delayed_assisted",
+                                                parallel_downloads=2, loss_cap=1.0)),
+            (tied_cdf_file, 3, 3, True, dict(mean_lifetime_days=2.0, ttr_floor_days=math.inf)),
+            (flat_cdf_file, 1, 1, False, dict(mean_lifetime_days=5.0, loss_cap=1e-2))):
+        seen |= public_rule_run(cdf_file, 10, 72, k, 11, zeroed, tie_avail, **overrides).seen
+    assert seen >= {"odd holders", "even holders", "infinite eTTR", "zero-availability holder", "tied rates",
+                    "tied uplinks", "pinned l", "derived l", "derived restore l", "risk test"}, seen
+
+
+def test_holder_statistics_need_no_range_checks(tmp_path):
+    # _ettr reads avail and uplink without estimate_ttr's range checks; these
+    # are the reasons it need not run them
+    zeros = tmp_path / "zeros.csv"
+    zeros.write_text("0.0,0\n1.0,0\n")
+    config = cfg(str(zeros), redundancy_policy="adaptive", mean_lifetime_days=2.0, seed=2)
+    uplink, downlink = psim.sample_bandwidth(config, 50, np.random.default_rng(1))
+    assert uplink.min() >= 1e-6 and downlink.min() >= 4e-6  # sample_bandwidth clamps a zero uplink
+    s = PublicRuleSimulation(config, make_matrix(["0" * 48, "1" * 48] + ["01" * 24] * 4))
+    assert s.uplink.min() >= 1e-6
+    assert s.avail.tolist() == [0.0, 1.0] + [0.5] * 4  # row means of the bits, in [0, 1]
+    # on clamped uplinks and a zero availability, the simulator's rule still
+    # passes the public functions' checks and agrees with them
+    place(s, 2, [0, 1, 3, 4, 5])
+    assert s._needs_fragments(2) and math.isfinite(s._ettr(2)) and s._at_risk(2)
+    assert s.seen >= {"odd holders", "zero-availability holder", "derived l", "risk test"}
+
+
+@pytest.mark.parametrize("response", ["immediate", "delayed", "delayed_assisted"])
+def test_run_calls_assisted_repair_check_once_per_slot(spread_cdf_file, response):
+    # the benchmark takes per-slot latencies from the gaps between these calls
+    config = cfg(spread_cdf_file, redundancy_policy="adaptive", response=response, mean_lifetime_days=1.0,
+                 delay_mean_days=0.5, repair_timeout_days=0.25, seed=5)
+    simulation = Simulation(config, trace.synth_trace(10, 48, availability=(0.4, 0.9), seed=5))
+    calls, check = [], simulation.assisted_repair_check
+
+    def stamped(slot_idx, now):
+        calls.append((slot_idx, now))
+        return check(slot_idx, now)
+
+    simulation.assisted_repair_check = stamped
+    report = simulation.run()
+    assert report.crashes
+    assert calls == [(t, t * simulation.slot) for t in range(simulation.T)]
 
 
 # ------------------------------------------------------------ assisted repair

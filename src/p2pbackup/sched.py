@@ -362,9 +362,14 @@ def write_problem_file(problem: TransferProblem, path, matrix_path) -> None:
         fh.write(" ".join(parts) + "\n")
 
 
+_PROBLEM_KEYS = frozenset({"matrix", "owner", "direction", "x", "u0", "m", "peer_rate", "storage"})
+
+
 def read_problem_file(path) -> TransferProblem:
     """Read a problem instance file: whitespace-separated key=value tokens,
-    # comments allowed; the matrix= path is resolved relative to the file."""
+    # comments allowed; the matrix= path is resolved relative to the file.
+    The keys are matrix, owner, direction, x and u0, plus optional m,
+    peer_rate and storage; any other key is an error."""
     pairs: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -375,6 +380,8 @@ def read_problem_file(path) -> TransferProblem:
                 if "=" not in token:
                     raise ProblemFormatError(f"line {lineno}: expected key=value, got {token!r}")
                 key, value = token.split("=", 1)
+                if key not in _PROBLEM_KEYS:
+                    raise ProblemFormatError(f"line {lineno}: unknown key {key!r}")
                 pairs[key] = value
     required = {"matrix", "owner", "direction", "x", "u0"}
     missing = required - pairs.keys()
@@ -382,10 +389,8 @@ def read_problem_file(path) -> TransferProblem:
         raise ProblemFormatError(f"missing keys: {', '.join(sorted(missing))}")
     matrix_path = os.path.join(os.path.dirname(os.path.abspath(path)), pairs["matrix"])
     matrix = read_matrix_file(matrix_path)
-    storage = None
-    if "storage" in pairs and pairs["storage"]:
-        storage = frozenset(int(tok) for tok in pairs["storage"].split(","))
     try:
+        storage = frozenset(map(int, pairs["storage"].split(","))) if pairs.get("storage") else None
         return TransferProblem(
             matrix=matrix,
             owner=int(pairs["owner"]),

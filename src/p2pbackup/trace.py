@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 import re
-from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import islice, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +21,12 @@ LOGIN = "login"
 LOGOFF = "logoff"
 _KINDS = (LOGIN, LOGOFF)
 _KIND_CODE = {LOGIN: 0, LOGOFF: 1}
+_PEER, _STAMP, _KIND = itemgetter(0), itemgetter(1), itemgetter(2)
+
+# parse_events reads a log _BATCH lines at a time and slotize expands _BATCH
+# sessions at a time, so their transient memory is bounded by a batch
+# rather than by the log.
+_BATCH = 4096
 
 DEFAULT_SLOT_SECONDS = 3600.0
 DEFAULT_MIN_UPTIME = 4.0 / 24.0
@@ -110,9 +116,10 @@ def _check_record(lineno: int, text: str) -> None:
         raise TraceFormatError(f"line {lineno}: negative timestamp {ts_text}")
 
 
-def _split_records(records):
-    """(sorted distinct peer ids, peer codes, timestamps, kind codes) of the
-    records, or None if any record fails _check_record."""
+def _split_records(records, ids: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(peer codes, timestamps, kind codes) of the records, or None if any
+    record fails _check_record.  ids numbers the peer ids in order of first
+    appearance; the records' new ids are added to it."""
     if any(text.count(",") != 2 for text in records):
         return None
     fields = list(map(str.strip, ",".join(records).split(",")))
@@ -126,19 +133,14 @@ def _split_records(records):
         return None
     if not ((timestamps >= 0) & (timestamps < math.inf)).all():
         return None
-    return (*_peer_codes(peers), timestamps, _kind_codes(kinds))
+    for pid in dict.fromkeys(peers):
+        ids.setdefault(pid, len(ids))
+    return np.fromiter(map(ids.__getitem__, peers), np.intp, len(peers)), timestamps, _kind_codes(kinds, len(kinds))
 
 
-def _kind_codes(kinds) -> np.ndarray:
-    """0 for LOGIN, 1 for LOGOFF, 2 for anything else."""
-    return np.fromiter(map(_KIND_CODE.get, kinds, repeat(2)), np.int8, len(kinds))
-
-
-def _peer_codes(peers) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sorted distinct peer ids, and each peer's index among them."""
-    peer_ids = tuple(sorted(set(peers)))
-    index = {pid: i for i, pid in enumerate(peer_ids)}
-    return peer_ids, np.fromiter(map(index.__getitem__, peers), np.intp, len(peers))
+def _kind_codes(kinds, count: int) -> np.ndarray:
+    """0 for LOGIN, 1 for LOGOFF, 2 for anything else, of count kinds."""
+    return np.fromiter(map(_KIND_CODE.get, kinds, repeat(2)), np.int8, count)
 
 
 def _group_heads(code: np.ndarray) -> np.ndarray:
@@ -158,20 +160,30 @@ def parse_events(lines) -> tuple[list[AvailabilityEvent], list[str]]:
     a warning.  Returns (events, warnings).  A malformed record raises
     TraceFormatError naming the first bad line.
     """
-    records, linenos = [], array("q")
-    for lineno, text in enumerate(map(str.strip, lines), start=1):
-        if text and not text.startswith("#"):
-            records.append(text)
-            linenos.append(lineno)
-    if not records:
+    # _BATCH lines at a time, so that only one batch of line texts is held
+    ids, columns = {}, []
+    lines, first_lineno = iter(lines), 1
+    while batch := list(islice(lines, _BATCH)):
+        records = [text for text in map(str.strip, batch) if text and not text.startswith("#")]
+        if records:
+            split = _split_records(records, ids)
+            if split is None:
+                for lineno, text in enumerate(map(str.strip, batch), start=first_lineno):
+                    if text and not text.startswith("#"):
+                        _check_record(lineno, text)
+            columns.append(split)
+        first_lineno += len(batch)
+    if not columns:
         return [], []
-    split = _split_records(records)
-    if split is None:
-        for lineno, text in zip(linenos, records):
-            _check_record(lineno, text)
-    del records, linenos
-    uniq, code, ts, kind = split
-    del split
+    code, ts, kind = map(np.concatenate, zip(*columns))
+    del columns
+    # recode the peers from order of first appearance to sorted order
+    first_seen = list(ids)
+    by_id = sorted(range(len(first_seen)), key=first_seen.__getitem__)
+    uniq = tuple(map(first_seen.__getitem__, by_id))
+    rank = np.empty(len(by_id), dtype=np.intp)
+    rank[by_id] = np.arange(len(by_id))
+    code = rank[code]
 
     # (timestamp, peer_id) order, ties in input order
     order = np.lexsort((code, ts))
@@ -186,6 +198,7 @@ def parse_events(lines) -> tuple[list[AvailabilityEvent], list[str]]:
     keep = np.empty(len(by_peer), dtype=bool)
     keep[by_peer] = head | (peer_kind != np.roll(peer_kind, 1))
     orphans = np.sort(by_peer[head & (peer_kind == 1)])
+    del order, by_peer, peer_kind
     epoch_logins = code[orphans]
     warnings = [
         f"peer {uniq[c]}: logoff at {t:g} before any login; assuming login at epoch"
@@ -226,22 +239,25 @@ def slotize(events, slot_seconds: float = DEFAULT_SLOT_SECONDS, num_slots: int |
     times, as parse_events output does; otherwise ValueError names the peer.
     """
     _check_slot_seconds(slot_seconds)
-    peers, stamps, kinds = zip(*events) if events else ((), (), ())
     if num_slots is None:
         if not events:
             raise ValueError("cannot infer num_slots from an empty event list")
-        horizon = max(stamps)
+        horizon = max(map(_STAMP, events))
         num_slots = max(1, math.ceil(horizon / slot_seconds))
     if num_slots <= 0:
         raise ValueError("num_slots must be positive")
 
     horizon = num_slots * slot_seconds
-    peer_ids, code = _peer_codes(peers)
+    # each column is read straight from the events, which must be a sequence
+    peer_ids = tuple(sorted(set(map(_PEER, events))))
+    index = {pid: i for i, pid in enumerate(peer_ids)}
+    code = np.fromiter(map(index.__getitem__, map(_PEER, events)), np.intp, len(events))
     # each peer's events together, in list order
     order = np.argsort(code, kind="stable")
     code = code[order]
-    ts = np.array(stamps, dtype=float)[order]
-    kind = _kind_codes(kinds)[order]
+    ts = np.fromiter(map(_STAMP, events), float, len(events))[order]
+    kind = _kind_codes(map(_KIND, events), len(events))[order]
+    del order
     head = _group_heads(code)
     bad = ~(ts >= 0) | (head[:-1] & (kind != 0))
     bad[1:] |= ~head[1:-1] & ((kind[1:] + kind[:-1] != 1) | ~(ts[1:] >= ts[:-1]))
@@ -258,19 +274,22 @@ def slotize(events, slot_seconds: float = DEFAULT_SLOT_SECONDS, num_slots: int |
     start = ts[login]
     live = stop > start
     row, start, stop = code[login][live], start[live], stop[live]
+    del code, ts, kind, head, login, end, live  # so the cell pass does not hold them
 
-    # one cell per (session, overlapped slot), sessions in list order
+    # one cell per (session, overlapped slot), sessions in list order, _BATCH
+    # sessions at a time; add.at sums each cell in the order given, which
+    # keeps the float sums those of a per-session loop
     first = np.floor_divide(start, slot_seconds).astype(np.intp)
     last = np.minimum(np.ceil(stop / slot_seconds).astype(np.intp) - 1, num_slots - 1)
     width = np.maximum(last - first + 1, 0)
-    session = np.repeat(np.arange(len(width)), width)
-    t = np.arange(len(session)) - np.repeat(np.cumsum(width) - width - first, width)
-    lo = np.maximum(start[session], t * slot_seconds)
-    hi = np.minimum(stop[session], (t + 1) * slot_seconds)
     coverage = np.zeros((len(peer_ids), num_slots))
-    # add.at sums each cell in the order given, which keeps the float sums
-    # those of a per-session loop
-    np.add.at(coverage, (row[session], t), np.where(hi > lo, hi - lo, 0.0))
+    for s in range(0, len(width), _BATCH):
+        w = width[s:s + _BATCH]
+        session = np.repeat(np.arange(s, s + len(w)), w)
+        t = np.arange(len(session)) - np.repeat(np.cumsum(w) - w - first[s:s + _BATCH], w)
+        lo = np.maximum(start[session], t * slot_seconds)
+        hi = np.minimum(stop[session], (t + 1) * slot_seconds)
+        np.add.at(coverage, (row[session], t), np.where(hi > lo, hi - lo, 0.0))
 
     bits = (coverage >= slot_seconds / 2).astype(np.uint8)
     return AvailabilityMatrix(bits=bits, slot_seconds=slot_seconds, peer_ids=peer_ids)
@@ -392,4 +411,7 @@ def read_matrix_file(path) -> AvailabilityMatrix:
             if len(line) != slots or set(line) - {"0", "1"}:
                 raise TraceFormatError(f"line {i + 2}: expected {slots} characters of 0/1")
             bits[i] = np.frombuffer(line.encode("ascii"), dtype=np.uint8) - ord("0")
+        for lineno, line in enumerate(fh, start=peers + 2):
+            if line.strip():
+                raise TraceFormatError(f"line {lineno}: expected no more rows after the {peers} declared")
     return AvailabilityMatrix(bits=bits, slot_seconds=slot_seconds)

@@ -3,7 +3,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from p2pbackup import sim
+from p2pbackup import sim, trace
 from p2pbackup.sched import BACKUP, TransferProblem
 from p2pbackup.trace import AvailabilityMatrix
 
@@ -12,6 +12,36 @@ def make_matrix(rows, slot_seconds=3600.0, peer_ids=None):
     """Build an availability matrix from '0'/'1' strings, one row per peer."""
     bits = np.array([[int(c) for c in row] for row in rows], dtype=np.uint8)
     return AvailabilityMatrix(bits=bits, slot_seconds=slot_seconds, peer_ids=peer_ids)
+
+
+def synth_event_log(peers, slots, seed, slot_seconds=3600.0):
+    """(lines, bits): a login/logoff log, in time order, whose slotization is
+    exactly bits, a synth_trace matrix with diurnal correlation.
+
+    Each run of online slots is one session that starts up to a quarter slot
+    late and ends up to a quarter slot early; one login in 20 is logged
+    twice, and one offline slot in 10 gets a blip shorter than half a slot.
+    """
+    bits = trace.synth_trace(peers, slots, availability=(0.3, 0.7), diurnal_amplitude=0.5, weekend_factor=0.8,
+                             slot_seconds=slot_seconds, seed=seed).bits
+    rng = np.random.default_rng(seed)
+    events = []
+    for i, row in enumerate(bits):
+        pid = f"peer{i:04d}"
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], row, [0])).astype(np.int8)))
+        for a, b in zip(edges[::2].tolist(), edges[1::2].tolist()):
+            start = (a + 0.25 * rng.random()) * slot_seconds
+            events.append((start, pid, "login"))
+            if rng.random() < 0.05:
+                events.append((start + 1.0, pid, "login"))
+            events.append(((b - 0.25 * rng.random()) * slot_seconds, pid, "logoff"))
+        for t in np.flatnonzero(row == 0).tolist():
+            if rng.random() < 0.1:
+                start = (t + 0.1 + 0.3 * rng.random()) * slot_seconds
+                events += [(start, pid, "login"), (start + 0.3 * slot_seconds, pid, "logoff")]
+    events.sort()
+    lines = ["# peer_id,timestamp_seconds,kind\n"] + [f"{pid},{ts:.3f},{kind}\n" for ts, pid, kind in events]
+    return lines, np.array(bits)
 
 
 def allocate_rows(rows, up_budget, down_budget):

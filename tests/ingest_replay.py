@@ -1,0 +1,83 @@
+"""Time and trace the ingestion of one generated event log: the per-call cost
+and peak memory of ``trace.parse_events`` and ``trace.slotize``.
+
+    PYTHONPATH=src python tests/ingest_replay.py [PEERS SLOTS]
+
+Generates a PEERS x SLOTS log (default 100 x 672, about 35k events, the
+shape of the sim-adaptive benchmark input) whose slotization is a known
+matrix, then:
+
+- parses and slotizes it REPEATS times and prints each step's best time;
+- runs each step once more under ``tracemalloc`` and prints its peak, next
+  to what the step returns (the event list, the matrix);
+- checks the events and warnings against ``loop_parse_events`` and the
+  matrix against ``loop_slotize`` and the generated bits.
+
+Not collected by pytest: the file name has no test_ prefix.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+import tracemalloc
+
+import numpy as np
+
+from p2pbackup import trace
+from conftest import synth_event_log
+from oracles import loop_parse_events, loop_slotize
+
+PEERS, SLOTS = 100, 672
+SEED = 5
+REPEATS = 5
+SLOT_SECONDS = 3600.0
+
+
+def traced(step, *args):
+    """(result, bytes the result holds, peak bytes) of one traced call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = step(*args)
+        held, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def main(argv: list[str]) -> int:
+    peers, slots = (int(a) for a in argv) if argv else (PEERS, SLOTS)
+    lines, bits = synth_event_log(peers, slots, SEED, SLOT_SECONDS)
+    parse_s = slotize_s = np.inf
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        events, warnings = trace.parse_events(lines)
+        t1 = time.perf_counter()
+        matrix = trace.slotize(events, SLOT_SECONDS, slots)
+        t2 = time.perf_counter()
+        parse_s, slotize_s = min(parse_s, t1 - t0), min(slotize_s, t2 - t1)
+    del events, matrix
+    (events, warnings), event_list, parse_peak = traced(trace.parse_events, lines)
+    matrix, _, slotize_peak = traced(trace.slotize, events, SLOT_SECONDS, slots)
+    mb = 1 / 2**20
+    batch = getattr(trace, "_BATCH", None)  # absent in builds that ingest the whole log at once
+    print(f"{peers} peers x {slots} slots: {len(lines)} lines, {len(events)} events, "
+          + (f"batches of {batch}" if batch else "no batches"))
+    print(f"parse_events: {parse_s * 1e3:.1f} ms (best of {REPEATS}), traced peak {parse_peak * mb:.2f} MiB, "
+          f"{parse_peak / event_list:.2f} x the {event_list * mb:.2f}-MiB event list")
+    print(f"slotize: {slotize_s * 1e3:.1f} ms (best of {REPEATS}), traced peak {slotize_peak * mb:.2f} MiB, "
+          f"{(slotize_peak - 8 * bits.size) / len(events):.0f} bytes per event beyond the float coverage matrix")
+    expected, expected_warnings = loop_parse_events(lines)
+    same_events = warnings == expected_warnings and [(p, t.hex(), k) for p, t, k in events] == [
+        (p, t.hex(), k) for p, t, k in expected]
+    oracle_bits, peer_ids = loop_slotize(events, SLOT_SECONDS, slots)
+    same_matrix = (matrix.peer_ids == peer_ids and np.array_equal(matrix.bits, oracle_bits)
+                   and np.array_equal(matrix.bits, bits))
+    print("events and warnings identical to loop_parse_events:", "yes" if same_events else "NO")
+    print("matrix identical to loop_slotize and the generated bits:", "yes" if same_matrix else "NO")
+    return 0 if same_events and same_matrix else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

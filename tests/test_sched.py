@@ -610,6 +610,21 @@ def test_problem_file_missing_keys(tmp_path):
         sched.read_problem_file(path)
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("storage=1,a", "invalid literal for int"),
+    ("storage=1,", "invalid literal for int"),
+    ("storage=1.5", "invalid literal for int"),
+    ("peer_rte=3", "^line 2: unknown key 'peer_rte'$"),
+    ("M=2", "^line 2: unknown key 'M'$"),
+])
+def test_problem_file_rejects_bad_storage_ids_and_unknown_keys(tmp_path, fig_matrix, extra, message):
+    path = tmp_path / "problem.txt"
+    trace.write_matrix_file(fig_matrix, tmp_path / "matrix.txt")
+    path.write_text(f"matrix=matrix.txt owner=0 direction=restore x=2 u0=1\n{extra}\n")
+    with pytest.raises(sched.ProblemFormatError, match=message):
+        sched.read_problem_file(path)
+
+
 def test_schedule_csv_round_trip(tmp_path):
     path = tmp_path / "schedule.csv"
     sched.write_schedule_csv(Schedule(SLOW_ENTRIES), path)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from p2pbackup import trace
-from conftest import make_matrix
+from conftest import make_matrix, synth_event_log
 from oracles import LoopFormatError, loop_parse_events, loop_slotize
 
 
@@ -104,6 +105,29 @@ def event_logs(draw):
 @settings(max_examples=150)
 @given(lines=event_logs())
 def test_parse_matches_the_loop_oracle(lines):
+    check_parse_against_the_loop_oracle(lines)
+
+
+# the random logs hold at most 32 lines, so only small batches split them
+@pytest.mark.parametrize("batch", [1, 2, 7])
+@settings(max_examples=60)
+@given(lines=event_logs())
+def test_parse_matches_the_loop_oracle_across_batches(batch, lines):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace, "_BATCH", batch)
+        check_parse_against_the_loop_oracle(lines)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 4, 4096])
+def test_parse_names_the_first_bad_line_of_a_later_batch(monkeypatch, batch):
+    monkeypatch.setattr(trace, "_BATCH", batch)
+    good = [f"p{i % 3},{i},{('login', 'logoff')[i // 3 % 2]}" for i in range(batch)]
+    lines = good + ["# comment", "p0,1e999,login", "", "p1,x,logoff"]
+    with pytest.raises(trace.TraceFormatError, match=rf"^line {batch + 2}: non-finite timestamp 1e999$"):
+        trace.parse_events(lines)
+
+
+def check_parse_against_the_loop_oracle(lines):
     try:
         expected, expected_warnings = loop_parse_events(lines)
     except LoopFormatError as err:
@@ -172,6 +196,20 @@ def test_slotize_fragmented_uptime_accumulates_within_slot():
 @settings(max_examples=30)
 @given(data=st.data())
 def test_slotize_matches_the_loop_oracle(slot_seconds, data):
+    check_slotize_against_the_loop_oracle(slot_seconds, data)
+
+
+# the random event lists are short, so only small batches split them
+@pytest.mark.parametrize("batch", [1, 2, 7])
+@settings(max_examples=30)
+@given(slot_seconds=st.sampled_from([3600.0, 7.3]), data=st.data())
+def test_slotize_matches_the_loop_oracle_across_batches(batch, slot_seconds, data):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace, "_BATCH", batch)
+        check_slotize_against_the_loop_oracle(slot_seconds, data)
+
+
+def check_slotize_against_the_loop_oracle(slot_seconds, data):
     # session ends on and near slot boundaries, within about 40 slots
     stamp = st.one_of(st.integers(0, 40).map(lambda k: k * slot_seconds), st.floats(0, 40 * slot_seconds))
     record = st.builds(lambda p, t, k: f"{p},{t!r},{k}", PEERS, stamp, st.sampled_from([trace.LOGIN, trace.LOGOFF]))
@@ -198,6 +236,33 @@ def test_slotize_rejects_events_that_do_not_alternate(events):
     events = [trace.AvailabilityEvent("a", 0.0, "login")] + [trace.AvailabilityEvent(*ev) for ev in events]
     with pytest.raises(ValueError, match="^peer 'p1': events must alternate"):
         trace.slotize(events, slot_seconds=3600, num_slots=3)
+
+
+def test_ingest_memory_is_bounded_by_a_batch():
+    # a 100-peer x 672-slot log of about 35k events, like the benchmark's
+    lines, bits = synth_event_log(100, 672, seed=5)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        events, _ = trace.parse_events(lines)
+        event_list, parse_peak = (size - base for size in tracemalloc.get_traced_memory())
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        m = trace.slotize(events, 3600.0, num_slots=672)
+        matrix, slotize_peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(events) > 30_000 and np.array_equal(m.bits, bits)
+    # Whole-log parsing peaked at 3.1 times the event list it returns, and
+    # batched parsing at 1.5 times.
+    assert parse_peak <= 2 * event_list
+    # Besides its float coverage matrix, whole-log slotize held about 140
+    # bytes per event at its peak, and batched slotize about 40.
+    assert slotize_peak - matrix <= m.bits.size * 8 + 64 * len(events)
 
 
 def test_slotize_rejects_bad_arguments():
@@ -399,6 +464,23 @@ def test_read_matrix_rejects_wrong_row_length(tmp_path):
     path.write_text("\n".join(body) + "\n")
     with pytest.raises(trace.TraceFormatError):
         trace.read_matrix_file(path)
+
+
+@pytest.mark.parametrize("tail, lineno", [("garbage\n", 4), ("\n101\n", 5), ("  \n\t\n0", 6)])
+def test_read_matrix_rejects_text_after_the_rows(tmp_path, tail, lineno):
+    path = tmp_path / "m.txt"
+    trace.write_matrix_file(make_matrix(["101", "010"]), path)
+    path.write_text(path.read_text() + tail)
+    with pytest.raises(trace.TraceFormatError, match=f"^line {lineno}: expected no more rows after the 2 declared$"):
+        trace.read_matrix_file(path)
+
+
+def test_read_matrix_allows_blank_lines_after_the_rows(tmp_path):
+    path = tmp_path / "m.txt"
+    m = make_matrix(["101", "010"])
+    trace.write_matrix_file(m, path)
+    path.write_text(path.read_text() + "\n  \n")
+    assert trace.read_matrix_file(path) == trace.AvailabilityMatrix(bits=m.bits)
 
 
 def test_slotized_matrix_survives_serialization(tmp_path):

@@ -5,8 +5,10 @@ of remote peers over a slotted availability trace, moving at most owner_rate
 fragments per slot, at most peer_rate per remote peer per slot, and at most
 per_peer_cap fragments per remote peer overall.  The optimal completion time
 is found by reducing "how many fragments fit in the first T slots" (F(T)) to a
-max-flow problem and searching for the smallest T with F(T) >= x; a randomized
-scheduler and the ideal always-on baseline are provided for comparison.
+max-flow problem and searching for the smallest T with F(T) >= x; a first-fit
+flow that fills every owner slot certifies most F(T) before any solver runs.
+A randomized scheduler and the ideal always-on baseline are provided for
+comparison.
 
 Slots are numbered from 1 in schedules and problem files; slot s corresponds
 to matrix column s - 1.  Peers are matrix row indices.
@@ -237,8 +239,62 @@ def _witness(problem: TransferProblem, T: int, flow: csr_matrix) -> Schedule:
     return Schedule(zip(np.repeat(peers, amounts).tolist(), np.repeat(slots, amounts).tolist()))
 
 
+def _first_fit(problem: TransferProblem, T: int) -> tuple[int, Schedule] | None:
+    """F(T) and its witness when first fit proves them, else None.
+
+    First fit walks the owner-online slots 1..T in order, and each slot sends
+    to its online candidates in index order: to each, the least of the owner
+    rate left, peer_rate and the candidate's cap left.  When every slot sends
+    its full owner_rate, the flow fills every source arc, so it is a maximum
+    flow (max-flow min-cut).  It is then also the flow that the first
+    blocking-flow phase of Dinic's algorithm pushes along the network's arcs
+    in their CSR order, and no later phase finds a path, so `max_flow` returns
+    this flow and the witness is the same.  A slot that falls short gives
+    None.  Peers are bits by row index; candidates come in row order and
+    only their bits are ever set in under_cap.
+    """
+    bits = problem.matrix.bits
+    cols = np.flatnonzero(bits[problem.owner, :T])
+    # one little-endian mask per owner-online slot, bit p set when peer p is online
+    packed = np.packbits(bits.T[cols], axis=1, bitorder="little")
+    width = packed.shape[1]
+    packed = packed.tobytes()
+    masks = [int.from_bytes(packed[i:i + width], "little") for i in range(0, len(packed), width)]
+    if problem.direction == RESTORE:
+        under_cap = sum(1 << p for p in problem.storage_set)
+    else:
+        under_cap = ((1 << problem.matrix.num_peers) - 1) ^ (1 << problem.owner)
+    left = [problem.per_peer_cap] * problem.matrix.num_peers
+    owner_rate, peer_rate = problem.owner_rate, problem.peer_rate
+    entries: list[tuple[int, int]] = []
+    for slot, online in zip((cols + 1).tolist(), masks):
+        want = owner_rate
+        online &= under_cap
+        while want and online:
+            low = online & -online  # the lowest-index candidate online and under its cap
+            peer = low.bit_length() - 1
+            sent = left[peer]  # the least of this, want and peer_rate; compares beat min() here
+            if sent > want:
+                sent = want
+            if sent > peer_rate:
+                sent = peer_rate
+            entries += [(peer, slot)] * sent
+            want -= sent
+            left[peer] -= sent
+            if not left[peer]:
+                under_cap ^= low
+            online ^= low
+        if want:
+            return None
+    return owner_rate * len(cols), Schedule(entries)
+
+
 def max_fragments(problem: TransferProblem, T: int) -> tuple[int, Schedule]:
-    """F(T): the most fragments transferable within slots 1..T, with a witness schedule."""
+    """F(T): the most fragments transferable within slots 1..T, with a witness
+    schedule; first fit's when it certifies F(T), else the max flow's."""
+    certified = _first_fit(problem, T)
+    if certified is not None:
+        return certified
     value, flow = max_flow(build_flow_network(problem, T))
     return value, _witness(problem, T, flow)
 
@@ -246,25 +302,32 @@ def max_fragments(problem: TransferProblem, T: int) -> tuple[int, Schedule]:
 def optimal_completion(problem: TransferProblem) -> ScheduleOutcome:
     """O(x) = min{t : F(t) >= x}, by doubling T from a capacity lower bound and
     then binary searching the bracket.  Infeasibility (F(horizon) < x) is a
-    first-class outcome carrying F(horizon), not an exception.  Probes solve
-    for the flow only; the witness is read once, off the answer's flow."""
+    first-class outcome carrying F(horizon), not an exception.  Probes after
+    the first solve for the flow only; the witness is read once, off the
+    answer's flow."""
     horizon = problem.matrix.num_slots
     lower = ideal_baseline(problem.matrix.bits[problem.owner], problem.x, problem.owner_rate)
     if lower is None:
-        value, _ = max_flow(build_flow_network(problem, horizon))
-        return ScheduleOutcome(False, None, 0, value)
+        return ScheduleOutcome(False, None, 0, max_fragments(problem, horizon)[0])
 
-    # Doubling: F(t) < x for all t < lower by the owner-capacity bound.
-    below = lower - 1
-    T = lower
+    # F(t) < x for all t < lower by the owner-capacity bound.  When first fit
+    # certifies F(lower), F(lower) is that bound, which reaches x there.  When
+    # it falls short at lower, it falls short at every later t too, as its walk
+    # of slots 1..t starts with the same slots, so later probes go to max flow.
+    value, schedule = max_fragments(problem, lower)
+    if value >= problem.x:
+        return ScheduleOutcome(True, schedule, lower, value)
+
+    # Doubling, with F(lower) < x.
+    below = lower
     while True:
+        if below == horizon:
+            return ScheduleOutcome(False, None, 0, value)
+        T = min(2 * below, horizon)
         value, flow = max_flow(build_flow_network(problem, T))
         if value >= problem.x:
             break
-        if T == horizon:
-            return ScheduleOutcome(False, None, 0, value)
         below = T
-        T = min(2 * T, horizon)
 
     # hi always holds a passing T, and (value, flow) is its probe's answer,
     # so the search ends on the answer without solving it again.
@@ -369,8 +432,9 @@ def read_problem_file(path) -> TransferProblem:
     """Read a problem instance file: whitespace-separated key=value tokens,
     # comments allowed; the matrix= path is resolved relative to the file.
     The keys are matrix, owner, direction, x and u0, plus optional m,
-    peer_rate and storage; any other key is an error."""
-    pairs: dict[str, str] = {}
+    peer_rate and storage, each at most once; any other key is an error, and
+    so is a value that does not parse, by its line and key."""
+    pairs: dict[str, tuple[int, str]] = {}  # key -> (line, value)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -382,25 +446,31 @@ def read_problem_file(path) -> TransferProblem:
                 key, value = token.split("=", 1)
                 if key not in _PROBLEM_KEYS:
                     raise ProblemFormatError(f"line {lineno}: unknown key {key!r}")
-                pairs[key] = value
+                if key in pairs:
+                    raise ProblemFormatError(f"line {lineno}: duplicate key {key!r}, first on line {pairs[key][0]}")
+                pairs[key] = (lineno, value)
     required = {"matrix", "owner", "direction", "x", "u0"}
     missing = required - pairs.keys()
     if missing:
         raise ProblemFormatError(f"missing keys: {', '.join(sorted(missing))}")
-    matrix_path = os.path.join(os.path.dirname(os.path.abspath(path)), pairs["matrix"])
-    matrix = read_matrix_file(matrix_path)
+
+    def integer(key: str) -> int:
+        lineno, value = pairs.get(key, (0, "1"))  # the optional integers default to 1
+        try:
+            return int(value)
+        except ValueError:
+            raise ProblemFormatError(f"line {lineno}: {key} must be an integer, got {value!r}") from None
+
+    fields = dict(owner=integer("owner"), x=integer("x"), owner_rate=integer("u0"),
+                  peer_rate=integer("peer_rate"), per_peer_cap=integer("m"))
+    lineno, value = pairs.get("storage", (0, ""))
     try:
-        storage = frozenset(map(int, pairs["storage"].split(","))) if pairs.get("storage") else None
-        return TransferProblem(
-            matrix=matrix,
-            owner=int(pairs["owner"]),
-            direction=pairs["direction"],
-            x=int(pairs["x"]),
-            owner_rate=int(pairs["u0"]),
-            peer_rate=int(pairs.get("peer_rate", 1)),
-            per_peer_cap=int(pairs.get("m", 1)),
-            storage_set=storage,
-        )
+        storage = frozenset(map(int, value.split(","))) if value else None
+    except ValueError as exc:
+        raise ProblemFormatError(f"line {lineno}: storage must be integers separated by commas: {exc}") from None
+    matrix = read_matrix_file(os.path.join(os.path.dirname(os.path.abspath(path)), pairs["matrix"][1]))
+    try:
+        return TransferProblem(matrix=matrix, direction=pairs["direction"][1], storage_set=storage, **fields)
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from exc
 

@@ -166,8 +166,10 @@ class SimConfig:
 
 
 def load_config(path) -> dict[str, str]:
-    """Read a flat key=value config file; # comments and blank lines allowed."""
+    """Read a flat key=value config file; # comments and blank lines allowed,
+    and each key at most once."""
     pairs: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -175,8 +177,10 @@ def load_config(path) -> dict[str, str]:
                 continue
             if "=" not in text:
                 raise ValueError(f"{path}: line {lineno}: expected key=value, got {text!r}")
-            key, value = text.split("=", 1)
-            pairs[key.strip()] = value.strip()
+            key, value = (part.strip() for part in text.split("=", 1))
+            if key in pairs:
+                raise ValueError(f"{path}: line {lineno}: duplicate key {key!r}, first on line {first_line[key]}")
+            pairs[key], first_line[key] = value, lineno
     return pairs
 
 
@@ -189,7 +193,8 @@ def sample_lifetime(mean_days: float, rng) -> float:
 
 def read_bandwidth_cdf(path) -> tuple[np.ndarray, np.ndarray]:
     """Read `quantile,uplink_bytes_per_sec` CSV rows; quantiles must be
-    strictly increasing within [0, 1], and uplinks finite and non-negative."""
+    strictly increasing within [0, 1], and uplinks finite, non-negative and
+    non-decreasing, so the table is an inverse CDF."""
     quantiles, values = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -203,15 +208,17 @@ def read_bandwidth_cdf(path) -> tuple[np.ndarray, np.ndarray]:
                 raise ValueError(f"{path}: line {lineno}: bad CDF row {text!r}") from None
             if not (math.isfinite(q) and math.isfinite(v) and v >= 0):
                 raise ValueError(f"{path}: line {lineno}: CDF row {text!r} needs a finite quantile and uplink >= 0")
+            if not 0 <= q <= 1 or (quantiles and q <= quantiles[-1]):
+                raise ValueError(f"{path}: line {lineno}: CDF row {text!r}: quantiles must be strictly "
+                                 "increasing within [0, 1]")
+            if values and v < values[-1]:
+                raise ValueError(f"{path}: line {lineno}: CDF row {text!r}: the uplink falls below "
+                                 "the previous row's")
             quantiles.append(q)
             values.append(v)
     if not quantiles:
         raise ValueError(f"{path}: empty bandwidth CDF")
-    q = np.asarray(quantiles)
-    v = np.asarray(values)
-    if q.min() < 0 or q.max() > 1 or np.any(np.diff(q) <= 0):
-        raise ValueError(f"{path}: quantiles must be strictly increasing within [0, 1]")
-    return q, v
+    return np.asarray(quantiles), np.asarray(values)
 
 
 def sample_bandwidth(config: SimConfig, num_peers: int, rng) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,11 @@
+import math
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from p2pbackup import sim, trace
-from p2pbackup.sched import BACKUP, TransferProblem
+from p2pbackup.sched import BACKUP, RESTORE, TransferProblem
 from p2pbackup.trace import AvailabilityMatrix
 
 
@@ -42,6 +43,34 @@ def synth_event_log(peers, slots, seed, slot_seconds=3600.0):
     events.sort()
     lines = ["# peer_id,timestamp_seconds,kind\n"] + [f"{pid},{ts:.3f},{kind}\n" for ts, pid, kind in events]
     return lines, np.array(bits)
+
+
+def cut_problems(matrix, rng, count, xs, ratios, restore_every, restore_rates):
+    """count problems cut from one trace the way sched-mixed cuts them: an
+    owner, a sorted random pick of ratio * x other peers and a start in the
+    first half; every restore_every-th is a restore from about half as many
+    holders with restore_rates (owner_rate, peer_rate, per_peer_cap)."""
+    P, T = matrix.bits.shape
+    pairs = [(x, r) for x in xs for r in ratios]
+    problems = []
+    for i in range(count):
+        x, ratio = pairs[i % len(pairs)]
+        restore = i % restore_every == restore_every - 1
+        owner = int(rng.integers(P))
+        others = np.array([p for p in range(P) if p != owner])
+        size = math.ceil(ratio * x / 2) if restore else int(round(ratio * x))
+        picked = sorted(others[rng.choice(len(others), size=size, replace=False)].tolist())
+        start = int(rng.integers(1, T // 2))
+        sub = trace.AvailabilityMatrix(bits=matrix.bits[[owner] + picked, start - 1:],
+                                       slot_seconds=matrix.slot_seconds)
+        if restore:
+            owner_rate, peer_rate, cap = restore_rates
+            problems.append(TransferProblem(matrix=sub, owner=0, direction=RESTORE, x=x, owner_rate=owner_rate,
+                                            peer_rate=peer_rate, per_peer_cap=cap,
+                                            storage_set=frozenset(range(1, size + 1))))
+        else:
+            problems.append(TransferProblem(matrix=sub, owner=0, direction=BACKUP, x=x))
+    return problems
 
 
 def allocate_rows(rows, up_budget, down_budget):

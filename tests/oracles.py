@@ -12,6 +12,7 @@ from math import comb
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 
 
 def matching_max_fragments(bits, owner, candidates, T):
@@ -112,6 +113,15 @@ def slice_witness(problem, T, flow):
     peers = np.repeat(np.array(problem.candidates, dtype=np.intp)[block.col], block.data)
     slots = np.repeat(block.row + 1, block.data)
     return sorted(zip(peers.tolist(), slots.tolist()))
+
+
+def flow_max_fragments(problem, T):
+    """F(T) and its sorted witness entries by scipy's max flow alone: the
+    coo_flow_network solve, read by slice_witness.  This is the path
+    ``sched.max_fragments`` takes when first fit cannot certify F(T)."""
+    graph = coo_flow_network(problem, T)
+    result = maximum_flow(graph, 0, graph.shape[0] - 1)
+    return int(result.flow_value), slice_witness(problem, T, result.flow)
 
 
 def loop_random_schedule(bits, owner, candidates, x, owner_rate, peer_rate, cap, rng):

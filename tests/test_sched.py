@@ -10,10 +10,10 @@ from hypothesis.extra import numpy as hnp
 
 from p2pbackup import sched, trace
 from p2pbackup.sched import BACKUP, RESTORE, Schedule, TransferProblem
-from conftest import make_matrix
+from conftest import cut_problems, make_matrix
 from oracles import (
-    brute_max_fragments, coo_flow_network, loop_random_schedule, matching_max_fragments, matching_min_completion,
-    slice_witness,
+    brute_max_fragments, coo_flow_network, flow_max_fragments, loop_random_schedule, matching_max_fragments,
+    matching_min_completion, slice_witness,
 )
 
 
@@ -421,15 +421,15 @@ def test_flow_value_matches_matching_oracle(instance):
 
 
 @st.composite
-def rated_problems(draw):
-    """Backups and restores over small_instances with rates and cap in {1, 2}."""
+def rated_problems(draw, top=2):
+    """Backups and restores over small_instances with rates and cap in 1..top."""
     bits, x = draw(small_instances)
     m = sched.AvailabilityMatrix(bits=bits)
     restore = draw(st.booleans())
     return TransferProblem(
         matrix=m, owner=0, direction=RESTORE if restore else BACKUP, x=x,
-        owner_rate=draw(st.integers(1, 2)), peer_rate=draw(st.integers(1, 2)),
-        per_peer_cap=draw(st.integers(1, 2)),
+        owner_rate=draw(st.integers(1, top)), peer_rate=draw(st.integers(1, top)),
+        per_peer_cap=draw(st.integers(1, top)),
         storage_set=draw(st.sets(st.integers(1, m.num_peers - 1), min_size=1)) if restore else None,
     )
 
@@ -461,6 +461,48 @@ def test_network_and_witness_match_coo_and_slice_oracles(p):
         assert graph.has_canonical_format  # maximum_flow has nothing to sort or sum
         _, flow = sched.max_flow(expected)
         assert sched.max_fragments(p, T)[1].entries == tuple(slice_witness(p, T, flow))
+
+
+def test_first_fit_certifies_the_max_flow_or_steps_aside():
+    """At every T, max_fragments gives the value and witness of scipy's max
+    flow alone, and first fit either gives the same or nothing; O(x) is the
+    first T at which that flow reaches x, with its witness.  The sweep must
+    see both branches."""
+    branches = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(rated_problems(top=3))
+    def check(p):
+        flows = [flow_max_fragments(p, T) for T in range(1, p.matrix.num_slots + 1)]
+        for T, (value, entries) in enumerate(flows, start=1):
+            got = sched.max_fragments(p, T)
+            assert (got[0], list(got[1].entries)) == (value, entries)
+            certified = sched._first_fit(p, T)
+            branches.add(certified is not None)
+            assert certified is None or (certified[0], list(certified[1].entries)) == (value, entries)
+        out = sched.optimal_completion(p)
+        reached = [T for T, (value, _) in enumerate(flows, start=1) if value >= p.x]
+        if reached:
+            value, entries = flows[reached[0] - 1]
+            assert (out.feasible, out.completion, out.fragments) == (True, reached[0], value)
+            assert list(out.schedule.entries) == entries
+        else:
+            assert (out.feasible, out.fragments) == (False, flows[-1][0])
+
+    check()
+    assert branches == {True, False}
+
+
+def test_first_fit_short_of_the_max_flow_falls_back():
+    """Slot 1 sees peers 1 and 2, slot 2 only peer 1: first fit sends slot 1
+    to peer 1 and leaves slot 2 empty, while the max flow moves 2."""
+    p = TransferProblem(matrix=make_matrix(["11", "11", "10"]), owner=0, direction=BACKUP, x=2)
+    assert sched._first_fit(p, 2) is None
+    assert sched._first_fit(p, 1) == (1, Schedule([(1, 1)]))
+    value, schedule = sched.max_fragments(p, 2)
+    assert (value, schedule.entries) == (2, ((1, 2), (2, 1)))
+    out = sched.optimal_completion(p)
+    assert (out.completion, out.fragments, out.schedule.entries) == (2, 2, ((1, 2), (2, 1)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -507,34 +549,6 @@ def test_random_schedule_always_valid(instance, seed):
         assert out.fragments < x
 
 
-def _cut_problems(matrix, rng, count, xs, ratios, restore_every, restore_rates):
-    """count problems cut from one trace the way sched-mixed cuts them: an
-    owner, a sorted random pick of ratio * x other peers and a start in the
-    first half; every restore_every-th is a restore from about half as many
-    holders with restore_rates (owner_rate, peer_rate, per_peer_cap)."""
-    P, T = matrix.bits.shape
-    pairs = [(x, r) for x in xs for r in ratios]
-    problems = []
-    for i in range(count):
-        x, ratio = pairs[i % len(pairs)]
-        restore = i % restore_every == restore_every - 1
-        owner = int(rng.integers(P))
-        others = np.array([p for p in range(P) if p != owner])
-        size = math.ceil(ratio * x / 2) if restore else int(round(ratio * x))
-        picked = sorted(others[rng.choice(len(others), size=size, replace=False)].tolist())
-        start = int(rng.integers(1, T // 2))
-        sub = trace.AvailabilityMatrix(bits=matrix.bits[[owner] + picked, start - 1:],
-                                       slot_seconds=matrix.slot_seconds)
-        if restore:
-            owner_rate, peer_rate, cap = restore_rates
-            problems.append(TransferProblem(matrix=sub, owner=0, direction=RESTORE, x=x, owner_rate=owner_rate,
-                                            peer_rate=peer_rate, per_peer_cap=cap,
-                                            storage_set=frozenset(range(1, size + 1))))
-        else:
-            problems.append(TransferProblem(matrix=sub, owner=0, direction=BACKUP, x=x))
-    return problems
-
-
 # sha256 of (feasible, completion, fragments, entries) of both schedulers over
 # the 48 problems below, recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
 SCHEDULES_SHA256 = "26b0115fe09e6c6bfe57a7626b998d37ba142ca17ced80ff9d5d9e4c31d302a7"
@@ -546,7 +560,7 @@ def test_schedules_are_pinned():
     owner_rate 2 and per_peer_cap 2, from one 200 x 336 trace."""
     matrix = trace.synth_trace(200, 336, availability=(0.2, 0.9), diurnal_amplitude=0.3,
                                weekend_factor=0.8, seed=18)
-    problems = _cut_problems(matrix, np.random.default_rng(18), 48, (40, 60, 80), (1.1, 1.5, 2.0), 4, (2, 1, 2))
+    problems = cut_problems(matrix, np.random.default_rng(18), 48, (40, 60, 80), (1.1, 1.5, 2.0), 4, (2, 1, 2))
     digest = hashlib.sha256()
     for i, p in enumerate(problems):
         for out in (sched.optimal_completion(p), sched.random_schedule(p, seed=[18, i])):
@@ -561,7 +575,7 @@ def test_random_schedule_matches_loop_reference_over_long_horizons(restore_rates
     owner_rate 2 over about x / 2 holders, so the per-peer cap and the
     per-slot peer rate bind over many slots."""
     matrix = trace.synth_trace(60, 168, availability=(0.2, 0.9), seed=41)
-    problems = _cut_problems(matrix, np.random.default_rng(41), 40, (16, 32, 48), (1.0, 1.2), 2, restore_rates)
+    problems = cut_problems(matrix, np.random.default_rng(41), 40, (16, 32, 48), (1.0, 1.2), 2, restore_rates)
     bound = 0
     for i, p in enumerate(problems):
         out = sched.random_schedule(p, seed=[41, i])
@@ -622,6 +636,27 @@ def test_problem_file_rejects_bad_storage_ids_and_unknown_keys(tmp_path, fig_mat
     trace.write_matrix_file(fig_matrix, tmp_path / "matrix.txt")
     path.write_text(f"matrix=matrix.txt owner=0 direction=restore x=2 u0=1\n{extra}\n")
     with pytest.raises(sched.ProblemFormatError, match=message):
+        sched.read_problem_file(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("owner=abc", "line 1: owner must be an integer, got 'abc'"),
+    ("x=1.5", "line 1: x must be an integer, got '1.5'"),
+    ("u0=", "line 1: u0 must be an integer, got ''"),
+    ("# rates\n\npeer_rate=2 m=two", "line 3: m must be an integer, got 'two'"),
+    ("storage=1,a", "line 1: storage must be integers separated by commas: "
+                    "invalid literal for int() with base 10: 'a'"),
+    ("x=3\nx=2", "line 2: duplicate key 'x', first on line 1"),
+    ("u0=1 owner=0 u0=1", "line 1: duplicate key 'u0', first on line 1"),
+], ids=["owner", "x", "empty-u0", "m-on-line-3", "storage", "duplicate-x", "duplicate-u0-on-one-line"])
+def test_problem_file_names_the_line_and_key_of_a_bad_value(tmp_path, fig_matrix, text, message):
+    trace.write_matrix_file(fig_matrix, tmp_path / "matrix.txt")
+    given_keys = {token.split("=")[0] for token in text.split() if "=" in token}
+    rest = [f"{k}={v}" for k, v in (("matrix", "matrix.txt"), ("owner", "0"), ("direction", "restore"),
+                                    ("x", "2"), ("u0", "1"), ("storage", "1,3")) if k not in given_keys]
+    path = tmp_path / "problem.txt"
+    path.write_text(f"{text}\n{' '.join(rest)}\n")
+    with pytest.raises(sched.ProblemFormatError, match=f"^{re.escape(message)}$"):
         sched.read_problem_file(path)
 
 

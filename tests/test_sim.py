@@ -142,6 +142,13 @@ def test_load_config_rejects_bare_words(tmp_path):
         psim.load_config(path)
 
 
+def test_load_config_rejects_a_duplicate_key(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed=3\n# later\nobject_size=2048\n seed = 4\n")
+    with pytest.raises(ValueError, match=r"run\.cfg: line 4: duplicate key 'seed', first on line 1$"):
+        psim.load_config(path)
+
+
 # ------------------------------------------------------------------ sampling
 
 def test_lifetime_disabled_modes():
@@ -213,6 +220,17 @@ def test_bandwidth_cdf_rejects_bad_tables(tmp_path):
             psim.read_bandwidth_cdf(path)
     path.write_text("0,0\n1,100\n")  # a zero uplink stays legal
     assert psim.read_bandwidth_cdf(path)[1].tolist() == [0.0, 100.0]
+
+
+def test_bandwidth_cdf_rejects_a_falling_uplink(tmp_path):
+    """An uplink that falls as the quantile rises makes np.interp's inverse
+    CDF non-monotone; equal uplinks, a flat stretch, still read."""
+    path = tmp_path / "f.csv"
+    path.write_text("quantile,uplink\n0.2,100\n0.9,50\n")
+    with pytest.raises(ValueError, match="f.csv: line 3: CDF row '0.9,50': the uplink falls below the previous row's"):
+        psim.read_bandwidth_cdf(path)
+    path.write_text("0.2,100\n0.5,100\n0.9,150\n")
+    assert psim.read_bandwidth_cdf(path)[1].tolist() == [100.0, 100.0, 150.0]
 
 
 def test_bandwidth_cdf_allows_header_and_comments(tmp_path):

@@ -5,10 +5,12 @@ of remote peers over a slotted availability trace, moving at most owner_rate
 fragments per slot, at most peer_rate per remote peer per slot, and at most
 per_peer_cap fragments per remote peer overall.  The optimal completion time
 is found by reducing "how many fragments fit in the first T slots" (F(T)) to a
-max-flow problem and searching for the smallest T with F(T) >= x; a first-fit
-flow that fills every owner slot certifies most F(T) before any solver runs.
-A randomized scheduler and the ideal always-on baseline are provided for
-comparison.
+max-flow problem and searching for the smallest T with F(T) >= x.  The max
+flow is found by Dinic's algorithm as scipy's maximum_flow runs it on
+build_flow_network's network, so the witness schedules are scipy's; its first
+phase is a first-fit walk of the owner-online slots, which alone settles most
+F(T).  A randomized scheduler and the ideal always-on baseline are provided
+for comparison.
 
 Slots are numbered from 1 in schedules and problem files; slot s corresponds
 to matrix column s - 1.  Peers are matrix row indices.
@@ -227,31 +229,22 @@ def max_flow(graph: csr_matrix) -> tuple[int, csr_matrix]:
     return int(result.flow_value), result.flow
 
 
-def _witness(problem: TransferProblem, T: int, flow: csr_matrix) -> Schedule:
-    """The schedule a max flow of the slots 1..T network carries: each
-    slot->peer arc repeated by its flow.  In the slot rows, columns above T
-    are the forward arcs; column 0 is the reverse of the source arc."""
-    lo, hi = flow.indptr[1], flow.indptr[T + 1]
-    pos = lo + np.flatnonzero((flow.indices[lo:hi] > T) & (flow.data[lo:hi] > 0))
-    amounts = flow.data[pos]
-    slots = np.searchsorted(flow.indptr, pos, side="right") - 1  # the row holding each arc
-    peers = np.array(problem.candidates, dtype=np.intp)[flow.indices[pos] - (T + 1)]
-    return Schedule(zip(np.repeat(peers, amounts).tolist(), np.repeat(slots, amounts).tolist()))
-
-
-def _first_fit(problem: TransferProblem, T: int) -> tuple[int, Schedule] | None:
-    """F(T) and its witness when first fit proves them, else None.
+def _first_fit(problem: TransferProblem, T: int) -> tuple[list[int], list[int], list[tuple[int, int]], list[int], bool]:
+    """The first blocking-flow phase of Dinic's algorithm on the slots 1..T
+    network, as first fit.
 
     First fit walks the owner-online slots 1..T in order, and each slot sends
     to its online candidates in index order: to each, the least of the owner
-    rate left, peer_rate and the candidate's cap left.  When every slot sends
-    its full owner_rate, the flow fills every source arc, so it is a maximum
-    flow (max-flow min-cut).  It is then also the flow that the first
-    blocking-flow phase of Dinic's algorithm pushes along the network's arcs
-    in their CSR order, and no later phase finds a path, so `max_flow` returns
-    this flow and the witness is the same.  A slot that falls short gives
-    None.  Peers are bits by row index; candidates come in row order and
-    only their bits are ever set in under_cap.
+    rate left, peer_rate and the candidate's cap left.  That is the path
+    order of the first phase's depth-first search over the network's arcs in
+    their CSR order, so it is the flow that phase pushes.  When every slot
+    sends its full owner_rate the flow fills every source arc, so it is
+    already maximum (max-flow min-cut) and no later phase finds a path.
+
+    Returns the owner-online slot numbers, each one's online peers as a bit
+    mask by row index, the (peer, slot) entries sent, the cap left per peer,
+    and whether some slot fell short of owner_rate.  Candidates come in row
+    order and only their bits are ever set in under_cap.
     """
     bits = problem.matrix.bits
     cols = np.flatnonzero(bits[problem.owner, :T])
@@ -266,8 +259,10 @@ def _first_fit(problem: TransferProblem, T: int) -> tuple[int, Schedule] | None:
         under_cap = ((1 << problem.matrix.num_peers) - 1) ^ (1 << problem.owner)
     left = [problem.per_peer_cap] * problem.matrix.num_peers
     owner_rate, peer_rate = problem.owner_rate, problem.peer_rate
+    slots = (cols + 1).tolist()
     entries: list[tuple[int, int]] = []
-    for slot, online in zip((cols + 1).tolist(), masks):
+    short = False
+    for slot, online in zip(slots, masks):
         want = owner_rate
         online &= under_cap
         while want and online:
@@ -284,64 +279,189 @@ def _first_fit(problem: TransferProblem, T: int) -> tuple[int, Schedule] | None:
             if not left[peer]:
                 under_cap ^= low
             online ^= low
-        if want:
-            return None
-    return owner_rate * len(cols), Schedule(entries)
+        short = short or want > 0
+    return slots, masks, entries, left, short
+
+
+def _later_phases(problem: TransferProblem, slots, masks, entries, left) -> list[tuple[int, int]]:
+    """Dinic's phases after the first, from first fit's flow, as scipy's
+    maximum_flow runs them on build_flow_network's network; returns the
+    entries of the maximum flow it ends with.
+
+    Each phase levels the residual network breadth first from the source and
+    then, until the source has no arc left, walks one path at a time from
+    the source along each node's current arc: the first arc, in CSR order,
+    with residual capacity into the next level.  At the sink the path takes
+    its bottleneck; a node with no such arc left is dead for the phase.
+    Within a phase these arcs only lose capacity, so a node's remaining arcs
+    are kept as a bit mask, and the arcs a check fails are dropped at once.
+
+    Every path alternates slot -> peer arcs with room left and peer -> slot
+    arcs that undo flow, and ends peer -> sink.  In CSR order a slot's arcs
+    run over its peers by row index and a peer's over its slots by number,
+    then the sink; the source never lies ahead on a path and the sink only
+    at its end.  Slots are bits by their index in slots, peers by row index.
+    """
+    owner_rate, peer_rate = problem.owner_rate, problem.peer_rate
+    candidates = sum(1 << p for p in problem.candidates)
+    index = {slot: i for i, slot in enumerate(slots)}
+    flow: list[dict[int, int]] = [{} for _ in slots]  # per slot, peer -> fragments sent
+    for peer, slot in entries:
+        sent = flow[index[slot]]
+        sent[peer] = sent.get(peer, 0) + 1
+    room = [owner_rate - sum(sent.values()) for sent in flow]  # source -> slot residuals
+    forward = []  # per slot, the peers its arcs to have room
+    backward = [0] * len(left)  # per peer, the slots that sent to it
+    for i, sent in enumerate(flow):
+        full = 0
+        for peer, amount in sent.items():
+            backward[peer] |= 1 << i
+            if amount == peer_rate:
+                full |= 1 << peer
+        forward.append(masks[i] & candidates & ~full)
+
+    while True:
+        # Levels: slot_levels[d] holds the slots at distance 2d + 1 from the
+        # source, peer_levels[d] the peers at 2d + 2; the sink is one past
+        # the first peer level holding a peer with cap left.
+        frontier = sum(1 << i for i, r in enumerate(room) if r)
+        seen_slots, seen_peers = frontier, 0
+        slot_levels, peer_levels = [frontier], []
+        reached = False
+        while frontier and not reached:
+            peers = 0
+            while frontier:
+                low = frontier & -frontier
+                peers |= forward[low.bit_length() - 1]
+                frontier ^= low
+            peers &= ~seen_peers
+            seen_peers |= peers
+            peer_levels.append(peers)
+            while peers:
+                low = peers & -peers
+                peer = low.bit_length() - 1
+                if left[peer]:
+                    reached = True
+                    break
+                frontier |= backward[peer]
+                peers ^= low
+            frontier &= ~seen_slots
+            seen_slots |= frontier
+            slot_levels.append(frontier)
+        if not reached:
+            return [(peer, slots[i]) for i, sent in enumerate(flow) for peer, amount in sent.items()
+                    for _ in range(amount)]
+
+        depth = len(peer_levels)  # peers on every path of this phase
+        live_slots, live_peers = slot_levels[:depth], peer_levels
+        source_arcs = live_slots[0]
+        slot_arcs = [-1] * len(slots)  # remaining arcs, as masks; -1 is all
+        peer_arcs = [-1] * len(left)
+        while True:
+            path = []  # slot, peer, slot, ..., peer: the path's nodes after the source
+            while True:
+                if not path:
+                    arcs = source_arcs & live_slots[0]
+                    while arcs and not room[(arcs & -arcs).bit_length() - 1]:
+                        arcs &= arcs - 1
+                    source_arcs = arcs
+                    if not arcs:
+                        break
+                    path.append((arcs & -arcs).bit_length() - 1)
+                    continue
+                d = len(path) // 2
+                if len(path) % 2:  # at a slot, level 2d + 1
+                    i = path[-1]
+                    arcs = slot_arcs[i] = slot_arcs[i] & forward[i] & live_peers[d]
+                    if arcs:
+                        path.append((arcs & -arcs).bit_length() - 1)
+                        continue
+                    live_slots[d] &= ~(1 << i)
+                    path.pop()
+                    continue
+                peer = path[-1]  # at a peer, level 2d
+                if d == depth:
+                    if left[peer]:
+                        break
+                    arcs = 0
+                else:
+                    arcs = peer_arcs[peer] = peer_arcs[peer] & backward[peer] & live_slots[d]
+                    if arcs:
+                        path.append((arcs & -arcs).bit_length() - 1)
+                        continue
+                live_peers[d - 1] &= ~(1 << peer)
+                path.pop()
+            if not path:
+                break
+
+            # Push the path's bottleneck: path[k] -> path[k + 1] are slot ->
+            # peer arcs, path[k + 1] -> path[k + 2] undo flow.
+            pairs = range(0, len(path), 2)
+            delta = min(room[path[0]], left[path[-1]],
+                        *(peer_rate - flow[path[k]].get(path[k + 1], 0) for k in pairs),
+                        *(flow[path[k + 2]][path[k + 1]] for k in pairs[:-1]))
+            room[path[0]] -= delta
+            left[path[-1]] -= delta
+            for k in pairs:
+                i, peer = path[k], path[k + 1]
+                sent = flow[i][peer] = flow[i].get(peer, 0) + delta
+                backward[peer] |= 1 << i
+                if sent == peer_rate:
+                    forward[i] &= ~(1 << peer)
+                if k + 2 < len(path):
+                    j = path[k + 2]
+                    flow[j][peer] -= delta
+                    if not flow[j][peer]:
+                        del flow[j][peer]
+                        backward[peer] &= ~(1 << j)
+                    forward[j] |= 1 << peer
 
 
 def max_fragments(problem: TransferProblem, T: int) -> tuple[int, Schedule]:
     """F(T): the most fragments transferable within slots 1..T, with a witness
-    schedule; first fit's when it certifies F(T), else the max flow's."""
-    certified = _first_fit(problem, T)
-    if certified is not None:
-        return certified
-    value, flow = max_flow(build_flow_network(problem, T))
-    return value, _witness(problem, T, flow)
+    schedule.  The witness is the max flow that scipy's maximum_flow finds on
+    build_flow_network(problem, T): first fit is its first phase, and only
+    when a slot falls short do the later phases run."""
+    if not 1 <= T <= problem.matrix.num_slots:
+        raise ValueError(f"T must be in [1, {problem.matrix.num_slots}]")
+    slots, masks, entries, left, short = _first_fit(problem, T)
+    if short:
+        entries = _later_phases(problem, slots, masks, entries, left)
+    return len(entries), Schedule(entries)
 
 
 def optimal_completion(problem: TransferProblem) -> ScheduleOutcome:
     """O(x) = min{t : F(t) >= x}, by doubling T from a capacity lower bound and
     then binary searching the bracket.  Infeasibility (F(horizon) < x) is a
-    first-class outcome carrying F(horizon), not an exception.  Probes after
-    the first solve for the flow only; the witness is read once, off the
-    answer's flow."""
+    first-class outcome carrying F(horizon), not an exception."""
     horizon = problem.matrix.num_slots
     lower = ideal_baseline(problem.matrix.bits[problem.owner], problem.x, problem.owner_rate)
     if lower is None:
         return ScheduleOutcome(False, None, 0, max_fragments(problem, horizon)[0])
 
-    # F(t) < x for all t < lower by the owner-capacity bound.  When first fit
-    # certifies F(lower), F(lower) is that bound, which reaches x there.  When
-    # it falls short at lower, it falls short at every later t too, as its walk
-    # of slots 1..t starts with the same slots, so later probes go to max flow.
-    value, schedule = max_fragments(problem, lower)
-    if value >= problem.x:
-        return ScheduleOutcome(True, schedule, lower, value)
-
-    # Doubling, with F(lower) < x.
-    below = lower
+    # Doubling: F(t) < x for all t < lower by the owner-capacity bound.
+    below, T = lower - 1, lower
     while True:
-        if below == horizon:
-            return ScheduleOutcome(False, None, 0, value)
-        T = min(2 * below, horizon)
-        value, flow = max_flow(build_flow_network(problem, T))
+        value, schedule = max_fragments(problem, T)
         if value >= problem.x:
             break
-        below = T
+        if T == horizon:
+            return ScheduleOutcome(False, None, 0, value)
+        below, T = T, min(2 * T, horizon)
 
-    # hi always holds a passing T, and (value, flow) is its probe's answer,
-    # so the search ends on the answer without solving it again.
+    # hi always holds a passing T, and (value, schedule) is its probe's
+    # answer, so the search ends on the answer without solving it again.
     lo, hi = below + 1, T
     while lo < hi:
         mid = (lo + hi) // 2
-        probe = max_flow(build_flow_network(problem, mid))
+        probe = max_fragments(problem, mid)
         if probe[0] >= problem.x:
             hi = mid
-            value, flow = probe
+            value, schedule = probe
         else:
             lo = mid + 1
 
-    return ScheduleOutcome(True, _witness(problem, hi, flow), hi, value)
+    return ScheduleOutcome(True, schedule, hi, value)
 
 
 def random_schedule(problem: TransferProblem, seed=None) -> ScheduleOutcome:

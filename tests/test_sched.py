@@ -465,9 +465,10 @@ def test_network_and_witness_match_coo_and_slice_oracles(p):
 
 def test_first_fit_certifies_the_max_flow_or_steps_aside():
     """At every T, max_fragments gives the value and witness of scipy's max
-    flow alone, and first fit either gives the same or nothing; O(x) is the
-    first T at which that flow reaches x, with its witness.  The sweep must
-    see both branches."""
+    flow alone, and first fit either fills every slot with that same flow or
+    leaves a slot short for the later phases; O(x) is the first T at which
+    that flow reaches x, with its witness.  The sweep must see both
+    branches."""
     branches = set()
 
     @settings(max_examples=200, deadline=None)
@@ -477,9 +478,9 @@ def test_first_fit_certifies_the_max_flow_or_steps_aside():
         for T, (value, entries) in enumerate(flows, start=1):
             got = sched.max_fragments(p, T)
             assert (got[0], list(got[1].entries)) == (value, entries)
-            certified = sched._first_fit(p, T)
-            branches.add(certified is not None)
-            assert certified is None or (certified[0], list(certified[1].entries)) == (value, entries)
+            *_, first, _, short = sched._first_fit(p, T)
+            branches.add(short)
+            assert short or (len(first), sorted(first)) == (value, entries)
         out = sched.optimal_completion(p)
         reached = [T for T, (value, _) in enumerate(flows, start=1) if value >= p.x]
         if reached:
@@ -495,14 +496,33 @@ def test_first_fit_certifies_the_max_flow_or_steps_aside():
 
 def test_first_fit_short_of_the_max_flow_falls_back():
     """Slot 1 sees peers 1 and 2, slot 2 only peer 1: first fit sends slot 1
-    to peer 1 and leaves slot 2 empty, while the max flow moves 2."""
+    to peer 1 and leaves slot 2 empty, while the max flow moves 2, which the
+    second phase finds by moving slot 1 to peer 2."""
     p = TransferProblem(matrix=make_matrix(["11", "11", "10"]), owner=0, direction=BACKUP, x=2)
-    assert sched._first_fit(p, 2) is None
-    assert sched._first_fit(p, 1) == (1, Schedule([(1, 1)]))
+    assert sched._first_fit(p, 2)[2:] == ([(1, 1)], [1, 0, 1], True)
+    assert sched._first_fit(p, 1)[2:] == ([(1, 1)], [1, 0, 1], False)
     value, schedule = sched.max_fragments(p, 2)
     assert (value, schedule.entries) == (2, ((1, 2), (2, 1)))
     out = sched.optimal_completion(p)
     assert (out.completion, out.fragments, out.schedule.entries) == (2, 2, ((1, 2), (2, 1)))
+
+
+def test_later_phases_match_scipy_on_sched_mixed_shapes():
+    """On problems shaped like the sched-mixed benchmark's, at the
+    owner-capacity bound and at twice it, max_fragments gives the value and
+    witness of scipy's max flow alone, including where first fit leaves a
+    slot short and the later phases run over many peers and slots."""
+    matrix = trace.synth_trace(200, 336, availability=(0.2, 0.9), diurnal_amplitude=0.3,
+                               weekend_factor=0.8, seed=29)
+    problems = cut_problems(matrix, np.random.default_rng(29), 96, (40, 60, 80), (1.1, 1.5, 2.0), 4, (2, 1, 2))
+    short = 0
+    for p in problems:
+        lower = sched.ideal_baseline(p.matrix.bits[0], p.x, p.owner_rate) or p.matrix.num_slots
+        for T in (lower, min(2 * lower, p.matrix.num_slots)):
+            value, schedule = sched.max_fragments(p, T)
+            assert (value, list(schedule.entries)) == flow_max_fragments(p, T)
+            short += sched._first_fit(p, T)[-1]
+    assert short >= 20
 
 
 @settings(max_examples=200, deadline=None)

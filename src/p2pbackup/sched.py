@@ -5,12 +5,16 @@ of remote peers over a slotted availability trace, moving at most owner_rate
 fragments per slot, at most peer_rate per remote peer per slot, and at most
 per_peer_cap fragments per remote peer overall.  The optimal completion time
 is found by reducing "how many fragments fit in the first T slots" (F(T)) to a
-max-flow problem and searching for the smallest T with F(T) >= x.  The max
-flow is found by Dinic's algorithm as scipy's maximum_flow runs it on
-build_flow_network's network, so the witness schedules are scipy's; its first
-phase is a first-fit walk of the owner-online slots, which alone settles most
-F(T).  A randomized scheduler and the ideal always-on baseline are provided
-for comparison.
+max-flow problem and searching for the smallest T with F(T) >= x.  The F(T)
+network's nodes are source = 0, slot s = s for s in 1..T, the j-th candidate
+peer = T + 1 + j and the sink last; its arcs are source->slot (capacity
+owner_rate) where the owner is online, slot->peer (capacity peer_rate) where
+the remote peer is online too, and peer->sink (capacity per_peer_cap).  Its
+max flow is found by Dinic's algorithm as scipy's maximum_flow runs it on
+that network, each node's arcs in CSR order (by the node they lead to), so
+the witness schedules are scipy's; its first phase is a first-fit walk of
+the owner-online slots, which alone settles most F(T).  A randomized
+scheduler and the ideal always-on baseline are provided for comparison.
 
 Slots are numbered from 1 in schedules and problem files; slot s corresponds
 to matrix column s - 1.  Peers are matrix row indices.
@@ -24,8 +28,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
 from .trace import AvailabilityMatrix, read_matrix_file, write_matrix_file
 
@@ -66,24 +68,22 @@ class TransferProblem:
             value = getattr(self, name)
             if not _integral(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name != "owner" and value < 1:
+                raise ValueError(f"{name} must be at least 1")
             object.__setattr__(self, name, int(value))
         if self.direction not in (BACKUP, RESTORE):
             raise ValueError(f"direction must be {BACKUP!r} or {RESTORE!r}")
-        if self.x < 1:
-            raise ValueError("x must be at least 1")
-        if min(self.owner_rate, self.peer_rate, self.per_peer_cap) < 1:
-            raise ValueError("rates and per_peer_cap must be at least 1")
         if not 0 <= self.owner < self.matrix.num_peers:
             raise ValueError("owner index out of range")
         if self.direction == RESTORE:
             if not self.storage_set:
-                raise ValueError("restore problems need a non-empty storage_set")
+                raise ValueError(f"direction {RESTORE!r} needs a non-empty storage_set")
             bad = [i for i in self.storage_set if not _integral(i)]
             if bad:
                 raise ValueError(f"storage_set must hold integers, got {bad[0]!r}")
             storage = frozenset(int(i) for i in self.storage_set)
             if self.owner in storage:
-                raise ValueError("owner cannot be in the storage_set")
+                raise ValueError("storage_set cannot hold the owner")
             if any(i < 0 or i >= self.matrix.num_peers for i in storage):
                 raise ValueError("storage_set index out of range")
             object.__setattr__(self, "storage_set", storage)
@@ -187,57 +187,15 @@ def validate_schedule(problem: TransferProblem, schedule: Schedule) -> list[str]
     return violations
 
 
-def build_flow_network(problem: TransferProblem, T: int) -> csr_matrix:
-    """Capacity matrix of the flow network, restricted to slots 1..T, whose
-    max flow equals F(T).
-
-    Nodes: source = 0, slot s = s, the j-th candidate peer = T + 1 + j, sink
-    last.  Arcs: source->slot (capacity owner_rate) where the owner is online;
-    slot->peer (capacity peer_rate) where the remote peer is online too;
-    peer->sink (capacity per_peer_cap).  For restores the peer nodes are the
-    storage set.
-    """
-    if not 1 <= T <= problem.matrix.num_slots:
-        raise ValueError(f"T must be in [1, {problem.matrix.num_slots}]")
-    bits = problem.matrix.bits
-    candidates = np.array(problem.candidates, dtype=np.intp)
-    n = len(candidates)
-    owner_row = bits[problem.owner, :T]
-    slots = np.flatnonzero(owner_row) + 1
-    # slot-major, so the arcs come out in row order with sorted columns
-    arcs = (bits[candidates, :T] & owner_row).T.astype(bool, order="C").ravel().nonzero()[0]
-    indptr = np.empty(T + n + 3, dtype=np.int32)
-    indptr[0] = 0
-    indptr[1:T + 2] = len(slots) + np.searchsorted(arcs, n * np.arange(T + 1))
-    indptr[T + 2:] = indptr[T + 1] + np.minimum(np.arange(1, n + 2), n)  # one arc per peer, none out of the sink
-    indices = np.concatenate([slots, arcs % n + (T + 1), np.full(n, T + n + 1)]).astype(np.int32)
-    caps = np.repeat(
-        np.array([problem.owner_rate, problem.peer_rate, problem.per_peer_cap], dtype=np.int32),
-        [len(slots), len(arcs), n],
-    )
-    return csr_matrix((caps, indices, indptr), shape=(T + n + 2, T + n + 2))
-
-
-def max_flow(graph: csr_matrix) -> tuple[int, csr_matrix]:
-    """Maximum source->sink flow value plus an integral flow matrix, whose
-    (u, v) entry is the flow on arc u->v (negated on the reverse entry).
-
-    Backed by scipy's blocking-flow (Dinic) solver, O(V^2 E) worst case;
-    instances here are small bipartite graphs, far from that bound.
-    """
-    result = maximum_flow(graph, 0, graph.shape[0] - 1)
-    return int(result.flow_value), result.flow
-
-
 def _first_fit(problem: TransferProblem, T: int) -> tuple[list[int], list[int], list[tuple[int, int]], list[int], bool]:
-    """The first blocking-flow phase of Dinic's algorithm on the slots 1..T
-    network, as first fit.
+    """The first blocking-flow phase of Dinic's algorithm on the F(T)
+    network (see the module docstring), as first fit.
 
     First fit walks the owner-online slots 1..T in order, and each slot sends
     to its online candidates in index order: to each, the least of the owner
     rate left, peer_rate and the candidate's cap left.  That is the path
     order of the first phase's depth-first search over the network's arcs in
-    their CSR order, so it is the flow that phase pushes.  When every slot
+    CSR order, so it is the flow that phase pushes.  When every slot
     sends its full owner_rate the flow fills every source arc, so it is
     already maximum (max-flow min-cut) and no later phase finds a path.
 
@@ -285,8 +243,8 @@ def _first_fit(problem: TransferProblem, T: int) -> tuple[list[int], list[int], 
 
 def _later_phases(problem: TransferProblem, slots, masks, entries, left) -> list[tuple[int, int]]:
     """Dinic's phases after the first, from first fit's flow, as scipy's
-    maximum_flow runs them on build_flow_network's network; returns the
-    entries of the maximum flow it ends with.
+    maximum_flow runs them on the F(T) network of the module docstring;
+    returns the entries of the maximum flow it ends with.
 
     Each phase levels the residual network breadth first from the source and
     then, until the source has no arc left, walks one path at a time from
@@ -420,8 +378,8 @@ def _later_phases(problem: TransferProblem, slots, masks, entries, left) -> list
 def max_fragments(problem: TransferProblem, T: int) -> tuple[int, Schedule]:
     """F(T): the most fragments transferable within slots 1..T, with a witness
     schedule.  The witness is the max flow that scipy's maximum_flow finds on
-    build_flow_network(problem, T): first fit is its first phase, and only
-    when a slot falls short do the later phases run."""
+    the F(T) network of the module docstring: first fit is its first phase,
+    and only when a slot falls short do the later phases run."""
     if not 1 <= T <= problem.matrix.num_slots:
         raise ValueError(f"T must be in [1, {problem.matrix.num_slots}]")
     slots, masks, entries, left, short = _first_fit(problem, T)
@@ -545,7 +503,8 @@ def write_problem_file(problem: TransferProblem, path, matrix_path) -> None:
         fh.write(" ".join(parts) + "\n")
 
 
-_PROBLEM_KEYS = frozenset({"matrix", "owner", "direction", "x", "u0", "m", "peer_rate", "storage"})
+_PROBLEM_KEYS = {"matrix": "matrix", "owner": "owner", "direction": "direction", "x": "x",  # key -> field
+                 "u0": "owner_rate", "m": "per_peer_cap", "peer_rate": "peer_rate", "storage": "storage_set"}
 
 
 def read_problem_file(path) -> TransferProblem:
@@ -553,7 +512,8 @@ def read_problem_file(path) -> TransferProblem:
     # comments allowed; the matrix= path is resolved relative to the file.
     The keys are matrix, owner, direction, x and u0, plus optional m,
     peer_rate and storage, each at most once; any other key is an error, and
-    so is a value that does not parse, by its line and key."""
+    so is a value that does not parse or that TransferProblem rejects, by its
+    line and key."""
     pairs: dict[str, tuple[int, str]] = {}  # key -> (line, value)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -581,8 +541,7 @@ def read_problem_file(path) -> TransferProblem:
         except ValueError:
             raise ProblemFormatError(f"line {lineno}: {key} must be an integer, got {value!r}") from None
 
-    fields = dict(owner=integer("owner"), x=integer("x"), owner_rate=integer("u0"),
-                  peer_rate=integer("peer_rate"), per_peer_cap=integer("m"))
+    fields = {_PROBLEM_KEYS[key]: integer(key) for key in ("owner", "x", "u0", "peer_rate", "m")}
     lineno, value = pairs.get("storage", (0, ""))
     try:
         storage = frozenset(map(int, value.split(","))) if value else None
@@ -591,8 +550,9 @@ def read_problem_file(path) -> TransferProblem:
     matrix = read_matrix_file(os.path.join(os.path.dirname(os.path.abspath(path)), pairs["matrix"][1]))
     try:
         return TransferProblem(matrix=matrix, direction=pairs["direction"][1], storage_set=storage, **fields)
-    except ValueError as exc:
-        raise ProblemFormatError(str(exc)) from exc
+    except ValueError as exc:  # each message leads with its field
+        key = next(k for k, field in _PROBLEM_KEYS.items() if str(exc).startswith(field + " "))
+        raise ProblemFormatError(f"line {pairs[key][0]}: {key}={pairs[key][1]}: {exc}") from exc
 
 
 def write_schedule_csv(schedule: Schedule, path) -> None:

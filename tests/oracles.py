@@ -86,11 +86,17 @@ def brute_max_fragments(bits, owner, candidates, T, owner_rate, peer_rate, cap):
 
 
 def coo_flow_network(problem, T):
-    """The F(T) flow network as a coordinate list handed to scipy's COO->CSR
-    conversion: source 0, slots 1..T, the j-th candidate at T + 1 + j, sink
-    last; source->slot arcs at owner_rate where the owner is online,
-    slot->peer arcs at peer_rate where the peer is online too, peer->sink
-    arcs at per_peer_cap."""
+    """Capacity matrix of the flow network, restricted to slots 1..T, whose
+    max flow equals F(T), built as a coordinate list handed to scipy's
+    COO->CSR conversion.
+
+    Nodes: source = 0, slot s = s, the j-th candidate peer = T + 1 + j, sink
+    last.  Arcs: source->slot (capacity owner_rate) where the owner is online;
+    slot->peer (capacity peer_rate) where the remote peer is online too;
+    peer->sink (capacity per_peer_cap).  For restores the peer nodes are the
+    storage set.  This is the network the ``sched`` module docstring
+    describes and its Dinic solver walks as bit masks.
+    """
     bits = problem.matrix.bits
     candidates = list(problem.candidates)
     n = len(candidates)
@@ -117,8 +123,8 @@ def slice_witness(problem, T, flow):
 
 def flow_max_fragments(problem, T):
     """F(T) and its sorted witness entries by scipy's max flow alone: the
-    coo_flow_network solve, read by slice_witness.  This is the path
-    ``sched.max_fragments`` takes when first fit cannot certify F(T)."""
+    coo_flow_network solve, read by slice_witness.  ``sched.max_fragments``
+    must give the same value and witness at every T."""
     graph = coo_flow_network(problem, T)
     result = maximum_flow(graph, 0, graph.shape[0] - 1)
     return int(result.flow_value), slice_witness(problem, T, result.flow)

@@ -1,12 +1,17 @@
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.sparse.csgraph import maximum_flow
 
 from p2pbackup import sched, trace
 from p2pbackup.sched import BACKUP, RESTORE, Schedule, TransferProblem
@@ -160,7 +165,7 @@ def test_completion_time_quoted_schedules():
 # ----------------------------------------------------------- the flow network
 
 def test_network_layout_first_three_slots(fig_problem):
-    graph = sched.build_flow_network(fig_problem, T=3)
+    graph = coo_flow_network(fig_problem, T=3)
     # nodes: source 0, slots 1-3, candidates p1-p3 at 4-6, sink 7
     assert graph.shape == (8, 8) and graph.dtype == np.int32
     coo = graph.tocoo()
@@ -178,7 +183,7 @@ def test_network_layout_first_three_slots(fig_problem):
 def test_network_capacities_by_arc_class(fig_matrix):
     p = TransferProblem(matrix=fig_matrix, owner=0, direction=RESTORE, x=2,
                         owner_rate=3, peer_rate=2, per_peer_cap=4, storage_set={1, 3})
-    graph = sched.build_flow_network(p, T=3).toarray()
+    graph = coo_flow_network(p, T=3).toarray()
     # nodes: source 0, slots 1-3, p1 at 4, p3 at 5, sink 6
     assert graph[0, 1:4].tolist() == [3, 3, 3]
     assert graph[1:4, 4:6].tolist() == [[2, 0], [2, 0], [0, 2]]
@@ -188,44 +193,50 @@ def test_network_capacities_by_arc_class(fig_matrix):
 
 def test_network_rejects_bad_horizon(fig_problem):
     with pytest.raises(ValueError):
-        sched.build_flow_network(fig_problem, T=0)
+        sched.max_fragments(fig_problem, T=0)
     with pytest.raises(ValueError):
-        sched.build_flow_network(fig_problem, T=9)
+        sched.max_fragments(fig_problem, T=9)
 
 
 def test_max_flow_on_worked_instance(fig_problem):
-    value, _ = sched.max_flow(sched.build_flow_network(fig_problem, T=3))
+    value, schedule = sched.max_fragments(fig_problem, T=3)
     assert value == 3
+    assert (value, list(schedule.entries)) == flow_max_fragments(fig_problem, 3)
 
 
 def test_max_flow_no_source_arcs():
     m = make_matrix(["0000", "1111"])
     p = TransferProblem(matrix=m, owner=0, direction=BACKUP, x=1)
-    graph = sched.build_flow_network(p, T=4)
-    assert graph[0].nnz == 0
-    value, flow = sched.max_flow(graph)
+    assert coo_flow_network(p, T=4)[0].nnz == 0
+    value, schedule = sched.max_fragments(p, T=4)
     assert value == 0
-    assert flow.count_nonzero() == 0
+    assert not schedule
+    assert flow_max_fragments(p, 4) == (0, [])
 
 
 def test_max_flow_single_augmenting_path():
     m = make_matrix(["1", "1"])
     p = TransferProblem(matrix=m, owner=0, direction=BACKUP, x=1)
-    value, _ = sched.max_flow(sched.build_flow_network(p, T=1))
-    assert value == 1
+    value, schedule = sched.max_fragments(p, T=1)
+    assert (value, schedule.entries) == (1, ((1, 1),))
+    assert (value, list(schedule.entries)) == flow_max_fragments(p, 1)
 
 
 def test_max_flow_complete_bipartite_matches_exhaustive():
     m = make_matrix(["111", "111", "111", "111"])
     p = TransferProblem(matrix=m, owner=0, direction=BACKUP, x=3)
-    value, _ = sched.max_flow(sched.build_flow_network(p, T=3))
+    value, schedule = sched.max_fragments(p, T=3)
     assert value == 3
     assert value == matching_max_fragments(m.bits, 0, p.candidates, 3)
+    assert value == brute_max_fragments(m.bits.tolist(), 0, p.candidates, 3, 1, 1, 1)
+    assert (value, list(schedule.entries)) == flow_max_fragments(p, 3)
 
 
 def test_flow_conservation_and_integrality(fig_problem):
-    graph = sched.build_flow_network(fig_problem, T=8)
-    value, flow = sched.max_flow(graph)
+    graph = coo_flow_network(fig_problem, T=8)
+    result = maximum_flow(graph, 0, graph.shape[0] - 1)
+    value, flow = result.flow_value, result.flow
+    assert value == sched.max_fragments(fig_problem, T=8)[0]
     capacity = graph.toarray()
     f = flow.toarray()
     assert np.issubdtype(f.dtype, np.integer)
@@ -452,14 +463,21 @@ def test_flow_value_matches_brute_force_with_rates_and_caps(p):
 @settings(max_examples=200, deadline=None)
 @given(rated_problems())
 def test_network_and_witness_match_coo_and_slice_oracles(p):
+    """The network first fit and the later phases walk is coo_flow_network,
+    arc for arc: the owner-online slots are its source arcs, and each one's
+    mask, cut to the candidates, is its slot->peer arcs.  The witness is
+    scipy's max flow on that network, read by slice_witness."""
+    candidates = sum(1 << c for c in p.candidates)
     for T in range(1, p.matrix.num_slots + 1):
-        graph, expected = sched.build_flow_network(p, T), coo_flow_network(p, T)
-        assert graph.shape == expected.shape
-        for name in ("indptr", "indices", "data"):
-            got, want = getattr(graph, name), getattr(expected, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
-        assert graph.has_canonical_format  # maximum_flow has nothing to sort or sum
-        _, flow = sched.max_flow(expected)
+        graph = coo_flow_network(p, T)
+        slots, masks, *_ = sched._first_fit(p, T)
+        arcs = [graph.indices[graph.indptr[u]:graph.indptr[u + 1]].tolist() for u in range(T + 1)]
+        assert arcs[0] == slots
+        online = dict(zip(slots, masks))
+        for s in range(1, T + 1):
+            heads = sum(1 << p.candidates[v - T - 1] for v in arcs[s])
+            assert online.get(s, 0) & candidates == heads, s
+        flow = maximum_flow(graph, 0, graph.shape[0] - 1).flow
         assert sched.max_fragments(p, T)[1].entries == tuple(slice_witness(p, T, flow))
 
 
@@ -668,8 +686,21 @@ def test_problem_file_rejects_bad_storage_ids_and_unknown_keys(tmp_path, fig_mat
                     "invalid literal for int() with base 10: 'a'"),
     ("x=3\nx=2", "line 2: duplicate key 'x', first on line 1"),
     ("u0=1 owner=0 u0=1", "line 1: duplicate key 'u0', first on line 1"),
-], ids=["owner", "x", "empty-u0", "m-on-line-3", "storage", "duplicate-x", "duplicate-u0-on-one-line"])
+    ("owner=7", "line 1: owner=7: owner index out of range"),
+    ("direction=sideways", "line 1: direction=sideways: direction must be 'backup' or 'restore'"),
+    ("storage=9", "line 1: storage=9: storage_set index out of range"),
+    ("x=0", "line 1: x=0: x must be at least 1"),
+    ("\nu0=0", "line 2: u0=0: owner_rate must be at least 1"),
+    ("m=0", "line 1: m=0: per_peer_cap must be at least 1"),
+    ("storage=0", "line 1: storage=0: storage_set cannot hold the owner"),
+    ("direction=restore  # no storage=", "line 1: direction=restore: direction 'restore' needs a non-empty storage_set"),
+    ("direction=backup storage=1", "line 1: storage=1: storage_set only applies to restore problems"),
+], ids=["owner", "x", "empty-u0", "m-on-line-3", "storage", "duplicate-x", "duplicate-u0-on-one-line",
+        "owner-out-of-range", "direction", "storage-out-of-range", "x-zero", "u0-zero-on-line-2", "m-zero",
+        "storage-holds-owner", "restore-without-storage", "storage-on-a-backup"])
 def test_problem_file_names_the_line_and_key_of_a_bad_value(tmp_path, fig_matrix, text, message):
+    """text, then a line with each default key that text does not name, even
+    in a comment, must fail with message."""
     trace.write_matrix_file(fig_matrix, tmp_path / "matrix.txt")
     given_keys = {token.split("=")[0] for token in text.split() if "=" in token}
     rest = [f"{k}={v}" for k, v in (("matrix", "matrix.txt"), ("owner", "0"), ("direction", "restore"),
@@ -691,3 +722,91 @@ def test_schedule_csv_rejects_bad_header(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(sched.ProblemFormatError):
         sched.read_schedule_csv(path)
+
+
+_PROBLEM_VALUES = st.one_of(
+    st.integers(-1, 5).map(str),
+    st.sampled_from(["backup", "restore", "sideways", "", "1.5", "abc", "1,3", "2,", "0,1", "1,2,3", "9", "+2"]),
+)
+_STRAY_TOKENS = st.sampled_from(["x=3", "matrix=matrix.txt", "peer_rte=3", "M=2", "abc", "=1", "m=1=2"])
+_SEPARATORS = st.sampled_from([" ", "\t", "\n", "\n\n", " # note x=9\n", "\n# comment\n\n"])
+
+
+@st.composite
+def problem_texts(draw):
+    """A valid restore file's tokens over matrix.txt, at most one dropped
+    and a few given random values, plus stray tokens, shuffled and spread
+    over lines with comments and blank lines."""
+    pairs = {"owner": "0", "direction": "restore", "x": "2", "u0": "1", "storage": "1,3"}
+    for key in draw(st.sets(st.sampled_from(sorted(pairs)), max_size=1)):
+        del pairs[key]
+    keys = st.sampled_from(["owner", "direction", "x", "u0", "m", "peer_rate", "storage"])
+    pairs.update(draw(st.dictionaries(keys, _PROBLEM_VALUES, max_size=3)))
+    tokens = ["matrix=matrix.txt", *(f"{k}={v}" for k, v in pairs.items()), *draw(st.lists(_STRAY_TOKENS, max_size=2))]
+    tokens = draw(st.permutations(tokens))
+    return "".join(token + draw(_SEPARATORS) for token in tokens)
+
+
+_SCHEDULE_ROWS = st.one_of(
+    st.tuples(st.integers(-1, 9), st.integers(-1, 9)).map(lambda e: f"{e[0]},{e[1]}"),
+    st.sampled_from(["", "  ", "1,2,3", "a,b", "1", "1.5,2", " 3 , 4 ", ",", "# 1,2"]),
+)
+schedule_texts = st.builds(
+    lambda header, rows: "\n".join([header, *rows]) + "\n",
+    st.sampled_from(["peer,slot", " peer,slot ", "slot,peer", "", "peer, slot"]), st.lists(_SCHEDULE_ROWS, max_size=6),
+)
+
+
+def test_problem_and_schedule_readers_parse_or_name_the_line(tmp_path, fig_matrix):
+    """Any problem file over a valid matrix, and any schedule CSV, either
+    parses to an object that its writer and reader give back equal, or
+    raises ProblemFormatError whose message starts with a line of the file
+    (a file missing keys aside); no other exception escapes.  The sweep must
+    see both outcomes of each reader."""
+    trace.write_matrix_file(fig_matrix, tmp_path / "matrix.txt")
+    seen = set()
+
+    def write_problem(problem):
+        path = tmp_path / "back.txt"
+        sched.write_problem_file(problem, path, tmp_path / "back_matrix.txt")
+        return path
+
+    def write_schedule(schedule):
+        path = tmp_path / "back.csv"
+        sched.write_schedule_csv(schedule, path)
+        return path
+
+    def outcome(read, write, text):
+        path = tmp_path / "in.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            value = read(path)
+        except sched.ProblemFormatError as exc:
+            message = str(exc)
+            if message.startswith("missing keys: "):
+                return "missing keys"
+            line = re.match(r"line (\d+): ", message)
+            assert line and 1 <= int(line[1]) <= len(text.splitlines()), message
+            return "line error"
+        assert read(write(value)) == value
+        return "parsed"
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem_texts(), schedule_texts)
+    def check(problem_text, schedule_text):
+        seen.add(("problem", outcome(sched.read_problem_file, write_problem, problem_text)))
+        seen.add(("schedule", outcome(sched.read_schedule_csv, write_schedule, schedule_text)))
+
+    check()
+    assert {(reader, result) for reader in ("problem", "schedule") for result in ("parsed", "line error")} <= seen
+
+
+def test_sched_replay_tool_agrees_with_scipy_on_one_group():
+    """tests/sched_replay.py, the check of O(x) on sched-mixed-shaped
+    problems against scipy's max flow alone, runs and finds no difference."""
+    src = Path(sched.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, str(Path(__file__).with_name("sched_replay.py")), "1"],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "outcomes identical to scipy's max flow alone: yes" in result.stdout.splitlines()

@@ -121,6 +121,14 @@ class Schedule:
         return bool(self.entries)
 
 
+def _sorted_schedule(entries: list[tuple[int, int]]) -> Schedule:
+    """A Schedule of (peer, slot) pairs that are already Python ints: one
+    sort, without the constructor's per-element int()."""
+    schedule = object.__new__(Schedule)
+    object.__setattr__(schedule, "entries", tuple(sorted(entries)))
+    return schedule
+
+
 @dataclass(frozen=True)
 class ScheduleOutcome:
     """Result of a scheduling attempt.
@@ -385,7 +393,7 @@ def max_fragments(problem: TransferProblem, T: int) -> tuple[int, Schedule]:
     slots, masks, entries, left, short = _first_fit(problem, T)
     if short:
         entries = _later_phases(problem, slots, masks, entries, left)
-    return len(entries), Schedule(entries)
+    return len(entries), _sorted_schedule(entries)
 
 
 def optimal_completion(problem: TransferProblem) -> ScheduleOutcome:
@@ -422,44 +430,88 @@ def optimal_completion(problem: TransferProblem) -> ScheduleOutcome:
     return ScheduleOutcome(True, schedule, hi, value)
 
 
+class _WordDraws:
+    """rng.integers(n), one n at a time, from blocks of 32-bit words.
+
+    For 1 < n <= 2**32, numpy's Generator.integers(n) draws one next_uint32
+    per try and reduces it by Lemire's method, as its
+    buffered_bounded_lemire_uint32 does: m = word * n, drawn again while
+    the low 32 bits of m are below (2**32 - n) % n, and the pick is m >> 32.
+    n == 1 takes no word.  Here the words come a block at a time from
+    rng.integers(0, 2**32, dtype=uint32), which takes one next_uint32 per
+    word, so the picks are the same.  finish() leaves rng where per-pick
+    calls leave it: when the last block has words left over, it restores the
+    state saved before that block and draws only the words used.
+    """
+
+    __slots__ = ("rng", "block", "words", "used", "saved")
+
+    def __init__(self, rng: np.random.Generator, block: int):
+        self.rng, self.block = rng, max(block, 1)
+        self.words: list[int] = []
+        self.used = 0
+        self.saved = None
+
+    def below(self, n: int) -> int:
+        if n == 1:
+            return 0
+        threshold = (0x100000000 - n) % n
+        while True:
+            if self.used == len(self.words):
+                self.saved = self.rng.bit_generator.state
+                self.words = self.rng.integers(0, 1 << 32, size=self.block, dtype=np.uint32).tolist()
+                self.used = 0
+            m = self.words[self.used] * n
+            self.used += 1
+            if (m & 0xFFFFFFFF) >= threshold:
+                return m >> 32
+
+    def finish(self) -> None:
+        if self.used < len(self.words):
+            self.rng.bit_generator.state = self.saved
+            self.rng.integers(0, 1 << 32, size=self.used, dtype=np.uint32)
+
+
 def random_schedule(problem: TransferProblem, seed=None) -> ScheduleOutcome:
     """Randomized policy: scan slots in order; whenever the owner is online,
     pick up to owner_rate targets uniformly at random among eligible peers
     (online, under per_peer_cap, under peer_rate for this slot, in the storage
-    set for restores); stop exactly when x fragments are placed."""
+    set for restores); stop exactly when x fragments are placed.  Each pick
+    is the one rng.integers(len(eligible)) would make, and a Generator passed
+    as seed ends in the state those calls would leave it in."""
     rng = np.random.default_rng(seed)
     bits = problem.matrix.bits
     candidates = problem.candidates
-    cols = np.flatnonzero(bits[problem.owner])
-    # one row per owner-online slot, one column per candidate
-    online = bits.T[cols][:, list(candidates)].astype(bool)
+    cols = np.flatnonzero(bits[problem.owner]).tolist()
+    # one row per candidate, cleared once the candidate reaches its cap
+    online = bits[list(candidates)].view(bool)
     x, owner_rate, peer_rate, cap = problem.x, problem.owner_rate, problem.peer_rate, problem.per_peer_cap
+    # no more words than picks, bar the rare redraw
+    draws = _WordDraws(rng, min(x, owner_rate * len(cols), cap * len(candidates)))
     usage = [0] * len(candidates)
-    under_cap = np.ones(len(candidates), dtype=bool)
     entries: list[tuple[int, int]] = []
-    for slot, row in zip((cols + 1).tolist(), online):
+    for col in cols:
         if len(entries) == x:
             break
-        eligible_now = row & under_cap
-        slot_used: dict[int, int] = {}
+        eligible = online[:, col].nonzero()[0].tolist()  # in index order, as picks remove them
+        slot, slot_used = col + 1, {}
         for _ in range(owner_rate):
-            if len(entries) == x:
+            if len(entries) == x or not eligible:
                 break
-            eligible = eligible_now.nonzero()[0]
-            if not len(eligible):
-                break
-            j = eligible.item(rng.integers(len(eligible)))
+            k = draws.below(len(eligible))
+            j = eligible[k]
             entries.append((candidates[j], slot))
             usage[j] += 1
-            if usage[j] == cap:
-                under_cap[j] = eligible_now[j] = False
             slot_used[j] = slot_used.get(j, 0) + 1
-            if slot_used[j] == peer_rate:
-                eligible_now[j] = False
+            if usage[j] == cap:
+                online[j] = False
+            if usage[j] == cap or slot_used[j] == peer_rate:
+                del eligible[k]
+    draws.finish()
     if len(entries) < x:
         return ScheduleOutcome(False, None, 0, len(entries))
     # slots are drawn in order, so the last entry drawn completes the schedule
-    return ScheduleOutcome(True, Schedule(entries), entries[-1][1], x)
+    return ScheduleOutcome(True, _sorted_schedule(entries), entries[-1][1], x)
 
 
 def ideal_baseline(owner_row, amount_fragments: int, rate_per_slot: int, start_slot: int = 1) -> int | None:

@@ -378,7 +378,7 @@ def availability_stats(matrix: AvailabilityMatrix) -> PeerAvailabilityStats:
     return PeerAvailabilityStats(per_peer=per_peer, system=float(per_peer.mean()))
 
 
-_MATRIX_HEADER = re.compile(r"^peers=(\d+) slots=(\d+) slot_seconds=([0-9.eE+-]+)$")
+_MATRIX_HEADER = re.compile(r"^peers=(\d+) slots=(\d+) slot_seconds=([0-9.eE+-]+)$", re.ASCII)
 
 
 def write_matrix_file(matrix: AvailabilityMatrix, path) -> None:
@@ -386,14 +386,20 @@ def write_matrix_file(matrix: AvailabilityMatrix, path) -> None:
 
     The format carries no peer ids; reading back yields an id-less matrix.
     """
+    seconds = f"{matrix.slot_seconds:g}"
+    if float(seconds) != matrix.slot_seconds:  # :g keeps six digits; repr keeps them all
+        seconds = repr(float(matrix.slot_seconds))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"peers={matrix.num_peers} slots={matrix.num_slots} slot_seconds={matrix.slot_seconds:g}\n")
+        fh.write(f"peers={matrix.num_peers} slots={matrix.num_slots} slot_seconds={seconds}\n")
         rows = np.full((matrix.num_peers, matrix.num_slots + 1), ord("\n"), dtype=np.uint8)
         rows[:, :-1] = matrix.bits + ord("0")
         fh.write(rows.tobytes().decode("ascii"))
 
 
 def read_matrix_file(path) -> AvailabilityMatrix:
+    """Read the matrix cache format.  The declared rows are read and checked
+    before the array is built, so a header allocates nothing by itself and a
+    file that ends early fails at its first missing row."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         m = _MATRIX_HEADER.match(header)
@@ -405,13 +411,17 @@ def read_matrix_file(path) -> AvailabilityMatrix:
             _check_slot_seconds(slot_seconds)
         except ValueError:
             raise TraceFormatError(f"line 1: slot_seconds must be a positive finite number, got {m.group(3)}") from None
-        bits = np.zeros((peers, slots), dtype=np.uint8)
-        for i in range(peers):
-            line = fh.readline().rstrip("\n")
+        rows = []
+        for lineno in range(2, peers + 2):
+            line = fh.readline()
+            if not line:
+                raise TraceFormatError(f"line {lineno}: expected {slots} characters of 0/1, got the end of the file")
+            line = line.rstrip("\n")
             if len(line) != slots or set(line) - {"0", "1"}:
-                raise TraceFormatError(f"line {i + 2}: expected {slots} characters of 0/1")
-            bits[i] = np.frombuffer(line.encode("ascii"), dtype=np.uint8) - ord("0")
+                raise TraceFormatError(f"line {lineno}: expected {slots} characters of 0/1")
+            rows.append(line)
         for lineno, line in enumerate(fh, start=peers + 2):
             if line.strip():
                 raise TraceFormatError(f"line {lineno}: expected no more rows after the {peers} declared")
+    bits = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8).reshape(peers, slots) - ord("0")
     return AvailabilityMatrix(bits=bits, slot_seconds=slot_seconds)

@@ -15,6 +15,22 @@ def make_matrix(rows, slot_seconds=3600.0, peer_ids=None):
     return AvailabilityMatrix(bits=bits, slot_seconds=slot_seconds, peer_ids=peer_ids)
 
 
+# the bit generators a Generator can wrap, by name; each takes a seed
+BIT_GENERATORS = {
+    "pcg64": np.random.default_rng,
+    "mt19937": lambda seed: np.random.Generator(np.random.MT19937(seed)),
+    "philox": lambda seed: np.random.Generator(np.random.Philox(seed)),
+}
+
+
+def generator_state(rng):
+    """rng.bit_generator.state with its arrays as lists, so that two states
+    compare with ==."""
+    def plain(value):
+        return {k: plain(v) for k, v in value.items()} if isinstance(value, dict) else np.asarray(value).tolist()
+    return plain(rng.bit_generator.state)
+
+
 def synth_event_log(peers, slots, seed, slot_seconds=3600.0):
     """(lines, bits): a login/logoff log, in time order, whose slotization is
     exactly bits, a synth_trace matrix with diurnal correlation.

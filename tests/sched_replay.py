@@ -1,5 +1,7 @@
-"""Time ``sched.optimal_completion`` on problems shaped like the sched-mixed
-benchmark's, and check every outcome against scipy's max flow alone.
+"""Time ``sched.optimal_completion`` and ``sched.random_schedule`` on
+problems shaped like the sched-mixed benchmark's, and check every outcome:
+O(x) against scipy's max flow alone, the randomized rule against the
+per-pick loop.
 
     PYTHONPATH=src python tests/sched_replay.py [GROUPS]
 
@@ -8,15 +10,20 @@ from each the way sched-mixed does: backups from ratio * x peers, and every
 fourth a restore from about half as many holders with owner_rate 2 and
 per_peer_cap 2.  Then, per direction, it:
 
-- times ``optimal_completion`` REPEATS times per problem and prints the
-  median, p95 and mean of each problem's best time;
+- times ``optimal_completion`` and ``random_schedule`` REPEATS times per
+  problem and prints the median, p95 and mean of each problem's best time;
+  ``random_schedule`` gets a fresh generator seeded [SEED, problem index]
+  each time, made outside the timed call;
 - counts the problems whose first probe, at the owner-capacity bound,
   first fit certifies, and those where it leaves a slot short, so that
   the later Dinic phases run;
 - checks each outcome against ``flow_max_fragments``: a feasible O(x) must
   reach x at its completion and not one slot earlier, with the same
   fragment count and witness entries; an infeasible one must report
-  F(horizon).
+  F(horizon);
+- checks each ``random_schedule`` outcome against ``loop_random_schedule``
+  from the same seed, and the generator's final state against the loop's,
+  which makes one ``rng.integers`` call per pick.
 
 Not collected by pytest: the file name has no test_ prefix.
 """
@@ -29,8 +36,8 @@ import time
 import numpy as np
 
 from p2pbackup import sched, trace
-from conftest import cut_problems
-from oracles import flow_max_fragments
+from conftest import cut_problems, generator_state
+from oracles import flow_max_fragments, loop_random_schedule
 
 PEERS, SLOTS, PER_GROUP = 200, 504, 72
 XS, RATIOS = (40, 60, 80), (1.1, 1.5, 2.0)
@@ -68,28 +75,67 @@ def mismatch(problem, out) -> str | None:
     return None
 
 
+def random_mismatch(problem, seed) -> str | None:
+    """Why random_schedule from seed differs from the per-pick loop, in
+    its outcome or in the generator's final state, or None."""
+    rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = sched.random_schedule(problem, rng)
+    entries = loop_random_schedule(problem.matrix.bits.tolist(), problem.owner, problem.candidates, problem.x,
+                                   problem.owner_rate, problem.peer_rate, problem.per_peer_cap, loop_rng)
+    if len(entries) == problem.x:
+        expected = (True, tuple(entries), max(s for _, s in entries), problem.x)
+    else:
+        expected = (False, None, 0, len(entries))
+    if (out.feasible, out.schedule and out.schedule.entries, out.completion, out.fragments) != expected:
+        return "random_schedule outcome differs from the per-pick loop"
+    if generator_state(rng) != generator_state(loop_rng):
+        return "random_schedule leaves the generator in another state than the per-pick loop"
+    return None
+
+
+def report(name: str, best: np.ndarray, restore: np.ndarray, notes=None) -> None:
+    """Print the median, p95 and mean of best (in us) for all problems and
+    per direction, each row followed by its note when notes are given."""
+    print(f"{name} best of {REPEATS}, in us")
+    for direction, rows in (("all", np.ones_like(restore)), ("backup", ~restore), ("restore", restore)):
+        us, n = best[rows] * 1e6, int(rows.sum())
+        note = f"; {notes(rows)}" if notes else ""
+        print(f"{direction:>7}: {n} problems, median {np.median(us):.0f}, p95 {np.percentile(us, 95):.0f}, "
+              f"mean {us.mean():.0f}{note}")
+
+
 def main(argv: list[str]) -> int:
     problems = build_problems(int(argv[0]) if argv else 3)
-    best = np.full(len(problems), np.inf)
+    best_optimal = np.full(len(problems), np.inf)
+    best_random = np.full(len(problems), np.inf)
     for _ in range(REPEATS):
         for i, p in enumerate(problems):
             t0 = time.perf_counter()
             sched.optimal_completion(p)
-            best[i] = min(best[i], time.perf_counter() - t0)
+            best_optimal[i] = min(best_optimal[i], time.perf_counter() - t0)
+            rng = np.random.default_rng([SEED, i])
+            t0 = time.perf_counter()
+            sched.random_schedule(p, rng)
+            best_random[i] = min(best_random[i], time.perf_counter() - t0)
     first_fit = np.array([certified(p) for p in problems])
     errors = [(i, why) for i, p in enumerate(problems) if (why := mismatch(p, sched.optimal_completion(p)))]
+    random_errors = [(i, why) for i, p in enumerate(problems) if (why := random_mismatch(p, [SEED, i]))]
     restore = np.array([p.direction == sched.RESTORE for p in problems])
-    print(f"{len(problems)} problems on {PEERS} x {SLOTS} traces; optimal_completion best of {REPEATS}, in us")
-    for name, rows in (("all", np.ones_like(restore)), ("backup", ~restore), ("restore", restore)):
-        us, n = best[rows] * 1e6, int(rows.sum())
-        done = int(first_fit[rows].sum())
-        print(f"{name:>7}: {n} problems, median {np.median(us):.0f}, p95 {np.percentile(us, 95):.0f}, "
-              f"mean {us.mean():.0f}; certified by first fit {done} ({done / n:.1%}), "
-              f"later phases {n - done} ({1 - done / n:.1%})")
-    for i, why in errors[:5]:
+
+    def certified_share(rows):
+        n, done = int(rows.sum()), int(first_fit[rows].sum())
+        return (f"certified by first fit {done} ({done / n:.1%}), "
+                f"later phases {n - done} ({1 - done / n:.1%})")
+
+    print(f"{len(problems)} problems on {PEERS} x {SLOTS} traces")
+    report("optimal_completion", best_optimal, restore, certified_share)
+    report("random_schedule", best_random, restore)
+    for i, why in (errors + random_errors)[:5]:
         print(f"problem {i}: {why}")
     print("outcomes identical to scipy's max flow alone:", "yes" if not errors else f"NO, {len(errors)} differ")
-    return 1 if errors else 0
+    print("random_schedule identical to the per-pick loop:",
+          "yes" if not random_errors else f"NO, {len(random_errors)} differ")
+    return 1 if errors or random_errors else 0
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from scipy.sparse.csgraph import maximum_flow
 
 from p2pbackup import sched, trace
 from p2pbackup.sched import BACKUP, RESTORE, Schedule, TransferProblem
-from conftest import cut_problems, make_matrix
+from conftest import BIT_GENERATORS, cut_problems, generator_state, make_matrix
 from oracles import (
     brute_max_fragments, coo_flow_network, flow_max_fragments, loop_random_schedule, matching_max_fragments,
     matching_min_completion, slice_witness,
@@ -160,6 +160,12 @@ def test_completion_time_quoted_schedules():
     assert sched.completion_time(Schedule(SLOW_ENTRIES)) == 7
     assert sched.completion_time(Schedule([(5, 9)])) == 9
     assert sched.completion_time(Schedule()) == 0
+
+
+def test_schedule_normalizes_numpy_ints():
+    schedule = Schedule([(np.int64(2), np.int64(3)), (1, 1)])
+    assert schedule.entries == ((1, 1), (2, 3))
+    assert all(type(v) is int for entry in schedule.entries for v in entry)
 
 
 # ----------------------------------------------------------- the flow network
@@ -371,6 +377,26 @@ def test_random_schedule_infeasible_counts_placed(fig_matrix):
     assert out.fragments == 3
 
 
+@pytest.mark.parametrize("block", [1, 7, 500])
+def test_word_draws_reduce_as_rng_integers(block):
+    """Bounded picks from blocks of words are the values rng.integers(n)
+    gives, and leave the generator in the state those calls leave, with
+    blocks that run out, and one with words left over.  2**31 + 1 rejects
+    about half its words; both generators start with PCG64's half-word
+    pending, after an odd number of 32-bit draws."""
+    bounds = [1, 2, 3, 199, 2**31 + 1, 2**32 - 1]
+    ns = [bounds[i % len(bounds)] for i in range(120)]
+    rng, ref = np.random.default_rng(29), np.random.default_rng(29)
+    for g in (rng, ref):
+        g.integers(0, 1 << 32, size=3, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"]
+    draws = sched._WordDraws(rng, block)
+    picks = [draws.below(n) for n in ns]
+    draws.finish()
+    assert picks == [int(ref.integers(n)) for n in ns]
+    assert generator_state(rng) == generator_state(ref)
+
+
 # -------------------------------------------------------------- ideal baseline
 
 def test_ideal_baseline_counts_online_slots():
@@ -544,17 +570,20 @@ def test_later_phases_match_scipy_on_sched_mixed_shapes():
 
 
 @settings(max_examples=200, deadline=None)
-@given(rated_problems(), st.integers(0, 2**31 - 1))
-def test_random_schedule_matches_loop_reference(p, seed):
-    out = sched.random_schedule(p, seed=seed)
+@given(rated_problems(), st.integers(0, 2**31 - 1), st.sampled_from(sorted(BIT_GENERATORS)))
+def test_random_schedule_matches_loop_reference(p, seed, kind):
+    """Same outcome as the per-pick loop, and the generator passed in ends
+    in the state the loop's per-pick rng.integers calls leave."""
+    rng, loop_rng = BIT_GENERATORS[kind](seed), BIT_GENERATORS[kind](seed)
+    out = sched.random_schedule(p, rng)
     entries = loop_random_schedule(
-        p.matrix.bits.tolist(), 0, p.candidates, p.x, p.owner_rate, p.peer_rate, p.per_peer_cap,
-        np.random.default_rng(seed),
+        p.matrix.bits.tolist(), 0, p.candidates, p.x, p.owner_rate, p.peer_rate, p.per_peer_cap, loop_rng,
     )
     if out.feasible:
         assert out.schedule.entries == tuple(entries)
     else:
         assert out.fragments == len(entries) < p.x
+    assert generator_state(rng) == generator_state(loop_rng)
 
 
 @settings(max_examples=200, deadline=None)
@@ -611,20 +640,27 @@ def test_schedules_are_pinned():
 def test_random_schedule_matches_loop_reference_over_long_horizons(restore_rates):
     """40 problems from a 60 x 168 trace, x up to 48 and restores at
     owner_rate 2 over about x / 2 holders, so the per-peer cap and the
-    per-slot peer rate bind over many slots."""
+    per-slot peer rate bind over many slots.  Each problem runs on each bit
+    generator kind, and the generator passed in must end in the state the
+    per-pick loop leaves, feasible or not."""
     matrix = trace.synth_trace(60, 168, availability=(0.2, 0.9), seed=41)
     problems = cut_problems(matrix, np.random.default_rng(41), 40, (16, 32, 48), (1.0, 1.2), 2, restore_rates)
-    bound = 0
-    for i, p in enumerate(problems):
-        out = sched.random_schedule(p, seed=[41, i])
-        entries = loop_random_schedule(p.matrix.bits.tolist(), 0, p.candidates, p.x, p.owner_rate, p.peer_rate,
-                                       p.per_peer_cap, np.random.default_rng([41, i]))
-        if out.feasible:
-            assert out.schedule.entries == tuple(entries)
-        else:
-            assert out.fragments == len(entries) < p.x
-        bound += len(entries) > len(p.candidates)
-    assert bound  # some schedules use a holder more than once
+    for kind, make in BIT_GENERATORS.items():
+        bound, feasible = 0, set()
+        for i, p in enumerate(problems):
+            rng, loop_rng = make([41, i]), make([41, i])
+            out = sched.random_schedule(p, rng)
+            entries = loop_random_schedule(p.matrix.bits.tolist(), 0, p.candidates, p.x, p.owner_rate, p.peer_rate,
+                                           p.per_peer_cap, loop_rng)
+            if out.feasible:
+                assert out.schedule.entries == tuple(entries)
+            else:
+                assert out.fragments == len(entries) < p.x
+            assert generator_state(rng) == generator_state(loop_rng), kind
+            bound += len(entries) > len(p.candidates)
+            feasible.add(out.feasible)
+        assert bound  # some schedules use a holder more than once
+        assert feasible == {True, False}
 
 
 def test_fragment_count_monotone_in_horizon(fig_problem):
@@ -803,10 +839,13 @@ def test_problem_and_schedule_readers_parse_or_name_the_line(tmp_path, fig_matri
 
 def test_sched_replay_tool_agrees_with_scipy_on_one_group():
     """tests/sched_replay.py, the check of O(x) on sched-mixed-shaped
-    problems against scipy's max flow alone, runs and finds no difference."""
+    problems against scipy's max flow alone and of random_schedule against
+    the per-pick loop, runs and finds no difference."""
     src = Path(sched.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, str(Path(__file__).with_name("sched_replay.py")), "1"],
                             env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "outcomes identical to scipy's max flow alone: yes" in result.stdout.splitlines()
+    lines = result.stdout.splitlines()
+    assert "outcomes identical to scipy's max flow alone: yes" in lines
+    assert "random_schedule identical to the per-pick loop: yes" in lines

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -501,6 +502,107 @@ def test_matrix_file_round_trip_any_bits(tmp_path, bits):
     path = tmp_path / "m.txt"
     trace.write_matrix_file(m, path)
     assert trace.read_matrix_file(path) == m
+
+
+def test_read_matrix_header_alone_allocates_nothing(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("peers=1000000000000 slots=1000000000000 slot_seconds=3600\n")
+    with pytest.raises(trace.TraceFormatError, match="^line 2: expected 1000000000000 characters .* end of the file$"):
+        trace.read_matrix_file(path)
+
+
+def test_read_matrix_names_the_first_missing_row(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("peers=3 slots=0 slot_seconds=3600\n\n")
+    with pytest.raises(trace.TraceFormatError, match="^line 3: expected 0 characters of 0/1, got the end of the file$"):
+        trace.read_matrix_file(path)
+
+
+def test_read_matrix_counts_are_ascii_digits(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("peers=\u0661 slots=2 slot_seconds=3600\n10\n", encoding="utf-8")  # an Arabic-Indic 1
+    with pytest.raises(trace.TraceFormatError, match="^line 1: bad matrix header"):
+        trace.read_matrix_file(path)
+
+
+def test_matrix_file_keeps_every_digit_of_the_slot_length(tmp_path):
+    path = tmp_path / "m.txt"
+    trace.write_matrix_file(make_matrix(["10"], slot_seconds=1234567.0), path)
+    assert path.read_text().startswith("peers=1 slots=2 slot_seconds=1234567.0\n")
+    assert trace.read_matrix_file(path).slot_seconds == 1234567.0
+
+
+# slot_seconds spellings: the writer's own, others that parse, and bad ones
+_WRITER_SECONDS = ["3600", "1800.5", "1e-07", "1234567.0"]
+_OTHER_SECONDS = ["3600.0", "1e3", "+7", "1234567", "0", "-5", "nan", "inf", "1e999", "1..2", "", "x"]
+
+
+@st.composite
+def matrix_texts(draw):
+    """(text, exact): a matrix file of up to 3 x 4 cells, one row perhaps
+    mutated, dropped or doubled, its header's numbers spelled in several
+    ways, and a tail of blank or stray lines; exact is True when the text
+    is in the writer's own form, should it parse."""
+    peers, slots = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    rows = draw(st.lists(st.text("01", min_size=slots, max_size=slots), min_size=peers, max_size=peers))
+    change = draw(st.sampled_from(["none", "none", "row", "drop", "double"]))
+    if rows and change == "row":
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.text("01 2\t\r", max_size=5))
+    elif rows and change == "drop":
+        rows.pop()
+    elif rows and change == "double":
+        rows.append(rows[-1])
+    counts = [draw(st.sampled_from([str(n)] * 4 + [f"0{n}", str(n + 1), "1000000000000", "-1", ""]))
+              for n in (peers, slots)]
+    seconds = draw(st.sampled_from(_WRITER_SECONDS + _OTHER_SECONDS))
+    header = draw(st.sampled_from([f"peers={counts[0]} slots={counts[1]} slot_seconds={seconds}"] * 8
+                                  + ["", f"peers={peers}  slots={slots} slot_seconds=3600", f"slots={slots}"]))
+    tail = draw(st.lists(st.sampled_from(["", "  ", "\t", "garbage", "101"]), max_size=2))
+    final = draw(st.sampled_from(["\n", "\n", ""]))
+    text = "\n".join([header, *rows, *tail]) + final
+    exact = (header == f"peers={peers} slots={slots} slot_seconds={seconds}" and seconds in _WRITER_SECONDS
+             and not tail and final and "\r" not in text)
+    return text, exact
+
+
+def test_read_matrix_parses_or_names_the_line(tmp_path):
+    """Any matrix file either parses to a matrix that the writer writes back
+    byte for byte when the text was in the writer's form, and otherwise as
+    its declared rows under a header of the same numbers, with only blank
+    lines after the rows; or it raises TraceFormatError whose message
+    starts with a line of the file, or the line after its last when rows
+    are missing.  Lines are counted as the reader reads them, with
+    universal newlines.  No other exception escapes, and the sweep must see
+    an exact round trip, another parse and a line error."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrix_texts())
+    def check(case):
+        text, exact = case
+        path, back = tmp_path / "in.txt", tmp_path / "back.txt"
+        path.write_bytes(text.encode("utf-8"))
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        try:
+            m = trace.read_matrix_file(path)
+        except trace.TraceFormatError as exc:
+            line = re.match(r"line (\d+): ", str(exc))
+            assert line and 1 <= int(line[1]) <= len(lines) + 1, str(exc)
+            seen.add("line error")
+            return
+        trace.write_matrix_file(m, back)
+        written = back.read_bytes().decode("utf-8")
+        assert trace.read_matrix_file(back) == m
+        assert written.split("\n")[1:-1] == lines[1:1 + m.num_peers]
+        assert not "".join(lines[1 + m.num_peers:]).strip()
+        if exact:
+            assert written == text
+        seen.add("exact" if exact else "parsed")
+
+    check()
+    assert seen == {"exact", "parsed", "line error"}
 
 
 def test_matrix_bits_are_immutable():

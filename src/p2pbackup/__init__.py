@@ -2,7 +2,9 @@
 scheduling (optimal max-flow and randomized), redundancy policies, full
 system simulation with crash/repair dynamics, and metric reporting.
 
-The usual entry points:
+The package's names are its modules; ``import p2pbackup`` loads the first
+four below, and ``p2pbackup.report`` and ``p2pbackup.cli`` are imported by
+name.
 
 - :mod:`p2pbackup.trace`: event parsing, slotization, synthetic traces.
 - :mod:`p2pbackup.sched`: F(T)/O(x) via max-flow, randomized scheduling.
@@ -14,54 +16,4 @@ The usual entry points:
 
 __version__ = "0.1.0"
 
-from .redundancy import (  # noqa: F401
-    AdaptiveThresholds,
-    CodingParams,
-    backup_complete,
-    data_loss_probability,
-    estimate_ttr,
-    fixed_redundancy_n,
-)
-from .sched import (  # noqa: F401
-    Schedule,
-    ScheduleOutcome,
-    TransferProblem,
-    ideal_baseline,
-    max_fragments,
-    optimal_completion,
-    random_schedule,
-)
-from .sim import SimConfig, SimReport, run  # noqa: F401
-from .trace import (  # noqa: F401
-    AvailabilityMatrix,
-    parse_events,
-    read_matrix_file,
-    slotize,
-    synth_trace,
-    write_matrix_file,
-)
-
-__all__ = [
-    "AdaptiveThresholds",
-    "AvailabilityMatrix",
-    "CodingParams",
-    "Schedule",
-    "ScheduleOutcome",
-    "SimConfig",
-    "SimReport",
-    "TransferProblem",
-    "backup_complete",
-    "data_loss_probability",
-    "estimate_ttr",
-    "fixed_redundancy_n",
-    "ideal_baseline",
-    "max_fragments",
-    "optimal_completion",
-    "parse_events",
-    "random_schedule",
-    "read_matrix_file",
-    "run",
-    "slotize",
-    "synth_trace",
-    "write_matrix_file",
-]
+from . import redundancy, sched, sim, trace  # noqa: F401

@@ -403,9 +403,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         _write_manifest(out, {"subcommand": args.command, "seed": args.seed, **args.func(args, out)})
         return 0
-    except SystemExit:
-        raise
-    except (OSError, ValueError, redundancy.SearchCeilingError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,6 +18,7 @@ uplink) pairs and compute the same statistics from them.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -123,8 +124,8 @@ def fixed_redundancy_n(k: int, a: float, target: float, ceiling: int = 100_000, 
     probability that at least k of n fragments sit on currently-online peers.
     The tail is _binom_sf(k - 1, n, a), a regularized incomplete beta
     function, stable far beyond n = 10^4; atol guards the comparison against
-    its last-digit noise.  The tail is nondecreasing in n, so the search
-    doubles n and then bisects.
+    its last-digit noise.  The tail is nondecreasing in n, so one bisection
+    over [k, ceiling] finds the first n that passes.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -138,22 +139,10 @@ def fixed_redundancy_n(k: int, a: float, target: float, ceiling: int = 100_000, 
     def passes(n: int) -> bool:
         return _binom_sf(k - 1, n, a) >= target - atol
 
-    if passes(k):
-        return k
-    lo, hi = k, min(2 * k, ceiling)
-    if lo == hi:
+    n = k + bisect.bisect_left(range(k, ceiling + 1), True, key=passes)
+    if n > ceiling:
         raise SearchCeilingError(f"no n <= {ceiling} meets target {target} at a={a}")
-    while not passes(hi):
-        if hi >= ceiling:
-            raise SearchCeilingError(f"no n <= {ceiling} meets target {target} at a={a}")
-        lo, hi = hi, min(2 * hi, ceiling)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return n
 
 
 def kth_best_rate(avail: np.ndarray, uplink: np.ndarray, k: int) -> float:

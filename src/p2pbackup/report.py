@@ -217,9 +217,26 @@ def _flag(text: str) -> bool:
 
 def _read_csv(path, header, parsers) -> list[list]:
     """The read side of write_csv: the rows of the named columns, each cell
-    parsed by its column's parser, which inverts _cell for that column."""
+    parsed by its column's parser, which inverts _cell for that column.  A
+    missing column, or a cell that is missing or does not parse, is a
+    ValueError that names the column, and for a cell its line."""
     with open(path, newline="", encoding="utf-8") as fh:
-        return [[parse(row[name]) for name, parse in zip(header, parsers)] for row in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        missing = [name for name in header if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing column {missing[0]!r}")
+        rows = []
+        for row in reader:
+            cells = []
+            for name, parse in zip(header, parsers):
+                try:
+                    if row[name] is None:  # the row ends before this column
+                        raise ValueError("missing cell")
+                    cells.append(parse(row[name]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {reader.line_num}: column {name}: {exc}") from None
+            rows.append(cells)
+        return rows
 
 
 def read_peers_csv(path) -> list[PeerRecord]:

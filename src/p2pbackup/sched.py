@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import AvailabilityMatrix, read_matrix_file, write_matrix_file
+from .trace import AvailabilityMatrix, open_text, read_matrix_file, write_matrix_file
 
 BACKUP = "backup"
 RESTORE = "restore"
@@ -567,7 +567,7 @@ def read_problem_file(path) -> TransferProblem:
     so is a value that does not parse or that TransferProblem rejects, by its
     line and key."""
     pairs: dict[str, tuple[int, str]] = {}  # key -> (line, value)
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, ProblemFormatError) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
@@ -616,7 +616,7 @@ def write_schedule_csv(schedule: Schedule, path) -> None:
 
 def read_schedule_csv(path) -> Schedule:
     entries = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, ProblemFormatError) as fh:
         header = fh.readline().strip()
         if header != "peer,slot":
             raise ProblemFormatError(f"line 1: expected header peer,slot, got {header!r}")

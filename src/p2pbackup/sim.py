@@ -35,7 +35,7 @@ from .redundancy import (
     rate_ettr,
     within_loss_cap,
 )
-from .trace import AvailabilityMatrix
+from .trace import AvailabilityMatrix, open_text
 
 SERVER = -1  # pseudo peer index for the cloud server
 
@@ -170,7 +170,7 @@ def load_config(path) -> dict[str, str]:
     and each key at most once."""
     pairs: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, ValueError, f"{path}: ") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
@@ -196,7 +196,7 @@ def read_bandwidth_cdf(path) -> tuple[np.ndarray, np.ndarray]:
     strictly increasing within [0, 1], and uplinks finite, non-negative and
     non-decreasing, so the table is an inverse CDF."""
     quantiles, values = [], []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, ValueError, f"{path}: ") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#") or text.startswith("quantile"):
@@ -407,7 +407,7 @@ class Simulation:
         if matrix.num_peers < 2 or matrix.num_slots < 1:
             raise ValueError(f"need at least 2 peers and 1 slot, got {matrix.num_peers} x {matrix.num_slots}")
         self.config = config
-        self.bits = matrix.bits.astype(bool)
+        bits = matrix.bits.view(bool)  # the matrix's own 0/1 bytes, read as flags
         self.P = matrix.num_peers
         self.T = matrix.num_slots
         self.slot = matrix.slot_seconds
@@ -420,7 +420,7 @@ class Simulation:
 
         # run constants over peers: long-run trace availability, link rates in bytes/s,
         # ideal backup and restore seconds (minTTB is inf if the row cannot carry the object)
-        self.avail = self.bits.mean(axis=1)
+        self.avail = bits.mean(axis=1)
         self.measured_availability = float(self.avail.mean())
         # most holders an owner places or uploads to: fixed n, or every other peer
         self.fixed_n, self.holder_cap = None, self.P - 1
@@ -428,7 +428,7 @@ class Simulation:
             self.fixed_n = self.holder_cap = fixed_redundancy_n(self.k, max(self.measured_availability, 1e-9),
                                                                 config.fixed_target)
         self.uplink, self.downlink = sample_bandwidth(config, self.P, self.rng)
-        self.min_ttb = _ideal_elapsed(self.bits, self.o / self.uplink, self.slot)
+        self.min_ttb = _ideal_elapsed(bits, self.o / self.uplink, self.slot)
         self.min_ttr = self.o / self.downlink
         self.next_crash = np.array([sample_lifetime(config.mean_lifetime_days, self.rng) for _ in range(self.P)])
         # per-peer byte budgets of one slot; allocate_slot_transfers copies them
@@ -444,7 +444,7 @@ class Simulation:
         self.used = 0
         self._serial = 0
         # vectors over peers; phase, back_at and next_crash are the only copy
-        self.cols = np.ascontiguousarray(self.bits.T)  # cols[col] = bits[:, col]
+        self.cols = np.ascontiguousarray(bits.T)  # cols[col] = bits[:, col], the run's one copy of the trace
         self.phase = np.full(self.P, BACKING_UP, dtype=np.int8)
         self.back_at = np.full(self.P, math.inf)  # return time of an absent peer, inf while present
         # placed[owner, peer]: the id of the fragment peer holds for owner, IN_FLIGHT while an

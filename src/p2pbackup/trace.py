@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice, repeat
@@ -34,6 +35,26 @@ DEFAULT_MIN_UPTIME = 4.0 / 24.0
 
 class TraceFormatError(ValueError):
     """Raised for malformed event or matrix files; message carries the line number."""
+
+
+@contextmanager
+def open_text(path, error=TraceFormatError, prefix: str = ""):
+    """open(path) as UTF-8 text for a reader whose errors are error(prefix
+    + "line N: ..."); a byte that is not UTF-8 raises one such error.  The
+    line is looked for only once the decoder has failed."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                # the dot ends the bad byte's line, so splitlines counts it as the text mode reader does
+                lineno = len((data[:exc.start] + b".").splitlines())
+                raise error(f"{prefix}line {lineno}: not UTF-8 text") from None
+            raise  # the file changed after the failed read: pass the decoder's error on
 
 
 def _check_slot_seconds(slot_seconds) -> None:
@@ -224,7 +245,7 @@ def parse_events(lines) -> tuple[list[AvailabilityEvent], list[str]]:
 
 
 def read_event_file(path) -> tuple[list[AvailabilityEvent], list[str]]:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_events(fh)
 
 
@@ -400,7 +421,7 @@ def read_matrix_file(path) -> AvailabilityMatrix:
     """Read the matrix cache format.  The declared rows are read and checked
     before the array is built, so a header allocates nothing by itself and a
     file that ends early fails at its first missing row."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n")
         m = _MATRIX_HEADER.match(header)
         if not m:

@@ -6,6 +6,7 @@ checklist.  The heavyweight fixtures (the 10-seed policy comparison) are
 shared between criteria 6, 7 and 8.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from p2pbackup import redundancy, report, sched, sim, trace
+from p2pbackup import cli, redundancy, report, sched, sim, trace
 
 from conftest import allocate_rows, link_loads, recorded_allocations
 from oracles import (binomial_tail_ge, matching_max_fragments, matching_min_completion,
@@ -124,36 +125,24 @@ def test_criterion_3_oracle_equivalence(verdict):
 
 # -- 4: randomized scheduling approaches optimal with candidate slack ----
 
-def _grid_point(bits, slot_seconds, rng, x: int, ratio: float, trials: int):
-    P, T = bits.shape
-    opt_acc, rand_acc = [], []
-    for _ in range(trials):
-        owner = int(rng.integers(P))
-        others = [i for i in range(P) if i != owner]
-        chosen = rng.choice(len(others), size=int(round(ratio * x)), replace=False)
-        picked = [others[i] for i in sorted(chosen.tolist())]
-        start = int(rng.integers(1, max(2, T // 2)))
-        sub = trace.AvailabilityMatrix(bits=bits[[owner] + picked, start - 1:],
-                                       slot_seconds=slot_seconds)
-        problem = sched.TransferProblem(matrix=sub, owner=0, direction=sched.BACKUP, x=x)
-        opt = sched.optimal_completion(problem)
-        rnd = sched.random_schedule(problem, rng)
-        if opt.feasible and rnd.feasible:
-            opt_acc.append(opt.completion)
-            rand_acc.append(rnd.completion)
-    return float(np.mean(rand_acc) / np.mean(opt_acc))
-
-
-def test_criterion_4_random_vs_optimal_convergence(verdict):
+def test_criterion_4_random_vs_optimal_convergence(verdict, tmp_path):
+    """Runs the shipped sched-compare per seed and reads each grid point's
+    mean_random / mean_optimal from its CSV."""
     ratios = (1.1, 1.25, 1.5, 1.75, 2.0)
     failures = []
     summary = []
     for seed in (1, 2, 3):
-        matrix = trace.synth_trace(200, 504, availability=(0.2, 0.9), seed=seed)
-        rng = np.random.default_rng(seed)
+        out = tmp_path / str(seed)
+        code = cli.main(["sched-compare", "--synth-peers", "200", "--synth-slots", "504",
+                         "--avail-low", "0.2", "--avail-high", "0.9", "--x", "40,60",
+                         "--ratios", ",".join(map(str, ratios)), "--trials", "200",
+                         "--seed", str(seed), "--out-dir", str(out)])
+        assert code == 0
+        with open(out / "sched-compare.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
         for x in (40, 60):
-            vals = {r: _grid_point(matrix.bits, matrix.slot_seconds, rng, x, r, 200)
-                    for r in ratios}
+            vals = {float(row["ratio"]): float(row["mean_random"]) / float(row["mean_optimal"])
+                    for row in rows if int(row["x"]) == x}
             if any(v < 1.0 - 1e-12 for v in vals.values()):
                 failures.append(f"seed {seed} x={x}: ratio below 1")
             if not vals[2.0] < vals[1.1]:

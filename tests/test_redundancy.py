@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -77,6 +78,22 @@ def test_fixed_n_monotone_in_target_and_availability():
     assert ns == sorted(ns)
     ns = [red.fixed_redundancy_n(8, a, 0.99) for a in (0.3, 0.5, 0.7, 0.9)]
     assert ns == sorted(ns, reverse=True)
+
+
+@given(st.integers(1, 32), st.floats(0.1, 1.0), st.floats(0.5, 0.9999), st.integers(0, 40))
+@settings(max_examples=150, deadline=None)
+def test_fixed_n_matches_a_linear_scan(k, a, target, slack):
+    """The bisection returns the first n >= k that a scan from k finds with
+    the same float test, and raises SearchCeilingError exactly when that n
+    lies above the ceiling."""
+    n = next(n for n in itertools.count(k) if red._binom_sf(k - 1, n, a) >= target - 1e-12)
+    assert red.fixed_redundancy_n(k, a, target) == n
+    ceiling = max(k, n - 20 + slack)
+    if ceiling < n:
+        with pytest.raises(red.SearchCeilingError):
+            red.fixed_redundancy_n(k, a, target, ceiling=ceiling)
+    else:
+        assert red.fixed_redundancy_n(k, a, target, ceiling=ceiling) == n
 
 
 def test_fixed_n_search_ceiling():
@@ -375,11 +392,17 @@ def test_binom_sf_is_scipy_binom_sf_bit_for_bit():
 def test_package_import_leaves_scipy_stats_unloaded():
     """Importing the package and its CLI loads neither scipy.stats nor any
     scipy.sparse module: the library needs neither, and each costs every
-    run its import time."""
+    run its import time.  A bare import loads exactly the four modules the
+    package imports, so the import time a fresh interpreter pays stays the
+    same work."""
     src = Path(red.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    code = ("import sys, p2pbackup, p2pbackup.cli; "
+    code = ("import sys, p2pbackup; "
+            "print(sorted(m for m in sys.modules if m.startswith('p2pbackup.'))); "
+            "import p2pbackup.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'sparse'])))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                             timeout=120, check=True)
-    assert result.stdout.strip() == "[]"
+    package, scipy_modules = result.stdout.splitlines()
+    assert package == str([f"p2pbackup.{name}" for name in ("redundancy", "sched", "sim", "trace")])
+    assert scipy_modules == "[]"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -265,6 +266,27 @@ def test_crashes_csv_round_trip_keeps_cell_types(tmp_path):
     path.write_text(",".join(rep.CRASHES_FIELDS) + "\n3,5,,pending,2,0\n")
     with pytest.raises(ValueError, match="must be 0 or 1, got '2'"):
         rep.read_crashes_csv(path)
+
+
+PEERS_HEADER = ",".join(rep.PEERS_FIELDS)
+
+
+@pytest.mark.parametrize("text,message", [
+    (PEERS_HEADER.replace(",availability", "") + "\n", "missing column 'availability'"),
+    ("", "missing column 'peer_id'"),
+    (PEERS_HEADER + "\n0,1,0.5,1,1,1,1,1,1\n1,1,abc,1,1,1,1,1,1\n",
+     "line 3: column availability: could not convert string to float: 'abc'"),
+    (PEERS_HEADER + "\n1.5,1,0.5,1,1,1,1,1,1\n", "line 2: column peer_id: invalid literal for int"),
+    (PEERS_HEADER + "\n0,1,0.5\n", "line 2: column ttb: missing cell"),
+], ids=["no-column", "empty-file", "bad-float", "bad-int", "short-row"])
+def test_peers_csv_errors_name_the_column(tmp_path, text, message):
+    """A missing column is a ValueError naming it, and a bad or missing cell
+    one naming its line and column, never a KeyError or a bare float()
+    message."""
+    path = tmp_path / "peers.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+        rep.read_peers_csv(path)
 
 
 def test_server_csv_round_trip(tmp_path):

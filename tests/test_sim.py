@@ -233,6 +233,74 @@ def test_bandwidth_cdf_rejects_a_falling_uplink(tmp_path):
     assert psim.read_bandwidth_cdf(path)[1].tolist() == [100.0, 100.0, 150.0]
 
 
+_CDF_JUNK = ["nan", "inf", "-inf", "-5", "1.5", "abc", "", "1e400", " 0.5 ", "0x1p-2"]
+_CDF_LINES = ["quantile,uplink", "# comment", "", "   ", "0.5;100", "1,2,3", "0.5,"]
+_CDF_CHARS = st.characters(blacklist_categories=["Cc", "Cs", "Zl", "Zp"])  # no line breaks
+
+
+@st.composite
+def cdf_texts(draw):
+    """A table with rising quantiles and uplinks, then up to three edits: a
+    junk token, two rows swapped, an uplink lowered below its predecessor's,
+    or an extra line (header, comment, blank, malformed or random text)."""
+    count = draw(st.integers(0, 6))
+    qs = sorted(draw(st.lists(st.floats(0, 1), min_size=count, max_size=count, unique=True)))
+    vs = sorted(draw(st.lists(st.floats(0, 1e9), min_size=count, max_size=count)))
+    rows = [[repr(q), repr(v)] for q, v in zip(qs, vs)]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["junk", "swap", "lower", "line"]))
+        if edit == "line" or not rows:
+            text = draw(st.one_of(st.sampled_from(_CDF_LINES), st.text(_CDF_CHARS, max_size=12)))
+            rows.insert(draw(st.integers(0, len(rows))), [text])
+            continue
+        i = draw(st.integers(0, len(rows) - 1))
+        if edit == "junk" and len(rows[i]) == 2:
+            rows[i][draw(st.integers(0, 1))] = draw(st.sampled_from(_CDF_JUNK))
+        elif edit == "swap":
+            j = draw(st.integers(0, len(rows) - 1))
+            rows[i], rows[j] = rows[j], rows[i]
+        elif edit == "lower" and i and len(rows[i]) == len(rows[i - 1]) == 2:
+            try:
+                rows[i][1] = repr(float(rows[i - 1][1]) - draw(st.floats(1e-3, 1e3)))
+            except ValueError:
+                pass
+    return "\n".join(",".join(row) for row in rows) + draw(st.sampled_from(["\n", ""]))
+
+
+def test_bandwidth_cdf_parses_or_names_the_line(tmp_path):
+    """Any text either reads as an inverse CDF, quantiles strictly
+    increasing within [0, 1] and uplinks finite, non-negative and
+    non-decreasing, or raises a ValueError that names a line of the file;
+    an empty table is the one error without a line.  No other exception
+    escapes, and the sweep must see a parse, a line error and an empty
+    table."""
+    seen = set()
+    path = tmp_path / "cdf.csv"
+
+    @settings(max_examples=300, deadline=None)
+    @given(cdf_texts())
+    def check(text):
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            q, v = psim.read_bandwidth_cdf(path)
+        except ValueError as exc:
+            if str(exc) == f"{path}: empty bandwidth CDF":
+                seen.add("empty")
+                return
+            line = re.match(rf"{re.escape(str(path))}: line (\d+): ", str(exc))
+            assert line and 1 <= int(line[1]) <= len(text.splitlines()), str(exc)
+            seen.add("line error")
+            return
+        assert len(q) == len(v) >= 1
+        assert np.all(np.isfinite(q)) and np.all(np.isfinite(v)), (q, v)
+        assert q[0] >= 0 and q[-1] <= 1 and np.all(np.diff(q) > 0), q
+        assert v[0] >= 0 and np.all(np.diff(v) >= 0), v
+        seen.add("parsed")
+
+    check()
+    assert seen == {"parsed", "line error", "empty"}
+
+
 def test_bandwidth_cdf_allows_header_and_comments(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("quantile,uplink_bytes_per_sec\n# midpoint\n0.5,100\n")
@@ -1030,7 +1098,7 @@ def index_violations(simulation, col):
             found.append(f"{where} phase {s.phase[t.owner]} owner {t.owner} has {KIND_NAMES[t.kind]} "
                          f"transfer {t.serial} in flight")
     found += episode_violations(s)
-    online = [s.back_at[i] == math.inf and (s.phase[i] == psim.RESTORING or bool(s.bits[i, col])) for i in range(s.P)]
+    online = [s.back_at[i] == math.inf and (s.phase[i] == psim.RESTORING or bool(s.cols[col, i])) for i in range(s.P)]
     if s._online(col).tolist() != online:
         found.append(f"online flags {s._online(col).tolist()} != {online}")
     return found
@@ -1193,7 +1261,7 @@ class IndexCheckSimulation(Simulation):
             i for i in range(self.P)
             if i != owner_idx
             and self.back_at[i] == math.inf
-            and (self.phase[i] == psim.RESTORING or self.bits[i, col])
+            and (self.phase[i] == psim.RESTORING or self.cols[col, i])
             and i not in holders
             and (owner_idx, i) not in uploads
             and stored[i] + before[i] < self.capacity_slots
@@ -1260,7 +1328,7 @@ class IndexCheckSimulation(Simulation):
         restoring owner, and each present owner in the trace, backing up or
         complete, whose policy has room and that has fewer than
         backup_parallelism backups to targets present and in the trace."""
-        steady = [self.back_at[i] == math.inf and bool(self.bits[i, slot_idx]) for i in range(self.P)]
+        steady = [self.back_at[i] == math.inf and bool(self.cols[slot_idx, i]) for i in range(self.P)]
         visit = []
         for i in range(self.P):
             if self.back_at[i] == math.inf and self.phase[i] == psim.RESTORING:
@@ -1296,7 +1364,7 @@ class IndexCheckSimulation(Simulation):
         # a skipped owner's placements and transfers are as they were, and
         # the online set only shrinks in the step, so one that cannot open an
         # upload now could not at its turn
-        online = [self.back_at[i] == math.inf and (self.phase[i] == psim.RESTORING or bool(self.bits[i, slot_idx]))
+        online = [self.back_at[i] == math.inf and (self.phase[i] == psim.RESTORING or bool(self.cols[slot_idx, i]))
                   for i in range(self.P)]
         for i in range(self.P):
             if i not in stepped and online[i] and self.phase[i] in (psim.BACKING_UP, psim.COMPLETE):

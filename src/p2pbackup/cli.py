@@ -161,7 +161,7 @@ def cmd_sched_compare(args, out: Path) -> dict:
                     slot_seconds=matrix.slot_seconds,
                 )
                 problem = sched.TransferProblem(matrix=sub, owner=0, direction=sched.BACKUP, x=x)
-                baseline = sched.ideal_baseline(sub.bits[0], x, 1, start_slot=1)
+                baseline = sched.ideal_baseline(sub.bits[0], x, 1)
                 optimal = sched.optimal_completion(problem)
                 randomized = sched.random_schedule(problem, rng)
                 if baseline is None or not optimal.feasible or not randomized.feasible:
@@ -224,7 +224,7 @@ def _plan_loss(row: dict) -> dict:
 def cmd_plan(args, out: Path) -> dict:
     results = []
     if args.batch:
-        with open(args.batch, newline="", encoding="utf-8") as fh:
+        with trace.open_text(args.batch, ValueError, f"{args.batch}: ", newline="") as fh:
             reader = csv.DictReader(fh)  # a short row reads None for each field it lacks
             for row in reader:
                 mode = (row.get("mode") or "").strip() or ("loss" if row.get("t_days") else "n")
@@ -259,7 +259,8 @@ def cmd_plan(args, out: Path) -> dict:
 # -- simulate ------------------------------------------------------------
 
 # every SimConfig field is a simulate flag, --field-name unless renamed
-# here; flags override config-file keys, and --seed is a common flag
+# here; flags override config-file keys and parse as they do, through
+# SimConfig.from_mapping, and --seed is a common flag
 _SIM_FLAG_NAMES = {"redundancy_policy": "--policy"}
 
 
@@ -386,9 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="average this many runs over seeds seed..seed+N-1")
     for f in fields(sim.SimConfig):
         if f.name != "seed":
-            flag = _SIM_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
-            cast = {"int": int, "float": float}.get(f.type, str)
-            p.add_argument(flag, dest=f.name, type=cast, default=None)
+            p.add_argument(_SIM_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name)
     p.set_defaults(func=cmd_simulate)
     return parser
 

@@ -26,6 +26,7 @@ import numpy as np
 from scipy.special import betainc
 
 SECONDS_PER_DAY = 86400.0
+_TAIL_ATOL = 1e-12  # fixed_redundancy_n's allowance for the tail's last-digit noise
 
 
 class SearchCeilingError(ValueError):
@@ -34,31 +35,6 @@ class SearchCeilingError(ValueError):
 
 class InsufficientHoldersError(ValueError):
     """Fewer than k holders: the backup is not yet restorable, eTTR is undefined."""
-
-
-@dataclass(frozen=True)
-class CodingParams:
-    """Erasure-coding shape: o bytes split into k fragments of f bytes, n encoded."""
-
-    object_size: int
-    fragment_size: int
-    n: int
-
-    def __post_init__(self):
-        if self.fragment_size <= 0 or self.object_size <= 0:
-            raise ValueError("sizes must be positive")
-        if self.object_size % self.fragment_size:
-            raise ValueError("object_size must be an exact multiple of fragment_size")
-        if self.n < self.k:
-            raise ValueError("n must be at least k")
-
-    @property
-    def k(self) -> int:
-        return self.object_size // self.fragment_size
-
-    @property
-    def redundancy(self) -> float:
-        return self.n / self.k
 
 
 @dataclass(frozen=True)
@@ -117,14 +93,14 @@ def _binom_sf(j: int, n: int, p: float) -> float:
     return float(betainc(j + 1, n - j, p))
 
 
-def fixed_redundancy_n(k: int, a: float, target: float, ceiling: int = 100_000, atol: float = 1e-12) -> int:
+def fixed_redundancy_n(k: int, a: float, target: float, ceiling: int = 100_000) -> int:
     """Minimal n >= k whose binomial availability tail meets the target.
 
     Finds the smallest n with P[X >= k] >= target for X ~ Binomial(n, a): the
     probability that at least k of n fragments sit on currently-online peers.
     The tail is _binom_sf(k - 1, n, a), a regularized incomplete beta
-    function, stable far beyond n = 10^4; atol guards the comparison against
-    its last-digit noise.  The tail is nondecreasing in n, so one bisection
+    function, stable far beyond n = 10^4; the comparison allows _TAIL_ATOL of
+    last-digit noise.  The tail is nondecreasing in n, so one bisection
     over [k, ceiling] finds the first n that passes.
     """
     if k < 1:
@@ -137,7 +113,7 @@ def fixed_redundancy_n(k: int, a: float, target: float, ceiling: int = 100_000, 
         raise SearchCeilingError(f"ceiling {ceiling} is below k={k}")
 
     def passes(n: int) -> bool:
-        return _binom_sf(k - 1, n, a) >= target - atol
+        return _binom_sf(k - 1, n, a) >= target - _TAIL_ATOL
 
     n = k + bisect.bisect_left(range(k, ceiling + 1), True, key=passes)
     if n > ceiling:

@@ -1,6 +1,6 @@
 """Aggregation of run results into backup metrics, plus CSV import/export.
 
-Pure functions over immutable reports: empirical CDFs, normalized time
+Pure functions over immutable reports: percentiles, normalized time
 ratios, data-loss categorization, and server-traffic summaries.  The CSV
 writers define the on-disk contract (any external tool plots); re-importing
 an export reproduces the same aggregates.
@@ -15,40 +15,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .sim import DELAYED_ASSISTED, CrashRecord, PeerRecord, SimReport
-
-
-@dataclass(frozen=True)
-class CdfSeries:
-    """Empirical CDF: distinct sorted values with cumulative fractions."""
-
-    values: tuple
-    fractions: tuple
-
-    def __post_init__(self):
-        if not self.values or len(self.values) != len(self.fractions):
-            raise ValueError("values and fractions must be non-empty and aligned")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("values must be strictly increasing")
-        if any(b < a for a, b in zip(self.fractions, self.fractions[1:])):
-            raise ValueError("fractions must be nondecreasing")
-        if abs(self.fractions[-1] - 1.0) > 1e-12:
-            raise ValueError("fractions must end at 1")
-
-
-def cdf(values) -> CdfSeries:
-    """Empirical CDF of a non-empty sample; ties collapse onto one point, so
-    the result is invariant under input permutation."""
-    data = sorted(float(v) for v in values)
-    if not data:
-        raise ValueError("cdf of an empty sample")
-    n = len(data)
-    out_values, out_fractions = [], []
-    for i, v in enumerate(data):
-        if i + 1 < n and data[i + 1] == v:
-            continue  # keep only the last (largest-rank) entry per tie group
-        out_values.append(v)
-        out_fractions.append((i + 1) / n)
-    return CdfSeries(tuple(out_values), tuple(out_fractions))
+from .trace import open_text
 
 
 def percentile(values, pct: float) -> float:
@@ -220,7 +187,7 @@ def _read_csv(path, header, parsers) -> list[list]:
     parsed by its column's parser, which inverts _cell for that column.  A
     missing column, or a cell that is missing or does not parse, is a
     ValueError that names the column, and for a cell its line."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, ValueError, f"{path}: ", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [name for name in header if name not in (reader.fieldnames or ())]
         if missing:
@@ -320,7 +287,7 @@ def _parse_cell(text: str):
 
 
 def read_summary_csv(path) -> dict:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, ValueError, f"{path}: ", newline="") as fh:
         rows = list(csv.DictReader(fh))
     if len(rows) != 1:
         raise ValueError(f"{path}: expected exactly one summary row")

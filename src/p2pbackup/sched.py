@@ -514,21 +514,19 @@ def random_schedule(problem: TransferProblem, seed=None) -> ScheduleOutcome:
     return ScheduleOutcome(True, _sorted_schedule(entries), entries[-1][1], x)
 
 
-def ideal_baseline(owner_row, amount_fragments: int, rate_per_slot: int, start_slot: int = 1) -> int | None:
+def ideal_baseline(owner_row, amount_fragments: int, rate_per_slot: int) -> int | None:
     """Elapsed slots until the owner has accumulated ceil(amount/rate) online
-    slots from start_slot, counting both endpoints (an always-on unbounded
-    remote store).  Implements the ideal lower bounds minTTB (rate = u_0) and
-    minTTR (rate = d_0).  Returns None when the horizon has too few online
-    slots."""
+    slots from the row's first slot, counting both endpoints (an always-on
+    unbounded remote store); a later start is a slice of the row.  Implements
+    the ideal lower bounds minTTB (rate = u_0) and minTTR (rate = d_0).
+    Returns None when the horizon has too few online slots."""
     row = np.asarray(owner_row).ravel()
     if rate_per_slot < 1:
         raise ValueError("rate_per_slot must be at least 1")
-    if not 1 <= start_slot <= len(row):
-        raise ValueError("start_slot out of range")
     if amount_fragments <= 0:
         return 0
     needed = math.ceil(amount_fragments / rate_per_slot)
-    online = np.flatnonzero(row[start_slot - 1:])  # the online slots, as offsets from start_slot
+    online = np.flatnonzero(row)
     return int(online[needed - 1]) + 1 if needed <= online.size else None
 
 

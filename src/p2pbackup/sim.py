@@ -139,17 +139,23 @@ class SimConfig:
 
     @classmethod
     def from_mapping(cls, mapping) -> "SimConfig":
-        """Build a config from string or native values keyed by field name."""
+        """Build a config from string or native values keyed by field name; a
+        string that does not parse as its field's number is a ValueError
+        naming the key."""
         kwargs = {}
         known = {f.name: f.type for f in fields(cls)}
         for key, value in dict(mapping).items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
             if isinstance(value, str) and known[key] in ("int", "float"):
-                text, value = value, float(value)
+                text, kind = value, "an integer" if known[key] == "int" else "a number"
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise ValueError(f"{key} must be {kind}, got {text!r}") from None
                 if known[key] == "int" and math.isfinite(value):  # __post_init__ names a non-finite one
                     if not value.is_integer():
-                        raise ValueError(f"{key} must be an integer, got {text!r}")
+                        raise ValueError(f"{key} must be {kind}, got {text!r}")
                     try:
                         value = int(text)  # keeps every digit of a long one
                     except ValueError:

@@ -38,11 +38,12 @@ class TraceFormatError(ValueError):
 
 
 @contextmanager
-def open_text(path, error=TraceFormatError, prefix: str = ""):
+def open_text(path, error=TraceFormatError, prefix: str = "", newline=None):
     """open(path) as UTF-8 text for a reader whose errors are error(prefix
     + "line N: ..."); a byte that is not UTF-8 raises one such error.  The
-    line is looked for only once the decoder has failed."""
-    with open(path, encoding="utf-8") as fh:
+    line is looked for only once the decoder has failed.  newline goes to
+    open: a csv reader passes ""."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError:

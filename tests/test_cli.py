@@ -121,6 +121,15 @@ def test_trace_stats_rejects_a_non_finite_timestamp(tmp_path, capsys, stamp):
     assert capsys.readouterr().err.startswith(f"error: line 2: non-finite timestamp {stamp}")
 
 
+def test_trace_stats_prints_parse_warnings(tmp_path, capsys):
+    src = tmp_path / "events.csv"
+    src.write_text("p1,1800,logoff\np2,0,login\n")
+    rc = cli.main(["trace-stats", "--events", str(src), "--out-dir", str(tmp_path / "o")])
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ") and "login at epoch" in err[0]
+
+
 def test_trace_stats_requires_a_source(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["trace-stats", "--out-dir", str(tmp_path / "o")])
@@ -278,6 +287,16 @@ def test_sched_compare_grid(tmp_path):
         assert float(r["mean_random"]) >= float(r["mean_optimal"]) - 1e-12
 
 
+def test_sched_compare_notes_a_grid_point_without_feasible_trials(tmp_path):
+    matrix_path, out = tmp_path / "m.txt", tmp_path / "o"
+    trace.write_matrix_file(make_matrix(["0" * 10] * 4), matrix_path)  # nobody is ever online
+    rc = cli.main(["sched-compare", "--matrix", str(matrix_path), "--x", "1", "--ratios", "2",
+                   "--trials", "3", "--out-dir", str(out)])
+    assert rc == 0
+    [row] = read_csv(out / "sched-compare.csv")
+    assert (row["trials_used"], row["note"], row["mean_optimal"]) == ("0", "no feasible trials", "")
+
+
 def test_sched_compare_rejects_ratio_at_most_one(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["sched-compare", "--synth-peers", "6", "--synth-slots", "20",
@@ -378,6 +397,34 @@ def test_simulate_rejects_a_non_finite_integer_config_value(tmp_path, flat_cdf_f
                    "--config", str(config_path), "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: storage_quota must be finite, got inf")
+
+
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_simulate_names_the_key_of_a_number_that_does_not_parse(tmp_path, flat_cdf_file, capsys, source):
+    overrides = {"storage_quota": "abc"} if source == "file" else {}
+    matrix_path, config_path = write_sim_inputs(tmp_path, flat_cdf_file, **overrides)
+    flags = ["--storage-quota", "abc"] if source == "flag" else []
+    rc = cli.main(["simulate", "--matrix", str(matrix_path), "--config", str(config_path), *flags,
+                   "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: storage_quota must be an integer, got 'abc'"]
+
+
+def test_simulate_flags_parse_as_config_values(tmp_path, flat_cdf_file):
+    """A flag takes what its config key takes, such as 1e10 for an integer."""
+    configs = []
+    for source in ("file", "flag"):
+        run_dir = tmp_path / source
+        run_dir.mkdir()
+        overrides = {"storage_quota": "1e10", "loss_cap": "1e-3"} if source == "file" else {}
+        matrix_path, config_path = write_sim_inputs(run_dir, flat_cdf_file, **overrides)
+        flags = ["--storage-quota", "1e10", "--loss-cap", "1e-3"] if source == "flag" else []
+        rc = cli.main(["simulate", "--matrix", str(matrix_path), "--config", str(config_path), *flags,
+                       "--out-dir", str(run_dir / "o")])
+        assert rc == 0
+        configs.append(read_manifest(run_dir / "o")["config"])
+    assert configs[0] == configs[1]
+    assert (configs[1]["storage_quota"], configs[1]["loss_cap"]) == (10**10, 1e-3)
 
 
 def test_simulate_same_seed_byte_identical(tmp_path, flat_cdf_file):

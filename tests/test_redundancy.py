@@ -18,23 +18,6 @@ from oracles import binomial_tail_ge, minimal_redundancy
 DAY = red.SECONDS_PER_DAY
 
 
-# ---------------------------------------------------------------- CodingParams
-
-def test_coding_params_shape():
-    params = red.CodingParams(object_size=10 * 2**30, fragment_size=160 * 2**20, n=228)
-    assert params.k == 64
-    assert params.redundancy == pytest.approx(228 / 64)
-
-
-def test_coding_params_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        red.CodingParams(object_size=100, fragment_size=30, n=4)  # not a multiple
-    with pytest.raises(ValueError):
-        red.CodingParams(object_size=100, fragment_size=25, n=3)  # n < k
-    with pytest.raises(ValueError):
-        red.CodingParams(object_size=0, fragment_size=1, n=1)
-
-
 # --------------------------------------------------------- fixed_redundancy_n
 
 def test_fixed_n_agrees_with_exact_arithmetic_at_design_point():
@@ -146,6 +129,12 @@ def test_ettr_invariant_under_holder_order():
 def test_ettr_requires_k_holders():
     with pytest.raises(red.InsufficientHoldersError):
         red.estimate_ttr(100.0, 10.0, [(0.5, 10.0)], k=2)
+
+
+def test_no_holders():
+    with pytest.raises(red.InsufficientHoldersError, match="^0 holders < k=2$"):
+        red.estimate_ttr(100.0, 10.0, [], k=2)
+    assert red.default_parallel(100.0, [], 4) == 1
 
 
 def test_ettr_zero_rate_holder_is_infinite():

@@ -3,8 +3,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from p2pbackup import report as rep
 from p2pbackup import sim as psim
@@ -37,47 +35,6 @@ def report_of(peers, crashes=(), num_slots=4, outbound=None, inbound=None, buffe
         server_buffered=zeros if buffered is None else np.asarray(buffered, dtype=float),
         avg_redundancy=math.nan,
     )
-
-
-# ------------------------------------------------------------------------ cdf
-
-def test_cdf_single_value():
-    series = rep.cdf([5])
-    assert series.values == (5.0,)
-    assert series.fractions == (1.0,)
-
-
-def test_cdf_collapses_ties():
-    series = rep.cdf([1, 2, 2, 4])
-    assert series.values == (1.0, 2.0, 4.0)
-    assert series.fractions == (0.25, 0.75, 1.0)
-
-
-def test_cdf_invariant_under_permutation():
-    assert rep.cdf([4, 2, 1, 2]) == rep.cdf([1, 2, 2, 4])
-
-
-def test_cdf_rejects_empty():
-    with pytest.raises(ValueError):
-        rep.cdf([])
-
-
-@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
-@settings(max_examples=100)
-def test_cdf_is_a_distribution(values):
-    series = rep.cdf(values)
-    assert series.values == tuple(sorted(set(float(v) for v in values)))
-    assert all(b > a for a, b in zip(series.fractions, series.fractions[1:]))
-    assert series.fractions[-1] == pytest.approx(1.0)
-
-
-def test_cdf_series_validation():
-    with pytest.raises(ValueError):
-        rep.CdfSeries(values=(2.0, 1.0), fractions=(0.5, 1.0))  # unsorted values
-    with pytest.raises(ValueError):
-        rep.CdfSeries(values=(1.0, 2.0), fractions=(0.8, 0.5))  # non-monotone
-    with pytest.raises(ValueError):
-        rep.CdfSeries(values=(1.0,), fractions=(0.9,))  # must end at 1
 
 
 # ------------------------------------------------------------------ percentile
@@ -156,6 +113,15 @@ def test_loss_breakdown_rejects_inconsistent_fractions():
             unfinished_backup_fraction=0.2, unavoidable_fraction=0.4,
             crashed_peers=1, lost_peers=1,
         )
+
+
+@pytest.mark.parametrize("name, value", [
+    ("lost_fraction", 1.5), ("unfinished_backup_fraction", -0.1), ("unavoidable_fraction", 2.0),
+])
+def test_loss_breakdown_rejects_a_fraction_outside_the_unit_interval(name, value):
+    fractions = {"lost_fraction": 0.0, "unfinished_backup_fraction": 0.0, "unavoidable_fraction": 0.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} out of \\[0, 1\\]: {value}$"):
+        rep.LossBreakdown(crashed_count=1, lost_count=1, crashed_peers=1, lost_peers=1, **fractions)
 
 
 # ----------------------------------------------------------- normalized ratios
@@ -334,6 +300,14 @@ def test_write_report_csvs_names(tmp_path, small_run):
     names = ["peers.csv", "crashes.csv", "server.csv", "summary.csv"]
     assert paths == [tmp_path / "run" / name for name in names]
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(names)
+
+
+@pytest.mark.parametrize("rows", [[], ["fixed,1", "adaptive,2"]], ids=["no-rows", "two-rows"])
+def test_summary_csv_must_hold_one_row(tmp_path, rows):
+    path = tmp_path / "summary.csv"
+    path.write_text("".join(f"{line}\n" for line in ["policy,runs", *rows]))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected exactly one summary row$"):
+        rep.read_summary_csv(path)
 
 
 def test_summary_round_trip(tmp_path, small_run):

@@ -140,6 +140,11 @@ def test_validate_flags_peer_rate(fig_matrix):
     assert sched.validate_schedule(relaxed, Schedule([(1, 1), (1, 1)])) == []
 
 
+def test_validate_flags_a_transfer_to_the_owner(fig_problem):
+    violations = sched.validate_schedule(fig_problem, Schedule([(0, 1)]))
+    assert "entry (0, 1): transfer targets the owner" in violations
+
+
 def test_validate_flags_non_storage_peer(fig_matrix):
     p = TransferProblem(matrix=fig_matrix, owner=0, direction=RESTORE, x=1, storage_set={1})
     violations = sched.validate_schedule(p, Schedule([(2, 1)]))
@@ -405,21 +410,16 @@ def test_ideal_baseline_counts_online_slots():
     assert sched.ideal_baseline([1, 0] * 4, 4, 1) == 7
 
 
-def test_ideal_baseline_start_slot_offsets_elapsed_count():
-    assert sched.ideal_baseline([1, 0, 1, 1, 0], 2, 1, start_slot=3) == 2
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.booleans(), min_size=1, max_size=12), st.integers(0, 14), st.integers(1, 3), st.data())
-def test_ideal_baseline_matches_slot_loop(row, amount, rate, data):
-    start = data.draw(st.integers(1, len(row)))
+@given(st.lists(st.booleans(), min_size=1, max_size=12), st.integers(0, 14), st.integers(1, 3))
+def test_ideal_baseline_matches_slot_loop(row, amount, rate):
     needed, count, expect = math.ceil(amount / rate), 0, None if amount else 0
-    for col in range(start - 1, len(row)):
+    for col in range(len(row)):
         count += row[col]
         if row[col] and count == needed:
-            expect = col + 2 - start
+            expect = col + 1
             break
-    assert sched.ideal_baseline(np.array(row, dtype=np.uint8), amount, rate, start_slot=start) == expect
+    assert sched.ideal_baseline(np.array(row, dtype=np.uint8), amount, rate) == expect
 
 
 def test_ideal_baseline_edge_cases():
@@ -427,8 +427,6 @@ def test_ideal_baseline_edge_cases():
     assert sched.ideal_baseline([1, 0, 0], 2, 1) is None
     with pytest.raises(ValueError):
         sched.ideal_baseline([1], 1, 0)
-    with pytest.raises(ValueError):
-        sched.ideal_baseline([1], 1, 1, start_slot=2)
 
 
 def test_optimal_never_beats_ideal(fig_problem):

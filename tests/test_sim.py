@@ -126,6 +126,21 @@ def test_config_validation():
     assert never.mean_lifetime_days == never.ttr_floor_days == math.inf
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"object_size": 0}, "object_size and fragment_size must be positive"),
+    ({"fragment_size": -1024}, "object_size and fragment_size must be positive"),
+    ({"delay_mean_days": 0.0}, "durations must be positive"),
+    ({"repair_timeout_days": -1.0}, "durations must be positive"),
+    ({"mean_lifetime_days": -1.0}, "mean_lifetime_days must be non-negative"),
+    ({"bandwidth_source": "uniform"}, "bandwidth_source must be lognormal or file"),
+    ({"bandwidth_source": "file"}, "bandwidth_source=file requires bandwidth_file"),
+    ({"backup_parallelism": 0}, "backup_parallelism must be at least 1"),
+])
+def test_config_rejects_each_bad_field(overrides, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        SimConfig(**overrides)
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# deployment\nobject_size = 2048\nfragment_size=1024\n\nseed=3\n")

@@ -1,3 +1,4 @@
+import argparse
 import math
 import re
 import tracemalloc
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from p2pbackup import sched, sim, trace
+from p2pbackup import cli, report, sched, sim, trace
 from conftest import make_matrix, synth_event_log
 from oracles import LoopFormatError, loop_parse_events, loop_slotize
 
@@ -294,6 +295,37 @@ def test_slot_length_must_be_positive_and_finite(slot_seconds):
 def test_matrix_cells_must_be_0_or_1(bits):
     with pytest.raises(ValueError, match="bits must hold only 0 and 1"):
         trace.AvailabilityMatrix(bits=bits)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: trace.AvailabilityMatrix(bits=np.ones(3)), "bits must be 2-D", id="matrix-1d"),
+    pytest.param(lambda: make_matrix(["11", "01"], peer_ids=("a",)), "peer_ids length", id="matrix-peer-ids"),
+    pytest.param(lambda: trace.slotize(trace.parse_events(session("p1", 0, 3600))[0], num_slots=0),
+                 "num_slots must be positive", id="slotize-no-slots"),
+    pytest.param(lambda: trace.synth_trace(0, 10), "num_peers and num_slots must be positive", id="synth-no-peers"),
+    pytest.param(lambda: trace.synth_trace(3, -1), "num_peers and num_slots must be positive", id="synth-no-slots"),
+    pytest.param(lambda: trace.synth_trace(3, 10, diurnal_amplitude=1.5), "diurnal_amplitude must be in",
+                 id="synth-diurnal"),
+    pytest.param(lambda: trace.synth_trace(3, 10, weekend_factor=-0.1), "weekend_factor must be in",
+                 id="synth-weekend"),
+    pytest.param(lambda: trace.synth_trace(3, 10, availability=[0.5, 1.2, 0.5]),
+                 "per-peer availabilities must be in", id="synth-target-above"),
+    pytest.param(lambda: trace.synth_trace(3, 10, availability=[-0.1, 0.5, 0.5]),
+                 "per-peer availabilities must be in", id="synth-target-below"),
+    pytest.param(lambda: trace.availability_stats(trace.AvailabilityMatrix(bits=np.zeros((0, 4)))),
+                 "matrix must have at least one peer", id="stats-no-peers"),
+    pytest.param(lambda: trace.availability_stats(trace.AvailabilityMatrix(bits=np.zeros((2, 0)))),
+                 "matrix must have at least one peer", id="stats-no-slots"),
+])
+def test_trace_rejects_bad_arguments_by_name(build, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build()
+
+
+def test_matrix_is_not_equal_to_other_types():
+    m = make_matrix(["10"])
+    assert m.__eq__(m.bits) is NotImplemented
+    assert m != "10" and m != [[1, 0]]
 
 
 def test_matrix_takes_bool_and_int_cells():
@@ -606,8 +638,14 @@ def test_read_matrix_parses_or_names_the_line(tmp_path):
     assert seen == {"exact", "parsed", "line error"}
 
 
+def plan_batch(path):
+    """The reader behind plan --batch."""
+    cli.cmd_plan(argparse.Namespace(batch=path), path.parent)
+
+
 # Each reader, a file whose line 2 holds a byte that is not UTF-8, and the
-# reader's own error with its usual prefix ("{path}: " for the sim readers).
+# reader's own error with its usual prefix ("{path}: " for the sim, report
+# and plan readers).
 NOT_UTF8 = [
     (trace.read_matrix_file, b"peers=1 slots=2 slot_seconds=3600\n1\xff\n", trace.TraceFormatError, ""),
     (trace.read_event_file, b"p1,0,login\n\xffp1,1,login\n", trace.TraceFormatError, ""),  # at a line start
@@ -615,6 +653,9 @@ NOT_UTF8 = [
     (sim.read_bandwidth_cdf, b"0,1\n1\xff,2\n", ValueError, "{path}: "),
     (sched.read_problem_file, b"owner=0\nx=\xff\n", sched.ProblemFormatError, ""),
     (sched.read_schedule_csv, b"peer,slot\n1,\xff\n", sched.ProblemFormatError, ""),
+    (report.read_peers_csv, ",".join(report.PEERS_FIELDS).encode() + b"\n0,\xff\n", ValueError, "{path}: "),
+    (report.read_summary_csv, b"policy,runs\nfixed,\xff\n", ValueError, "{path}: "),
+    (plan_batch, b"mode,k,a,target\nn,4,0.5,\xff\n", ValueError, "{path}: "),
 ]
 
 

@@ -258,9 +258,9 @@ def cmd_plan(args, out: Path) -> dict:
 
 # -- simulate ------------------------------------------------------------
 
-# every SimConfig field is a simulate flag, --field-name unless renamed
-# here; flags override config-file keys and parse as they do, through
-# SimConfig.from_mapping, and --seed is a common flag
+# every SimConfig field, seed included, is a simulate flag, --field-name
+# unless renamed here; flags override config-file keys and parse as they
+# do, through SimConfig.from_mapping
 _SIM_FLAG_NAMES = {"redundancy_policy": "--policy"}
 
 
@@ -334,12 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Trace-driven peer-to-peer backup: scheduling, redundancy planning, simulation.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="random seed (default 0)")
     common.add_argument("--out-dir", default="out", help="output directory")
+    seeded = argparse.ArgumentParser(add_help=False)  # simulate's --seed is a SimConfig flag
+    seeded.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("trace-stats", parents=[common],
+    p = sub.add_parser("trace-stats", parents=[seeded, common],
                        help="availability statistics of a trace")
     p.add_argument("--matrix", help="availability matrix file")
     p.add_argument("--events", help="login/logoff event file")
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drop peers below this availability fraction")
     p.set_defaults(func=cmd_trace_stats)
 
-    p = sub.add_parser("trace-synth", parents=[common], help="synthesize an availability trace")
+    p = sub.add_parser("trace-synth", parents=[seeded, common], help="synthesize an availability trace")
     p.add_argument("--peers", type=int, required=True)
     p.add_argument("--slots", type=int, required=True)
     p.add_argument("--avail-low", type=float, default=0.2)
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="trace.txt", help="output file name inside --out-dir")
     p.set_defaults(func=cmd_trace_synth)
 
-    p = sub.add_parser("sched-compare", parents=[common],
+    p = sub.add_parser("sched-compare", parents=[seeded, common],
                        help="optimal vs random transfer scheduling over a trace")
     _add_matrix_flags(p, synth_default_peers=200, synth_default_slots=504)
     p.add_argument("--x", default="40,60,80", help="fragment counts, comma separated")
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.set_defaults(func=cmd_sched_compare)
 
-    p = sub.add_parser("plan", parents=[common], help="redundancy planning calculations")
+    p = sub.add_parser("plan", parents=[seeded, common], help="redundancy planning calculations")
     p.add_argument("--k", type=int)
     p.add_argument("--a", type=float, help="average peer availability")
     p.add_argument("--target", type=float, help="fragment availability target")
@@ -386,8 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=1,
                    help="average this many runs over seeds seed..seed+N-1")
     for f in fields(sim.SimConfig):
-        if f.name != "seed":
-            p.add_argument(_SIM_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name)
+        p.add_argument(_SIM_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name)
     p.set_defaults(func=cmd_simulate)
     return parser
 
@@ -395,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None and args.command != "simulate":
-        args.seed = 0
     try:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)

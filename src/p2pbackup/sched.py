@@ -2,41 +2,36 @@
 
 A transfer problem asks how to move x fragments between a data owner and a set
 of remote peers over a slotted availability trace, moving at most owner_rate
-fragments per slot, at most peer_rate per remote peer per slot, and at most
+fragments per slot, at most one per remote peer per slot, and at most
 per_peer_cap fragments per remote peer overall.  The optimal completion time
 is found by reducing "how many fragments fit in the first T slots" (F(T)) to a
 max-flow problem and searching for the smallest T with F(T) >= x.  The F(T)
 network's nodes are source = 0, slot s = s for s in 1..T, the j-th candidate
 peer = T + 1 + j and the sink last; its arcs are source->slot (capacity
-owner_rate) where the owner is online, slot->peer (capacity peer_rate) where
-the remote peer is online too, and peer->sink (capacity per_peer_cap).  Its
+owner_rate) where the owner is online, slot->peer (capacity 1) where the
+remote peer is online too, and peer->sink (capacity per_peer_cap).  Its
 max flow is found by Dinic's algorithm as scipy's maximum_flow runs it on
 that network, each node's arcs in CSR order (by the node they lead to), so
 the witness schedules are scipy's; its first phase is a first-fit walk of
 the owner-online slots, which alone settles most F(T).  A randomized
 scheduler and the ideal always-on baseline are provided for comparison.
 
-Slots are numbered from 1 in schedules and problem files; slot s corresponds
-to matrix column s - 1.  Peers are matrix row indices.
+Slots are numbered from 1 in schedules; slot s corresponds to matrix column
+s - 1.  Peers are matrix row indices.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import AvailabilityMatrix, open_text, read_matrix_file, write_matrix_file
+from .trace import AvailabilityMatrix
 
 BACKUP = "backup"
 RESTORE = "restore"
-
-
-class ProblemFormatError(ValueError):
-    """Raised for malformed problem instance files."""
 
 
 def _integral(value) -> bool:
@@ -49,8 +44,9 @@ class TransferProblem:
     """One backup or restore task over an availability matrix.
 
     owner_rate is u_0 for backups and d_0 for restores, in fragments per slot;
-    peer_rate bounds each remote peer per slot; per_peer_cap (m) bounds the
-    total fragments a single remote peer may hold or serve.  For restores,
+    per_peer_cap (m) bounds the total fragments a single remote peer may hold
+    or serve.  A remote peer moves at most one fragment per slot, so the
+    (peer, slot) pairs of a valid schedule are distinct.  For restores,
     storage_set lists the rows holding fragments.
     """
 
@@ -59,12 +55,11 @@ class TransferProblem:
     direction: str
     x: int
     owner_rate: int = 1
-    peer_rate: int = 1
     per_peer_cap: int = 1
     storage_set: frozenset[int] | None = None
 
     def __post_init__(self):
-        for name in ("owner", "x", "owner_rate", "peer_rate", "per_peer_cap"):
+        for name in ("owner", "x", "owner_rate", "per_peer_cap"):
             value = getattr(self, name)
             if not _integral(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -100,11 +95,9 @@ class TransferProblem:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Transfer decisions as a sorted multiset of (peer, slot) pairs.
-
-    With per_peer_cap = 1 all pairs are distinct and this is the plain set of
-    decisions; with a larger cap the same pair may appear once per fragment.
-    """
+    """Transfer decisions as a sorted tuple of (peer, slot) pairs, one per
+    fragment.  In a valid schedule the pairs are distinct: a remote peer
+    moves at most one fragment per slot."""
 
     entries: tuple[tuple[int, int], ...]
 
@@ -187,8 +180,8 @@ def validate_schedule(problem: TransferProblem, schedule: Schedule) -> list[str]
         if count > problem.owner_rate:
             violations.append(f"slot {slot}: {count} transfers exceed the owner rate {problem.owner_rate}")
     for (peer, slot), count in sorted(per_pair.items()):
-        if count > problem.peer_rate:
-            violations.append(f"entry ({peer}, {slot}): {count} transfers exceed the peer rate {problem.peer_rate}")
+        if count > 1:
+            violations.append(f"entry ({peer}, {slot}): {count} transfers exceed one per peer per slot")
     for peer, count in sorted(per_peer.items()):
         if count > problem.per_peer_cap:
             violations.append(f"peer {peer}: {count} fragments exceed the per-peer cap {problem.per_peer_cap}")
@@ -200,12 +193,13 @@ def _first_fit(problem: TransferProblem, T: int) -> tuple[list[int], list[int], 
     network (see the module docstring), as first fit.
 
     First fit walks the owner-online slots 1..T in order, and each slot sends
-    to its online candidates in index order: to each, the least of the owner
-    rate left, peer_rate and the candidate's cap left.  That is the path
-    order of the first phase's depth-first search over the network's arcs in
-    CSR order, so it is the flow that phase pushes.  When every slot
-    sends its full owner_rate the flow fills every source arc, so it is
-    already maximum (max-flow min-cut) and no later phase finds a path.
+    one fragment to each of its online candidates under their cap, in index
+    order, until it has sent owner_rate.  That is the path order of the first
+    phase's depth-first search over the network's arcs in CSR order, each
+    path carrying one fragment over a unit slot -> peer arc, so it is the
+    flow that phase pushes.  When every slot sends its full owner_rate the
+    flow fills every source arc, so it is already maximum (max-flow min-cut)
+    and no later phase finds a path.
 
     Returns the owner-online slot numbers, each one's online peers as a bit
     mask by row index, the (peer, slot) entries sent, the cap left per peer,
@@ -224,7 +218,7 @@ def _first_fit(problem: TransferProblem, T: int) -> tuple[list[int], list[int], 
     else:
         under_cap = ((1 << problem.matrix.num_peers) - 1) ^ (1 << problem.owner)
     left = [problem.per_peer_cap] * problem.matrix.num_peers
-    owner_rate, peer_rate = problem.owner_rate, problem.peer_rate
+    owner_rate = problem.owner_rate
     slots = (cols + 1).tolist()
     entries: list[tuple[int, int]] = []
     short = False
@@ -234,14 +228,9 @@ def _first_fit(problem: TransferProblem, T: int) -> tuple[list[int], list[int], 
         while want and online:
             low = online & -online  # the lowest-index candidate online and under its cap
             peer = low.bit_length() - 1
-            sent = left[peer]  # the least of this, want and peer_rate; compares beat min() here
-            if sent > want:
-                sent = want
-            if sent > peer_rate:
-                sent = peer_rate
-            entries += [(peer, slot)] * sent
-            want -= sent
-            left[peer] -= sent
+            entries.append((peer, slot))
+            want -= 1
+            left[peer] -= 1
             if not left[peer]:
                 under_cap ^= low
             online ^= low
@@ -257,34 +246,30 @@ def _later_phases(problem: TransferProblem, slots, masks, entries, left) -> list
     Each phase levels the residual network breadth first from the source and
     then, until the source has no arc left, walks one path at a time from
     the source along each node's current arc: the first arc, in CSR order,
-    with residual capacity into the next level.  At the sink the path takes
-    its bottleneck; a node with no such arc left is dead for the phase.
+    with residual capacity into the next level.  A path that reaches the
+    sink moves one fragment; a node with no such arc left is dead for the
+    phase.
     Within a phase these arcs only lose capacity, so a node's remaining arcs
     are kept as a bit mask, and the arcs a check fails are dropped at once.
 
-    Every path alternates slot -> peer arcs with room left and peer -> slot
-    arcs that undo flow, and ends peer -> sink.  In CSR order a slot's arcs
-    run over its peers by row index and a peer's over its slots by number,
-    then the sink; the source never lies ahead on a path and the sink only
-    at its end.  Slots are bits by their index in slots, peers by row index.
+    Every path alternates slot -> peer arcs with no flow and peer -> slot
+    arcs that undo flow, and ends peer -> sink.  The slot -> peer arcs have
+    capacity 1, so each path carries one fragment, and a slot's flow is the
+    mask of the peers it sends to.  In CSR order a slot's arcs run over its
+    peers by row index and a peer's over its slots by number, then the
+    sink; the source never lies ahead on a path and the sink only at its
+    end.  Slots are bits by their index in slots, peers by row index.
     """
-    owner_rate, peer_rate = problem.owner_rate, problem.peer_rate
     candidates = sum(1 << p for p in problem.candidates)
     index = {slot: i for i, slot in enumerate(slots)}
-    flow: list[dict[int, int]] = [{} for _ in slots]  # per slot, peer -> fragments sent
+    sent = [0] * len(slots)  # per slot, the peers it sends to
+    backward = [0] * len(left)  # per peer, the slots that send to it
     for peer, slot in entries:
-        sent = flow[index[slot]]
-        sent[peer] = sent.get(peer, 0) + 1
-    room = [owner_rate - sum(sent.values()) for sent in flow]  # source -> slot residuals
-    forward = []  # per slot, the peers its arcs to have room
-    backward = [0] * len(left)  # per peer, the slots that sent to it
-    for i, sent in enumerate(flow):
-        full = 0
-        for peer, amount in sent.items():
-            backward[peer] |= 1 << i
-            if amount == peer_rate:
-                full |= 1 << peer
-        forward.append(masks[i] & candidates & ~full)
+        i = index[slot]
+        sent[i] |= 1 << peer
+        backward[peer] |= 1 << i
+    room = [problem.owner_rate - s.bit_count() for s in sent]  # source -> slot residuals
+    forward = [m & candidates & ~s for m, s in zip(masks, sent)]  # per slot, the peers it may send to
 
     while True:
         # Levels: slot_levels[d] holds the slots at distance 2d + 1 from the
@@ -315,8 +300,13 @@ def _later_phases(problem: TransferProblem, slots, masks, entries, left) -> list
             seen_slots |= frontier
             slot_levels.append(frontier)
         if not reached:
-            return [(peer, slots[i]) for i, sent in enumerate(flow) for peer, amount in sent.items()
-                    for _ in range(amount)]
+            flow = []
+            for slot, peers in zip(slots, sent):
+                while peers:
+                    low = peers & -peers
+                    flow.append((low.bit_length() - 1, slot))
+                    peers ^= low
+            return flow
 
         depth = len(peer_levels)  # peers on every path of this phase
         live_slots, live_peers = slot_levels[:depth], peer_levels
@@ -360,27 +350,22 @@ def _later_phases(problem: TransferProblem, slots, masks, entries, left) -> list
             if not path:
                 break
 
-            # Push the path's bottleneck: path[k] -> path[k + 1] are slot ->
-            # peer arcs, path[k + 1] -> path[k + 2] undo flow.
-            pairs = range(0, len(path), 2)
-            delta = min(room[path[0]], left[path[-1]],
-                        *(peer_rate - flow[path[k]].get(path[k + 1], 0) for k in pairs),
-                        *(flow[path[k + 2]][path[k + 1]] for k in pairs[:-1]))
-            room[path[0]] -= delta
-            left[path[-1]] -= delta
-            for k in pairs:
+            # Push one fragment, flipping each arc's bits: path[k] ->
+            # path[k + 1] are slot -> peer arcs, path[k + 1] -> path[k + 2]
+            # undo flow.
+            room[path[0]] -= 1
+            left[path[-1]] -= 1
+            for k in range(0, len(path), 2):
                 i, peer = path[k], path[k + 1]
-                sent = flow[i][peer] = flow[i].get(peer, 0) + delta
-                backward[peer] |= 1 << i
-                if sent == peer_rate:
-                    forward[i] &= ~(1 << peer)
+                bit = 1 << peer
+                sent[i] ^= bit
+                forward[i] ^= bit
+                backward[peer] ^= 1 << i
                 if k + 2 < len(path):
                     j = path[k + 2]
-                    flow[j][peer] -= delta
-                    if not flow[j][peer]:
-                        del flow[j][peer]
-                        backward[peer] &= ~(1 << j)
-                    forward[j] |= 1 << peer
+                    sent[j] ^= bit
+                    forward[j] ^= bit
+                    backward[peer] ^= 1 << j
 
 
 def max_fragments(problem: TransferProblem, T: int) -> tuple[int, Schedule]:
@@ -475,7 +460,7 @@ class _WordDraws:
 def random_schedule(problem: TransferProblem, seed=None) -> ScheduleOutcome:
     """Randomized policy: scan slots in order; whenever the owner is online,
     pick up to owner_rate targets uniformly at random among eligible peers
-    (online, under per_peer_cap, under peer_rate for this slot, in the storage
+    (online, under per_peer_cap, not yet picked in this slot, in the storage
     set for restores); stop exactly when x fragments are placed.  Each pick
     is the one rng.integers(len(eligible)) would make, and a Generator passed
     as seed ends in the state those calls would leave it in."""
@@ -485,7 +470,7 @@ def random_schedule(problem: TransferProblem, seed=None) -> ScheduleOutcome:
     cols = np.flatnonzero(bits[problem.owner]).tolist()
     # one row per candidate, cleared once the candidate reaches its cap
     online = bits[list(candidates)].view(bool)
-    x, owner_rate, peer_rate, cap = problem.x, problem.owner_rate, problem.peer_rate, problem.per_peer_cap
+    x, owner_rate, cap = problem.x, problem.owner_rate, problem.per_peer_cap
     # no more words than picks, bar the rare redraw
     draws = _WordDraws(rng, min(x, owner_rate * len(cols), cap * len(candidates)))
     usage = [0] * len(candidates)
@@ -494,19 +479,15 @@ def random_schedule(problem: TransferProblem, seed=None) -> ScheduleOutcome:
         if len(entries) == x:
             break
         eligible = online[:, col].nonzero()[0].tolist()  # in index order, as picks remove them
-        slot, slot_used = col + 1, {}
+        slot = col + 1
         for _ in range(owner_rate):
             if len(entries) == x or not eligible:
                 break
-            k = draws.below(len(eligible))
-            j = eligible[k]
+            j = eligible.pop(draws.below(len(eligible)))
             entries.append((candidates[j], slot))
             usage[j] += 1
-            slot_used[j] = slot_used.get(j, 0) + 1
             if usage[j] == cap:
                 online[j] = False
-            if usage[j] == cap or slot_used[j] == peer_rate:
-                del eligible[k]
     draws.finish()
     if len(entries) < x:
         return ScheduleOutcome(False, None, 0, len(entries))
@@ -528,103 +509,3 @@ def ideal_baseline(owner_row, amount_fragments: int, rate_per_slot: int) -> int 
     needed = math.ceil(amount_fragments / rate_per_slot)
     online = np.flatnonzero(row)
     return int(online[needed - 1]) + 1 if needed <= online.size else None
-
-
-def write_problem_file(problem: TransferProblem, path, matrix_path) -> None:
-    """Write a problem instance file plus its matrix file.
-
-    The instance references the matrix by path relative to its own directory.
-    """
-    write_matrix_file(problem.matrix, matrix_path)
-    rel = os.path.relpath(matrix_path, os.path.dirname(os.path.abspath(path)))
-    parts = [
-        f"matrix={rel}",
-        f"owner={problem.owner}",
-        f"direction={problem.direction}",
-        f"x={problem.x}",
-        f"u0={problem.owner_rate}",
-        f"m={problem.per_peer_cap}",
-    ]
-    if problem.peer_rate != 1:
-        parts.append(f"peer_rate={problem.peer_rate}")
-    if problem.storage_set:
-        parts.append("storage=" + ",".join(str(i) for i in sorted(problem.storage_set)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(" ".join(parts) + "\n")
-
-
-_PROBLEM_KEYS = {"matrix": "matrix", "owner": "owner", "direction": "direction", "x": "x",  # key -> field
-                 "u0": "owner_rate", "m": "per_peer_cap", "peer_rate": "peer_rate", "storage": "storage_set"}
-
-
-def read_problem_file(path) -> TransferProblem:
-    """Read a problem instance file: whitespace-separated key=value tokens,
-    # comments allowed; the matrix= path is resolved relative to the file.
-    The keys are matrix, owner, direction, x and u0, plus optional m,
-    peer_rate and storage, each at most once; any other key is an error, and
-    so is a value that does not parse or that TransferProblem rejects, by its
-    line and key."""
-    pairs: dict[str, tuple[int, str]] = {}  # key -> (line, value)
-    with open_text(path, ProblemFormatError) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            for token in text.split():
-                if "=" not in token:
-                    raise ProblemFormatError(f"line {lineno}: expected key=value, got {token!r}")
-                key, value = token.split("=", 1)
-                if key not in _PROBLEM_KEYS:
-                    raise ProblemFormatError(f"line {lineno}: unknown key {key!r}")
-                if key in pairs:
-                    raise ProblemFormatError(f"line {lineno}: duplicate key {key!r}, first on line {pairs[key][0]}")
-                pairs[key] = (lineno, value)
-    required = {"matrix", "owner", "direction", "x", "u0"}
-    missing = required - pairs.keys()
-    if missing:
-        raise ProblemFormatError(f"missing keys: {', '.join(sorted(missing))}")
-
-    def integer(key: str) -> int:
-        lineno, value = pairs.get(key, (0, "1"))  # the optional integers default to 1
-        try:
-            return int(value)
-        except ValueError:
-            raise ProblemFormatError(f"line {lineno}: {key} must be an integer, got {value!r}") from None
-
-    fields = {_PROBLEM_KEYS[key]: integer(key) for key in ("owner", "x", "u0", "peer_rate", "m")}
-    lineno, value = pairs.get("storage", (0, ""))
-    try:
-        storage = frozenset(map(int, value.split(","))) if value else None
-    except ValueError as exc:
-        raise ProblemFormatError(f"line {lineno}: storage must be integers separated by commas: {exc}") from None
-    matrix = read_matrix_file(os.path.join(os.path.dirname(os.path.abspath(path)), pairs["matrix"][1]))
-    try:
-        return TransferProblem(matrix=matrix, direction=pairs["direction"][1], storage_set=storage, **fields)
-    except ValueError as exc:  # each message leads with its field
-        key = next(k for k, field in _PROBLEM_KEYS.items() if str(exc).startswith(field + " "))
-        raise ProblemFormatError(f"line {pairs[key][0]}: {key}={pairs[key][1]}: {exc}") from exc
-
-
-def write_schedule_csv(schedule: Schedule, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("peer,slot\n")
-        for peer, slot in schedule:
-            fh.write(f"{peer},{slot}\n")
-
-
-def read_schedule_csv(path) -> Schedule:
-    entries = []
-    with open_text(path, ProblemFormatError) as fh:
-        header = fh.readline().strip()
-        if header != "peer,slot":
-            raise ProblemFormatError(f"line 1: expected header peer,slot, got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                peer, slot = text.split(",")
-                entries.append((int(peer), int(slot)))
-            except ValueError:
-                raise ProblemFormatError(f"line {lineno}: bad schedule row {text!r}") from None
-    return Schedule(entries)

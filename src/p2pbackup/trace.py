@@ -375,7 +375,7 @@ def synth_trace(
             raise ValueError("availability range must satisfy 0 <= low <= high <= 1")
         a_i = rng.uniform(lo, hi, size=num_peers)
     elif target.shape == (num_peers,):
-        if target.min() < 0 or target.max() > 1:
+        if not (target.min() >= 0 and target.max() <= 1):
             raise ValueError("per-peer availabilities must be in [0, 1]")
         a_i = target
     else:

@@ -65,7 +65,7 @@ def cut_problems(matrix, rng, count, xs, ratios, restore_every, restore_rates):
     """count problems cut from one trace the way sched-mixed cuts them: an
     owner, a sorted random pick of ratio * x other peers and a start in the
     first half; every restore_every-th is a restore from about half as many
-    holders with restore_rates (owner_rate, peer_rate, per_peer_cap)."""
+    holders with restore_rates (owner_rate, per_peer_cap)."""
     P, T = matrix.bits.shape
     pairs = [(x, r) for x in xs for r in ratios]
     problems = []
@@ -80,10 +80,9 @@ def cut_problems(matrix, rng, count, xs, ratios, restore_every, restore_rates):
         sub = trace.AvailabilityMatrix(bits=matrix.bits[[owner] + picked, start - 1:],
                                        slot_seconds=matrix.slot_seconds)
         if restore:
-            owner_rate, peer_rate, cap = restore_rates
+            owner_rate, cap = restore_rates
             problems.append(TransferProblem(matrix=sub, owner=0, direction=RESTORE, x=x, owner_rate=owner_rate,
-                                            peer_rate=peer_rate, per_peer_cap=cap,
-                                            storage_set=frozenset(range(1, size + 1))))
+                                            per_peer_cap=cap, storage_set=frozenset(range(1, size + 1))))
         else:
             problems.append(TransferProblem(matrix=sub, owner=0, direction=BACKUP, x=x))
     return problems

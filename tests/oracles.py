@@ -49,14 +49,14 @@ def matching_min_completion(bits, owner, candidates, x, num_slots):
     return None
 
 
-def brute_max_fragments(bits, owner, candidates, T, owner_rate, peer_rate, cap):
-    """Most fragments movable in slots 1..T under any owner rate, per-slot
-    peer rate and per-peer cap.
+def brute_max_fragments(bits, owner, candidates, T, owner_rate, cap):
+    """Most fragments movable in slots 1..T under any owner rate and
+    per-peer cap, at most one per remote peer per slot.
 
     Exhaustive: in each owner-online slot try every split of at most
-    owner_rate fragments among the online candidates, at most peer_rate to
-    each and never past a peer's remaining cap; memoized on (slot, remaining
-    cap per candidate).
+    owner_rate fragments among the online candidates, at most one to each
+    and never past a peer's remaining cap; memoized on (slot, remaining cap
+    per candidate).
     """
     cands = tuple(candidates)
 
@@ -66,7 +66,7 @@ def brute_max_fragments(bits, owner, candidates, T, owner_rate, peer_rate, cap):
         if j == len(cands):
             yield 0, remaining
             return
-        top = min(peer_rate, remaining[j], budget) if bits[cands[j]][s - 1] else 0
+        top = min(1, remaining[j], budget) if bits[cands[j]][s - 1] else 0
         for k in range(top + 1):
             rest = remaining[:j] + (remaining[j] - k,) + remaining[j + 1:]
             for sent, after in splits(s, j + 1, budget - k, rest):
@@ -92,7 +92,7 @@ def coo_flow_network(problem, T):
 
     Nodes: source = 0, slot s = s, the j-th candidate peer = T + 1 + j, sink
     last.  Arcs: source->slot (capacity owner_rate) where the owner is online;
-    slot->peer (capacity peer_rate) where the remote peer is online too;
+    slot->peer (capacity 1) where the remote peer is online too;
     peer->sink (capacity per_peer_cap).  For restores the peer nodes are the
     storage set.  This is the network the ``sched`` module docstring
     describes and its Dinic solver walks as bit masks.
@@ -106,7 +106,7 @@ def coo_flow_network(problem, T):
     rows = np.concatenate([np.zeros(len(slots), dtype=np.intp), slot_col + 1, np.arange(T + 1, T + 1 + n)])
     cols = np.concatenate([slots, peer_pos + T + 1, np.full(n, T + n + 1)])
     caps = np.repeat(
-        np.array([problem.owner_rate, problem.peer_rate, problem.per_peer_cap], dtype=np.int32),
+        np.array([problem.owner_rate, 1, problem.per_peer_cap], dtype=np.int32),
         [len(slots), len(peer_pos), n],
     )
     return csr_matrix((caps, (rows, cols)), shape=(T + n + 2, T + n + 2))
@@ -130,12 +130,12 @@ def flow_max_fragments(problem, T):
     return int(result.flow_value), slice_witness(problem, T, result.flow)
 
 
-def loop_random_schedule(bits, owner, candidates, x, owner_rate, peer_rate, cap, rng):
+def loop_random_schedule(bits, owner, candidates, x, owner_rate, cap, rng):
     """The randomized policy as a plain slot loop; returns its sorted entries.
 
     In each owner-online slot, up to owner_rate times, pick with
     rng.integers among the candidates, in the given order, that are online,
-    under cap overall and under peer_rate in this slot; stop at x fragments.
+    under cap overall and not yet picked in this slot; stop at x fragments.
     """
     usage = dict.fromkeys(candidates, 0)
     entries = []
@@ -144,17 +144,17 @@ def loop_random_schedule(bits, owner, candidates, x, owner_rate, peer_rate, cap,
             break
         if not bits[owner][s - 1]:
             continue
-        slot_used = dict.fromkeys(candidates, 0)
+        picked = set()
         for _ in range(owner_rate):
             if len(entries) == x:
                 break
-            eligible = [i for i in candidates if bits[i][s - 1] and usage[i] < cap and slot_used[i] < peer_rate]
+            eligible = [i for i in candidates if bits[i][s - 1] and usage[i] < cap and i not in picked]
             if not eligible:
                 break
             pick = eligible[int(rng.integers(len(eligible)))]
             entries.append((pick, s))
             usage[pick] += 1
-            slot_used[pick] += 1
+            picked.add(pick)
     return sorted(entries)
 
 

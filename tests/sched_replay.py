@@ -41,7 +41,7 @@ from oracles import flow_max_fragments, loop_random_schedule
 
 PEERS, SLOTS, PER_GROUP = 200, 504, 72
 XS, RATIOS = (40, 60, 80), (1.1, 1.5, 2.0)
-RESTORE_RATES = (2, 1, 2)  # owner_rate, peer_rate, per_peer_cap
+RESTORE_RATES = (2, 2)  # owner_rate, per_peer_cap
 SEED = 27
 REPEATS = 5
 
@@ -81,7 +81,7 @@ def random_mismatch(problem, seed) -> str | None:
     rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     out = sched.random_schedule(problem, rng)
     entries = loop_random_schedule(problem.matrix.bits.tolist(), problem.owner, problem.candidates, problem.x,
-                                   problem.owner_rate, problem.peer_rate, problem.per_peer_cap, loop_rng)
+                                   problem.owner_rate, problem.per_peer_cap, loop_rng)
     if len(entries) == problem.x:
         expected = (True, tuple(entries), max(s for _, s in entries), problem.x)
     else:

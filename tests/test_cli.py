@@ -427,6 +427,30 @@ def test_simulate_flags_parse_as_config_values(tmp_path, flat_cdf_file):
     assert (configs[1]["storage_quota"], configs[1]["loss_cap"]) == (10**10, 1e-3)
 
 
+def test_simulate_seed_flag_parses_as_its_config_key(tmp_path, flat_cdf_file, capsys):
+    """--seed takes what seed = takes in a config file, such as 1e3, and
+    names the key of a value that does not parse.  The trace is drawn from
+    the seed, so the runs differ from one at seed 0."""
+    runs = {}
+    for source, overrides, flags in [("file", {"seed": "1e3"}, []), ("flag", {}, ["--seed", "1e3"]),
+                                     ("zero", {}, [])]:
+        run_dir = tmp_path / source
+        run_dir.mkdir()
+        _, config_path = write_sim_inputs(run_dir, flat_cdf_file, **overrides)
+        rc = cli.main(["simulate", "--synth-peers", "12", "--synth-slots", "48", "--config", str(config_path),
+                       *flags, "--out-dir", str(run_dir / "o")])
+        assert rc == 0
+        assert read_manifest(run_dir / "o")["seed"] == (0 if source == "zero" else 1000)
+        runs[source] = [(run_dir / "o" / "run-0" / name).read_bytes()
+                        for name in ("peers.csv", "crashes.csv", "server.csv", "summary.csv")]
+    assert runs["file"] == runs["flag"] != runs["zero"]
+    capsys.readouterr()
+    rc = cli.main(["simulate", "--synth-peers", "12", "--synth-slots", "48", "--config", str(config_path),
+                   "--seed", "abc", "--out-dir", str(tmp_path / "bad")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be an integer, got 'abc'"]
+
+
 def test_simulate_same_seed_byte_identical(tmp_path, flat_cdf_file):
     matrix_path, config_path = write_sim_inputs(tmp_path, flat_cdf_file)
     outs = [tmp_path / "a", tmp_path / "b"]
@@ -561,12 +585,11 @@ def simulate_flags():
 
 def test_simulate_has_one_flag_per_config_field():
     flags = simulate_flags()
-    common = {"-h", "--help", "--seed", "--out-dir", "--config", "--runs",
+    common = {"-h", "--help", "--out-dir", "--config", "--runs",
               "--matrix", "--synth-peers", "--synth-slots", "--avail-low", "--avail-high"}
-    expect = {"--" + f.name.replace("_", "-"): f.name for f in fields(SimConfig) if f.name != "seed"}
+    expect = {"--" + f.name.replace("_", "-"): f.name for f in fields(SimConfig)}
     expect["--policy"] = expect.pop("--redundancy-policy")
     assert {flag: dest for flag, dest in flags.items() if flag not in common} == expect
-    assert flags["--seed"] == "seed"
 
 
 # -- parser-level behaviour ----------------------------------------------

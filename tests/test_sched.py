@@ -60,7 +60,7 @@ def test_backup_rejects_storage_set(fig_matrix):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("x", 2.5), ("owner_rate", 1.5), ("peer_rate", 1.5), ("per_peer_cap", 1.5), ("owner", 0.5),
+    ("x", 2.5), ("owner_rate", 1.5), ("per_peer_cap", 1.5), ("owner", 0.5),
     ("x", math.nan), ("owner_rate", math.inf), ("per_peer_cap", -math.inf), ("x", "3"), ("owner", None),
 ])
 def test_problem_rejects_non_integral_counts(fig_matrix, field, value):
@@ -68,10 +68,29 @@ def test_problem_rejects_non_integral_counts(fig_matrix, field, value):
         TransferProblem(**{"matrix": fig_matrix, "owner": 0, "direction": BACKUP, "x": 1, field: value})
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"owner": 7}, "owner index out of range"),
+    ({"direction": "sideways"}, "direction must be 'backup' or 'restore'"),
+    ({"x": 0}, "x must be at least 1"),
+    ({"owner_rate": 0}, "owner_rate must be at least 1"),
+    ({"per_peer_cap": 0}, "per_peer_cap must be at least 1"),
+    ({"storage_set": None}, "direction 'restore' needs a non-empty storage_set"),
+    ({"storage_set": {0, 1}}, "storage_set cannot hold the owner"),
+    ({"storage_set": {1, 9}}, "storage_set index out of range"),
+    ({"direction": BACKUP}, "storage_set only applies to restore problems"),
+], ids=["owner-out-of-range", "direction", "x-zero", "owner-rate-zero", "cap-zero", "restore-without-storage",
+        "storage-holds-owner", "storage-out-of-range", "storage-on-a-backup"])
+def test_problem_names_the_field_it_rejects(fig_matrix, fields, message):
+    """Each message leads with its field, changed from a valid restore."""
+    kwargs = {"matrix": fig_matrix, "owner": 0, "direction": RESTORE, "x": 2, "storage_set": {1, 3}, **fields}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TransferProblem(**kwargs)
+
+
 def test_problem_stores_integral_counts_as_int(fig_matrix):
     p = TransferProblem(matrix=fig_matrix, owner=np.int64(0), direction=BACKUP, x=3.0, owner_rate=np.float64(1),
-                        peer_rate=np.int32(1), per_peer_cap=True)
-    assert [type(v) for v in (p.owner, p.x, p.owner_rate, p.peer_rate, p.per_peer_cap)] == [int] * 5
+                        per_peer_cap=True)
+    assert [type(v) for v in (p.owner, p.x, p.owner_rate, p.per_peer_cap)] == [int] * 4
     assert sched.optimal_completion(p).completion == 3
 
 
@@ -131,13 +150,12 @@ def test_validate_flags_owner_rate(fig_problem):
 
 
 def test_validate_flags_peer_rate(fig_matrix):
-    p = TransferProblem(matrix=fig_matrix, owner=0, direction=BACKUP, x=2,
-                        owner_rate=2, peer_rate=1, per_peer_cap=2)
+    """Owner rate and cap 2 allow two fragments in slot 1, to two peers but
+    not both to one."""
+    p = TransferProblem(matrix=fig_matrix, owner=0, direction=BACKUP, x=2, owner_rate=2, per_peer_cap=2)
     violations = sched.validate_schedule(p, Schedule([(1, 1), (1, 1)]))
-    assert violations == ["entry (1, 1): 2 transfers exceed the peer rate 1"]
-    relaxed = TransferProblem(matrix=fig_matrix, owner=0, direction=BACKUP, x=2,
-                              owner_rate=2, peer_rate=2, per_peer_cap=2)
-    assert sched.validate_schedule(relaxed, Schedule([(1, 1), (1, 1)])) == []
+    assert violations == ["entry (1, 1): 2 transfers exceed one per peer per slot"]
+    assert sched.validate_schedule(p, Schedule([(1, 1), (2, 1)])) == []
 
 
 def test_validate_flags_a_transfer_to_the_owner(fig_problem):
@@ -193,11 +211,11 @@ def test_network_layout_first_three_slots(fig_problem):
 
 def test_network_capacities_by_arc_class(fig_matrix):
     p = TransferProblem(matrix=fig_matrix, owner=0, direction=RESTORE, x=2,
-                        owner_rate=3, peer_rate=2, per_peer_cap=4, storage_set={1, 3})
+                        owner_rate=3, per_peer_cap=4, storage_set={1, 3})
     graph = coo_flow_network(p, T=3).toarray()
     # nodes: source 0, slots 1-3, p1 at 4, p3 at 5, sink 6
     assert graph[0, 1:4].tolist() == [3, 3, 3]
-    assert graph[1:4, 4:6].tolist() == [[2, 0], [2, 0], [0, 2]]
+    assert graph[1:4, 4:6].tolist() == [[1, 0], [1, 0], [0, 1]]
     assert graph[4:6, 6].tolist() == [4, 4]
     assert np.count_nonzero(graph) == 3 + 3 + 2
 
@@ -239,7 +257,7 @@ def test_max_flow_complete_bipartite_matches_exhaustive():
     value, schedule = sched.max_fragments(p, T=3)
     assert value == 3
     assert value == matching_max_fragments(m.bits, 0, p.candidates, 3)
-    assert value == brute_max_fragments(m.bits.tolist(), 0, p.candidates, 3, 1, 1, 1)
+    assert value == brute_max_fragments(m.bits.tolist(), 0, p.candidates, 3, 1, 1)
     assert (value, list(schedule.entries)) == flow_max_fragments(p, 3)
 
 
@@ -457,14 +475,13 @@ def test_flow_value_matches_matching_oracle(instance):
 
 @st.composite
 def rated_problems(draw, top=2):
-    """Backups and restores over small_instances with rates and cap in 1..top."""
+    """Backups and restores over small_instances with owner rate and cap in 1..top."""
     bits, x = draw(small_instances)
     m = sched.AvailabilityMatrix(bits=bits)
     restore = draw(st.booleans())
     return TransferProblem(
         matrix=m, owner=0, direction=RESTORE if restore else BACKUP, x=x,
-        owner_rate=draw(st.integers(1, top)), peer_rate=draw(st.integers(1, top)),
-        per_peer_cap=draw(st.integers(1, top)),
+        owner_rate=draw(st.integers(1, top)), per_peer_cap=draw(st.integers(1, top)),
         storage_set=draw(st.sets(st.integers(1, m.num_peers - 1), min_size=1)) if restore else None,
     )
 
@@ -476,12 +493,12 @@ def test_flow_value_matches_brute_force_with_rates_and_caps(p):
     for T in range(1, p.matrix.num_slots + 1):
         value, schedule = sched.max_fragments(p, T)
         assert value == brute_max_fragments(
-            bits, 0, p.candidates, T, p.owner_rate, p.peer_rate, p.per_peer_cap)
+            bits, 0, p.candidates, T, p.owner_rate, p.per_peer_cap)
         assert len(schedule) == value
         assert sched.completion_time(schedule) <= T
         assert sched.validate_schedule(p, schedule) == []
-        # the per-slot peer rate, checked on the oracle side, independent of validate_schedule
-        assert all(schedule.entries.count(e) <= p.peer_rate for e in schedule.entries)
+        # one fragment per peer per slot, checked independently of validate_schedule
+        assert len(set(schedule.entries)) == len(schedule)
 
 
 @settings(max_examples=200, deadline=None)
@@ -549,6 +566,21 @@ def test_first_fit_short_of_the_max_flow_falls_back():
     assert (out.completion, out.fragments, out.schedule.entries) == (2, 2, ((1, 2), (2, 1)))
 
 
+@pytest.mark.parametrize("rows", [
+    ["11111", "01111", "01010", "10101", "00010", "11111", "11010"],
+    ["11111", "11111", "11100", "01111", "01101", "11110"],
+], ids=["slot-sends-again", "peer-stops-undoing"])
+def test_later_phases_keep_the_arcs_a_push_undoes(rows):
+    """Owner rate and cap 3, where a later phase needs a slot -> peer arc
+    whose flow an earlier path undid, or must not undo it twice: at every
+    T, max_fragments gives the value and witness of scipy's max flow."""
+    p = TransferProblem(matrix=make_matrix(rows), owner=0, direction=BACKUP, x=1, owner_rate=3, per_peer_cap=3)
+    assert sched._first_fit(p, p.matrix.num_slots)[-1]
+    for T in range(1, p.matrix.num_slots + 1):
+        value, schedule = sched.max_fragments(p, T)
+        assert (value, list(schedule.entries)) == flow_max_fragments(p, T), T
+
+
 def test_later_phases_match_scipy_on_sched_mixed_shapes():
     """On problems shaped like the sched-mixed benchmark's, at the
     owner-capacity bound and at twice it, max_fragments gives the value and
@@ -556,7 +588,7 @@ def test_later_phases_match_scipy_on_sched_mixed_shapes():
     slot short and the later phases run over many peers and slots."""
     matrix = trace.synth_trace(200, 336, availability=(0.2, 0.9), diurnal_amplitude=0.3,
                                weekend_factor=0.8, seed=29)
-    problems = cut_problems(matrix, np.random.default_rng(29), 96, (40, 60, 80), (1.1, 1.5, 2.0), 4, (2, 1, 2))
+    problems = cut_problems(matrix, np.random.default_rng(29), 96, (40, 60, 80), (1.1, 1.5, 2.0), 4, (2, 2))
     short = 0
     for p in problems:
         lower = sched.ideal_baseline(p.matrix.bits[0], p.x, p.owner_rate) or p.matrix.num_slots
@@ -575,7 +607,7 @@ def test_random_schedule_matches_loop_reference(p, seed, kind):
     rng, loop_rng = BIT_GENERATORS[kind](seed), BIT_GENERATORS[kind](seed)
     out = sched.random_schedule(p, rng)
     entries = loop_random_schedule(
-        p.matrix.bits.tolist(), 0, p.candidates, p.x, p.owner_rate, p.peer_rate, p.per_peer_cap, loop_rng,
+        p.matrix.bits.tolist(), 0, p.candidates, p.x, p.owner_rate, p.per_peer_cap, loop_rng,
     )
     if out.feasible:
         assert out.schedule.entries == tuple(entries)
@@ -625,7 +657,7 @@ def test_schedules_are_pinned():
     owner_rate 2 and per_peer_cap 2, from one 200 x 336 trace."""
     matrix = trace.synth_trace(200, 336, availability=(0.2, 0.9), diurnal_amplitude=0.3,
                                weekend_factor=0.8, seed=18)
-    problems = cut_problems(matrix, np.random.default_rng(18), 48, (40, 60, 80), (1.1, 1.5, 2.0), 4, (2, 1, 2))
+    problems = cut_problems(matrix, np.random.default_rng(18), 48, (40, 60, 80), (1.1, 1.5, 2.0), 4, (2, 2))
     digest = hashlib.sha256()
     for i, p in enumerate(problems):
         for out in (sched.optimal_completion(p), sched.random_schedule(p, seed=[18, i])):
@@ -634,11 +666,11 @@ def test_schedules_are_pinned():
     assert digest.hexdigest() == SCHEDULES_SHA256
 
 
-@pytest.mark.parametrize("restore_rates", [(2, 1, 2), (2, 2, 3)], ids=["peer-rate-1", "peer-rate-2"])
+@pytest.mark.parametrize("restore_rates", [(2, 2), (2, 3)], ids=["cap-2", "cap-3"])
 def test_random_schedule_matches_loop_reference_over_long_horizons(restore_rates):
     """40 problems from a 60 x 168 trace, x up to 48 and restores at
-    owner_rate 2 over about x / 2 holders, so the per-peer cap and the
-    per-slot peer rate bind over many slots.  Each problem runs on each bit
+    owner_rate 2 over about x / 2 holders, so the per-peer cap and the one
+    pick per peer per slot bind over many slots.  Each problem runs on each bit
     generator kind, and the generator passed in must end in the state the
     per-pick loop leaves, feasible or not."""
     matrix = trace.synth_trace(60, 168, availability=(0.2, 0.9), seed=41)
@@ -648,7 +680,7 @@ def test_random_schedule_matches_loop_reference_over_long_horizons(restore_rates
         for i, p in enumerate(problems):
             rng, loop_rng = make([41, i]), make([41, i])
             out = sched.random_schedule(p, rng)
-            entries = loop_random_schedule(p.matrix.bits.tolist(), 0, p.candidates, p.x, p.owner_rate, p.peer_rate,
+            entries = loop_random_schedule(p.matrix.bits.tolist(), 0, p.candidates, p.x, p.owner_rate,
                                            p.per_peer_cap, loop_rng)
             if out.feasible:
                 assert out.schedule.entries == tuple(entries)
@@ -664,175 +696,6 @@ def test_random_schedule_matches_loop_reference_over_long_horizons(restore_rates
 def test_fragment_count_monotone_in_horizon(fig_problem):
     values = [sched.max_fragments(fig_problem, T)[0] for T in range(1, 9)]
     assert values == sorted(values)
-
-
-# ------------------------------------------------------------------- file I/O
-
-def test_problem_file_round_trip(tmp_path, fig_problem):
-    path = tmp_path / "problem.txt"
-    sched.write_problem_file(fig_problem, path, tmp_path / "matrix.txt")
-    back = sched.read_problem_file(path)
-    assert back.matrix == fig_problem.matrix
-    assert (back.owner, back.direction, back.x) == (0, BACKUP, 3)
-    assert (back.owner_rate, back.peer_rate, back.per_peer_cap) == (1, 1, 1)
-
-
-def test_problem_file_round_trip_restore(tmp_path, fig_matrix):
-    p = TransferProblem(
-        matrix=fig_matrix, owner=0, direction=RESTORE, x=2,
-        owner_rate=3, peer_rate=2, per_peer_cap=2, storage_set={1, 3},
-    )
-    path = tmp_path / "problem.txt"
-    sched.write_problem_file(p, path, tmp_path / "matrix.txt")
-    back = sched.read_problem_file(path)
-    assert back.storage_set == frozenset({1, 3})
-    assert (back.owner_rate, back.peer_rate, back.per_peer_cap) == (3, 2, 2)
-
-
-def test_problem_file_missing_keys(tmp_path):
-    path = tmp_path / "problem.txt"
-    path.write_text("owner=0 x=3\n")
-    with pytest.raises(sched.ProblemFormatError, match="missing keys"):
-        sched.read_problem_file(path)
-
-
-@pytest.mark.parametrize("extra, message", [
-    ("storage=1,a", "invalid literal for int"),
-    ("storage=1,", "invalid literal for int"),
-    ("storage=1.5", "invalid literal for int"),
-    ("peer_rte=3", "^line 2: unknown key 'peer_rte'$"),
-    ("M=2", "^line 2: unknown key 'M'$"),
-])
-def test_problem_file_rejects_bad_storage_ids_and_unknown_keys(tmp_path, fig_matrix, extra, message):
-    path = tmp_path / "problem.txt"
-    trace.write_matrix_file(fig_matrix, tmp_path / "matrix.txt")
-    path.write_text(f"matrix=matrix.txt owner=0 direction=restore x=2 u0=1\n{extra}\n")
-    with pytest.raises(sched.ProblemFormatError, match=message):
-        sched.read_problem_file(path)
-
-
-@pytest.mark.parametrize("text, message", [
-    ("owner=abc", "line 1: owner must be an integer, got 'abc'"),
-    ("x=1.5", "line 1: x must be an integer, got '1.5'"),
-    ("u0=", "line 1: u0 must be an integer, got ''"),
-    ("# rates\n\npeer_rate=2 m=two", "line 3: m must be an integer, got 'two'"),
-    ("storage=1,a", "line 1: storage must be integers separated by commas: "
-                    "invalid literal for int() with base 10: 'a'"),
-    ("x=3\nx=2", "line 2: duplicate key 'x', first on line 1"),
-    ("u0=1 owner=0 u0=1", "line 1: duplicate key 'u0', first on line 1"),
-    ("owner=7", "line 1: owner=7: owner index out of range"),
-    ("direction=sideways", "line 1: direction=sideways: direction must be 'backup' or 'restore'"),
-    ("storage=9", "line 1: storage=9: storage_set index out of range"),
-    ("x=0", "line 1: x=0: x must be at least 1"),
-    ("\nu0=0", "line 2: u0=0: owner_rate must be at least 1"),
-    ("m=0", "line 1: m=0: per_peer_cap must be at least 1"),
-    ("storage=0", "line 1: storage=0: storage_set cannot hold the owner"),
-    ("direction=restore  # no storage=", "line 1: direction=restore: direction 'restore' needs a non-empty storage_set"),
-    ("direction=backup storage=1", "line 1: storage=1: storage_set only applies to restore problems"),
-], ids=["owner", "x", "empty-u0", "m-on-line-3", "storage", "duplicate-x", "duplicate-u0-on-one-line",
-        "owner-out-of-range", "direction", "storage-out-of-range", "x-zero", "u0-zero-on-line-2", "m-zero",
-        "storage-holds-owner", "restore-without-storage", "storage-on-a-backup"])
-def test_problem_file_names_the_line_and_key_of_a_bad_value(tmp_path, fig_matrix, text, message):
-    """text, then a line with each default key that text does not name, even
-    in a comment, must fail with message."""
-    trace.write_matrix_file(fig_matrix, tmp_path / "matrix.txt")
-    given_keys = {token.split("=")[0] for token in text.split() if "=" in token}
-    rest = [f"{k}={v}" for k, v in (("matrix", "matrix.txt"), ("owner", "0"), ("direction", "restore"),
-                                    ("x", "2"), ("u0", "1"), ("storage", "1,3")) if k not in given_keys]
-    path = tmp_path / "problem.txt"
-    path.write_text(f"{text}\n{' '.join(rest)}\n")
-    with pytest.raises(sched.ProblemFormatError, match=f"^{re.escape(message)}$"):
-        sched.read_problem_file(path)
-
-
-def test_schedule_csv_round_trip(tmp_path):
-    path = tmp_path / "schedule.csv"
-    sched.write_schedule_csv(Schedule(SLOW_ENTRIES), path)
-    assert sched.read_schedule_csv(path).entries == SLOW_ENTRIES
-
-
-def test_schedule_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "schedule.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(sched.ProblemFormatError):
-        sched.read_schedule_csv(path)
-
-
-_PROBLEM_VALUES = st.one_of(
-    st.integers(-1, 5).map(str),
-    st.sampled_from(["backup", "restore", "sideways", "", "1.5", "abc", "1,3", "2,", "0,1", "1,2,3", "9", "+2"]),
-)
-_STRAY_TOKENS = st.sampled_from(["x=3", "matrix=matrix.txt", "peer_rte=3", "M=2", "abc", "=1", "m=1=2"])
-_SEPARATORS = st.sampled_from([" ", "\t", "\n", "\n\n", " # note x=9\n", "\n# comment\n\n"])
-
-
-@st.composite
-def problem_texts(draw):
-    """A valid restore file's tokens over matrix.txt, at most one dropped
-    and a few given random values, plus stray tokens, shuffled and spread
-    over lines with comments and blank lines."""
-    pairs = {"owner": "0", "direction": "restore", "x": "2", "u0": "1", "storage": "1,3"}
-    for key in draw(st.sets(st.sampled_from(sorted(pairs)), max_size=1)):
-        del pairs[key]
-    keys = st.sampled_from(["owner", "direction", "x", "u0", "m", "peer_rate", "storage"])
-    pairs.update(draw(st.dictionaries(keys, _PROBLEM_VALUES, max_size=3)))
-    tokens = ["matrix=matrix.txt", *(f"{k}={v}" for k, v in pairs.items()), *draw(st.lists(_STRAY_TOKENS, max_size=2))]
-    tokens = draw(st.permutations(tokens))
-    return "".join(token + draw(_SEPARATORS) for token in tokens)
-
-
-_SCHEDULE_ROWS = st.one_of(
-    st.tuples(st.integers(-1, 9), st.integers(-1, 9)).map(lambda e: f"{e[0]},{e[1]}"),
-    st.sampled_from(["", "  ", "1,2,3", "a,b", "1", "1.5,2", " 3 , 4 ", ",", "# 1,2"]),
-)
-schedule_texts = st.builds(
-    lambda header, rows: "\n".join([header, *rows]) + "\n",
-    st.sampled_from(["peer,slot", " peer,slot ", "slot,peer", "", "peer, slot"]), st.lists(_SCHEDULE_ROWS, max_size=6),
-)
-
-
-def test_problem_and_schedule_readers_parse_or_name_the_line(tmp_path, fig_matrix):
-    """Any problem file over a valid matrix, and any schedule CSV, either
-    parses to an object that its writer and reader give back equal, or
-    raises ProblemFormatError whose message starts with a line of the file
-    (a file missing keys aside); no other exception escapes.  The sweep must
-    see both outcomes of each reader."""
-    trace.write_matrix_file(fig_matrix, tmp_path / "matrix.txt")
-    seen = set()
-
-    def write_problem(problem):
-        path = tmp_path / "back.txt"
-        sched.write_problem_file(problem, path, tmp_path / "back_matrix.txt")
-        return path
-
-    def write_schedule(schedule):
-        path = tmp_path / "back.csv"
-        sched.write_schedule_csv(schedule, path)
-        return path
-
-    def outcome(read, write, text):
-        path = tmp_path / "in.txt"
-        path.write_text(text, encoding="utf-8")
-        try:
-            value = read(path)
-        except sched.ProblemFormatError as exc:
-            message = str(exc)
-            if message.startswith("missing keys: "):
-                return "missing keys"
-            line = re.match(r"line (\d+): ", message)
-            assert line and 1 <= int(line[1]) <= len(text.splitlines()), message
-            return "line error"
-        assert read(write(value)) == value
-        return "parsed"
-
-    @settings(max_examples=300, deadline=None)
-    @given(problem_texts(), schedule_texts)
-    def check(problem_text, schedule_text):
-        seen.add(("problem", outcome(sched.read_problem_file, write_problem, problem_text)))
-        seen.add(("schedule", outcome(sched.read_schedule_csv, write_schedule, schedule_text)))
-
-    check()
-    assert {(reader, result) for reader in ("problem", "schedule") for result in ("parsed", "line error")} <= seen
 
 
 def test_sched_replay_tool_agrees_with_scipy_on_one_group():

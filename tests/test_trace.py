@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from p2pbackup import cli, report, sched, sim, trace
+from p2pbackup import cli, report, sim, trace
 from conftest import make_matrix, synth_event_log
 from oracles import LoopFormatError, loop_parse_events, loop_slotize
 
@@ -312,6 +312,10 @@ def test_matrix_cells_must_be_0_or_1(bits):
                  "per-peer availabilities must be in", id="synth-target-above"),
     pytest.param(lambda: trace.synth_trace(3, 10, availability=[-0.1, 0.5, 0.5]),
                  "per-peer availabilities must be in", id="synth-target-below"),
+    pytest.param(lambda: trace.synth_trace(3, 10, availability=[math.nan, 0.5, 0.5]),
+                 "per-peer availabilities must be in", id="synth-target-nan"),
+    pytest.param(lambda: trace.synth_trace(3, 10, availability=(0.2, math.nan)),
+                 "availability range must satisfy", id="synth-range-nan"),
     pytest.param(lambda: trace.availability_stats(trace.AvailabilityMatrix(bits=np.zeros((0, 4)))),
                  "matrix must have at least one peer", id="stats-no-peers"),
     pytest.param(lambda: trace.availability_stats(trace.AvailabilityMatrix(bits=np.zeros((2, 0)))),
@@ -651,8 +655,6 @@ NOT_UTF8 = [
     (trace.read_event_file, b"p1,0,login\n\xffp1,1,login\n", trace.TraceFormatError, ""),  # at a line start
     (sim.load_config, b"seed=1\nk\xff=2\n", ValueError, "{path}: "),
     (sim.read_bandwidth_cdf, b"0,1\n1\xff,2\n", ValueError, "{path}: "),
-    (sched.read_problem_file, b"owner=0\nx=\xff\n", sched.ProblemFormatError, ""),
-    (sched.read_schedule_csv, b"peer,slot\n1,\xff\n", sched.ProblemFormatError, ""),
     (report.read_peers_csv, ",".join(report.PEERS_FIELDS).encode() + b"\n0,\xff\n", ValueError, "{path}: "),
     (report.read_summary_csv, b"policy,runs\nfixed,\xff\n", ValueError, "{path}: "),
     (plan_batch, b"mode,k,a,target\nn,4,0.5,\xff\n", ValueError, "{path}: "),

@@ -328,6 +328,18 @@ def cmd_simulate(args, out: Path) -> dict:
 
 # -- parser --------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """--seed of the subcommands other than simulate, which takes it as a
+    SimConfig field: an integer that can seed a generator."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="p2pbackup",
@@ -336,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default="out", help="output directory")
     seeded = argparse.ArgumentParser(add_help=False)  # simulate's --seed is a SimConfig flag
-    seeded.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    seeded.add_argument("--seed", type=_seed, default=0, help="random seed (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trace-stats", parents=[seeded, common],

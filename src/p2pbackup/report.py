@@ -1,9 +1,8 @@
-"""Aggregation of run results into backup metrics, plus CSV import/export.
+"""Aggregation of run results into backup metrics, plus CSV export.
 
 Pure functions over immutable reports: percentiles, normalized time
-ratios, data-loss categorization, and server-traffic summaries.  The CSV
-writers define the on-disk contract (any external tool plots); re-importing
-an export reproduces the same aggregates.
+ratios, data-loss categorization, and server-traffic totals.  The CSV
+writers define the on-disk contract (any external tool plots).
 """
 
 from __future__ import annotations
@@ -11,11 +10,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import astuple, dataclass
+from pathlib import Path
 
-import numpy as np
-
-from .sim import DELAYED_ASSISTED, CrashRecord, PeerRecord, SimReport
-from .trace import open_text
+from .sim import DELAYED_ASSISTED, SimReport
 
 
 def percentile(values, pct: float) -> float:
@@ -96,45 +93,6 @@ def normalized_ratios(report: SimReport) -> NormalizedRatios:
     return NormalizedRatios(tuple(ttb), tuple(ttr), tuple(ettr))
 
 
-@dataclass(frozen=True)
-class ServerTraffic:
-    """Per-slot server series, absolute and as fractions of the total backup
-    size (sum of all object sizes)."""
-
-    assisted: bool
-    outbound: np.ndarray  # bytes per slot
-    buffered: np.ndarray  # bytes held at each slot end
-    outbound_total: float
-    outbound_total_fraction: float
-    peak_outbound: float
-    peak_outbound_fraction: float
-    peak_buffered: float
-    peak_buffered_fraction: float
-
-
-def server_traffic(report: SimReport) -> ServerTraffic:
-    """Summarize assisted-repair traffic; a run without the assisting server
-    yields empty, flagged series rather than an error."""
-    assisted = report.config.response == DELAYED_ASSISTED
-    if not assisted:
-        empty = np.zeros(0)
-        return ServerTraffic(False, empty, empty, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    total_backup = float(report.num_peers * report.config.object_size)
-    out = report.server_outbound
-    buf = report.server_buffered
-    return ServerTraffic(
-        assisted=True,
-        outbound=out,
-        buffered=buf,
-        outbound_total=float(out.sum()),
-        outbound_total_fraction=float(out.sum()) / total_backup,
-        peak_outbound=float(out.max(initial=0.0)),
-        peak_outbound_fraction=float(out.max(initial=0.0)) / total_backup,
-        peak_buffered=float(buf.max(initial=0.0)),
-        peak_buffered_fraction=float(buf.max(initial=0.0)) / total_backup,
-    )
-
-
 # -- CSV contract --------------------------------------------------------
 
 PEERS_FIELDS = (
@@ -168,75 +126,22 @@ def write_peers_csv(report: SimReport, path) -> None:
     write_csv(path, PEERS_FIELDS, map(astuple, report.peers))  # PeerRecord fields are in column order
 
 
-def _float(text: str) -> float:
-    return math.nan if text == "" else float(text)  # math.nan itself, so that records compare equal
-
-
-def _optional_int(text: str) -> int | None:
-    return None if text == "" else int(text)
-
-
-def _flag(text: str) -> bool:
-    if text not in ("0", "1"):
-        raise ValueError(f"a flag cell must be 0 or 1, got {text!r}")
-    return text == "1"
-
-
-def _read_csv(path, header, parsers) -> list[list]:
-    """The read side of write_csv: the rows of the named columns, each cell
-    parsed by its column's parser, which inverts _cell for that column.  A
-    missing column, or a cell that is missing or does not parse, is a
-    ValueError that names the column, and for a cell its line."""
-    with open_text(path, ValueError, f"{path}: ", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [name for name in header if name not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path}: missing column {missing[0]!r}")
-        rows = []
-        for row in reader:
-            cells = []
-            for name, parse in zip(header, parsers):
-                try:
-                    if row[name] is None:  # the row ends before this column
-                        raise ValueError("missing cell")
-                    cells.append(parse(row[name]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {reader.line_num}: column {name}: {exc}") from None
-            rows.append(cells)
-        return rows
-
-
-def read_peers_csv(path) -> list[PeerRecord]:
-    return [PeerRecord(*row) for row in _read_csv(path, PEERS_FIELDS, (int,) + (_float,) * 8)]
-
-
 def write_crashes_csv(report: SimReport, path) -> None:
     write_csv(path, CRASHES_FIELDS, map(astuple, report.crashes))  # CrashRecord fields are in column order
 
 
-def read_crashes_csv(path) -> list[CrashRecord]:
-    parsers = (int, int, _optional_int, str, _flag, _flag)
-    return [CrashRecord(*row) for row in _read_csv(path, CRASHES_FIELDS, parsers)]
-
-
 def write_server_csv(report: SimReport, path) -> None:
-    traffic = server_traffic(report)
-    write_csv(path, SERVER_FIELDS, zip(range(len(traffic.outbound)), traffic.outbound.tolist(),
-                                       traffic.buffered.tolist()))
-
-
-def read_server_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    rows = _read_csv(path, SERVER_FIELDS, (int, _float, _float))
-    if [slot for slot, _, _ in rows] != list(range(len(rows))):
-        raise ValueError(f"{path}: slot column must run 0..T-1")
-    return np.asarray([out for _, out, _ in rows]), np.asarray([buf for _, _, buf in rows])
+    """The per-slot server series; a run without the assisting server writes
+    the header only."""
+    slots = report.num_slots if report.config.response == DELAYED_ASSISTED else 0
+    write_csv(path, SERVER_FIELDS, zip(range(slots), report.server_outbound.tolist(),
+                                       report.server_buffered.tolist()))
 
 
 def summary_row(report: SimReport) -> dict:
     """Run-level aggregates; the single row written to summary.csv."""
     ratios = normalized_ratios(report)
     losses = loss_breakdown(report)
-    traffic = server_traffic(report)
     completed = [p for p in report.peers if math.isfinite(p.ttb)]
     return {
         "policy": report.config.redundancy_policy,
@@ -258,13 +163,10 @@ def summary_row(report: SimReport) -> dict:
         "unavoidable_fraction": losses.unavoidable_fraction,
         "crashed_peers": losses.crashed_peers,
         "lost_peers": losses.lost_peers,
-        "server_outbound_bytes": traffic.outbound_total,
-        "server_peak_buffered_bytes": traffic.peak_buffered,
+        # the simulator writes no server byte outside delayed_assisted
+        "server_outbound_bytes": float(report.server_outbound.sum()),
+        "server_peak_buffered_bytes": float(report.server_buffered.max(initial=0.0)),
     }
-
-
-def write_summary_csv(report: SimReport, path) -> None:
-    write_summary_row(summary_row(report), path)
 
 
 def write_summary_row(row: dict, path) -> None:
@@ -272,42 +174,13 @@ def write_summary_row(row: dict, path) -> None:
     write_csv(path, row.keys(), [row.values()])
 
 
-def _parse_cell(text: str):
-    """Invert _cell: "" -> NaN, int-looking -> int, float-looking -> float."""
-    if text == "":
-        return math.nan
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def read_summary_csv(path) -> dict:
-    with open_text(path, ValueError, f"{path}: ", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if len(rows) != 1:
-        raise ValueError(f"{path}: expected exactly one summary row")
-    return {key: _parse_cell(value) for key, value in rows[0].items()}
-
-
 def write_report_csvs(report: SimReport, out_dir) -> list:
     """Write the full CSV contract into out_dir; returns the paths written."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, writer in (
-        ("peers.csv", write_peers_csv),
-        ("crashes.csv", write_crashes_csv),
-        ("server.csv", write_server_csv),
-        ("summary.csv", write_summary_csv),
-    ):
-        path = out / name
-        writer(report, path)
-        paths.append(path)
+    paths = [out / name for name in ("peers.csv", "crashes.csv", "server.csv", "summary.csv")]
+    write_peers_csv(report, paths[0])
+    write_crashes_csv(report, paths[1])
+    write_server_csv(report, paths[2])
+    write_summary_row(summary_row(report), paths[3])
     return paths

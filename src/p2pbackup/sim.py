@@ -112,6 +112,11 @@ class SimConfig:
             raise ValueError("bandwidth_source=file requires bandwidth_file")
         if self.backup_parallelism < 1:
             raise ValueError("backup_parallelism must be at least 1")
+        for name in ("backup_parallelism", "parallel_downloads"):  # numpy counts them in int64
+            if getattr(self, name) >= 2**63:  # a negative one fails a bound check
+                raise ValueError(f"{name} must fit in int64, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.storage_quota < 0:
             raise ValueError("storage_quota must be non-negative")
         # negated so that a nan fails too
@@ -237,7 +242,11 @@ def sample_bandwidth(config: SimConfig, num_peers: int, rng) -> tuple[np.ndarray
         q, v = read_bandwidth_cdf(config.bandwidth_file)
         uplink = np.interp(rng.random(num_peers), q, v)
     else:
-        uplink = rng.lognormal(math.log(config.bandwidth_median_kbs), config.bandwidth_sigma, num_peers) * 1000.0
+        with np.errstate(over="ignore"):
+            uplink = rng.lognormal(math.log(config.bandwidth_median_kbs), config.bandwidth_sigma, num_peers) * 1000.0
+        if not np.isfinite(uplink).all():
+            raise ValueError(f"bandwidth_median_kbs = {config.bandwidth_median_kbs} and bandwidth_sigma = "
+                             f"{config.bandwidth_sigma} draw an uplink too large for a float")
     uplink = np.maximum(uplink, 1e-6)
     return uplink, 4.0 * uplink
 

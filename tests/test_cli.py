@@ -9,7 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from p2pbackup import __version__, cli, report, trace
+from p2pbackup import __version__, cli, trace
 from p2pbackup.sim import SimConfig
 
 from conftest import make_matrix
@@ -410,6 +410,40 @@ def test_simulate_names_the_key_of_a_number_that_does_not_parse(tmp_path, flat_c
     assert capsys.readouterr().err.splitlines() == ["error: storage_quota must be an integer, got 'abc'"]
 
 
+@pytest.mark.parametrize("source, key, value, message", [
+    ("flag", "backup_parallelism", "1e20", "backup_parallelism must fit in int64, got 100000000000000000000"),
+    ("flag", "parallel_downloads", "1e20", "parallel_downloads must fit in int64, got 100000000000000000000"),
+    ("flag", "bandwidth_median_kbs", "1e308",
+     "bandwidth_median_kbs = 1e+308 and bandwidth_sigma = 1.852 draw an uplink too large for a float"),
+    ("flag", "seed", "-1", "seed must be non-negative, got -1"),
+    ("file", "seed", "-1", "seed must be non-negative, got -1"),
+], ids=["backup-parallelism", "parallel-downloads", "bandwidth", "seed-flag", "seed-file"])
+def test_simulate_names_the_setting_it_cannot_run(tmp_path, flat_cdf_file, capsys, source, key, value, message):
+    """A value the run cannot use is an error naming its setting, not a
+    traceback, a NaN further on, or numpy's own message."""
+    overrides = {"bandwidth_source": "lognormal", "mean_lifetime_days": 0.5}
+    if source == "file":
+        overrides[key] = value
+    matrix_path, config_path = write_sim_inputs(tmp_path, flat_cdf_file, **overrides)
+    flags = ["--" + key.replace("_", "-"), value] if source == "flag" else []
+    rc = cli.main(["simulate", "--matrix", str(matrix_path), "--config", str(config_path), *flags,
+                   "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("seed, message", [("-1", "seed must be non-negative, got -1"),
+                                           ("abc", "seed must be an integer, got 'abc'")], ids=["negative", "junk"])
+@pytest.mark.parametrize("argv", [["trace-synth", "--peers", "3", "--slots", "4"],
+                                  ["sched-compare", "--synth-peers", "5", "--synth-slots", "10"]],
+                         ids=["trace-synth", "sched-compare"])
+def test_seeded_subcommands_name_a_bad_seed(tmp_path, capsys, argv, seed, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--seed", seed, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: argument --seed: {message}")
+
+
 def test_simulate_flags_parse_as_config_values(tmp_path, flat_cdf_file):
     """A flag takes what its config key takes, such as 1e10 for an integer."""
     configs = []
@@ -470,20 +504,17 @@ def test_simulate_multi_run_averages(tmp_path, flat_cdf_file):
                        "--config", str(config_path), "--runs", "2", "--policy", policy,
                        "--seed", "0", "--out-dir", str(out)])
         assert rc == 0
-        with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
-            summary = next(csv.DictReader(fh))
-        assert summary["runs"] == "2"
+        (summary,) = read_csv(out / "summary.csv")
         # the average, made in memory, agrees with one made from the per-run files
-        runs = [report.read_summary_csv(out / f"run-{i}" / "summary.csv") for i in range(2)]
-        averaged = report.read_summary_csv(out / "summary.csv")
-        assert averaged.pop("runs") == 2 and averaged.keys() == runs[0].keys()
-        for key, value in averaged.items():
+        runs = [read_csv(out / f"run-{i}" / "summary.csv")[0] for i in range(2)]
+        assert summary.pop("runs") == "2" and summary.keys() == runs[0].keys()
+        for key, value in summary.items():
             cells = [run[key] for run in runs]
-            if isinstance(cells[0], str):
+            if key in ("policy", "response"):
                 assert value == cells[0], key
             else:
-                numbers = [float(c) for c in cells if not math.isnan(c)]
-                assert value == np.mean(numbers) if numbers else math.isnan(value), key
+                numbers = [float(c) for c in cells if c != ""]  # an empty cell is NaN
+                assert float(value) == np.mean(numbers) if numbers else value == "", key
 
 
 def test_simulate_flags_override_config_file(tmp_path, flat_cdf_file):

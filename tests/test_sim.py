@@ -135,6 +135,9 @@ def test_config_validation():
     ({"bandwidth_source": "uniform"}, "bandwidth_source must be lognormal or file"),
     ({"bandwidth_source": "file"}, "bandwidth_source=file requires bandwidth_file"),
     ({"backup_parallelism": 0}, "backup_parallelism must be at least 1"),
+    ({"backup_parallelism": 2**63}, f"backup_parallelism must fit in int64, got {2**63}"),
+    ({"parallel_downloads": 10**20}, f"parallel_downloads must fit in int64, got {10**20}"),
+    ({"seed": -1}, "seed must be non-negative, got -1"),
 ])
 def test_config_rejects_each_bad_field(overrides, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
@@ -164,6 +167,71 @@ def test_load_config_rejects_a_duplicate_key(tmp_path):
         psim.load_config(path)
 
 
+# every field but bandwidth_file, whose missing file is an OSError by design
+_SWEPT_FIELDS = [f.name for f in fields(SimConfig) if f.name != "bandwidth_file"]
+_SWEPT_VALUES = ["0", "1", "2", "0.5", "-1", "1e-300", "1e20", "-1e20", "1e308", "-1e308", str(2**63 - 1),
+                 str(2**63), "nan", "inf", "-inf", "", "abc", "fixed", "delayed", "delayed_assisted", "file"]
+# a k = 2 object and crashes within the 8 slots, so that restores and repairs run
+_SWEPT_BASE = {"object_size": "2000000", "fragment_size": "1000000", "mean_lifetime_days": "0.2"}
+_SWEPT_MATRIX = make_matrix(["11011011", "10110111", "01111101", "11101110"])
+
+
+@st.composite
+def config_lines(draw):
+    """Lines of a config file: up to five fields, each set to its default,
+    a bound, a huge, negative or non-finite number, or junk text, then up
+    to two edits: a comment, a blank line, a bare word, an unknown key or a
+    key set twice."""
+    lines = []
+    for key in draw(st.lists(st.sampled_from(_SWEPT_FIELDS), unique=True, max_size=5)):
+        default = str(getattr(SimConfig(), key))
+        value = draw(st.one_of(st.sampled_from([default, *_SWEPT_VALUES]), st.text("0123456789.e+-_x ", max_size=6)))
+        lines.append(f"{key} = {value}")
+    for _ in range(draw(st.integers(0, 2))):
+        extra = draw(st.sampled_from(["# note", "", "seed", "object_sise = 1", *lines[:1]]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return lines
+
+
+def test_config_file_runs_or_names_what_it_rejects(tmp_path):
+    """Any config text, over a base that crashes and restores on a 4 x 8
+    trace, either runs with finite uplinks or raises a ValueError before the
+    run starts; one that load_config rejects names its line.  No other
+    exception escapes, and the sweep must see a run, a line error and a
+    rejected value."""
+    seen = set()
+    path = tmp_path / "run.cfg"
+
+    @settings(max_examples=300, deadline=None)
+    @given(config_lines())
+    @example(["backup_parallelism = 1e20"])
+    @example(["parallel_downloads = 1e20"])
+    @example(["bandwidth_median_kbs = 1e308"])
+    def check(lines):
+        set_keys = {line.split("=", 1)[0].strip() for line in lines}
+        base = [f"{key} = {value}" for key, value in _SWEPT_BASE.items() if key not in set_keys]
+        text = "".join(f"{line}\n" for line in base + lines)
+        path.write_text(text)
+        try:
+            pairs = psim.load_config(path)
+        except ValueError as exc:
+            line = re.match(rf"{re.escape(str(path))}: line (\d+): ", str(exc))
+            assert line and 1 <= int(line[1]) <= len(text.splitlines()), str(exc)
+            seen.add("line error")
+            return
+        try:
+            simulation = Simulation(SimConfig.from_mapping(pairs), _SWEPT_MATRIX)
+        except ValueError:
+            seen.add("value error")
+            return
+        report = simulation.run()  # what the constructor accepts runs to the end
+        assert all(math.isfinite(p.uplink) and p.uplink > 0 for p in report.peers), report.peers
+        seen.add("ran")
+
+    check()
+    assert seen == {"ran", "line error", "value error"}
+
+
 # ------------------------------------------------------------------ sampling
 
 def test_lifetime_disabled_modes():
@@ -189,6 +257,15 @@ def test_bandwidth_lognormal_statistics():
     assert abs(median - 77_000.0) / 77_000.0 < 0.10
     analytic_mean = 77_000.0 * math.exp(1.852**2 / 2)
     assert abs(up.mean() - analytic_mean) / analytic_mean < 0.15
+
+
+@pytest.mark.parametrize("median, sigma", [(1e308, 1.852), (77.0, 1e308)])
+def test_bandwidth_rejects_an_uplink_draw_that_overflows(median, sigma):
+    """An infinite uplink would turn into a NaN further on."""
+    config = SimConfig(bandwidth_median_kbs=median, bandwidth_sigma=sigma)
+    message = f"bandwidth_median_kbs = {median} and bandwidth_sigma = {sigma} draw an uplink too large for a float"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        psim.sample_bandwidth(config, 100, np.random.default_rng(0))
 
 
 def test_bandwidth_degenerate_cdf(flat_cdf_file):

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from p2pbackup import cli, report, sim, trace
+from p2pbackup import cli, sim, trace
 from conftest import make_matrix, synth_event_log
 from oracles import LoopFormatError, loop_parse_events, loop_slotize
 
@@ -648,15 +648,13 @@ def plan_batch(path):
 
 
 # Each reader, a file whose line 2 holds a byte that is not UTF-8, and the
-# reader's own error with its usual prefix ("{path}: " for the sim, report
-# and plan readers).
+# reader's own error with its usual prefix ("{path}: " for the sim and plan
+# readers).
 NOT_UTF8 = [
     (trace.read_matrix_file, b"peers=1 slots=2 slot_seconds=3600\n1\xff\n", trace.TraceFormatError, ""),
     (trace.read_event_file, b"p1,0,login\n\xffp1,1,login\n", trace.TraceFormatError, ""),  # at a line start
     (sim.load_config, b"seed=1\nk\xff=2\n", ValueError, "{path}: "),
     (sim.read_bandwidth_cdf, b"0,1\n1\xff,2\n", ValueError, "{path}: "),
-    (report.read_peers_csv, ",".join(report.PEERS_FIELDS).encode() + b"\n0,\xff\n", ValueError, "{path}: "),
-    (report.read_summary_csv, b"policy,runs\nfixed,\xff\n", ValueError, "{path}: "),
     (plan_batch, b"mode,k,a,target\nn,4,0.5,\xff\n", ValueError, "{path}: "),
 ]
 

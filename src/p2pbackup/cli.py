@@ -226,14 +226,16 @@ def cmd_plan(args, out: Path) -> dict:
     if args.batch:
         with trace.open_text(args.batch, ValueError, f"{args.batch}: ", newline="") as fh:
             reader = csv.DictReader(fh)  # a short row reads None for each field it lacks
-            for row in reader:
-                mode = (row.get("mode") or "").strip() or ("loss" if row.get("t_days") else "n")
-                try:
+            try:
+                for row in reader:
+                    mode = (row.get("mode") or "").strip() or ("loss" if row.get("t_days") else "n")
                     if mode not in ("n", "loss"):
                         raise ValueError(f"mode must be n or loss, got {mode!r}")
                     results.append(_plan_loss(row) if mode == "loss" else _plan_n(row))
-                except ValueError as exc:
-                    raise ValueError(f"{args.batch}: line {reader.line_num}: {exc}") from None
+            except UnicodeDecodeError:
+                raise  # open_text finds the bad byte's line
+            except (ValueError, csv.Error) as exc:  # csv.Error: a field over csv's size limit, say
+                raise ValueError(f"{args.batch}: line {reader.line_num}: {exc}") from None
     elif args.loss:
         if args.n is None or args.k is None or args.t_days is None:
             raise SystemExit("plan --loss requires --n, --k and --t-days")

@@ -6,7 +6,9 @@ adaptive policy instead stops uploading once two per-peer estimates pass: the
 estimated time to restore (eTTR) and the probability of losing data while the
 owner is away (exponential peer lifetimes, at least n - k + 1 holder crashes).
 Both binomial tails are one private helper, _binom_sf, which evaluates the
-regularized incomplete beta function directly (scipy.special.betainc).
+regularized incomplete beta function directly (scipy.special.betainc).  It
+imports scipy.special at the first tail it evaluates, not at import, so a
+process that only schedules or reads traces never loads scipy.
 
 The eTTR formula and the stopping and risk tests take the holders' order
 statistics: their count n, the k-th best expected rate (kth_best_rate) and
@@ -20,10 +22,10 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 SECONDS_PER_DAY = 86400.0
 _TAIL_ATOL = 1e-12  # fixed_redundancy_n's allowance for the tail's last-digit noise
@@ -65,8 +67,9 @@ class AdaptiveThresholds:
             raise ValueError("mean_lifetime_days must be positive")
         if math.isinf(self.w_days) and math.isinf(self.mean_lifetime_days):  # the loss rule's q would be inf / inf
             raise ValueError("w_days and mean_lifetime_days cannot both be infinite")
-        if not (self.ttr_floor_days >= 0 and self.ttr_factor >= 0):
-            raise ValueError("TTR rule parameters must be non-negative")
+        for name in ("ttr_floor_days", "ttr_factor"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 def _holder_arrays(holders) -> tuple[np.ndarray, np.ndarray]:
@@ -85,11 +88,14 @@ def _holder_arrays(holders) -> tuple[np.ndarray, np.ndarray]:
 def _binom_sf(j: int, n: int, p: float) -> float:
     """P[X > j] for X ~ Binomial(n, p): 1.0 below j = 0, 0.0 from j = n, and
     betainc(j + 1, n - j, p) between: bit for bit scipy's binom.sf, at a
-    small fraction of its per-call cost."""
+    small fraction of its per-call cost.  scipy.special is imported here,
+    once per process, at the first tail that needs it."""
     if j < 0:
         return 1.0
     if j >= n:
         return 0.0
+    from scipy.special import betainc
+
     return float(betainc(j + 1, n - j, p))
 
 
@@ -186,6 +192,8 @@ def data_loss_probability(n: int, k: int, t_elapsed: float, mean_lifetime: float
     """
     if k < 1 or n < k:
         raise ValueError("need n >= k >= 1")
+    if n > sys.float_info.max:  # the tail takes n - k + 1 and k as floats
+        raise ValueError(f"n must be at most {sys.float_info.max:g}")
     if not t_elapsed >= 0:  # negated so that a nan fails too
         raise ValueError("t_elapsed must be non-negative")
     if not mean_lifetime > 0:

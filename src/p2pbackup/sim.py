@@ -28,6 +28,7 @@ import numpy as np
 from .redundancy import (
     SECONDS_PER_DAY,
     AdaptiveThresholds,
+    SearchCeilingError,
     caps_met,
     fixed_redundancy_n,
     kth_best_rate,
@@ -98,8 +99,9 @@ class SimConfig:
             raise ValueError("object_size and fragment_size must be positive")
         if self.object_size % self.fragment_size:
             raise ValueError("object_size must be an exact multiple of fragment_size")
-        if self.delay_mean_days <= 0 or self.repair_timeout_days <= 0:
-            raise ValueError("durations must be positive")
+        for name in ("delay_mean_days", "repair_timeout_days"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.mean_lifetime_days < 0:
             raise ValueError("mean_lifetime_days must be non-negative (0 or inf = no crashes)")
         if self.redundancy_policy not in (FIXED, ADAPTIVE):
@@ -112,9 +114,13 @@ class SimConfig:
             raise ValueError("bandwidth_source=file requires bandwidth_file")
         if self.backup_parallelism < 1:
             raise ValueError("backup_parallelism must be at least 1")
+        if self.parallel_downloads < 0:
+            raise ValueError("parallel_downloads must be non-negative (0 derives it from bandwidth)")
         for name in ("backup_parallelism", "parallel_downloads"):  # numpy counts them in int64
             if getattr(self, name) >= 2**63:  # a negative one fails a bound check
                 raise ValueError(f"{name} must fit in int64, got {getattr(self, name)}")
+        if not 0 < self.fixed_target < 1:
+            raise ValueError("fixed_target must be in (0, 1)")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.storage_quota < 0:
@@ -440,8 +446,12 @@ class Simulation:
         # most holders an owner places or uploads to: fixed n, or every other peer
         self.fixed_n, self.holder_cap = None, self.P - 1
         if config.redundancy_policy == FIXED:
-            self.fixed_n = self.holder_cap = fixed_redundancy_n(self.k, max(self.measured_availability, 1e-9),
-                                                                config.fixed_target)
+            try:
+                self.fixed_n = self.holder_cap = fixed_redundancy_n(self.k, max(self.measured_availability, 1e-9),
+                                                                    config.fixed_target)
+            except SearchCeilingError as exc:  # name the settings behind the search's k and target
+                raise SearchCeilingError(f"fixed_target = {config.fixed_target} with k = object_size / "
+                                         f"fragment_size = {self.k}: {exc}") from None
         self.uplink, self.downlink = sample_bandwidth(config, self.P, self.rng)
         self.min_ttb = _ideal_elapsed(bits, self.o / self.uplink, self.slot)
         self.min_ttr = self.o / self.downlink

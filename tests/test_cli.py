@@ -4,10 +4,13 @@ import argparse
 import csv
 import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from p2pbackup import __version__, cli, trace
 from p2pbackup.sim import SimConfig
@@ -233,6 +236,69 @@ def test_plan_batch_names_the_line_and_field_of_a_bad_row(tmp_path, capsys, line
     batch.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert cli.main(["plan", "--batch", str(batch), "--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {batch}: {message}\n"
+
+
+# per column of a plan batch, values a query accepts
+PLAN_GOOD = {"mode": ["n", "loss", ""], "k": ["1", "4", "64"], "a": ["0.36", "0.5", "1"],
+             "target": ["0.5", "0.99"], "n": ["4", "222"], "t_days": ["0", "1", "90", "inf"],
+             "mean_lifetime_days": ["90", "inf", "1e-300"], "extra": ["x"]}
+PLAN_EDGE = ["0", "-1", "1.5", "nan", "inf", "-inf", "1e308", "5e-324", str(2**63), "9" * 400, "1e3", "abc", " 4 "]
+# a query's own fields and its result: none of them may read empty (a nan cell) in plan.csv
+PLAN_RESULT = {"n": ("k", "a", "target", "n"), "loss": ("n", "k", "t_days", "mean_lifetime_days", "probability")}
+
+
+@st.composite
+def plan_batches(draw):
+    """A plan batch: the full header, or six of its columns and an unknown
+    one in any order, then up to four rows of values each column accepts.
+    One row in four has one cell turned into a bound, a non-finite or huge
+    number, or text with quotes, commas, newlines or a NUL, and may lose
+    its last cell or gain one."""
+    columns = list(PLAN_GOOD)
+    header = draw(st.one_of(st.just(columns[:-1]), st.permutations(columns).map(lambda c: c[:-2])))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 4))):
+        cells = [draw(st.sampled_from(PLAN_GOOD[column])) for column in header]
+        if draw(st.integers(0, 3)) == 0:
+            bad = st.one_of(st.sampled_from(PLAN_EDGE), st.text('0123456789.e-",\r\n\x00', max_size=6))
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(bad)
+            cells = cells[:draw(st.integers(len(cells) - 1, len(cells)))] + draw(st.sampled_from([[], ["1"]]))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def test_plan_batch_writes_every_query_or_names_its_line(tmp_path):
+    """Any batch text either writes one plan.csv row per record, with no
+    empty (nan) cell among its query's fields and result, or raises a
+    ValueError naming the line; no other exception escapes.  The sweep must
+    see both."""
+    seen = set()
+    path, out = tmp_path / "batch.csv", tmp_path / "o"
+    out.mkdir()
+
+    @settings(max_examples=200, deadline=None)
+    @given(plan_batches())
+    @example("mode,k,a,target\nn,4,0.5," + "9" * 140_000)  # a field over csv's size limit
+    @example("mode,k,n,t_days,mean_lifetime_days\nloss,2," + "9" * 400 + ",1,90")  # n too large for a float
+    def check(text):
+        path.write_bytes(text.encode("utf-8"))
+        (out / "plan.csv").unlink(missing_ok=True)
+        try:
+            cli.cmd_plan(argparse.Namespace(batch=path), out)
+        except ValueError as exc:
+            line = re.match(rf"{re.escape(str(path))}: line (\d+): ", str(exc))
+            assert line and 1 <= int(line[1]) <= len(text.splitlines()), str(exc)
+            seen.add("line error")
+            return
+        records = [r for r in csv.reader(text.splitlines(keepends=True)) if r][1:]
+        rows = read_csv(out / "plan.csv")
+        assert len(rows) == len(records)
+        for row in rows:
+            assert all(row[name] not in ("", "nan") for name in PLAN_RESULT[row["mode"]]), row
+        seen.add("wrote")
+
+    check()
+    assert seen == {"wrote", "line error"}
 
 
 @pytest.mark.parametrize("flag", ["--t-days", "--lifetime"])

@@ -129,8 +129,8 @@ def test_config_validation():
 @pytest.mark.parametrize("overrides, message", [
     ({"object_size": 0}, "object_size and fragment_size must be positive"),
     ({"fragment_size": -1024}, "object_size and fragment_size must be positive"),
-    ({"delay_mean_days": 0.0}, "durations must be positive"),
-    ({"repair_timeout_days": -1.0}, "durations must be positive"),
+    ({"delay_mean_days": 0.0}, "delay_mean_days must be positive"),
+    ({"repair_timeout_days": -1.0}, "repair_timeout_days must be positive"),
     ({"mean_lifetime_days": -1.0}, "mean_lifetime_days must be non-negative"),
     ({"bandwidth_source": "uniform"}, "bandwidth_source must be lognormal or file"),
     ({"bandwidth_source": "file"}, "bandwidth_source=file requires bandwidth_file"),
@@ -138,6 +138,9 @@ def test_config_validation():
     ({"backup_parallelism": 2**63}, f"backup_parallelism must fit in int64, got {2**63}"),
     ({"parallel_downloads": 10**20}, f"parallel_downloads must fit in int64, got {10**20}"),
     ({"seed": -1}, "seed must be non-negative, got -1"),
+    ({"parallel_downloads": -1}, "parallel_downloads must be non-negative"),
+    ({"fixed_target": 1e308}, "fixed_target must be in (0, 1)"),
+    ({"fixed_target": 0.0}, "fixed_target must be in (0, 1)"),
 ])
 def test_config_rejects_each_bad_field(overrides, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
@@ -168,7 +171,8 @@ def test_load_config_rejects_a_duplicate_key(tmp_path):
 
 
 # every field but bandwidth_file, whose missing file is an OSError by design
-_SWEPT_FIELDS = [f.name for f in fields(SimConfig) if f.name != "bandwidth_file"]
+_FIELDS = [f.name for f in fields(SimConfig)]
+_SWEPT_FIELDS = [name for name in _FIELDS if name != "bandwidth_file"]
 _SWEPT_VALUES = ["0", "1", "2", "0.5", "-1", "1e-300", "1e20", "-1e20", "1e308", "-1e308", str(2**63 - 1),
                  str(2**63), "nan", "inf", "-inf", "", "abc", "fixed", "delayed", "delayed_assisted", "file"]
 # a k = 2 object and crashes within the 8 slots, so that restores and repairs run
@@ -196,9 +200,10 @@ def config_lines(draw):
 def test_config_file_runs_or_names_what_it_rejects(tmp_path):
     """Any config text, over a base that crashes and restores on a 4 x 8
     trace, either runs with finite uplinks or raises a ValueError before the
-    run starts; one that load_config rejects names its line.  No other
-    exception escapes, and the sweep must see a run, a line error and a
-    rejected value."""
+    run starts; one that load_config rejects names its line, and any other
+    opens with the name of the SimConfig field it rejects (the sweep's one
+    unknown key aside).  No other exception escapes, and the sweep must see
+    a run, a line error and a rejected value."""
     seen = set()
     path = tmp_path / "run.cfg"
 
@@ -207,6 +212,7 @@ def test_config_file_runs_or_names_what_it_rejects(tmp_path):
     @example(["backup_parallelism = 1e20"])
     @example(["parallel_downloads = 1e20"])
     @example(["bandwidth_median_kbs = 1e308"])
+    @example(["redundancy_policy = fixed", "object_size = 1e20"])  # k = 1e14 passes the search's ceiling
     def check(lines):
         set_keys = {line.split("=", 1)[0].strip() for line in lines}
         base = [f"{key} = {value}" for key, value in _SWEPT_BASE.items() if key not in set_keys]
@@ -221,7 +227,8 @@ def test_config_file_runs_or_names_what_it_rejects(tmp_path):
             return
         try:
             simulation = Simulation(SimConfig.from_mapping(pairs), _SWEPT_MATRIX)
-        except ValueError:
+        except ValueError as exc:
+            assert re.match(r"\w+", str(exc))[0] in _FIELDS or str(exc) == "unknown config key 'object_sise'", str(exc)
             seen.add("value error")
             return
         report = simulation.run()  # what the constructor accepts runs to the end

@@ -9,12 +9,13 @@ max-flow problem and searching for the smallest T with F(T) >= x.  The F(T)
 network's nodes are source = 0, slot s = s for s in 1..T, the j-th candidate
 peer = T + 1 + j and the sink last; its arcs are source->slot (capacity
 owner_rate) where the owner is online, slot->peer (capacity 1) where the
-remote peer is online too, and peer->sink (capacity per_peer_cap).  Its
-max flow is found by Dinic's algorithm as scipy's maximum_flow runs it on
-that network, each node's arcs in CSR order (by the node they lead to), so
-the witness schedules are scipy's; its first phase is a first-fit walk of
-the owner-online slots, which alone settles most F(T).  A randomized
-scheduler and the ideal always-on baseline are provided for comparison.
+remote peer is online too, and peer->sink (capacity per_peer_cap).  A
+first-fit walk of the owner-online slots finds a flow that alone settles
+most F(T); where it leaves a slot short, shortest augmenting paths raise it
+to a maximum flow.  F(T) is the value scipy's maximum_flow finds on that
+network, and the witness schedule is a valid maximum flow, not necessarily
+scipy's.  A randomized scheduler and the ideal always-on baseline are
+provided for comparison.
 
 Slots are numbered from 1 in schedules; slot s corresponds to matrix column
 s - 1.  Peers are matrix row indices.
@@ -93,33 +94,10 @@ class TransferProblem:
         return (*range(self.owner), *range(self.owner + 1, self.matrix.num_peers))
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Transfer decisions as a sorted tuple of (peer, slot) pairs, one per
-    fragment.  In a valid schedule the pairs are distinct: a remote peer
-    moves at most one fragment per slot."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    def __init__(self, entries=()):
-        object.__setattr__(self, "entries", tuple(sorted((int(p), int(s)) for p, s in entries)))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-
-def _sorted_schedule(entries: list[tuple[int, int]]) -> Schedule:
-    """A Schedule of (peer, slot) pairs that are already Python ints: one
-    sort, without the constructor's per-element int()."""
-    schedule = object.__new__(Schedule)
-    object.__setattr__(schedule, "entries", tuple(sorted(entries)))
-    return schedule
+# Transfer decisions as a sorted tuple of (peer, slot) int pairs, one per
+# fragment.  In a valid schedule the pairs are distinct: a remote peer moves
+# at most one fragment per slot.
+Schedule = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -138,15 +116,16 @@ class ScheduleOutcome:
     fragments: int
 
 
-def completion_time(schedule: Schedule) -> int:
+def completion_time(schedule) -> int:
     """C(S): the last slot in which a transfer is performed; 0 for an empty schedule."""
     if not schedule:
         return 0
     return max(s for _, s in schedule)
 
 
-def validate_schedule(problem: TransferProblem, schedule: Schedule) -> list[str]:
-    """Check a schedule against the validity clauses; empty list means valid.
+def validate_schedule(problem: TransferProblem, schedule) -> list[str]:
+    """Check a sequence of (peer, slot) pairs against the validity clauses;
+    empty list means valid.
 
     Out-of-range peer or slot indices raise ValueError (a malformed argument,
     not a validity violation).
@@ -189,17 +168,16 @@ def validate_schedule(problem: TransferProblem, schedule: Schedule) -> list[str]
 
 
 def _first_fit(problem: TransferProblem, T: int) -> tuple[list[int], list[int], list[tuple[int, int]], list[int], bool]:
-    """The first blocking-flow phase of Dinic's algorithm on the F(T)
-    network (see the module docstring), as first fit.
+    """A first flow on the F(T) network (see the module docstring).
 
     First fit walks the owner-online slots 1..T in order, and each slot sends
     one fragment to each of its online candidates under their cap, in index
-    order, until it has sent owner_rate.  That is the path order of the first
-    phase's depth-first search over the network's arcs in CSR order, each
-    path carrying one fragment over a unit slot -> peer arc, so it is the
-    flow that phase pushes.  When every slot sends its full owner_rate the
-    flow fills every source arc, so it is already maximum (max-flow min-cut)
-    and no later phase finds a path.
+    order, until it has sent owner_rate.  That is the path order of the
+    depth-first search in the first phase of scipy's maximum_flow (Dinic's
+    algorithm, each node's arcs in CSR order), so it is the flow that phase
+    pushes.  When every slot sends its full owner_rate the flow fills every
+    source arc, so it is already maximum (max-flow min-cut) and it is
+    scipy's witness; otherwise _augment raises it to a maximum flow.
 
     Returns the owner-online slot numbers, each one's online peers as a bit
     mask by row index, the (peer, slot) entries sent, the cap left per peer,
@@ -238,29 +216,29 @@ def _first_fit(problem: TransferProblem, T: int) -> tuple[list[int], list[int], 
     return slots, masks, entries, left, short
 
 
-def _later_phases(problem: TransferProblem, slots, masks, entries, left) -> list[tuple[int, int]]:
-    """Dinic's phases after the first, from first fit's flow, as scipy's
-    maximum_flow runs them on the F(T) network of the module docstring;
-    returns the entries of the maximum flow it ends with.
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Each phase levels the residual network breadth first from the source and
-    then, until the source has no arc left, walks one path at a time from
-    the source along each node's current arc: the first arc, in CSR order,
-    with residual capacity into the next level.  A path that reaches the
-    sink moves one fragment; a node with no such arc left is dead for the
-    phase.
-    Within a phase these arcs only lose capacity, so a node's remaining arcs
-    are kept as a bit mask, and the arcs a check fails are dropped at once.
 
-    Every path alternates slot -> peer arcs with no flow and peer -> slot
-    arcs that undo flow, and ends peer -> sink.  The slot -> peer arcs have
-    capacity 1, so each path carries one fragment, and a slot's flow is the
-    mask of the peers it sends to.  In CSR order a slot's arcs run over its
-    peers by row index and a peer's over its slots by number, then the
-    sink; the source never lies ahead on a path and the sink only at its
-    end.  Slots are bits by their index in slots, peers by row index.
+def _augment(problem: TransferProblem, slots, masks, entries, left) -> list[tuple[int, int]]:
+    """Raise first fit's flow to a maximum flow of the F(T) network (see the
+    module docstring) by shortest augmenting paths, one fragment per path;
+    returns the entries of that flow.
+
+    A path starts at a slot with owner capacity left.  It alternates a slot
+    -> peer arc the slot does not use yet with a step back to a slot that
+    already sends to that peer, and it ends at a peer under its cap.  Each
+    search runs breadth first from every slot with capacity left, so the
+    path it finds is a shortest one; when no path is left the flow is
+    maximum (max-flow min-cut).  Slots are bits by their index in slots,
+    peers by row index.
     """
     candidates = sum(1 << p for p in problem.candidates)
+    masks = [m & candidates for m in masks]  # per slot, the peers it may send to
     index = {slot: i for i, slot in enumerate(slots)}
     sent = [0] * len(slots)  # per slot, the peers it sends to
     backward = [0] * len(left)  # per peer, the slots that send to it
@@ -268,117 +246,58 @@ def _later_phases(problem: TransferProblem, slots, masks, entries, left) -> list
         i = index[slot]
         sent[i] |= 1 << peer
         backward[peer] |= 1 << i
-    room = [problem.owner_rate - s.bit_count() for s in sent]  # source -> slot residuals
-    forward = [m & candidates & ~s for m, s in zip(masks, sent)]  # per slot, the peers it may send to
-
+    room = [problem.owner_rate - s.bit_count() for s in sent]
     while True:
-        # Levels: slot_levels[d] holds the slots at distance 2d + 1 from the
-        # source, peer_levels[d] the peers at 2d + 2; the sink is one past
-        # the first peer level holding a peer with cap left.
-        frontier = sum(1 << i for i, r in enumerate(room) if r)
-        seen_slots, seen_peers = frontier, 0
-        slot_levels, peer_levels = [frontier], []
-        reached = False
-        while frontier and not reached:
-            peers = 0
-            while frontier:
-                low = frontier & -frontier
-                peers |= forward[low.bit_length() - 1]
-                frontier ^= low
-            peers &= ~seen_peers
-            seen_peers |= peers
-            peer_levels.append(peers)
-            while peers:
-                low = peers & -peers
-                peer = low.bit_length() - 1
+        # via: each slot reached -> the peer it was reached through, -1 at
+        # the start; came: each peer reached -> the slot it came from
+        queue = [i for i, r in enumerate(room) if r]
+        via = dict.fromkeys(queue, -1)
+        came, reached, end = {}, 0, -1
+        for i in queue:  # queue grows as the search reaches slots
+            peers = masks[i] & ~sent[i] & ~reached
+            reached |= peers
+            for peer in _bits(peers):
+                came[peer] = i
                 if left[peer]:
-                    reached = True
+                    end = peer
                     break
-                frontier |= backward[peer]
-                peers ^= low
-            frontier &= ~seen_slots
-            seen_slots |= frontier
-            slot_levels.append(frontier)
-        if not reached:
-            flow = []
-            for slot, peers in zip(slots, sent):
-                while peers:
-                    low = peers & -peers
-                    flow.append((low.bit_length() - 1, slot))
-                    peers ^= low
-            return flow
-
-        depth = len(peer_levels)  # peers on every path of this phase
-        live_slots, live_peers = slot_levels[:depth], peer_levels
-        source_arcs = live_slots[0]
-        slot_arcs = [-1] * len(slots)  # remaining arcs, as masks; -1 is all
-        peer_arcs = [-1] * len(left)
-        while True:
-            path = []  # slot, peer, slot, ..., peer: the path's nodes after the source
-            while True:
-                if not path:
-                    arcs = source_arcs & live_slots[0]
-                    while arcs and not room[(arcs & -arcs).bit_length() - 1]:
-                        arcs &= arcs - 1
-                    source_arcs = arcs
-                    if not arcs:
-                        break
-                    path.append((arcs & -arcs).bit_length() - 1)
-                    continue
-                d = len(path) // 2
-                if len(path) % 2:  # at a slot, level 2d + 1
-                    i = path[-1]
-                    arcs = slot_arcs[i] = slot_arcs[i] & forward[i] & live_peers[d]
-                    if arcs:
-                        path.append((arcs & -arcs).bit_length() - 1)
-                        continue
-                    live_slots[d] &= ~(1 << i)
-                    path.pop()
-                    continue
-                peer = path[-1]  # at a peer, level 2d
-                if d == depth:
-                    if left[peer]:
-                        break
-                    arcs = 0
-                else:
-                    arcs = peer_arcs[peer] = peer_arcs[peer] & backward[peer] & live_slots[d]
-                    if arcs:
-                        path.append((arcs & -arcs).bit_length() - 1)
-                        continue
-                live_peers[d - 1] &= ~(1 << peer)
-                path.pop()
-            if not path:
+                for j in _bits(backward[peer]):
+                    if j not in via:
+                        via[j] = peer
+                        queue.append(j)
+            if end >= 0:
                 break
+        else:
+            return [(peer, slot) for slot, s in zip(slots, sent) for peer in _bits(s)]
 
-            # Push one fragment, flipping each arc's bits: path[k] ->
-            # path[k + 1] are slot -> peer arcs, path[k + 1] -> path[k + 2]
-            # undo flow.
-            room[path[0]] -= 1
-            left[path[-1]] -= 1
-            for k in range(0, len(path), 2):
-                i, peer = path[k], path[k + 1]
-                bit = 1 << peer
-                sent[i] ^= bit
-                forward[i] ^= bit
+        # Push one fragment from the path's end back to its start: each slot
+        # sends to the peer after it and stops sending to the one before it.
+        left[end] -= 1
+        peer = end
+        while peer >= 0:
+            i = came[peer]
+            sent[i] ^= 1 << peer
+            backward[peer] ^= 1 << i
+            peer = via[i]
+            if peer >= 0:
+                sent[i] ^= 1 << peer
                 backward[peer] ^= 1 << i
-                if k + 2 < len(path):
-                    j = path[k + 2]
-                    sent[j] ^= bit
-                    forward[j] ^= bit
-                    backward[peer] ^= 1 << j
+        room[i] -= 1
 
 
 def max_fragments(problem: TransferProblem, T: int) -> tuple[int, Schedule]:
     """F(T): the most fragments transferable within slots 1..T, with a witness
-    schedule.  The witness is the max flow that scipy's maximum_flow finds on
-    the F(T) network of the module docstring: first fit is its first phase,
-    and only when a slot falls short do the later phases run."""
+    schedule.  F(T) is the max flow value scipy's maximum_flow finds on the
+    F(T) network of the module docstring.  The witness is first fit's flow
+    when no slot falls short, which is scipy's too; otherwise it is the
+    maximum flow _augment reaches from first fit, valid but not necessarily
+    scipy's."""
     if not 1 <= T <= problem.matrix.num_slots:
         raise ValueError(f"T must be in [1, {problem.matrix.num_slots}]")
     slots, masks, entries, left, short = _first_fit(problem, T)
     if short:
-        entries = _later_phases(problem, slots, masks, entries, left)
-    return len(entries), _sorted_schedule(entries)
+        entries = _augment(problem, slots, masks, entries, left)
+    return len(entries), tuple(sorted(entries))
 
 
 def optimal_completion(problem: TransferProblem) -> ScheduleOutcome:
@@ -388,7 +307,7 @@ def optimal_completion(problem: TransferProblem) -> ScheduleOutcome:
     horizon = problem.matrix.num_slots
     lower = ideal_baseline(problem.matrix.bits[problem.owner], problem.x, problem.owner_rate)
     if lower is None:
-        return ScheduleOutcome(False, None, 0, max_fragments(problem, horizon)[0])
+        return ScheduleOutcome(False, None, 0, max_fragments(problem, horizon)[0] if horizon else 0)
 
     # Doubling: F(t) < x for all t < lower by the owner-capacity bound.
     below, T = lower - 1, lower
@@ -492,7 +411,7 @@ def random_schedule(problem: TransferProblem, seed=None) -> ScheduleOutcome:
     if len(entries) < x:
         return ScheduleOutcome(False, None, 0, len(entries))
     # slots are drawn in order, so the last entry drawn completes the schedule
-    return ScheduleOutcome(True, _sorted_schedule(entries), entries[-1][1], x)
+    return ScheduleOutcome(True, tuple(sorted(entries)), entries[-1][1], x)
 
 
 def ideal_baseline(owner_row, amount_fragments: int, rate_per_slot: int) -> int | None:

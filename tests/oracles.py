@@ -95,7 +95,7 @@ def coo_flow_network(problem, T):
     slot->peer (capacity 1) where the remote peer is online too;
     peer->sink (capacity per_peer_cap).  For restores the peer nodes are the
     storage set.  This is the network the ``sched`` module docstring
-    describes and its Dinic solver walks as bit masks.
+    describes and its first fit and augmenting paths walk as bit masks.
     """
     bits = problem.matrix.bits
     candidates = list(problem.candidates)
@@ -124,7 +124,8 @@ def slice_witness(problem, T, flow):
 def flow_max_fragments(problem, T):
     """F(T) and its sorted witness entries by scipy's max flow alone: the
     coo_flow_network solve, read by slice_witness.  ``sched.max_fragments``
-    must give the same value and witness at every T."""
+    must give the same value at every T, and a witness that is a valid
+    maximum flow; it is this one wherever first fit leaves no slot short."""
     graph = coo_flow_network(problem, T)
     result = maximum_flow(graph, 0, graph.shape[0] - 1)
     return int(result.flow_value), slice_witness(problem, T, result.flow)

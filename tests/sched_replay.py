@@ -1,7 +1,7 @@
 """Time ``sched.optimal_completion`` and ``sched.random_schedule`` on
 problems shaped like the sched-mixed benchmark's, and check every outcome:
-O(x) against scipy's max flow alone, the randomized rule against the
-per-pick loop.
+O(x) against scipy's max flow alone, each witness for validity, and the
+randomized rule against the per-pick loop.
 
     PYTHONPATH=src python tests/sched_replay.py [GROUPS]
 
@@ -16,11 +16,14 @@ per_peer_cap 2.  Then, per direction, it:
   each time, made outside the timed call;
 - counts the problems whose first probe, at the owner-capacity bound,
   first fit certifies, and those where it leaves a slot short, so that
-  the later Dinic phases run;
+  augmenting paths run;
+- prints the mean and max number of augmenting paths over the probes of
+  ``optimal_completion`` where first fit leaves a slot short: F(T) less
+  first fit's fragments;
 - checks each outcome against ``flow_max_fragments``: a feasible O(x) must
   reach x at its completion and not one slot earlier, with the same
-  fragment count and witness entries; an infeasible one must report
-  F(horizon);
+  fragment count, and its witness must be a valid schedule of that many
+  fragments completing at O(x); an infeasible one must report F(horizon);
 - checks each ``random_schedule`` outcome against ``loop_random_schedule``
   from the same seed, and the generator's final state against the loop's,
   which makes one ``rng.integers`` call per pick.
@@ -62,14 +65,39 @@ def certified(problem) -> bool:
     return not sched._first_fit(problem, lower or problem.matrix.num_slots)[-1]
 
 
+def augmenting_paths(problem) -> list[int]:
+    """The augmenting paths of each probe optimal_completion(problem) makes
+    where first fit leaves a slot short: F(T) less first fit's fragments."""
+    paths, solve = [], sched.max_fragments
+
+    def probe(p, T):
+        value, schedule = solve(p, T)
+        *_, entries, _, short = sched._first_fit(p, T)
+        if short:
+            paths.append(value - len(entries))
+        return value, schedule
+
+    sched.max_fragments = probe
+    try:
+        sched.optimal_completion(problem)
+    finally:
+        sched.max_fragments = solve
+    return paths
+
+
 def mismatch(problem, out) -> str | None:
-    """Why out is not the O(x) outcome scipy's max flow gives, or None."""
+    """Why out is not the O(x) outcome scipy's max flow gives, or its
+    witness not a valid schedule of F(O(x)) fragments completing at O(x),
+    or None."""
     if not out.feasible:
         value, _ = flow_max_fragments(problem, problem.matrix.num_slots)
         return None if value == out.fragments < problem.x else "infeasible outcome differs"
-    value, entries = flow_max_fragments(problem, out.completion)
-    if (value, entries) != (out.fragments, list(out.schedule.entries)) or value < problem.x:
-        return f"F({out.completion}) or its witness differs"
+    value, _ = flow_max_fragments(problem, out.completion)
+    if value != out.fragments or value < problem.x:
+        return f"F({out.completion}) differs"
+    if (len(out.schedule) != value or sched.validate_schedule(problem, out.schedule)
+            or sched.completion_time(out.schedule) != out.completion):
+        return f"the witness at {out.completion} is not a valid schedule of F({out.completion}) fragments"
     if out.completion > 1 and flow_max_fragments(problem, out.completion - 1)[0] >= problem.x:
         return f"x already fits by slot {out.completion - 1}"
     return None
@@ -86,7 +114,7 @@ def random_mismatch(problem, seed) -> str | None:
         expected = (True, tuple(entries), max(s for _, s in entries), problem.x)
     else:
         expected = (False, None, 0, len(entries))
-    if (out.feasible, out.schedule and out.schedule.entries, out.completion, out.fragments) != expected:
+    if (out.feasible, out.schedule, out.completion, out.fragments) != expected:
         return "random_schedule outcome differs from the per-pick loop"
     if generator_state(rng) != generator_state(loop_rng):
         return "random_schedule leaves the generator in another state than the per-pick loop"
@@ -118,6 +146,7 @@ def main(argv: list[str]) -> int:
             sched.random_schedule(p, rng)
             best_random[i] = min(best_random[i], time.perf_counter() - t0)
     first_fit = np.array([certified(p) for p in problems])
+    paths = [n for p in problems for n in augmenting_paths(p)]
     errors = [(i, why) for i, p in enumerate(problems) if (why := mismatch(p, sched.optimal_completion(p)))]
     random_errors = [(i, why) for i, p in enumerate(problems) if (why := random_mismatch(p, [SEED, i]))]
     restore = np.array([p.direction == sched.RESTORE for p in problems])
@@ -125,14 +154,18 @@ def main(argv: list[str]) -> int:
     def certified_share(rows):
         n, done = int(rows.sum()), int(first_fit[rows].sum())
         return (f"certified by first fit {done} ({done / n:.1%}), "
-                f"later phases {n - done} ({1 - done / n:.1%})")
+                f"augmented {n - done} ({1 - done / n:.1%})")
 
     print(f"{len(problems)} problems on {PEERS} x {SLOTS} traces")
     report("optimal_completion", best_optimal, restore, certified_share)
     report("random_schedule", best_random, restore)
+    if paths:
+        print(f"augmenting paths per short probe: mean {np.mean(paths):.2f}, max {max(paths)}, "
+              f"over {len(paths)} short probes")
     for i, why in (errors + random_errors)[:5]:
         print(f"problem {i}: {why}")
-    print("outcomes identical to scipy's max flow alone:", "yes" if not errors else f"NO, {len(errors)} differ")
+    print("outcomes agree with scipy's max flow alone, witnesses valid:",
+          "yes" if not errors else f"NO, {len(errors)} differ")
     print("random_schedule identical to the per-pick loop:",
           "yes" if not random_errors else f"NO, {len(random_errors)} differ")
     return 1 if errors or random_errors else 0

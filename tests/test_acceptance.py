@@ -69,7 +69,7 @@ def test_criterion_1_fixed_redundancy_design_value(verdict):
 
 def test_criterion_2_worked_instance(verdict, fig_problem):
     res = sched.optimal_completion(fig_problem)
-    quoted = sched.Schedule([(1, 1), (2, 7), (3, 3)])
+    quoted = ((1, 1), (2, 7), (3, 3))
     problems = sched.validate_schedule(fig_problem, quoted)
     ok = (
         res.feasible

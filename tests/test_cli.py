@@ -363,6 +363,16 @@ def test_sched_compare_notes_a_grid_point_without_feasible_trials(tmp_path):
     assert (row["trials_used"], row["note"], row["mean_optimal"]) == ("0", "no feasible trials", "")
 
 
+def test_sched_compare_runs_on_a_matrix_without_slots(tmp_path):
+    matrix_path, out = tmp_path / "m.txt", tmp_path / "o"
+    trace.write_matrix_file(trace.AvailabilityMatrix(bits=np.zeros((3, 0), dtype=np.uint8)), matrix_path)
+    rc = cli.main(["sched-compare", "--matrix", str(matrix_path), "--x", "1", "--ratios", "2",
+                   "--trials", "3", "--out-dir", str(out)])
+    assert rc == 0
+    [row] = read_csv(out / "sched-compare.csv")
+    assert (row["trials_used"], row["note"], row["mean_optimal"]) == ("0", "no feasible trials", "")
+
+
 def test_sched_compare_rejects_ratio_at_most_one(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["sched-compare", "--synth-peers", "6", "--synth-slots", "20",

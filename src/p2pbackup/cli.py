@@ -121,13 +121,21 @@ def cmd_trace_synth(args, out: Path) -> dict:
 
 # -- sched-compare -------------------------------------------------------
 
-def _parse_list(text: str, cast) -> list:
-    return [cast(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(flag: str, text: str, cast, what: str) -> list:
+    """The comma-separated entries of text, each cast; an entry cast rejects
+    is a SystemExit naming flag and the entry."""
+    values = []
+    for tok in filter(str.strip, text.split(",")):
+        try:
+            values.append(cast(tok))
+        except ValueError:
+            raise SystemExit(f"sched-compare: {flag} must list {what}, got {tok.strip()!r}") from None
+    return values
 
 
 def cmd_sched_compare(args, out: Path) -> dict:
-    xs = _parse_list(args.x, int)
-    ratios = _parse_list(args.ratios, float)
+    xs = _parse_list("--x", args.x, int, "whole numbers")
+    ratios = _parse_list("--ratios", args.ratios, float, "numbers")
     if any(x < 1 for x in xs):
         raise SystemExit("sched-compare: --x must list fragment counts >= 1")
     if not all(r > 1 and math.isfinite(r * max(xs, default=1)) for r in ratios):

@@ -1,8 +1,8 @@
 """Availability traces.
 
-Ingests login/logoff event logs, discretizes them into per-peer, per-slot
-availability matrices, filters out low-uptime peers, and generates synthetic
-traces with diurnal and weekly correlation for reproducible experiments.
+Ingests login/logoff logs as event columns, discretizes them into per-peer,
+per-slot availability matrices, filters out low-uptime peers, and generates
+synthetic traces with diurnal and weekly correlation for reproducible runs.
 """
 
 from __future__ import annotations
@@ -11,18 +11,13 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
-from itertools import islice, repeat
-from operator import itemgetter
-from typing import NamedTuple
+from itertools import islice
 
 import numpy as np
 
 LOGIN = "login"
 LOGOFF = "logoff"
-_KINDS = (LOGIN, LOGOFF)
 _KIND_CODE = {LOGIN: 0, LOGOFF: 1}
-_PEER, _STAMP, _KIND = itemgetter(0), itemgetter(1), itemgetter(2)
 
 # parse_events reads a log _BATCH lines at a time and slotize expands _BATCH
 # sessions at a time, so their transient memory is bounded by a batch
@@ -63,10 +58,14 @@ def _check_slot_seconds(slot_seconds) -> None:
         raise ValueError(f"slot_seconds must be positive and finite, got {slot_seconds}")
 
 
-class AvailabilityEvent(NamedTuple):
-    peer_id: str
-    timestamp: float
-    kind: str  # LOGIN or LOGOFF
+@dataclass(frozen=True, eq=False)
+class EventLog:
+    """Login/logoff events as columns, one entry per event."""
+
+    peer_ids: tuple[str, ...]  # sorted
+    peer: np.ndarray  # intp codes into peer_ids
+    timestamp: np.ndarray  # float64 seconds
+    kind: np.ndarray  # int8: 0 for LOGIN, 1 for LOGOFF
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,12 +156,8 @@ def _split_records(records, ids: dict) -> tuple[np.ndarray, np.ndarray, np.ndarr
         return None
     for pid in dict.fromkeys(peers):
         ids.setdefault(pid, len(ids))
-    return np.fromiter(map(ids.__getitem__, peers), np.intp, len(peers)), timestamps, _kind_codes(kinds, len(kinds))
-
-
-def _kind_codes(kinds, count: int) -> np.ndarray:
-    """0 for LOGIN, 1 for LOGOFF, 2 for anything else, of count kinds."""
-    return np.fromiter(map(_KIND_CODE.get, kinds, repeat(2)), np.int8, count)
+    return (np.fromiter(map(ids.__getitem__, peers), np.intp, len(peers)), timestamps,
+            np.fromiter(map(_KIND_CODE.__getitem__, kinds), np.int8, len(kinds)))
 
 
 def _group_heads(code: np.ndarray) -> np.ndarray:
@@ -172,18 +167,19 @@ def _group_heads(code: np.ndarray) -> np.ndarray:
     return head
 
 
-def parse_events(lines) -> tuple[list[AvailabilityEvent], list[str]]:
-    """Parse text records into a sorted, alternation-repaired event list.
+def parse_events(lines) -> tuple[EventLog, list[str]]:
+    """Parse text records into a sorted, alternation-repaired EventLog.
 
     Each record is ``peer_id,timestamp_seconds,login|logoff``; blank lines and
     lines starting with ``#`` are skipped.  Events are sorted by (timestamp,
-    peer_id).  Consecutive same-kind events for a peer are dropped (first wins).
-    A logoff with no preceding login gets a synthesized login at the epoch and
-    a warning.  Returns (events, warnings).  A malformed record raises
-    TraceFormatError naming the first bad line.
+    peer_id), ties in input order.  Consecutive same-kind events for a peer are
+    dropped (first wins).  A logoff with no preceding login gets a synthesized
+    login at the epoch and a warning.  Returns (events, warnings); no records
+    give zero events.  A malformed record raises TraceFormatError naming the
+    first bad line.
     """
-    # _BATCH lines at a time, so that only one batch of line texts is held
-    ids, columns = {}, []
+    # _BATCH lines at a time; the empty first batch makes a log without records zero events
+    ids, columns = {}, [(np.empty(0, np.intp), np.empty(0), np.empty(0, np.int8))]
     lines, first_lineno = iter(lines), 1
     while batch := list(islice(lines, _BATCH)):
         records = [text for text in map(str.strip, batch) if text and not text.startswith("#")]
@@ -195,8 +191,6 @@ def parse_events(lines) -> tuple[list[AvailabilityEvent], list[str]]:
                         _check_record(lineno, text)
             columns.append(split)
         first_lineno += len(batch)
-    if not columns:
-        return [], []
     code, ts, kind = map(np.concatenate, zip(*columns))
     del columns
     # recode the peers from order of first appearance to sorted order
@@ -235,59 +229,52 @@ def parse_events(lines) -> tuple[list[AvailabilityEvent], list[str]]:
         kind = np.concatenate((np.zeros(len(epoch_logins), dtype=np.int8), kind))
         order = np.lexsort((code, ts))
         code, ts, kind = code[order], ts[order], kind[order]
-    # tuple.__new__ is what AvailabilityEvent._make calls, less a Python frame per event
-    make = partial(tuple.__new__, AvailabilityEvent)
-    events = list(map(make, zip(
-        map(uniq.__getitem__, code.tolist()),
-        ts.tolist(),
-        map(_KINDS.__getitem__, kind.tolist()),
-    )))
-    return events, warnings
+    return EventLog(uniq, code, ts, kind), warnings
 
 
-def read_event_file(path) -> tuple[list[AvailabilityEvent], list[str]]:
+def read_event_file(path) -> tuple[EventLog, list[str]]:
+    """parse_events over the lines of a UTF-8 text file."""
     with open_text(path) as fh:
         return parse_events(fh)
 
 
-def slotize(events, slot_seconds: float = DEFAULT_SLOT_SECONDS, num_slots: int | None = None) -> AvailabilityMatrix:
+def slotize(events: EventLog, slot_seconds: float = DEFAULT_SLOT_SECONDS,
+            num_slots: int | None = None) -> AvailabilityMatrix:
     """Discretize alternating events into an availability matrix.
 
     A peer counts as online in a slot iff it is online for at least half the
-    slot.  Rows are ordered by sorted peer id.  The horizon defaults to the
-    smallest whole number of slots covering the last event; sessions still open
-    at the horizon run to its end.  Each peer's events, in list order, must
+    slot.  Rows follow events.peer_ids.  The horizon defaults to the smallest
+    whole number of slots covering the last event; sessions still open at the
+    horizon run to its end.  The columns must have one length and the peer
+    codes must index peer_ids.  Each peer's events, in log order, must
     alternate login and logoff from a login at non-negative, non-decreasing
     times, as parse_events output does; otherwise ValueError names the peer.
     """
     _check_slot_seconds(slot_seconds)
-    if num_slots is None:
-        if not events:
-            raise ValueError("cannot infer num_slots from an empty event list")
-        horizon = max(map(_STAMP, events))
-        num_slots = max(1, math.ceil(horizon / slot_seconds))
-    if num_slots <= 0:
+    if not len(events.peer) == len(events.timestamp) == len(events.kind):
+        raise ValueError("events must have one peer code, timestamp and kind per event")
+    if len(events.peer) and not 0 <= events.peer.min() <= events.peer.max() < len(events.peer_ids):
+        raise ValueError(f"peer codes must index the {len(events.peer_ids)} peer ids")
+    if num_slots is not None and num_slots <= 0:
         raise ValueError("num_slots must be positive")
 
-    horizon = num_slots * slot_seconds
-    # each column is read straight from the events, which must be a sequence
-    peer_ids = tuple(sorted(set(map(_PEER, events))))
-    index = {pid: i for i, pid in enumerate(peer_ids)}
-    code = np.fromiter(map(index.__getitem__, map(_PEER, events)), np.intp, len(events))
-    # each peer's events together, in list order
-    order = np.argsort(code, kind="stable")
-    code = code[order]
-    ts = np.fromiter(map(_STAMP, events), float, len(events))[order]
-    kind = _kind_codes(map(_KIND, events), len(events))[order]
+    # each peer's events together, in log order
+    order = np.argsort(events.peer, kind="stable")
+    code, ts, kind = events.peer[order], events.timestamp[order], events.kind[order]
     del order
     head = _group_heads(code)
     bad = ~(ts >= 0) | (head[:-1] & (kind != 0))
     bad[1:] |= ~head[1:-1] & ((kind[1:] + kind[:-1] != 1) | ~(ts[1:] >= ts[:-1]))
     if bad.any():
         raise ValueError(
-            f"peer {peer_ids[code[bad.argmax()]]!r}: events must alternate login and logoff from a login, "
+            f"peer {events.peer_ids[code[bad.argmax()]]!r}: events must alternate login and logoff from a login, "
             "at non-negative, non-decreasing times"
         )
+    if num_slots is None:  # after the checks, so that a nan time fails by its peer
+        if not len(ts):
+            raise ValueError("cannot infer num_slots from an empty event log")
+        num_slots = max(1, math.ceil(ts.max() / slot_seconds))
+    horizon = num_slots * slot_seconds
 
     # Sessions are [login, next logoff) or [login, horizon), cut at the horizon.
     login = np.flatnonzero(kind == 0)
@@ -304,7 +291,7 @@ def slotize(events, slot_seconds: float = DEFAULT_SLOT_SECONDS, num_slots: int |
     first = np.floor_divide(start, slot_seconds).astype(np.intp)
     last = np.minimum(np.ceil(stop / slot_seconds).astype(np.intp) - 1, num_slots - 1)
     width = np.maximum(last - first + 1, 0)
-    coverage = np.zeros((len(peer_ids), num_slots))
+    coverage = np.zeros((len(events.peer_ids), num_slots))
     for s in range(0, len(width), _BATCH):
         w = width[s:s + _BATCH]
         session = np.repeat(np.arange(s, s + len(w)), w)
@@ -314,7 +301,7 @@ def slotize(events, slot_seconds: float = DEFAULT_SLOT_SECONDS, num_slots: int |
         np.add.at(coverage, (row[session], t), np.where(hi > lo, hi - lo, 0.0))
 
     bits = (coverage >= slot_seconds / 2).astype(np.uint8)
-    return AvailabilityMatrix(bits=bits, slot_seconds=slot_seconds, peer_ids=peer_ids)
+    return AvailabilityMatrix(bits=bits, slot_seconds=slot_seconds, peer_ids=events.peer_ids)
 
 
 def filter_min_uptime(matrix: AvailabilityMatrix, min_fraction: float = DEFAULT_MIN_UPTIME):
@@ -352,12 +339,12 @@ def synth_trace(
 ) -> AvailabilityMatrix:
     """Generate a random availability matrix with diurnal/weekly correlation.
 
-    Each peer draws a target availability a_i: uniformly from a (low, high)
-    pair, or directly from a length-num_peers array.  Slot t is online with
-    probability a_i scaled by a sinusoidal profile with a 24-hour period
-    (peak at hour 14 of each day) and a weekend multiplier applied to days 5
-    and 6 of each 7-day week, clamped to [0, 1].  Hours and days are counted
-    from slot 0 in slots of slot_seconds.  Deterministic under seed.
+    Each peer draws a target availability a_i uniformly from the (low, high)
+    pair availability.  Slot t is online with probability a_i scaled by a
+    sinusoidal profile with a 24-hour period (peak at hour 14 of each day)
+    and a weekend multiplier applied to days 5 and 6 of each 7-day week,
+    clamped to [0, 1].  Hours and days are counted from slot 0 in slots of
+    slot_seconds.  Deterministic under seed.
     """
     if num_peers <= 0 or num_slots <= 0:
         raise ValueError("num_peers and num_slots must be positive")
@@ -369,17 +356,12 @@ def synth_trace(
     rng = np.random.default_rng(seed)
 
     target = np.asarray(availability, dtype=float)
-    if target.shape == (2,):
-        lo, hi = float(target[0]), float(target[1])
-        if not (0 <= lo <= hi <= 1):
-            raise ValueError("availability range must satisfy 0 <= low <= high <= 1")
-        a_i = rng.uniform(lo, hi, size=num_peers)
-    elif target.shape == (num_peers,):
-        if not (target.min() >= 0 and target.max() <= 1):
-            raise ValueError("per-peer availabilities must be in [0, 1]")
-        a_i = target
-    else:
-        raise ValueError("availability must be a (low, high) pair or a length-num_peers array")
+    if target.shape != (2,):
+        raise ValueError("availability must be a (low, high) pair")
+    lo, hi = float(target[0]), float(target[1])
+    if not (0 <= lo <= hi <= 1):
+        raise ValueError("availability range must satisfy 0 <= low <= high <= 1")
+    a_i = rng.uniform(lo, hi, size=num_peers)
 
     slots = np.arange(num_slots)
     hour = (slots * slot_seconds / 3600.0) % 24

@@ -31,6 +31,14 @@ def generator_state(rng):
     return plain(rng.bit_generator.state)
 
 
+def event_tuples(events):
+    """The events of a trace.EventLog as (peer_id, timestamp, kind) tuples in
+    log order, kind "login" or "logoff": the form the loop oracles take."""
+    kinds = (trace.LOGIN, trace.LOGOFF)
+    return [(events.peer_ids[p], t, kinds[k])
+            for p, t, k in zip(events.peer.tolist(), events.timestamp.tolist(), events.kind.tolist())]
+
+
 def synth_event_log(peers, slots, seed, slot_seconds=3600.0):
     """(lines, bits): a login/logoff log, in time order, whose slotization is
     exactly bits, a synth_trace matrix with diurnal correlation.

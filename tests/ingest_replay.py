@@ -8,10 +8,12 @@ shape of the sim-adaptive benchmark input) whose slotization is a known
 matrix, then:
 
 - parses and slotizes it REPEATS times and prints each step's best time;
-- runs each step once more under ``tracemalloc`` and prints its peak, next
-  to what the step returns (the event list, the matrix);
+- runs each step once more under ``tracemalloc`` and prints its peak, per
+  line for parse_events, next to the bytes of the event columns it returns,
+  and per event beyond the float coverage matrix for slotize;
 - checks the events and warnings against ``loop_parse_events`` and the
-  matrix against ``loop_slotize`` and the generated bits.
+  matrix against ``loop_slotize`` and the generated bits, both through
+  ``event_tuples``.
 
 Not collected by pytest: the file name has no test_ prefix.
 """
@@ -25,7 +27,7 @@ import tracemalloc
 import numpy as np
 
 from p2pbackup import trace
-from conftest import synth_event_log
+from conftest import event_tuples, synth_event_log
 from oracles import loop_parse_events, loop_slotize
 
 PEERS, SLOTS = 100, 672
@@ -58,20 +60,21 @@ def main(argv: list[str]) -> int:
         t2 = time.perf_counter()
         parse_s, slotize_s = min(parse_s, t1 - t0), min(slotize_s, t2 - t1)
     del events, matrix
-    (events, warnings), event_list, parse_peak = traced(trace.parse_events, lines)
+    (events, warnings), _, parse_peak = traced(trace.parse_events, lines)
     matrix, _, slotize_peak = traced(trace.slotize, events, SLOT_SECONDS, slots)
     mb = 1 / 2**20
-    batch = getattr(trace, "_BATCH", None)  # absent in builds that ingest the whole log at once
-    print(f"{peers} peers x {slots} slots: {len(lines)} lines, {len(events)} events, "
-          + (f"batches of {batch}" if batch else "no batches"))
+    count = len(events.timestamp)
+    columns = events.peer.nbytes + events.timestamp.nbytes + events.kind.nbytes
+    print(f"{peers} peers x {slots} slots: {len(lines)} lines, {count} events, batches of {trace._BATCH}")
     print(f"parse_events: {parse_s * 1e3:.1f} ms (best of {REPEATS}), traced peak {parse_peak * mb:.2f} MiB, "
-          f"{parse_peak / event_list:.2f} x the {event_list * mb:.2f}-MiB event list")
+          f"{parse_peak / len(lines):.0f} bytes per line; returns {columns * mb:.2f} MiB of event columns")
     print(f"slotize: {slotize_s * 1e3:.1f} ms (best of {REPEATS}), traced peak {slotize_peak * mb:.2f} MiB, "
-          f"{(slotize_peak - 8 * bits.size) / len(events):.0f} bytes per event beyond the float coverage matrix")
+          f"{(slotize_peak - 8 * bits.size) / count:.0f} bytes per event beyond the float coverage matrix")
     expected, expected_warnings = loop_parse_events(lines)
-    same_events = warnings == expected_warnings and [(p, t.hex(), k) for p, t, k in events] == [
+    got = event_tuples(events)
+    same_events = warnings == expected_warnings and [(p, t.hex(), k) for p, t, k in got] == [
         (p, t.hex(), k) for p, t, k in expected]
-    oracle_bits, peer_ids = loop_slotize(events, SLOT_SECONDS, slots)
+    oracle_bits, peer_ids = loop_slotize(got, SLOT_SECONDS, slots)
     same_matrix = (matrix.peer_ids == peer_ids and np.array_equal(matrix.bits, oracle_bits)
                    and np.array_equal(matrix.bits, bits))
     print("events and warnings identical to loop_parse_events:", "yes" if same_events else "NO")

@@ -393,6 +393,19 @@ def test_sched_compare_rejects_a_bad_grid_before_it_runs(tmp_path, flag, value):
     assert not (tmp_path / "o" / "sched-compare.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value, entry", [
+    ("--x", "1.5", "1.5"), ("--x", "2, two ,3", "two"), ("--ratios", "1.5,abc", "abc"), ("--ratios", "1.5,,2x", "2x"),
+])
+def test_sched_compare_names_the_list_entry_it_cannot_read(tmp_path, flag, value, entry):
+    grid = {"--x": "2", "--ratios": "1.5", "--trials": "2", flag: value}
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["sched-compare", "--synth-peers", "6", "--synth-slots", "20",
+                  *(item for pair in grid.items() for item in pair), "--out-dir", str(tmp_path / "o")])
+    # a message for its code, so the process exits with status 1
+    assert re.fullmatch(f"sched-compare: {flag} must list (whole )?numbers, got '{entry}'", str(excinfo.value.code))
+    assert not (tmp_path / "o" / "sched-compare.csv").exists()
+
+
 # -- simulate ------------------------------------------------------------
 
 SIM_MATRIX_ROWS = ["1" * 16] * 6

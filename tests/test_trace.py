@@ -1,7 +1,12 @@
 import argparse
+import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,40 +15,43 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from p2pbackup import cli, sim, trace
-from conftest import make_matrix, synth_event_log
+from conftest import event_tuples, make_matrix, synth_event_log
 from oracles import LoopFormatError, loop_parse_events, loop_slotize
 
 
 # ---------------------------------------------------------------- parse_events
 
+def bitwise(tuples):
+    """(peer_id, timestamp, kind) tuples with each timestamp as its hex(),
+    which tells -0.0 from 0.0."""
+    return [(p, float(t).hex(), k) for p, t, k in tuples]
+
+
 def test_parse_minimal_session():
     events, warnings = trace.parse_events(["p1,0,login", "p1,7200,logoff"])
     assert warnings == []
-    assert [(e.peer_id, e.timestamp, e.kind) for e in events] == [
-        ("p1", 0.0, "login"),
-        ("p1", 7200.0, "logoff"),
-    ]
+    assert bitwise(event_tuples(events)) == bitwise([("p1", 0.0, "login"), ("p1", 7200.0, "logoff")])
 
 
 def test_parse_skips_blanks_and_comments():
     events, _ = trace.parse_events(["# header", "", "  ", "p1,0,login"])
-    assert len(events) == 1
+    assert bitwise(event_tuples(events)) == bitwise([("p1", 0.0, "login")])
 
 
 def test_parse_sorts_by_time_then_peer():
     events, _ = trace.parse_events(["b,5,login", "a,5,login", "c,1,login"])
-    assert [(e.peer_id, e.timestamp) for e in events] == [("c", 1.0), ("a", 5.0), ("b", 5.0)]
+    assert bitwise(event_tuples(events)) == bitwise([("c", 1.0, "login"), ("a", 5.0, "login"), ("b", 5.0, "login")])
 
 
 def test_parse_drops_repeated_login_first_wins():
     events, warnings = trace.parse_events(["p1,0,login", "p1,100,login", "p1,7200,logoff"])
-    assert [(e.timestamp, e.kind) for e in events] == [(0.0, "login"), (7200.0, "logoff")]
+    assert bitwise(event_tuples(events)) == bitwise([("p1", 0.0, "login"), ("p1", 7200.0, "logoff")])
     assert warnings == []
 
 
 def test_parse_leading_logoff_synthesizes_epoch_login():
     events, warnings = trace.parse_events(["p1,50,logoff"])
-    assert [(e.timestamp, e.kind) for e in events] == [(0.0, "login"), (50.0, "logoff")]
+    assert bitwise(event_tuples(events)) == bitwise([("p1", 0.0, "login"), ("p1", 50.0, "logoff")])
     assert len(warnings) == 1 and "login at epoch" in warnings[0]
 
 
@@ -62,13 +70,31 @@ def test_parse_rejects_an_empty_peer_id(lines, lineno):
         trace.parse_events(lines)
 
 
-def test_event_is_an_immutable_named_tuple():
-    ev = trace.AvailabilityEvent("p1", 5.0, trace.LOGIN)
-    assert repr(ev) == "AvailabilityEvent(peer_id='p1', timestamp=5.0, kind='login')"
-    assert ev == ("p1", 5.0, "login")
-    assert hash(ev) == hash(trace.AvailabilityEvent("p1", 5.0, "login"))
-    with pytest.raises(AttributeError):
-        ev.timestamp = 6.0
+def check_event_log_contract(events):
+    """Sorted, distinct peer ids, each with an event; columns of one length
+    and of the documented dtypes; codes in range; kinds 0 or 1."""
+    assert type(events.peer_ids) is tuple and list(events.peer_ids) == sorted(set(events.peer_ids))
+    assert (events.peer.dtype, events.timestamp.dtype, events.kind.dtype) == (np.intp, np.float64, np.int8)
+    assert len(events.peer) == len(events.timestamp) == len(events.kind)
+    assert np.array_equal(np.unique(events.peer), np.arange(len(events.peer_ids)))
+    assert set(events.kind.tolist()) <= {0, 1}
+
+
+@pytest.mark.parametrize("lines, peer_ids, count", [
+    pytest.param(["zeta,5,login", "alpha,1,logoff", "mid,3,login", "zeta,9,logoff"], ("alpha", "mid", "zeta"), 5,
+                 id="three-peers"),
+    pytest.param(["# only a comment", ""], (), 0, id="no-records"),
+])
+def test_event_log_is_sorted_ids_and_typed_columns(lines, peer_ids, count):
+    events, _ = trace.parse_events(lines)
+    check_event_log_contract(events)
+    assert events.peer_ids == peer_ids and len(events.timestamp) == count
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        events.kind = np.ones(count, np.int8)
+    # an EventLog is no sequence, and == is identity, not a silent elementwise or length test
+    with pytest.raises(TypeError):
+        len(events)
+    assert events != trace.parse_events(lines)[0]
 
 
 # Random logs for the loop oracles: a few peers, so that ids, timestamps and
@@ -139,9 +165,8 @@ def check_parse_against_the_loop_oracle(lines):
         return
     events, warnings = trace.parse_events(iter(lines))
     assert warnings == expected_warnings
-    assert all(type(ev) is trace.AvailabilityEvent and type(ev.timestamp) is float for ev in events)
-    # hex() tells -0.0 from 0.0
-    assert [(p, t.hex(), k) for p, t, k in events] == [(p, t.hex(), k) for p, t, k in expected]
+    check_event_log_contract(events)
+    assert bitwise(event_tuples(events)) == bitwise(expected)
 
 
 # --------------------------------------------------------------------- slotize
@@ -217,13 +242,24 @@ def check_slotize_against_the_loop_oracle(slot_seconds, data):
     record = st.builds(lambda p, t, k: f"{p},{t!r},{k}", PEERS, stamp, st.sampled_from([trace.LOGIN, trace.LOGOFF]))
     events, _ = trace.parse_events(data.draw(st.lists(record, min_size=1, max_size=30)))
     for num_slots in (None, data.draw(st.integers(1, 45))):
-        bits, peer_ids = loop_slotize(events, slot_seconds, num_slots)
+        bits, peer_ids = loop_slotize(event_tuples(events), slot_seconds, num_slots)
         m = trace.slotize(events, slot_seconds, num_slots)
         assert m.peer_ids == peer_ids
         assert m.bits.tolist() == bits.tolist()
         # so does any interleaving that keeps each peer's events in order
-        grouped = sorted(events, key=lambda ev: ev.peer_id)
+        by_peer = np.argsort(events.peer, kind="stable")
+        grouped = trace.EventLog(events.peer_ids, events.peer[by_peer], events.timestamp[by_peer],
+                                 events.kind[by_peer])
         assert trace.slotize(grouped, slot_seconds, num_slots) == m
+
+
+def event_log(tuples):
+    """An EventLog of (peer_id, timestamp, kind) tuples in the order given;
+    a kind other than login or logoff gets code 2."""
+    peer_ids = tuple(sorted({p for p, _, _ in tuples}))
+    peers, stamps, kinds = zip(*tuples)
+    return trace.EventLog(peer_ids, np.array([peer_ids.index(p) for p in peers], np.intp), np.array(stamps, float),
+                          np.array([{trace.LOGIN: 0, trace.LOGOFF: 1}.get(k, 2) for k in kinds], np.int8))
 
 
 @pytest.mark.parametrize("events", [
@@ -233,11 +269,28 @@ def check_slotize_against_the_loop_oracle(slot_seconds, data):
     [("p1", 100, "logoff"), ("p1", 200, "login")],  # a leading logoff
     [("p1", -7200, "login"), ("p1", 1800, "logoff")],  # a negative time
     [("p1", 0, "login"), ("p1", 1800, "reboot")],  # neither kind
+    [("p1", 0, "login"), ("p1", math.nan, "logoff")],  # a nan time, named before it reaches the horizon
 ])
 def test_slotize_rejects_events_that_do_not_alternate(events):
-    events = [trace.AvailabilityEvent("a", 0.0, "login")] + [trace.AvailabilityEvent(*ev) for ev in events]
-    with pytest.raises(ValueError, match="^peer 'p1': events must alternate"):
-        trace.slotize(events, slot_seconds=3600, num_slots=3)
+    events = event_log([("a", 0.0, "login")] + events)
+    for num_slots in (3, None):
+        with pytest.raises(ValueError, match="^peer 'p1': events must alternate"):
+            trace.slotize(events, slot_seconds=3600, num_slots=num_slots)
+
+
+@pytest.mark.parametrize("peer, timestamp, kind, message", [
+    pytest.param([0, 1], [0.0, 0.0, 7200.0], [0, 0, 1], "events must have one peer code, timestamp and kind per event",
+                 id="short-peer"),
+    pytest.param([0, 1, 0], [0.0, 0.0, 7200.0], [0, 0], "events must have one peer code", id="short-kind"),
+    pytest.param([0, 2], [0.0, 0.0], [0, 0], "peer codes must index the 2 peer ids", id="code-past-the-end"),
+    # without the check, -1 would fill the last row, b's
+    pytest.param([0, -1], [0.0, 0.0], [0, 0], "peer codes must index the 2 peer ids", id="negative-code"),
+])
+def test_slotize_rejects_columns_that_do_not_fit_together(peer, timestamp, kind, message):
+    events = trace.EventLog(("a", "b"), np.array(peer, np.intp), np.array(timestamp), np.array(kind, np.int8))
+    for num_slots in (None, 3):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            trace.slotize(events, slot_seconds=3600, num_slots=num_slots)
 
 
 def test_ingest_memory_is_bounded_by_a_batch():
@@ -250,7 +303,7 @@ def test_ingest_memory_is_bounded_by_a_batch():
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         events, _ = trace.parse_events(lines)
-        event_list, parse_peak = (size - base for size in tracemalloc.get_traced_memory())
+        parse_peak = tracemalloc.get_traced_memory()[1] - base
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         m = trace.slotize(events, 3600.0, num_slots=672)
@@ -258,21 +311,35 @@ def test_ingest_memory_is_bounded_by_a_batch():
     finally:
         if started:
             tracemalloc.stop()
-    assert len(events) > 30_000 and np.array_equal(m.bits, bits)
-    # Whole-log parsing peaked at 3.1 times the event list it returns, and
-    # batched parsing at 1.5 times.
-    assert parse_peak <= 2 * event_list
+    assert len(events.timestamp) > 30_000 and np.array_equal(m.bits, bits)
+    # Batched parsing peaked at about 152 bytes per line while it returned
+    # one tuple per event, and at about 51 with columns.
+    assert parse_peak <= 64 * len(lines)
     # Besides its float coverage matrix, whole-log slotize held about 140
     # bytes per event at its peak, and batched slotize about 40.
-    assert slotize_peak - matrix <= m.bits.size * 8 + 64 * len(events)
+    assert slotize_peak - matrix <= m.bits.size * 8 + 64 * len(events.timestamp)
+
+
+def test_ingest_replay_tool_agrees_with_the_loop_oracles():
+    """tests/ingest_replay.py, the timing and tracing of parse_events and
+    slotize on a generated log, runs at a toy size and finds its events,
+    warnings and matrix identical to the loop oracles'."""
+    src = Path(trace.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, str(Path(__file__).with_name("ingest_replay.py")), "12", "96"],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert "events and warnings identical to loop_parse_events: yes" in lines
+    assert "matrix identical to loop_slotize and the generated bits: yes" in lines
 
 
 def test_slotize_rejects_bad_arguments():
     events, _ = trace.parse_events(session("p1", 0, 3600))
     with pytest.raises(ValueError):
         trace.slotize(events, slot_seconds=0)
-    with pytest.raises(ValueError):
-        trace.slotize([])
+    with pytest.raises(ValueError, match="^cannot infer num_slots from an empty event log$"):
+        trace.slotize(trace.parse_events([])[0])
 
 
 @pytest.mark.parametrize("slot_seconds", [math.inf, math.nan, -3600.0])
@@ -308,12 +375,6 @@ def test_matrix_cells_must_be_0_or_1(bits):
                  id="synth-diurnal"),
     pytest.param(lambda: trace.synth_trace(3, 10, weekend_factor=-0.1), "weekend_factor must be in",
                  id="synth-weekend"),
-    pytest.param(lambda: trace.synth_trace(3, 10, availability=[0.5, 1.2, 0.5]),
-                 "per-peer availabilities must be in", id="synth-target-above"),
-    pytest.param(lambda: trace.synth_trace(3, 10, availability=[-0.1, 0.5, 0.5]),
-                 "per-peer availabilities must be in", id="synth-target-below"),
-    pytest.param(lambda: trace.synth_trace(3, 10, availability=[math.nan, 0.5, 0.5]),
-                 "per-peer availabilities must be in", id="synth-target-nan"),
     pytest.param(lambda: trace.synth_trace(3, 10, availability=(0.2, math.nan)),
                  "availability range must satisfy", id="synth-range-nan"),
     pytest.param(lambda: trace.availability_stats(trace.AvailabilityMatrix(bits=np.zeros((0, 4)))),
@@ -400,7 +461,7 @@ def test_availability_stats_weighs_all_slots():
 # ------------------------------------------------------------------ synthesis
 
 def test_synth_always_on_peers():
-    m = trace.synth_trace(3, 48, availability=[1.0, 1.0, 1.0], seed=7)
+    m = trace.synth_trace(3, 48, availability=(1.0, 1.0), seed=7)
     assert m.bits.all()
     assert m.bits.shape == (3, 48)
 
@@ -413,8 +474,7 @@ def test_synth_same_seed_reproduces_bits():
 
 
 def test_synth_matches_target_availability():
-    targets = np.full(50, 0.35)
-    m = trace.synth_trace(50, 2000, availability=targets, seed=0)
+    m = trace.synth_trace(50, 2000, availability=(0.35, 0.35), seed=0)
     per_peer = m.bits.mean(axis=1)
     assert np.all(np.abs(per_peer - 0.35) < 0.05)
     assert abs(m.bits.mean() - 0.35) < 0.01
@@ -444,14 +504,14 @@ def test_synth_day_follows_the_slot_length():
 
 
 def test_synth_pair_means_range_even_when_peers_is_two():
-    # A length-2 availability is always read as a (low, high) range.
+    # A length-2 availability is read as a (low, high) range, list or tuple.
     m = trace.synth_trace(2, 50, availability=[1.0, 1.0], seed=0)
     assert m.bits.all()
 
 
 def test_synth_rejects_bad_availability_shape():
-    with pytest.raises(ValueError):
-        trace.synth_trace(3, 10, availability=[0.5, 0.5, 0.5, 0.5])
+    with pytest.raises(ValueError, match=r"^availability must be a \(low, high\) pair$"):
+        trace.synth_trace(4, 10, availability=[0.5, 0.5, 0.5, 0.5])
     with pytest.raises(ValueError):
         trace.synth_trace(3, 10, availability=(0.9, 0.2))  # low > high
 

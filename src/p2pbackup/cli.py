@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import shutil
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -416,14 +417,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = Path(args.out_dir)
+    # the outermost directory this call creates, removed again if the call fails
+    made = next((d for d in reversed([out, *out.parents]) if not d.exists()), None)
+    ok = False
     try:
-        out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_manifest(out, {"subcommand": args.command, "seed": args.seed, **args.func(args, out)})
+        ok = True
         return 0
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if not ok and made is not None:
+            shutil.rmtree(made, ignore_errors=True)
 
 
 if __name__ == "__main__":

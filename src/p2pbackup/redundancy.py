@@ -29,6 +29,7 @@ import numpy as np
 
 SECONDS_PER_DAY = 86400.0
 _TAIL_ATOL = 1e-12  # fixed_redundancy_n's allowance for the tail's last-digit noise
+_FLOOR_RTOL = 1e-6  # loss_floor's allowance for the loss tail's noise as eTTR grows
 
 
 class SearchCeilingError(ValueError):
@@ -217,6 +218,26 @@ def within_loss_cap(n: int, k: int, ettr_seconds: float, thresholds: AdaptiveThr
     """The risk test: the loss probability over w + eTTR with n holders is at
     most loss_cap."""
     return loss_risk(n, k, ettr_seconds, thresholds) <= thresholds.loss_cap
+
+
+def loss_floor(k: int, min_ettr_seconds: float, thresholds: AdaptiveThresholds, ceiling: int) -> int:
+    """The fewest holders, from k up to ceiling, that may pass the loss cap
+    at an eTTR of at least min_ettr_seconds; ceiling when no fewer may.
+
+    The loss risk rises with eTTR and falls as n grows, so every n below the
+    floor fails within_loss_cap at every such eTTR, and one bisection over
+    [k, ceiling) finds it.  A count passes when its risk at min_ettr_seconds
+    is at most loss_cap times (1 + _FLOOR_RTOL), so that last-digit noise in
+    the tail as eTTR grows cannot let a count below the floor pass.  The
+    floor is k with loss_cap 1 or no crashes, and ceiling with an infinite
+    w, where every holder crashes within the window.
+    """
+    cap = thresholds.loss_cap * (1 + _FLOOR_RTOL)
+
+    def passes(n: int) -> bool:
+        return loss_risk(n, k, min_ettr_seconds, thresholds) <= cap
+
+    return k + bisect.bisect_left(range(k, ceiling), True, key=passes)
 
 
 def caps_met(n: int, k: int, ettr_seconds: float, min_ttr_seconds: float, thresholds: AdaptiveThresholds) -> bool:

@@ -32,6 +32,7 @@ from .redundancy import (
     caps_met,
     fixed_redundancy_n,
     kth_best_rate,
+    loss_floor,
     median_parallel,
     rate_ettr,
     within_loss_cap,
@@ -257,31 +258,33 @@ def sample_bandwidth(config: SimConfig, num_peers: int, rng) -> tuple[np.ndarray
     return uplink, 4.0 * uplink
 
 
-def _waterfill(src, dst, demand, res_up, res_down) -> np.ndarray:
+def _fill(idx, rem, ends, kept, alloc) -> None:
     """Progressive-filling max-min fair allocation for one priority class.
 
-    src/dst are peer indices (SERVER = unconstrained endpoint); res_up and
-    res_down are residual per-peer byte budgets, mutated in place so a later
-    class sees only leftovers.
+    idx are the class's rows of alloc, where the grants go, sorted stably by
+    remaining demand rem, each above _EPS; ends are their source endpoints,
+    then their destination endpoints, as indices into kept, the slot's
+    endpoint budgets in _endpoint_budgets' layout.  kept is updated in
+    place, so a later class sees only leftovers.
 
     Each round grants one equal increment, the smallest fair share or
     remaining demand, to every active transfer; a transfer leaves when its
     demand is met, or when a round finds its share at most _EPS (an
     exhausted endpoint), which grants nothing.  Every active transfer has
     been granted the same increments, so a running total is each leaving
-    transfer's grant.  The uplinks and downlinks are one array of endpoints,
-    each side with SERVER as an extra endpoint of infinite budget, and a
-    round works on that array rather than on per-transfer gathers.  The
-    floats are pinned by progressive_filling_reference in tests/oracles.py,
-    and stay exact because:
+    transfer's grant.  A round works on the array of endpoints rather than
+    on per-transfer gathers.  The floats are pinned by
+    progressive_filling_reference in tests/oracles.py, and stay exact
+    because:
 
-    1. The active transfers are sorted once, stably, by remaining demand.
-       fl(x - lam) is monotone in x, so the subtraction and the compactions
-       keep that order: the smallest demand is rem[0], and the demands that
+    1. fl(x - lam) is monotone in x, so the subtraction and the compactions
+       keep rem sorted: the smallest demand is rem[0], and the demands that
        run out in a round are a prefix.
     2. lam = min(min over endpoints of budget / count, rem[0]), with count
        the active transfers at each endpoint, is the float that the min over
        transfers of min(share_src, share_dst, rem) gives: a min is exact.
+       The counts are cast to float once per recount; the division casts an
+       int count to the same float.
     3. A grant round subtracts lam once per transfer end (count * lam would
        round differently) and clips at zero; the order of the ends does not
        matter, since every subtraction is of the same lam.  It gathers no
@@ -296,56 +299,87 @@ def _waterfill(src, dst, demand, res_up, res_down) -> np.ndarray:
        freeze empties.  Only a demand exit can empty an endpoint at a zero
        budget unparked, and a round that then finds a NaN share takes the
        min that ignores NaN.
+
+    The caller silences numpy's divide and invalid warnings around the call.
     """
-    num_peers = len(res_up)
-    rem = np.asarray(demand, dtype=float)
-    alloc = np.zeros(len(rem))
-    idx = np.flatnonzero(rem > _EPS)
-    if idx.size == 0:
-        return alloc
-    idx = idx[np.argsort(rem[idx], kind="stable")]
-    rem = rem[idx]
-    s = np.asarray(src)[idx]
-    d = np.asarray(dst)[idx]
-    s[s == SERVER] = num_peers
-    d[d == SERVER] = num_peers
-    ends = np.concatenate((s, d + num_peers + 1))  # every uplink endpoint, then every downlink one
-    kept = np.concatenate((res_up, [np.inf], res_down, [np.inf]))  # holds a parked endpoint's budget
-    count = np.bincount(ends, minlength=kept.size)
+    count = np.bincount(ends, minlength=kept.size).astype(float)
     budget = np.where(count > 0, kept, np.inf)
+    share = np.empty(kept.size)
     total = 0.0
     n = idx.size
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while n:
-            share = budget / count
-            lam = share[share.argmin()]
-            if lam != lam:  # a 0/0 share (see 5)
-                lam = np.fmin.reduce(share)
-            if rem[0] < lam:
-                lam = rem[0]
-            if lam <= _EPS:
-                # an endpoint is exhausted; freeze its transfers, park it and retry
-                low = share <= _EPS
-                hit = low[ends]
-                frozen = hit[:n] | hit[n:]
-                alloc[idx[frozen]] = total
-                keep = ~frozen
-                idx, rem, ends = idx[keep], rem[keep], ends[np.concatenate((keep, keep))]
-                np.copyto(kept, budget, where=low)
-                budget[low] = np.inf
-            else:
-                total += lam
-                rem -= lam
-                np.subtract.at(budget, ends, lam)
-                np.maximum(budget, 0.0, out=budget)
-                if rem[0] > _EPS:
-                    continue
-                j = n - np.count_nonzero(rem > _EPS)  # the met demands: a prefix (see 1)
-                alloc[idx[:j]] = total
-                idx, rem, ends = idx[j:], rem[j:], np.concatenate((ends[j:n], ends[n + j:]))
-            n = idx.size
-            count = np.bincount(ends, minlength=kept.size)
+    while n:
+        np.divide(budget, count, out=share)
+        lam = share[share.argmin()]
+        if lam != lam:  # a 0/0 share (see 5)
+            lam = np.fmin.reduce(share)
+        if rem[0] < lam:
+            lam = rem[0]
+        if lam <= _EPS:
+            # an endpoint is exhausted; freeze its transfers, park it and retry
+            low = share <= _EPS
+            hit = low[ends]
+            frozen = hit[:n] | hit[n:]
+            alloc[idx[frozen]] = total
+            keep = ~frozen
+            idx, rem, ends = idx[keep], rem[keep], ends[np.concatenate((keep, keep))]
+            np.copyto(kept, budget, where=low)
+            budget[low] = np.inf
+        else:
+            total += lam
+            rem -= lam
+            np.subtract.at(budget, ends, lam)
+            np.maximum(budget, 0.0, out=budget)
+            if rem[0] > _EPS:
+                continue
+            j = rem.searchsorted(_EPS, "right")  # the met demands: a prefix (see 1)
+            alloc[idx[:j]] = total
+            idx, rem, ends = idx[j:], rem[j:], np.concatenate((ends[j:n], ends[n + j:]))
+        n = idx.size
+        count = np.bincount(ends, minlength=kept.size).astype(float)
     np.copyto(kept, budget, where=budget < np.inf)
+
+
+def _endpoint_budgets(up, down) -> np.ndarray:
+    """The endpoints of one slot as one array of byte budgets: every uplink,
+    SERVER's uplink, every downlink, SERVER's downlink; SERVER's are
+    infinite."""
+    return np.concatenate((up, [np.inf], down, [np.inf]))
+
+
+def _allocate(src, dst, demand, restore, kept) -> np.ndarray:
+    """Per-transfer grants of the restore class, then of the rest, from the
+    endpoint budgets kept, which both classes reduce in place.
+
+    The transfers with demand above _EPS are sorted once, stably, by demand,
+    and their endpoints mapped once into kept's layout; each class takes its
+    rows in that order."""
+    num_peers = kept.size // 2 - 1
+    demand = np.asarray(demand, dtype=float)
+    alloc = np.zeros(demand.size)
+    rows = np.flatnonzero(demand > _EPS)
+    if rows.size == 0:
+        return alloc
+    rows = rows[np.argsort(demand[rows], kind="stable")]
+    ends = np.array((src[rows], dst[rows]))
+    ends[ends == SERVER] = num_peers
+    ends[1] += num_peers + 1
+    first = restore[rows]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for cls in (first, ~first) if first.any() else (slice(None),):
+            picked = rows[cls]
+            if picked.size:
+                _fill(picked, demand[picked], ends[:, cls].ravel(), kept, alloc)
+    return alloc
+
+
+def _waterfill(src, dst, demand, res_up, res_down) -> np.ndarray:
+    """Max-min fair grants for one priority class, by _fill.
+
+    src/dst are peer indices (SERVER = unconstrained endpoint); res_up and
+    res_down are residual per-peer byte budgets, updated in place."""
+    num_peers = len(res_up)
+    kept = _endpoint_budgets(res_up, res_down)
+    alloc = _allocate(np.asarray(src), np.asarray(dst), demand, np.zeros(len(demand), dtype=bool), kept)
     res_up[:] = kept[:num_peers]
     res_down[:] = kept[num_peers + 1:-1]
     return alloc
@@ -359,15 +393,10 @@ def allocate_slot_transfers(src, dst, demand, restore, up_budget, down_budget) -
     serves restore transfers max-min fairly; pass 2 serves everything else
     (backups, including maintenance uploads, and repair legs) from the
     residual budgets, so no byte of it moves over a link whose restore demand
-    is unmet.  Returns per-transfer byte grants.
+    is unmet.  The budgets are read, not changed.  Returns per-transfer byte
+    grants.
     """
-    res_up = np.asarray(up_budget, dtype=float).copy()
-    res_down = np.asarray(down_budget, dtype=float).copy()
-    alloc = np.zeros(len(src))
-    for mask in (restore, ~restore):
-        if np.any(mask):
-            alloc[mask] = _waterfill(src[mask], dst[mask], demand[mask], res_up, res_down)
-    return alloc
+    return _allocate(src, dst, demand, restore, _endpoint_budgets(up_budget, down_budget))
 
 
 @dataclass
@@ -456,9 +485,11 @@ class Simulation:
         self.min_ttb = _ideal_elapsed(bits, self.o / self.uplink, self.slot)
         self.min_ttr = self.o / self.downlink
         self.next_crash = np.array([sample_lifetime(config.mean_lifetime_days, self.rng) for _ in range(self.P)])
-        # per-peer byte budgets of one slot; allocate_slot_transfers copies them
+        # per-peer byte budgets of one slot; allocate_slot_transfers only reads them
         self.up_budget = self.uplink * self.slot
         self.down_budget = self.downlink * self.slot
+        # fewest holders that may pass the loss cap; None until the first decision that needs a tail
+        self.n_floor = None
         # report fields, each written once in place; the math.nan object until then
         self.ttb, self.ttr, self.ettr, self.redundancy = ([math.nan] * self.P for _ in range(4))
 
@@ -528,15 +559,27 @@ class Simulation:
         return rate_ettr(self.o, self.downlink.item(owner), kth_best_rate(self.avail[held], uplink, self.k),
                          self._parallel(owner, uplink))
 
+    def _below_floor(self, n: int) -> bool:
+        """True if an owner with n holders fails the loss cap whatever its
+        eTTR, so its decisions need no eTTR or tail: below k, or below the
+        loss_floor at the smallest eTTR any owner reaches, o over the largest
+        downlink.  The floor is found at the first call from k holders up, the
+        run's first tail, so scipy is not loaded before the run needs it."""
+        if n < self.k:
+            return True
+        if self.n_floor is None:
+            self.n_floor = loss_floor(self.k, self.o / self.downlink.max().item(), self.thresholds, self.P)
+        return n < self.n_floor
+
     def _at_risk(self, owner: int) -> bool:
         """True while the owner's placements fail the loss cap over w + eTTR
-        (always, below k holders); kept in at_risk, exact as in
+        (always, below the floor); kept in at_risk, exact as in
         _needs_fragments."""
         at_risk = self.at_risk.item(owner)
         if at_risk < 0:
-            ettr = self._ettr(owner)
-            at_risk = self.at_risk[owner] = math.isnan(ettr) or not within_loss_cap(
-                self.placed_count.item(owner), self.k, ettr, self.thresholds)
+            n = self.placed_count.item(owner)
+            at_risk = self.at_risk[owner] = self._below_floor(n) or not within_loss_cap(
+                n, self.k, self._ettr(owner), self.thresholds)
         return bool(at_risk)
 
     def _needs_fragments(self, owner: int) -> bool:
@@ -547,14 +590,15 @@ class Simulation:
         _place, on_crash or _mark_lost changes the placements.  That is
         exact: its other inputs (o, the owner's downlink and minTTR, k, the
         thresholds, each holder's availability and uplink) are run constants.
+        Below the floor the loss cap fails, so the answer is True unevaluated.
         """
         n = self.placed_count.item(owner)
         if self.config.redundancy_policy == FIXED:
             return n < self.fixed_n
         needs = self.needs.item(owner)
         if needs < 0:
-            needs = self.needs[owner] = n < self.k or not caps_met(n, self.k, self._ettr(owner),
-                                                                   self.min_ttr.item(owner), self.thresholds)
+            needs = self.needs[owner] = self._below_floor(n) or not caps_met(
+                n, self.k, self._ettr(owner), self.min_ttr.item(owner), self.thresholds)
         return bool(needs)
 
     def _open(self, kind: int, src, dst, owner, frags) -> None:

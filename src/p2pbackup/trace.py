@@ -247,8 +247,9 @@ def slotize(events: EventLog, slot_seconds: float = DEFAULT_SLOT_SECONDS,
     whole number of slots covering the last event; sessions still open at the
     horizon run to its end.  The columns must have one length and the peer
     codes must index peer_ids.  Each peer's events, in log order, must
-    alternate login and logoff from a login at non-negative, non-decreasing
-    times, as parse_events output does; otherwise ValueError names the peer.
+    alternate login and logoff from a login at finite, non-negative,
+    non-decreasing times, as parse_events output does; otherwise ValueError
+    names the peer.
     """
     _check_slot_seconds(slot_seconds)
     if not len(events.peer) == len(events.timestamp) == len(events.kind):
@@ -263,14 +264,14 @@ def slotize(events: EventLog, slot_seconds: float = DEFAULT_SLOT_SECONDS,
     code, ts, kind = events.peer[order], events.timestamp[order], events.kind[order]
     del order
     head = _group_heads(code)
-    bad = ~(ts >= 0) | (head[:-1] & (kind != 0))
+    bad = ~((ts >= 0) & (ts < math.inf)) | (head[:-1] & (kind != 0))
     bad[1:] |= ~head[1:-1] & ((kind[1:] + kind[:-1] != 1) | ~(ts[1:] >= ts[:-1]))
     if bad.any():
         raise ValueError(
             f"peer {events.peer_ids[code[bad.argmax()]]!r}: events must alternate login and logoff from a login, "
-            "at non-negative, non-decreasing times"
+            "at finite, non-negative, non-decreasing times"
         )
-    if num_slots is None:  # after the checks, so that a nan time fails by its peer
+    if num_slots is None:  # after the checks, so that a nan or infinite time fails by its peer
         if not len(ts):
             raise ValueError("cannot infer num_slots from an empty event log")
         num_slots = max(1, math.ceil(ts.max() / slot_seconds))

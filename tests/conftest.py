@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,17 @@ import pytest
 from p2pbackup import sim, trace
 from p2pbackup.sched import BACKUP, RESTORE, TransferProblem
 from p2pbackup.trace import AvailabilityMatrix
+
+
+def tool_output(script, *args):
+    """The standard output lines of tests/<script> run with args, the
+    package on its PYTHONPATH; asserts that the script exited 0."""
+    src = Path(sim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, str(Path(__file__).with_name(script)), *args],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    return result.stdout.splitlines()
 
 
 def make_matrix(rows, slot_seconds=3600.0, peer_ids=None):

@@ -164,6 +164,24 @@ def test_simulate_rejects_an_infinite_slot_length(tmp_path, capsys):
     assert not (out / "summary.csv").exists()
 
 
+def test_a_failed_call_leaves_no_directory_it_created(tmp_path, capsys):
+    # a flag the subcommand rejects after main made --out-dir, and a run that fails on its input
+    with pytest.raises(SystemExit, match="--x must list whole numbers"):
+        cli.main(["sched-compare", "--x", "1.5", "--out-dir", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
+    assert cli.main(["trace-stats", "--matrix", str(tmp_path / "absent.txt"),
+                     "--out-dir", str(tmp_path / "a" / "b" / "c")]) == 1
+    assert not (tmp_path / "a").exists()
+    # a directory that was there before the call stays, with what it held
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "note.txt").write_text("mine\n", encoding="utf-8")
+    assert cli.main(["trace-stats", "--matrix", str(tmp_path / "absent.txt"),
+                     "--out-dir", str(kept / "sub")]) == 1
+    assert sorted(p.name for p in kept.iterdir()) == ["note.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
+
+
 # -- plan ----------------------------------------------------------------
 
 def test_plan_redundancy_query(tmp_path, capsys):

@@ -1,10 +1,6 @@
 import hashlib
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +11,7 @@ from scipy.sparse.csgraph import maximum_flow
 
 from p2pbackup import sched, trace
 from p2pbackup.sched import BACKUP, RESTORE, TransferProblem
-from conftest import BIT_GENERATORS, cut_problems, generator_state, make_matrix
+from conftest import BIT_GENERATORS, cut_problems, generator_state, make_matrix, tool_output
 from oracles import (
     brute_max_fragments, coo_flow_network, flow_max_fragments, loop_random_schedule, matching_max_fragments,
     matching_min_completion, slice_witness,
@@ -754,12 +750,7 @@ def test_sched_replay_tool_agrees_with_scipy_on_one_group():
     problems against scipy's max flow alone, of each witness for validity
     and of random_schedule against the per-pick loop, runs, finds no
     difference, and counts the augmenting paths of the short probes."""
-    src = Path(sched.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, str(Path(__file__).with_name("sched_replay.py")), "1"],
-                            env=env, capture_output=True, text=True, timeout=300)
-    assert result.returncode == 0, result.stdout + result.stderr
-    lines = result.stdout.splitlines()
+    lines = tool_output("sched_replay.py", "1")
     assert "outcomes agree with scipy's max flow alone, witnesses valid: yes" in lines
     assert any(line.startswith("augmenting paths per short probe: mean ") for line in lines)
     assert "random_schedule identical to the per-pick loop: yes" in lines

@@ -17,7 +17,7 @@ from p2pbackup import redundancy as red
 from p2pbackup.redundancy import backup_complete, default_parallel, estimate_ttr, loss_risk
 from p2pbackup.sim import SERVER, SimConfig, Simulation
 import differential
-from conftest import allocate_rows, link_loads, make_matrix, recorded_allocations
+from conftest import allocate_rows, link_loads, make_matrix, recorded_allocations, tool_output
 from oracles import loop_ideal_seconds, maxmin_violations, progressive_filling_reference
 
 KB100 = 100_000.0  # flat-CDF uplink, bytes/s
@@ -584,6 +584,15 @@ def test_waterfill_clips_a_rounded_budget_to_zero():
     assert np.array_equal(psim._waterfill(src, dst, demand, up, down), expect)
     assert up[0] == ref_up[0] == 0.0
     assert np.array_equal(down, ref_down)
+
+
+def test_allocation_replay_tool_agrees_with_the_reference():
+    """tests/allocation_replay.py, the per-call timing of
+    allocate_slot_transfers over one run's calls, runs at a toy size and
+    finds every call's grants identical to the reference's."""
+    lines = tool_output("allocation_replay.py", "20", "96")
+    assert "grants bit-identical to the reference, budgets unchanged: yes" in lines
+    assert re.match(r"20 peers x 96 slots: [1-9]\d* allocation calls", lines[0]), lines[0]
 
 
 # ------------------------------------------------------- closed-form backups
@@ -1725,11 +1734,62 @@ def test_stopping_rule_follows_a_holder_swap(flat_cdf_file):
     assert not s._needs_fragments(0)
 
 
+def scanned_floor(simulation):
+    """The fewest holders, k to P - 1, whose loss risk at the smallest eTTR
+    any owner reaches is at most the loss cap, by a scan; P if none."""
+    least_ettr = simulation.o / simulation.downlink.max()
+    for n in range(simulation.k, simulation.P):
+        if loss_risk(n, simulation.k, least_ettr, simulation.thresholds) <= simulation.thresholds.loss_cap:
+            return n
+    return simulation.P
+
+
+@pytest.mark.parametrize("overrides, w_days, expect", [
+    (dict(mean_lifetime_days=20.0), None, None),
+    (dict(mean_lifetime_days=60.0, loss_cap=1e-8), None, None),
+    (dict(mean_lifetime_days=0.05), None, 40),  # every holder likely crashes within w: no count passes
+    (dict(mean_lifetime_days=20.0, loss_cap=1.0), None, 4),
+    (dict(mean_lifetime_days=math.inf), None, 4),
+    (dict(mean_lifetime_days=0.0), None, 4),  # 0 also means no crashes
+    (dict(mean_lifetime_days=20.0), math.inf, 40),
+    (dict(mean_lifetime_days=20.0, loss_cap=1.0), math.inf, 4),
+])
+def test_loss_floor_is_the_scanned_floor(spread_cdf_file, overrides, w_days, expect):
+    # k = 4 over 40 peers; SimConfig keeps w finite, so an infinite w is set on the thresholds
+    s = Simulation(cfg(spread_cdf_file, redundancy_policy="adaptive", **overrides), always_on(40, 4))
+    if w_days is not None:
+        s.thresholds = replace(s.thresholds, w_days=w_days)
+    assert s.n_floor is None  # found at the first decision that needs a tail, not at set-up
+    assert s._below_floor(s.k - 1)
+    assert s.n_floor is None
+    s._below_floor(s.k)
+    assert s.n_floor == scanned_floor(s)
+    if expect is not None:
+        assert s.n_floor == expect
+    else:
+        assert s.k < s.n_floor < s.P
+    # below the floor the loss cap fails at every eTTR from the smallest up
+    least_ettr = s.o / s.downlink.max()
+    for n in range(s.k, s.n_floor):
+        for ettr in (least_ettr, np.nextafter(least_ettr, math.inf), 2 * least_ettr, math.inf):
+            assert not red.within_loss_cap(n, s.k, ettr, s.thresholds)
+    assert [s._below_floor(n) for n in range(s.P)] == [n < s.n_floor for n in range(s.P)]
+
+
+def test_loss_floor_stops_at_its_ceiling():
+    thresholds = red.AdaptiveThresholds(w_days=math.inf)
+    assert red.loss_floor(3, 10.0, thresholds, ceiling=9) == 9
+    assert red.loss_floor(3, 10.0, thresholds, ceiling=2) == 3  # no count to search
+    assert red.loss_floor(3, 10.0, red.AdaptiveThresholds(loss_cap=1.0, w_days=math.inf), ceiling=9) == 3
+
+
 class PublicRuleSimulation(Simulation):
     """Checks the simulator's stopping rule, eTTR, risk test and restore
-    parallelism, at every evaluation, against backup_complete, estimate_ttr,
-    loss_risk and default_parallel on the owner's (availability, uplink)
-    profiles, bit for bit, and records in seen which cases the run reached."""
+    parallelism against backup_complete, estimate_ttr, loss_risk and
+    default_parallel on the owner's (availability, uplink) profiles, bit for
+    bit, and records in seen which cases the run reached: every stopping and
+    risk decision, and the owner's eTTR at each, whether or not the
+    simulator needed that eTTR to decide."""
 
     def __init__(self, config, matrix):
         super().__init__(config, matrix)
@@ -1742,6 +1802,7 @@ class PublicRuleSimulation(Simulation):
     def _needs_fragments(self, owner):
         needs = super()._needs_fragments(owner)
         if self.config.redundancy_policy == psim.ADAPTIVE:
+            self._ettr(owner)
             assert needs == (not backup_complete(self.o, self.downlink.item(owner), self.min_ttr.item(owner),
                                                  self._profiles(owner), self.k, self.thresholds))
         return needs

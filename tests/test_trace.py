@@ -1,12 +1,8 @@
 import argparse
 import dataclasses
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from p2pbackup import cli, sim, trace
-from conftest import event_tuples, make_matrix, synth_event_log
+from conftest import event_tuples, make_matrix, synth_event_log, tool_output
 from oracles import LoopFormatError, loop_parse_events, loop_slotize
 
 
@@ -270,6 +266,7 @@ def event_log(tuples):
     [("p1", -7200, "login"), ("p1", 1800, "logoff")],  # a negative time
     [("p1", 0, "login"), ("p1", 1800, "reboot")],  # neither kind
     [("p1", 0, "login"), ("p1", math.nan, "logoff")],  # a nan time, named before it reaches the horizon
+    [("p1", 0, "login"), ("p1", math.inf, "logoff")],  # an infinite time: no horizon covers it
 ])
 def test_slotize_rejects_events_that_do_not_alternate(events):
     events = event_log([("a", 0.0, "login")] + events)
@@ -324,12 +321,7 @@ def test_ingest_replay_tool_agrees_with_the_loop_oracles():
     """tests/ingest_replay.py, the timing and tracing of parse_events and
     slotize on a generated log, runs at a toy size and finds its events,
     warnings and matrix identical to the loop oracles'."""
-    src = Path(trace.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, str(Path(__file__).with_name("ingest_replay.py")), "12", "96"],
-                            env=env, capture_output=True, text=True, timeout=300)
-    assert result.returncode == 0, result.stdout + result.stderr
-    lines = result.stdout.splitlines()
+    lines = tool_output("ingest_replay.py", "12", "96")
     assert "events and warnings identical to loop_parse_events: yes" in lines
     assert "matrix identical to loop_slotize and the generated bits: yes" in lines
 

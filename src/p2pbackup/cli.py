@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import shutil
 import sys
 from dataclasses import fields, replace
@@ -351,6 +352,12 @@ def _seed(text: str) -> int:
     return seed
 
 
+# argparse reads a flag value that starts with "-" as a negative number only
+# if its (private) _negative_number_matcher says so, and the stock one knows
+# no exponent or inf: "--target -1e-3" would be an option, not a value
+_NEGATIVE_NUMBER = re.compile(r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="p2pbackup",
@@ -411,6 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     for f in fields(sim.SimConfig):
         p.add_argument(_SIM_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name)
     p.set_defaults(func=cmd_simulate)
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -122,22 +122,6 @@ def write_csv(path, header, rows) -> None:
         writer.writerows([_cell(value) for value in row] for row in rows)
 
 
-def write_peers_csv(report: SimReport, path) -> None:
-    write_csv(path, PEERS_FIELDS, map(astuple, report.peers))  # PeerRecord fields are in column order
-
-
-def write_crashes_csv(report: SimReport, path) -> None:
-    write_csv(path, CRASHES_FIELDS, map(astuple, report.crashes))  # CrashRecord fields are in column order
-
-
-def write_server_csv(report: SimReport, path) -> None:
-    """The per-slot server series; a run without the assisting server writes
-    the header only."""
-    slots = report.num_slots if report.config.response == DELAYED_ASSISTED else 0
-    write_csv(path, SERVER_FIELDS, zip(range(slots), report.server_outbound.tolist(),
-                                       report.server_buffered.tolist()))
-
-
 def summary_row(report: SimReport) -> dict:
     """Run-level aggregates; the single row written to summary.csv."""
     ratios = normalized_ratios(report)
@@ -175,12 +159,16 @@ def write_summary_row(row: dict, path) -> None:
 
 
 def write_report_csvs(report: SimReport, out_dir) -> list:
-    """Write the full CSV contract into out_dir; returns the paths written."""
+    """Write the full CSV contract into out_dir; returns the paths written.
+    PeerRecord and CrashRecord fields are in column order; a run without the
+    assisting server writes the server series' header only."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / name for name in ("peers.csv", "crashes.csv", "server.csv", "summary.csv")]
-    write_peers_csv(report, paths[0])
-    write_crashes_csv(report, paths[1])
-    write_server_csv(report, paths[2])
+    write_csv(paths[0], PEERS_FIELDS, map(astuple, report.peers))
+    write_csv(paths[1], CRASHES_FIELDS, map(astuple, report.crashes))
+    slots = report.num_slots if report.config.response == DELAYED_ASSISTED else 0
+    write_csv(paths[2], SERVER_FIELDS, zip(range(slots), report.server_outbound.tolist(),
+                                           report.server_buffered.tolist()))
     write_summary_row(summary_row(report), paths[3])
     return paths

@@ -264,7 +264,7 @@ def _fill(idx, rem, ends, kept, alloc) -> None:
     idx are the class's rows of alloc, where the grants go, sorted stably by
     remaining demand rem, each above _EPS; ends are their source endpoints,
     then their destination endpoints, as indices into kept, the slot's
-    endpoint budgets in _endpoint_budgets' layout.  kept is updated in
+    endpoint budgets in allocate_slot_transfers' layout.  kept is updated in
     place, so a later class sees only leftovers.
 
     Each round grants one equal increment, the smallest fair share or
@@ -339,21 +339,25 @@ def _fill(idx, rem, ends, kept, alloc) -> None:
     np.copyto(kept, budget, where=budget < np.inf)
 
 
-def _endpoint_budgets(up, down) -> np.ndarray:
-    """The endpoints of one slot as one array of byte budgets: every uplink,
-    SERVER's uplink, every downlink, SERVER's downlink; SERVER's are
-    infinite."""
-    return np.concatenate((up, [np.inf], down, [np.inf]))
+def allocate_slot_transfers(src, dst, demand, restore, up_budget, down_budget) -> np.ndarray:
+    """Two-pass fluid allocation for one slot.
 
+    The transfers are numpy columns, one entry each: int src and dst (peer
+    indices or SERVER), float demand in bytes and bool restore.  Pass 1
+    serves restore transfers max-min fairly; pass 2 serves everything else
+    (backups, including maintenance uploads, and repair legs) from the
+    residual budgets, so no byte of it moves over a link whose restore demand
+    is unmet.  The budgets are read, not changed.  Returns per-transfer byte
+    grants.
 
-def _allocate(src, dst, demand, restore, kept) -> np.ndarray:
-    """Per-transfer grants of the restore class, then of the rest, from the
-    endpoint budgets kept, which both classes reduce in place.
-
-    The transfers with demand above _EPS are sorted once, stably, by demand,
-    and their endpoints mapped once into kept's layout; each class takes its
-    rows in that order."""
-    num_peers = kept.size // 2 - 1
+    The slot's endpoints are laid out once as one array of byte budgets,
+    which both passes draw down: every uplink, SERVER's uplink, every
+    downlink, SERVER's downlink; SERVER's are infinite.  The transfers with
+    demand above _EPS are sorted once, stably, by demand, and their ends
+    mapped once into that layout; each class takes its rows in that order.
+    """
+    num_peers = len(up_budget)
+    kept = np.concatenate((up_budget, [np.inf], down_budget, [np.inf]))
     demand = np.asarray(demand, dtype=float)
     alloc = np.zeros(demand.size)
     rows = np.flatnonzero(demand > _EPS)
@@ -370,33 +374,6 @@ def _allocate(src, dst, demand, restore, kept) -> np.ndarray:
             if picked.size:
                 _fill(picked, demand[picked], ends[:, cls].ravel(), kept, alloc)
     return alloc
-
-
-def _waterfill(src, dst, demand, res_up, res_down) -> np.ndarray:
-    """Max-min fair grants for one priority class, by _fill.
-
-    src/dst are peer indices (SERVER = unconstrained endpoint); res_up and
-    res_down are residual per-peer byte budgets, updated in place."""
-    num_peers = len(res_up)
-    kept = _endpoint_budgets(res_up, res_down)
-    alloc = _allocate(np.asarray(src), np.asarray(dst), demand, np.zeros(len(demand), dtype=bool), kept)
-    res_up[:] = kept[:num_peers]
-    res_down[:] = kept[num_peers + 1:-1]
-    return alloc
-
-
-def allocate_slot_transfers(src, dst, demand, restore, up_budget, down_budget) -> np.ndarray:
-    """Two-pass fluid allocation for one slot.
-
-    The transfers are numpy columns, one entry each: int src and dst (peer
-    indices or SERVER), float demand in bytes and bool restore.  Pass 1
-    serves restore transfers max-min fairly; pass 2 serves everything else
-    (backups, including maintenance uploads, and repair legs) from the
-    residual budgets, so no byte of it moves over a link whose restore demand
-    is unmet.  The budgets are read, not changed.  Returns per-transfer byte
-    grants.
-    """
-    return _allocate(src, dst, demand, restore, _endpoint_budgets(up_budget, down_budget))
 
 
 @dataclass

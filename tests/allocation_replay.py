@@ -9,11 +9,11 @@ sim-fixed-assisted benchmark workload (lognormal bandwidth, k = 8, a
 arguments of every ``allocate_slot_transfers`` call, one per slot with
 traffic.  Then it replays the calls:
 
-- through ``progressive_filling_reference``, once per priority class with
-  traffic (restores, then the rest, on the leftover budgets), tallying the
-  rounds by kind (grant, freeze, and exit for a grant round in which a
-  demand runs out) and checking that the grants are bit-identical and that
-  the call left both budget arrays as they were;
+- through ``two_class_reference`` (``progressive_filling_reference`` on the
+  restores, then on the rest with the leftover budgets), tallying the rounds
+  by kind (grant, freeze, and exit for a grant round in which a demand runs
+  out) and checking that the grants are bit-identical and that the call left
+  both budget arrays as they were;
 - through ``sim.allocate_slot_transfers``, REPEATS times, keeping each
   call's best time, and prints the median and total microseconds per call.
 
@@ -29,7 +29,8 @@ from collections import Counter
 import numpy as np
 
 from p2pbackup import sim, trace
-from oracles import progressive_filling_reference
+from conftest import recorded_allocations
+from oracles import two_class_reference
 
 PEERS, SLOTS = 200, 336
 TRACE_SEED, CONFIG_SEED = 1, 2
@@ -40,38 +41,13 @@ CONFIG = dict(object_size=8 * FRAG, fragment_size=FRAG, storage_quota=40 * FRAG,
               repair_timeout_days=1.0, seed=CONFIG_SEED)
 
 
-def record_calls(peers: int, slots: int) -> list[tuple]:
-    """(src, dst, demand, restore, up_budget, down_budget) of every
-    allocate_slot_transfers call of one run."""
+def record_calls(peers: int, slots: int) -> list:
+    """The recorded allocate_slot_transfers calls of one run."""
     matrix = trace.synth_trace(peers, slots, availability=(0.3, 0.7), diurnal_amplitude=0.5,
                                weekend_factor=0.8, seed=TRACE_SEED)
-    calls = []
-    allocate = sim.allocate_slot_transfers
-
-    def recording(*args):
-        calls.append(tuple(np.array(a, copy=True) for a in args))
-        return allocate(*args)
-
-    sim.allocate_slot_transfers = recording
-    try:
+    with recorded_allocations() as calls:
         sim.Simulation(sim.SimConfig(**CONFIG), matrix).run()
-    finally:
-        sim.allocate_slot_transfers = allocate
     return calls
-
-
-def reference(src, dst, demand, restore, up, down, rounds) -> tuple[np.ndarray, int]:
-    """The reference's grants, one class at a time on shared residual
-    budgets, and the number of classes with traffic."""
-    res_up, res_down = up.copy(), down.copy()
-    grants = np.zeros(len(src))
-    classes = 0
-    for mask in (restore, ~restore):
-        if mask.any():
-            classes += 1
-            grants[mask] = progressive_filling_reference(src[mask], dst[mask], demand[mask], res_up, res_down,
-                                                         sim._EPS, rounds)
-    return grants, classes
 
 
 def main(argv: list[str]) -> int:
@@ -82,20 +58,20 @@ def main(argv: list[str]) -> int:
         return 1
     rounds = Counter()
     mismatches = classes = 0
-    for src, dst, demand, restore, up, down in calls:
-        expect, used = reference(src, dst, demand, restore, up, down, rounds)
-        classes += used
-        got_up, got_down = up.copy(), down.copy()
-        grants = sim.allocate_slot_transfers(src, dst, demand, restore, got_up, got_down)
-        mismatches += not (np.array_equal(grants, expect) and np.array_equal(got_up, up)
-                           and np.array_equal(got_down, down))
+    for call in calls:
+        classes += int(call.restore.any()) + int(not call.restore.all())
+        expect = two_class_reference(*call.args, sim._EPS, rounds)
+        up, down = call.up_budget.copy(), call.down_budget.copy()
+        grants = sim.allocate_slot_transfers(call.src, call.dst, call.demand, call.restore, up, down)
+        mismatches += not (np.array_equal(grants, expect) and np.array_equal(up, call.up_budget)
+                           and np.array_equal(down, call.down_budget))
     best = np.full(len(calls), np.inf)
     for _ in range(REPEATS):
-        for i, args in enumerate(calls):
+        for i, call in enumerate(calls):
             t0 = time.perf_counter()
-            sim.allocate_slot_transfers(*args)
+            sim.allocate_slot_transfers(*call.args)
             best[i] = min(best[i], time.perf_counter() - t0)
-    sizes = [len(c[0]) for c in calls]
+    sizes = [len(call.src) for call in calls]
     print(f"{peers} peers x {slots} slots: {len(calls)} allocation calls, {classes} priority classes with "
           f"traffic, median call of {int(np.median(sizes))} transfers")
     print(f"rounds: {sum(rounds.values())} = {rounds['grant']} grant + {rounds['freeze']} freeze "

@@ -1,8 +1,10 @@
+import hashlib
 import math
 import os
 import subprocess
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -119,21 +121,41 @@ def allocate_rows(rows, up_budget, down_budget):
                                        np.array(restore, dtype=bool), up_budget, down_budget)
 
 
+@dataclass(frozen=True)
+class Allocation:
+    """One allocate_slot_transfers call: copies of its argument arrays, and
+    the grants it returned."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    demand: np.ndarray
+    restore: np.ndarray
+    up_budget: np.ndarray
+    down_budget: np.ndarray
+    grants: np.ndarray
+
+    @property
+    def args(self):
+        return self.src, self.dst, self.demand, self.restore, self.up_budget, self.down_budget
+
+    @property
+    def specs(self):
+        """The call's (src, dst, demand, is_restore) rows, as Python values."""
+        return list(zip(self.src.tolist(), self.dst.tolist(), self.demand.tolist(), self.restore.tolist()))
+
+
 @contextmanager
 def recorded_allocations():
-    """Record every allocate_slot_transfers call the simulator makes while
-    the context is open, as (specs, grants) pairs: specs are the
-    (src, dst, demand, is_restore) rows passed in, built from the columns,
-    grants the bytes returned.  The simulator makes one call per slot that
-    has traffic."""
+    """Record every allocate_slot_transfers call made while the context is
+    open, as a list of Allocation.  The simulator makes one call per slot
+    that has traffic.  This is the one wrapper of the allocator in tests/."""
     calls = []
     allocate = sim.allocate_slot_transfers
 
-    def recording(src, dst, demand, restore, up_budget, down_budget):
-        grants = allocate(src, dst, demand, restore, up_budget, down_budget)
-        rows = zip(np.asarray(src).tolist(), np.asarray(dst).tolist(), np.asarray(demand).tolist(),
-                   np.asarray(restore).tolist())
-        calls.append((list(rows), grants.copy()))
+    def recording(*args):
+        copies = [np.array(a, copy=True) for a in args]
+        grants = allocate(*args)
+        calls.append(Allocation(*copies, grants.copy()))
         return grants
 
     with pytest.MonkeyPatch.context() as mp:
@@ -141,11 +163,20 @@ def recorded_allocations():
         yield calls
 
 
-def link_loads(specs, grants, num_peers):
+def allocation_digest(calls):
+    """sha256 hex digest of recorded calls in order: per call, src and dst as
+    int64, demand as float, restore as bool, both budgets and the grants."""
+    digest = hashlib.sha256()
+    for call in calls:
+        for column, dtype in zip((*call.args, call.grants), (np.int64, np.int64, float, bool, float, float, float)):
+            digest.update(np.asarray(column, dtype=dtype).tobytes())
+    return digest.hexdigest()
+
+
+def link_loads(call, num_peers):
     """Bytes each peer sent and received in one recorded call; server
     (negative) endpoints are skipped."""
-    src = np.array([s[0] for s in specs], dtype=int)
-    dst = np.array([s[1] for s in specs], dtype=int)
+    src, dst, grants = call.src, call.dst, call.grants
     sent = np.bincount(src[src >= 0], weights=grants[src >= 0], minlength=num_peers)
     received = np.bincount(dst[dst >= 0], weights=grants[dst >= 0], minlength=num_peers)
     return sent, received

@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from p2pbackup import report, sim, trace
+from conftest import allocation_digest, recorded_allocations
 
 CORPUS = Path(__file__).resolve().with_name("differential.json")
 FRAG = 160 << 20
@@ -76,25 +77,12 @@ def corpus() -> dict[str, tuple[dict, dict]]:
 
 def fingerprint(config: dict, shape: dict) -> dict[str, str]:
     """sha256 of each report CSV of one run, and of its allocation stream."""
-    digest = hashlib.sha256()
-    allocate = sim.allocate_slot_transfers
-
-    def hashed(src, dst, demand, restore, up_budget, down_budget):
-        grants = allocate(src, dst, demand, restore, up_budget, down_budget)
-        for column, dtype in ((src, np.int64), (dst, np.int64), (demand, float), (restore, bool),
-                              (up_budget, float), (down_budget, float), (grants, float)):
-            digest.update(np.asarray(column, dtype=dtype).tobytes())
-        return grants
-
-    sim.allocate_slot_transfers = hashed
-    try:
+    with recorded_allocations() as calls:
         result = sim.Simulation(sim.SimConfig(**config), trace.synth_trace(**shape)).run()
-    finally:
-        sim.allocate_slot_transfers = allocate
     with tempfile.TemporaryDirectory() as out:
         hashes = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                   for path in report.write_report_csvs(result, out)}
-    hashes["allocations"] = digest.hexdigest()
+    hashes["allocations"] = allocation_digest(calls)
     return hashes
 
 

@@ -296,6 +296,22 @@ def progressive_filling_reference(src, dst, demand, res_up, res_down, eps, round
     return alloc
 
 
+def two_class_reference(src, dst, demand, restore, up, down, eps, rounds=None):
+    """The simulator's slot allocation by the reference: progressive filling
+    of the restore rows, then of the rest on the budgets the restores left.
+    up/down are read, not changed; the per-transfer grants are returned.  A
+    Counter passed as rounds tallies both classes' rounds, as in
+    progressive_filling_reference."""
+    src, dst, demand = (np.asarray(column) for column in (src, dst, demand))
+    restore = np.asarray(restore, dtype=bool)
+    res_up, res_down = np.array(up, dtype=float), np.array(down, dtype=float)
+    grants = np.zeros(len(demand))
+    for mask in (restore, ~restore):
+        grants[mask] = progressive_filling_reference(src[mask], dst[mask], demand[mask], res_up, res_down, eps,
+                                                     rounds)
+    return grants
+
+
 class LoopFormatError(ValueError):
     """What loop_parse_events raises for a malformed record."""
 

@@ -16,7 +16,7 @@ import pytest
 
 from p2pbackup import cli, redundancy, report, sched, sim, trace
 
-from conftest import allocate_rows, link_loads, recorded_allocations
+from conftest import link_loads, recorded_allocations
 from oracles import (binomial_tail_ge, matching_max_fragments, matching_min_completion,
                      minimal_redundancy)
 
@@ -196,7 +196,7 @@ class DeskRun:
     seed: int
     sim: sim.Simulation
     report: sim.SimReport
-    allocations: list  # recorded (specs, grants) per slot with traffic
+    allocations: list  # recorded Allocation per slot with traffic
 
 
 def _desk_config(policy: str, seed: int, cdf_path: str) -> sim.SimConfig:
@@ -267,19 +267,19 @@ def _audit_violations(run: DeskRun) -> list[str]:
     slot = s.slot
     up, down = s.uplink * slot, s.downlink * slot
     total_sent = total_received = 0.0
-    for call, (specs, grants) in enumerate(run.allocations):
-        sent, received = link_loads(specs, grants, s.P)
+    for number, call in enumerate(run.allocations):
+        sent, received = link_loads(call, s.P)
         if np.any(sent > up * (1 + 1e-9) + 1e-6):
-            out.append(f"call {call}: uplink budget exceeded")
+            out.append(f"call {number}: uplink budget exceeded")
         if np.any(received > down * (1 + 1e-9) + 1e-6):
-            out.append(f"call {call}: downlink budget exceeded")
+            out.append(f"call {number}: downlink budget exceeded")
         total_sent += sent.sum()
         total_received += received.sum()
-        restore = np.array([spec[3] for spec in specs])
+        restore = call.restore
         if restore.any() and not restore.all():
-            replay = allocate_rows([spec for spec in specs if spec[3]], up.copy(), down.copy())
-            if not np.allclose(replay, grants[restore], rtol=1e-9, atol=1e-3):
-                out.append(f"call {call}: restore grants depend on competing traffic")
+            replay = sim.allocate_slot_transfers(*(column[restore] for column in call.args[:4]), up, down)
+            if not np.allclose(replay, call.grants[restore], rtol=1e-9, atol=1e-3):
+                out.append(f"call {number}: restore grants depend on competing traffic")
     # conservation over the whole run: immediate response means no server legs
     if abs(total_sent - total_received) > 1e-3:
         out.append("total sent != total received")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from p2pbackup import __version__, cli, trace
 from p2pbackup.sim import SimConfig
 
+import import_cost
 from conftest import make_matrix
 
 
@@ -539,6 +540,25 @@ def test_simulate_names_the_setting_it_cannot_run(tmp_path, flat_cdf_file, capsy
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["simulate", "--matrix", "{m}", "--config", "{c}"], "--parallel-downloads", "-1e20"),
+    (["plan", "--k", "4", "--a", "0.5"], "--target", "-1e-3"),
+    (["plan", "--loss", "--n", "10", "--k", "5"], "--t-days", "-1e3"),
+    (["plan", "--k", "4", "--a", "0.5"], "--target", "-inf"),
+], ids=["simulate", "plan-target", "plan-t-days", "plan-inf"])
+def test_a_negative_number_with_an_exponent_is_a_flag_value(tmp_path, flat_cdf_file, capsys, argv, flag, value):
+    """A flag's value spelled -1e20 or -inf reaches the check that the
+    --flag=-1e20 spelling reaches, as -1 does; argparse does not read it as
+    an option."""
+    matrix_path, config_path = write_sim_inputs(tmp_path, flat_cdf_file)
+    argv = [arg.format(m=matrix_path, c=config_path) for arg in argv]
+    errors = []
+    for flags in ([flag, value], [f"{flag}={value}"]):
+        assert cli.main([*argv, *flags, "--out-dir", str(tmp_path / "o")]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and errors[0].startswith("error: "), errors
+
+
 @pytest.mark.parametrize("seed, message", [("-1", "seed must be non-negative, got -1"),
                                            ("abc", "seed must be an integer, got 'abc'")], ids=["negative", "junk"])
 @pytest.mark.parametrize("argv", [["trace-synth", "--peers", "3", "--slots", "4"],
@@ -786,3 +806,22 @@ def test_main_writes_the_manifest_of_a_command_that_succeeds(tmp_path, flat_cdf_
     assert (manifest["subcommand"], manifest["seed"], manifest["version"]) == (command, 4, __version__)
     assert run(fails, tmp_path / "failed") == 1
     assert not (tmp_path / "failed" / "run-manifest.json").exists()
+
+
+# -- cold start ----------------------------------------------------------
+
+
+def test_import_cost_tool_loads_scipy_only_for_a_tail(monkeypatch, capsys):
+    """tests/import_cost.py, the cold start of each subcommand, runs every
+    case once and finds scipy loaded only by the cases that evaluate a
+    binomial tail."""
+    monkeypatch.setattr(import_cost, "REPEATS", 1)
+    assert import_cost.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [re.fullmatch(r"(.+?) +\d+\.\d{3} s  scipy loaded: (\w+)", line) for line in lines[1:]]
+    assert all(rows), lines
+    assert {row[1]: row[2] for row in rows} == {
+        "import p2pbackup": "no", "import p2pbackup.cli": "no", "cli.main trace-synth": "no",
+        "cli.main trace-stats": "no", "cli.main sched-compare": "no", "cli.main plan": "yes",
+        "cli.main simulate": "yes"}
+    assert len(rows) == 7

@@ -37,6 +37,11 @@ def report_of(peers, crashes=(), num_slots=4, outbound=None, inbound=None, buffe
     )
 
 
+def written(report, out_dir, name):
+    """The path of one file of the CSV contract, written by write_report_csvs."""
+    return next(path for path in rep.write_report_csvs(report, out_dir) if path.name == name)
+
+
 # ------------------------------------------------------------------ percentile
 
 def test_percentile_nearest_rank():
@@ -195,8 +200,7 @@ def test_server_traffic_accounts_fragments():
 
 
 def test_peers_csv_round_trip(tmp_path, small_run):
-    path = tmp_path / "peers.csv"
-    rep.write_peers_csv(small_run, path)
+    path = written(small_run, tmp_path, "peers.csv")
     assert path.read_bytes().split(b"\r\n", 1)[0] == b"peer_id,uplink,availability,ttb,min_ttb,ttr,min_ttr," \
         b"ettr,redundancy_at_completion"
     back = [PeerRecord(int(peer), *map(number, cells)) for peer, *cells in read_rows(path)]
@@ -204,8 +208,7 @@ def test_peers_csv_round_trip(tmp_path, small_run):
 
 
 def test_crashes_csv_round_trip(tmp_path, small_run):
-    path = tmp_path / "crashes.csv"
-    rep.write_crashes_csv(small_run, path)
+    path = written(small_run, tmp_path, "crashes.csv")
     assert path.read_bytes().split(b"\r\n", 1)[0] == b"peer_id,crash_slot,response_slot,outcome,unfinished," \
         b"unavoidable"
     back = [CrashRecord(int(peer), int(crash), int(response) if response else None, outcome,
@@ -219,11 +222,12 @@ def test_crashes_csv_round_trip_keeps_cell_types(tmp_path):
     """A missing response slot writes an empty cell, and a flag 1 or 0."""
     crashes = [
         CrashRecord(peer=3, crash_slot=5, response_slot=None, outcome="pending", unfinished=True, unavoidable=False),
-        CrashRecord(peer=1, crash_slot=2, response_slot=4, outcome="lost", unfinished=False, unavoidable=True),
+        CrashRecord(peer=1, crash_slot=2, response_slot=4, outcome="lost", unfinished=True, unavoidable=True),
+        CrashRecord(peer=2, crash_slot=1, response_slot=1, outcome="restored", unfinished=False, unavoidable=False),
     ]
-    path = tmp_path / "crashes.csv"
-    rep.write_crashes_csv(report_of([peer_row(0)], crashes), path)
-    assert path.read_bytes().split(b"\r\n")[1:] == [b"3,5,,pending,1,0", b"1,2,4,lost,0,1", b""]
+    path = written(report_of([peer_row(0)], crashes), tmp_path, "crashes.csv")
+    assert path.read_bytes().split(b"\r\n")[1:] == [b"3,5,,pending,1,0", b"1,2,4,lost,1,1", b"2,1,1,restored,0,0",
+                                                     b""]
 
 
 def test_server_csv_round_trip(tmp_path):
@@ -233,16 +237,14 @@ def test_server_csv_round_trip(tmp_path):
         buffered=[0.0, 1024.0, 1024.0, 0.0],
         response="delayed_assisted",
     )
-    path = tmp_path / "server.csv"
-    rep.write_server_csv(report, path)
+    path = written(report, tmp_path, "server.csv")
     assert path.read_bytes() == (b"slot,outbound_bytes,buffered_bytes\r\n0,0.0,0.0\r\n1,2048.0,1024.0\r\n"
                                  b"2,0.0,1024.0\r\n3,1024.0,0.0\r\n")
 
 
 def test_server_csv_header_only_without_assistance(tmp_path, small_run):
     # immediate-response runs flag the series empty: header, no rows
-    path = tmp_path / "server.csv"
-    rep.write_server_csv(small_run, path)
+    path = written(small_run, tmp_path, "server.csv")
     assert path.read_bytes() == b"slot,outbound_bytes,buffered_bytes\r\n"
 
 
@@ -281,8 +283,7 @@ def test_write_csv_cells(tmp_path):
 
 def test_nan_and_inf_cells_survive_round_trip(tmp_path):
     peers = [peer_row(0, ttb=3600.0, min_ttb=math.inf), peer_row(1)]
-    path = tmp_path / "peers.csv"
-    rep.write_peers_csv(report_of(peers), path)
+    path = written(report_of(peers), tmp_path, "peers.csv")
     back = [PeerRecord(int(peer), *map(number, cells)) for peer, *cells in read_rows(path)]
     assert back == peers
     assert math.isinf(back[0].min_ttb)

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import re
 import tempfile
@@ -17,8 +16,8 @@ from p2pbackup import redundancy as red
 from p2pbackup.redundancy import backup_complete, default_parallel, estimate_ttr, loss_risk
 from p2pbackup.sim import SERVER, SimConfig, Simulation
 import differential
-from conftest import allocate_rows, link_loads, make_matrix, recorded_allocations, tool_output
-from oracles import loop_ideal_seconds, maxmin_violations, progressive_filling_reference
+from conftest import allocate_rows, allocation_digest, link_loads, make_matrix, recorded_allocations, tool_output
+from oracles import loop_ideal_seconds, maxmin_violations, two_class_reference
 
 KB100 = 100_000.0  # flat-CDF uplink, bytes/s
 SLOT = 3600.0
@@ -520,27 +519,31 @@ tie_amounts = st.integers(0, 8).map(float)  # equal shares and demands tie often
 fine_amounts = st.one_of(amounts, st.sampled_from([psim._EPS / 2, psim._EPS]))  # at and under _EPS
 
 
+def assert_matches_reference(src, dst, demand, restore, up, down):
+    """allocate_slot_transfers gives the two-class reference's grants bit for
+    bit, and leaves both budgets as they were."""
+    src, dst = np.array(src, dtype=int), np.array(dst, dtype=int)
+    demand, restore = np.array(demand, dtype=float), np.array(restore, dtype=bool)
+    up, down = np.array(up, dtype=float), np.array(down, dtype=float)
+    kept_up, kept_down = up.copy(), down.copy()
+    expect = two_class_reference(src, dst, demand, restore, up, down, psim._EPS)
+    assert np.array_equal(psim.allocate_slot_transfers(src, dst, demand, restore, up, down), expect)
+    assert np.array_equal(up, kept_up) and np.array_equal(down, kept_down)
+
+
 @given(data=st.data(), amount=st.sampled_from([tie_amounts, fine_amounts]))
 @settings(max_examples=300)
-def test_waterfill_matches_reference_bit_for_bit(data, amount):
-    rows = data.draw(st.lists(st.tuples(endpoints, endpoints, amount), max_size=16))
-    up = np.array(data.draw(st.lists(amount, min_size=4, max_size=4)))
-    down = np.array(data.draw(st.lists(amount, min_size=4, max_size=4)))
-    src = np.array([r[0] for r in rows], dtype=int)
-    dst = np.array([r[1] for r in rows], dtype=int)
-    demand = np.array([r[2] for r in rows], dtype=float)
-    ref_up, ref_down = up.copy(), down.copy()
-    expect = progressive_filling_reference(src, dst, demand, ref_up, ref_down, psim._EPS)
-    grants = psim._waterfill(src, dst, demand, up, down)
-    assert np.array_equal(grants, expect)
-    assert np.array_equal(up, ref_up)
-    assert np.array_equal(down, ref_down)
+def test_allocate_matches_reference_bit_for_bit(data, amount):
+    rows = data.draw(st.lists(st.tuples(endpoints, endpoints, amount, st.booleans()), max_size=16))
+    up = data.draw(st.lists(amount, min_size=4, max_size=4))
+    down = data.draw(st.lists(amount, min_size=4, max_size=4))
+    assert_matches_reference(*(zip(*rows) if rows else ((),) * 4), up, down)
 
 
 @given(peers=st.integers(1, 40), n=st.integers(0, 300), mix=st.sampled_from([0.0, 0.2, 0.6]),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
-def test_waterfill_matches_reference_at_scale(peers, n, mix, seed):
+def test_allocate_matches_reference_at_scale(peers, n, mix, seed):
     # enough transfers per endpoint for freezes, demand exits and compactions to interleave
     rng = np.random.default_rng(seed)
     special = np.array([0.0, psim._EPS / 2, psim._EPS, 3e7, 2.5e8])  # zeros, at and under _EPS, ties
@@ -550,12 +553,8 @@ def test_waterfill_matches_reference_at_scale(peers, n, mix, seed):
 
     src, dst = rng.integers(SERVER, peers, (2, n))  # SERVER at either end, server-to-server rows too
     demand, up, down = amounts(n), amounts(peers), amounts(peers)
-    ref_up, ref_down = up.copy(), down.copy()
-    expect = progressive_filling_reference(src, dst, demand, ref_up, ref_down, psim._EPS)
-    grants = psim._waterfill(src, dst, demand, up, down)
-    assert np.array_equal(grants, expect)
-    assert np.array_equal(up, ref_up)
-    assert np.array_equal(down, ref_down)
+    restore = rng.random(n) < rng.random()  # both classes, in any proportion
+    assert_matches_reference(src, dst, demand, restore, up, down)
 
 
 @pytest.mark.parametrize("up, down, rows", [
@@ -564,26 +563,17 @@ def test_waterfill_matches_reference_at_scale(peers, n, mix, seed):
     # transfer 0's demand runs out with uplink 0's budget, leaving a 0/0 share
     ([5e7, BIG], [BIG, BIG], [(0, 1, 5e7), (1, 0, 1e8), (SERVER, 1, 3e8)]),
 ])
-def test_waterfill_ignores_endpoints_nothing_uses(up, down, rows):
-    up, down = np.array(up), np.array(down)
-    src, dst, demand = (np.array(column) for column in zip(*rows))
-    ref_up, ref_down = up.copy(), down.copy()
-    expect = progressive_filling_reference(src, dst, demand, ref_up, ref_down, psim._EPS)
-    assert np.array_equal(psim._waterfill(src, dst, demand, up, down), expect)
-    assert np.array_equal(up, ref_up)
-    assert np.array_equal(down, ref_down)
+def test_allocate_ignores_endpoints_nothing_uses(up, down, rows):
+    for restore in ((False, False, False), (True, False, False), (False, True, True)):
+        assert_matches_reference(*zip(*rows), restore, up, down)
 
 
-def test_waterfill_clips_a_rounded_budget_to_zero():
-    # 5 - 5/3 - 5/3 - 5/3 rounds to -4.4e-16; the budget must read 0.0
-    up = np.array([5.0, BIG, BIG, BIG])
-    down = np.full(4, BIG)
-    src, dst, demand = np.array([0, 0, 0]), np.array([1, 2, 3]), np.full(3, 10.0)
-    ref_up, ref_down = up.copy(), down.copy()
-    expect = progressive_filling_reference(src, dst, demand, ref_up, ref_down, psim._EPS)
-    assert np.array_equal(psim._waterfill(src, dst, demand, up, down), expect)
-    assert up[0] == ref_up[0] == 0.0
-    assert np.array_equal(down, ref_down)
+def test_allocate_clips_a_rounded_budget_to_zero():
+    # three restores draw uplink 0 down to 5 - 5/3 - 5/3 - 5/3, which rounds to
+    # -4.4e-16 and is clipped to 0.0; the backup behind them gets nothing
+    up = [5.0, BIG, BIG, BIG]
+    down = [BIG] * 4
+    assert_matches_reference([0, 0, 0, 0], [1, 2, 3, 1], [10.0] * 4, [True, True, True, False], up, down)
 
 
 def test_allocation_replay_tool_agrees_with_the_reference():
@@ -845,22 +835,14 @@ def live_transfers(simulation):
             for row in range(s.used) if s.table[psim.KIND, row] != psim.DEAD]
 
 
-class SerialOrderSimulation(Simulation):
+class ProgressCheckSimulation(Simulation):
     """Asserts before every completion step that the table's rows are in
     strictly increasing serial order, so allocation rows and completions
-    follow the order the transfers were opened."""
-
-    def _step_completions(self, slot_idx, finished):
-        serials = self.table[psim.SERIAL, :self.used].tolist()
-        assert all(a < b for a, b in zip(serials, serials[1:])), f"slot {slot_idx}: out of serial order"
-        super()._step_completions(slot_idx, finished)
-
-
-class ProgressCheckSimulation(SerialOrderSimulation):
-    """Also snapshots every transfer's done bytes around each allocation step
-    and checks them against the recorded allocation call: each transfer must
-    gain exactly its own grant (nothing, if it was not in the call), and no
-    transfer may pass the fragment size."""
+    follow the order the transfers were opened.  Also snapshots every
+    transfer's done bytes around each allocation step and checks them
+    against the recorded allocation call: each transfer must gain exactly
+    its own grant (nothing, if it was not in the call), and no transfer may
+    pass the fragment size."""
 
     def __init__(self, config, matrix, calls):
         super().__init__(config, matrix)
@@ -875,10 +857,10 @@ class ProgressCheckSimulation(SerialOrderSimulation):
         transfers = live_transfers(self)
         grants = {}
         if len(self.calls) > made:
-            specs, granted = self.calls[-1]
+            call = self.calls[-1]
             # the call's rows are a subsequence of the transfers in serial order
             pending = iter(transfers)
-            for spec, grant in zip(specs, granted):
+            for spec, grant in zip(call.specs, call.grants):
                 for t in pending:
                     if (t.src, t.dst, self.f - before[t.serial], t.kind == psim.RESTORE) == spec:
                         grants[t.serial] = float(grant)
@@ -895,6 +877,11 @@ class ProgressCheckSimulation(SerialOrderSimulation):
             if t.done > self.f + psim._EPS:
                 self.progress_errors.append(f"slot {slot_idx}: transfer {t.serial} done {t.done} > f")
         return finished
+
+    def _step_completions(self, slot_idx, finished):
+        serials = self.table[psim.SERIAL, :self.used].tolist()
+        assert all(a < b for a, b in zip(serials, serials[1:])), f"slot {slot_idx}: out of serial order"
+        super()._step_completions(slot_idx, finished)
 
 
 def churned_run(config, matrix):
@@ -1030,27 +1017,27 @@ def link_budgets(simulation):
     return simulation.uplink * SLOT, simulation.downlink * SLOT
 
 
-def assert_call_within_link_budgets(simulation, specs, grants, rel=0.0):
+def assert_call_within_link_budgets(simulation, call, rel=0.0):
     """rel allows for rounding: the grants through one endpoint are summed
     in another order than the allocator subtracted them."""
     up, down = link_budgets(simulation)
-    sent, received = link_loads(specs, grants, simulation.P)
+    sent, received = link_loads(call, simulation.P)
     assert np.all(sent <= up * (1 + rel) + 1e-6)
     assert np.all(received <= down * (1 + rel) + 1e-6)
 
 
 def assert_within_link_budgets(simulation, calls):
     assert 0 < len(calls) <= simulation.T
-    for specs, grants in calls:
-        assert_call_within_link_budgets(simulation, specs, grants)
+    for call in calls:
+        assert_call_within_link_budgets(simulation, call)
 
 
 def assert_bytes_conserved(simulation, calls):
     """No server legs in immediate mode: every byte sent is a byte received."""
     assert simulation.config.response == "immediate"
     total_sent = total_received = 0.0
-    for specs, grants in calls:
-        sent, received = link_loads(specs, grants, simulation.P)
+    for call in calls:
+        sent, received = link_loads(call, simulation.P)
         total_sent += sent.sum()
         total_received += received.sum()
     assert total_sent == pytest.approx(total_received, rel=1e-12)
@@ -1058,9 +1045,9 @@ def assert_bytes_conserved(simulation, calls):
 
 def assert_maxmin_fair(simulation, calls):
     up, down = link_budgets(simulation)
-    assert any(spec[3] for specs, _ in calls for spec in specs)  # restores compete too
-    for slot, (specs, grants) in enumerate(calls):
-        assert maxmin_violations(specs, grants, up, down, psim._EPS) == [], f"call {slot}"
+    assert any(call.restore.any() for call in calls)  # restores compete too
+    for slot, call in enumerate(calls):
+        assert maxmin_violations(call.specs, call.grants, up, down, psim._EPS) == [], f"call {slot}"
 
 
 def test_churn_audit_respects_link_budgets(churn_report):
@@ -1078,7 +1065,7 @@ def test_binding_churn_saturates_downlinks(binding_churn_report):
     simulation, report, calls = binding_churn_report
     _, down = link_budgets(simulation)
     saturated = sum(
-        bool(np.any(link_loads(specs, grants, simulation.P)[1] >= down - 1.0)) for specs, grants in calls
+        bool(np.any(link_loads(call, simulation.P)[1] >= down - 1.0)) for call in calls
     )
     assert saturated >= 20
     assert {c.outcome for c in report.crashes} >= {"restored", "lost"}
@@ -1095,23 +1082,13 @@ def test_binding_churn_allocations_are_maxmin_fair(binding_churn_report):
     assert_maxmin_fair(simulation, calls)
 
 
-def reference_allocation(specs, up, down):
-    """allocate_slot_transfers' two passes, each filled by the reference."""
-    src, dst, demand, restore = (np.array(column) for column in zip(*specs))
-    res_up, res_down = up.copy(), down.copy()
-    grants = np.zeros(len(specs))
-    for mask in (restore, ~restore):
-        grants[mask] = progressive_filling_reference(src[mask], dst[mask], demand[mask], res_up, res_down,
-                                                     psim._EPS)
-    return grants
-
-
 @pytest.mark.parametrize("run", ["churn_report", "binding_churn_report", "lognormal_churn_report"])
 def test_churn_grants_match_reference_bit_for_bit(request, run):
     simulation, _, calls = request.getfixturevalue(run)
-    for slot, (specs, grants) in enumerate(calls):
-        expect = reference_allocation(specs, simulation.up_budget, simulation.down_budget)
-        assert np.array_equal(grants, expect), f"call {slot}"
+    for slot, call in enumerate(calls):
+        expect = two_class_reference(call.src, call.dst, call.demand, call.restore, simulation.up_budget,
+                                     simulation.down_budget, psim._EPS)
+        assert np.array_equal(call.grants, expect), f"call {slot}"
 
 
 @pytest.mark.parametrize("run", ["churn_report", "binding_churn_report", "lognormal_churn_report"])
@@ -1534,10 +1511,10 @@ def index_checked_run(cdf_file, peers, slots, quota, seed, **overrides):
         simulation = IndexCheckSimulation(config, matrix)
         report = simulation.run()
     up, down = link_budgets(simulation)
-    for call, (specs, grants) in enumerate(calls):
+    for number, call in enumerate(calls):
         # lognormal budgets reach 1e9 bytes, where a sum is a few ulps off
-        assert_call_within_link_budgets(simulation, specs, grants, rel=1e-12)
-        assert maxmin_violations(specs, grants, up, down, psim._EPS) == [], f"call {call}"
+        assert_call_within_link_budgets(simulation, call, rel=1e-12)
+        assert maxmin_violations(call.specs, call.grants, up, down, psim._EPS) == [], f"call {number}"
     for r in report.peers:
         if math.isfinite(r.ttb) and math.isfinite(r.min_ttb):
             assert r.ttb >= r.min_ttb, f"peer {r.peer}: ttb {r.ttb} < min {r.min_ttb}"
@@ -1581,27 +1558,17 @@ def test_index_check_sees_flags_past_the_initial_width(flat_cdf_file):
     assert simulation.widened
 
 
-def test_allocation_stream_is_pinned(spread_cdf_file, monkeypatch):
+def test_allocation_stream_is_pinned(spread_cdf_file):
     # The report goldens guard the order of the allocation rows only through
     # its effect on the grants' floats; this hashes every call of one run with
     # lost episodes and server traffic: its rows in order, budgets and grants.
-    digest = hashlib.sha256()
-    allocate = psim.allocate_slot_transfers
-
-    def hashed(src, dst, demand, restore, up_budget, down_budget):
-        grants = allocate(src, dst, demand, restore, up_budget, down_budget)
-        for column, dtype in ((src, np.int64), (dst, np.int64), (demand, float), (restore, bool),
-                              (up_budget, float), (down_budget, float), (grants, float)):
-            digest.update(np.asarray(column, dtype=dtype).tobytes())
-        return grants
-
-    monkeypatch.setattr(psim, "allocate_slot_transfers", hashed)
     config = cfg(spread_cdf_file, storage_quota=3 * int(UP_SLOT) // 4, delay_mean_days=1.0, repair_timeout_days=0.25,
                  loss_cap=1e-6, seed=9, response="delayed_assisted", mean_lifetime_days=2.0)
-    report = Simulation(config, trace.synth_trace(30, 96, availability=(0.4, 0.9), seed=9)).run()
+    with recorded_allocations() as calls:
+        report = Simulation(config, trace.synth_trace(30, 96, availability=(0.4, 0.9), seed=9)).run()
     assert report.server_inbound.sum() > 0 and report.server_outbound.sum() > 0
     assert "lost" in {c.outcome for c in report.crashes}
-    assert digest.hexdigest() == "8e2fd385da37eb761b2d12a78d607d393ebb000fe8afef669b27c9008b498474"
+    assert allocation_digest(calls) == "8e2fd385da37eb761b2d12a78d607d393ebb000fe8afef669b27c9008b498474"
 
 
 @pytest.mark.parametrize("policy", ["fixed", "adaptive"])
@@ -1666,41 +1633,10 @@ def test_adaptive_no_churn_stops_at_k(flat_cdf_file):
         assert r.redundancy == 1.0
 
 
-class UncachedCheckSimulation(Simulation):
-    """Checks every stopping decision against a fresh backup_complete on the
-    current holder profiles, and records decisions that turn from complete
-    back to incomplete because holders were lost."""
-
-    def __init__(self, config, matrix):
-        super().__init__(config, matrix)
-        self.calls = 0
-        self.last: dict[int, tuple[frozenset, bool]] = {}
-        self.reopened = 0
-
-    def _needs_fragments(self, i):
-        needs = super()._needs_fragments(i)
-        holders = frozenset(placements_of(self, i).values())
-        profiles = [(float(self.avail[h]), float(self.uplink[h])) for h in holders]
-        fresh = not backup_complete(self.o, float(self.downlink[i]), self.o / float(self.downlink[i]), profiles,
-                                    self.k, self.thresholds)
-        assert needs == fresh
-        self.calls += 1
-        before = self.last.get(i)
-        if before is not None and not before[1] and needs and holders < before[0]:
-            self.reopened += 1
-        self.last[i] = (holders, needs)
-        return needs
-
-
 @pytest.mark.parametrize("parallel_downloads", [0, 2])
-def test_cached_stopping_rule_matches_uncached(spread_cdf_file, monkeypatch, parallel_downloads):
-    evaluations = []
-
-    def counted(*args):
-        evaluations.append(args)
-        return red.caps_met(*args)
-
-    monkeypatch.setattr(psim, "caps_met", counted)
+def test_cached_stopping_rule_matches_uncached(spread_cdf_file, parallel_downloads):
+    # PublicRuleSimulation checks each decision, kept or not, against a fresh
+    # backup_complete; this run keeps some and sees a holder loss reopen one
     config = cfg(
         spread_cdf_file,
         redundancy_policy="adaptive",
@@ -1709,11 +1645,10 @@ def test_cached_stopping_rule_matches_uncached(spread_cdf_file, monkeypatch, par
         parallel_downloads=parallel_downloads,
         seed=4,
     )
-    simulation = UncachedCheckSimulation(config, trace.synth_trace(16, 24 * 7, availability=(0.5, 0.9), seed=3))
+    simulation = PublicRuleSimulation(config, trace.synth_trace(16, 24 * 7, availability=(0.5, 0.9), seed=3))
     report = simulation.run()
     assert report.crashes
-    assert 0 < len(evaluations) < simulation.calls  # the cache is hit
-    assert simulation.reopened >= 1
+    assert simulation.seen >= {"kept decision", "evaluated decision", "reopened by a holder loss"}, simulation.seen
 
 
 def test_stopping_rule_follows_a_holder_swap(flat_cdf_file):
@@ -1789,22 +1724,34 @@ class PublicRuleSimulation(Simulation):
     default_parallel on the owner's (availability, uplink) profiles, bit for
     bit, and records in seen which cases the run reached: every stopping and
     risk decision, and the owner's eTTR at each, whether or not the
-    simulator needed that eTTR to decide."""
+    simulator needed that eTTR to decide.  A stopping decision is answered
+    from the kept one, evaluated by caps_met, or answered below the floor;
+    one that turns from complete back to incomplete after a holder loss is
+    reopened."""
 
     def __init__(self, config, matrix):
         super().__init__(config, matrix)
         self.seen = set()
         self.restoring = False
+        self.last = {}  # owner -> (holders, needs) at its last decision
 
     def _profiles(self, owner):
         return [(self.avail.item(h), self.uplink.item(h)) for h in sorted(placements_of(self, owner).values())]
 
     def _needs_fragments(self, owner):
+        kept = self.needs.item(owner) >= 0
         needs = super()._needs_fragments(owner)
         if self.config.redundancy_policy == psim.ADAPTIVE:
             self._ettr(owner)
             assert needs == (not backup_complete(self.o, self.downlink.item(owner), self.min_ttr.item(owner),
                                                  self._profiles(owner), self.k, self.thresholds))
+            holders = frozenset(placements_of(self, owner).values())
+            self.seen.add("kept decision" if kept else "decision below the floor"
+                          if self._below_floor(len(holders)) else "evaluated decision")
+            holders_before, needed = self.last.get(owner, (holders, True))
+            if needs and not needed and holders < holders_before:
+                self.seen.add("reopened by a holder loss")
+            self.last[owner] = (holders, needs)
         return needs
 
     def _ettr(self, owner):
@@ -1909,7 +1856,8 @@ def test_public_rule_check_reaches_every_case(flat_cdf_file, tied_cdf_file, spre
             (flat_cdf_file, 1, 1, False, dict(mean_lifetime_days=5.0, loss_cap=1e-2))):
         seen |= public_rule_run(cdf_file, 10, 72, k, 11, zeroed, tie_avail, **overrides).seen
     assert seen >= {"odd holders", "even holders", "infinite eTTR", "zero-availability holder", "tied rates",
-                    "tied uplinks", "pinned l", "derived l", "derived restore l", "risk test"}, seen
+                    "tied uplinks", "pinned l", "derived l", "derived restore l", "risk test", "kept decision",
+                    "evaluated decision", "decision below the floor", "reopened by a holder loss"}, seen
 
 
 def test_holder_statistics_need_no_range_checks(tmp_path):

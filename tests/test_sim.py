@@ -568,9 +568,10 @@ def test_allocate_ignores_endpoints_nothing_uses(up, down, rows):
         assert_matches_reference(*zip(*rows), restore, up, down)
 
 
-def test_allocate_clips_a_rounded_budget_to_zero():
-    # three restores draw uplink 0 down to 5 - 5/3 - 5/3 - 5/3, which rounds to
-    # -4.4e-16 and is clipped to 0.0; the backup behind them gets nothing
+def test_allocate_gives_nothing_behind_an_uplink_drained_by_rounding():
+    # three restores draw uplink 0 down to 5 - 5/3 - 5/3 - 5/3, which rounds
+    # to -4.4e-16; the backup behind them gets nothing.  Whether _fill clips
+    # that residual to 0.0 is not seen here: either share is at most _EPS
     up = [5.0, BIG, BIG, BIG]
     down = [BIG] * 4
     assert_matches_reference([0, 0, 0, 0], [1, 2, 3, 1], [10.0] * 4, [True, True, True, False], up, down)
@@ -1636,18 +1637,21 @@ def test_adaptive_no_churn_stops_at_k(flat_cdf_file):
 @pytest.mark.parametrize("parallel_downloads", [0, 2])
 def test_cached_stopping_rule_matches_uncached(spread_cdf_file, parallel_downloads):
     # PublicRuleSimulation checks each decision, kept or not, against a fresh
-    # backup_complete; this run keeps some and sees a holder loss reopen one
+    # backup_complete; this run keeps some and sees a holder loss reopen one.
+    # With w_days=0 about half the decisions are above the loss floor, and
+    # some of those are asked again before the owner's placements change.
     config = cfg(
         spread_cdf_file,
         redundancy_policy="adaptive",
         mean_lifetime_days=10.0,
-        w_days=2.0,
+        w_days=0.0,
         parallel_downloads=parallel_downloads,
         seed=4,
     )
     simulation = PublicRuleSimulation(config, trace.synth_trace(16, 24 * 7, availability=(0.5, 0.9), seed=3))
     report = simulation.run()
     assert report.crashes
+    assert 0 < simulation.evaluations < simulation.decisions  # the kept decision answers some above the floor
     assert simulation.seen >= {"kept decision", "evaluated decision", "reopened by a holder loss"}, simulation.seen
 
 
@@ -1725,29 +1729,40 @@ class PublicRuleSimulation(Simulation):
     bit, and records in seen which cases the run reached: every stopping and
     risk decision, and the owner's eTTR at each, whether or not the
     simulator needed that eTTR to decide.  A stopping decision is answered
-    from the kept one, evaluated by caps_met, or answered below the floor;
-    one that turns from complete back to incomplete after a holder loss is
-    reopened."""
+    from the kept one, evaluated by caps_met, or answered below the floor,
+    as seen by counting the simulator's caps_met calls; one that turns from
+    complete back to incomplete after a holder loss is reopened.  decisions
+    counts the stopping decisions above the floor, evaluations the caps_met
+    calls among them."""
 
     def __init__(self, config, matrix):
         super().__init__(config, matrix)
         self.seen = set()
         self.restoring = False
         self.last = {}  # owner -> (holders, needs) at its last decision
+        self.decisions = self.evaluations = 0
 
     def _profiles(self, owner):
         return [(self.avail.item(h), self.uplink.item(h)) for h in sorted(placements_of(self, owner).values())]
 
     def _needs_fragments(self, owner):
         kept = self.needs.item(owner) >= 0
-        needs = super()._needs_fragments(owner)
+        calls, caps_met = [], psim.caps_met
+        psim.caps_met = lambda *args: calls.append(args) or caps_met(*args)
+        try:
+            needs = super()._needs_fragments(owner)
+        finally:
+            psim.caps_met = caps_met
         if self.config.redundancy_policy == psim.ADAPTIVE:
             self._ettr(owner)
             assert needs == (not backup_complete(self.o, self.downlink.item(owner), self.min_ttr.item(owner),
                                                  self._profiles(owner), self.k, self.thresholds))
             holders = frozenset(placements_of(self, owner).values())
-            self.seen.add("kept decision" if kept else "decision below the floor"
-                          if self._below_floor(len(holders)) else "evaluated decision")
+            below = self._below_floor(len(holders))
+            assert len(calls) == (not kept and not below)  # only an unkept decision above the floor is evaluated
+            self.decisions += not below
+            self.evaluations += len(calls)
+            self.seen.add("decision below the floor" if below else "kept decision" if kept else "evaluated decision")
             holders_before, needed = self.last.get(owner, (holders, True))
             if needs and not needed and holders < holders_before:
                 self.seen.add("reopened by a holder loss")
@@ -1853,7 +1868,8 @@ def test_public_rule_check_reaches_every_case(flat_cdf_file, tied_cdf_file, spre
             (spread_cdf_file, 2, 0, False, dict(mean_lifetime_days=2.0, response="delayed_assisted",
                                                 parallel_downloads=2, loss_cap=1.0)),
             (tied_cdf_file, 3, 3, True, dict(mean_lifetime_days=2.0, ttr_floor_days=math.inf)),
-            (flat_cdf_file, 1, 1, False, dict(mean_lifetime_days=5.0, loss_cap=1e-2))):
+            (flat_cdf_file, 1, 1, False, dict(mean_lifetime_days=5.0, loss_cap=1e-2)),
+            (spread_cdf_file, 3, 0, False, dict(mean_lifetime_days=2.0, w_days=0.0))):
         seen |= public_rule_run(cdf_file, 10, 72, k, 11, zeroed, tie_avail, **overrides).seen
     assert seen >= {"odd holders", "even holders", "infinite eTTR", "zero-availability holder", "tied rates",
                     "tied uplinks", "pinned l", "derived l", "derived restore l", "risk test", "kept decision",

@@ -42,17 +42,15 @@ def loss_window() -> None:
 
 def restore_estimate() -> None:
     print("\nrestore estimate for a 1 GiB object, k=8, download 1 MB/s:")
-    o = 1 << 30
+    o, d0 = 1 << 30, 1000 * KB
     rng = np.random.default_rng(3)
-    holders = [(float(a), float(u)) for a, u in
-               zip(rng.uniform(0.3, 0.9, 20), rng.lognormal(np.log(80 * KB), 0.8, 20))]
+    avail, uplink = rng.uniform(0.3, 0.9, 20), rng.lognormal(np.log(80 * KB), 0.8, 20)
+    rate = redundancy.kth_best_rate(avail, uplink, 8)  # the 8th best expected rate a * u
     for parallel in (2, 4, 8):
-        ettr = redundancy.estimate_ttr(o, 1000 * KB, holders, 8, parallel)
+        ettr = redundancy.rate_ettr(o, d0, rate, parallel)
         print(f"  {parallel} parallel downloads: ~{ettr / 3600:.1f} h")
-    decision = redundancy.backup_complete(
-        o, 1000 * KB, 3600.0, holders, 8,
-        redundancy.AdaptiveThresholds(mean_lifetime_days=90.0, loss_cap=1e-4,
-                                      w_days=14.0, parallel=4))
+    thresholds = redundancy.AdaptiveThresholds(mean_lifetime_days=90.0, loss_cap=1e-4, w_days=14.0, parallel=4)
+    decision = redundancy.caps_met(20, 8, redundancy.rate_ettr(o, d0, rate, 4), 3600.0, thresholds)
     print(f"  adaptive policy with these 20 holders says: "
           f"{'stop uploading' if decision else 'keep uploading'}")
 

@@ -10,12 +10,12 @@ regularized incomplete beta function directly (scipy.special.betainc).  It
 imports scipy.special at the first tail it evaluates, not at import, so a
 process that only schedules or reads traces never loads scipy.
 
-The eTTR formula and the stopping and risk tests take the holders' order
-statistics: their count n, the k-th best expected rate (kth_best_rate) and
-the download parallelism l, pinned or derived from the median uplink
-(median_parallel).  The simulator reads those from its own arrays;
-backup_complete, estimate_ttr and default_parallel check (availability,
-uplink) pairs and compute the same statistics from them.
+The eTTR formula and the stopping and risk tests are written once, over the
+holders' order statistics: their count n, the k-th best expected rate
+(kth_best_rate) and the download parallelism l, pinned or derived from the
+median uplink (median_parallel).  rate_ettr turns those into eTTR and
+caps_met is the stopping test; the simulator reads the holders'
+availabilities and uplinks from its own arrays, with no per-call checks.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ class SearchCeilingError(ValueError):
     """The minimal-n search exceeded its configured ceiling."""
 
 
-class InsufficientHoldersError(ValueError):
-    """Fewer than k holders: the backup is not yet restorable, eTTR is undefined."""
-
-
 @dataclass(frozen=True)
 class AdaptiveThresholds:
     """Stopping thresholds for the adaptive policy.
@@ -47,7 +43,7 @@ class AdaptiveThresholds:
     The TTR rule is eTTR <= max(ttr_floor_days, ttr_factor * minTTR); setting
     ttr_floor_days to inf disables it.  loss_cap = 1.0 disables the loss rule.
     parallel is the download parallelism l; None derives it from bandwidth
-    (see default_parallel).
+    (see median_parallel).
     """
 
     loss_cap: float = 1e-4
@@ -71,19 +67,6 @@ class AdaptiveThresholds:
         for name in ("ttr_floor_days", "ttr_factor"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
-
-
-def _holder_arrays(holders) -> tuple[np.ndarray, np.ndarray]:
-    pairs = list(holders)
-    if not pairs:
-        return np.empty(0), np.empty(0)
-    avail = np.asarray([p[0] for p in pairs], dtype=float)
-    uplink = np.asarray([p[1] for p in pairs], dtype=float)
-    if not (avail.min() >= 0 and avail.max() <= 1):  # negated so that a nan fails too
-        raise ValueError("holder availabilities must be in [0, 1]")
-    if not uplink.min() > 0:
-        raise ValueError("holder uplinks must be positive")
-    return avail, uplink
 
 
 def _binom_sf(j: int, n: int, p: float) -> float:
@@ -155,33 +138,6 @@ def rate_ettr(o: float, d0: float, rate: float, parallel: int) -> float:
     return max(o / d0, o / (parallel * rate))
 
 
-def default_parallel(d0: float, holder_uplinks, k: int) -> int:
-    """Download parallelism that roughly saturates the owner downlink:
-    median_parallel over holder_uplinks, a sequence or array of bytes/s."""
-    uplinks = np.asarray(holder_uplinks, dtype=float)
-    if uplinks.size and not uplinks.min() > 0:  # negated so that a nan fails too
-        raise ValueError("holder uplinks must be positive")
-    return median_parallel(d0, uplinks, k)
-
-
-def estimate_ttr(o: float, d0: float, holders, k: int, parallel: int | None = None) -> float:
-    """eTTR in seconds: max(o / d0, o / (l * a_j * u_j)) with j the k-th best
-    holder by expected upload rate a_i * u_i.
-
-    Holders are (availability, uplink bytes/s) pairs for the peers currently
-    storing one fragment each.  Long-run availabilities are used as-is, so
-    currently-offline holders count.  Returns inf when the k-th best expected
-    rate is zero.
-    """
-    if not (o > 0 and d0 > 0):  # negated so that a nan fails too
-        raise ValueError("o and d0 must be positive")
-    avail, uplink = _holder_arrays(holders)
-    if len(avail) < k:
-        raise InsufficientHoldersError(f"{len(avail)} holders < k={k}")
-    l = parallel if parallel is not None else median_parallel(d0, uplink, k)
-    return rate_ettr(o, d0, kth_best_rate(avail, uplink, k), l)
-
-
 def data_loss_probability(n: int, k: int, t_elapsed: float, mean_lifetime: float) -> float:
     """Probability that more than n - k of n holders crash within t_elapsed.
 
@@ -246,18 +202,3 @@ def caps_met(n: int, k: int, ettr_seconds: float, min_ttr_seconds: float, thresh
     cap = max(thresholds.ttr_floor_days * SECONDS_PER_DAY, thresholds.ttr_factor * min_ttr_seconds)
     return ettr_seconds <= cap and within_loss_cap(n, k, ettr_seconds, thresholds)
 
-
-def backup_complete(o: float, d0: float, min_ttr_seconds: float, holders, k: int,
-                    thresholds: AdaptiveThresholds) -> bool:
-    """Adaptive stopping decision: True once the placed fragments are restorable
-    (n >= k) and caps_met holds for their eTTR.
-
-    Note the coupling when thresholds.parallel is None: the derived l depends
-    on the holder uplink median, so adding a fast holder can shrink l and raise
-    eTTR.  With a pinned l the decision is monotone in the holder set.
-    """
-    holders = list(holders)
-    n = len(holders)
-    if n < k:
-        return False
-    return caps_met(n, k, estimate_ttr(o, d0, holders, k, thresholds.parallel), min_ttr_seconds, thresholds)

@@ -255,7 +255,8 @@ def sample_bandwidth(config: SimConfig, num_peers: int, rng) -> tuple[np.ndarray
             raise ValueError(f"bandwidth_median_kbs = {config.bandwidth_median_kbs} and bandwidth_sigma = "
                              f"{config.bandwidth_sigma} draw an uplink too large for a float")
     uplink = np.maximum(uplink, 1e-6)
-    return uplink, 4.0 * uplink
+    with np.errstate(over="ignore"):  # Simulation names a downlink too large for its slot budget
+        return uplink, 4.0 * uplink
 
 
 def _fill(idx, rem, ends, kept, alloc) -> None:
@@ -459,12 +460,17 @@ class Simulation:
                 raise SearchCeilingError(f"fixed_target = {config.fixed_target} with k = object_size / "
                                          f"fragment_size = {self.k}: {exc}") from None
         self.uplink, self.downlink = sample_bandwidth(config, self.P, self.rng)
+        # per-peer byte budgets of one slot; allocate_slot_transfers only reads them
+        with np.errstate(over="ignore"):  # an overflow is named below
+            self.up_budget = self.uplink * self.slot
+            self.down_budget = self.downlink * self.slot
+        if not np.isfinite(self.down_budget).all():  # it is 4 x up_budget, so this checks both
+            field = "bandwidth_file" if config.bandwidth_source == "file" else "bandwidth_median_kbs"
+            raise ValueError(f"{field} = {getattr(config, field)} draws a downlink whose budget over a "
+                             f"{self.slot:g}-second slot is too large for a float")
         self.min_ttb = _ideal_elapsed(bits, self.o / self.uplink, self.slot)
         self.min_ttr = self.o / self.downlink
         self.next_crash = np.array([sample_lifetime(config.mean_lifetime_days, self.rng) for _ in range(self.P)])
-        # per-peer byte budgets of one slot; allocate_slot_transfers only reads them
-        self.up_budget = self.uplink * self.slot
-        self.down_budget = self.downlink * self.slot
         # fewest holders that may pass the loss cap; None until the first decision that needs a tail
         self.n_floor = None
         # report fields, each written once in place; the math.nan object until then
@@ -526,9 +532,9 @@ class Simulation:
         """eTTR of the owner's current placements; nan below k holders.
 
         The holders' statistics are read from the placed row and the avail and
-        uplink vectors, with none of estimate_ttr's range checks on each call:
-        avail is a row mean of trace bits, so in [0, 1], and sample_bandwidth
-        clamps every uplink to at least 1e-6, even from a CDF of zeros."""
+        uplink vectors, with no range check on each call: avail is a row mean
+        of trace bits, so in [0, 1], and sample_bandwidth clamps every uplink
+        to at least 1e-6, even from a CDF of zeros."""
         if self.placed_count.item(owner) < self.k:
             return math.nan
         held = self.placed[owner] >= 0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
@@ -53,9 +54,19 @@ def open_text(path, error=TraceFormatError, prefix: str = "", newline=None):
             raise  # the file changed after the failed read: pass the decoder's error on
 
 
-def _check_slot_seconds(slot_seconds) -> None:
+def _finite_horizon(num_slots, slot_seconds) -> bool:
+    """Whether the horizon num_slots * slot_seconds is a finite float; a
+    slot count too large for a float makes none."""
+    return num_slots <= sys.float_info.max and num_slots * slot_seconds < math.inf
+
+
+def _check_slot_seconds(slot_seconds, num_slots=1) -> None:
+    """The slot length must be positive and finite, and so must the horizon
+    of num_slots slots."""
     if not 0 < slot_seconds < math.inf:  # negated so that a nan fails too
         raise ValueError(f"slot_seconds must be positive and finite, got {slot_seconds}")
+    if not _finite_horizon(num_slots, slot_seconds):
+        raise ValueError(f"slot_seconds = {slot_seconds} over {num_slots} slots makes a horizon too large for a float")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +97,7 @@ class AvailabilityMatrix:
         exact = given.dtype in (np.uint8, np.bool_) or np.array_equal(bits, given)
         if not exact or (bits.size and bits.max() > 1):
             raise ValueError("bits must hold only 0 and 1")
-        _check_slot_seconds(self.slot_seconds)
+        _check_slot_seconds(self.slot_seconds, bits.shape[1])
         if self.peer_ids is not None and len(self.peer_ids) != bits.shape[0]:
             raise ValueError("peer_ids length does not match row count")
         bits.setflags(write=False)
@@ -275,6 +286,7 @@ def slotize(events: EventLog, slot_seconds: float = DEFAULT_SLOT_SECONDS,
         if not len(ts):
             raise ValueError("cannot infer num_slots from an empty event log")
         num_slots = max(1, math.ceil(ts.max() / slot_seconds))
+    _check_slot_seconds(slot_seconds, num_slots)
     horizon = num_slots * slot_seconds
 
     # Sessions are [login, next logoff) or [login, horizon), cut at the horizon.
@@ -353,7 +365,7 @@ def synth_trace(
         raise ValueError("diurnal_amplitude must be in [0, 1]")
     if not 0 <= weekend_factor <= 1:
         raise ValueError("weekend_factor must be in [0, 1]")
-    _check_slot_seconds(slot_seconds)
+    _check_slot_seconds(slot_seconds, num_slots)
     rng = np.random.default_rng(seed)
 
     target = np.asarray(availability, dtype=float)
@@ -416,6 +428,9 @@ def read_matrix_file(path) -> AvailabilityMatrix:
             _check_slot_seconds(slot_seconds)
         except ValueError:
             raise TraceFormatError(f"line 1: slot_seconds must be a positive finite number, got {m.group(3)}") from None
+        if not _finite_horizon(slots, slot_seconds):
+            raise TraceFormatError(f"line 1: slot_seconds = {m.group(3)} over {slots} slots makes a horizon too large "
+                                   "for a float")
         rows = []
         for lineno in range(2, peers + 2):
             line = fh.readline()

@@ -1,11 +1,14 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately naive: exhaustive search, exact rational
-arithmetic, direct summation.  Nothing imports from p2pbackup, so agreement
-between the two is evidence, not tautology.
+arithmetic, direct summation.  Nothing depends on p2pbackup but
+holder_rule's loss tail, redundancy.loss_risk, which test_redundancy checks
+against exact rationals and Monte Carlo, so agreement between the two is
+evidence, not tautology.
 """
 
 import math
+import statistics
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -13,6 +16,8 @@ from math import comb
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
+
+from p2pbackup.redundancy import loss_risk
 
 
 def matching_max_fragments(bits, owner, candidates, T):
@@ -170,6 +175,29 @@ def loop_ideal_seconds(row, need, slot_seconds):
                 return col * slot_seconds + (need - acc)
             acc += slot_seconds
     return float("inf")
+
+
+def holder_rule(o, d0, min_ttr, holders, k, thresholds):
+    """The adaptive stopping rule for an owner whose fragments sit on
+    holders, a list of (availability, uplink bytes/s) pairs, in plain
+    Python floats: (l, eTTR in seconds, complete).
+
+    l is thresholds.parallel, or min(k, max(1, floor(d0 / median uplink))),
+    1 with no holders.  eTTR is max(o / d0, o / (l * r)) with r the k-th
+    best a * u: inf when r is 0, nan below k holders.  The backup is
+    complete from k holders on, when eTTR is at most
+    max(ttr_floor_days in seconds, ttr_factor * min_ttr) and the loss risk
+    over w + eTTR is at most loss_cap.
+    """
+    uplinks = [u for _, u in holders]
+    l = thresholds.parallel or (min(k, max(1, int(d0 // statistics.median(uplinks)))) if uplinks else 1)
+    n = len(holders)
+    if n < k:
+        return l, math.nan, False
+    r = sorted(a * u for a, u in holders)[n - k]
+    ettr = math.inf if r == 0 else max(o / d0, o / (l * r))
+    cap = max(thresholds.ttr_floor_days * 86400.0, thresholds.ttr_factor * min_ttr)
+    return l, ettr, ettr <= cap and loss_risk(n, k, ettr, thresholds) <= thresholds.loss_cap
 
 
 def binomial_tail_ge(n, k, p: Fraction) -> Fraction:

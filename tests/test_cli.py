@@ -6,6 +6,7 @@ import json
 import math
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from p2pbackup import __version__, cli, trace
 from p2pbackup.sim import SimConfig
 
 import import_cost
-from conftest import make_matrix
+from conftest import make_matrix, tool_output
 
 
 def read_csv(path):
@@ -162,6 +163,23 @@ def test_simulate_rejects_an_infinite_slot_length(tmp_path, capsys):
     out = tmp_path / "o"
     assert cli.main(["simulate", "--matrix", str(matrix), "--out-dir", str(out)]) == 1
     assert "line 1: slot_seconds must be a positive finite number, got 1e999" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
+def test_trace_synth_rejects_a_horizon_too_large_for_a_float(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = cli.main(["trace-synth", "--peers", "3", "--slots", "6", "--slot-seconds", "1e308", "--out-dir", str(out)])
+    assert rc == 1
+    assert "slot_seconds = 1e+308 over 6 slots makes a horizon too large for a float" in capsys.readouterr().err
+    assert not (out / "trace.txt").exists()
+
+
+def test_simulate_rejects_a_horizon_too_large_for_a_float(tmp_path, capsys):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("peers=2 slots=2 slot_seconds=1e308\n11\n01\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--matrix", str(matrix), "--out-dir", str(out)]) == 1
+    assert "line 1: slot_seconds = 1e308 over 2 slots makes a horizon too large for a float" in capsys.readouterr().err
     assert not (out / "summary.csv").exists()
 
 
@@ -825,3 +843,21 @@ def test_import_cost_tool_loads_scipy_only_for_a_tail(monkeypatch, capsys):
         "cli.main trace-stats": "no", "cli.main sched-compare": "no", "cli.main plan": "yes",
         "cli.main simulate": "yes"}
     assert len(rows) == 7
+
+
+# -- line coverage ---------------------------------------------------------
+
+
+def test_line_coverage_tool_counts_every_module():
+    """tests/line_coverage.py, the lines of src/p2pbackup that no test ran,
+    traces two fast tests, collected from test_redundancy.py and
+    test_report.py only, and prints one unrun-of-executable count per
+    module of the package and their total."""
+    lines = tool_output("line_coverage.py", "-q", "-p", "no:cacheprovider", "--ignore-glob=*/test_[!r]*.py",
+                        "-k", "test_no_holders or test_fixed_n_full_availability_needs_no_redundancy")
+    assert "2 passed" in "\n".join(lines)
+    counts = [m for m in (re.fullmatch(r"  (\w+\.py): (\d+) of (\d+)(: [\d, -]+)?", line) for line in lines) if m]
+    assert [m[1] for m in counts] == sorted(path.name for path in Path(cli.__file__).parent.glob("*.py"))
+    unrun, total = sum(int(m[2]) for m in counts), sum(int(m[3]) for m in counts)
+    assert 0 < unrun < total
+    assert lines[-1] == f"  all: {total - unrun} of {total} lines run"

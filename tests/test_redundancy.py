@@ -101,64 +101,64 @@ def test_fixed_n_large_k_is_fast_and_stable():
     assert binom.sf(999, n - 1, 0.36) < 0.99
 
 
-# ----------------------------------------------------------------- estimate_ttr
+# ------------------------------------ kth_best_rate, median_parallel, rate_ettr
 
 def test_ettr_download_limited():
-    holders = [(0.5, 20.0)] * 3
-    assert red.estimate_ttr(100.0, 10.0, holders, k=3, parallel=2) == pytest.approx(10.0)
+    rate = red.kth_best_rate(np.full(3, 0.5), np.full(3, 20.0), 3)
+    assert rate == 10.0
+    assert red.rate_ettr(100.0, 10.0, rate, 2) == pytest.approx(10.0)
 
 
 def test_ettr_holder_limited():
-    holders = [(0.5, 20.0)] * 3
-    assert red.estimate_ttr(100.0, 100.0, holders, k=3, parallel=2) == pytest.approx(5.0)
+    rate = red.kth_best_rate(np.full(3, 0.5), np.full(3, 20.0), 3)
+    assert red.rate_ettr(100.0, 100.0, rate, 2) == pytest.approx(5.0)
 
 
 def test_ettr_uses_kth_best_expected_rate():
-    holders = [(1.0, 100.0), (0.5, 20.0), (0.1, 10.0)]  # products 100, 10, 1
-    assert red.estimate_ttr(100.0, 1e9, holders, k=2, parallel=1) == pytest.approx(10.0)
-    assert red.estimate_ttr(100.0, 1e9, holders, k=3, parallel=1) == pytest.approx(100.0)
+    avail, uplink = np.array([1.0, 0.5, 0.1]), np.array([100.0, 20.0, 10.0])  # products 100, 10, 1
+    rates = [red.kth_best_rate(avail, uplink, k) for k in (1, 2, 3)]
+    assert rates == [100.0, 10.0, 1.0]
+    assert all(type(rate) is float for rate in rates)
+    assert red.rate_ettr(100.0, 1e9, rates[1], 1) == pytest.approx(10.0)
+    assert red.rate_ettr(100.0, 1e9, rates[2], 1) == pytest.approx(100.0)
 
 
 def test_ettr_invariant_under_holder_order():
-    holders = [(1.0, 100.0), (0.5, 20.0), (0.1, 10.0), (0.9, 5.0)]
-    forward = red.estimate_ttr(50.0, 25.0, holders, k=3, parallel=2)
-    backward = red.estimate_ttr(50.0, 25.0, holders[::-1], k=3, parallel=2)
+    avail, uplink = np.array([1.0, 0.5, 0.1, 0.9]), np.array([100.0, 20.0, 10.0, 5.0])
+    forward = red.rate_ettr(50.0, 25.0, red.kth_best_rate(avail, uplink, 3), 2)
+    backward = red.rate_ettr(50.0, 25.0, red.kth_best_rate(avail[::-1], uplink[::-1], 3), 2)
     assert forward == backward
-
-
-def test_ettr_requires_k_holders():
-    with pytest.raises(red.InsufficientHoldersError):
-        red.estimate_ttr(100.0, 10.0, [(0.5, 10.0)], k=2)
+    assert red.median_parallel(25.0, uplink, 3) == red.median_parallel(25.0, uplink[::-1], 3)
 
 
 def test_no_holders():
-    with pytest.raises(red.InsufficientHoldersError, match="^0 holders < k=2$"):
-        red.estimate_ttr(100.0, 10.0, [], k=2)
-    assert red.default_parallel(100.0, [], 4) == 1
+    assert red.median_parallel(100.0, np.empty(0), 4) == 1
 
 
 def test_ettr_zero_rate_holder_is_infinite():
-    holders = [(0.0, 10.0), (0.0, 10.0)]
-    assert red.estimate_ttr(100.0, 10.0, holders, k=2, parallel=1) == math.inf
+    rate = red.kth_best_rate(np.zeros(2), np.full(2, 10.0), 2)
+    assert rate == 0.0
+    assert red.rate_ettr(100.0, 10.0, rate, 1) == math.inf
 
 
 def test_ettr_derived_parallelism_saturates_downlink():
-    assert red.default_parallel(100.0, [10.0, 20.0, 30.0], k=8) == 5  # 100 // 20
-    assert red.default_parallel(5.0, [10.0, 10.0], k=8) == 1
-    assert red.default_parallel(1e9, [10.0], k=4) == 4  # never above k
-    # estimate_ttr with parallel=None applies the same rule
-    holders = [(1.0, 20.0)] * 4
-    assert red.estimate_ttr(100.0, 100.0, holders, k=4) == pytest.approx(100.0 / (4 * 20.0))
+    assert red.median_parallel(100.0, np.array([10.0, 20.0, 30.0]), k=8) == 5  # 100 // 20
+    assert red.median_parallel(100.0, np.array([40.0, 10.0]), k=8) == 4  # 100 // 25, the middle two's mean
+    assert red.median_parallel(5.0, np.array([10.0, 10.0]), k=8) == 1
+    assert red.median_parallel(1e9, np.array([10.0]), k=4) == 4  # never above k
+    # the derived l in eTTR: four 20 B/s holders, l = min(4, 100 // 20)
+    uplink = np.full(4, 20.0)
+    l = red.median_parallel(100.0, uplink, 4)
+    assert red.rate_ettr(100.0, 100.0, red.kth_best_rate(np.ones(4), uplink, 4), l) == pytest.approx(100.0 / (4 * 20.0))
 
 
-def test_default_parallel_takes_numpy_median():
+def test_median_parallel_takes_numpy_median():
     rng = np.random.default_rng(17)
     for size in list(range(1, 41)) * 25:  # odd and even counts
         uplinks = rng.lognormal(np.log(77e3), 1.0, size)
         d0 = float(rng.lognormal(np.log(1e6), 1.0))
         expected = min(64, max(1, int(d0 // float(np.median(uplinks)))))
-        assert red.default_parallel(d0, uplinks, 64) == expected
-        assert red.default_parallel(d0, uplinks.tolist(), 64) == expected
+        assert red.median_parallel(d0, uplinks, 64) == expected
 
 
 @given(
@@ -168,10 +168,11 @@ def test_default_parallel_takes_numpy_median():
 @settings(max_examples=100)
 def test_ettr_never_rises_when_a_holder_speeds_up(holders, boost):
     k = 3
-    base = red.estimate_ttr(1e6, 1e3, holders, k, parallel=2)
-    a, u = holders[0]
-    faster = [(a, u * boost)] + holders[1:]
-    assert red.estimate_ttr(1e6, 1e3, faster, k, parallel=2) <= base
+    avail, uplink = (np.array(column) for column in zip(*holders))
+    base = red.rate_ettr(1e6, 1e3, red.kth_best_rate(avail, uplink, k), 2)
+    faster = uplink.copy()
+    faster[0] *= boost
+    assert red.rate_ettr(1e6, 1e3, red.kth_best_rate(avail, faster, k), 2) <= base
 
 
 # -------------------------------------------------------- data_loss_probability
@@ -254,71 +255,69 @@ def test_loss_risk_is_loss_over_w_plus_ettr(n, k, ettr, w_days, lifetime):
     assert risk == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
 
-# -------------------------------------------------------------- backup_complete
-
-GOOD_HOLDER = (0.9, 1e6)
-
+# --------------------------------------------------------------------- caps_met
 
 def thresholds(**kwargs):
     return red.AdaptiveThresholds(**{"parallel": 2, **kwargs})
 
 
+def uniform_ettr(o, d0, n, k, avail, uplink):
+    """eTTR of n holders that all have this availability and uplink, at
+    thresholds()' pinned l = 2."""
+    return red.rate_ettr(o, d0, red.kth_best_rate(np.full(n, avail), np.full(n, uplink), k), 2)
+
+
 def test_backup_not_complete_below_k():
-    assert not red.backup_complete(1e9, 1e9, 60.0, [GOOD_HOLDER] * 3, k=4, thresholds=thresholds())
+    # caps_met takes n >= k: the simulator answers every count below loss_floor
+    # without it, and that floor is k itself only once the loss rule cannot bind
+    assert red.loss_floor(4, 1.0, thresholds(loss_cap=1.0), ceiling=300) == 4
+    assert red.loss_floor(4, 1.0, thresholds(mean_lifetime_days=math.inf), ceiling=300) == 4
+    assert red.loss_floor(4, 1.0, thresholds(), ceiling=300) > 4
 
 
-def test_backup_complete_at_fixed_policy_operating_point():
+def test_caps_met_at_fixed_policy_operating_point():
     # 228 fast holders for k=64 clear both rules with orders of magnitude to spare.
-    holders = [(1.0, 1e9)] * 228
     o, d0 = 64 * 160 * 2**20, 1e9
-    assert red.backup_complete(o, d0, o / d0, holders, k=64, thresholds=thresholds())
+    assert red.caps_met(228, 64, uniform_ettr(o, d0, 228, 64, 1.0, 1e9), o / d0, thresholds())
     loss = red.data_loss_probability(228, 64, 14.0, 90.0)
     assert loss < 1e-4
 
 
 def test_backup_never_completes_with_dead_rate_holders():
-    holders = [(1e-9, 1e-9)] * 300
-    assert not red.backup_complete(1e9, 1e9, 60.0, holders, k=4, thresholds=thresholds())
+    ettr = uniform_ettr(1e9, 1e9, 300, 4, 1e-9, 1e-9)
+    assert not red.caps_met(300, 4, ettr, 60.0, thresholds())
 
 
 def test_backup_blocked_by_loss_cap_until_enough_holders():
     # Slow churn: with barely k holders the loss term fails, with many it passes.
     o, d0 = 1e6, 1e6
-    few = [GOOD_HOLDER] * 4
-    many = [GOOD_HOLDER] * 12
     th = thresholds(loss_cap=1e-4, w_days=14.0, mean_lifetime_days=90.0)
-    assert not red.backup_complete(o, d0, 1.0, few, k=4, thresholds=th)
-    assert red.backup_complete(o, d0, 1.0, many, k=4, thresholds=th)
+    assert not red.caps_met(4, 4, uniform_ettr(o, d0, 4, 4, 0.9, 1e6), 1.0, th)
+    assert red.caps_met(12, 4, uniform_ettr(o, d0, 12, 4, 0.9, 1e6), 1.0, th)
 
 
 def test_backup_blocked_by_ttr_rule():
     # Holders so slow that eTTR exceeds max(1 day, 2 * minTTR) while loss passes.
-    o = 1e9
-    holders = [(1.0, 1000.0)] * 40  # eTTR = 1e9 / (2 * 1000) s ~ 5.8 days
-    th = thresholds(loss_cap=1.0)
-    assert not red.backup_complete(o, 1e9, 60.0, holders, k=4, thresholds=th)
+    ettr = uniform_ettr(1e9, 1e9, 40, 4, 1.0, 1000.0)  # 1e9 / (2 * 1000) s ~ 5.8 days
+    assert not red.caps_met(40, 4, ettr, 60.0, thresholds(loss_cap=1.0))
     # a generous floor admits the same placement
-    assert red.backup_complete(o, 1e9, 60.0, holders, k=4, thresholds=thresholds(loss_cap=1.0, ttr_floor_days=30.0))
+    assert red.caps_met(40, 4, ettr, 60.0, thresholds(loss_cap=1.0, ttr_floor_days=30.0))
 
 
 def test_backup_ttr_cap_scales_with_min_ttr():
-    o = 1e9
-    holders = [(1.0, 1000.0)] * 40
-    ettr = red.estimate_ttr(o, 1e9, holders, 4, parallel=2)
+    ettr = uniform_ettr(1e9, 1e9, 40, 4, 1.0, 1000.0)
     th = thresholds(loss_cap=1.0)
-    assert red.backup_complete(o, 1e9, ettr / 2, holders, k=4, thresholds=th)
-    assert not red.backup_complete(o, 1e9, ettr / 2.01, holders, k=4, thresholds=th)
+    assert red.caps_met(40, 4, ettr, ettr / 2, th)
+    assert not red.caps_met(40, 4, ettr, ettr / 2.01, th)
 
 
 @given(st.integers(5, 40), st.integers(0, 10))
 @settings(max_examples=60)
-def test_backup_complete_monotone_with_pinned_parallelism(start, extra):
+def test_caps_met_monotone_with_pinned_parallelism(start, extra):
     th = thresholds()
-    o, d0 = 1e6, 1e6
-    base = [GOOD_HOLDER] * start
-    if red.backup_complete(o, d0, 1.0, base, k=5, thresholds=th):
-        grown = base + [GOOD_HOLDER] * extra
-        assert red.backup_complete(o, d0, 1.0, grown, k=5, thresholds=th)
+    if red.caps_met(start, 5, uniform_ettr(1e6, 1e6, start, 5, 0.9, 1e6), 1.0, th):
+        grown = start + extra
+        assert red.caps_met(grown, 5, uniform_ettr(1e6, 1e6, grown, 5, 0.9, 1e6), 1.0, th)
 
 
 def test_thresholds_validation():
@@ -335,15 +334,7 @@ def test_thresholds_validation():
 @pytest.mark.parametrize("call, args", [
     (red.data_loss_probability, (4, 2, math.nan, 90.0)),
     (red.data_loss_probability, (4, 2, 1.0, math.nan)),
-    (red.estimate_ttr, (math.nan, 1e6, [GOOD_HOLDER] * 4, 4)),
-    (red.estimate_ttr, (1e6, math.nan, [GOOD_HOLDER] * 4, 4, 2)),
     (red.data_loss_probability, (4, 2, math.inf, math.inf)),  # inf / inf would make a nan
-    (red.estimate_ttr, (1e9, 1e6, [(math.nan, 1e6)] * 3 + [GOOD_HOLDER], 2)),
-    (red.estimate_ttr, (1e9, 1e6, [(0.5, math.nan)] + [GOOD_HOLDER] * 3, 2)),
-    (red.default_parallel, (1e6, [1e5, math.nan, 2e5], 4)),
-    (red.default_parallel, (1e6, [math.nan, 1e5], 4)),
-    (red.default_parallel, (1e6, [0.0], 4)),
-    (red.default_parallel, (1e6, [-1e5, 2e5, 3e5], 4)),
     (red.data_loss_probability, (10**400, 2, 1.0, 90.0)),  # no float holds n
 ])
 def test_nan_inputs_are_rejected(call, args):

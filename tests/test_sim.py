@@ -13,11 +13,11 @@ from p2pbackup import report as rep
 from p2pbackup import sim as psim
 from p2pbackup import trace
 from p2pbackup import redundancy as red
-from p2pbackup.redundancy import backup_complete, default_parallel, estimate_ttr, loss_risk
+from p2pbackup.redundancy import loss_risk
 from p2pbackup.sim import SERVER, SimConfig, Simulation
 import differential
 from conftest import allocate_rows, allocation_digest, link_loads, make_matrix, recorded_allocations, tool_output
-from oracles import loop_ideal_seconds, maxmin_violations, two_class_reference
+from oracles import holder_rule, loop_ideal_seconds, maxmin_violations, two_class_reference
 
 KB100 = 100_000.0  # flat-CDF uplink, bytes/s
 SLOT = 3600.0
@@ -211,6 +211,7 @@ def test_config_file_runs_or_names_what_it_rejects(tmp_path):
     @example(["backup_parallelism = 1e20"])
     @example(["parallel_downloads = 1e20"])
     @example(["bandwidth_median_kbs = 1e308"])
+    @example(["bandwidth_median_kbs = 5e304", "bandwidth_sigma = 0"])
     @example(["redundancy_policy = fixed", "object_size = 1e20"])  # k = 1e14 passes the search's ceiling
     def check(lines):
         set_keys = {line.split("=", 1)[0].strip() for line in lines}
@@ -272,6 +273,22 @@ def test_bandwidth_rejects_an_uplink_draw_that_overflows(median, sigma):
     message = f"bandwidth_median_kbs = {median} and bandwidth_sigma = {sigma} draw an uplink too large for a float"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         psim.sample_bandwidth(config, 100, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("median", [4e304, 5e304])  # the slot budget overflows; at 5e304 the downlink too
+def test_a_slot_budget_too_large_for_a_float_names_the_median(median):
+    config = SimConfig(bandwidth_median_kbs=median, bandwidth_sigma=0.0)
+    message = f"bandwidth_median_kbs = {median} draws a downlink whose budget over a 3600-second slot is too large"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} for a float$"):
+        Simulation(config, make_matrix(["11", "11"]))
+
+
+def test_a_slot_budget_too_large_for_a_float_names_the_file(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("0.0,1e5\n1.0,1e308\n")
+    config = SimConfig(bandwidth_source="file", bandwidth_file=str(path))
+    with pytest.raises(ValueError, match=f"^bandwidth_file = {re.escape(str(path))} draws a downlink whose budget"):
+        Simulation(config, make_matrix(["11"] * 4))
 
 
 def test_bandwidth_degenerate_cdf(flat_cdf_file):
@@ -1637,7 +1654,7 @@ def test_adaptive_no_churn_stops_at_k(flat_cdf_file):
 @pytest.mark.parametrize("parallel_downloads", [0, 2])
 def test_cached_stopping_rule_matches_uncached(spread_cdf_file, parallel_downloads):
     # PublicRuleSimulation checks each decision, kept or not, against a fresh
-    # backup_complete; this run keeps some and sees a holder loss reopen one.
+    # holder_rule; this run keeps some and sees a holder loss reopen one.
     # With w_days=0 about half the decisions are above the loss floor, and
     # some of those are asked again before the owner's placements change.
     config = cfg(
@@ -1724,16 +1741,16 @@ def test_loss_floor_stops_at_its_ceiling():
 
 class PublicRuleSimulation(Simulation):
     """Checks the simulator's stopping rule, eTTR, risk test and restore
-    parallelism against backup_complete, estimate_ttr, loss_risk and
-    default_parallel on the owner's (availability, uplink) profiles, bit for
-    bit, and records in seen which cases the run reached: every stopping and
-    risk decision, and the owner's eTTR at each, whether or not the
-    simulator needed that eTTR to decide.  A stopping decision is answered
-    from the kept one, evaluated by caps_met, or answered below the floor,
-    as seen by counting the simulator's caps_met calls; one that turns from
-    complete back to incomplete after a holder loss is reopened.  decisions
-    counts the stopping decisions above the floor, evaluations the caps_met
-    calls among them."""
+    parallelism against oracles.holder_rule and loss_risk on the owner's
+    (availability, uplink) profiles, bit for bit, and records in seen which
+    cases the run reached: every stopping and risk decision, and the owner's
+    eTTR at each, whether or not the simulator needed that eTTR to decide.
+    A stopping decision is answered from the kept one, evaluated by
+    caps_met, or answered below the floor, as seen by counting the
+    simulator's caps_met calls; one that turns from complete back to
+    incomplete after a holder loss is reopened.  decisions counts the
+    stopping decisions above the floor, evaluations the caps_met calls
+    among them."""
 
     def __init__(self, config, matrix):
         super().__init__(config, matrix)
@@ -1745,6 +1762,10 @@ class PublicRuleSimulation(Simulation):
     def _profiles(self, owner):
         return [(self.avail.item(h), self.uplink.item(h)) for h in sorted(placements_of(self, owner).values())]
 
+    def _rule(self, owner, profiles):
+        return holder_rule(self.o, self.downlink.item(owner), self.min_ttr.item(owner), profiles, self.k,
+                           self.thresholds)
+
     def _needs_fragments(self, owner):
         kept = self.needs.item(owner) >= 0
         calls, caps_met = [], psim.caps_met
@@ -1755,8 +1776,7 @@ class PublicRuleSimulation(Simulation):
             psim.caps_met = caps_met
         if self.config.redundancy_policy == psim.ADAPTIVE:
             self._ettr(owner)
-            assert needs == (not backup_complete(self.o, self.downlink.item(owner), self.min_ttr.item(owner),
-                                                 self._profiles(owner), self.k, self.thresholds))
+            assert needs == (not self._rule(owner, self._profiles(owner))[2])
             holders = frozenset(placements_of(self, owner).values())
             below = self._below_floor(len(holders))
             assert len(calls) == (not kept and not below)  # only an unkept decision above the floor is evaluated
@@ -1775,7 +1795,7 @@ class PublicRuleSimulation(Simulation):
         if len(profiles) < self.k:
             assert math.isnan(ettr)
             return ettr
-        expected = estimate_ttr(self.o, self.downlink.item(owner), profiles, self.k, self.thresholds.parallel)
+        expected = self._rule(owner, profiles)[1]
         assert type(ettr) is float and ettr.hex() == expected.hex()
         rates, uplinks = [a * u for a, u in profiles], [u for _, u in profiles]
         self.seen.add(("even" if len(profiles) % 2 == 0 else "odd") + " holders")
@@ -1796,10 +1816,9 @@ class PublicRuleSimulation(Simulation):
 
     def _parallel(self, owner, uplink):
         parallel = super()._parallel(owner, uplink)
-        holders = [u for _, u in self._profiles(owner)]
-        assert sorted(uplink.tolist()) == sorted(holders)
-        expected = self.thresholds.parallel or default_parallel(self.downlink.item(owner), holders, self.k)
-        assert type(parallel) is int and parallel == expected
+        profiles = self._profiles(owner)
+        assert sorted(uplink.tolist()) == sorted(u for _, u in profiles)
+        assert type(parallel) is int and parallel == self._rule(owner, profiles)[0]
         self.seen.add(("pinned" if self.thresholds.parallel else "derived") + (" restore" if self.restoring else "")
                       + " l")
         return parallel
@@ -1851,6 +1870,9 @@ def tied_cdf_file(tmp_path_factory):
     response=st.sampled_from(["immediate", "delayed", "delayed_assisted"]),
     seed=st.integers(0, 2**16),
 )
+# derived l over a spread table, where the mean of the two middle uplinks of an even holder count decides l
+@example(peers=8, slots=48, k=2, cdf="spread", zeroed=0, tie_avail=False, parallel=0, loss_cap=1e-2,
+         ttr_floor_days=0.0, ttr_factor=2.0, w_days=1.0, lifetime=5.0, response="immediate", seed=0)
 @settings(max_examples=60, deadline=None)
 def test_simulator_rule_is_the_public_rule(flat_cdf_file, tied_cdf_file, spread_cdf_file, peers, slots, k, cdf,
                                            zeroed, tie_avail, parallel, loss_cap, ttr_floor_days, ttr_factor,
@@ -1877,8 +1899,8 @@ def test_public_rule_check_reaches_every_case(flat_cdf_file, tied_cdf_file, spre
 
 
 def test_holder_statistics_need_no_range_checks(tmp_path):
-    # _ettr reads avail and uplink without estimate_ttr's range checks; these
-    # are the reasons it need not run them
+    # _ettr reads avail and uplink with no range checks; these are the
+    # reasons it need not run them
     zeros = tmp_path / "zeros.csv"
     zeros.write_text("0.0,0\n1.0,0\n")
     config = cfg(str(zeros), redundancy_policy="adaptive", mean_lifetime_days=2.0, seed=2)
@@ -1888,7 +1910,7 @@ def test_holder_statistics_need_no_range_checks(tmp_path):
     assert s.uplink.min() >= 1e-6
     assert s.avail.tolist() == [0.0, 1.0] + [0.5] * 4  # row means of the bits, in [0, 1]
     # on clamped uplinks and a zero availability, the simulator's rule still
-    # passes the public functions' checks and agrees with them
+    # agrees with the oracle
     place(s, 2, [0, 1, 3, 4, 5])
     assert s._needs_fragments(2) and math.isfinite(s._ettr(2)) and s._at_risk(2)
     assert s.seen >= {"odd holders", "zero-availability holder", "derived l", "risk test"}

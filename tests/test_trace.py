@@ -345,6 +345,21 @@ def test_slot_length_must_be_positive_and_finite(slot_seconds):
         trace.synth_trace(2, 4, slot_seconds=slot_seconds, seed=0)
 
 
+def test_a_horizon_too_large_for_a_float_is_rejected():
+    message = f"^{re.escape('slot_seconds = 1e+308 over 2 slots makes a horizon too large for a float')}$"
+    with pytest.raises(ValueError, match=message):
+        trace.synth_trace(3, 2, availability=(0.9, 0.9), slot_seconds=1e308)
+    with pytest.raises(ValueError, match=message):
+        trace.AvailabilityMatrix(bits=np.ones((3, 2), dtype=np.uint8), slot_seconds=1e308)
+    events, _ = trace.parse_events(session("p1", 0, 3600))
+    with pytest.raises(ValueError, match=message):
+        trace.slotize(events, slot_seconds=1e308, num_slots=2)
+    events, _ = trace.parse_events(session("p1", 0, 1.5e308))
+    with pytest.raises(ValueError, match=message):  # two slots inferred from the last event
+        trace.slotize(events, slot_seconds=1e308)
+    assert trace.AvailabilityMatrix(bits=np.ones((3, 1), dtype=np.uint8), slot_seconds=1e308).num_slots == 1
+
+
 @pytest.mark.parametrize("bits", [
     [[1, 1], [2, 2], [0, 0]],  # sched's flow network read the 2s as offline, its checks as online
     [[1, -1]],  # a cast to uint8 wraps -1 to 255
@@ -541,6 +556,15 @@ def test_read_matrix_rejects_a_bad_slot_length_on_line_1(tmp_path, text):
     path = tmp_path / "m.txt"
     path.write_text(f"peers=1 slots=2 slot_seconds={text}\n10\n")
     with pytest.raises(trace.TraceFormatError, match=f"line 1: slot_seconds must be .* got {text}"):
+        trace.read_matrix_file(path)
+
+
+@pytest.mark.parametrize("slots, seconds", [(2, "1e308"), (10**400, "3600")], ids=["long slots", "many slots"])
+def test_read_matrix_rejects_a_horizon_too_large_for_a_float_on_line_1(tmp_path, slots, seconds):
+    path = tmp_path / "m.txt"
+    path.write_text(f"peers=2 slots={slots} slot_seconds={seconds}\n11\n01\n")
+    message = f"^line 1: slot_seconds = {seconds} over {slots} slots makes a horizon too large for a float$"
+    with pytest.raises(trace.TraceFormatError, match=message):
         trace.read_matrix_file(path)
 
 

@@ -5,10 +5,16 @@ fixed policy solves a binomial availability target for a system-wide n.  The
 adaptive policy instead stops uploading once two per-peer estimates pass: the
 estimated time to restore (eTTR) and the probability of losing data while the
 owner is away (exponential peer lifetimes, at least n - k + 1 holder crashes).
-Both binomial tails are one private helper, _binom_sf, which evaluates the
-regularized incomplete beta function directly (scipy.special.betainc).  It
-imports scipy.special at the first tail it evaluates, not at import, so a
-process that only schedules or reads traces never loads scipy.
+A tail's value is one private helper, _binom_sf, which evaluates the
+regularized incomplete beta function directly (scipy.special.betainc) and
+imports scipy.special at its first call.  Only data_loss_probability and
+loss_risk, which return a tail, call it on every use.  The policies only ask
+which side of a bound a tail falls on (fixed_redundancy_n's target,
+within_loss_cap and loss_floor); _tail_at_most answers that from a short sum
+of pmf terms (_tail_sum) in plain Python, with the same answer as
+_binom_sf, and asks _binom_sf only on a close call.  So a simulation, or a
+plan of n, loads scipy only at such a call, which no run of the benchmark
+catalogue makes.
 
 The eTTR formula and the stopping and risk tests are written once, over the
 holders' order statistics: their count n, the k-th best expected rate
@@ -30,6 +36,9 @@ import numpy as np
 SECONDS_PER_DAY = 86400.0
 _TAIL_ATOL = 1e-12  # fixed_redundancy_n's allowance for the tail's last-digit noise
 _FLOOR_RTOL = 1e-6  # loss_floor's allowance for the loss tail's noise as eTTR grows
+_MAX_TERMS = 256  # the most pmf terms _tail_sum adds; a tail with no side this short asks _binom_sf
+_DECIDE_RTOL = 1e-6  # _tail_at_most's band around a bound, relative to it, in which _binom_sf decides
+_MIN_BOUND = 1e-200  # below it _binom_sf decides: betainc's own tails go wrong from about 1e-242 down
 
 
 class SearchCeilingError(ValueError):
@@ -73,7 +82,8 @@ def _binom_sf(j: int, n: int, p: float) -> float:
     """P[X > j] for X ~ Binomial(n, p): 1.0 below j = 0, 0.0 from j = n, and
     betainc(j + 1, n - j, p) between: bit for bit scipy's binom.sf, at a
     small fraction of its per-call cost.  scipy.special is imported here,
-    once per process, at the first tail that needs it."""
+    once per process, at the first call with 0 <= j < n: a tail value, or a
+    comparison that _tail_at_most cannot decide from its sum."""
     if j < 0:
         return 1.0
     if j >= n:
@@ -83,6 +93,72 @@ def _binom_sf(j: int, n: int, p: float) -> float:
     return float(betainc(j + 1, n - j, p))
 
 
+def _tail_sum(j: int, n: int, p: float) -> tuple[float, float] | None:
+    """P[X > j] for X ~ Binomial(n, p), 0 <= j < n and 0 < p < 1, summed
+    from pmf terms, with an absolute error allowance: (sum, allowance).
+    None when neither side of the tail has at most _MAX_TERMS terms, or
+    when the anchor's error alone could pass _DECIDE_RTOL.
+
+    The upper side, terms j + 1 .. n, is summed whenever it is that short,
+    so the sum stays accurate relative to the tail at any magnitude;
+    otherwise the tail is 1 minus the lower side, terms 0 .. j, and the
+    allowance adds an epsilon for the cancellation.  The side is anchored
+    at its largest term, the binomial's mode clamped into it, as exp of its
+    log from lgamma; the other terms follow outwards by the pmf's term
+    ratio, so none overflows and each carries a few roundings per step.
+    An anchor that underflows is off by at most 2**-1074 per term, far
+    inside the band of any bound from _MIN_BOUND up.
+    """
+    upper = n - j <= _MAX_TERMS
+    if upper:
+        lo, hi = j + 1, n
+    elif j < _MAX_TERMS:
+        lo, hi = 0, j
+    else:
+        return None
+    mode = min(max(int((n + 1) * p), lo), hi)
+    logs = (math.lgamma(n + 1), -math.lgamma(mode + 1), -math.lgamma(n - mode + 1),
+            mode * math.log(p), (n - mode) * math.log1p(-p))
+    # lgamma, log and log1p err by under 2 ulps of their magnitude, each step
+    # of the recurrence by under 3 epsilons, and each addition by half of one
+    rel = sys.float_info.epsilon * (4 * sum(map(abs, logs)) + 8 * (hi - lo) + 16)
+    if rel > _DECIDE_RTOL:
+        return None
+    odds = p / (1 - p)
+    total = term = 1.0
+    for i in range(mode, hi):  # up from the anchor: t[i + 1] = t[i] (n - i) / (i + 1) p / (1 - p)
+        term *= (n - i) / (i + 1) * odds
+        total += term
+    term = 1.0
+    for i in range(mode, lo, -1):  # and down from it
+        term *= i / ((n - i + 1) * odds)
+        total += term
+    side = math.exp(sum(logs)) * total
+    if upper:
+        return side, rel * side
+    return 1.0 - side, rel * side + sys.float_info.epsilon
+
+
+def _tail_at_most(j: int, n: int, p: float, bound: float) -> bool:
+    """_binom_sf(j, n, p) <= bound, without scipy unless it is a close call.
+
+    _tail_sum decides when its sum lies further from the bound than
+    _DECIDE_RTOL * bound plus the sum's allowance; scipy's own error (about
+    1e-13 of the tail here) lies far inside that band, so the answer is
+    _binom_sf's.  _binom_sf decides a close call, p of 0 or 1, an n that is
+    not an exact float, a bound below _MIN_BOUND (where betainc itself may
+    return 0 for a tail near 1e-245) and a tail _tail_sum does not sum;
+    below j = 0 and from j = n it needs no scipy either.
+    """
+    if 0 <= j < n < 2**53 and 0 < p < 1 and bound >= _MIN_BOUND:
+        estimate = _tail_sum(j, n, p)
+        if estimate is not None:
+            tail, allowance = estimate
+            if abs(tail - bound) > _DECIDE_RTOL * bound + allowance:
+                return tail < bound
+    return _binom_sf(j, n, p) <= bound
+
+
 def fixed_redundancy_n(k: int, a: float, target: float, ceiling: int = 100_000) -> int:
     """Minimal n >= k whose binomial availability tail meets the target.
 
@@ -90,8 +166,8 @@ def fixed_redundancy_n(k: int, a: float, target: float, ceiling: int = 100_000) 
     probability that at least k of n fragments sit on currently-online peers.
     The tail is _binom_sf(k - 1, n, a), a regularized incomplete beta
     function, stable far beyond n = 10^4; the comparison allows _TAIL_ATOL of
-    last-digit noise.  The tail is nondecreasing in n, so one bisection
-    over [k, ceiling] finds the first n that passes.
+    last-digit noise, and _tail_at_most makes it.  The tail is nondecreasing
+    in n, so one bisection over [k, ceiling] finds the first n that passes.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -102,8 +178,11 @@ def fixed_redundancy_n(k: int, a: float, target: float, ceiling: int = 100_000) 
     if ceiling < k:
         raise SearchCeilingError(f"ceiling {ceiling} is below k={k}")
 
+    # tail >= target - _TAIL_ATOL, as "not tail <= the float just below it"
+    below = math.nextafter(target - _TAIL_ATOL, -math.inf)
+
     def passes(n: int) -> bool:
-        return _binom_sf(k - 1, n, a) >= target - _TAIL_ATOL
+        return not _tail_at_most(k - 1, n, a, below)
 
     n = k + bisect.bisect_left(range(k, ceiling + 1), True, key=passes)
     if n > ceiling:
@@ -147,6 +226,13 @@ def data_loss_probability(n: int, k: int, t_elapsed: float, mean_lifetime: float
     share a unit.  The tail is _binom_sf(n - k, n, q), stable for any n used
     here (incomplete-beta evaluation).
     """
+    return _binom_sf(n - k, n, _crash_probability(n, k, t_elapsed, mean_lifetime))
+
+
+def _crash_probability(n: int, k: int, t_elapsed: float, mean_lifetime: float) -> float:
+    """q = 1 - exp(-t_elapsed / mean_lifetime), once n, k, t_elapsed and
+    mean_lifetime pass data_loss_probability's checks; the loss tests
+    share it, so a bad argument raises the same error there."""
     if k < 1 or n < k:
         raise ValueError("need n >= k >= 1")
     if n > sys.float_info.max:  # the tail takes n - k + 1 and k as floats
@@ -157,8 +243,7 @@ def data_loss_probability(n: int, k: int, t_elapsed: float, mean_lifetime: float
         raise ValueError("mean_lifetime must be positive")
     if math.isinf(t_elapsed) and math.isinf(mean_lifetime):
         raise ValueError("t_elapsed and mean_lifetime cannot both be infinite")
-    q = -math.expm1(-t_elapsed / mean_lifetime)
-    return _binom_sf(n - k, n, q)
+    return -math.expm1(-t_elapsed / mean_lifetime)
 
 
 def loss_risk(n: int, k: int, ettr_seconds: float, thresholds: AdaptiveThresholds) -> float:
@@ -170,10 +255,19 @@ def loss_risk(n: int, k: int, ettr_seconds: float, thresholds: AdaptiveThreshold
     return data_loss_probability(n, k, t_days, thresholds.mean_lifetime_days)
 
 
+def _risk_at_most(n: int, k: int, ettr_seconds: float, thresholds: AdaptiveThresholds, cap: float) -> bool:
+    """loss_risk(n, k, ettr_seconds, thresholds) <= cap, decided by
+    _tail_at_most."""
+    if math.isinf(ettr_seconds):
+        return 1.0 <= cap
+    t_days = thresholds.w_days + ettr_seconds / SECONDS_PER_DAY
+    return _tail_at_most(n - k, n, _crash_probability(n, k, t_days, thresholds.mean_lifetime_days), cap)
+
+
 def within_loss_cap(n: int, k: int, ettr_seconds: float, thresholds: AdaptiveThresholds) -> bool:
     """The risk test: the loss probability over w + eTTR with n holders is at
     most loss_cap."""
-    return loss_risk(n, k, ettr_seconds, thresholds) <= thresholds.loss_cap
+    return _risk_at_most(n, k, ettr_seconds, thresholds, thresholds.loss_cap)
 
 
 def loss_floor(k: int, min_ettr_seconds: float, thresholds: AdaptiveThresholds, ceiling: int) -> int:
@@ -191,7 +285,7 @@ def loss_floor(k: int, min_ettr_seconds: float, thresholds: AdaptiveThresholds, 
     cap = thresholds.loss_cap * (1 + _FLOOR_RTOL)
 
     def passes(n: int) -> bool:
-        return loss_risk(n, k, min_ettr_seconds, thresholds) <= cap
+        return _risk_at_most(n, k, min_ettr_seconds, thresholds, cap)
 
     return k + bisect.bisect_left(range(k, ceiling), True, key=passes)
 

@@ -831,18 +831,23 @@ def test_main_writes_the_manifest_of_a_command_that_succeeds(tmp_path, flat_cdf_
 
 def test_import_cost_tool_loads_scipy_only_for_a_tail(monkeypatch, capsys):
     """tests/import_cost.py, the cold start of each subcommand, runs every
-    case once and finds scipy loaded only by the cases that evaluate a
-    binomial tail."""
+    case once and finds scipy loaded only by plan --loss, the one case that
+    prints a binomial tail's value; plan of n and simulate compare tails
+    with bounds without it.  Its last line is JSON with the same rows."""
     monkeypatch.setattr(import_cost, "REPEATS", 1)
     assert import_cost.main() == 0
     lines = capsys.readouterr().out.splitlines()
-    rows = [re.fullmatch(r"(.+?) +\d+\.\d{3} s  scipy loaded: (\w+)", line) for line in lines[1:]]
+    rows = [re.fullmatch(r"(.+?) +(\d+\.\d{3}) s  scipy loaded: (\w+)", line) for line in lines[1:-1]]
     assert all(rows), lines
-    assert {row[1]: row[2] for row in rows} == {
+    assert {row[1]: row[3] for row in rows} == {
         "import p2pbackup": "no", "import p2pbackup.cli": "no", "cli.main trace-synth": "no",
-        "cli.main trace-stats": "no", "cli.main sched-compare": "no", "cli.main plan": "yes",
-        "cli.main simulate": "yes"}
-    assert len(rows) == 7
+        "cli.main trace-stats": "no", "cli.main sched-compare": "no", "cli.main plan": "no",
+        "cli.main plan --loss": "yes", "cli.main simulate": "no"}
+    assert len(rows) == 8
+    summary = json.loads(lines[-1])
+    assert summary["repeats"] == 1
+    assert {name: (f"{case['median_s']:.3f}", case["scipy_loaded"]) for name, case in summary["cases"].items()} == {
+        row[1]: (row[2], row[3]) for row in rows}
 
 
 # -- line coverage ---------------------------------------------------------

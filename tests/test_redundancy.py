@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betaincinv
 from scipy.stats import binom
 
 from p2pbackup import redundancy as red
@@ -370,6 +372,123 @@ def test_binom_sf_is_scipy_binom_sf_bit_for_bit():
         assert red._binom_sf(j, n, p) == float(binom.sf(j, n, p)), (j, n, p)
 
 
+# ---------------------------------------------------- _tail_sum, _tail_at_most
+
+# p in (0, 1) as the simulator meets it: anywhere, down to 1e-307, and up to
+# 1e-16 short of 1 (which rounds to 1.0, where _binom_sf decides)
+probabilities = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.builds(lambda m, e: m * 10.0 ** -e, st.floats(1.0, 9.99), st.integers(1, 307)),
+    st.builds(lambda m, e: 1.0 - m * 10.0 ** -e, st.floats(1.0, 9.99), st.integers(1, 16)),
+)
+
+
+@st.composite
+def tail_queries(draw):
+    """(j, n, p) as the comparisons ask them: the loss tail (j = n - k, up
+    to 300 spare holders), fixed_redundancy_n's availability tail (j = k - 1,
+    n up to its default ceiling), loss tails of 1e-250 or below, and loss
+    tails near 1e-9 with fewer than k - 1 spare holders, whose lower side is
+    the shorter."""
+    k = draw(st.integers(1, 128))
+    stratum = draw(st.sampled_from(["loss", "fixed", "tiny", "near 1e-9"]))
+    if stratum == "fixed":
+        n = draw(st.one_of(st.integers(k, k + 600), st.integers(k, 100_000)))
+        return k - 1, n, draw(probabilities)
+    if stratum == "near 1e-9":
+        n = draw(st.integers(k, max(k, 2 * k - 2)))
+        return n - k, n, float(betaincinv(n - k + 1, k, 1e-9))
+    n = draw(st.integers(k, k + 300))
+    if stratum == "loss":
+        return n - k, n, draw(probabilities)
+    # at most 2**n p**(n - k + 1) with p below 10**(1 - e): below 1e-250 for n <= k + 100
+    n = min(n, k + 100)
+    e = draw(st.integers(1 + math.ceil(300 / (n - k + 1)), 307))
+    return n - k, n, draw(st.floats(1.0, 9.99)) * 10.0 ** -e
+
+
+def bounds_around(tail):
+    """The tail itself and its float neighbours, the tail times (1 +- 1e-9),
+    (1 +- 1e-5) and (1 +- 1e-2), and bounds far from it."""
+    near = [tail * (1 + sign * r) for r in (1e-9, 1e-5, 1e-2) for sign in (-1, 1)]
+    return [tail, math.nextafter(tail, 0.0), math.nextafter(tail, 1.0), *near,
+            tail * 1e3, tail * 1e-3, 1.0, 0.5, 1e-4, 1e-9, 1e-300, 1e-310, 0.0]
+
+
+@given(tail_queries())
+@settings(max_examples=400, deadline=None)
+def test_tail_at_most_answers_as_binom_sf(query):
+    """_tail_at_most(j, n, p, bound) is _binom_sf(j, n, p) <= bound, at the
+    tail itself, next to it and far from it, for tiny tails, for p near 0
+    and near 1, and where the lower side of a tail near 1e-9 is the
+    shorter."""
+    j, n, p = query
+    tail = red._binom_sf(j, n, p)
+    for bound in bounds_around(tail):
+        assert red._tail_at_most(j, n, p, bound) == (tail <= bound), (j, n, p, bound)
+
+
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(st.integers(0, n - 1), st.just(n))),
+       probabilities.filter(lambda p: p < 1.0))
+@settings(max_examples=200, deadline=None)
+def test_tail_sum_matches_exact_rationals(jn, p):
+    """For n <= 60 the sum of the upper side is within 1e-12 of the exact
+    tail, relative, and within its own allowance; a tail below the normal
+    floats may be off by 2**-1074 per term."""
+    j, n = jn
+    tail, allowance = red._tail_sum(j, n, p)
+    exact = binomial_tail_ge(n, j + 1, Fraction(p))
+    error = abs(Fraction(tail) - exact)
+    underflow = Fraction(n + 1, 2**1074)
+    assert error <= exact * Fraction(1, 10**12) + underflow, (j, n, p)
+    assert error <= Fraction(allowance) + underflow, (j, n, p)
+
+
+@given(st.integers(0, 255), st.integers(257, 600), st.floats(0.001, 0.999), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_tail_sum_stays_within_its_allowance_on_the_lower_side(j, extra, p, at_mean):
+    """With more than _MAX_TERMS upper terms the tail is 1 minus the lower
+    side, within its allowance of the exact tail, an epsilon of the
+    cancellation included."""
+    n = j + extra
+    if at_mean:  # a tail neither near 0 nor near 1
+        p = (j + 1) / n * (0.5 + p)
+    tail, allowance = red._tail_sum(j, n, p)
+    # the lower side in integers, p = num / den: sum of C(n, i) num**i (den - num)**(n - i), by Horner
+    num, den = p.as_integer_ratio()
+    acc, power = 0, 1
+    for i in range(j + 1):
+        acc, power = acc * (den - num) + comb(n, i) * power, power * num
+    exact = 1 - Fraction(acc * (den - num) ** (n - j), den**n)
+    assert abs(Fraction(tail) - exact) <= Fraction(allowance), (j, n, p)
+
+
+def test_tail_at_most_asks_binom_sf_only_when_the_sum_cannot_decide(monkeypatch):
+    """The sum decides unless the tail lies within _DECIDE_RTOL of the bound
+    (plus the sum's allowance); _binom_sf decides that close call, p of 0
+    or 1, an n of 2**53 or more, a bound below _MIN_BOUND, a tail with no
+    side of _MAX_TERMS terms or fewer, and one whose anchor carries
+    lgamma's error at n = 10**9.  The answer is _binom_sf's each time."""
+    binom_sf, asked = red._binom_sf, []
+    monkeypatch.setattr(red, "_binom_sf", lambda j, n, p: asked.append((j, n, p)) or binom_sf(j, n, p))
+
+    def asks(j, n, p, bound):
+        asked.clear()
+        assert red._tail_at_most(j, n, p, bound) == (binom_sf(j, n, p) <= bound)
+        return len(asked)
+
+    tail = binom_sf(36, 100, 0.144)  # k = 64, one holder in seven crashing in the window
+    for r in (1e-5, 1e-2, 10.0):
+        assert asks(36, 100, 0.144, tail * (1 + r)) == asks(36, 100, 0.144, tail / (1 + r)) == 0
+    for r in (0.0, 1e-9, 1e-7):
+        assert asks(36, 100, 0.144, tail * (1 + r)) == asks(36, 100, 0.144, tail / (1 + r)) == 1
+    assert asks(3, 10, 0.0, 0.5) == asks(3, 10, 1.0, 0.5) == 1
+    assert asks(2**53 - 1, 2**53, 0.5, 0.5) == 1
+    assert asks(36, 100, 0.144, 1e-201) == 1
+    assert asks(1000, 2000, 0.5, 0.5) == 1
+    assert asks(10**9 - 5, 10**9, 0.5, 0.5) == 1
+
+
 def test_scipy_loads_only_at_the_first_binomial_tail(tmp_path):
     """Importing the package and its CLI loads no scipy module, and neither
     do trace-synth, trace-stats and sched-compare runs, which evaluate no
@@ -403,3 +522,37 @@ print("probe", 'scipy.special' in sys.modules)
     assert package == str([f"p2pbackup.{name}" for name in ("redundancy", "sched", "sim", "trace")])
     assert scipy_modules == ["[]"] * 5
     assert tail_loads == "True"
+
+
+def test_simulations_decide_every_tail_comparison_without_scipy():
+    """Fixed and adaptive runs, immediate and delayed_assisted, at 30 peers
+    x 96 slots and k = 8, with crashes, restores and losses, make their
+    tail comparisons through _tail_at_most and leave scipy.special
+    unloaded."""
+    src = Path(red.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = """
+import sys
+from p2pbackup import redundancy, sim, trace
+calls = []
+at_most = redundancy._tail_at_most
+redundancy._tail_at_most = lambda *args: calls.append(args) or at_most(*args)
+matrix = trace.synth_trace(30, 96, seed=5)
+for policy in ("fixed", "adaptive"):
+    for response in ("immediate", "delayed_assisted"):
+        calls.clear()
+        config = sim.SimConfig(object_size=8 * 2**20, fragment_size=2**20, storage_quota=40 * 2**20,
+                               mean_lifetime_days=3.0, w_days=1.0, delay_mean_days=0.5,
+                               repair_timeout_days=0.5, redundancy_policy=policy, response=response, seed=3)
+        result = sim.Simulation(config, matrix).run()
+        print(len(calls), sorted({c.outcome for c in result.crashes}))
+print("scipy.special" in sys.modules)
+"""
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=120, check=True)
+    *runs, scipy_loaded = result.stdout.splitlines()
+    assert len(runs) == 4
+    for run in runs:
+        calls, outcomes = run.split(" ", 1)
+        assert int(calls) > 0 and "restored" in outcomes and "lost" in outcomes, run
+    assert scipy_loaded == "False"

@@ -6,7 +6,8 @@ adaptive policy instead stops uploading once two per-peer estimates pass: the
 estimated time to restore (eTTR) and the probability of losing data while the
 owner is away (exponential peer lifetimes, at least n - k + 1 holder crashes).
 A tail's value is one private helper, _binom_sf, which evaluates the
-regularized incomplete beta function directly (scipy.special.betainc) and
+regularized incomplete beta function directly (scipy.special.betainc), or
+for a tail below 1e-200 that betainc gets wrong a short pmf sum, and
 imports scipy.special at its first call.  Only data_loss_probability and
 loss_risk, which return a tail, call it on every use.  The policies only ask
 which side of a bound a tail falls on (fixed_redundancy_n's target,
@@ -38,7 +39,7 @@ _TAIL_ATOL = 1e-12  # fixed_redundancy_n's allowance for the tail's last-digit n
 _FLOOR_RTOL = 1e-6  # loss_floor's allowance for the loss tail's noise as eTTR grows
 _MAX_TERMS = 256  # the most pmf terms _tail_sum adds; a tail with no side this short asks _binom_sf
 _DECIDE_RTOL = 1e-6  # _tail_at_most's band around a bound, relative to it, in which _binom_sf decides
-_MIN_BOUND = 1e-200  # below it _binom_sf decides: betainc's own tails go wrong from about 1e-242 down
+_MIN_BOUND = 1e-200  # below it _binom_sf decides, checking betainc (wrong from about 1e-242 down) by _tail_sum
 
 
 class SearchCeilingError(ValueError):
@@ -81,8 +82,12 @@ class AdaptiveThresholds:
 def _binom_sf(j: int, n: int, p: float) -> float:
     """P[X > j] for X ~ Binomial(n, p): 1.0 below j = 0, 0.0 from j = n, and
     betainc(j + 1, n - j, p) between: bit for bit scipy's binom.sf, at a
-    small fraction of its per-call cost.  scipy.special is imported here,
-    once per process, at the first call with 0 <= j < n: a tail value, or a
+    small fraction of its per-call cost, wherever that value is at least
+    _MIN_BOUND.  Below it betainc may underflow to 0 or lose every digit
+    (from about 1e-242 down), so where _tail_sum sums the upper side and
+    betainc's value lies outside the sum's allowance, the sum is the value,
+    accurate relative to the tail.  scipy.special is imported here, once per
+    process, at the first call with 0 <= j < n: a tail value, or a
     comparison that _tail_at_most cannot decide from its sum."""
     if j < 0:
         return 1.0
@@ -90,7 +95,12 @@ def _binom_sf(j: int, n: int, p: float) -> float:
         return 0.0
     from scipy.special import betainc
 
-    return float(betainc(j + 1, n - j, p))
+    value = float(betainc(j + 1, n - j, p))
+    if value < _MIN_BOUND and n - j <= _MAX_TERMS and 0 < p < 1 and n < 2**53:
+        estimate = _tail_sum(j, n, p)
+        if estimate is not None and abs(value - estimate[0]) > estimate[1]:
+            return estimate[0]
+    return value
 
 
 def _tail_sum(j: int, n: int, p: float) -> tuple[float, float] | None:
@@ -146,9 +156,10 @@ def _tail_at_most(j: int, n: int, p: float, bound: float) -> bool:
     _DECIDE_RTOL * bound plus the sum's allowance; scipy's own error (about
     1e-13 of the tail here) lies far inside that band, so the answer is
     _binom_sf's.  _binom_sf decides a close call, p of 0 or 1, an n that is
-    not an exact float, a bound below _MIN_BOUND (where betainc itself may
-    return 0 for a tail near 1e-245) and a tail _tail_sum does not sum;
-    below j = 0 and from j = n it needs no scipy either.
+    not an exact float, a bound below _MIN_BOUND (where _binom_sf takes the
+    sum in place of a betainc value that lies outside its allowance) and a
+    tail _tail_sum does not sum; below j = 0 and from j = n it needs no
+    scipy either.
     """
     if 0 <= j < n < 2**53 and 0 < p < 1 and bound >= _MIN_BOUND:
         estimate = _tail_sum(j, n, p)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -179,6 +180,14 @@ def _first_fit(problem: TransferProblem, T: int) -> tuple[list[int], list[int], 
     source arc, so it is already maximum (max-flow min-cut) and it is
     scipy's witness; otherwise _augment raises it to a maximum flow.
 
+    The masks come from one pass over the packed slot rows: each row is one
+    void item, so a single tolist() yields every slot's bytes for
+    int.from_bytes.  With owner_rate == per_peer_cap == 1 (every problem of
+    sched-compare, and sched-mixed's backups) a slot sends at most one
+    fragment and its peer is then at its cap, so each slot takes one mask
+    step, the lowest set bit of online & under_cap, and the cap left is set
+    from the entries after the walk.
+
     Returns the owner-online slot numbers, each one's online peers as a bit
     mask by row index, the (peer, slot) entries sent, the cap left per peer,
     and whether some slot fell short of owner_rate.  Candidates come in row
@@ -188,18 +197,30 @@ def _first_fit(problem: TransferProblem, T: int) -> tuple[list[int], list[int], 
     cols = np.flatnonzero(bits[problem.owner, :T])
     # one little-endian mask per owner-online slot, bit p set when peer p is online
     packed = np.packbits(bits.T[cols], axis=1, bitorder="little")
-    width = packed.shape[1]
-    packed = packed.tobytes()
-    masks = [int.from_bytes(packed[i:i + width], "little") for i in range(0, len(packed), width)]
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+    masks = list(map(int.from_bytes, rows, repeat("little")))
     if problem.direction == RESTORE:
         under_cap = sum(1 << p for p in problem.storage_set)
     else:
         under_cap = ((1 << problem.matrix.num_peers) - 1) ^ (1 << problem.owner)
-    left = [problem.per_peer_cap] * problem.matrix.num_peers
-    owner_rate = problem.owner_rate
+    owner_rate, cap = problem.owner_rate, problem.per_peer_cap
     slots = (cols + 1).tolist()
     entries: list[tuple[int, int]] = []
     short = False
+    if owner_rate == cap == 1:
+        for slot, online in zip(slots, masks):
+            online &= under_cap
+            if online:
+                low = online & -online
+                under_cap ^= low
+                entries.append((low.bit_length() - 1, slot))
+            else:
+                short = True
+        left = [1] * problem.matrix.num_peers
+        for peer, _ in entries:
+            left[peer] = 0
+        return slots, masks, entries, left, short
+    left = [cap] * problem.matrix.num_peers
     for slot, online in zip(slots, masks):
         want = owner_rate
         online &= under_cap

@@ -15,13 +15,19 @@ traffic.  Then it replays the calls:
   out) and checking that the grants are bit-identical and that the call left
   both budget arrays as they were;
 - through ``sim.allocate_slot_transfers``, REPEATS times, keeping each
-  call's best time, and prints the median and total microseconds per call.
+  call's best time, and prints the median, p95 and mean microseconds per
+  call and their total.
+
+The last line is one JSON object: the run's shape and call count, the
+rounds by kind, the per-call median, p95 and mean best time in us and the
+total in s, and the agreement flag.
 
 Not collected by pytest: the file name has no test_ prefix.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 import time
 from collections import Counter
@@ -72,14 +78,20 @@ def main(argv: list[str]) -> int:
             sim.allocate_slot_transfers(*call.args)
             best[i] = min(best[i], time.perf_counter() - t0)
     sizes = [len(call.src) for call in calls]
+    us = best * 1e6
+    timing = {"median_us": float(np.median(us)), "p95_us": float(np.percentile(us, 95)), "mean_us": float(us.mean()),
+              "total_s": float(best.sum())}
     print(f"{peers} peers x {slots} slots: {len(calls)} allocation calls, {classes} priority classes with "
           f"traffic, median call of {int(np.median(sizes))} transfers")
     print(f"rounds: {sum(rounds.values())} = {rounds['grant']} grant + {rounds['freeze']} freeze "
           f"+ {rounds['exit']} demand exit")
-    print(f"allocate_slot_transfers: median {np.median(best) * 1e6:.1f} us per call, {best.sum():.3f} s in all "
-          f"(best of {REPEATS})")
+    print(f"allocate_slot_transfers: median {timing['median_us']:.1f} us per call, p95 {timing['p95_us']:.1f}, "
+          f"mean {timing['mean_us']:.1f}, {timing['total_s']:.3f} s in all (best of {REPEATS})")
     print("grants bit-identical to the reference, budgets unchanged:",
           "yes" if mismatches == 0 else f"NO, {mismatches} calls differ")
+    print(json.dumps({"peers": peers, "slots": slots, "calls": len(calls), "classes": classes, "repeats": REPEATS,
+                      "rounds": {kind: rounds[kind] for kind in ("grant", "freeze", "exit")},
+                      "allocate_slot_transfers": timing, "identical_to_reference": mismatches == 0}))
     return 1 if mismatches else 0
 
 

@@ -136,6 +136,33 @@ def flow_max_fragments(problem, T):
     return int(result.flow_value), slice_witness(problem, T, result.flow)
 
 
+def loop_first_fit(bits, owner, candidates, T, owner_rate, cap):
+    """First fit as a plain slot loop: (slots, masks, entries, left, short)
+    in the form sched._first_fit returns them.
+
+    Each owner-online slot s of 1..T sends one fragment to each candidate,
+    in the given order, that is online in s and under cap, until it has
+    sent owner_rate; a slot that sends fewer is short.  A slot's mask has
+    bit p set for every row p online in s, the owner's included, and left
+    holds the cap left per row, cap for a row never sent to.
+    """
+    left = [cap] * len(bits)
+    slots, masks, entries, short = [], [], [], False
+    for s in range(1, T + 1):
+        if not bits[owner][s - 1]:
+            continue
+        slots.append(s)
+        masks.append(sum(1 << p for p in range(len(bits)) if bits[p][s - 1]))
+        sent = 0
+        for p in candidates:
+            if sent < owner_rate and bits[p][s - 1] and left[p]:
+                entries.append((p, s))
+                left[p] -= 1
+                sent += 1
+        short = short or sent < owner_rate
+    return slots, masks, entries, left, short
+
+
 def loop_random_schedule(bits, owner, candidates, x, owner_rate, cap, rng):
     """The randomized policy as a plain slot loop; returns its sorted entries.
 
@@ -200,10 +227,20 @@ def holder_rule(o, d0, min_ttr, holders, k, thresholds):
     return l, ettr, ettr <= cap and loss_risk(n, k, ettr, thresholds) <= thresholds.loss_cap
 
 
+def binomial_tail_ratio(n, k, p) -> tuple[int, int]:
+    """P[Bin(n, p) >= k] as an exact ratio of integers: with p = a / b, the
+    sum of C(n, i) a**i (b - a)**(n - i) over i >= k, and b**n.  The sum is
+    a**k times a Horner sum in b - a, so no power but the last is large."""
+    a, b = Fraction(p).as_integer_ratio()
+    acc, power = 0, 1
+    for i in range(k, n + 1):
+        acc, power = acc * (b - a) + comb(n, i) * power, power * a
+    return acc * a**k, b**n
+
+
 def binomial_tail_ge(n, k, p: Fraction) -> Fraction:
     """P[Bin(n, p) >= k] in exact rational arithmetic."""
-    q = 1 - p
-    return sum((comb(n, i) * p**i * q ** (n - i) for i in range(k, n + 1)), Fraction(0))
+    return Fraction(*binomial_tail_ratio(n, k, p))
 
 
 def minimal_redundancy(k, a: Fraction, target: Fraction, ceiling=100000):

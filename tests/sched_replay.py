@@ -28,11 +28,17 @@ per_peer_cap 2.  Then, per direction, it:
   from the same seed, and the generator's final state against the loop's,
   which makes one ``rng.integers`` call per pick.
 
+The last line is one JSON object: the problem count and repeats; per
+direction (all, backup, restore) the median, p95 and mean best time in us
+of each timed call and first fit's certified and augmented counts; the
+augmenting paths per short probe; and the two agreement flags.
+
 Not collected by pytest: the file name has no test_ prefix.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 import time
 
@@ -121,15 +127,20 @@ def random_mismatch(problem, seed) -> str | None:
     return None
 
 
-def report(name: str, best: np.ndarray, restore: np.ndarray, notes=None) -> None:
-    """Print the median, p95 and mean of best (in us) for all problems and
-    per direction, each row followed by its note when notes are given."""
+def report(name: str, best: np.ndarray, directions: dict, notes=None) -> dict:
+    """Print the median, p95 and mean of best (in us) for each direction's
+    rows, each row followed by its note when notes are given; returns them
+    by direction."""
     print(f"{name} best of {REPEATS}, in us")
-    for direction, rows in (("all", np.ones_like(restore)), ("backup", ~restore), ("restore", restore)):
+    summary = {}
+    for direction, rows in directions.items():
         us, n = best[rows] * 1e6, int(rows.sum())
+        summary[direction] = {"problems": n, "median_us": float(np.median(us)),
+                              "p95_us": float(np.percentile(us, 95)), "mean_us": float(us.mean())}
         note = f"; {notes(rows)}" if notes else ""
         print(f"{direction:>7}: {n} problems, median {np.median(us):.0f}, p95 {np.percentile(us, 95):.0f}, "
               f"mean {us.mean():.0f}{note}")
+    return summary
 
 
 def main(argv: list[str]) -> int:
@@ -150,6 +161,7 @@ def main(argv: list[str]) -> int:
     errors = [(i, why) for i, p in enumerate(problems) if (why := mismatch(p, sched.optimal_completion(p)))]
     random_errors = [(i, why) for i, p in enumerate(problems) if (why := random_mismatch(p, [SEED, i]))]
     restore = np.array([p.direction == sched.RESTORE for p in problems])
+    directions = {"all": np.ones_like(restore), "backup": ~restore, "restore": restore}
 
     def certified_share(rows):
         n, done = int(rows.sum()), int(first_fit[rows].sum())
@@ -157,8 +169,14 @@ def main(argv: list[str]) -> int:
                 f"augmented {n - done} ({1 - done / n:.1%})")
 
     print(f"{len(problems)} problems on {PEERS} x {SLOTS} traces")
-    report("optimal_completion", best_optimal, restore, certified_share)
-    report("random_schedule", best_random, restore)
+    summary = {"problems": len(problems), "repeats": REPEATS,
+               "optimal_completion": report("optimal_completion", best_optimal, directions, certified_share),
+               "random_schedule": report("random_schedule", best_random, directions),
+               "first_fit": {direction: {"certified": int(first_fit[rows].sum()),
+                                         "augmented": int((~first_fit[rows]).sum())}
+                             for direction, rows in directions.items()},
+               "augmenting_paths": {"short_probes": len(paths), "mean": float(np.mean(paths)) if paths else 0.0,
+                                    "max": max(paths, default=0)}}
     if paths:
         print(f"augmenting paths per short probe: mean {np.mean(paths):.2f}, max {max(paths)}, "
               f"over {len(paths)} short probes")
@@ -168,6 +186,8 @@ def main(argv: list[str]) -> int:
           "yes" if not errors else f"NO, {len(errors)} differ")
     print("random_schedule identical to the per-pick loop:",
           "yes" if not random_errors else f"NO, {len(random_errors)} differ")
+    summary["agrees_with_scipy"], summary["random_identical_to_loop"] = not errors, not random_errors
+    print(json.dumps(summary))
     return 1 if errors or random_errors else 0
 
 

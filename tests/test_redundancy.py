@@ -15,7 +15,7 @@ from scipy.special import betaincinv
 from scipy.stats import binom
 
 from p2pbackup import redundancy as red
-from oracles import binomial_tail_ge, minimal_redundancy
+from oracles import binomial_tail_ge, binomial_tail_ratio, minimal_redundancy
 
 DAY = red.SECONDS_PER_DAY
 
@@ -363,13 +363,57 @@ def test_infinite_windows_and_lifetimes_stay_valid():
 
 # ------------------------------------------------------------------- _binom_sf
 
+def assert_exact_tail(got, j, n, p):
+    """got is P[X > j] for X ~ Binomial(n, p) within 1e-12 of the exact
+    rational tail, relative; a tail below the normal floats may be off by
+    2**-1074 per term.  The exact ratio is rounded to a float once, by
+    Python's correctly rounded integer division, which costs 2**-53 of it."""
+    num, den = binomial_tail_ratio(n, j + 1, p)
+    exact = num / den
+    assert abs(got - exact) <= 1e-12 * exact + (n + 1) * 2.0**-1074, (j, n, p, got, exact)
+
+
 def test_binom_sf_is_scipy_binom_sf_bit_for_bit():
+    """_binom_sf is scipy's binom.sf bit for bit wherever binom.sf is at
+    least _MIN_BOUND, and wherever _tail_sum does not sum the upper side.
+    Below _MIN_BOUND, where it does, betainc may lose every digit, and
+    _binom_sf is the exact tail instead; the draws meet such tails."""
     rng = np.random.default_rng(2024)
+    deep = 0
     for i in range(3000):
         n = int(rng.integers(1, 10 ** int(rng.integers(1, 6)) + 1))
         j = int(rng.integers(-2, n + 3))
         p = (0.0, 1.0, float(rng.random()))[min(i % 5, 2)]
-        assert red._binom_sf(j, n, p) == float(binom.sf(j, n, p)), (j, n, p)
+        scipy_sf = float(binom.sf(j, n, p))
+        if scipy_sf < red._MIN_BOUND and 0 <= j < n and n - j <= red._MAX_TERMS and 0 < p < 1:
+            deep += 1
+            assert_exact_tail(red._binom_sf(j, n, p), j, n, p)
+        else:
+            assert red._binom_sf(j, n, p) == scipy_sf, (j, n, p)
+    assert deep >= 10
+
+
+def test_binom_sf_is_exact_where_betainc_underflows():
+    """Tails from 1e-300 to 1e-200, where betainc may return 0 or lose
+    every digit, are the exact tail within 1e-12 relative: the summed upper
+    side.  betainc returns 0.0 for the first one, whose exact value is
+    6.1585e-287, and so plan --loss printed 0 for it.  An n beyond the
+    exact floats keeps betainc's value: the sum's lgamma would overflow at
+    the largest n data_loss_probability takes."""
+    assert red._binom_sf(214, 245, 0.031035968582589724) == pytest.approx(6.1585e-287, rel=1e-4)
+    assert_exact_tail(red._binom_sf(214, 245, 0.031035968582589724), 214, 245, 0.031035968582589724)
+    assert red.data_loss_probability(int(1.7e308), 2, 1.0, 1.0) == 0.0
+    rng = np.random.default_rng(41)
+    checked = 0
+    while checked < 30:
+        k = int(rng.integers(2, 129))
+        n = int(rng.integers(k, k + 101))
+        tail = 10.0 ** -rng.uniform(200, 300)
+        p = float(betaincinv(n - k + 1, k, tail))  # the p whose loss tail, n - k + 1 crashes, is about tail
+        if not 0 < p < 1 or not 1e-300 <= red._binom_sf(n - k, n, p) <= 1e-200:
+            continue
+        assert_exact_tail(red._binom_sf(n - k, n, p), n - k, n, p)
+        checked += 1
 
 
 # ---------------------------------------------------- _tail_sum, _tail_at_most

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import re
 
@@ -13,8 +14,8 @@ from p2pbackup import sched, trace
 from p2pbackup.sched import BACKUP, RESTORE, TransferProblem
 from conftest import BIT_GENERATORS, cut_problems, generator_state, make_matrix, tool_output
 from oracles import (
-    brute_max_fragments, coo_flow_network, flow_max_fragments, loop_random_schedule, matching_max_fragments,
-    matching_min_completion, slice_witness,
+    brute_max_fragments, coo_flow_network, flow_max_fragments, loop_first_fit, loop_random_schedule,
+    matching_max_fragments, matching_min_completion, slice_witness,
 )
 
 
@@ -541,19 +542,26 @@ def test_first_fit_certifies_the_max_flow_or_steps_aside():
     and a witness that assert_witness accepts, and first fit either fills
     every slot with scipy's flow or leaves a slot short for the augmenting
     paths; O(x) is the first T at which the value reaches x, with a witness
-    of that many fragments completing at O(x).  The sweep must see both
-    branches."""
-    branches = set()
+    of that many fragments completing at O(x).  First fit returns what the
+    plain slot loop loop_first_fit returns, masks, entries in order and cap
+    left included.  The sweep must see both outcomes of first fit, and both
+    of its walks (one pick per slot at owner rate and cap 1, and the
+    general one) in both directions."""
+    branches, walks = set(), set()
 
     @settings(max_examples=200, deadline=None)
     @given(rated_problems(top=3))
     def check(p):
+        bits = p.matrix.bits.tolist()
+        walks.add((p.owner_rate == p.per_peer_cap == 1, p.direction))
         flows = [flow_max_fragments(p, T) for T in range(1, p.matrix.num_slots + 1)]
         for T, (value, entries) in enumerate(flows, start=1):
             got = sched.max_fragments(p, T)
             assert got[0] == value
             assert_witness(p, T, *got, entries)
-            *_, first, _, short = sched._first_fit(p, T)
+            fit = sched._first_fit(p, T)
+            assert fit == loop_first_fit(bits, 0, p.candidates, T, p.owner_rate, p.per_peer_cap), T
+            *_, first, _, short = fit
             branches.add(short)
             assert short or (len(first), sorted(first)) == (value, entries)
         out = sched.optimal_completion(p)
@@ -568,6 +576,7 @@ def test_first_fit_certifies_the_max_flow_or_steps_aside():
 
     check()
     assert branches == {True, False}
+    assert walks == {(single, direction) for single in (True, False) for direction in (BACKUP, RESTORE)}
 
 
 def test_first_fit_short_of_the_max_flow_falls_back():
@@ -749,8 +758,22 @@ def test_sched_replay_tool_agrees_with_scipy_on_one_group():
     """tests/sched_replay.py, the check of O(x) on sched-mixed-shaped
     problems against scipy's max flow alone, of each witness for validity
     and of random_schedule against the per-pick loop, runs, finds no
-    difference, and counts the augmenting paths of the short probes."""
+    difference, and counts the augmenting paths of the short probes.  Its
+    last line is JSON with the printed per-direction times, first fit's
+    certified and augmented counts, which add up to each direction's
+    problems, and both agreement flags."""
     lines = tool_output("sched_replay.py", "1")
     assert "outcomes agree with scipy's max flow alone, witnesses valid: yes" in lines
     assert any(line.startswith("augmenting paths per short probe: mean ") for line in lines)
     assert "random_schedule identical to the per-pick loop: yes" in lines
+    summary = json.loads(lines[-1])
+    assert summary["agrees_with_scipy"] is summary["random_identical_to_loop"] is True
+    assert summary["problems"] == 72 and summary["augmenting_paths"]["short_probes"] > 0
+    rows = [re.match(r" *(\w+): (\d+) problems, median (\d+), p95 (\d+), mean (\d+)", line) for line in lines]
+    rows = [row.groups() for row in rows if row]
+    assert len(rows) == 6, lines
+    for (direction, *printed), name in zip(rows, ["optimal_completion"] * 3 + ["random_schedule"] * 3):
+        t = summary[name][direction]
+        assert printed == [str(t["problems"]), *(f"{t[k]:.0f}" for k in ("median_us", "p95_us", "mean_us"))]
+    for direction, counts in summary["first_fit"].items():
+        assert counts["certified"] + counts["augmented"] == summary["optimal_completion"][direction]["problems"]

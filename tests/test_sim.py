@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tempfile
@@ -597,10 +598,19 @@ def test_allocate_gives_nothing_behind_an_uplink_drained_by_rounding():
 def test_allocation_replay_tool_agrees_with_the_reference():
     """tests/allocation_replay.py, the per-call timing of
     allocate_slot_transfers over one run's calls, runs at a toy size and
-    finds every call's grants identical to the reference's."""
+    finds every call's grants identical to the reference's.  Its last line
+    is JSON with the call count and the per-call times it printed."""
     lines = tool_output("allocation_replay.py", "20", "96")
     assert "grants bit-identical to the reference, budgets unchanged: yes" in lines
-    assert re.match(r"20 peers x 96 slots: [1-9]\d* allocation calls", lines[0]), lines[0]
+    calls = re.match(r"20 peers x 96 slots: ([1-9]\d*) allocation calls", lines[0])
+    assert calls, lines[0]
+    summary = json.loads(lines[-1])
+    assert summary["identical_to_reference"] is True
+    assert (summary["peers"], summary["slots"], summary["calls"]) == (20, 96, int(calls[1]))
+    t = summary["allocate_slot_transfers"]
+    assert 0 < t["median_us"] <= t["p95_us"]
+    assert (f"allocate_slot_transfers: median {t['median_us']:.1f} us per call, p95 {t['p95_us']:.1f}, "
+            f"mean {t['mean_us']:.1f}, {t['total_s']:.3f} s in all (best of 5)") in lines
 
 
 # ------------------------------------------------------- closed-form backups

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import json
 import math
 import re
 import tracemalloc
@@ -320,10 +321,19 @@ def test_ingest_memory_is_bounded_by_a_batch():
 def test_ingest_replay_tool_agrees_with_the_loop_oracles():
     """tests/ingest_replay.py, the timing and tracing of parse_events and
     slotize on a generated log, runs at a toy size and finds its events,
-    warnings and matrix identical to the loop oracles'."""
+    warnings and matrix identical to the loop oracles'.  Its last line is
+    JSON with both steps' printed times and peaks and both flags."""
     lines = tool_output("ingest_replay.py", "12", "96")
     assert "events and warnings identical to loop_parse_events: yes" in lines
     assert "matrix identical to loop_slotize and the generated bits: yes" in lines
+    summary = json.loads(lines[-1])
+    assert summary["events_identical"] is summary["matrix_identical"] is True
+    assert (summary["peers"], summary["slots"], summary["repeats"]) == (12, 96, 5)
+    for step in ("parse_events", "slotize"):
+        t = summary[step]
+        assert 0 < t["best_ms"] <= t["median_ms"] <= t["p95_ms"]
+        assert (f"{step}: {t['best_ms']:.1f} ms (best of 5; median {t['median_ms']:.1f}, p95 {t['p95_ms']:.1f}, "
+                f"mean {t['mean_ms']:.1f}), traced peak {t['traced_peak_mib']:.2f} MiB") in lines
 
 
 def test_slotize_rejects_bad_arguments():

@@ -171,7 +171,7 @@ def cmd_sched_compare(args, out: Path) -> dict:
                     slot_seconds=matrix.slot_seconds,
                 )
                 problem = sched.TransferProblem(matrix=sub, owner=0, direction=sched.BACKUP, x=x)
-                baseline = sched.ideal_baseline(sub.bits[0], x, 1)
+                baseline = sched.ideal_baseline(sub.rows(0), x, 1)
                 optimal = sched.optimal_completion(problem)
                 randomized = sched.random_schedule(problem, rng)
                 if baseline is None or not optimal.feasible or not randomized.feasible:

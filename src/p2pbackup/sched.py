@@ -180,9 +180,11 @@ def _first_fit(problem: TransferProblem, T: int) -> tuple[list[int], list[int], 
     source arc, so it is already maximum (max-flow min-cut) and it is
     scipy's witness; otherwise _augment raises it to a maximum flow.
 
-    The masks come from one pass over the packed slot rows: each row is one
-    void item, so a single tolist() yields every slot's bytes for
-    int.from_bytes.  With owner_rate == per_peer_cap == 1 (every problem of
+    The walk reads only the matrix's first T slots, unpacked once by
+    matrix.rows.  The masks come from one pass over those slots' columns,
+    packed one row per slot: each row is one void item, so a single
+    tolist() yields every slot's bytes for int.from_bytes.  With
+    owner_rate == per_peer_cap == 1 (every problem of
     sched-compare, and sched-mixed's backups) a slot sends at most one
     fragment and its peer is then at its cap, so each slot takes one mask
     step, the lowest set bit of online & under_cap, and the cap left is set
@@ -193,8 +195,8 @@ def _first_fit(problem: TransferProblem, T: int) -> tuple[list[int], list[int], 
     and whether some slot fell short of owner_rate.  Candidates come in row
     order and only their bits are ever set in under_cap.
     """
-    bits = problem.matrix.bits
-    cols = np.flatnonzero(bits[problem.owner, :T])
+    bits = problem.matrix.rows(slots=T)
+    cols = np.flatnonzero(bits[problem.owner])
     # one little-endian mask per owner-online slot, bit p set when peer p is online
     packed = np.packbits(bits.T[cols], axis=1, bitorder="little")
     rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
@@ -326,7 +328,7 @@ def optimal_completion(problem: TransferProblem) -> ScheduleOutcome:
     then binary searching the bracket.  Infeasibility (F(horizon) < x) is a
     first-class outcome carrying F(horizon), not an exception."""
     horizon = problem.matrix.num_slots
-    lower = ideal_baseline(problem.matrix.bits[problem.owner], problem.x, problem.owner_rate)
+    lower = ideal_baseline(problem.matrix.rows(problem.owner), problem.x, problem.owner_rate)
     if lower is None:
         return ScheduleOutcome(False, None, 0, max_fragments(problem, horizon)[0] if horizon else 0)
 
@@ -405,11 +407,10 @@ def random_schedule(problem: TransferProblem, seed=None) -> ScheduleOutcome:
     is the one rng.integers(len(eligible)) would make, and a Generator passed
     as seed ends in the state those calls would leave it in."""
     rng = np.random.default_rng(seed)
-    bits = problem.matrix.bits
     candidates = problem.candidates
-    cols = np.flatnonzero(bits[problem.owner]).tolist()
+    cols = np.flatnonzero(problem.matrix.rows(problem.owner)).tolist()
     # one row per candidate, cleared once the candidate reaches its cap
-    online = bits[list(candidates)].view(bool)
+    online = problem.matrix.rows(candidates).view(bool)
     x, owner_rate, cap = problem.x, problem.owner_rate, problem.per_peer_cap
     # no more words than picks, bar the rare redraw
     draws = _WordDraws(rng, min(x, owner_rate * len(cols), cap * len(candidates)))

@@ -435,7 +435,7 @@ class Simulation:
         if matrix.num_peers < 2 or matrix.num_slots < 1:
             raise ValueError(f"need at least 2 peers and 1 slot, got {matrix.num_peers} x {matrix.num_slots}")
         self.config = config
-        bits = matrix.bits.view(bool)  # the matrix's own 0/1 bytes, read as flags
+        bits = matrix.bits.view(bool)  # the matrix's 0/1 cells, unpacked once and read as flags
         self.P = matrix.num_peers
         self.T = matrix.num_slots
         self.slot = matrix.slot_seconds

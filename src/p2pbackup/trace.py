@@ -3,6 +3,10 @@
 Ingests login/logoff logs as event columns, discretizes them into per-peer,
 per-slot availability matrices, filters out low-uptime peers, and generates
 synthetic traces with diurnal and weekly correlation for reproducible runs.
+An AvailabilityMatrix holds its cells packed, one bit per (peer, slot), and
+is the only code that knows that layout: its bits property unpacks the
+whole matrix on each access, and rows() only the peers and leading slots
+asked for.
 """
 
 from __future__ import annotations
@@ -79,37 +83,62 @@ class EventLog:
     kind: np.ndarray  # int8: 0 for LOGIN, 1 for LOGOFF
 
 
-@dataclass(frozen=True, eq=False)
 class AvailabilityMatrix:
-    """Online indicator a_{i,t} per (peer row i, time slot t), plus the slot length."""
+    """Online indicator a_{i,t} per (peer row i, time slot t), plus the slot length.
 
-    bits: np.ndarray
-    slot_seconds: float = DEFAULT_SLOT_SECONDS
-    peer_ids: tuple[str, ...] | None = None
+    The cells are held packed along the slots, one bit each: a row of
+    ceil(num_slots / 8) bytes per peer, slot t in bit 7 - t % 8 of byte
+    t // 8 and the last byte's spare bits 0.  The constructor checks that
+    bits holds only 0 and 1 and packs it, so the caller's array is neither
+    kept nor aliased.  bits unpacks the whole matrix into a fresh read-only
+    uint8 array on each access, so a loop reads it once, before the loop;
+    rows(peers, slots) unpacks only the rows and leading slots asked for.
+    The matrix is immutable, and == compares bits, slot length and peer ids.
+    """
 
-    def __post_init__(self):
-        given = np.asarray(self.bits)
-        bits = given.astype(np.uint8)  # a copy, so the caller's array is neither frozen nor aliased
-        if bits.ndim != 2:
-            raise ValueError(f"bits must be 2-D, got shape {bits.shape}")
+    def __init__(self, bits, slot_seconds: float = DEFAULT_SLOT_SECONDS, peer_ids: tuple[str, ...] | None = None):
+        given = np.asarray(bits)
         # the cast wraps -1 to 255 and truncates 0.5 to 0, so only a uint8
         # or bool input can skip comparing it with the cast
-        exact = given.dtype in (np.uint8, np.bool_) or np.array_equal(bits, given)
-        if not exact or (bits.size and bits.max() > 1):
+        exact = given.dtype in (np.uint8, np.bool_)
+        cells = given if exact else given.astype(np.uint8)
+        if cells.ndim != 2:
+            raise ValueError(f"bits must be 2-D, got shape {cells.shape}")
+        if not (exact or np.array_equal(cells, given)) or (cells.size and cells.max() > 1):
             raise ValueError("bits must hold only 0 and 1")
-        _check_slot_seconds(self.slot_seconds, bits.shape[1])
-        if self.peer_ids is not None and len(self.peer_ids) != bits.shape[0]:
+        _check_slot_seconds(slot_seconds, cells.shape[1])
+        if peer_ids is not None and len(peer_ids) != cells.shape[0]:
             raise ValueError("peer_ids length does not match row count")
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
+        packed = np.packbits(cells, axis=1)
+        packed.setflags(write=False)
+        # straight into the instance dict, past __setattr__, which refuses every assignment
+        vars(self).update(_packed=packed, num_slots=cells.shape[1], slot_seconds=slot_seconds, peer_ids=peer_ids)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to AvailabilityMatrix.{name}: the matrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete AvailabilityMatrix.{name}: the matrix is immutable")
 
     @property
     def num_peers(self) -> int:
-        return self.bits.shape[0]
+        return self._packed.shape[0]
 
     @property
-    def num_slots(self) -> int:
-        return self.bits.shape[1]
+    def bits(self) -> np.ndarray:
+        """The cells as a fresh, read-only uint8 array of num_peers x num_slots."""
+        bits = self.rows()
+        bits.setflags(write=False)
+        return bits
+
+    def rows(self, peers=None, slots: int | None = None) -> np.ndarray:
+        """bits[peers, :slots] as a fresh uint8 array the caller owns.  peers
+        is a row index or a sequence of them, every row when None; slots
+        bounds the leading slots kept as a slice bound does, every slot when
+        None."""
+        packed = self._packed if peers is None else self._packed.take(peers, axis=0)
+        count = self.num_slots if slots is None else len(range(self.num_slots)[:slots])
+        return np.unpackbits(packed, axis=-1, count=count)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AvailabilityMatrix):
@@ -117,9 +146,13 @@ class AvailabilityMatrix:
         return (
             self.slot_seconds == other.slot_seconds
             and self.peer_ids == other.peer_ids
-            and self.bits.shape == other.bits.shape
-            and bool(np.array_equal(self.bits, other.bits))
+            and self.num_slots == other.num_slots
+            and bool(np.array_equal(self._packed, other._packed))
         )
+
+    def __repr__(self) -> str:
+        return (f"AvailabilityMatrix(peers={self.num_peers}, slots={self.num_slots}, "
+                f"slot_seconds={self.slot_seconds!r}, peer_ids={self.peer_ids!r})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,7 +358,8 @@ def filter_min_uptime(matrix: AvailabilityMatrix, min_fraction: float = DEFAULT_
     """
     if not 0 <= min_fraction <= 1:
         raise ValueError("min_fraction must be in [0, 1]")
-    means = matrix.bits.mean(axis=1) if matrix.num_slots else np.zeros(matrix.num_peers)
+    bits = matrix.bits
+    means = bits.mean(axis=1) if matrix.num_slots else np.zeros(matrix.num_peers)
     keep = np.flatnonzero(means >= min_fraction)
     if matrix.peer_ids is not None:
         kept_ids = [matrix.peer_ids[i] for i in keep]
@@ -334,7 +368,7 @@ def filter_min_uptime(matrix: AvailabilityMatrix, min_fraction: float = DEFAULT_
         kept_ids = [int(i) for i in keep]
         new_ids = None
     filtered = AvailabilityMatrix(
-        bits=matrix.bits[keep],
+        bits=bits[keep],
         slot_seconds=matrix.slot_seconds,
         peer_ids=new_ids,
     )

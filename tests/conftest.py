@@ -91,7 +91,8 @@ def cut_problems(matrix, rng, count, xs, ratios, restore_every, restore_rates):
     owner, a sorted random pick of ratio * x other peers and a start in the
     first half; every restore_every-th is a restore from about half as many
     holders with restore_rates (owner_rate, per_peer_cap)."""
-    P, T = matrix.bits.shape
+    bits = matrix.bits  # unpacked on each access, so read once
+    P, T = bits.shape
     pairs = [(x, r) for x in xs for r in ratios]
     problems = []
     for i in range(count):
@@ -102,7 +103,7 @@ def cut_problems(matrix, rng, count, xs, ratios, restore_every, restore_rates):
         size = math.ceil(ratio * x / 2) if restore else int(round(ratio * x))
         picked = sorted(others[rng.choice(len(others), size=size, replace=False)].tolist())
         start = int(rng.integers(1, T // 2))
-        sub = trace.AvailabilityMatrix(bits=matrix.bits[[owner] + picked, start - 1:],
+        sub = trace.AvailabilityMatrix(bits=bits[[owner] + picked, start - 1:],
                                        slot_seconds=matrix.slot_seconds)
         if restore:
             owner_rate, cap = restore_rates

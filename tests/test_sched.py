@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -635,6 +636,31 @@ def test_later_phases_keep_the_arcs_a_push_undoes(rows):
     assert sched._first_fit(p, p.matrix.num_slots)[-1]
     for T in range(1, p.matrix.num_slots + 1):
         assert_max_fragments(p, T)
+
+
+def test_sched_mixed_problems_hold_their_sub_traces_packed():
+    """The 72 problems of one group shaped like the sched-mixed benchmark's
+    (a 200 x 504 trace; per problem the owner and ratio * x other peers from
+    a random start, every fourth a restore from about half as many) hold
+    under a quarter of their sub-traces' rows x slots cells in bytes: a
+    matrix stores one bit per cell, not one byte."""
+    matrix = trace.synth_trace(200, 504, availability=(0.2, 0.9), diurnal_amplitude=0.3,
+                               weekend_factor=0.8, seed=43)
+    rng = np.random.default_rng(43)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        problems = cut_problems(matrix, rng, 72, (40, 60, 80), (1.1, 1.5, 2.0), 4, (2, 2))
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    cells = sum(p.matrix.num_peers * p.matrix.num_slots for p in problems)
+    assert len(problems) == 72 and cells > 1_000_000
+    # one byte per cell, the problems held 1.04 bytes per cell; packed, 0.17
+    assert held < cells / 4
 
 
 def test_later_phases_match_scipy_on_sched_mixed_shapes():

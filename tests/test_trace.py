@@ -431,6 +431,57 @@ def test_matrix_does_not_alias_a_view():
     assert m.bits.tolist() == [[0, 0, 0], [0, 0, 0]]
 
 
+@st.composite
+def packed_cases(draw):
+    """(cells, given, peers, slots): a P x T 0/1 uint8 array with P and T in
+    0..20, so T falls on both sides of multiples of 8; the same cells as
+    bool, uint8, int64 or float; and a rows() request: a row index, a list
+    or tuple of them (negative and repeated ones too) or None, and a slot
+    bound or None."""
+    P, T = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+    cells = draw(hnp.arrays(np.uint8, (P, T), elements=st.integers(0, 1)))
+    given = cells.astype(draw(st.sampled_from([np.bool_, np.uint8, np.int64, np.float64])))
+    index = st.integers(-P, P - 1) if P else st.nothing()
+    peers = draw(st.one_of(
+        st.none(),
+        index,
+        st.lists(index, max_size=6) if P else st.just([]),
+        st.lists(index, max_size=6).map(tuple) if P else st.just(()),
+    ))
+    slots = draw(st.integers(-T - 2, T + 2) | st.none())
+    return cells, given, peers, slots
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_cases())
+def test_matrix_stores_one_bit_per_cell(case):
+    """bits reads back the cells as a fresh read-only uint8 array each time,
+    rows() is slicing bits, the store takes ceil(T / 8) bytes per peer and
+    leaves the caller's array alone, and == sees every cell, the shape, the
+    slot length and the peer ids."""
+    cells, given, peers, slots = case
+    P, T = cells.shape
+    m = trace.AvailabilityMatrix(bits=given)
+    bits = m.bits
+    assert bits.dtype == np.uint8 and np.array_equal(bits, cells) and bits.shape == cells.shape
+    assert not bits.flags.writeable and m.bits is not bits and not np.shares_memory(m.bits, bits)
+    assert given.flags.writeable and not np.shares_memory(bits, given)
+    part, sliced = m.rows(peers, slots), bits[slice(None) if peers is None else peers, :slots]
+    assert part.dtype == np.uint8 and part.shape == sliced.shape and np.array_equal(part, sliced)
+    assert part.flags.writeable and not np.shares_memory(part, bits)
+    assert m._packed.nbytes == P * math.ceil(T / 8)  # the store itself, one bit per cell
+
+    assert m == trace.AvailabilityMatrix(bits=cells.copy())
+    assert m != trace.AvailabilityMatrix(bits=given, slot_seconds=1800.0)
+    assert m != trace.AvailabilityMatrix(bits=given, peer_ids=tuple(map(str, range(P))))
+    # a zero slot more can leave every packed byte the same
+    assert m != trace.AvailabilityMatrix(bits=np.pad(cells, ((0, 0), (0, 1))))
+    if cells.size:
+        flipped = cells.copy()
+        flipped.flat[(P * T) // 2] ^= 1
+        assert m != trace.AvailabilityMatrix(bits=flipped)
+
+
 # ----------------------------------------------------------- filter_min_uptime
 
 def test_filter_keeps_exact_threshold():
@@ -758,6 +809,13 @@ def test_readers_name_the_line_that_is_not_utf8(tmp_path, reader, data, error, p
 
 
 def test_matrix_bits_are_immutable():
-    m = make_matrix(["10"])
+    m = make_matrix(["10"], peer_ids=("a",))
     with pytest.raises(ValueError):
         m.bits[0, 0] = 0
+    for name in ("bits", "num_slots", "slot_seconds", "peer_ids", "_packed", "new"):
+        with pytest.raises(AttributeError, match="the matrix is immutable$"):
+            setattr(m, name, None)
+        with pytest.raises(AttributeError, match="the matrix is immutable$"):
+            delattr(m, name)
+    assert m == make_matrix(["10"], peer_ids=("a",))
+    assert repr(m) == "AvailabilityMatrix(peers=1, slots=2, slot_seconds=3600.0, peer_ids=('a',))"

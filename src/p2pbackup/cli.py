@@ -2,18 +2,24 @@
 redundancy planning, and full simulation runs.
 
 Every subcommand takes --seed (default 0) and --out-dir.  Its cmd_*
-function writes its outputs into the out dir and returns its own manifest
-fields; once they are written, main adds a run-manifest.json that echoes the
-subcommand, the seed and those fields, and exits 0.  Outputs are
-deterministic functions of the manifest.
+function writes its outputs into the out dir and returns the paths it wrote
+and the fields it computed.  Once they are written, main adds a
+run-manifest.json and exits 0.  The manifest holds the subcommand, the
+package version, args (every parsed flag by its argparse dest, defaults
+included, a non-finite float as its string "inf"), outputs (the sha256 of
+each file written, keyed by its path relative to --out-dir) and the computed
+fields.  Outputs are deterministic functions of args: the command line
+rebuilt from them, with another --out-dir, writes the same outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
+import os
 import re
 import shutil
 import sys
@@ -25,38 +31,22 @@ import numpy as np
 from . import __version__, redundancy, report, sched, sim, trace
 
 
-def _write_manifest(out: Path, payload: dict) -> None:
-    with open(out / "run-manifest.json", "w", encoding="utf-8") as fh:
-        json.dump({**payload, "version": __version__}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _load_matrix(args, seed: int) -> tuple[trace.AvailabilityMatrix, dict]:
+def _load_matrix(args, seed: int) -> trace.AvailabilityMatrix:
     """Resolve the trace source shared by several subcommands; a synthesized
     trace is drawn from seed."""
     if getattr(args, "matrix", None):
-        matrix = trace.read_matrix_file(args.matrix)
-        source = {"matrix": str(args.matrix)}
-    elif getattr(args, "events", None):
+        return trace.read_matrix_file(args.matrix)
+    if getattr(args, "events", None):
         events, warnings = trace.read_event_file(args.events)
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
-        matrix = trace.slotize(events, args.slot_seconds)
-        source = {"events": str(args.events), "slot_seconds": args.slot_seconds}
-    else:
-        matrix = trace.synth_trace(
-            args.synth_peers,
-            args.synth_slots,
-            availability=(args.avail_low, args.avail_high),
-            seed=seed,
-        )
-        source = {
-            "synth_peers": args.synth_peers,
-            "synth_slots": args.synth_slots,
-            "avail_low": args.avail_low,
-            "avail_high": args.avail_high,
-        }
-    return matrix, source
+        return trace.slotize(events, args.slot_seconds)
+    return trace.synth_trace(
+        args.synth_peers,
+        args.synth_slots,
+        availability=(args.avail_low, args.avail_high),
+        seed=seed,
+    )
 
 
 def _add_matrix_flags(parser, synth_default_peers=100, synth_default_slots=672):
@@ -73,30 +63,25 @@ def _add_matrix_flags(parser, synth_default_peers=100, synth_default_slots=672):
 
 # -- trace-stats ---------------------------------------------------------
 
-def cmd_trace_stats(args, out: Path) -> dict:
+def cmd_trace_stats(args, out: Path) -> tuple[list[Path], dict]:
     if not args.matrix and not args.events:
         raise SystemExit("trace-stats: provide --matrix or --events")
-    matrix, source = _load_matrix(args, args.seed)
+    matrix = _load_matrix(args, args.seed)
     ids = matrix.peer_ids if matrix.peer_ids is not None else range(matrix.num_peers)
     if args.min_uptime is not None:  # the kept rows' peer ids, or their indices in the unfiltered matrix
         matrix, ids = trace.filter_min_uptime(matrix, args.min_uptime)
     stats = trace.availability_stats(matrix)
-    report.write_csv(out / "trace-stats.csv", ["peer_id", "availability"], zip(ids, stats.per_peer.tolist()))
+    path = out / "trace-stats.csv"
+    report.write_csv(path, ["peer_id", "availability"], zip(ids, stats.per_peer.tolist()))
     print(f"{matrix.num_peers} peers, {matrix.num_slots} slots, "
           f"system availability {stats.system:.4f}"
           + (f" ({len(ids)} kept by uptime filter)" if args.min_uptime is not None else ""))
-    return {
-        "source": source,
-        "min_uptime": args.min_uptime,
-        "peers": matrix.num_peers,
-        "slots": matrix.num_slots,
-        "system_availability": stats.system,
-    }
+    return [path], {"peers": matrix.num_peers, "slots": matrix.num_slots, "system_availability": stats.system}
 
 
 # -- trace-synth ---------------------------------------------------------
 
-def cmd_trace_synth(args, out: Path) -> dict:
+def cmd_trace_synth(args, out: Path) -> tuple[list[Path], dict]:
     matrix = trace.synth_trace(
         args.peers,
         args.slots,
@@ -109,16 +94,7 @@ def cmd_trace_synth(args, out: Path) -> dict:
     path = out / args.name
     trace.write_matrix_file(matrix, path)
     print(f"wrote {path} ({args.peers} peers x {args.slots} slots)")
-    return {
-        "peers": args.peers,
-        "slots": args.slots,
-        "avail_low": args.avail_low,
-        "avail_high": args.avail_high,
-        "diurnal": args.diurnal,
-        "weekend": args.weekend,
-        "slot_seconds": args.slot_seconds,
-        "output": str(path),
-    }
+    return [path], {}
 
 
 # -- sched-compare -------------------------------------------------------
@@ -135,7 +111,7 @@ def _parse_list(flag: str, text: str, cast, what: str) -> list:
     return values
 
 
-def cmd_sched_compare(args, out: Path) -> dict:
+def cmd_sched_compare(args, out: Path) -> tuple[list[Path], dict]:
     xs = _parse_list("--x", args.x, int, "whole numbers")
     ratios = _parse_list("--ratios", args.ratios, float, "numbers")
     if any(x < 1 for x in xs):
@@ -144,7 +120,7 @@ def cmd_sched_compare(args, out: Path) -> dict:
         raise SystemExit("sched-compare: --ratios must be > 1, with every ratio * x finite")
     if args.trials < 1:
         raise SystemExit("sched-compare: --trials must be >= 1")
-    matrix, source = _load_matrix(args, args.seed)
+    matrix = _load_matrix(args, args.seed)
     rng = np.random.default_rng(args.seed)
     bits = matrix.bits
     P, T = matrix.num_peers, matrix.num_slots
@@ -199,9 +175,10 @@ def cmd_sched_compare(args, out: Path) -> dict:
     fieldnames = ["x", "ratio", "candidates", "trials", "trials_used",
                   "mean_optimal", "mean_random", "mean_baseline",
                   "mean_optimal_norm", "mean_random_norm", "note"]
-    report.write_csv(out / "sched-compare.csv", fieldnames, ([row.get(name) for name in fieldnames] for row in rows))
-    print(f"wrote {out / 'sched-compare.csv'} ({len(rows)} grid points)")
-    return {"source": source, "x": xs, "ratios": ratios, "trials": args.trials}
+    path = out / "sched-compare.csv"
+    report.write_csv(path, fieldnames, ([row.get(name) for name in fieldnames] for row in rows))
+    print(f"wrote {path} ({len(rows)} grid points)")
+    return [path], {}
 
 
 # -- plan ----------------------------------------------------------------
@@ -231,7 +208,7 @@ def _plan_loss(row: dict) -> dict:
             "mean_lifetime_days": lifetime, "probability": p}
 
 
-def cmd_plan(args, out: Path) -> dict:
+def cmd_plan(args, out: Path) -> tuple[list[Path], dict]:
     results = []
     if args.batch:
         with trace.open_text(args.batch, ValueError, f"{args.batch}: ", newline="") as fh:
@@ -258,14 +235,15 @@ def cmd_plan(args, out: Path) -> dict:
             raise SystemExit("plan requires --k, --a and --target (or --loss / --batch)")
         results.append(_plan_n({"k": args.k, "a": args.a, "target": args.target}))
     fieldnames = ["mode", "k", "a", "target", "n", "t_days", "mean_lifetime_days", "probability"]
-    report.write_csv(out / "plan.csv", fieldnames, ([res.get(name) for name in fieldnames] for res in results))
+    path = out / "plan.csv"
+    report.write_csv(path, fieldnames, ([res.get(name) for name in fieldnames] for res in results))
     for res in results:
         if res["mode"] == "n":
             print(f"k={res['k']} a={res['a']} target={res['target']} -> n={res['n']}")
         else:
             print(f"n={res['n']} k={res['k']} t_days={res['t_days']} "
                   f"lifetime={res['mean_lifetime_days']} -> p={res['probability']}")
-    return {"batch": str(args.batch) if args.batch else None, "queries": len(results)}
+    return [path], {"queries": len(results)}
 
 
 # -- simulate ------------------------------------------------------------
@@ -290,7 +268,7 @@ def _average_summaries(rows: list[dict]) -> dict:
     return merged
 
 
-def cmd_simulate(args, out: Path) -> dict:
+def cmd_simulate(args, out: Path) -> tuple[list[Path], dict]:
     mapping: dict = {}
     if args.config:
         mapping.update(sim.load_config(args.config))
@@ -299,13 +277,13 @@ def cmd_simulate(args, out: Path) -> dict:
         if value is not None:
             mapping[f.name] = value
     config = sim.SimConfig.from_mapping(mapping)
-    matrix, source = _load_matrix(args, config.seed)
+    matrix = _load_matrix(args, config.seed)
     if args.runs < 1:
         raise SystemExit("simulate: --runs must be >= 1")
     # an owner needs fixed n (or at least k) holders, all distinct other
     # peers, and a holder needs room for one fragment
     max_holders = matrix.num_peers - 1
-    summaries = []
+    paths, summaries = [], []
     for i in range(args.runs):
         run_config = replace(config, seed=config.seed + i)
         simulation = sim.Simulation(run_config, matrix)
@@ -322,20 +300,15 @@ def cmd_simulate(args, out: Path) -> dict:
             if problem:
                 print(f"warning: {problem}", file=sys.stderr)
         result = simulation.run()
-        report.write_report_csvs(result, out / f"run-{i}")
+        paths += report.write_report_csvs(result, out / f"run-{i}")
         summaries.append(report.summary_row(result))
     merged = _average_summaries(summaries)
     merged["runs"] = args.runs
-    report.write_summary_row(merged, out / "summary.csv")
-    print(f"{args.runs} run(s) complete; averaged summary at {out / 'summary.csv'}")
-    return {
-        "seed": config.seed,  # the resolved seed: a config file can set it
-        "runs": args.runs,
-        "source": source,
-        "config": config.to_mapping(),
-        "max_holders": max_holders,
-        "target_reachable": target_reachable,
-    }
+    paths.append(out / "summary.csv")
+    report.write_summary_row(merged, paths[-1])
+    print(f"{args.runs} run(s) complete; averaged summary at {paths[-1]}")
+    # config's seed is the resolved one: a config file can set it
+    return paths, {"config": config.to_mapping(), "max_holders": max_holders, "target_reachable": target_reachable}
 
 
 # -- parser --------------------------------------------------------------
@@ -432,7 +405,14 @@ def main(argv=None) -> int:
     ok = False
     try:
         out.mkdir(parents=True, exist_ok=True)
-        _write_manifest(out, {"subcommand": args.command, "seed": args.seed, **args.func(args, out)})
+        paths, computed = args.func(args, out)
+        flags = {dest: str(value) if isinstance(value, float) and not math.isfinite(value) else value
+                 for dest, value in vars(args).items() if dest not in ("func", "command")}
+        outputs = {os.path.relpath(path, out): hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+        # allow_nan=False: a non-finite value that slipped through fails here, before the file is opened
+        manifest = json.dumps({"subcommand": args.command, "version": __version__, "args": flags,
+                               "outputs": outputs, **computed}, indent=2, sort_keys=True, allow_nan=False)
+        (out / "run-manifest.json").write_text(manifest + "\n", encoding="utf-8")
         ok = True
         return 0
     except (OSError, ValueError) as exc:

@@ -8,14 +8,16 @@ owner is away (exponential peer lifetimes, at least n - k + 1 holder crashes).
 A tail's value is one private helper, _binom_sf, which evaluates the
 regularized incomplete beta function directly (scipy.special.betainc), or
 for a tail below 1e-200 that betainc gets wrong a short pmf sum, and
-imports scipy.special at its first call.  Only data_loss_probability and
+imports scipy.special at its first call that needs betainc: p strictly
+between 0 and 1 and 0 <= j < n.  Only data_loss_probability and
 loss_risk, which return a tail, call it on every use.  The policies only ask
 which side of a bound a tail falls on (fixed_redundancy_n's target,
 within_loss_cap and loss_floor); _tail_at_most answers that from a short sum
 of pmf terms (_tail_sum) in plain Python, with the same answer as
 _binom_sf, and asks _binom_sf only on a close call.  So a simulation, or a
 plan of n, loads scipy only at such a call, which no run of the benchmark
-catalogue makes.
+catalogue makes; a run without crashes (crash probability 0) or on an
+always-on trace (availability 1) makes none.
 
 The eTTR formula and the stopping and risk tests are written once, over the
 holders' order statistics: their count n, the k-th best expected rate
@@ -80,19 +82,22 @@ class AdaptiveThresholds:
 
 
 def _binom_sf(j: int, n: int, p: float) -> float:
-    """P[X > j] for X ~ Binomial(n, p): 1.0 below j = 0, 0.0 from j = n, and
-    betainc(j + 1, n - j, p) between: bit for bit scipy's binom.sf, at a
+    """P[X > j] for X ~ Binomial(n, p): 1.0 below j = 0, 0.0 from j = n, p
+    itself at p of 0 or 1 (betainc's exact values there), and
+    betainc(j + 1, n - j, p) otherwise: bit for bit scipy's binom.sf, at a
     small fraction of its per-call cost, wherever that value is at least
     _MIN_BOUND.  Below it betainc may underflow to 0 or lose every digit
     (from about 1e-242 down), so where _tail_sum sums the upper side and
     betainc's value lies outside the sum's allowance, the sum is the value,
     accurate relative to the tail.  scipy.special is imported here, once per
-    process, at the first call with 0 <= j < n: a tail value, or a
-    comparison that _tail_at_most cannot decide from its sum."""
+    process, at the first call with 0 <= j < n and 0 < p < 1: a tail value,
+    or a comparison that _tail_at_most cannot decide from its sum."""
     if j < 0:
         return 1.0
     if j >= n:
         return 0.0
+    if p == 0 or p == 1:
+        return float(p)
     from scipy.special import betainc
 
     value = float(betainc(j + 1, n - j, p))
@@ -158,8 +163,8 @@ def _tail_at_most(j: int, n: int, p: float, bound: float) -> bool:
     _binom_sf's.  _binom_sf decides a close call, p of 0 or 1, an n that is
     not an exact float, a bound below _MIN_BOUND (where _binom_sf takes the
     sum in place of a betainc value that lies outside its allowance) and a
-    tail _tail_sum does not sum; below j = 0 and from j = n it needs no
-    scipy either.
+    tail _tail_sum does not sum; at p of 0 or 1, below j = 0 and from j = n
+    it needs no scipy either.
     """
     if 0 <= j < n < 2**53 and 0 < p < 1 and bound >= _MIN_BOUND:
         estimate = _tail_sum(j, n, p)

@@ -131,6 +131,7 @@ class SimConfig:
             raise ValueError("bandwidth_median_kbs must be positive")
         if not self.bandwidth_sigma >= 0:
             raise ValueError("bandwidth_sigma must be non-negative")
+        self.thresholds()  # the adaptive rule's fields, named by AdaptiveThresholds
 
     @property
     def k(self) -> int:

@@ -9,11 +9,13 @@ interpreter's own start-up is left out, as ``perfbench/run.py`` times
 ``setup_s``'s import), and reports whether any ``scipy`` module is loaded.
 The cases are ``import p2pbackup``, ``import p2pbackup.cli``, and
 ``cli.main`` on toy runs of trace-synth, trace-stats, sched-compare, plan
-(of n, and of a loss probability) and simulate.  The tool prints the median
-seconds per case, then one line of JSON with each case's median seconds
-and scipy flag.  Only a case that prints a binomial tail's value (plan
---loss) should load scipy: plan of n and simulate only compare tails with
-bounds, which redundancy decides without scipy unless a call is close.
+(of n, and of a loss probability) and simulate (with crashes, and adaptive
+without them).  The tool prints the median seconds per case, then one line
+of JSON with each case's median seconds and scipy flag.  Only a case that
+prints a binomial tail's value (plan --loss) should load scipy: plan of n
+and simulate only compare tails with bounds, which redundancy decides
+without scipy unless a call is close, and a run without crashes asks only
+for tails at crash probability 0, whose value needs no scipy.
 
 Not collected by pytest: the file name has no test_ prefix.
 """
@@ -51,6 +53,9 @@ def cases(work: Path) -> dict[str, str]:
         # a k = 2 object, so that the toy simulation backs up, crashes and restores
         "simulate": ["simulate", "--synth-peers", "8", "--synth-slots", "48", "--object-size", "2000000",
                      "--fragment-size", "1000000", "--mean-lifetime-days", "1"],
+        "simulate --mean-lifetime-days inf": ["simulate", "--synth-peers", "8", "--synth-slots", "48",
+                                              "--object-size", "2000000", "--fragment-size", "1000000",
+                                              "--policy", "adaptive", "--mean-lifetime-days", "inf"],
     }
     out = {"import p2pbackup": "import p2pbackup", "import p2pbackup.cli": "import p2pbackup.cli"}
     for name, argv in runs.items():
@@ -75,13 +80,14 @@ def main() -> int:
         subprocess.run([sys.executable, "-m", "p2pbackup.cli", "trace-synth", "--peers", "8", "--slots", "48",
                         "--out-dir", str(work / "toy")], env=env, capture_output=True, timeout=300, check=True)
         print(f"median of {REPEATS} fresh interpreters, Python {sys.version.split()[0]}")
-        summary = {}
-        for name, body in cases(work).items():
+        summary, bodies = {}, cases(work)
+        width = max(map(len, bodies))
+        for name, body in bodies.items():
             samples = [run_case(body, env) for _ in range(REPEATS)]
             loaded = {scipy for _, scipy in samples}
             seconds = statistics.median(s for s, _ in samples)
             scipy = "yes" if loaded == {True} else "no" if loaded == {False} else "sometimes"
-            print(f"{name:<24} {seconds:7.3f} s  scipy loaded: {scipy}")
+            print(f"{name:<{width}} {seconds:7.3f} s  scipy loaded: {scipy}")
             summary[name] = {"median_s": seconds, "scipy_loaded": scipy}
     print(json.dumps({"repeats": REPEATS, "python": sys.version.split()[0], "cases": summary}))
     return 0

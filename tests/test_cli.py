@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import re
@@ -25,9 +26,14 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
 def read_manifest(out_dir):
+    """The run's manifest, which must be strict JSON: no NaN or Infinity."""
     with open(out_dir / "run-manifest.json", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=reject_constant)
 
 
 # -- trace-synth ---------------------------------------------------------
@@ -41,8 +47,8 @@ def test_trace_synth_writes_trace_and_manifest(tmp_path, capsys):
     assert (matrix.num_peers, matrix.num_slots) == (6, 24)
     manifest = read_manifest(out)
     assert manifest["subcommand"] == "trace-synth"
-    assert manifest["seed"] == 3
-    assert manifest["peers"] == 6
+    assert manifest["args"]["seed"] == 3
+    assert manifest["args"]["peers"] == 6
     assert "version" in manifest
     assert "(6 peers x 24 slots)" in capsys.readouterr().out
 
@@ -482,10 +488,10 @@ def test_simulate_single_run_outputs(tmp_path, flat_cdf_file, capsys):
     assert summary["runs"] == "1"
     assert float(summary["num_peers"]) == 6.0
     manifest = read_manifest(out)
-    assert manifest["seed"] == 5
+    assert manifest["config"]["seed"] == 5
     assert manifest["config"]["object_size"] == 2048
     assert manifest["config"]["fragment_size"] == 1024
-    assert manifest["source"] == {"matrix": str(matrix_path)}
+    assert manifest["args"]["matrix"] == str(matrix_path)
     assert "1 run(s) complete" in capsys.readouterr().out
 
 
@@ -619,7 +625,7 @@ def test_simulate_seed_flag_parses_as_its_config_key(tmp_path, flat_cdf_file, ca
         rc = cli.main(["simulate", "--synth-peers", "12", "--synth-slots", "48", "--config", str(config_path),
                        *flags, "--out-dir", str(run_dir / "o")])
         assert rc == 0
-        assert read_manifest(run_dir / "o")["seed"] == (0 if source == "zero" else 1000)
+        assert read_manifest(run_dir / "o")["config"]["seed"] == (0 if source == "zero" else 1000)
         runs[source] = [(run_dir / "o" / "run-0" / name).read_bytes()
                         for name in ("peers.csv", "crashes.csv", "server.csv", "summary.csv")]
     assert runs["file"] == runs["flag"] != runs["zero"]
@@ -680,7 +686,7 @@ def test_simulate_seed_falls_back_to_config_file(tmp_path, flat_cdf_file):
     rc = cli.main(["simulate", "--matrix", str(matrix_path),
                    "--config", str(config_path), "--out-dir", str(out)])
     assert rc == 0
-    assert read_manifest(out)["seed"] == 41
+    assert read_manifest(out)["config"]["seed"] == 41
 
 
 def test_simulate_without_seed_reproduces_synthesized_trace(tmp_path, flat_cdf_file):
@@ -690,7 +696,7 @@ def test_simulate_without_seed_reproduces_synthesized_trace(tmp_path, flat_cdf_f
         rc = cli.main(["simulate", "--synth-peers", "12", "--synth-slots", "48",
                        "--config", str(config_path), "--out-dir", str(out)])
         assert rc == 0
-        assert read_manifest(out)["seed"] == 0
+        assert read_manifest(out)["config"]["seed"] == 0
     for name in ["run-0/peers.csv", "run-0/crashes.csv", "run-0/server.csv", "summary.csv"]:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
@@ -751,12 +757,16 @@ def test_simulate_takes_the_slot_length_from_the_trace(tmp_path, flat_cdf_file, 
     assert "unknown config key 'slot_seconds'" in capsys.readouterr().err
 
 
-def simulate_flags():
-    """Option string -> dest of every simulate flag."""
+def subcommand_actions(command):
+    """The argparse actions of a subcommand's parser."""
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {flag: action.dest for action in commands.choices["simulate"]._actions
-            for flag in action.option_strings}
+    return commands.choices[command]._actions
+
+
+def simulate_flags():
+    """Option string -> dest of every simulate flag."""
+    return {flag: action.dest for action in subcommand_actions("simulate") for flag in action.option_strings}
 
 
 def test_simulate_has_one_flag_per_config_field():
@@ -791,21 +801,18 @@ def test_unknown_flag_exits_with_usage_error():
 
 # -- run manifest --------------------------------------------------------
 
-# per subcommand: flags of a run that succeeds, the manifest keys of its own,
-# and flags of a run that exits 1; {m}, {c} and {d} name the simulate inputs'
-# matrix and config files and the test's directory
+# per subcommand: flags of a run that succeeds, the manifest keys of its own
+# computed fields, and flags of a run that exits 1; {m}, {c} and {d} name the
+# simulate inputs' matrix and config files and the test's directory
 MANIFEST_CASES = {
-    "trace-synth": (["--peers", "3", "--slots", "4"],
-                    {"peers", "slots", "avail_low", "avail_high", "diurnal", "weekend", "slot_seconds", "output"},
-                    ["--peers", "3", "--slots", "4", "--slot-seconds", "0"]),
-    "trace-stats": (["--matrix", "{m}"], {"source", "min_uptime", "peers", "slots", "system_availability"},
-                    ["--matrix", "{d}/absent.txt"]),
-    "sched-compare": (["--matrix", "{m}", "--x", "2", "--ratios", "1.5", "--trials", "2"],
-                      {"source", "x", "ratios", "trials"}, ["--matrix", "{d}/absent.txt"]),
-    "plan": (["--k", "2", "--a", "0.5", "--target", "0.9"], {"batch", "queries"},
+    "trace-synth": (["--peers", "3", "--slots", "4"], set(), ["--peers", "3", "--slots", "4", "--slot-seconds", "0"]),
+    "trace-stats": (["--matrix", "{m}"], {"peers", "slots", "system_availability"}, ["--matrix", "{d}/absent.txt"]),
+    "sched-compare": (["--matrix", "{m}", "--x", "2", "--ratios", "1.5", "--trials", "2"], set(),
+                      ["--matrix", "{d}/absent.txt"]),
+    "plan": (["--k", "2", "--a", "0.5", "--target", "0.9"], {"queries"},
              ["--loss", "--n", "4", "--k", "2", "--t-days", "inf", "--lifetime", "inf"]),
-    "simulate": (["--matrix", "{m}", "--config", "{c}"],
-                 {"runs", "source", "config", "max_holders", "target_reachable"}, ["--config", "{d}/absent.cfg"]),
+    "simulate": (["--matrix", "{m}", "--config", "{c}"], {"config", "max_holders", "target_reachable"},
+                 ["--config", "{d}/absent.cfg"]),
 }
 
 
@@ -820,10 +827,99 @@ def test_main_writes_the_manifest_of_a_command_that_succeeds(tmp_path, flat_cdf_
 
     assert run(succeeds, tmp_path / "ok") == 0
     manifest = read_manifest(tmp_path / "ok")
-    assert set(manifest) == {"subcommand", "seed", "version"} | own_keys
-    assert (manifest["subcommand"], manifest["seed"], manifest["version"]) == (command, 4, __version__)
+    assert set(manifest) == {"subcommand", "version", "args", "outputs"} | own_keys
+    assert (manifest["subcommand"], manifest["version"]) == (command, __version__)
+    assert manifest["args"]["seed"] == (4 if command != "simulate" else "4")  # simulate's parses as a config value
     assert run(fails, tmp_path / "failed") == 1
     assert not (tmp_path / "failed" / "run-manifest.json").exists()
+
+
+def rerun_argv(manifest, out_dir):
+    """The command line of a manifest's run, rebuilt from its args through
+    the subcommand's parser actions, with out_dir for --out-dir: a None is
+    left out and True is a bare flag."""
+    actions = [action for action in subcommand_actions(manifest["subcommand"]) if action.dest != "help"]
+    assert {action.dest for action in actions} == set(manifest["args"])  # every flag, defaults included
+    args = {**manifest["args"], "out_dir": str(out_dir)}
+    argv = [manifest["subcommand"]]
+    for action in actions:
+        value = args[action.dest]
+        if value is True:
+            argv.append(action.option_strings[0])
+        elif value is not None and value is not False:
+            argv.append(f"{action.option_strings[0]}={value}")
+    return argv
+
+
+# a run of each subcommand and trace source; {m}, {c}, {e} and {b} name a
+# matrix, a simulate config, an event file and a plan batch
+RERUN_CASES = {
+    "trace-synth": ["trace-synth", "--peers", "6", "--slots", "24", "--seed", "3", "--diurnal", "0.5"],
+    "trace-stats-matrix": ["trace-stats", "--matrix", "{m}", "--min-uptime", "0.5"],
+    "trace-stats-events": ["trace-stats", "--events", "{e}", "--slot-seconds", "1800"],
+    "sched-compare": ["sched-compare", "--synth-peers", "10", "--synth-slots", "60", "--avail-low", "0.5",
+                      "--x", "2", "--ratios", "1.5,2", "--trials", "3", "--seed", "1"],
+    "plan": ["plan", "--k", "64", "--a", "0.36", "--target", "0.99"],
+    "plan-loss": ["plan", "--loss", "--n", "12", "--k", "8", "--t-days", "inf"],
+    "plan-batch": ["plan", "--batch", "{b}"],
+    "simulate": ["simulate", "--synth-peers", "12", "--synth-slots", "48", "--config", "{c}", "--runs", "2",
+                 "--policy", "adaptive", "--mean-lifetime-days", "2", "--seed", "7"],
+}
+
+
+@pytest.mark.parametrize("case", RERUN_CASES)
+def test_a_run_reruns_from_its_manifest_args(tmp_path, flat_cdf_file, case):
+    """The manifest's args hold every flag of the run: the command line
+    rebuilt from them writes the same outputs into another directory, and
+    outputs holds each written file's sha256."""
+    matrix_path, config_path = write_sim_inputs(tmp_path, flat_cdf_file)
+    events, batch = tmp_path / "events.csv", tmp_path / "batch.csv"
+    events.write_text("p1,0,login\np1,3600,logoff\np2,0,login\np2,7200,logoff\n", encoding="utf-8")
+    batch.write_text(f"{FULL_HEADER}\nn,4,0.5,0.9,,,\nloss,2,,,4,1,90\n", encoding="utf-8")
+    names = {"m": matrix_path, "c": config_path, "e": events, "b": batch}
+    argv = [arg.format(**names) for arg in RERUN_CASES[case]]
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "first")]) == 0
+    first = read_manifest(tmp_path / "first")
+    assert first["outputs"]
+    for name, digest in first["outputs"].items():
+        assert hashlib.sha256((tmp_path / "first" / name).read_bytes()).hexdigest() == digest, name
+    assert cli.main(rerun_argv(first, tmp_path / "again")) == 0
+    again = read_manifest(tmp_path / "again")
+    assert again["outputs"] == first["outputs"]
+    assert {**again["args"], "out_dir": None} == {**first["args"], "out_dir": None}
+    if case == "simulate":
+        assert set(first["outputs"]) == {f"run-{i}/{name}" for i in range(2) for name in
+                                         ("peers.csv", "crashes.csv", "server.csv", "summary.csv")} | {"summary.csv"}
+        assert first["config"]["seed"] == 7 and first["args"]["seed"] == "7"
+
+
+def test_manifest_keys_an_output_outside_the_out_dir_by_its_relative_path(tmp_path):
+    out = tmp_path / "o"
+    assert cli.main(["trace-synth", "--peers", "3", "--slots", "4", "--name", "../week.txt", "--out-dir", str(out)]) == 0
+    digest = hashlib.sha256((tmp_path / "week.txt").read_bytes()).hexdigest()
+    assert read_manifest(out)["outputs"] == {"../week.txt": digest}
+
+
+def test_two_plan_queries_write_different_manifests(tmp_path):
+    """Each query's flags are in its manifest, so two queries with the same
+    seed and query count still write different ones."""
+    manifests = []
+    for name, query in (("n", ["--k", "64", "--a", "0.36", "--target", "0.99"]),
+                        ("loss", ["--loss", "--n", "222", "--k", "64", "--t-days", "15.5"])):
+        assert cli.main(["plan", *query, "--out-dir", str(tmp_path / name)]) == 0
+        manifest = read_manifest(tmp_path / name)
+        del manifest["args"]["out_dir"]
+        manifests.append(manifest)
+    assert manifests[0]["queries"] == manifests[1]["queries"] == 1
+    assert manifests[0]["args"] != manifests[1]["args"]
+    assert manifests[0]["args"]["loss"] is False and manifests[1]["args"]["loss"] is True
+
+
+def test_manifest_writes_an_infinite_flag_as_a_string(tmp_path):
+    out = tmp_path / "o"
+    assert cli.main(["plan", "--loss", "--n", "12", "--k", "8", "--t-days", "3", "--lifetime", "inf",
+                     "--out-dir", str(out)]) == 0
+    assert read_manifest(out)["args"]["lifetime"] == "inf"  # read_manifest rejects Infinity
 
 
 # -- cold start ----------------------------------------------------------
@@ -833,7 +929,8 @@ def test_import_cost_tool_loads_scipy_only_for_a_tail(monkeypatch, capsys):
     """tests/import_cost.py, the cold start of each subcommand, runs every
     case once and finds scipy loaded only by plan --loss, the one case that
     prints a binomial tail's value; plan of n and simulate compare tails
-    with bounds without it.  Its last line is JSON with the same rows."""
+    with bounds without it, and a simulation without crashes asks only for
+    tails at p = 0.  Its last line is JSON with the same rows."""
     monkeypatch.setattr(import_cost, "REPEATS", 1)
     assert import_cost.main() == 0
     lines = capsys.readouterr().out.splitlines()
@@ -842,8 +939,9 @@ def test_import_cost_tool_loads_scipy_only_for_a_tail(monkeypatch, capsys):
     assert {row[1]: row[3] for row in rows} == {
         "import p2pbackup": "no", "import p2pbackup.cli": "no", "cli.main trace-synth": "no",
         "cli.main trace-stats": "no", "cli.main sched-compare": "no", "cli.main plan": "no",
-        "cli.main plan --loss": "yes", "cli.main simulate": "no"}
-    assert len(rows) == 8
+        "cli.main plan --loss": "yes", "cli.main simulate": "no",
+        "cli.main simulate --mean-lifetime-days inf": "no"}
+    assert len(rows) == 9
     summary = json.loads(lines[-1])
     assert summary["repeats"] == 1
     assert {name: (f"{case['median_s']:.3f}", case["scipy_loaded"]) for name, case in summary["cases"].items()} == {

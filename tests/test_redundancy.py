@@ -568,6 +568,49 @@ print("probe", 'scipy.special' in sys.modules)
     assert tail_loads == "True"
 
 
+@pytest.mark.parametrize("j, n", [(0, 5), (7, 10), (99, 299), (0, 1)])
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_binom_sf_at_p_0_and_1_is_betaincs_exact_value(j, n, p):
+    from scipy.special import betainc
+
+    assert red._binom_sf(j, n, p) == float(betainc(j + 1, n - j, p)) == p
+
+
+def test_runs_whose_tails_sit_at_p_0_or_1_load_no_scipy():
+    """Adaptive runs without crashes (mean_lifetime_days 0 or inf: a holder
+    crashes with probability 0) and a fixed-policy run on an always-on trace
+    (availability 1) ask _binom_sf for tails at p of 0 or 1 only, which it
+    answers without scipy.special.  With scipy's binom.sf in its place the
+    runs come out the same."""
+    src = Path(red.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = """
+import math, sys
+import numpy as np
+from p2pbackup import redundancy, report, sim, trace
+ps = set()
+binom_sf = redundancy._binom_sf
+redundancy._binom_sf = lambda j, n, p: ps.add(p) or binom_sf(j, n, p)
+def runs():
+    always_on = trace.AvailabilityMatrix(bits=np.ones((10, 48), dtype=np.uint8))
+    for policy, lifetime, matrix in (("adaptive", 0.0, trace.synth_trace(20, 96, seed=1)),
+                                     ("adaptive", math.inf, trace.synth_trace(20, 96, seed=1)),
+                                     ("fixed", 90.0, always_on)):
+        config = sim.SimConfig(object_size=4_000_000, fragment_size=1_000_000, mean_lifetime_days=lifetime,
+                               redundancy_policy=policy, seed=3)
+        simulation = sim.Simulation(config, matrix)
+        yield simulation.fixed_n, report.summary_row(simulation.run())
+first = repr(list(runs()))
+print(sorted(ps), "scipy.special" in sys.modules)
+from scipy.stats import binom
+redundancy._binom_sf = lambda j, n, p: float(binom.sf(j, n, p))
+print(first == repr(list(runs())))
+"""
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=120, check=True)
+    assert result.stdout.splitlines() == ["[0.0, 1.0] False", "True"]
+
+
 def test_simulations_decide_every_tail_comparison_without_scipy():
     """Fixed and adaptive runs, immediate and delayed_assisted, at 30 peers
     x 96 slots and k = 8, with crashes, restores and losses, make their

@@ -147,6 +147,22 @@ def test_config_rejects_each_bad_field(overrides, message):
         SimConfig(**overrides)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("loss_cap", 2.0, "loss_cap must be in (0, 1]"),
+    ("loss_cap", 0.0, "loss_cap must be in (0, 1]"),
+    ("ttr_factor", -1.0, "ttr_factor must be non-negative"),
+    ("ttr_floor_days", -1.0, "ttr_floor_days must be non-negative"),
+    ("w_days", -1.0, "w_days must be non-negative"),
+])
+def test_config_rejects_a_bad_adaptive_rule_field_when_built(key, value, message):
+    """The adaptive rule's fields are checked when the config is built, not
+    first when a Simulation asks for its thresholds, through the constructor
+    and through from_mapping alike, by a message naming the field."""
+    for build in (lambda: SimConfig(**{key: value}), lambda: SimConfig.from_mapping({key: str(value)})):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            build()
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# deployment\nobject_size = 2048\nfragment_size=1024\n\nseed=3\n")

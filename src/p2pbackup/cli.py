@@ -124,19 +124,15 @@ def cmd_sched_compare(args, out: Path) -> tuple[list[Path], dict]:
     rng = np.random.default_rng(args.seed)
     bits = matrix.bits
     P, T = matrix.num_peers, matrix.num_slots
+    header = ["x", "ratio", "candidates", "trials", "trials_used", "mean_optimal", "mean_random",
+              "mean_baseline", "mean_optimal_norm", "mean_random_norm", "note"]
     rows = []
     for x in xs:
         for ratio in ratios:
             candidates_n = int(round(ratio * x))
-            if x > P - 1 or candidates_n > P - 1:
-                rows.append({
-                    "x": x, "ratio": ratio, "candidates": candidates_n,
-                    "trials": args.trials, "trials_used": 0,
-                    "note": "skipped: more peers needed than the trace has",
-                })
-                continue
-            opt_acc, rand_acc, base_acc = [], [], []
-            for _ in range(args.trials):
+            skipped = x > P - 1 or candidates_n > P - 1
+            triples = []  # (optimal, random, baseline) completion of each feasible trial
+            for _ in range(0 if skipped else args.trials):
                 owner = int(rng.integers(P))
                 others = [i for i in range(P) if i != owner]
                 chosen = rng.choice(len(others), size=candidates_n, replace=False)
@@ -150,33 +146,18 @@ def cmd_sched_compare(args, out: Path) -> tuple[list[Path], dict]:
                 baseline = sched.ideal_baseline(sub.rows(0), x, 1)
                 optimal = sched.optimal_completion(problem)
                 randomized = sched.random_schedule(problem, rng)
-                if baseline is None or not optimal.feasible or not randomized.feasible:
-                    continue
-                opt_acc.append(optimal.completion)
-                rand_acc.append(randomized.completion)
-                base_acc.append(baseline)
-            used = len(opt_acc)
-            row = {
-                "x": x, "ratio": ratio, "candidates": candidates_n,
-                "trials": args.trials, "trials_used": used, "note": "",
-            }
-            if used:
-                mo, mr, mb = np.mean(opt_acc), np.mean(rand_acc), np.mean(base_acc)
-                row.update({
-                    "mean_optimal": float(mo),
-                    "mean_random": float(mr),
-                    "mean_baseline": float(mb),
-                    "mean_optimal_norm": float(np.mean(np.array(opt_acc) / np.array(base_acc))),
-                    "mean_random_norm": float(np.mean(np.array(rand_acc) / np.array(base_acc))),
-                })
+                if baseline is not None and optimal.feasible and randomized.feasible:
+                    triples.append((optimal.completion, randomized.completion, baseline))
+            if triples:
+                opt, rand, base = (np.array(column) for column in zip(*triples))
+                means = [float(np.mean(v)) for v in (opt, rand, base, opt / base, rand / base)]
+                note = ""
             else:
-                row["note"] = "no feasible trials"
-            rows.append(row)
-    fieldnames = ["x", "ratio", "candidates", "trials", "trials_used",
-                  "mean_optimal", "mean_random", "mean_baseline",
-                  "mean_optimal_norm", "mean_random_norm", "note"]
+                means = [None] * 5
+                note = "skipped: more peers needed than the trace has" if skipped else "no feasible trials"
+            rows.append([x, ratio, candidates_n, args.trials, len(triples), *means, note])
     path = out / "sched-compare.csv"
-    report.write_csv(path, fieldnames, ([row.get(name) for name in fieldnames] for row in rows))
+    report.write_csv(path, header, rows)
     print(f"wrote {path} ({len(rows)} grid points)")
     return [path], {}
 
@@ -305,7 +286,7 @@ def cmd_simulate(args, out: Path) -> tuple[list[Path], dict]:
     merged = _average_summaries(summaries)
     merged["runs"] = args.runs
     paths.append(out / "summary.csv")
-    report.write_summary_row(merged, paths[-1])
+    report.write_csv(paths[-1], merged.keys(), [merged.values()])
     print(f"{args.runs} run(s) complete; averaged summary at {paths[-1]}")
     # config's seed is the resolved one: a config file can set it
     return paths, {"config": config.to_mapping(), "max_holders": max_holders, "target_reachable": target_reachable}

@@ -42,10 +42,11 @@ _FLOOR_RTOL = 1e-6  # loss_floor's allowance for the loss tail's noise as eTTR g
 _MAX_TERMS = 256  # the most pmf terms _tail_sum adds; a tail with no side this short asks _binom_sf
 _DECIDE_RTOL = 1e-6  # _tail_at_most's band around a bound, relative to it, in which _binom_sf decides
 _MIN_BOUND = 1e-200  # below it _binom_sf decides, checking betainc (wrong from about 1e-242 down) by _tail_sum
+_N_CEILING = 100_000  # the largest n fixed_redundancy_n searches
 
 
 class SearchCeilingError(ValueError):
-    """The minimal-n search exceeded its configured ceiling."""
+    """The minimal-n search exceeded its ceiling, _N_CEILING."""
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ def _tail_at_most(j: int, n: int, p: float, bound: float) -> bool:
     return _binom_sf(j, n, p) <= bound
 
 
-def fixed_redundancy_n(k: int, a: float, target: float, ceiling: int = 100_000) -> int:
+def fixed_redundancy_n(k: int, a: float, target: float) -> int:
     """Minimal n >= k whose binomial availability tail meets the target.
 
     Finds the smallest n with P[X >= k] >= target for X ~ Binomial(n, a): the
@@ -183,7 +184,7 @@ def fixed_redundancy_n(k: int, a: float, target: float, ceiling: int = 100_000) 
     The tail is _binom_sf(k - 1, n, a), a regularized incomplete beta
     function, stable far beyond n = 10^4; the comparison allows _TAIL_ATOL of
     last-digit noise, and _tail_at_most makes it.  The tail is nondecreasing
-    in n, so one bisection over [k, ceiling] finds the first n that passes.
+    in n, so one bisection over [k, _N_CEILING] finds the first n that passes.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -191,8 +192,8 @@ def fixed_redundancy_n(k: int, a: float, target: float, ceiling: int = 100_000) 
         raise ValueError("a must be in (0, 1]")
     if not 0 < target < 1:
         raise ValueError("target must be in (0, 1)")
-    if ceiling < k:
-        raise SearchCeilingError(f"ceiling {ceiling} is below k={k}")
+    if _N_CEILING < k:
+        raise SearchCeilingError(f"ceiling {_N_CEILING} is below k={k}")
 
     # tail >= target - _TAIL_ATOL, as "not tail <= the float just below it"
     below = math.nextafter(target - _TAIL_ATOL, -math.inf)
@@ -200,9 +201,9 @@ def fixed_redundancy_n(k: int, a: float, target: float, ceiling: int = 100_000) 
     def passes(n: int) -> bool:
         return not _tail_at_most(k - 1, n, a, below)
 
-    n = k + bisect.bisect_left(range(k, ceiling + 1), True, key=passes)
-    if n > ceiling:
-        raise SearchCeilingError(f"no n <= {ceiling} meets target {target} at a={a}")
+    n = k + bisect.bisect_left(range(k, _N_CEILING + 1), True, key=passes)
+    if n > _N_CEILING:
+        raise SearchCeilingError(f"no n <= {_N_CEILING} meets target {target} at a={a}")
     return n
 
 

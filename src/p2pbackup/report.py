@@ -153,11 +153,6 @@ def summary_row(report: SimReport) -> dict:
     }
 
 
-def write_summary_row(row: dict, path) -> None:
-    """Write one row of summary_row's fields, such as an average over runs."""
-    write_csv(path, row.keys(), [row.values()])
-
-
 def write_report_csvs(report: SimReport, out_dir) -> list:
     """Write the full CSV contract into out_dir; returns the paths written.
     PeerRecord and CrashRecord fields are in column order; a run without the
@@ -170,5 +165,6 @@ def write_report_csvs(report: SimReport, out_dir) -> list:
     slots = report.num_slots if report.config.response == DELAYED_ASSISTED else 0
     write_csv(paths[2], SERVER_FIELDS, zip(range(slots), report.server_outbound.tolist(),
                                            report.server_buffered.tolist()))
-    write_summary_row(summary_row(report), paths[3])
+    row = summary_row(report)
+    write_csv(paths[3], row.keys(), [row.values()])
     return paths

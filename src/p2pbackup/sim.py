@@ -64,7 +64,8 @@ _MAY_BE_INF = ("mean_lifetime_days", "ttr_floor_days")  # SimConfig fields where
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Experiment parameterization; field names double as config-file keys."""
+    """Experiment parameterization; field names double as config-file keys.  The adaptive
+    rule's loss_cap, w_days, ttr_floor_days and ttr_factor default as in AdaptiveThresholds."""
 
     object_size: int = 10 * 2**30
     storage_quota: int = 50 * 2**30
@@ -72,11 +73,11 @@ class SimConfig:
     mean_lifetime_days: float = 90.0
     redundancy_policy: str = ADAPTIVE
     fixed_target: float = 0.99
-    loss_cap: float = 1e-4
-    w_days: float = 14.0
+    loss_cap: float = AdaptiveThresholds.loss_cap
+    w_days: float = AdaptiveThresholds.w_days
     parallel_downloads: int = 0  # 0 derives l from bandwidth at use time
-    ttr_floor_days: float = 1.0
-    ttr_factor: float = 2.0
+    ttr_floor_days: float = AdaptiveThresholds.ttr_floor_days
+    ttr_factor: float = AdaptiveThresholds.ttr_factor
     response: str = IMMEDIATE
     delay_mean_days: float = 7.0
     repair_timeout_days: float = 7.0
@@ -472,8 +473,9 @@ class Simulation:
         self.min_ttb = _ideal_elapsed(bits, self.o / self.uplink, self.slot)
         self.min_ttr = self.o / self.downlink
         self.next_crash = np.array([sample_lifetime(config.mean_lifetime_days, self.rng) for _ in range(self.P)])
-        # fewest holders that may pass the loss cap; None until the first decision that needs a tail
-        self.n_floor = None
+        # fewest holders, at least k, that may pass the loss cap at the smallest eTTR, o over the largest
+        # downlink; the tail rises with eTTR, so with fewer a decision fails it unevaluated
+        self.n_floor = loss_floor(self.k, self.o / self.downlink.max().item(), self.thresholds, self.P)
         # report fields, each written once in place; the math.nan object until then
         self.ttb, self.ttr, self.ettr, self.redundancy = ([math.nan] * self.P for _ in range(4))
 
@@ -543,18 +545,6 @@ class Simulation:
         return rate_ettr(self.o, self.downlink.item(owner), kth_best_rate(self.avail[held], uplink, self.k),
                          self._parallel(owner, uplink))
 
-    def _below_floor(self, n: int) -> bool:
-        """True if an owner with n holders fails the loss cap whatever its
-        eTTR, so its decisions need no eTTR or tail: below k, or below the
-        loss_floor at the smallest eTTR any owner reaches, o over the largest
-        downlink.  The floor is found at the first call from k holders up, the
-        run's first tail, so scipy is not loaded before the run needs it."""
-        if n < self.k:
-            return True
-        if self.n_floor is None:
-            self.n_floor = loss_floor(self.k, self.o / self.downlink.max().item(), self.thresholds, self.P)
-        return n < self.n_floor
-
     def _at_risk(self, owner: int) -> bool:
         """True while the owner's placements fail the loss cap over w + eTTR
         (always, below the floor); kept in at_risk, exact as in
@@ -562,7 +552,7 @@ class Simulation:
         at_risk = self.at_risk.item(owner)
         if at_risk < 0:
             n = self.placed_count.item(owner)
-            at_risk = self.at_risk[owner] = self._below_floor(n) or not within_loss_cap(
+            at_risk = self.at_risk[owner] = n < self.n_floor or not within_loss_cap(
                 n, self.k, self._ettr(owner), self.thresholds)
         return bool(at_risk)
 
@@ -581,7 +571,7 @@ class Simulation:
             return n < self.fixed_n
         needs = self.needs.item(owner)
         if needs < 0:
-            needs = self.needs[owner] = self._below_floor(n) or not caps_met(
+            needs = self.needs[owner] = n < self.n_floor or not caps_met(
                 n, self.k, self._ettr(owner), self.min_ttr.item(owner), self.thresholds)
         return bool(needs)
 

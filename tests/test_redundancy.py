@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -74,18 +75,25 @@ def test_fixed_n_matches_a_linear_scan(k, a, target, slack):
     n = next(n for n in itertools.count(k) if red._binom_sf(k - 1, n, a) >= target - 1e-12)
     assert red.fixed_redundancy_n(k, a, target) == n
     ceiling = max(k, n - 20 + slack)
-    if ceiling < n:
-        with pytest.raises(red.SearchCeilingError):
-            red.fixed_redundancy_n(k, a, target, ceiling=ceiling)
-    else:
-        assert red.fixed_redundancy_n(k, a, target, ceiling=ceiling) == n
+    with mock.patch.object(red, "_N_CEILING", ceiling):  # hypothesis rejects the function-scoped monkeypatch
+        if ceiling < n:
+            with pytest.raises(red.SearchCeilingError):
+                red.fixed_redundancy_n(k, a, target)
+        else:
+            assert red.fixed_redundancy_n(k, a, target) == n
 
 
-def test_fixed_n_search_ceiling():
-    with pytest.raises(red.SearchCeilingError):
-        red.fixed_redundancy_n(8, 0.01, 0.999, ceiling=50)
-    with pytest.raises(red.SearchCeilingError):
-        red.fixed_redundancy_n(64, 0.5, 0.99, ceiling=10)
+def test_fixed_n_search_ceiling(monkeypatch):
+    with pytest.raises(red.SearchCeilingError, match="no n <= 100000 meets target 0.999"):
+        red.fixed_redundancy_n(8, 1e-4, 0.999)
+    with pytest.raises(red.SearchCeilingError, match="ceiling 100000 is below k=100001"):
+        red.fixed_redundancy_n(100_001, 0.5, 0.9)
+    monkeypatch.setattr(red, "_N_CEILING", 50)
+    with pytest.raises(red.SearchCeilingError, match="no n <= 50 meets"):
+        red.fixed_redundancy_n(8, 0.01, 0.999)
+    monkeypatch.setattr(red, "_N_CEILING", 10)
+    with pytest.raises(red.SearchCeilingError, match="ceiling 10 is below k=64"):
+        red.fixed_redundancy_n(64, 0.5, 0.99)
 
 
 def test_fixed_n_rejects_bad_arguments():

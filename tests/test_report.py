@@ -261,7 +261,7 @@ def test_summary_round_trip(tmp_path, small_run):
     assert row["num_peers"] == 24
     assert row["crashed_episodes"] == len(small_run.crashes)
     path = tmp_path / "summary.csv"
-    rep.write_summary_row(row, path)
+    rep.write_csv(path, row.keys(), [row.values()])
     with open(path, newline="", encoding="utf-8") as fh:
         (back,) = csv.DictReader(fh)
     assert list(back) == list(row)

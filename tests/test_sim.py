@@ -1741,21 +1741,32 @@ def test_loss_floor_is_the_scanned_floor(spread_cdf_file, overrides, w_days, exp
     s = Simulation(cfg(spread_cdf_file, redundancy_policy="adaptive", **overrides), always_on(40, 4))
     if w_days is not None:
         s.thresholds = replace(s.thresholds, w_days=w_days)
-    assert s.n_floor is None  # found at the first decision that needs a tail, not at set-up
-    assert s._below_floor(s.k - 1)
-    assert s.n_floor is None
-    s._below_floor(s.k)
-    assert s.n_floor == scanned_floor(s)
-    if expect is not None:
-        assert s.n_floor == expect
-    else:
-        assert s.k < s.n_floor < s.P
-    # below the floor the loss cap fails at every eTTR from the smallest up
     least_ettr = s.o / s.downlink.max()
-    for n in range(s.k, s.n_floor):
+    floor = red.loss_floor(s.k, least_ettr, s.thresholds, s.P)  # the floor Simulation sets from its thresholds
+    assert floor == scanned_floor(s)
+    if w_days is None:
+        assert s.n_floor == floor
+    if expect is not None:
+        assert floor == expect
+    else:
+        assert s.k < floor < s.P
+    # below the floor the loss cap fails at every eTTR from the smallest up
+    for n in range(s.k, floor):
         for ettr in (least_ettr, np.nextafter(least_ettr, math.inf), 2 * least_ettr, math.inf):
             assert not red.within_loss_cap(n, s.k, ettr, s.thresholds)
-    assert [s._below_floor(n) for n in range(s.P)] == [n < s.n_floor for n in range(s.P)]
+
+
+@pytest.mark.parametrize("policy", ["fixed", "adaptive"])
+@pytest.mark.parametrize("response", ["immediate", "delayed", "delayed_assisted"])
+def test_loss_floor_is_set_when_the_run_is_built(spread_cdf_file, policy, response):
+    s = Simulation(cfg(spread_cdf_file, redundancy_policy=policy, response=response, mean_lifetime_days=20.0),
+                   always_on(40, 4))
+    assert type(s.n_floor) is int and s.n_floor == scanned_floor(s)
+    assert s.k < s.n_floor < s.P
+
+
+def test_sim_config_takes_the_rule_defaults_from_adaptive_thresholds():
+    assert SimConfig().thresholds() == red.AdaptiveThresholds()
 
 
 def test_loss_floor_stops_at_its_ceiling():
@@ -1804,7 +1815,7 @@ class PublicRuleSimulation(Simulation):
             self._ettr(owner)
             assert needs == (not self._rule(owner, self._profiles(owner))[2])
             holders = frozenset(placements_of(self, owner).values())
-            below = self._below_floor(len(holders))
+            below = len(holders) < self.n_floor
             assert len(calls) == (not kept and not below)  # only an unkept decision above the floor is evaluated
             self.decisions += not below
             self.evaluations += len(calls)

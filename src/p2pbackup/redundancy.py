@@ -5,19 +5,12 @@ fixed policy solves a binomial availability target for a system-wide n.  The
 adaptive policy instead stops uploading once two per-peer estimates pass: the
 estimated time to restore (eTTR) and the probability of losing data while the
 owner is away (exponential peer lifetimes, at least n - k + 1 holder crashes).
-A tail's value is one private helper, _binom_sf, which evaluates the
-regularized incomplete beta function directly (scipy.special.betainc), or
-for a tail below 1e-200 that betainc gets wrong a short pmf sum, and
-imports scipy.special at its first call that needs betainc: p strictly
-between 0 and 1 and 0 <= j < n.  Only data_loss_probability and
-loss_risk, which return a tail, call it on every use.  The policies only ask
-which side of a bound a tail falls on (fixed_redundancy_n's target,
-within_loss_cap and loss_floor); _tail_at_most answers that from a short sum
-of pmf terms (_tail_sum) in plain Python, with the same answer as
-_binom_sf, and asks _binom_sf only on a close call.  So a simulation, or a
-plan of n, loads scipy only at such a call, which no run of the benchmark
-catalogue makes; a run without crashes (crash probability 0) or on an
-always-on trace (availability 1) makes none.
+Both rest on one binomial tail, _binom_sf, evaluated in plain Python by
+Loader's method (C. Loader, "Fast and Accurate Computation of Binomial
+Probabilities", 2000; the method of R's dbinom): a saddle-point form of one
+pmf term, and the rest of the tail from the pmf's term ratio.  Every rule
+reads that value: the fixed rule compares it with its target, and
+within_loss_cap and loss_floor compare loss_risk with the cap.
 
 The eTTR formula and the stopping and risk tests are written once, over the
 holders' order statistics: their count n, the k-th best expected rate
@@ -39,10 +32,12 @@ import numpy as np
 SECONDS_PER_DAY = 86400.0
 _TAIL_ATOL = 1e-12  # fixed_redundancy_n's allowance for the tail's last-digit noise
 _FLOOR_RTOL = 1e-6  # loss_floor's allowance for the loss tail's noise as eTTR grows
-_MAX_TERMS = 256  # the most pmf terms _tail_sum adds; a tail with no side this short asks _binom_sf
-_DECIDE_RTOL = 1e-6  # _tail_at_most's band around a bound, relative to it, in which _binom_sf decides
-_MIN_BOUND = 1e-200  # below it _binom_sf decides, checking betainc (wrong from about 1e-242 down) by _tail_sum
 _N_CEILING = 100_000  # the largest n fixed_redundancy_n searches
+# _stirlerr at n = 0 .. 15, to double precision (the entry at 0 is never read)
+_STIRLERR = (0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+             0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+             0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+             0.006408994188004207, 0.0059513701127588475, 0.005554733551962801)
 
 
 class SearchCeilingError(ValueError):
@@ -84,96 +79,80 @@ class AdaptiveThresholds:
 
 def _binom_sf(j: int, n: int, p: float) -> float:
     """P[X > j] for X ~ Binomial(n, p): 1.0 below j = 0, 0.0 from j = n, p
-    itself at p of 0 or 1 (betainc's exact values there), and
-    betainc(j + 1, n - j, p) otherwise: bit for bit scipy's binom.sf, at a
-    small fraction of its per-call cost, wherever that value is at least
-    _MIN_BOUND.  Below it betainc may underflow to 0 or lose every digit
-    (from about 1e-242 down), so where _tail_sum sums the upper side and
-    betainc's value lies outside the sum's allowance, the sum is the value,
-    accurate relative to the tail.  scipy.special is imported here, once per
-    process, at the first call with 0 <= j < n and 0 < p < 1: a tail value,
-    or a comparison that _tail_at_most cannot decide from its sum."""
+    itself at p of 0 or 1, and otherwise the sum of the upper side's pmf
+    terms, j + 1 .. n, so that the value is accurate relative to the tail
+    at any magnitude: the tests hold it within 1e-12 of exact tails, and
+    off by at most 2**-1074 per term where it falls below the normal floats.
+
+    The sum is anchored at the side's largest term, the binomial's mode
+    clamped into it, from _log_pmf; the other terms follow outwards by the
+    pmf's term ratio, so none overflows and each carries a few roundings
+    per step.  Each direction stops once a term falls below 2**-60 of the
+    sum.  Past the anchor the terms only shrink, so what is left out stays
+    below about 2**-60 sqrt(n) of the sum, and a call adds O(sqrt(n)) terms:
+    about 25 ms at n = 10**9.
+    """
     if j < 0:
         return 1.0
     if j >= n:
         return 0.0
     if p == 0 or p == 1:
         return float(p)
-    from scipy.special import betainc
-
-    value = float(betainc(j + 1, n - j, p))
-    if value < _MIN_BOUND and n - j <= _MAX_TERMS and 0 < p < 1 and n < 2**53:
-        estimate = _tail_sum(j, n, p)
-        if estimate is not None and abs(value - estimate[0]) > estimate[1]:
-            return estimate[0]
-    return value
-
-
-def _tail_sum(j: int, n: int, p: float) -> tuple[float, float] | None:
-    """P[X > j] for X ~ Binomial(n, p), 0 <= j < n and 0 < p < 1, summed
-    from pmf terms, with an absolute error allowance: (sum, allowance).
-    None when neither side of the tail has at most _MAX_TERMS terms, or
-    when the anchor's error alone could pass _DECIDE_RTOL.
-
-    The upper side, terms j + 1 .. n, is summed whenever it is that short,
-    so the sum stays accurate relative to the tail at any magnitude;
-    otherwise the tail is 1 minus the lower side, terms 0 .. j, and the
-    allowance adds an epsilon for the cancellation.  The side is anchored
-    at its largest term, the binomial's mode clamped into it, as exp of its
-    log from lgamma; the other terms follow outwards by the pmf's term
-    ratio, so none overflows and each carries a few roundings per step.
-    An anchor that underflows is off by at most 2**-1074 per term, far
-    inside the band of any bound from _MIN_BOUND up.
-    """
-    upper = n - j <= _MAX_TERMS
-    if upper:
-        lo, hi = j + 1, n
-    elif j < _MAX_TERMS:
-        lo, hi = 0, j
-    else:
-        return None
-    mode = min(max(int((n + 1) * p), lo), hi)
-    logs = (math.lgamma(n + 1), -math.lgamma(mode + 1), -math.lgamma(n - mode + 1),
-            mode * math.log(p), (n - mode) * math.log1p(-p))
-    # lgamma, log and log1p err by under 2 ulps of their magnitude, each step
-    # of the recurrence by under 3 epsilons, and each addition by half of one
-    rel = sys.float_info.epsilon * (4 * sum(map(abs, logs)) + 8 * (hi - lo) + 16)
-    if rel > _DECIDE_RTOL:
-        return None
+    mode = min(max(int((n + 1) * p), j + 1), n)
     odds = p / (1 - p)
     total = term = 1.0
-    for i in range(mode, hi):  # up from the anchor: t[i + 1] = t[i] (n - i) / (i + 1) p / (1 - p)
+    for i in range(mode, n):  # up from the anchor: t[i + 1] = t[i] (n - i) / (i + 1) p / (1 - p)
         term *= (n - i) / (i + 1) * odds
         total += term
+        if term < total * 2.0**-60:
+            break
     term = 1.0
-    for i in range(mode, lo, -1):  # and down from it
+    for i in range(mode, j + 1, -1):  # and down from it
         term *= i / ((n - i + 1) * odds)
         total += term
-    side = math.exp(sum(logs)) * total
-    if upper:
-        return side, rel * side
-    return 1.0 - side, rel * side + sys.float_info.epsilon
+        if term < total * 2.0**-60:
+            break
+    return min(math.exp(_log_pmf(mode, n, p)) * total, 1.0)  # rounding may carry a wide sum past 1
 
 
-def _tail_at_most(j: int, n: int, p: float, bound: float) -> bool:
-    """_binom_sf(j, n, p) <= bound, without scipy unless it is a close call.
+def _log_pmf(x: int, n: int, p: float) -> float:
+    """log P[X = x] for X ~ Binomial(n, p), 1 <= x <= n and 0 < p < 1, in
+    Loader's saddle-point form: the Stirling errors of n, x and n - x less
+    the deviances of x and n - x from their means, n p and n (1 - p), and
+    less half the log of 2 pi x (n - x) / n.  Each part is accurate to a
+    few ulps of itself, with no cancellation between large terms.  n, x
+    and n - x (taken in integers) become floats once, here."""
+    if x == n:
+        return n * math.log(p)
+    fn, fx, fy = float(n), float(x), float(n - x)
+    return (_stirlerr(fn) - _stirlerr(fx) - _stirlerr(fy) - _bd0(fx, fn * p) - _bd0(fy, fn * (1 - p))
+            - 0.5 * (math.log(fx / fn * fy) + math.log(2 * math.pi)))
 
-    _tail_sum decides when its sum lies further from the bound than
-    _DECIDE_RTOL * bound plus the sum's allowance; scipy's own error (about
-    1e-13 of the tail here) lies far inside that band, so the answer is
-    _binom_sf's.  _binom_sf decides a close call, p of 0 or 1, an n that is
-    not an exact float, a bound below _MIN_BOUND (where _binom_sf takes the
-    sum in place of a betainc value that lies outside its allowance) and a
-    tail _tail_sum does not sum; at p of 0 or 1, below j = 0 and from j = n
-    it needs no scipy either.
-    """
-    if 0 <= j < n < 2**53 and 0 < p < 1 and bound >= _MIN_BOUND:
-        estimate = _tail_sum(j, n, p)
-        if estimate is not None:
-            tail, allowance = estimate
-            if abs(tail - bound) > _DECIDE_RTOL * bound + allowance:
-                return tail < bound
-    return _binom_sf(j, n, p) <= bound
+
+def _stirlerr(n: float) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n / e)**n), the error of Stirling's
+    formula at a whole n >= 1: from _STIRLERR up to 15, and above that from
+    five terms of its asymptotic series, whose remainder is below 2e-16."""
+    if n <= 15:
+        return _STIRLERR[int(n)]
+    nn = n * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, m: float) -> float:
+    """x log(x / m) + m - x, the deviance of x >= 1 from a mean m > 0.  Near
+    the mean, where that form cancels, it is summed from its series in
+    v = (x - m) / (x + m): (x - m) v + 2 x (v**3 / 3 + v**5 / 5 + ...)."""
+    v = (x / 2 - m / 2) / (x / 2 + m / 2)  # halved, so that x + m cannot overflow
+    if abs(v) >= 0.1:  # below m = 1, x / m may overflow, and log x - log m cannot cancel
+        return x * (math.log(x / m) if m >= 1 else math.log(x) - math.log(m)) + (m - x)
+    s, term, v2 = (x - m) * v, 2 * v * x, v * v
+    for i in range(3, 99, 2):  # each term is under a hundredth of the last
+        term *= v2
+        if s + term / i == s:
+            break
+        s += term / i
+    return s
 
 
 def fixed_redundancy_n(k: int, a: float, target: float) -> int:
@@ -181,10 +160,9 @@ def fixed_redundancy_n(k: int, a: float, target: float) -> int:
 
     Finds the smallest n with P[X >= k] >= target for X ~ Binomial(n, a): the
     probability that at least k of n fragments sit on currently-online peers.
-    The tail is _binom_sf(k - 1, n, a), a regularized incomplete beta
-    function, stable far beyond n = 10^4; the comparison allows _TAIL_ATOL of
-    last-digit noise, and _tail_at_most makes it.  The tail is nondecreasing
-    in n, so one bisection over [k, _N_CEILING] finds the first n that passes.
+    The tail is _binom_sf(k - 1, n, a), and the comparison allows _TAIL_ATOL
+    for its last-digit noise.  The tail is nondecreasing in n, so one
+    bisection over [k, _N_CEILING] finds the first n that passes.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -195,11 +173,8 @@ def fixed_redundancy_n(k: int, a: float, target: float) -> int:
     if _N_CEILING < k:
         raise SearchCeilingError(f"ceiling {_N_CEILING} is below k={k}")
 
-    # tail >= target - _TAIL_ATOL, as "not tail <= the float just below it"
-    below = math.nextafter(target - _TAIL_ATOL, -math.inf)
-
     def passes(n: int) -> bool:
-        return not _tail_at_most(k - 1, n, a, below)
+        return _binom_sf(k - 1, n, a) >= target - _TAIL_ATOL
 
     n = k + bisect.bisect_left(range(k, _N_CEILING + 1), True, key=passes)
     if n > _N_CEILING:
@@ -240,19 +215,11 @@ def data_loss_probability(n: int, k: int, t_elapsed: float, mean_lifetime: float
     Each holder's remaining lifetime is exponential with the given mean, so a
     holder crashes within t with probability q = 1 - exp(-t / mean); data is
     lost when at least n - k + 1 of n crash.  t_elapsed and mean_lifetime must
-    share a unit.  The tail is _binom_sf(n - k, n, q), stable for any n used
-    here (incomplete-beta evaluation).
+    share a unit.  The tail is _binom_sf(n - k, n, q).
     """
-    return _binom_sf(n - k, n, _crash_probability(n, k, t_elapsed, mean_lifetime))
-
-
-def _crash_probability(n: int, k: int, t_elapsed: float, mean_lifetime: float) -> float:
-    """q = 1 - exp(-t_elapsed / mean_lifetime), once n, k, t_elapsed and
-    mean_lifetime pass data_loss_probability's checks; the loss tests
-    share it, so a bad argument raises the same error there."""
     if k < 1 or n < k:
         raise ValueError("need n >= k >= 1")
-    if n > sys.float_info.max:  # the tail takes n - k + 1 and k as floats
+    if n > sys.float_info.max:  # _binom_sf takes n as a float
         raise ValueError(f"n must be at most {sys.float_info.max:g}")
     if not t_elapsed >= 0:  # negated so that a nan fails too
         raise ValueError("t_elapsed must be non-negative")
@@ -260,7 +227,7 @@ def _crash_probability(n: int, k: int, t_elapsed: float, mean_lifetime: float) -
         raise ValueError("mean_lifetime must be positive")
     if math.isinf(t_elapsed) and math.isinf(mean_lifetime):
         raise ValueError("t_elapsed and mean_lifetime cannot both be infinite")
-    return -math.expm1(-t_elapsed / mean_lifetime)
+    return _binom_sf(n - k, n, -math.expm1(-t_elapsed / mean_lifetime))
 
 
 def loss_risk(n: int, k: int, ettr_seconds: float, thresholds: AdaptiveThresholds) -> float:
@@ -272,19 +239,10 @@ def loss_risk(n: int, k: int, ettr_seconds: float, thresholds: AdaptiveThreshold
     return data_loss_probability(n, k, t_days, thresholds.mean_lifetime_days)
 
 
-def _risk_at_most(n: int, k: int, ettr_seconds: float, thresholds: AdaptiveThresholds, cap: float) -> bool:
-    """loss_risk(n, k, ettr_seconds, thresholds) <= cap, decided by
-    _tail_at_most."""
-    if math.isinf(ettr_seconds):
-        return 1.0 <= cap
-    t_days = thresholds.w_days + ettr_seconds / SECONDS_PER_DAY
-    return _tail_at_most(n - k, n, _crash_probability(n, k, t_days, thresholds.mean_lifetime_days), cap)
-
-
 def within_loss_cap(n: int, k: int, ettr_seconds: float, thresholds: AdaptiveThresholds) -> bool:
     """The risk test: the loss probability over w + eTTR with n holders is at
     most loss_cap."""
-    return _risk_at_most(n, k, ettr_seconds, thresholds, thresholds.loss_cap)
+    return loss_risk(n, k, ettr_seconds, thresholds) <= thresholds.loss_cap
 
 
 def loss_floor(k: int, min_ettr_seconds: float, thresholds: AdaptiveThresholds, ceiling: int) -> int:
@@ -302,7 +260,7 @@ def loss_floor(k: int, min_ettr_seconds: float, thresholds: AdaptiveThresholds, 
     cap = thresholds.loss_cap * (1 + _FLOOR_RTOL)
 
     def passes(n: int) -> bool:
-        return _risk_at_most(n, k, min_ettr_seconds, thresholds, cap)
+        return loss_risk(n, k, min_ettr_seconds, thresholds) <= cap
 
     return k + bisect.bisect_left(range(k, ceiling), True, key=passes)
 

@@ -11,17 +11,21 @@ The cases are ``import p2pbackup``, ``import p2pbackup.cli``, and
 ``cli.main`` on toy runs of trace-synth, trace-stats, sched-compare, plan
 (of n, and of a loss probability) and simulate (with crashes, and adaptive
 without them).  The tool prints the median seconds per case, then one line
-of JSON with each case's median seconds and scipy flag.  Only a case that
-prints a binomial tail's value (plan --loss) should load scipy: plan of n
-and simulate only compare tails with bounds, which redundancy decides
-without scipy unless a call is close, and a run without crashes asks only
-for tails at crash probability 0, whose value needs no scipy.
+of JSON with each case's median seconds and scipy flag.  No case should load
+scipy: the package evaluates its binomial tails in plain Python.
+
+The times move about twofold with whether src/p2pbackup holds compiled
+bytecode, so the header and the JSON (``"bytecode"``) record it as the
+cases find it: ``all``, ``none`` or ``partial`` of the package's modules
+with a file at importlib.util.cache_from_source.  A tree run without
+PYTHONDONTWRITEBYTECODE gains its bytecode at the first import.
 
 Not collected by pytest: the file name has no test_ prefix.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import statistics
@@ -66,6 +70,13 @@ def cases(work: Path) -> dict[str, str]:
     return out
 
 
+def bytecode_state() -> str:
+    """all, none or partial: which of the package's modules have bytecode."""
+    compiled = {Path(importlib.util.cache_from_source(str(path))).exists()
+                for path in (SRC / "p2pbackup").glob("*.py")}
+    return "all" if compiled == {True} else "none" if compiled == {False} else "partial"
+
+
 def run_case(body: str, env: dict) -> tuple[float, bool]:
     proc = subprocess.run([sys.executable, "-c", CHILD.format(body=body)], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
@@ -79,7 +90,8 @@ def main() -> int:
         work = Path(tmp)
         subprocess.run([sys.executable, "-m", "p2pbackup.cli", "trace-synth", "--peers", "8", "--slots", "48",
                         "--out-dir", str(work / "toy")], env=env, capture_output=True, timeout=300, check=True)
-        print(f"median of {REPEATS} fresh interpreters, Python {sys.version.split()[0]}")
+        bytecode = bytecode_state()
+        print(f"median of {REPEATS} fresh interpreters, Python {sys.version.split()[0]}, bytecode: {bytecode}")
         summary, bodies = {}, cases(work)
         width = max(map(len, bodies))
         for name, body in bodies.items():
@@ -89,7 +101,8 @@ def main() -> int:
             scipy = "yes" if loaded == {True} else "no" if loaded == {False} else "sometimes"
             print(f"{name:<{width}} {seconds:7.3f} s  scipy loaded: {scipy}")
             summary[name] = {"median_s": seconds, "scipy_loaded": scipy}
-    print(json.dumps({"repeats": REPEATS, "python": sys.version.split()[0], "cases": summary}))
+    print(json.dumps({"repeats": REPEATS, "python": sys.version.split()[0], "bytecode": bytecode,
+                      "cases": summary}))
     return 0
 
 

@@ -925,25 +925,25 @@ def test_manifest_writes_an_infinite_flag_as_a_string(tmp_path):
 # -- cold start ----------------------------------------------------------
 
 
-def test_import_cost_tool_loads_scipy_only_for_a_tail(monkeypatch, capsys):
+def test_import_cost_tool_finds_no_scipy_in_any_case(monkeypatch, capsys):
     """tests/import_cost.py, the cold start of each subcommand, runs every
-    case once and finds scipy loaded only by plan --loss, the one case that
-    prints a binomial tail's value; plan of n and simulate compare tails
-    with bounds without it, and a simulation without crashes asks only for
-    tails at p = 0.  Its last line is JSON with the same rows."""
+    case once and finds scipy loaded by none, plan --loss, which prints a
+    binomial tail's value, included.  Its header and its last line, JSON
+    with the same rows, record the tree's bytecode state."""
     monkeypatch.setattr(import_cost, "REPEATS", 1)
     assert import_cost.main() == 0
     lines = capsys.readouterr().out.splitlines()
     rows = [re.fullmatch(r"(.+?) +(\d+\.\d{3}) s  scipy loaded: (\w+)", line) for line in lines[1:-1]]
     assert all(rows), lines
-    assert {row[1]: row[3] for row in rows} == {
-        "import p2pbackup": "no", "import p2pbackup.cli": "no", "cli.main trace-synth": "no",
-        "cli.main trace-stats": "no", "cli.main sched-compare": "no", "cli.main plan": "no",
-        "cli.main plan --loss": "yes", "cli.main simulate": "no",
-        "cli.main simulate --mean-lifetime-days inf": "no"}
+    assert {row[1]: row[3] for row in rows} == dict.fromkeys([
+        "import p2pbackup", "import p2pbackup.cli", "cli.main trace-synth", "cli.main trace-stats",
+        "cli.main sched-compare", "cli.main plan", "cli.main plan --loss", "cli.main simulate",
+        "cli.main simulate --mean-lifetime-days inf"], "no")
     assert len(rows) == 9
     summary = json.loads(lines[-1])
     assert summary["repeats"] == 1
+    assert summary["bytecode"] in ("all", "none", "partial")
+    assert lines[0].endswith(f", bytecode: {summary['bytecode']}")
     assert {name: (f"{case['median_s']:.3f}", case["scipy_loaded"]) for name, case in summary["cases"].items()} == {
         row[1]: (row[2], row[3]) for row in rows}
 

@@ -120,7 +120,7 @@ PLAN_BATCH = [
     {"mode": "loss", "n": "222", "k": "64", "t_days": "15.5", "mean_lifetime_days": "90"},
     {"mode": "loss", "n": "12", "k": "8", "t_days": "3", "mean_lifetime_days": "20"},
 ]
-PLAN_SHA256 = "6aac9386cae626408b93902bfc6f8291e118480813c2d28fce79b553dfc46b71"
+PLAN_SHA256 = "079165839c054dfdb6b64d91116f4c22e66299c94a06a1575ce6fda2a412695f"
 
 
 def _simulate(tmp_path, policy, response, runs):

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import betaincinv
+from scipy.special import betainc, betaincinv
 from scipy.stats import binom
 
 from p2pbackup import redundancy as red
@@ -371,6 +370,11 @@ def test_infinite_windows_and_lifetimes_stay_valid():
 
 # ------------------------------------------------------------------- _binom_sf
 
+# _binom_sf against betainc above 1e-200, for n up to 100,000: at such n and
+# such depths both carry about 1e-12 relative, so the bound is on their sum
+BETAINC_RTOL = 1e-11
+
+
 def assert_exact_tail(got, j, n, p):
     """got is P[X > j] for X ~ Binomial(n, p) within 1e-12 of the exact
     rational tail, relative; a tail below the normal floats may be off by
@@ -381,33 +385,50 @@ def assert_exact_tail(got, j, n, p):
     assert abs(got - exact) <= 1e-12 * exact + (n + 1) * 2.0**-1074, (j, n, p, got, exact)
 
 
-def test_binom_sf_is_scipy_binom_sf_bit_for_bit():
-    """_binom_sf is scipy's binom.sf bit for bit wherever binom.sf is at
-    least _MIN_BOUND, and wherever _tail_sum does not sum the upper side.
-    Below _MIN_BOUND, where it does, betainc may lose every digit, and
-    _binom_sf is the exact tail instead; the draws meet such tails."""
+def assert_accurate_tail(got, j, n, p):
+    """got is P[X > j] for X ~ Binomial(n, p), 0 <= j < n: the exact tail
+    (assert_exact_tail) for n up to 1500, where exact rationals are cheap,
+    and above that within BETAINC_RTOL of scipy's betainc wherever betainc
+    is at least 1e-200.  Below that betainc may underflow to 0 or lose
+    every digit, so there got must only lie below 2e-200 too.  got is a
+    probability: a wide sum near 1 must not round past it."""
+    assert 0.0 <= got <= 1.0, (j, n, p, got)
+    if n <= 1500:
+        assert_exact_tail(got, j, n, p)
+        return
+    oracle = float(betainc(j + 1, n - j, p))
+    if oracle >= 1e-200:
+        assert abs(got - oracle) <= BETAINC_RTOL * oracle, (j, n, p, got, oracle)
+    else:
+        assert got < 2e-200, (j, n, p, got, oracle)
+
+
+def test_binom_sf_is_accurate_on_random_draws():
+    """On 3,000 random draws, n up to 100,000 and j from -2 to n + 2,
+    _binom_sf is scipy's binom.sf where that is exact (j below 0 or from n,
+    and p of 0 or 1), and otherwise the tail within assert_accurate_tail's
+    bound.  The draws meet tails below 1e-200 that exact rationals check."""
     rng = np.random.default_rng(2024)
     deep = 0
     for i in range(3000):
         n = int(rng.integers(1, 10 ** int(rng.integers(1, 6)) + 1))
         j = int(rng.integers(-2, n + 3))
         p = (0.0, 1.0, float(rng.random()))[min(i % 5, 2)]
-        scipy_sf = float(binom.sf(j, n, p))
-        if scipy_sf < red._MIN_BOUND and 0 <= j < n and n - j <= red._MAX_TERMS and 0 < p < 1:
-            deep += 1
-            assert_exact_tail(red._binom_sf(j, n, p), j, n, p)
+        got = red._binom_sf(j, n, p)
+        if 0 <= j < n and 0 < p < 1:
+            deep += n <= 1500 and got < 1e-200
+            assert_accurate_tail(got, j, n, p)
         else:
-            assert red._binom_sf(j, n, p) == scipy_sf, (j, n, p)
+            assert got == float(binom.sf(j, n, p)), (j, n, p)
     assert deep >= 10
 
 
 def test_binom_sf_is_exact_where_betainc_underflows():
-    """Tails from 1e-300 to 1e-200, where betainc may return 0 or lose
-    every digit, are the exact tail within 1e-12 relative: the summed upper
-    side.  betainc returns 0.0 for the first one, whose exact value is
-    6.1585e-287, and so plan --loss printed 0 for it.  An n beyond the
-    exact floats keeps betainc's value: the sum's lgamma would overflow at
-    the largest n data_loss_probability takes."""
+    """Tails from 1e-300 to 1e-200, where scipy's betainc may return 0 or
+    lose every digit, are the exact tail within 1e-12 relative.  betainc
+    returns 0.0 for the first one, whose exact value is 6.1585e-287.  At
+    the largest n data_loss_probability takes, where n - 1 and n are the
+    same float, the loss tail of k = 2 is 0.0, with no overflow."""
     assert red._binom_sf(214, 245, 0.031035968582589724) == pytest.approx(6.1585e-287, rel=1e-4)
     assert_exact_tail(red._binom_sf(214, 245, 0.031035968582589724), 214, 245, 0.031035968582589724)
     assert red.data_loss_probability(int(1.7e308), 2, 1.0, 1.0) == 0.0
@@ -424,24 +445,22 @@ def test_binom_sf_is_exact_where_betainc_underflows():
         checked += 1
 
 
-# ---------------------------------------------------- _tail_sum, _tail_at_most
-
-# p in (0, 1) as the simulator meets it: anywhere, down to 1e-307, and up to
-# 1e-16 short of 1 (which rounds to 1.0, where _binom_sf decides)
+# p as the simulator meets it: anywhere in (0, 1), down to 1e-307, up to
+# 1e-16 short of 1 (which may round to 1.0), and 0 and 1 themselves
 probabilities = st.one_of(
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     st.builds(lambda m, e: m * 10.0 ** -e, st.floats(1.0, 9.99), st.integers(1, 307)),
     st.builds(lambda m, e: 1.0 - m * 10.0 ** -e, st.floats(1.0, 9.99), st.integers(1, 16)),
+    st.sampled_from([0.0, 1.0]),
 )
 
 
 @st.composite
 def tail_queries(draw):
-    """(j, n, p) as the comparisons ask them: the loss tail (j = n - k, up
-    to 300 spare holders), fixed_redundancy_n's availability tail (j = k - 1,
-    n up to its default ceiling), loss tails of 1e-250 or below, and loss
-    tails near 1e-9 with fewer than k - 1 spare holders, whose lower side is
-    the shorter."""
+    """(j, n, p) as the rules ask them: the loss tail (j = n - k, up to 300
+    spare holders), fixed_redundancy_n's availability tail (j = k - 1, n up
+    to its ceiling), loss tails of 1e-250 or below, and loss tails near
+    1e-9 with fewer than k - 1 spare holders."""
     k = draw(st.integers(1, 128))
     stratum = draw(st.sampled_from(["loss", "fixed", "tiny", "near 1e-9"]))
     if stratum == "fixed":
@@ -459,95 +478,23 @@ def tail_queries(draw):
     return n - k, n, draw(st.floats(1.0, 9.99)) * 10.0 ** -e
 
 
-def bounds_around(tail):
-    """The tail itself and its float neighbours, the tail times (1 +- 1e-9),
-    (1 +- 1e-5) and (1 +- 1e-2), and bounds far from it."""
-    near = [tail * (1 + sign * r) for r in (1e-9, 1e-5, 1e-2) for sign in (-1, 1)]
-    return [tail, math.nextafter(tail, 0.0), math.nextafter(tail, 1.0), *near,
-            tail * 1e3, tail * 1e-3, 1.0, 0.5, 1e-4, 1e-9, 1e-300, 1e-310, 0.0]
-
-
 @given(tail_queries())
 @settings(max_examples=400, deadline=None)
-def test_tail_at_most_answers_as_binom_sf(query):
-    """_tail_at_most(j, n, p, bound) is _binom_sf(j, n, p) <= bound, at the
-    tail itself, next to it and far from it, for tiny tails, for p near 0
-    and near 1, and where the lower side of a tail near 1e-9 is the
-    shorter."""
+def test_binom_sf_is_accurate_on_the_tails_the_rules_ask(query):
+    """_binom_sf is the tail within assert_accurate_tail's bound on every
+    stratum of tail_queries, with p anywhere, near 0, near 1, and 0 or 1:
+    the value each rule compares with its bound."""
     j, n, p = query
-    tail = red._binom_sf(j, n, p)
-    for bound in bounds_around(tail):
-        assert red._tail_at_most(j, n, p, bound) == (tail <= bound), (j, n, p, bound)
+    assert_accurate_tail(red._binom_sf(j, n, p), j, n, p)
 
 
-@given(st.integers(1, 60).flatmap(lambda n: st.tuples(st.integers(0, n - 1), st.just(n))),
-       probabilities.filter(lambda p: p < 1.0))
-@settings(max_examples=200, deadline=None)
-def test_tail_sum_matches_exact_rationals(jn, p):
-    """For n <= 60 the sum of the upper side is within 1e-12 of the exact
-    tail, relative, and within its own allowance; a tail below the normal
-    floats may be off by 2**-1074 per term."""
-    j, n = jn
-    tail, allowance = red._tail_sum(j, n, p)
-    exact = binomial_tail_ge(n, j + 1, Fraction(p))
-    error = abs(Fraction(tail) - exact)
-    underflow = Fraction(n + 1, 2**1074)
-    assert error <= exact * Fraction(1, 10**12) + underflow, (j, n, p)
-    assert error <= Fraction(allowance) + underflow, (j, n, p)
-
-
-@given(st.integers(0, 255), st.integers(257, 600), st.floats(0.001, 0.999), st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_tail_sum_stays_within_its_allowance_on_the_lower_side(j, extra, p, at_mean):
-    """With more than _MAX_TERMS upper terms the tail is 1 minus the lower
-    side, within its allowance of the exact tail, an epsilon of the
-    cancellation included."""
-    n = j + extra
-    if at_mean:  # a tail neither near 0 nor near 1
-        p = (j + 1) / n * (0.5 + p)
-    tail, allowance = red._tail_sum(j, n, p)
-    # the lower side in integers, p = num / den: sum of C(n, i) num**i (den - num)**(n - i), by Horner
-    num, den = p.as_integer_ratio()
-    acc, power = 0, 1
-    for i in range(j + 1):
-        acc, power = acc * (den - num) + comb(n, i) * power, power * num
-    exact = 1 - Fraction(acc * (den - num) ** (n - j), den**n)
-    assert abs(Fraction(tail) - exact) <= Fraction(allowance), (j, n, p)
-
-
-def test_tail_at_most_asks_binom_sf_only_when_the_sum_cannot_decide(monkeypatch):
-    """The sum decides unless the tail lies within _DECIDE_RTOL of the bound
-    (plus the sum's allowance); _binom_sf decides that close call, p of 0
-    or 1, an n of 2**53 or more, a bound below _MIN_BOUND, a tail with no
-    side of _MAX_TERMS terms or fewer, and one whose anchor carries
-    lgamma's error at n = 10**9.  The answer is _binom_sf's each time."""
-    binom_sf, asked = red._binom_sf, []
-    monkeypatch.setattr(red, "_binom_sf", lambda j, n, p: asked.append((j, n, p)) or binom_sf(j, n, p))
-
-    def asks(j, n, p, bound):
-        asked.clear()
-        assert red._tail_at_most(j, n, p, bound) == (binom_sf(j, n, p) <= bound)
-        return len(asked)
-
-    tail = binom_sf(36, 100, 0.144)  # k = 64, one holder in seven crashing in the window
-    for r in (1e-5, 1e-2, 10.0):
-        assert asks(36, 100, 0.144, tail * (1 + r)) == asks(36, 100, 0.144, tail / (1 + r)) == 0
-    for r in (0.0, 1e-9, 1e-7):
-        assert asks(36, 100, 0.144, tail * (1 + r)) == asks(36, 100, 0.144, tail / (1 + r)) == 1
-    assert asks(3, 10, 0.0, 0.5) == asks(3, 10, 1.0, 0.5) == 1
-    assert asks(2**53 - 1, 2**53, 0.5, 0.5) == 1
-    assert asks(36, 100, 0.144, 1e-201) == 1
-    assert asks(1000, 2000, 0.5, 0.5) == 1
-    assert asks(10**9 - 5, 10**9, 0.5, 0.5) == 1
-
-
-def test_scipy_loads_only_at_the_first_binomial_tail(tmp_path):
+def test_no_scipy_module_loads_even_after_a_tail_value_and_plan_loss(tmp_path):
     """Importing the package and its CLI loads no scipy module, and neither
-    do trace-synth, trace-stats and sched-compare runs, which evaluate no
-    binomial tail: scipy.special costs every process that loads it most of
-    its start-up.  The first tail then loads scipy.special.  A bare import
-    loads exactly the four modules the package imports, so the import time
-    a fresh interpreter pays stays the same work."""
+    do trace-synth, trace-stats, sched-compare and plan --loss runs, nor a
+    binomial tail's value: _binom_sf is plain Python, and scipy costs every
+    process that loads it most of its start-up.  A bare import loads
+    exactly the four modules the package imports, so the import time a
+    fresh interpreter pays stays the same work."""
     src = Path(red.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     out = tmp_path / "o"
@@ -561,35 +508,33 @@ scipy_modules()
 from p2pbackup import cli, redundancy
 scipy_modules()
 for argv in (["trace-synth", "--peers", "6", "--slots", "24"], ["trace-stats", "--matrix", "{out}/trace.txt"],
-             ["sched-compare", "--matrix", "{out}/trace.txt", "--x", "2", "--ratios", "1.5", "--trials", "2"]):
+             ["sched-compare", "--matrix", "{out}/trace.txt", "--x", "2", "--ratios", "1.5", "--trials", "2"],
+             ["plan", "--loss", "--n", "96", "--k", "64", "--t-days", "14"]):
     assert cli.main([*argv, "--out-dir", "{out}"]) == 0, argv
     scipy_modules()
-redundancy._binom_sf(1, 4, 0.5)
-print("probe", 'scipy.special' in sys.modules)
+assert 0 < redundancy._binom_sf(1, 4, 0.5) < 1
+scipy_modules()
 """
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                             timeout=120, check=True)
     # the subcommands print too; the probes' lines are marked
-    package, *scipy_modules, tail_loads = [line[6:] for line in result.stdout.splitlines() if line[:6] == "probe "]
+    package, *scipy_modules = [line[6:] for line in result.stdout.splitlines() if line[:6] == "probe "]
     assert package == str([f"p2pbackup.{name}" for name in ("redundancy", "sched", "sim", "trace")])
-    assert scipy_modules == ["[]"] * 5
-    assert tail_loads == "True"
+    assert scipy_modules == ["[]"] * 7
 
 
 @pytest.mark.parametrize("j, n", [(0, 5), (7, 10), (99, 299), (0, 1)])
 @pytest.mark.parametrize("p", [0.0, 1.0])
 def test_binom_sf_at_p_0_and_1_is_betaincs_exact_value(j, n, p):
-    from scipy.special import betainc
-
     assert red._binom_sf(j, n, p) == float(betainc(j + 1, n - j, p)) == p
 
 
 def test_runs_whose_tails_sit_at_p_0_or_1_load_no_scipy():
-    """Adaptive runs without crashes (mean_lifetime_days 0 or inf: a holder
-    crashes with probability 0) and a fixed-policy run on an always-on trace
-    (availability 1) ask _binom_sf for tails at p of 0 or 1 only, which it
-    answers without scipy.special.  With scipy's binom.sf in its place the
-    runs come out the same."""
+    """Runs without crashes (mean_lifetime_days 0 or inf: a holder crashes
+    with probability 0), adaptive and, on an always-on trace (availability
+    1), fixed, ask _binom_sf for tails at p of 0 or 1 only, which it answers
+    as p itself, with no sum.  With scipy's binom.sf in its place the runs
+    come out the same."""
     src = Path(red.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     code = """
@@ -603,7 +548,7 @@ def runs():
     always_on = trace.AvailabilityMatrix(bits=np.ones((10, 48), dtype=np.uint8))
     for policy, lifetime, matrix in (("adaptive", 0.0, trace.synth_trace(20, 96, seed=1)),
                                      ("adaptive", math.inf, trace.synth_trace(20, 96, seed=1)),
-                                     ("fixed", 90.0, always_on)):
+                                     ("fixed", math.inf, always_on)):
         config = sim.SimConfig(object_size=4_000_000, fragment_size=1_000_000, mean_lifetime_days=lifetime,
                                redundancy_policy=policy, seed=3)
         simulation = sim.Simulation(config, matrix)
@@ -621,17 +566,16 @@ print(first == repr(list(runs())))
 
 def test_simulations_decide_every_tail_comparison_without_scipy():
     """Fixed and adaptive runs, immediate and delayed_assisted, at 30 peers
-    x 96 slots and k = 8, with crashes, restores and losses, make their
-    tail comparisons through _tail_at_most and leave scipy.special
-    unloaded."""
+    x 96 slots and k = 8, with crashes, restores and losses, evaluate their
+    tails through _binom_sf and load no scipy module."""
     src = Path(red.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     code = """
 import sys
 from p2pbackup import redundancy, sim, trace
 calls = []
-at_most = redundancy._tail_at_most
-redundancy._tail_at_most = lambda *args: calls.append(args) or at_most(*args)
+binom_sf = redundancy._binom_sf
+redundancy._binom_sf = lambda *args: calls.append(args) or binom_sf(*args)
 matrix = trace.synth_trace(30, 96, seed=5)
 for policy in ("fixed", "adaptive"):
     for response in ("immediate", "delayed_assisted"):
@@ -641,7 +585,7 @@ for policy in ("fixed", "adaptive"):
                                repair_timeout_days=0.5, redundancy_policy=policy, response=response, seed=3)
         result = sim.Simulation(config, matrix).run()
         print(len(calls), sorted({c.outcome for c in result.crashes}))
-print("scipy.special" in sys.modules)
+print(any(m.split(".")[0] == "scipy" for m in sys.modules))
 """
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                             timeout=120, check=True)
